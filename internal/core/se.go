@@ -184,11 +184,12 @@ func maxGap(l, h geom.Rect) float64 {
 
 // BuildRegionTree indexes the uncertainty regions of every object in db in
 // an R*-tree keyed by object ID — the shared support structure for FS/IS
-// C-set selection and for the R-tree PNNQ baseline.
+// C-set selection and for the R-tree PNNQ baseline. The tree is bulk-loaded;
+// later updates go through its Insert/Delete.
 func BuildRegionTree(db *uncertain.DB, fanout int) *rtree.Tree {
-	t := rtree.New(db.Dim(), fanout)
+	items := make([]rtree.Item, 0, db.Len())
 	for _, o := range db.Objects() {
-		t.Insert(rtree.Item{Rect: o.Region, ID: uint32(o.ID)})
+		items = append(items, rtree.Item{Rect: o.Region, ID: uint32(o.ID)})
 	}
-	return t
+	return rtree.BulkLoad(db.Dim(), fanout, items)
 }

@@ -193,7 +193,7 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if fanout <= 0 {
 		fanout = rtree.DefaultFanout
 	}
-	regionTree := core.BuildRegionTree(db, fanout)
+	regionTree := buildRegionTree(db, fanout)
 
 	// Sanity: every database object must have a stored record.
 	for _, o := range db.Objects() {

@@ -179,6 +179,11 @@ type working struct {
 	dirty map[uint32]struct{} // nil in bootstrap mode
 }
 
+// buildRegionTree constructs the region R*-tree of a database. It is a
+// variable only so that a test can substitute an insertion-built tree and
+// show that the index does not depend on the tree's shape.
+var buildRegionTree = core.BuildRegionTree
+
 // bootstrapWorking creates the construction-time working set over db.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 	w := &working{ix: ix, epoch: 1, baseEpoch: 1, db: db}
@@ -196,7 +201,7 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.regionTree = core.BuildRegionTree(db, ix.cfg.Fanout)
+	w.regionTree = buildRegionTree(db, ix.cfg.Fanout)
 	return w, nil
 }
 

@@ -25,15 +25,30 @@ func idSet(items []Item) []uint32 {
 
 // TestCloneCOWIsolation mutates a COW clone heavily and checks the sealed
 // original never changes: same item set, same search answers, invariants
-// intact on both handles.
+// intact on both handles — whether the original was grown by Insert or
+// packed by BulkLoad (the tree every index version descends from).
 func TestCloneCOWIsolation(t *testing.T) {
+	t.Run("insert-built", func(t *testing.T) {
+		testCloneCOWIsolation(t, func(items []Item) *Tree {
+			base := New(2, 8)
+			for _, it := range items {
+				base.Insert(it)
+			}
+			return base
+		})
+	})
+	t.Run("bulk-loaded", func(t *testing.T) {
+		testCloneCOWIsolation(t, func(items []Item) *Tree { return BulkLoad(2, 8, items) })
+	})
+}
+
+func testCloneCOWIsolation(t *testing.T, build func([]Item) *Tree) {
 	rng := rand.New(rand.NewSource(41))
-	base := New(2, 8)
 	items := make([]Item, 300)
 	for i := range items {
 		items[i] = randItem(rng, uint32(i))
-		base.Insert(items[i])
 	}
+	base := build(items)
 	wantIDs := idSet(base.All(nil))
 
 	clone := base.CloneCOW()

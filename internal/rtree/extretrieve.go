@@ -7,7 +7,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 
 	"pvoronoi/internal/geom"
@@ -95,9 +94,9 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 	kth := kMax{k: k}
 	var h nnHeap
 	var counter int64
-	heap.Push(&h, nnHeapItem{dist: lower(t.root.mbr()), node: t.root})
-	for h.Len() > 0 {
-		top := heap.Pop(&h).(nnHeapItem)
+	h.push(nnHeapItem{dist: lower(t.root.mbr()), node: t.root})
+	for len(h) > 0 {
+		top := h.pop()
 		if top.dist > bound {
 			break // best-first order: everything left is at least as far
 		}
@@ -118,7 +117,7 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 		for _, e := range n.entries {
 			if d := lower(e.rect); d <= bound {
 				counter++
-				heap.Push(&h, nnHeapItem{dist: d, node: e.child, order: counter})
+				h.push(nnHeapItem{dist: d, node: e.child, order: counter})
 			}
 		}
 	}

@@ -10,10 +10,10 @@
 package rtree
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pvoronoi/internal/geom"
@@ -65,13 +65,7 @@ type entry struct {
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-func (n *node) mbr() geom.Rect {
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
-	}
-	return r
-}
+func (n *node) mbr() geom.Rect { return mbrOf(n.entries) }
 
 // New returns an empty R*-tree for dim-dimensional data with the given
 // fanout (maximum entries per node; DefaultFanout if <= 0). The minimum
@@ -153,11 +147,16 @@ type pendingEntry struct {
 
 // Insert adds an item to the tree.
 func (t *Tree) Insert(item Item) {
+	t.checkDim(item)
+	t.insertAtLevel(entry{rect: item.Rect, item: item}, 0)
+	t.size++
+}
+
+// checkDim panics on an item of the wrong dimensionality (a caller bug).
+func (t *Tree) checkDim(item Item) {
 	if item.Rect.Dim() != t.dim {
 		panic(fmt.Sprintf("rtree: item dim %d, tree dim %d", item.Rect.Dim(), t.dim))
 	}
-	t.insertAtLevel(entry{rect: item.Rect, item: item}, 0)
-	t.size++
 }
 
 // insertAtLevel places e into a node at the given level, applying R*
@@ -165,13 +164,12 @@ func (t *Tree) Insert(item Item) {
 // reinserts are deferred to a worklist so the recursive descent never
 // mutates nodes on its own path.
 func (t *Tree) insertAtLevel(e entry, level int) {
-	queue := []pendingEntry{{e, level}}
-	reinserted := make(map[int]bool)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	var queue []pendingEntry // filled only by forced reinserts
+	var reinserted uint64    // bit l set: level l already had its forced reinsert
+	p := pendingEntry{e, level}
+	for {
 		t.root = t.ownedNode(t.root)
-		split := t.insertRec(t.root, p.e, p.level, reinserted, &queue)
+		split := t.insertRec(t.root, p.e, p.level, &reinserted, &queue)
 		if split != nil {
 			// Root split: grow the tree.
 			newRoot := &node{owner: t.sess, level: t.root.level + 1}
@@ -181,6 +179,10 @@ func (t *Tree) insertAtLevel(e entry, level int) {
 			}
 			t.root = newRoot
 		}
+		if len(queue) == 0 {
+			return
+		}
+		p, queue = queue[0], queue[1:]
 	}
 }
 
@@ -188,7 +190,7 @@ func (t *Tree) insertAtLevel(e entry, level int) {
 // n must be owned by the current session; children are path-copied before
 // descent. It returns a new sibling if n was split. Entries evicted by
 // forced reinsert are appended to queue for the caller's worklist.
-func (t *Tree) insertRec(n *node, e entry, level int, reinserted map[int]bool, queue *[]pendingEntry) *node {
+func (t *Tree) insertRec(n *node, e entry, level int, reinserted *uint64, queue *[]pendingEntry) *node {
 	if n.level == level {
 		n.entries = append(n.entries, e)
 	} else {
@@ -206,8 +208,8 @@ func (t *Tree) insertRec(n *node, e entry, level int, reinserted map[int]bool, q
 	}
 	// Overflow treatment: forced reinsert once per level per insertion,
 	// except at the root.
-	if n != t.root && !reinserted[n.level] {
-		reinserted[n.level] = true
+	if n != t.root && *reinserted&(1<<n.level) == 0 {
+		*reinserted |= 1 << n.level
 		t.forcedReinsert(n, queue)
 		return nil
 	}
@@ -221,23 +223,20 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	if n.level == 1 {
 		// Minimum overlap enlargement, ties by area enlargement then area.
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
-		for i, e := range n.entries {
-			enlarged := e.rect.Union(r)
+		for i := range n.entries {
+			er := n.entries[i].rect
 			var overlapBefore, overlapAfter float64
-			for j, f := range n.entries {
+			for j := range n.entries {
 				if i == j {
 					continue
 				}
-				if inter, ok := e.rect.Intersection(f.rect); ok {
-					overlapBefore += inter.Volume()
-				}
-				if inter, ok := enlarged.Intersection(f.rect); ok {
-					overlapAfter += inter.Volume()
-				}
+				f := n.entries[j].rect
+				overlapBefore += overlapVolume(er, er, f)
+				overlapAfter += overlapVolume(er, r, f)
 			}
 			dOverlap := overlapAfter - overlapBefore
-			enl := enlarged.Volume() - e.rect.Volume()
-			area := e.rect.Volume()
+			area := er.Volume()
+			enl := unionVolume(er, r) - area
 			if dOverlap < bestOverlap ||
 				(dOverlap == bestOverlap && enl < bestEnl) ||
 				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
@@ -247,9 +246,9 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 		return best
 	}
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
-	for i, e := range n.entries {
-		enl := e.rect.Union(r).Volume() - e.rect.Volume()
-		area := e.rect.Volume()
+	for i := range n.entries {
+		area := n.entries[i].rect.Volume()
+		enl := unionVolume(n.entries[i].rect, r) - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -260,16 +259,20 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 // forcedReinsert removes the 30% of n's entries whose centers are farthest
 // from n's MBR center and defers them to the worklist (close-reinsert order).
 func (t *Tree) forcedReinsert(n *node, queue *[]pendingEntry) {
-	center := n.mbr().Center()
+	box := n.mbr()
 	type distEntry struct {
 		e entry
 		d float64
 	}
 	des := make([]distEntry, len(n.entries))
 	for i, e := range n.entries {
-		des[i] = distEntry{e, geom.Dist2(e.rect.Center(), center)}
+		des[i].e = e
+		for k := range box.Lo { // squared distance between the two centers
+			d := (e.rect.Lo[k]+e.rect.Hi[k])/2 - (box.Lo[k]+box.Hi[k])/2
+			des[i].d += d * d
+		}
 	}
-	sort.Slice(des, func(i, j int) bool { return des[i].d < des[j].d })
+	slices.SortFunc(des, func(a, b distEntry) int { return cmp.Compare(a.d, b.d) })
 	p := len(des) * 3 / 10
 	if p < 1 {
 		p = 1
@@ -290,6 +293,7 @@ func (t *Tree) forcedReinsert(n *node, queue *[]pendingEntry) {
 func (t *Tree) splitNode(n *node) *node {
 	entries := n.entries
 	m := t.minEntries
+	buf := make([]float64, 2*t.dim*len(entries)) // sweepSplits scratch
 
 	// Choose split axis: minimize total margin over all distributions.
 	bestAxis, bestMargin := 0, math.Inf(1)
@@ -297,9 +301,9 @@ func (t *Tree) splitNode(n *node) *node {
 		for _, byUpper := range []bool{false, true} {
 			sortEntries(entries, axis, byUpper)
 			var margin float64
-			for k := m; k <= len(entries)-m; k++ {
-				margin += mbrOf(entries[:k]).Margin() + mbrOf(entries[k:]).Margin()
-			}
+			sweepSplits(entries, m, buf, func(_ int, left, right geom.Rect) {
+				margin += left.Margin() + right.Margin()
+			})
 			if margin < bestMargin {
 				bestMargin, bestAxis = margin, axis
 			}
@@ -311,47 +315,104 @@ func (t *Tree) splitNode(n *node) *node {
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for _, byUpper := range []bool{false, true} {
 		sortEntries(entries, bestAxis, byUpper)
-		for k := m; k <= len(entries)-m; k++ {
-			left, right := mbrOf(entries[:k]), mbrOf(entries[k:])
-			var overlap float64
-			if inter, ok := left.Intersection(right); ok {
-				overlap = inter.Volume()
-			}
+		sweepSplits(entries, m, buf, func(k int, left, right geom.Rect) {
+			overlap := overlapVolume(left, left, right)
 			area := left.Volume() + right.Volume()
 			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea, bestK, bestUpper = overlap, area, k, byUpper
 			}
-		}
+		})
 	}
 	sortEntries(entries, bestAxis, bestUpper)
 
 	sibling := &node{owner: t.sess, level: n.level}
-	sibling.entries = append(sibling.entries, entries[bestK:]...)
+	sibling.entries = append(make([]entry, 0, t.maxEntries+1), entries[bestK:]...)
 	n.entries = entries[:bestK]
 	return sibling
 }
 
+// sweepSplits calls visit(k, mbr(es[:k]), mbr(es[k:])) for every legal split
+// position k = m..len(es)-m, ascending, in O(len(es)): suffix MBRs are swept
+// right to left into buf (2*dim*len(es) floats), the prefix MBR grows in
+// place. The rectangles alias buf. min and max are exact, so these are
+// bit-for-bit the MBRs a fresh fold over each half gives.
+func sweepSplits(es []entry, m int, buf []float64, visit func(k int, left, right geom.Rect)) {
+	d := len(es[0].rect.Lo)
+	slot := func(i int) geom.Rect { return geom.Rect{Lo: buf[2*d*i : 2*d*i+d], Hi: buf[2*d*i+d : 2*d*i+2*d]} }
+	for k := len(es) - 1; k >= m; k-- { // slot k = mbr(es[k:])
+		setRect(slot(k), es[k].rect)
+		if k+1 < len(es) {
+			growRect(slot(k), slot(k+1))
+		}
+	}
+	left := slot(0)
+	setRect(left, es[0].rect)
+	for k := 1; k <= len(es)-m; k++ {
+		if k >= m {
+			visit(k, left, slot(k))
+		}
+		growRect(left, es[k].rect)
+	}
+}
+
 func sortEntries(es []entry, axis int, byUpper bool) {
-	sort.Slice(es, func(i, j int) bool {
+	slices.SortFunc(es, func(a, b entry) int {
 		if byUpper {
-			if es[i].rect.Hi[axis] != es[j].rect.Hi[axis] {
-				return es[i].rect.Hi[axis] < es[j].rect.Hi[axis]
-			}
-			return es[i].rect.Lo[axis] < es[j].rect.Lo[axis]
+			return cmp.Or(cmp.Compare(a.rect.Hi[axis], b.rect.Hi[axis]), cmp.Compare(a.rect.Lo[axis], b.rect.Lo[axis]))
 		}
-		if es[i].rect.Lo[axis] != es[j].rect.Lo[axis] {
-			return es[i].rect.Lo[axis] < es[j].rect.Lo[axis]
-		}
-		return es[i].rect.Hi[axis] < es[j].rect.Hi[axis]
+		return cmp.Or(cmp.Compare(a.rect.Lo[axis], b.rect.Lo[axis]), cmp.Compare(a.rect.Hi[axis], b.rect.Hi[axis]))
 	})
 }
 
+// mbrOf returns the minimum bounding rectangle of es in one allocation.
 func mbrOf(es []entry) geom.Rect {
-	r := es[0].rect
+	d := len(es[0].rect.Lo)
+	buf := make([]float64, 2*d)
+	r := geom.Rect{Lo: buf[:d:d], Hi: buf[d:]}
+	setRect(r, es[0].rect)
 	for _, e := range es[1:] {
-		r = r.Union(e.rect)
+		growRect(r, e.rect)
 	}
 	return r
+}
+
+// setRect and growRect overwrite r with s, or enlarge it to cover s, in
+// place: only for rectangles the caller owns (scratch, or not yet in a node).
+func setRect(r, s geom.Rect) {
+	copy(r.Lo, s.Lo)
+	copy(r.Hi, s.Hi)
+}
+
+func growRect(r, s geom.Rect) {
+	for k := range r.Lo {
+		r.Lo[k] = min(r.Lo[k], s.Lo[k])
+		r.Hi[k] = max(r.Hi[k], s.Hi[k])
+	}
+}
+
+// overlapVolume returns the volume of (a ∪ grow) ∩ b, 0 when disjoint,
+// without materialising either; pass grow = a for plain a ∩ b. Sides
+// multiply in dimension order, as Union/Intersection/Volume would.
+func overlapVolume(a, grow, b geom.Rect) float64 {
+	v := 1.0
+	for k := range a.Lo {
+		lo := max(min(a.Lo[k], grow.Lo[k]), b.Lo[k])
+		hi := min(max(a.Hi[k], grow.Hi[k]), b.Hi[k])
+		if lo > hi {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
+}
+
+// unionVolume returns the volume of a ∪ b's bounding rectangle.
+func unionVolume(a, b geom.Rect) float64 {
+	v := 1.0
+	for k := range a.Lo {
+		v *= max(a.Hi[k], b.Hi[k]) - min(a.Lo[k], b.Lo[k])
+	}
+	return v
 }
 
 // Delete removes the item with the given rect and ID. It reports whether an
@@ -514,23 +575,47 @@ type nnHeapItem struct {
 	order int64 // tie-break for determinism
 }
 
+// nnHeap is a binary min-heap on (dist, order), typed so that pushes do not
+// box every item. order is unique per push, so the pop sequence is fixed.
 type nnHeap []nnHeapItem
 
-func (h nnHeap) Len() int { return len(h) }
-func (h nnHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+func (a nnHeapItem) less(b nnHeapItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return h[i].order < h[j].order
+	return a.order < b.order
 }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnHeapItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *nnHeap) push(it nnHeapItem) {
+	s := append(*h, it)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].less(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *nnHeap) pop() nnHeapItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && s[c+1].less(s[c]) {
+			c++
+		}
+		if !s[c].less(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+	}
+	*h = s
+	return top
 }
 
 // NNIter browses items in non-decreasing order of a distance function
@@ -549,15 +634,15 @@ type NNIter struct {
 func NewNNIter(t *Tree, q geom.Point, distFn DistFunc) *NNIter {
 	it := &NNIter{tree: t, q: q, distFn: distFn}
 	if t.size > 0 {
-		heap.Push(&it.h, nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
+		it.h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
 	}
 	return it
 }
 
 // Next returns the next item in distance order.
 func (it *NNIter) Next() (Item, float64, bool) {
-	for it.h.Len() > 0 {
-		top := heap.Pop(&it.h).(nnHeapItem)
+	for len(it.h) > 0 {
+		top := it.h.pop()
 		if top.node == nil {
 			return top.item, top.dist, true
 		}
@@ -566,13 +651,13 @@ func (it *NNIter) Next() (Item, float64, bool) {
 			it.tree.leafIO.Add(1)
 			for _, e := range n.entries {
 				it.counter++
-				heap.Push(&it.h, nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})
+				it.h.push(nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})
 			}
 			continue
 		}
 		for _, e := range n.entries {
 			it.counter++
-			heap.Push(&it.h, nnHeapItem{dist: e.rect.MinDist(it.q), node: e.child, order: it.counter})
+			it.h.push(nnHeapItem{dist: e.rect.MinDist(it.q), node: e.child, order: it.counter})
 		}
 	}
 	return Item{}, 0, false
@@ -595,9 +680,9 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 
 	var h nnHeap
 	var counter int64
-	heap.Push(&h, nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
-	for h.Len() > 0 {
-		top := heap.Pop(&h).(nnHeapItem)
+	h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
+	for len(h) > 0 {
+		top := h.pop()
 		if top.dist > bestMax {
 			break // all remaining nodes are farther than the pruning bound
 		}
@@ -617,7 +702,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 			d := e.rect.MinDist(q)
 			if d <= bestMax {
 				counter++
-				heap.Push(&h, nnHeapItem{dist: d, node: e.child, order: counter})
+				h.push(nnHeapItem{dist: d, node: e.child, order: counter})
 			}
 		}
 	}
@@ -627,7 +712,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 			out = append(out, c.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -348,25 +348,59 @@ func TestHeightGrowth(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert3D(b *testing.B) {
+func benchmarkInsert(b *testing.B, d int) {
 	rng := rand.New(rand.NewSource(1))
-	tree := New(3, DefaultFanout)
+	tree := New(d, DefaultFanout)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tree.Insert(Item{Rect: randRect(rng, 3, 10000, 60), ID: uint32(i)})
+		tree.Insert(Item{Rect: randRect(rng, d, 10000, 60), ID: uint32(i)})
 	}
+}
+
+func BenchmarkInsert2D(b *testing.B) { benchmarkInsert(b, 2) }
+func BenchmarkInsert3D(b *testing.B) { benchmarkInsert(b, 3) }
+
+func benchItems(rng *rand.Rand, n, d int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Rect: randRect(rng, d, 10000, 60), ID: uint32(i)}
+	}
+	return items
+}
+
+// benchQueryTree is the tree the read benchmarks browse: bulk-loaded, as
+// the region tree of a built or loaded index is.
+func benchQueryTree(rng *rand.Rand, n, d int) *Tree {
+	return BulkLoad(d, DefaultFanout, benchItems(rng, n, d))
 }
 
 func BenchmarkPossibleNN3D(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	tree := New(3, DefaultFanout)
-	for i := 0; i < 20000; i++ {
-		tree.Insert(Item{Rect: randRect(rng, 3, 10000, 60), ID: uint32(i)})
-	}
+	tree := benchQueryTree(rng, 20000, 3)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := geom.Point{rng.Float64() * 10000, rng.Float64() * 10000, rng.Float64() * 10000}
 		_ = tree.PossibleNN(q)
 	}
+	b.ReportMetric(float64(tree.LeafIO())/float64(b.N), "leafIO/op")
+}
+
+// BenchmarkNNIter browses the 200 nearest regions of a point — the shape of
+// one IS C-set selection (KGlobal = 200) during index construction.
+func BenchmarkNNIter(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tree := benchQueryTree(rng, 8000, 2)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q := geom.Point{rng.Float64() * 10000, rng.Float64() * 10000}
+		it := NewNNIter(tree, q, MinDistTo(q))
+		for k := 0; k < 200; k++ {
+			if _, _, ok := it.Next(); !ok {
+				b.Fatal("browse ended early")
+			}
+		}
+	}
+	b.ReportMetric(float64(tree.LeafIO())/float64(b.N), "leafIO/op")
 }
