@@ -700,6 +700,11 @@ type insertRequest struct {
 	} `json:"sample"`
 }
 
+// maxSampleN caps insertRequest.Sample.N: the server draws that many
+// instances before the index sees the object, so the bound has to be here.
+// The paper's pdfs have 500 samples.
+const maxSampleN = 10000
+
 // toObject validates an insert request and builds the object it describes.
 func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
 	if len(req.Region.Lo) == 0 || len(req.Region.Lo) != len(req.Region.Hi) {
@@ -726,6 +731,9 @@ func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
 		n := req.Sample.N
 		if n <= 0 {
 			n = 100
+		}
+		if n > maxSampleN {
+			return nil, fmt.Errorf("sample.n %d exceeds the limit of %d", n, maxSampleN)
 		}
 		if strings.EqualFold(req.Sample.Kind, "gaussian") {
 			o.Instances = pvoronoi.SampleGaussian(region, n, req.Sample.Seed)

@@ -222,6 +222,42 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeInsertValidation: an object whose region leaves the domain and a
+// sample.n above the cap are client errors (400) on both insert endpoints and
+// leave the index as it was; a region that only touches the boundary is fine.
+func TestServeInsertValidation(t *testing.T) {
+	ix := testIndex(t, 40) // domain [0,1000]²
+	ts := httptest.NewServer(newServer(ix).routes())
+	defer ts.Close()
+
+	insert := func(id int, lo, hi []float64, n int) map[string]any {
+		return map[string]any{"id": id, "region": map[string]any{"lo": lo, "hi": hi}, "sample": map[string]any{"n": n}}
+	}
+	outside := insert(7001, []float64{-50, 100}, []float64{-40, 200}, 10)
+	corner := insert(7002, []float64{990, 990}, []float64{1005, 1005}, 10)
+	huge := insert(7003, []float64{100, 100}, []float64{110, 110}, maxSampleN+1)
+	good := insert(7004, []float64{300, 300}, []float64{310, 310}, 10)
+
+	epoch := ix.Epoch()
+	for name, body := range map[string]map[string]any{"outside": outside, "corner": corner, "sample.n": huge} {
+		if resp, _ := postJSON(t, ts, "/v1/insert", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/insert %s: status %d, want 400", name, resp.StatusCode)
+		}
+		batch := map[string]any{"objects": []any{good, body}}
+		if resp, _ := postJSON(t, ts, "/v1/insertbatch", batch); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/insertbatch with %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if ix.Epoch() != epoch || ix.Len() != 40 {
+		t.Fatalf("rejected inserts changed the index: epoch %d→%d, %d objects", epoch, ix.Epoch(), ix.Len())
+	}
+
+	touching := insert(7005, []float64{0, 990}, []float64{10, 1000}, maxSampleN)
+	if resp, out := postJSON(t, ts, "/v1/insert", touching); resp.StatusCode != http.StatusOK {
+		t.Fatalf("boundary-touching insert with sample.n at the cap: status %d: %s", resp.StatusCode, out["error"])
+	}
+}
+
 // TestStatsRuntimeBlock checks /v1/stats exposes the Go runtime block:
 // heap size, object count, GC cycle count, total GC pause, and GOMAXPROCS.
 func TestStatsRuntimeBlock(t *testing.T) {

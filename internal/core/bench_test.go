@@ -3,7 +3,44 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"pvoronoi/internal/race"
 )
+
+// TestComputeUBRAllocBudget: one SE run allocates for its C-set, its tester
+// and its three rectangles — a fixed handful, whatever the number of
+// shrink/expand steps (Δ = 1e-6 instead of 1 more than doubles them) and
+// however deep the domination recursion goes.
+func TestComputeUBRAllocBudget(t *testing.T) {
+	const budget = 48
+	rng := rand.New(rand.NewSource(1))
+	db := randomDB(rng, 2000, 3, 10000, 60)
+	tree := BuildRegionTree(db, 100)
+	o := db.Objects()[7]
+	measure := func(delta float64) (allocs float64, iterations int) {
+		opts := DefaultOptions()
+		opts.Delta = delta
+		allocs = testing.AllocsPerRun(5, func() {
+			_, st := ComputeUBR(db, tree, o, opts)
+			iterations = st.Iterations
+		})
+		return allocs, iterations
+	}
+	coarse, few := measure(1)
+	fine, many := measure(1e-6)
+	if many < 2*few {
+		t.Fatalf("Δ=1e-6 ran %d steps against %d at Δ=1: the test no longer varies the step count", many, few)
+	}
+	if race.Enabled {
+		t.Skipf("allocs/object = %.0f and %.0f; budget not asserted under -race", coarse, fine)
+	}
+	if coarse != fine {
+		t.Errorf("allocations grow with SE steps: %.0f for %d steps, %.0f for %d", coarse, few, fine, many)
+	}
+	if coarse > budget {
+		t.Errorf("ComputeUBR allocates %.0f times per object, budget %d", coarse, budget)
+	}
+}
 
 func BenchmarkComputeUBRIS(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

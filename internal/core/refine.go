@@ -63,11 +63,7 @@ func NewRefiner(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, base Op
 	rf.csetTime = time.Since(t0)
 	rf.csetSize = len(cset)
 	if len(cset) > 0 {
-		regions := make([]geom.Rect, len(cset))
-		for i, c := range cset {
-			regions[i] = c.Region
-		}
-		rf.tester = domination.NewTester(regions, o.Region, opts.MaxDepth)
+		rf.tester = csetTester(cset, o, opts.MaxDepth)
 	}
 	return rf
 }
@@ -96,46 +92,7 @@ func (rf *Refiner) Refine(oldUBR geom.Rect) (geom.Rect, Stats) {
 	}
 	testsBefore := rf.tester.Tests
 
-	l := rf.o.Region.Clone()
-	d := rf.o.Dim()
-	delta := rf.opts.Delta
-	if delta <= 0 {
-		delta = 1e-9
-	}
-	for maxGap(l, h) >= delta {
-		progressed := false
-		for j := 0; j < d; j++ {
-			if h.Lo[j] < l.Lo[j] {
-				mid := (h.Lo[j] + l.Lo[j]) / 2
-				slab := h.Clone()
-				slab.Hi[j] = mid
-				st.Refine.Iterations++
-				if rf.tester.RegionPrunable(slab) {
-					h.Lo[j] = mid
-					st.Refine.Shrinks++
-				} else {
-					l.Lo[j] = mid
-				}
-				progressed = true
-			}
-			if h.Hi[j] > l.Hi[j] {
-				mid := (h.Hi[j] + l.Hi[j]) / 2
-				slab := h.Clone()
-				slab.Lo[j] = mid
-				st.Refine.Iterations++
-				if rf.tester.RegionPrunable(slab) {
-					h.Hi[j] = mid
-					st.Refine.Shrinks++
-				} else {
-					l.Hi[j] = mid
-				}
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	st.Refine.Iterations, st.Refine.Shrinks = shrinkExpand(rf.tester, rf.o.Region.Clone(), h, rf.opts.Delta)
 	st.Refine.DominationTests = rf.tester.Tests - testsBefore
 	return h, st
 }

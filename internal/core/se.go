@@ -96,8 +96,8 @@ func ComputeUBRAfterInsert(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Obje
 	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), h)
 }
 
-// computeUBRBounds is the shared SE loop with explicit initial bounds:
-// l ⊆ M(o) ⊆ h is maintained as h shrinks and l expands until every
+// computeUBRBounds is SE with explicit initial bounds l ⊆ M(o) ⊆ h: select
+// the C-set, then shrink h and expand l (both are modified) until every
 // directional gap is below Δ. The returned UBR is h.
 func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options, l, h geom.Rect) (ubr geom.Rect, st Stats) {
 	t0 := time.Now()
@@ -112,49 +112,65 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 		// Nothing constrains V(o): the PV-cell is the whole domain.
 		return h, st
 	}
+	tester := csetTester(cset, o, opts.MaxDepth)
+	st.Iterations, st.Shrinks = shrinkExpand(tester, l, h, opts.Delta)
+	st.Expands = st.Iterations - st.Shrinks
+	st.DominationTests = tester.Tests
+	return h, st
+}
 
+// csetTester builds the domination tester of o against its C-set.
+func csetTester(cset []*uncertain.Object, o *uncertain.Object, maxDepth int) *domination.Tester {
 	regions := make([]geom.Rect, len(cset))
 	for i, c := range cset {
 		regions[i] = c.Region
 	}
-	tester := domination.NewTester(regions, o.Region, opts.MaxDepth)
+	return domination.NewTester(regions, o.Region, maxDepth)
+}
 
-	d := o.Dim()
-	delta := opts.Delta
+// shrinkExpand is the SE loop (Algorithm 1, Steps 4–14), shared by the base
+// pass and refinement: while some face of h is at least delta away from l,
+// bisect that gap and ask the tester whether the outer slab of h is disjoint
+// from I(Cset, o); if so h shrinks to the midplane, otherwise l expands to
+// it. l ⊆ h must hold on entry; both are updated in place. It returns the
+// number of steps and how many of them shrank h (the rest expanded l).
+func shrinkExpand(tester *domination.Tester, l, h geom.Rect, delta float64) (iterations, shrinks int) {
 	if delta <= 0 {
 		delta = 1e-9 // Δ=0 would loop forever on irrational boundaries
 	}
-
+	// slab is h with one face moved to the midplane for the duration of a
+	// probe; the tester copies what it is handed.
+	slab := h.Clone()
 	for maxGap(l, h) >= delta {
 		progressed := false
-		for j := 0; j < d; j++ {
+		for j := range h.Lo {
 			// Low direction: candidate slab between h.Lo and the midplane.
 			if h.Lo[j] < l.Lo[j] {
 				mid := (h.Lo[j] + l.Lo[j]) / 2
-				slab := h.Clone()
 				slab.Hi[j] = mid
-				st.Iterations++
-				if tester.RegionPrunable(slab) {
-					h.Lo[j] = mid
-					st.Shrinks++
+				prunable := tester.RegionPrunable(slab)
+				slab.Hi[j] = h.Hi[j]
+				iterations++
+				if prunable {
+					h.Lo[j], slab.Lo[j] = mid, mid
+					shrinks++
 				} else {
 					l.Lo[j] = mid
-					st.Expands++
 				}
 				progressed = true
 			}
 			// High direction: candidate slab between the midplane and h.Hi.
 			if h.Hi[j] > l.Hi[j] {
 				mid := (h.Hi[j] + l.Hi[j]) / 2
-				slab := h.Clone()
 				slab.Lo[j] = mid
-				st.Iterations++
-				if tester.RegionPrunable(slab) {
-					h.Hi[j] = mid
-					st.Shrinks++
+				prunable := tester.RegionPrunable(slab)
+				slab.Lo[j] = h.Lo[j]
+				iterations++
+				if prunable {
+					h.Hi[j], slab.Hi[j] = mid, mid
+					shrinks++
 				} else {
 					l.Hi[j] = mid
-					st.Expands++
 				}
 				progressed = true
 			}
@@ -163,8 +179,7 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 			break
 		}
 	}
-	st.DominationTests = tester.Tests
-	return h, st
+	return iterations, shrinks
 }
 
 // maxGap returns |h − l|_d: the largest per-direction distance between the

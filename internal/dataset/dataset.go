@@ -10,7 +10,8 @@
 // random polylines with network-like clustering, and airports as 3-D points
 // clustered around population centers with a 10 m GPS error sphere bounded by
 // its MBR (Gaussian pdf, as in the paper). Counts match the originals
-// (30k / 36k / 20k). See DESIGN.md for the substitution rationale.
+// (30k / 36k / 20k). docs/ARCHITECTURE.md, "Baselines and evaluation", has the
+// substitution rationale.
 package dataset
 
 import (

@@ -13,7 +13,8 @@
 // The decision criterion is exact and O(d) per test: per dimension j, the
 // difference maxdist_j(A, r)² − mindist_j(B, r)² is piecewise linear or
 // convex in r with no interior maximum, so its maximum over R's extent in j
-// is attained at one of the two endpoints (see the derivation in DESIGN.md §4).
+// is attained at one of the two endpoints (derivation: docs/ARCHITECTURE.md,
+// "The domination criterion").
 package domination
 
 import (
@@ -88,81 +89,155 @@ func PointDominated(a, b geom.Rect, p geom.Point) bool {
 // i.e. whether R ∩ I(Cset, o) = ∅ (SE Step 9).
 //
 // The test recursively bisects R along its longest side. A part is settled
-// when some single candidate dominates it. MaxDepth bounds the recursion
-// (the paper's granularity parameter m_max controls the same trade-off:
-// finer partitioning detects more prunable regions but costs more domination
-// tests). The test is conservative: it may answer "not prunable" for a
-// prunable region, never the opposite.
+// when some single candidate dominates it. The depth bound of NewTester caps
+// the recursion (the paper's granularity parameter m_max controls the same
+// trade-off: finer partitioning detects more prunable regions but costs more
+// domination tests). The test is conservative: it may answer "not prunable"
+// for a prunable region, never the opposite.
+//
+// Tester is the flat form of "for each candidate: Dominates, else
+// CannotDominate, recurse on the survivors": it makes the same decisions in
+// the same order from the same floating-point operations, but owns all its
+// storage, so a call allocates nothing (docs/ARCHITECTURE.md, "UBR
+// computation", describes the layout). A Tester is not safe for concurrent
+// use.
 type Tester struct {
-	// Candidates are the uncertainty regions of the C-set objects.
-	Candidates []geom.Rect
-	// Target is u(o), the region of the object whose PV-cell is bounded.
-	Target geom.Rect
-	// MaxDepth bounds the recursive bisection of the tested region.
-	// Depth m allows up to 2^m parts. The paper's default m_max=10.
-	MaxDepth int
-
-	// Tests counts individual Dominates calls, for the harness's
-	// cost accounting (Fig. 10(e)).
+	// Tests counts individual domination decisions (one per candidate
+	// examined per region part), for the harness's cost accounting
+	// (Fig. 10(e)).
 	Tests int64
+
+	dim      int
+	n        int // |C|
+	maxDepth int
+	// cand packs the C-set: per candidate, per dimension, (lo, hi, midpoint).
+	cand []float64
+	// target is u(o): per dimension, (lo, hi).
+	target []float64
+	// regions is the coordinate stack of the recursion: level k holds the
+	// part tested at depth k as (lo, hi) per dimension; level 0 is the
+	// caller's region.
+	regions []float64
+	// terms holds, for the part being scanned, per dimension (lo, hi,
+	// mindist²(target, lo), mindist²(target, hi)) — everything the
+	// per-candidate loop needs that does not depend on the candidate.
+	terms []float64
+	// live is the index stack: [0, n) lists the whole C-set, and each
+	// recursion level appends the candidates that survive its part, so a
+	// level's live set is a contiguous range its two children share.
+	live []int32
 }
 
-// NewTester builds a Tester over the given candidate regions.
+// NewTester builds a Tester over the given candidate regions; maxDepth
+// bounds the recursive bisection (depth m allows up to 2^m parts; the paper's
+// default m_max=10). The rectangles are copied, so the caller may reuse them.
 func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 	if maxDepth < 0 {
 		maxDepth = 0
 	}
-	return &Tester{Candidates: candidates, Target: target, MaxDepth: maxDepth}
+	d, n := target.Dim(), len(candidates)
+	buf := make([]float64, n*3*d+2*d+(maxDepth+1)*2*d+4*d)
+	t := &Tester{dim: d, n: n, maxDepth: maxDepth, live: make([]int32, n*(maxDepth+2))}
+	t.cand, buf = buf[:n*3*d], buf[n*3*d:]
+	t.target, buf = buf[:2*d], buf[2*d:]
+	t.regions, t.terms = buf[:(maxDepth+1)*2*d], buf[(maxDepth+1)*2*d:]
+	for i, c := range candidates {
+		t.live[i] = int32(i)
+		a := t.cand[i*3*d:]
+		for j := 0; j < d; j++ {
+			a[3*j], a[3*j+1], a[3*j+2] = c.Lo[j], c.Hi[j], (c.Lo[j]+c.Hi[j])/2
+		}
+	}
+	for j := 0; j < d; j++ {
+		t.target[2*j], t.target[2*j+1] = target.Lo[j], target.Hi[j]
+	}
+	return t
 }
 
 // RegionPrunable reports whether region r is disjoint from I(Cset, o), i.e.
 // every point of r is dominated by at least one candidate. A true result is
-// definitive; a false result may be a false negative at finite MaxDepth.
+// definitive; a false result may be a false negative at finite depth.
 //
 // Candidates are scanned in the caller's order; the C-set strategies supply
 // them nearest-first from the target, which makes the short-circuiting scan
 // find slab dominators early without any per-call reordering.
 func (t *Tester) RegionPrunable(r geom.Rect) bool {
-	return t.prunable(r, t.MaxDepth)
+	for j := 0; j < t.dim; j++ {
+		t.regions[2*j], t.regions[2*j+1] = r.Lo[j], r.Hi[j]
+	}
+	return t.prunable(0, 0, t.n)
 }
 
-func (t *Tester) prunable(r geom.Rect, depth int) bool {
+// prunable decides the part at recursion level `level` against the
+// candidates live[from:to]; survivors are stacked from live[to] on.
+func (t *Tester) prunable(level, from, to int) bool {
+	d := t.dim
+	r := t.regions[level*2*d : (level+1)*2*d]
+
+	// Target-only terms, once per part: Dominates subtracts mindist² of the
+	// target at r's two endpoints, CannotDominate sums their maxima.
+	var ubMin float64
+	for j := 0; j < d; j++ {
+		lo, hi := r[2*j], r[2*j+1]
+		tlo := geom.AxisMinDist2(lo, t.target[2*j], t.target[2*j+1])
+		thi := geom.AxisMinDist2(hi, t.target[2*j], t.target[2*j+1])
+		t.terms[4*j], t.terms[4*j+1], t.terms[4*j+2], t.terms[4*j+3] = lo, hi, tlo, thi
+		ubMin += max(tlo, thi)
+	}
+
 	// Filter to candidates that can still dominate some part of r: a
 	// candidate proven unable to dominate any point of r stays useless for
 	// every sub-part, so drop it before recursing. Most slabs either find a
 	// single dominator here or lose all candidates, terminating early.
-	live := t.Candidates[:0:0]
-	for _, c := range t.Candidates {
-		t.Tests++
-		if Dominates(c, t.Target, r) {
+	live, top, q := t.live, to, t.terms
+	for i := from; i < to; i++ {
+		c := live[i]
+		a := t.cand[int(c)*3*d : (int(c)+1)*3*d]
+		// sum is Dominates' Σ_j max over r's endpoints of maxdist² − mindist²;
+		// lbMax is CannotDominate's Σ_j maxdist² at the candidate's midpoint
+		// clamped into r. Both accumulate in dimension order from zero.
+		var sum, lbMax float64
+		for j := 0; j < d; j++ {
+			aj, qj := a[3*j:3*j+3:3*j+3], q[4*j:4*j+4:4*j+4]
+			alo, ahi, p := aj[0], aj[1], aj[2]
+			rlo, rhi := qj[0], qj[1]
+			sum += max(geom.AxisMaxDist2(rlo, alo, ahi)-qj[2], geom.AxisMaxDist2(rhi, alo, ahi)-qj[3])
+			if p < rlo {
+				p = rlo
+			} else if p > rhi {
+				p = rhi
+			}
+			lbMax += geom.AxisMaxDist2(p, alo, ahi)
+		}
+		if sum < 0 {
+			t.Tests += int64(i - from + 1)
 			return true
 		}
-		if !CannotDominate(c, t.Target, r) {
-			live = append(live, c)
+		if !(lbMax >= ubMin) {
+			live[top] = c
+			top++
 		}
 	}
-	if depth == 0 || len(live) == 0 {
+	t.Tests += int64(to - from)
+	if level == t.maxDepth || top == to {
 		return false
 	}
-	lo, hi := bisect(r)
-	sub := &Tester{Candidates: live, Target: t.Target, MaxDepth: depth - 1}
-	ok := sub.prunable(lo, depth-1) && sub.prunable(hi, depth-1)
-	t.Tests += sub.Tests
-	return ok
-}
 
-// bisect splits r into two halves along its longest side.
-func bisect(r geom.Rect) (geom.Rect, geom.Rect) {
+	// Bisect r along its longest side into the next level's slot: the low
+	// half first, then the same slot rewritten as the high half.
 	best := 0
-	for j := 1; j < r.Dim(); j++ {
-		if r.Side(j) > r.Side(best) {
+	for j := 1; j < d; j++ {
+		if r[2*j+1]-r[2*j] > r[2*best+1]-r[2*best] {
 			best = j
 		}
 	}
-	mid := (r.Lo[best] + r.Hi[best]) / 2
-	lo := r.Clone()
-	hi := r.Clone()
-	lo.Hi[best] = mid
-	hi.Lo[best] = mid
-	return lo, hi
+	mid := (r[2*best] + r[2*best+1]) / 2
+	half := t.regions[(level+1)*2*d : (level+2)*2*d]
+	copy(half, r)
+	half[2*best+1] = mid
+	if !t.prunable(level+1, to, top) {
+		return false
+	}
+	half[2*best], half[2*best+1] = mid, r[2*best+1]
+	return t.prunable(level+1, to, top)
 }

@@ -302,7 +302,9 @@ func axisMinDist(x, lo, hi float64) float64 {
 
 // axisMaxDist is the 1-D distance from x to the farther endpoint of [lo, hi].
 func axisMaxDist(x, lo, hi float64) float64 {
-	return math.Max(math.Abs(x-lo), math.Abs(x-hi))
+	// The builtin, not math.Max: same result (NaN and ±0 included), but it
+	// compiles inline, which the domination kernel's inner loop depends on.
+	return max(math.Abs(x-lo), math.Abs(x-hi))
 }
 
 // AxisMinDist2 returns the squared 1-D minimum distance from x to [lo, hi].

@@ -205,6 +205,9 @@ func (ix *Index) stageBatch(base *version, ups []Update) ([]stagedSE, error) {
 				return nil, fmt.Errorf("pvindex: batch op %d: object %d has dim %d, domain dim %d",
 					i, u.Object.ID, u.Object.Dim(), base.db.Dim())
 			}
+			if err := base.db.CheckInDomain(u.Object); err != nil {
+				return nil, fmt.Errorf("pvindex: batch op %d: %w", i, err)
+			}
 			if exists(u.Object.ID) {
 				return nil, fmt.Errorf("pvindex: batch op %d: %w: %d", i, uncertain.ErrDuplicateID, u.Object.ID)
 			}

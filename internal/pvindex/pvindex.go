@@ -186,6 +186,11 @@ var buildRegionTree = core.BuildRegionTree
 
 // bootstrapWorking creates the construction-time working set over db.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
+	for _, o := range db.Objects() {
+		if err := db.CheckInDomain(o); err != nil {
+			return nil, fmt.Errorf("pvindex: build: %w", err)
+		}
+	}
 	w := &working{ix: ix, epoch: 1, baseEpoch: 1, db: db}
 	var err error
 	w.secondary, err = exthash.New(ix.store)

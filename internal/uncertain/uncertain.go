@@ -138,6 +138,21 @@ var ErrDuplicateID = errors.New("uncertain: duplicate object ID")
 // ErrUnknownID is returned when an operation references a missing object.
 var ErrUnknownID = errors.New("uncertain: unknown object ID")
 
+// ErrOutOfDomain is returned when an object's uncertainty region is not
+// contained in the database domain.
+var ErrOutOfDomain = errors.New("uncertain: object region outside the domain")
+
+// CheckInDomain returns a wrapped ErrOutOfDomain unless u(o) ⊆ Domain
+// (closed containment: touching the boundary is legal). SE bounds the
+// PV-cell between l = u(o) and h = Domain and needs l ⊆ h; an index must
+// refuse objects that break it. o must have the domain's dimension.
+func (db *DB) CheckInDomain(o *Object) error {
+	if !db.Domain.ContainsRect(o.Region) {
+		return fmt.Errorf("%w: object %d has region %v, domain is %v", ErrOutOfDomain, o.ID, o.Region, db.Domain)
+	}
+	return nil
+}
+
 // Add inserts o into the database.
 func (db *DB) Add(o *Object) error {
 	if _, ok := db.byID[o.ID]; ok {
