@@ -61,10 +61,15 @@ func newDurableServer(d *pvoronoi.Durable) *server {
 }
 
 // checkPoint rejects points whose dimensionality doesn't match the indexed
-// domain (the geometry layer assumes matching dims and would panic).
+// domain (the geometry layer assumes matching dims and would panic) and
+// points with a NaN or infinite coordinate (the GET form's ParseFloat accepts
+// both; every distance to such a point is unordered).
 func (s *server) checkPoint(p pvoronoi.Point) error {
 	if len(p) != s.dim {
 		return fmt.Errorf("point has %d coordinates, domain is %d-dimensional", len(p), s.dim)
+	}
+	if !p.IsFinite() {
+		return fmt.Errorf("point %v has a non-finite coordinate", p)
 	}
 	return nil
 }

@@ -178,6 +178,19 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("1-d group point on 2-d index: status %d, want 400", resp.StatusCode)
 	}
 
+	// Non-finite coordinates — which only the GET form's ParseFloat lets
+	// through — are a client error, not an empty 200.
+	for _, path := range []string{"/v1/query?point=NaN,NaN", "/v1/query?point=500,Inf", "/v1/possiblenn?point=-Inf,1", "/v1/possiblernn?point=nan,1"} {
+		getResp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		getResp.Body.Close()
+		if getResp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET %s: status %d, want 400", path, getResp.StatusCode)
+		}
+	}
+
 	// Duplicate insert conflicts; delete works; unknown delete is 404.
 	resp, _ = postJSON(t, ts, "/v1/insert", map[string]any{
 		"id":     9000,

@@ -119,22 +119,23 @@ func GroupNNProbs(db *uncertain.DB, ids []uncertain.ID, qs []geom.Point, agg Agg
 // shared index state, so callers run it outside the index lock on a
 // consistent snapshot.
 func GroupNNScores(ids []uncertain.ID, instances [][]uncertain.Instance, qs []geom.Point, agg Agg) []pnnq.Result {
-	var cands []pnnq.ScoredCandidate
+	return scores(ids, instances, func(x geom.Point) float64 { return aggPoint(x, qs, agg) }).NN()
+}
+
+// scores fills a Step-2 kernel with score(instance position) and the instance
+// probability for every candidate that has instances.
+func scores(ids []uncertain.ID, instances [][]uncertain.Instance, score func(geom.Point) float64) *pnnq.Sweep {
+	s := pnnq.NewSweep()
 	for i, id := range ids {
-		ins := instances[i]
-		if len(ins) == 0 {
+		if len(instances[i]) == 0 {
 			continue
 		}
-		sc := pnnq.ScoredCandidate{ID: id}
-		sc.Scores = make([]float64, len(ins))
-		sc.Weights = make([]float64, len(ins))
-		for j, in := range ins {
-			sc.Scores[j] = aggPoint(in.Pos, qs, agg)
-			sc.Weights[j] = in.Prob
+		ents := s.Add(id, len(instances[i]))
+		for j, in := range instances[i] {
+			ents[j].Score, ents[j].Weight = score(in.Pos), in.Prob
 		}
-		cands = append(cands, sc)
 	}
-	return pnnq.ComputeScores(cands)
+	return s
 }
 
 // instancesOf gathers the stored instances of each id (nil for missing
@@ -207,22 +208,7 @@ func KNNProbs(db *uncertain.DB, ids []uncertain.ID, q geom.Point, k int) []pnnq.
 // to ids[i]; candidates with no instances are skipped). Like GroupNNScores it
 // is lock-free: the expensive probability refinement runs on the snapshot.
 func KNNScores(ids []uncertain.ID, instances [][]uncertain.Instance, q geom.Point, k int) []pnnq.KNNResult {
-	var cands []pnnq.ScoredCandidate
-	for i, id := range ids {
-		ins := instances[i]
-		if len(ins) == 0 {
-			continue
-		}
-		sc := pnnq.ScoredCandidate{ID: id}
-		sc.Scores = make([]float64, len(ins))
-		sc.Weights = make([]float64, len(ins))
-		for j, in := range ins {
-			sc.Scores[j] = geom.Dist(in.Pos, q)
-			sc.Weights[j] = in.Prob
-		}
-		cands = append(cands, sc)
-	}
-	return pnnq.ComputeKNN(cands, k)
+	return scores(ids, instances, func(x geom.Point) float64 { return geom.Dist(x, q) }).KNN(k)
 }
 
 // RNNCandidates returns the objects with a non-zero chance that q is their

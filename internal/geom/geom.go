@@ -39,6 +39,16 @@ func (p Point) Equal(q Point) bool {
 	return true
 }
 
+// IsFinite reports whether no coordinate of p is NaN or infinite.
+func (p Point) IsFinite() bool {
+	for _, x := range p {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 {
 	return math.Sqrt(Dist2(p, q))

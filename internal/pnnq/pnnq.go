@@ -10,7 +10,7 @@
 package pnnq
 
 import (
-	"sort"
+	"math"
 
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
@@ -39,57 +39,18 @@ type Result struct {
 //	P(o is NN) = Σ_{s ∈ instances(o)} p(s) · P(every o'≠o realizes a farther
 //	             distance, ties sharing the win uniformly)
 func Compute(cands []CandidateData, q geom.Point) []Result {
-	if len(cands) == 0 {
-		return nil
-	}
-	// Per-candidate weighted distance distributions, plus the raw distances
-	// for the outer instance loop.
-	dists := make([]distrib, len(cands))
-	raw := make([][]float64, len(cands))
-	for i, c := range cands {
-		ds := make([]float64, len(c.Instances))
-		ws := make([]float64, len(c.Instances))
-		for j, in := range c.Instances {
-			ds[j] = geom.Dist(in.Pos, q)
-			ws[j] = in.Prob
-		}
-		raw[i] = ds
-		dists[i] = newDistrib(ds, ws)
-	}
-	var out []Result
-	for i, c := range cands {
-		var total float64
-		for j, in := range c.Instances {
-			if in.Prob == 0 {
-				continue
-			}
-			total += in.Prob * winMass(dists, i, raw[i][j])
-		}
-		if total > 0 {
-			out = append(out, Result{ID: c.ID, Prob: total})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return distances(NewSweep(), cands, q).NN()
 }
 
-// probFarther returns the fraction of instances (equally weighted within the
-// sorted distance slice) strictly farther than r. Ties count as farther,
-// matching the strict "closest" semantics of the paper's NN definition.
-func probFarther(sorted []float64, r float64) float64 {
-	if len(sorted) == 0 {
-		return 1 // no instances: treat as unconstrained (region-only object)
+// distances fills s with every candidate's instance distances to q.
+func distances(s *Sweep, cands []CandidateData, q geom.Point) *Sweep {
+	for _, c := range cands {
+		ents := s.Add(c.ID, len(c.Instances))
+		for j, in := range c.Instances {
+			ents[j].Score, ents[j].Weight = geom.Dist(in.Pos, q), in.Prob
+		}
 	}
-	idx := sort.SearchFloat64s(sorted, r)
-	for idx < len(sorted) && sorted[idx] == r {
-		idx++
-	}
-	return float64(len(sorted)-idx) / float64(len(sorted))
+	return s
 }
 
 // Bounds computes lower and upper bounds on each candidate's qualification
@@ -106,46 +67,37 @@ type Bound struct {
 // ComputeBounds returns per-candidate probability bounds. The exact
 // probability from Compute always lies within [Lo, Hi].
 func ComputeBounds(cands []CandidateData, q geom.Point) []Bound {
-	n := len(cands)
-	if n == 0 {
+	s := distances(NewSweep(), cands, q)
+	defer s.release()
+	return s.bounds()
+}
+
+func (s *Sweep) bounds() []Bound {
+	if len(s.run) == 0 {
 		return nil
 	}
-	minD := make([]float64, n)
-	maxD := make([]float64, n)
-	for i, c := range cands {
-		lo, hi := distExtremes(c.Instances, q)
-		minD[i], maxD[i] = lo, hi
-	}
-	out := make([]Bound, n)
-	for i, c := range cands {
+	s.measure()
+	out := make([]Bound, len(s.run))
+	for i := range s.run {
 		// othersMin: the smallest minimum distance among other candidates;
 		// othersMax: the smallest maximum distance among other candidates.
-		othersMin, othersMax := 1e308, 1e308
-		for k := 0; k < n; k++ {
-			if k == i {
-				continue
-			}
-			if minD[k] < othersMin {
-				othersMin = minD[k]
-			}
-			if maxD[k] < othersMax {
-				othersMax = maxD[k]
+		othersMin, othersMax := math.Inf(1), math.Inf(1)
+		for k := range s.run {
+			if k != i {
+				othersMin = min(othersMin, s.run[k].min)
+				othersMax = min(othersMax, s.run[k].max)
 			}
 		}
 		var lo, hi float64
-		for _, in := range c.Instances {
-			r := geom.Dist(in.Pos, q)
-			if r < othersMin {
-				lo += in.Prob // beats every possible position of everyone else
+		for _, e := range s.entries(i) {
+			if e.Score < othersMin {
+				lo += e.Weight // beats every possible position of everyone else
 			}
-			if r <= othersMax {
-				hi += in.Prob // could beat the closest rival's worst case
+			if e.Score <= othersMax {
+				hi += e.Weight // could beat the closest rival's worst case
 			}
 		}
-		if hi > 1 {
-			hi = 1
-		}
-		out[i] = Bound{ID: c.ID, Lo: lo, Hi: hi}
+		out[i] = Bound{ID: s.run[i].id, Lo: lo, Hi: min(hi, 1)}
 	}
 	return out
 }
@@ -158,57 +110,30 @@ func ComputeBounds(cands []CandidateData, q geom.Point) []Bound {
 // midpoint. The result therefore differs from Compute by at most eps per
 // object (exactly equal when eps = 0).
 func ComputeVerified(cands []CandidateData, q geom.Point, eps float64) []Result {
-	if len(cands) == 0 {
-		return nil
-	}
-	bounds := ComputeBounds(cands, q)
+	s := distances(NewSweep(), cands, q)
 	var settled []Result
-	var open []CandidateData
-	for i, b := range bounds {
+	open := map[uncertain.ID]bool{}
+	for _, b := range s.bounds() {
 		switch {
 		case b.Hi == 0:
 			// Verified non-answer: no instance can win.
 		case b.Hi-b.Lo <= eps:
 			settled = append(settled, Result{ID: b.ID, Prob: (b.Lo + b.Hi) / 2})
 		default:
-			open = append(open, cands[i])
+			open[b.ID] = true
 		}
 	}
-	// The exact product needs every rival's distance distribution, not just
-	// the open ones — pass all candidates but report only the open IDs.
-	if len(open) > 0 {
-		openIDs := make(map[uncertain.ID]bool, len(open))
-		for _, c := range open {
-			openIDs[c.ID] = true
-		}
-		for _, r := range Compute(cands, q) {
-			if openIDs[r.ID] {
+	// The exact product needs every rival's distances, not just the open
+	// ones' — evaluate all candidates but report only the open IDs.
+	if len(open) == 0 {
+		s.release()
+	} else {
+		for _, r := range s.NN() {
+			if open[r.ID] {
 				settled = append(settled, r)
 			}
 		}
 	}
-	sort.Slice(settled, func(i, j int) bool {
-		if settled[i].Prob != settled[j].Prob {
-			return settled[i].Prob > settled[j].Prob
-		}
-		return settled[i].ID < settled[j].ID
-	})
+	rank(settled)
 	return settled
-}
-
-func distExtremes(ins []uncertain.Instance, q geom.Point) (lo, hi float64) {
-	lo, hi = 1e308, 0
-	for _, in := range ins {
-		d := geom.Dist(in.Pos, q)
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
-	}
-	if len(ins) == 0 {
-		lo, hi = 0, 0
-	}
-	return lo, hi
 }

@@ -170,19 +170,3 @@ func TestComputeVerifiedMatchesExact(t *testing.T) {
 		}
 	}
 }
-
-func TestProbFartherTies(t *testing.T) {
-	sorted := []float64{1, 2, 2, 3}
-	if got := probFarther(sorted, 2); got != 0.25 {
-		t.Fatalf("ties: %g", got) // only 3 is strictly farther
-	}
-	if got := probFarther(sorted, 0.5); got != 1 {
-		t.Fatalf("all farther: %g", got)
-	}
-	if got := probFarther(sorted, 5); got != 0 {
-		t.Fatalf("none farther: %g", got)
-	}
-	if got := probFarther(nil, 1); got != 1 {
-		t.Fatalf("empty: %g", got)
-	}
-}

@@ -1,10 +1,6 @@
 package pnnq
 
-import (
-	"sort"
-
-	"pvoronoi/internal/uncertain"
-)
+import "pvoronoi/internal/uncertain"
 
 // ScoredCandidate generalizes Step 2 beyond plain point distance: each
 // instance carries a scalar score (e.g. an aggregate distance over a group
@@ -17,50 +13,31 @@ type ScoredCandidate struct {
 }
 
 // ComputeScores returns P(candidate's score is the minimum) for each
-// candidate, in decreasing probability order — the engine behind both plain
-// PNNQ Step 2 and the group-NN extension. Exact score ties split the win
+// candidate, in decreasing probability order. Exact score ties split the win
 // evenly among the tied candidates (uniform random tie-breaking), so
-// per-query probabilities sum to 1 even on degenerate pdfs; the previous
-// strict-minimum rule dropped both sides of a tie.
+// per-query probabilities sum to 1 even on degenerate pdfs.
 func ComputeScores(cands []ScoredCandidate) []Result {
-	if len(cands) == 0 {
-		return nil
-	}
-	dists := make([]distrib, len(cands))
-	for i, c := range cands {
-		dists[i] = newDistrib(c.Scores, c.Weights)
-	}
-	var out []Result
-	for i, c := range cands {
-		var total float64
+	return scored(cands).NN()
+}
+
+// scored fills a kernel with the candidates' scores and weights.
+func scored(cands []ScoredCandidate) *Sweep {
+	s := NewSweep()
+	for _, c := range cands {
+		ents := s.Add(c.ID, len(c.Scores))
+		uniform := 1.0 / float64(len(c.Scores))
 		for j, score := range c.Scores {
-			w := 1.0 / float64(len(c.Scores))
+			ents[j].Score, ents[j].Weight = score, uniform
 			if c.Weights != nil {
-				w = c.Weights[j]
+				ents[j].Weight = c.Weights[j]
 			}
-			if w == 0 {
-				continue
-			}
-			total += w * winMass(dists, i, score)
-		}
-		if total > 0 {
-			out = append(out, Result{ID: c.ID, Prob: total})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return s
 }
 
 // KNNResult is one object's probability of ranking within the k nearest.
-type KNNResult struct {
-	ID   uncertain.ID
-	Prob float64
-}
+type KNNResult = Result
 
 // ComputeKNN returns, for every candidate, the probability that it ranks
 // among the k nearest to the (implicit) query — i.e. that fewer than k other
@@ -68,44 +45,5 @@ type KNNResult struct {
 // random. Independence across objects gives a Poisson-binomial count over
 // (closer, tied) rivals, evaluated by the dynamic program in topkMass.
 func ComputeKNN(cands []ScoredCandidate, k int) []KNNResult {
-	n := len(cands)
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	if k >= n {
-		// Everyone is trivially within the k nearest.
-		out := make([]KNNResult, n)
-		for i, c := range cands {
-			out[i] = KNNResult{ID: c.ID, Prob: 1}
-		}
-		return out
-	}
-	dists := make([]distrib, n)
-	for i, c := range cands {
-		dists[i] = newDistrib(c.Scores, c.Weights)
-	}
-	out := make([]KNNResult, 0, n)
-	for i, c := range cands {
-		var total float64
-		for j, score := range c.Scores {
-			w := 1.0 / float64(len(c.Scores))
-			if c.Weights != nil {
-				w = c.Weights[j]
-			}
-			if w == 0 {
-				continue
-			}
-			total += w * topkMass(dists, i, score, k)
-		}
-		if total > 0 {
-			out = append(out, KNNResult{ID: c.ID, Prob: total})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return scored(cands).KNN(k)
 }

@@ -1,177 +1,96 @@
 package pnnq
 
-import "sort"
+import "pvoronoi/internal/uncertain"
 
-// distrib is one candidate's realized-score distribution: ascending unique
-// score values, each value's probability mass, and the cumulative mass
-// strictly below it. Unlike the plain sorted-slice representation, it honors
-// non-uniform instance weights and exposes the exact tie mass at a value,
-// which the tie-splitting win computations need.
-type distrib struct {
-	scores []float64
-	mass   []float64
-	below  []float64
-	total  float64
-}
-
-// newDistrib builds the distribution of the given scores. A nil weight slice
-// means equally weighted scores (1/n each).
-func newDistrib(scores, weights []float64) distrib {
-	n := len(scores)
-	if n == 0 {
-		return distrib{}
-	}
-	pairs := make([][2]float64, n)
-	u := 1.0 / float64(n)
-	for i, s := range scores {
-		w := u
-		if weights != nil {
-			w = weights[i]
-		}
-		pairs[i] = [2]float64{s, w}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	d := distrib{scores: make([]float64, 0, n), mass: make([]float64, 0, n)}
-	for _, p := range pairs {
-		if m := len(d.scores); m > 0 && d.scores[m-1] == p[0] {
-			d.mass[m-1] += p[1]
-		} else {
-			d.scores = append(d.scores, p[0])
-			d.mass = append(d.mass, p[1])
-		}
-	}
-	d.below = make([]float64, len(d.scores))
-	for i, m := range d.mass {
-		d.below[i] = d.total
-		d.total += m
-	}
-	return d
+// running is one candidate's state during the sweep: its realized-score
+// distribution as seen from the current score — the mass strictly below it,
+// the mass exactly at it, and how many of its entries lie strictly above.
+// It honors non-uniform instance weights and exposes the exact tie mass at
+// the current score, which the tie-splitting win computations need.
+type running struct {
+	id      uncertain.ID
+	lo, n   int32   // its entries are Sweep.ents[lo:lo+n] until the cutoff compacts them
+	left    int32   // entries strictly above the current score
+	inGroup bool    // has an entry at the current score
+	min     float64 // smallest score
+	max     float64 // largest score
+	total   float64 // mass of all entries
+	less    float64 // mass strictly below the current score
+	tie     float64 // mass exactly at the current score
+	prob    float64 // accumulated result
 }
 
 // split returns the probability mass strictly below, exactly at, and strictly
-// above r. An empty distribution (a region-only rival without instances) is
-// unconstrained and counts as farther with probability 1, matching the
-// probFarther convention.
-func (d *distrib) split(r float64) (less, tie, far float64) {
-	if len(d.scores) == 0 {
-		return 0, 0, 1
+// above the current score. Past the candidate's last entry the mass above is
+// 0 by count, not by subtraction, so whether a rival is surely closer never
+// depends on rounding.
+func (r *running) split() (less, tie, far float64) {
+	if r.left == 0 {
+		return r.less, r.tie, 0
 	}
-	i := sort.SearchFloat64s(d.scores, r)
-	switch {
-	case i < len(d.scores) && d.scores[i] == r:
-		less, tie = d.below[i], d.mass[i]
-	case i == len(d.scores):
-		less = d.total
-	default:
-		less = d.below[i]
-	}
-	far = d.total - less - tie
+	far = r.total - r.less - r.tie
 	if far < 0 {
 		far = 0 // guard against float accumulation
 	}
-	return less, tie, far
+	return r.less, r.tie, far
 }
 
-// winMass returns the probability that a realized score s beats every rival
-// distribution, splitting exact ties evenly: conditioned on no rival being
-// strictly closer, a t-way tie group shares the win uniformly, so each
-// outcome with t tying rivals contributes 1/(t+1). With no ties this is the
-// plain product of strictly-farther masses (the pre-fix behavior, which lost
-// the tied mass entirely).
-func winMass(dists []distrib, self int, s float64) float64 {
-	prod := 1.0
-	var dp []float64 // dp[t] = P(t rivals tied so far, none closer); nil until a tie appears
-	for k := range dists {
-		if k == self {
-			continue
-		}
-		_, tie, far := dists[k].split(s)
-		if tie == 0 {
-			if far == 0 {
-				return 0 // this rival is surely closer
-			}
-			if dp == nil {
-				prod *= far
-			} else {
-				for t := range dp {
-					dp[t] *= far
-				}
-			}
-			continue
-		}
-		if dp == nil {
-			dp = append(dp, prod)
-		}
-		dp = append(dp, 0)
-		for t := len(dp) - 1; t >= 1; t-- {
-			dp[t] = dp[t]*far + dp[t-1]*tie
-		}
-		dp[0] *= far
-	}
-	if dp == nil {
-		return prod
-	}
-	var total float64
-	for t, v := range dp {
-		total += v / float64(t+1)
-	}
-	return total
-}
-
-// topkMass returns the probability that a realized score s ranks among the k
-// smallest across all rivals, breaking exact ties uniformly at random: with c
-// rivals strictly closer and t tied, the tie group's internal order is a
-// uniform permutation, so membership holds with probability
-// min(t+1, k-c)/(t+1). Outcomes with c >= k are dead and dropped from the DP
-// (a closer rival can never un-happen). With continuous scores every tie
-// mass is zero and the DP degenerates to the classic Poisson-binomial over
-// closer counts.
-func topkMass(dists []distrib, self int, s float64, k int) float64 {
-	// dp[t][c] = P(exactly t tied rivals and c strictly closer rivals so
+// topkMass returns the probability that candidate self, realizing the current
+// score, ranks among the k smallest across all rivals, breaking exact ties
+// uniformly at random: with c rivals strictly closer and t tied, the tie
+// group's internal order is a uniform permutation, so membership holds with
+// probability min(t+1, k-c)/(t+1). Outcomes with c >= k are dead and dropped
+// from the DP (a closer rival can never un-happen). With continuous scores
+// every tie mass is zero and the DP degenerates to the classic
+// Poisson-binomial over closer counts; with k = 1 it is the win probability,
+// the product of the rivals' strictly-farther masses with a t-way tie sharing
+// the win 1/(t+1). dp is scratch with room for len(run)·k values.
+func topkMass(run []running, self, k int, dp []float64) float64 {
+	// dp[t*k+c] = P(exactly t tied rivals and c strictly closer rivals so
 	// far), c < k. Rows are added lazily on the first rival with tie mass.
-	dp := [][]float64{make([]float64, k)}
-	dp[0][0] = 1
-	for r := range dists {
+	dp = dp[:k]
+	clear(dp)
+	dp[0] = 1
+	rows := 1
+	top := 0 // no state so far has more than top rivals strictly closer
+	for r := range run {
 		if r == self {
 			continue
 		}
-		less, tie, far := dists[r].split(s)
+		less, tie, far := run[r].split()
 		if tie > 0 {
-			dp = append(dp, make([]float64, k))
+			dp = dp[:len(dp)+k]
+			clear(dp[rows*k:])
+			rows++
 		}
-		alive := false
-		for t := len(dp) - 1; t >= 0; t-- {
-			row := dp[t]
-			for c := k - 1; c >= 0; c-- {
+		if less > 0 && top < k-1 {
+			top++
+		}
+		for t := rows - 1; t >= 0; t-- {
+			row := dp[t*k : t*k+top+1]
+			for c := top; c >= 0; c-- {
 				v := row[c] * far
 				if c > 0 {
 					v += row[c-1] * less
 				}
 				if t > 0 {
-					v += dp[t-1][c] * tie
+					v += dp[(t-1)*k+c] * tie
 				}
 				row[c] = v
-				if v != 0 {
-					alive = true
-				}
 			}
-		}
-		if !alive {
-			return 0 // all mass fell past the k-th rank
 		}
 	}
 	var total float64
-	for t, row := range dp {
-		for c, v := range row {
-			if v == 0 {
-				continue
-			}
-			slots := float64(k - c)
-			if group := float64(t + 1); slots >= group {
-				total += v
-			} else {
-				total += v * slots / group
-			}
+	for i, v := range dp {
+		if v == 0 {
+			continue
+		}
+		t, c := i/k, i%k
+		slots := float64(k - c)
+		if group := float64(t + 1); slots >= group {
+			total += v
+		} else {
+			total += v * slots / group
 		}
 	}
 	return total

@@ -81,6 +81,9 @@ var seedScratchPool = sync.Pool{New: func() any {
 // the decode cost used to rival the whole expansion. The returned slice
 // comes from seedScratchPool; the caller returns it via putSeeds.
 func graphSeeds(v *version, p geom.Point) ([]uint32, int, error) {
+	if err := checkFinite(p); err != nil {
+		return nil, 0, err
+	}
 	dom := v.db.Domain
 	clamped := p
 	for j := range p {
@@ -191,6 +194,9 @@ func (ix *Index) KNNCandidatesOnly(q geom.Point, k int) ([]uncertain.ID, ExtCost
 // domination counts). Reverse NN is candidate-set only, so there is no
 // instance snapshot to fetch.
 func (ix *Index) RNNCandidates(q geom.Point) ([]uncertain.ID, ExtCost, error) {
+	if err := checkFinite(q); err != nil {
+		return nil, ExtCost{}, err
+	}
 	v := ix.pin()
 	defer ix.unpin(v)
 	ids, tc := extquery.RNNCandidatesTree(v.regionTree, q, ix.cfg.SE.MaxDepth)

@@ -7,6 +7,7 @@
 package pvindex
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -692,6 +693,18 @@ type Candidate struct {
 	MaxDist float64
 }
 
+// ErrNonFinitePoint is returned by every query for a point with a NaN or
+// infinite coordinate: no distance to it is ordered, so min/max pruning and
+// the Step-2 cutoff would silently answer with nothing.
+var ErrNonFinitePoint = errors.New("pvindex: query point has a non-finite coordinate")
+
+func checkFinite(p geom.Point) error {
+	if !p.IsFinite() {
+		return ErrNonFinitePoint
+	}
+	return nil
+}
+
 // PossibleNN evaluates PNNQ Step 1: it walks the primary index to the leaf
 // containing q and prunes the leaf's candidate list by min/max distance.
 // The result is exactly the set of objects whose PV-cells contain q.
@@ -717,6 +730,9 @@ func (ix *Index) PossibleNNIO(q geom.Point) ([]Candidate, int, error) {
 // surviving candidates are materialized, with their regions deep-copied
 // into a single backing array so the result owns no pooled memory.
 func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error) {
+	if err := checkFinite(q); err != nil {
+		return nil, 0, err
+	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
 

@@ -1,12 +1,14 @@
 package pvindex
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
@@ -100,6 +102,28 @@ func TestPossibleNNEmptyDB(t *testing.T) {
 	got, err := ix.PossibleNN(geom.Point{50, 50})
 	if err != nil || got != nil {
 		t.Fatalf("empty DB: %v, %v", got, err)
+	}
+}
+
+// A NaN or infinite query coordinate is an error on every query path, not an
+// empty answer: no distance to such a point is ordered.
+func TestNonFiniteQueryPointRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ix, err := Build(randomDB(rng, 40, 2, 100, 10, true), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []geom.Point{{math.NaN(), 50}, {50, math.Inf(1)}, {math.Inf(-1), math.NaN()}} {
+		_, errNN := ix.PossibleNN(q)
+		_, errSnap := ix.Snapshot(q)
+		_, errKNN := ix.KNNSnapshot(q, 3)
+		_, errGNN := ix.GroupNNSnapshot([]geom.Point{{10, 10}, q}, extquery.AggSum)
+		_, _, errRNN := ix.RNNCandidates(q)
+		for name, err := range map[string]error{"PossibleNN": errNN, "Snapshot": errSnap, "KNNSnapshot": errKNN, "GroupNNSnapshot": errGNN, "RNNCandidates": errRNN} {
+			if !errors.Is(err, ErrNonFinitePoint) {
+				t.Errorf("%s(%v): err = %v, want ErrNonFinitePoint", name, q, err)
+			}
+		}
 	}
 }
 

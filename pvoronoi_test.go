@@ -74,6 +74,25 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// A NaN or infinite query coordinate is an error, not an empty answer.
+func TestNonFiniteQueryPointIsAnError(t *testing.T) {
+	ix, err := Build(buildSmallDB(t, 30, true), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Point{{math.NaN(), math.NaN()}, {500, math.Inf(1)}} {
+		if res, err := ix.Query(q); err == nil {
+			t.Errorf("Query(%v) = %v, nil error", q, res)
+		}
+		if res, err := ix.QueryVerified(q, 0.01); err == nil {
+			t.Errorf("QueryVerified(%v) = %v, nil error", q, res)
+		}
+		if res, err := ix.PossibleKNN(q, 2); err == nil {
+			t.Errorf("PossibleKNN(%v) = %v, nil error", q, res)
+		}
+	}
+}
+
 func TestQueryVerifiedMatchesQuery(t *testing.T) {
 	db := buildSmallDB(t, 70, true)
 	ix, err := Build(db, testOptions())
