@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/race"
+	"pvoronoi/internal/uncertain"
 )
 
 // TestComputeUBRAllocBudget: one SE run allocates for its C-set, its tester
@@ -42,16 +44,39 @@ func TestComputeUBRAllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkComputeUBRIS runs SE on the package's random d = 3 data and on the
+// benchmark harness's datasets (uni2, uni3: benchmark/spec.go) with their
+// d = 5 sibling; tests/op is Stats.DominationTests per object, the count SE's
+// cost follows.
 func BenchmarkComputeUBRIS(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	db := randomDB(rng, 2000, 3, 10000, 60)
-	tree := BuildRegionTree(db, 100)
-	opts := DefaultOptions()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o := db.Objects()[i%db.Len()]
-		_, _ = ComputeUBR(db, tree, o, opts)
+	synthetic := func(n, d int, side float64) func() *uncertain.DB {
+		return func() *uncertain.DB {
+			return dataset.Synthetic(dataset.SyntheticParams{N: n, Dim: d, MaxSide: side, Seed: 1})
+		}
+	}
+	for _, c := range []struct {
+		name string
+		db   func() *uncertain.DB
+	}{
+		{"random3", func() *uncertain.DB { return randomDB(rand.New(rand.NewSource(1)), 2000, 3, 10000, 60) }},
+		{"uni2", synthetic(8000, 2, 60)},
+		{"uni3", synthetic(3000, 3, 400)},
+		{"uni5", synthetic(3000, 5, 400)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db := c.db()
+			tree := BuildRegionTree(db, 100)
+			opts := DefaultOptions()
+			var tests int64
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o := db.Objects()[i*37%db.Len()]
+				_, st := ComputeUBR(db, tree, o, opts)
+				tests += st.DominationTests
+			}
+			b.ReportMetric(float64(tests)/float64(b.N), "tests/op")
+		})
 	}
 }
 

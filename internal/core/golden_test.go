@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
@@ -16,18 +17,20 @@ import (
 
 // goldenSE pins SE's output bit for bit: for each dataset, one FNV-64a hash
 // per mode over every sampled object's UBR coordinates (IEEE bits) and step
-// counters. The values were recorded by running this test at the commit
-// before the flat domination kernel landed, so a kernel that changes any
-// decision, any scan order or any test count fails here (the failure prints
-// the row to paste if a change of output is intended). amd64 values; the Go
-// compiler may fuse multiply-adds on other architectures.
+// counters, so any change of a decision, a scan order or a test count fails
+// here (the failure prints the row to paste if a change of output is
+// intended). The values were re-recorded when ShrinkExpand began to reuse
+// covers: its partitions, hence its bits, differ from the stateless loop's on
+// purpose, and goldenGuard below holds the new output to that loop instead.
+// amd64 values; the Go compiler may fuse multiply-adds on other
+// architectures.
 var goldenSE = map[string]goldenHashes{
-	"uniform/d2":   {cold: 0xd54c993c57156ff4, afterDelete: 0x7a01c36842c1e16a, afterInsert: 0x2123c68bc72bda25, refine: 0x9361434f8ec6a114},
-	"uniform/d3":   {cold: 0xce1909fef355055e, afterDelete: 0x8bcaf71493bffbac, afterInsert: 0xa5fb940f27cec2f9, refine: 0xb8152d3e5b17bc3},
-	"uniform/d5":   {cold: 0x2b14bff0997ef95d, afterDelete: 0x73abcc53e9a22e4d, afterInsert: 0xc1c484bcb4fe721b, refine: 0x77382c3d748f6ae1},
-	"clustered/d2": {cold: 0xdeb465f303ba1dfd, afterDelete: 0x7c8976105cc59d5d, afterInsert: 0x2da9d345befc82a7, refine: 0x9d3aa8f36c11d0ef},
-	"clustered/d3": {cold: 0xe1e16d892fb957e7, afterDelete: 0x193022b79e780825, afterInsert: 0xeefe695622d65b8d, refine: 0xc4608c297ac16dc6},
-	"clustered/d5": {cold: 0xd4714d67c724f07f, afterDelete: 0x14951565ee95f29e, afterInsert: 0xc000817be658a772, refine: 0x465ac3ca601a17ed},
+	"uniform/d2":   {cold: 0xee90f9ed268a594d, afterDelete: 0x198892c8a6421ce9, afterInsert: 0x851ad36512ce5cb1, refine: 0x423cc53b2dcb9834},
+	"uniform/d3":   {cold: 0xaa92583c29f995d9, afterDelete: 0x205382332975b375, afterInsert: 0x82223c773c7529a3, refine: 0x9b589700b330f680},
+	"uniform/d5":   {cold: 0xc351a4561dad1a09, afterDelete: 0x1272c61510eda094, afterInsert: 0x9bfa1aca24dde3be, refine: 0x62a3a80c2d4b429e},
+	"clustered/d2": {cold: 0xa423d24f2930a1de, afterDelete: 0x4039cd108df3d854, afterInsert: 0x36f73ea93374ef7e, refine: 0xa72f360a1aaeaa03},
+	"clustered/d3": {cold: 0x503a2b0cbc87a0cb, afterDelete: 0xa1141ad2d975f09b, afterInsert: 0x4380ed318c141c71, refine: 0x9160acba8b33910a},
+	"clustered/d5": {cold: 0x34926af26ae739f6, afterDelete: 0x5bb75766f2f5465d, afterInsert: 0xd37fd67101155b73, refine: 0x1c9427fd80500f09},
 }
 
 type goldenHashes struct{ cold, afterDelete, afterInsert, refine uint64 }
@@ -74,7 +77,8 @@ func TestGoldenSE(t *testing.T) {
 					// CI asserts these rows in its uninstrumented step.
 					t.Skip("d > 2 golden rows are not run under -race")
 				}
-				got := goldenRun(clustered, d)
+				got, guard := goldenRun(clustered, d)
+				guard.check(t, d)
 				if want := goldenSE[name]; got != want {
 					t.Errorf("SE output changed; now\n\t%q: {cold: %#x, afterDelete: %#x, afterInsert: %#x, refine: %#x},",
 						name, got.cold, got.afterDelete, got.afterInsert, got.refine)
@@ -88,7 +92,7 @@ func TestGoldenSE(t *testing.T) {
 // step-th object; the delete warm start runs against the database minus a
 // disjoint set of victims, and the insert warm start puts them back, seeded
 // with the post-delete UBRs (supersets of the final cells, as Lemma 9 needs).
-func goldenRun(clustered bool, d int) goldenHashes {
+func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 	const n = 1500
 	db := dataset.Synthetic(dataset.SyntheticParams{N: n, Dim: d, Seed: int64(40 + d), Clustered: clustered})
 	tree := BuildRegionTree(db, 32)
@@ -105,19 +109,24 @@ func goldenRun(clustered bool, d int) goldenHashes {
 	smallerTree := BuildRegionTree(smaller, 32)
 
 	cold, del, ins, ref := newSEHasher(), newSEHasher(), newSEHasher(), newSEHasher()
+	var guard goldenGuard
 	for i := 0; i < sample; i++ {
 		o := db.Get(uncertain.ID(i * step))
 		ubr, st := ComputeUBR(db, tree, o, opts)
 		cold.base(ubr, st)
+		guard[0].add(ubr, st.DominationTests, csetTester(ChooseCSet(db, tree, o, opts), o, opts.MaxDepth), o.Region, db.Domain, opts)
 
 		grown, st := ComputeUBRAfterDelete(smaller, smallerTree, o, ubr, opts)
 		del.base(grown, st)
+		guard[1].add(grown, st.DominationTests, csetTester(ChooseCSet(smaller, smallerTree, o, opts), o, opts.MaxDepth), ubr, db.Domain, opts)
 
 		back, st := ComputeUBRAfterInsert(db, tree, o, grown, opts)
 		ins.base(back, st)
+		guard[2].add(back, st.DominationTests, csetTester(ChooseCSet(db, tree, o, opts), o, opts.MaxDepth), o.Region, grown, opts)
 
 		rf := NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 3, CSetFactor: 2})
 		tight, st := rf.Refine(ubr)
+		guard[3].add(tight, st.Refine.DominationTests, NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 3, CSetFactor: 2}).tester, o.Region, ubr, rf.opts)
 		ref.rect(tight)
 		ref.u64(uint64(st.Refine.CSetSize))
 		ref.u64(uint64(st.Refine.Iterations))
@@ -131,5 +140,51 @@ func goldenRun(clustered bool, d int) goldenHashes {
 		}
 		ref.u64(uint64(rf.Tests()))
 	}
-	return goldenHashes{cold: cold.Sum64(), afterDelete: del.Sum64(), afterInsert: ins.Sum64(), refine: ref.Sum64()}
+	return goldenHashes{cold: cold.Sum64(), afterDelete: del.Sum64(), afterInsert: ins.Sum64(), refine: ref.Sum64()}, guard
+}
+
+// goldenGuard sums, per mode (cold, afterDelete, afterInsert, refine), what
+// the cover-reusing loop produced and what the stateless reference loop
+// (reference_test.go) produces from the same tester inputs and bounds.
+type goldenGuard [4]guardSums
+
+type guardSums struct {
+	volume, refVolume float64
+	tests, refTests   int64
+}
+
+var goldenModes = [4]string{"cold", "afterDelete", "afterInsert", "refine"}
+
+func (g *guardSums) add(ubr geom.Rect, tests int64, ref *domination.Tester, l, h geom.Rect, opts Options) {
+	g.volume += ubr.Volume()
+	g.tests += tests
+	h = h.Clone()
+	if ref != nil {
+		refShrinkExpand(ref, l.Clone(), h, opts.Delta)
+		g.refTests += ref.Tests
+	}
+	g.refVolume += h.Volume()
+}
+
+// check holds the cover-reusing loop to the reference on the sampled objects:
+// UBRs in total no more than 0.5 % larger (measured: smaller on every row), at
+// most half the domination tests at d ≥ 3 and two thirds at d = 2 — for
+// refinement, whose probes mostly fail and leave less to reuse, two thirds at
+// every d.
+func (g goldenGuard) check(t *testing.T, d int) {
+	t.Helper()
+	for m, x := range g {
+		t.Logf("%s: Σ volume %+.3f %%, tests %d -> %d (%.2f×)", goldenModes[m],
+			100*(x.volume/x.refVolume-1), x.refTests, x.tests, float64(x.refTests)/float64(x.tests))
+		if x.volume > 1.005*x.refVolume {
+			t.Errorf("%s: Σ UBR volume %g exceeds 1.005 × the reference loop's %g", goldenModes[m], x.volume, x.refVolume)
+		}
+		factor := 2.0
+		if d == 2 || goldenModes[m] == "refine" {
+			factor = 1.5
+		}
+		if float64(x.tests)*factor > float64(x.refTests) {
+			t.Errorf("%s: %d domination tests, want at most the reference loop's %d ÷ %.1f", goldenModes[m], x.tests, x.refTests, factor)
+		}
+	}
 }

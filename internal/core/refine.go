@@ -74,8 +74,7 @@ func NewRefiner(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, base Op
 // superset of V(o), and every shrink step removes only provably dominated
 // slabs). The returned stats carry the work in the Refine fields, leaving
 // the base counters zero.
-func (rf *Refiner) Refine(oldUBR geom.Rect) (geom.Rect, Stats) {
-	var st Stats
+func (rf *Refiner) Refine(oldUBR geom.Rect) (ubr geom.Rect, st Stats) {
 	st.Refine.Rows = 1
 	st.Refine.CSetSize = rf.csetSize
 	t0 := time.Now()
@@ -92,7 +91,7 @@ func (rf *Refiner) Refine(oldUBR geom.Rect) (geom.Rect, Stats) {
 	}
 	testsBefore := rf.tester.Tests
 
-	st.Refine.Iterations, st.Refine.Shrinks = shrinkExpand(rf.tester, rf.o.Region.Clone(), h, rf.opts.Delta)
+	st.Refine.Iterations, st.Refine.Shrinks = rf.tester.ShrinkExpand(rf.o.Region.Clone(), h, rf.opts.Delta)
 	st.Refine.DominationTests = rf.tester.Tests - testsBefore
 	return h, st
 }

@@ -60,6 +60,11 @@ func TestRefinerShrinkOnlyAndSound(t *testing.T) {
 		if st.Refine.Iterations == 0 || st.Refine.DominationTests == 0 {
 			t.Fatalf("object %d: refinement did no work: %+v", o.ID, st.Refine)
 		}
+		// The wall time covers that work and the escalated C-set selection
+		// (it was once set on a copy and always read 0).
+		if st.Refine.Time <= 0 {
+			t.Fatalf("object %d: %d refinement tests in Refine.Time = %v", o.ID, st.Refine.DominationTests, st.Refine.Time)
+		}
 		for s := 0; s < 300; s++ {
 			p := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 			if bruteforce.InPVCell(db, o.ID, p) && !refined.Contains(p) {

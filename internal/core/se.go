@@ -113,7 +113,7 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 		return h, st
 	}
 	tester := csetTester(cset, o, opts.MaxDepth)
-	st.Iterations, st.Shrinks = shrinkExpand(tester, l, h, opts.Delta)
+	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, opts.Delta)
 	st.Expands = st.Iterations - st.Shrinks
 	st.DominationTests = tester.Tests
 	return h, st
@@ -126,75 +126,6 @@ func csetTester(cset []*uncertain.Object, o *uncertain.Object, maxDepth int) *do
 		regions[i] = c.Region
 	}
 	return domination.NewTester(regions, o.Region, maxDepth)
-}
-
-// shrinkExpand is the SE loop (Algorithm 1, Steps 4–14), shared by the base
-// pass and refinement: while some face of h is at least delta away from l,
-// bisect that gap and ask the tester whether the outer slab of h is disjoint
-// from I(Cset, o); if so h shrinks to the midplane, otherwise l expands to
-// it. l ⊆ h must hold on entry; both are updated in place. It returns the
-// number of steps and how many of them shrank h (the rest expanded l).
-func shrinkExpand(tester *domination.Tester, l, h geom.Rect, delta float64) (iterations, shrinks int) {
-	if delta <= 0 {
-		delta = 1e-9 // Δ=0 would loop forever on irrational boundaries
-	}
-	// slab is h with one face moved to the midplane for the duration of a
-	// probe; the tester copies what it is handed.
-	slab := h.Clone()
-	for maxGap(l, h) >= delta {
-		progressed := false
-		for j := range h.Lo {
-			// Low direction: candidate slab between h.Lo and the midplane.
-			if h.Lo[j] < l.Lo[j] {
-				mid := (h.Lo[j] + l.Lo[j]) / 2
-				slab.Hi[j] = mid
-				prunable := tester.RegionPrunable(slab)
-				slab.Hi[j] = h.Hi[j]
-				iterations++
-				if prunable {
-					h.Lo[j], slab.Lo[j] = mid, mid
-					shrinks++
-				} else {
-					l.Lo[j] = mid
-				}
-				progressed = true
-			}
-			// High direction: candidate slab between the midplane and h.Hi.
-			if h.Hi[j] > l.Hi[j] {
-				mid := (h.Hi[j] + l.Hi[j]) / 2
-				slab.Lo[j] = mid
-				prunable := tester.RegionPrunable(slab)
-				slab.Lo[j] = h.Lo[j]
-				iterations++
-				if prunable {
-					h.Hi[j], slab.Hi[j] = mid, mid
-					shrinks++
-				} else {
-					l.Hi[j] = mid
-				}
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-	return iterations, shrinks
-}
-
-// maxGap returns |h − l|_d: the largest per-direction distance between the
-// boundaries of the bounding pair.
-func maxGap(l, h geom.Rect) float64 {
-	var m float64
-	for j := range l.Lo {
-		if g := l.Lo[j] - h.Lo[j]; g > m {
-			m = g
-		}
-		if g := h.Hi[j] - l.Hi[j]; g > m {
-			m = g
-		}
-	}
-	return m
 }
 
 // BuildRegionTree indexes the uncertainty regions of every object in db in

@@ -94,7 +94,8 @@ func BenchmarkRegionPrunable5D(b *testing.B) { benchRegionPrunable(b, 5, 200) }
 
 // TestRegionPrunableZeroAlloc: a tester owns every stack its recursion needs,
 // so a call allocates nothing — at any dimension and at the escalated
-// refinement depth.
+// refinement depth; and once a first ShrinkExpand run has built the faces'
+// memory, neither does a whole run, however many probes it makes.
 func TestRegionPrunableZeroAlloc(t *testing.T) {
 	for _, tc := range []struct{ d, n, depth int }{{2, 40, 10}, {3, 140, 10}, {5, 200, 14}} {
 		cands, target, slabs := seScenario(tc.d, tc.n, 2)
@@ -104,11 +105,24 @@ func TestRegionPrunableZeroAlloc(t *testing.T) {
 			tester.RegionPrunable(slabs[i%len(slabs)])
 			i++
 		})
+		l, h, domain := target.Clone(), geom.UnitCube(tc.d, 10000), geom.UnitCube(tc.d, 10000)
+		run := func() {
+			copy(l.Lo, target.Lo)
+			copy(l.Hi, target.Hi)
+			copy(h.Lo, domain.Lo)
+			copy(h.Hi, domain.Hi)
+			tester.ShrinkExpand(l, h, 1)
+		}
+		run() // warm-up: builds the face memory
+		probing := testing.AllocsPerRun(3, run)
 		if race.Enabled {
-			t.Skipf("allocs/call = %.1f; budget not asserted under -race", allocs)
+			t.Skipf("allocs/call = %.1f and %.1f; budget not asserted under -race", allocs, probing)
 		}
 		if allocs != 0 {
 			t.Errorf("d=%d depth=%d: RegionPrunable allocates %.1f times per call, want 0", tc.d, tc.depth, allocs)
+		}
+		if probing != 0 {
+			t.Errorf("d=%d depth=%d: a warmed-up ShrinkExpand run allocates %.1f times, want 0", tc.d, tc.depth, probing)
 		}
 	}
 }

@@ -99,8 +99,9 @@ func PointDominated(a, b geom.Rect, p geom.Point) bool {
 // CannotDominate, recurse on the survivors": it makes the same decisions in
 // the same order from the same floating-point operations, but owns all its
 // storage, so a call allocates nothing (docs/ARCHITECTURE.md, "UBR
-// computation", describes the layout). A Tester is not safe for concurrent
-// use.
+// computation", describes the layout). ShrinkExpand drives the same recursion
+// through a per-face memory of earlier proofs (se.go). A Tester is not safe
+// for concurrent use.
 type Tester struct {
 	// Tests counts individual domination decisions (one per candidate
 	// examined per region part), for the harness's cost accounting
@@ -119,13 +120,22 @@ type Tester struct {
 	// caller's region.
 	regions []float64
 	// terms holds, for the part being scanned, per dimension (lo, hi,
-	// mindist²(target, lo), mindist²(target, hi)) — everything the
-	// per-candidate loop needs that does not depend on the candidate.
+	// mindist²(target, lo), mindist²(target, hi), and the extent the filter
+	// clamps to) — everything the per-candidate loop needs that does not
+	// depend on the candidate.
 	terms []float64
-	// live is the index stack: [0, n) lists the whole C-set, and each
-	// recursion level appends the candidates that survive its part, so a
-	// level's live set is a contiguous range its two children share.
+	// live is the index stack: [0, n) lists the whole C-set, [n, 2n) is
+	// where a face probe puts the list it restarts from, and each recursion
+	// level appends the candidates that survive its part, so a level's live
+	// set is a contiguous range its two children share.
 	live []int32
+
+	// axis is the face axis of the plate ShrinkExpand is probing, -1 in the
+	// stateless RegionPrunable; on it the filter looks at the face's whole
+	// gap [gapLo, gapHi] instead of the part's extent.
+	axis         int
+	gapLo, gapHi float64
+	faces        *faceMemory // ShrinkExpand's state, built by its first run
 }
 
 // NewTester builds a Tester over the given candidate regions; maxDepth
@@ -136,8 +146,8 @@ func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 		maxDepth = 0
 	}
 	d, n := target.Dim(), len(candidates)
-	buf := make([]float64, n*3*d+2*d+(maxDepth+1)*2*d+4*d)
-	t := &Tester{dim: d, n: n, maxDepth: maxDepth, live: make([]int32, n*(maxDepth+2))}
+	buf := make([]float64, n*3*d+2*d+(maxDepth+1)*2*d+6*d)
+	t := &Tester{dim: d, n: n, maxDepth: maxDepth, live: make([]int32, n*(maxDepth+3))}
 	t.cand, buf = buf[:n*3*d], buf[n*3*d:]
 	t.target, buf = buf[:2*d], buf[2*d:]
 	t.regions, t.terms = buf[:(maxDepth+1)*2*d], buf[(maxDepth+1)*2*d:]
@@ -162,26 +172,35 @@ func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 // them nearest-first from the target, which makes the short-circuiting scan
 // find slab dominators early without any per-call reordering.
 func (t *Tester) RegionPrunable(r geom.Rect) bool {
+	t.axis = -1
 	for j := 0; j < t.dim; j++ {
 		t.regions[2*j], t.regions[2*j+1] = r.Lo[j], r.Hi[j]
 	}
-	return t.prunable(0, 0, t.n)
+	return t.prunable(0, 0, t.n, t.maxDepth)
 }
 
 // prunable decides the part at recursion level `level` against the
-// candidates live[from:to]; survivors are stacked from live[to] on.
-func (t *Tester) prunable(level, from, to int) bool {
+// candidates live[from:to], bisecting at most depth more times; survivors
+// are stacked from live[to] on.
+func (t *Tester) prunable(level, from, to, depth int) bool {
 	d := t.dim
 	r := t.regions[level*2*d : (level+1)*2*d]
 
 	// Target-only terms, once per part: Dominates subtracts mindist² of the
-	// target at r's two endpoints, CannotDominate sums their maxima.
+	// target at r's two endpoints, CannotDominate sums their maxima over the
+	// extent [flo, fhi] the filter looks at.
 	var ubMin float64
 	for j := 0; j < d; j++ {
 		lo, hi := r[2*j], r[2*j+1]
 		tlo := geom.AxisMinDist2(lo, t.target[2*j], t.target[2*j+1])
 		thi := geom.AxisMinDist2(hi, t.target[2*j], t.target[2*j+1])
-		t.terms[4*j], t.terms[4*j+1], t.terms[4*j+2], t.terms[4*j+3] = lo, hi, tlo, thi
+		tj := t.terms[6*j : 6*j+6]
+		tj[0], tj[1], tj[2], tj[3], tj[4], tj[5] = lo, hi, tlo, thi, lo, hi
+		if j == t.axis {
+			tj[4], tj[5] = t.gapLo, t.gapHi
+			tlo = geom.AxisMinDist2(t.gapLo, t.target[2*j], t.target[2*j+1])
+			thi = geom.AxisMinDist2(t.gapHi, t.target[2*j], t.target[2*j+1])
+		}
 		ubMin += max(tlo, thi)
 	}
 
@@ -198,19 +217,19 @@ func (t *Tester) prunable(level, from, to int) bool {
 		// clamped into r. Both accumulate in dimension order from zero.
 		var sum, lbMax float64
 		for j := 0; j < d; j++ {
-			aj, qj := a[3*j:3*j+3:3*j+3], q[4*j:4*j+4:4*j+4]
+			aj, qj := a[3*j:3*j+3:3*j+3], q[6*j:6*j+6:6*j+6]
 			alo, ahi, p := aj[0], aj[1], aj[2]
-			rlo, rhi := qj[0], qj[1]
-			sum += max(geom.AxisMaxDist2(rlo, alo, ahi)-qj[2], geom.AxisMaxDist2(rhi, alo, ahi)-qj[3])
-			if p < rlo {
-				p = rlo
-			} else if p > rhi {
-				p = rhi
+			sum += max(geom.AxisMaxDist2(qj[0], alo, ahi)-qj[2], geom.AxisMaxDist2(qj[1], alo, ahi)-qj[3])
+			if flo, fhi := qj[4], qj[5]; p < flo {
+				p = flo
+			} else if p > fhi {
+				p = fhi
 			}
 			lbMax += geom.AxisMaxDist2(p, alo, ahi)
 		}
 		if sum < 0 {
 			t.Tests += int64(i - from + 1)
+			t.keepList(r, c, live[from:to])
 			return true
 		}
 		if !(lbMax >= ubMin) {
@@ -219,7 +238,8 @@ func (t *Tester) prunable(level, from, to int) bool {
 		}
 	}
 	t.Tests += int64(to - from)
-	if level == t.maxDepth || top == to {
+	if depth == 0 || top == to {
+		t.keepList(r, -1, live[to:top])
 		return false
 	}
 
@@ -235,9 +255,11 @@ func (t *Tester) prunable(level, from, to int) bool {
 	half := t.regions[(level+1)*2*d : (level+2)*2*d]
 	copy(half, r)
 	half[2*best+1] = mid
-	if !t.prunable(level+1, to, top) {
+	ok := t.prunable(level+1, to, top, depth-1)
+	half[2*best], half[2*best+1] = mid, r[2*best+1]
+	if !ok {
+		t.keepList(half, -1, live[to:top]) // the half the failure leaves open
 		return false
 	}
-	half[2*best], half[2*best+1] = mid, r[2*best+1]
-	return t.prunable(level+1, to, top)
+	return t.prunable(level+1, to, top, depth-1)
 }

@@ -300,28 +300,7 @@ func (ix *Index) conservativeBBox(c Circle, neighbors []Circle, tol float64, max
 	if li, ok := l.Intersection(ix.domain); ok {
 		l = li
 	}
-	for j := 0; j < 2; j++ {
-		for h.Lo[j] < l.Lo[j]-tol {
-			mid := (h.Lo[j] + l.Lo[j]) / 2
-			slab := h.Clone()
-			slab.Hi[j] = mid
-			if tester.RegionPrunable(slab) {
-				h.Lo[j] = mid
-			} else {
-				l.Lo[j] = mid
-			}
-		}
-		for h.Hi[j] > l.Hi[j]+tol {
-			mid := (h.Hi[j] + l.Hi[j]) / 2
-			slab := h.Clone()
-			slab.Lo[j] = mid
-			if tester.RegionPrunable(slab) {
-				h.Hi[j] = mid
-			} else {
-				l.Hi[j] = mid
-			}
-		}
-	}
+	tester.ShrinkExpand(l, h, tol)
 	return h
 }
 
