@@ -140,10 +140,10 @@ func (s *server) routes() http.Handler {
 	if s.maxInflight > 0 {
 		s.inflight = make(chan struct{}, s.maxInflight)
 	}
-	if s.reqTimeout <= 0 && s.inflight == nil {
-		return mux
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Every body is bounded before any handler decodes it; the decode
+		// error of an oversized one reaches writeError, which answers 413.
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		switch r.URL.Path {
 		case "/healthz", "/v1/healthz", "/v1/stats":
 			// Always reachable: an operator diagnosing an overloaded or
@@ -287,7 +287,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes bounds every request body. An insert batch of 16 objects with
+// 100 instances each is about 100 KB; nothing legitimate comes near 32 MiB,
+// and without a bound one request's array is decoded whole before validation.
+const maxBodyBytes = 32 << 20
+
 func writeError(w http.ResponseWriter, status int, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
@@ -328,7 +337,7 @@ func decodeBody(r *http.Request) (map[string]json.RawMessage, error) {
 	}
 	body := make(map[string]json.RawMessage)
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("bad JSON body: %v", err)
+		return nil, fmt.Errorf("bad JSON body: %w", err)
 	}
 	return body, nil
 }
@@ -759,7 +768,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	var req insertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %v", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	o, err := req.toObject()
@@ -796,7 +805,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		ID uint32 `json:"id"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %v", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 
@@ -831,7 +840,7 @@ func (s *server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 		Objects []insertRequest `json:"objects"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %v", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if len(req.Objects) == 0 {
@@ -856,12 +865,7 @@ func (s *server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
 		s.failUpdate(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":      len(sts),
-		"affected":   sumAffected(sts),
-		"examined":   sumExamined(sts),
-		"latency_us": elapsed.Microseconds(),
-	})
+	writeJSON(w, http.StatusOK, batchReply(sts, elapsed))
 }
 
 // handleDeleteBatch removes a whole set of IDs as one group commit:
@@ -878,7 +882,7 @@ func (s *server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
 		IDs []uint32 `json:"ids"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %v", err))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -898,12 +902,7 @@ func (s *server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
 		s.failUpdate(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":      len(sts),
-		"affected":   sumAffected(sts),
-		"examined":   sumExamined(sts),
-		"latency_us": elapsed.Microseconds(),
-	})
+	writeJSON(w, http.StatusOK, batchReply(sts, elapsed))
 }
 
 // handleCheckpoint forces a durable snapshot (admin endpoint, POST only).
@@ -985,20 +984,30 @@ func serverFault(err error) bool {
 	return err != nil && !errors.Is(err, context.Canceled)
 }
 
-func sumAffected(sts []pvoronoi.UpdateStats) int {
-	n := 0
+// batchReply sums a write batch's per-op stats into its reply: the counts,
+// the handler's wall time, and where that time went — SE, index maintenance,
+// adjacency patch, refinement (SE and refinement add up worker time, so on
+// several cores they can exceed their share of the wall clock).
+func batchReply(sts []pvoronoi.UpdateStats, elapsed time.Duration) map[string]any {
+	var sum pvoronoi.UpdateStats
 	for _, st := range sts {
-		n += st.Affected
+		sum.Affected += st.Affected
+		sum.Examined += st.Examined
+		sum.SETime += st.SETime
+		sum.IndexTime += st.IndexTime
+		sum.AdjTime += st.AdjTime
+		sum.SE.Refine.Time += st.SE.Refine.Time
 	}
-	return n
-}
-
-func sumExamined(sts []pvoronoi.UpdateStats) int {
-	n := 0
-	for _, st := range sts {
-		n += st.Examined
+	return map[string]any{
+		"count":        len(sts),
+		"affected":     sum.Affected,
+		"examined":     sum.Examined,
+		"latency_us":   elapsed.Microseconds(),
+		"se_us":        sum.SETime.Microseconds(),
+		"index_us":     sum.IndexTime.Microseconds(),
+		"adjacency_us": sum.AdjTime.Microseconds(),
+		"refine_us":    sum.SE.Refine.Time.Microseconds(),
 	}
-	return n
 }
 
 // --- stats ---------------------------------------------------------------

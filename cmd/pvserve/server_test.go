@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -536,6 +538,7 @@ func TestServeBatchEndpoints(t *testing.T) {
 	if got := ix.Len(); got != 56 {
 		t.Fatalf("index has %d objects after batch insert, want 56", got)
 	}
+	checkBatchStages(t, "insertbatch", out)
 
 	// A batch with one duplicate applies nothing.
 	resp, _ = postJSON(t, ts, "/v1/insertbatch", map[string]any{"objects": []map[string]any{
@@ -556,6 +559,7 @@ func TestServeBatchEndpoints(t *testing.T) {
 	if got := ix.Len(); got != 50 {
 		t.Fatalf("index has %d objects after batch delete, want 50", got)
 	}
+	checkBatchStages(t, "deletebatch", out)
 	resp, _ = postJSON(t, ts, "/v1/deletebatch", map[string]any{"ids": []int{424242}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown deletebatch: status %d, want 404", resp.StatusCode)
@@ -566,6 +570,72 @@ func TestServeBatchEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("checkpoint in memory mode: status %d, want 409", resp.StatusCode)
 	}
+}
+
+// checkBatchStages checks a batch reply's stage breakdown: all four stages
+// present, SE and the adjacency patch non-zero (every write batch runs both).
+func checkBatchStages(t *testing.T, route string, out map[string]json.RawMessage) {
+	t.Helper()
+	stage := map[string]int64{}
+	for _, f := range []string{"latency_us", "se_us", "index_us", "adjacency_us", "refine_us"} {
+		var v int64
+		if err := json.Unmarshal(out[f], &v); err != nil || v < 0 {
+			t.Fatalf("%s reply: field %s = %s (err %v)", route, f, out[f], err)
+		}
+		stage[f] = v
+	}
+	if stage["se_us"] == 0 || stage["adjacency_us"] == 0 {
+		t.Fatalf("%s reply names no SE or adjacency time: %v", route, stage)
+	}
+}
+
+// TestServeBodyBound: a body past maxBodyBytes is refused with 413 and the
+// JSON error shape on every route family that reads one — the shared
+// decodeBody (queries) and each write handler's own decoder — instead of
+// being decoded whole; a body just under the bound still gets its own answer.
+func TestServeBodyBound(t *testing.T) {
+	ix := testIndex(t, 30)
+	h := newServer(ix).routes()
+	post := func(path, head string, pad int) (int, string) {
+		body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, int64(pad)), strings.NewReader("]}"))
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = -1 // chunked: only the reader itself can bound it
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var e errorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: reply %q is not JSON: %v", path, rec.Body.String(), err)
+		}
+		return rec.Code, e.Error
+	}
+	for path, head := range map[string]string{
+		"/v1/query":        `{"point":[500,500`,
+		"/v1/groupnnbatch": `{"groups":[[[500,500]]`,
+		"/v1/insert":       `{"id":1,"instances":[`,
+		"/v1/delete":       `{"id":1,"x":[`,
+		"/v1/insertbatch":  `{"objects":[`,
+		"/v1/deletebatch":  `{"ids":[`,
+	} {
+		if code, msg := post(path, head, maxBodyBytes); code != http.StatusRequestEntityTooLarge || msg == "" {
+			t.Errorf("%s with a %d-byte body: status %d (%q), want 413", path, maxBodyBytes+len(head)+2, code, msg)
+		}
+	}
+	if code, msg := post("/v1/deletebatch", `{"ids":[`, maxBodyBytes-64); code != http.StatusBadRequest {
+		t.Errorf("deletebatch just under the bound: status %d (%q), want the handler's own 400", code, msg)
+	}
+	if got := ix.Len(); got != 30 {
+		t.Fatalf("refused bodies changed the index: %d objects", got)
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestServeDurableCheckpointAndRecovery runs the server against a durable

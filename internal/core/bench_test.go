@@ -106,3 +106,45 @@ func BenchmarkChooseCSetIS(b *testing.B) {
 		_ = ChooseCSet(db, tree, o, opts)
 	}
 }
+
+// TestChooseCSetAllocBudget: an IS C-set selection on the uni2 shape costs
+// four allocations once the pooled browse iterator is warm — the query
+// point, the quadrant counters, the distance closure, the root's MBR — plus
+// the growth steps of the slice it returns, however many leaves the browse
+// opens.
+func TestChooseCSetAllocBudget(t *testing.T) {
+	const fixed = 4
+	db := dataset.Synthetic(dataset.SyntheticParams{N: 8000, Dim: 2, MaxSide: 60, Seed: 1})
+	tree := BuildRegionTree(db, 100)
+	o := db.Objects()[7]
+	measure := func(kGlobal int) (allocs float64, leaves int64, growths int) {
+		opts := DefaultOptions()
+		opts.KGlobal, opts.KPartition = kGlobal, kGlobal
+		size := len(ChooseCSet(db, tree, o, opts)) // warm the iterator to this browse's size
+		tree.ResetLeafIO()
+		allocs = testing.AllocsPerRun(20, func() { ChooseCSet(db, tree, o, opts) })
+		var out []*uncertain.Object
+		for i := 0; i < size; i++ {
+			if len(out) == cap(out) {
+				growths++
+			}
+			out = append(out, nil)
+		}
+		return allocs, tree.LeafIO() / 21, growths
+	}
+	short, fewLeaves, shortGrowths := measure(200)
+	long, manyLeaves, longGrowths := measure(3200)
+	t.Logf("KGlobal 200: %.0f allocs, %d leaves; KGlobal 3200: %.0f allocs, %d leaves", short, fewLeaves, long, manyLeaves)
+	if manyLeaves < 4*fewLeaves {
+		t.Fatalf("the long browse opened %d leaves against %d: the test no longer varies the browse", manyLeaves, fewLeaves)
+	}
+	if race.Enabled {
+		t.Skip("budget not asserted under -race")
+	}
+	if want := float64(fixed + shortGrowths); short > want {
+		t.Errorf("ChooseCSet allocates %.0f times over %d leaves, budget %.0f", short, fewLeaves, want)
+	}
+	if want := float64(fixed + longGrowths); long > want {
+		t.Errorf("ChooseCSet allocates %.0f times over %d leaves, budget %.0f", long, manyLeaves, want)
+	}
+}

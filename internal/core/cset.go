@@ -105,6 +105,7 @@ func chooseAll(db *uncertain.DB, o *uncertain.Object) []*uncertain.Object {
 func chooseFS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, k int) []*uncertain.Object {
 	center := o.Region.Center()
 	it := rtree.NewNNIter(tree, center, rtree.CenterDistTo(center))
+	defer it.Release()
 	out := make([]*uncertain.Object, 0, k)
 	for len(out) < k {
 		item, _, ok := it.Next()
@@ -133,6 +134,7 @@ func chooseIS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, kPartitio
 	counts := make([]int, quadrants)
 	satisfied := 0
 	it := rtree.NewNNIter(tree, center, rtree.MinDistTo(center))
+	defer it.Release()
 	var out []*uncertain.Object
 	examined := 0
 	for examined < kGlobal && satisfied < quadrants {

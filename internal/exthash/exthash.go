@@ -322,26 +322,64 @@ func (t *Table) GetView(key uint32) ([]byte, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	buf, err := t.store.View(s.firstPage)
+	head, next, err := t.viewFirstPage(s)
 	if err != nil {
 		return nil, false, err
 	}
-	next := pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
-	used := binary.LittleEndian.Uint32(buf[4:8])
-	if int(used) > len(buf)-chainHeader {
-		return nil, false, errors.New("exthash: corrupt value chain")
-	}
 	if next == 0 {
-		if used != s.valLen {
-			return nil, false, fmt.Errorf("exthash: value length %d, expected %d", used, s.valLen)
-		}
-		return buf[chainHeader : chainHeader+used : chainHeader+used], true, nil
+		return head, true, nil
 	}
 	v, err := t.readValue(s.firstPage, s.valLen)
 	if err != nil {
 		return nil, false, err
 	}
 	return v, true, nil
+}
+
+// GetPrefix lends the first n bytes of the value stored under key — fewer
+// when the value, or the share of it on its first value page, is shorter —
+// together with the value's total length. It never copies or follows the
+// chain, whatever the value's size: a caller that needs only a fixed header
+// pays one bucket and one page view. Only that first page is validated — a
+// chain damaged further on is GetView's to find. The slice aliases the
+// store's slab under the View validity rule, exactly like GetView's
+// single-page result.
+func (t *Table) GetPrefix(key uint32, n int) (prefix []byte, valLen int, ok bool, err error) {
+	s, ok, err := t.findSlot(t.dir[t.dirIndex(key)], key)
+	if err != nil || !ok {
+		return nil, 0, false, err
+	}
+	head, _, err := t.viewFirstPage(s)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if n < len(head) {
+		head = head[:n:n]
+	}
+	return head, int(s.valLen), true, nil
+}
+
+// viewFirstPage borrows the share of s's value held by its first value page
+// and returns the next page of the chain (0 = none). The only page of a
+// single-page value must hold exactly the slot's length, the first of
+// several less than it.
+func (t *Table) viewFirstPage(s slot) (head []byte, next pagestore.PageID, err error) {
+	buf, err := t.store.View(s.firstPage)
+	if err != nil {
+		return nil, 0, err
+	}
+	next = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+	used := binary.LittleEndian.Uint32(buf[4:8])
+	if int(used) > len(buf)-chainHeader {
+		return nil, 0, errors.New("exthash: corrupt value chain")
+	}
+	if next == 0 && used != s.valLen {
+		return nil, 0, fmt.Errorf("exthash: value length %d, expected %d", used, s.valLen)
+	}
+	if next != 0 && used >= s.valLen {
+		return nil, 0, errors.New("exthash: corrupt value chain")
+	}
+	return buf[chainHeader : chainHeader+used : chainHeader+used], next, nil
 }
 
 // Put stores val under key, replacing any previous value.

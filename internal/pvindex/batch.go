@@ -147,6 +147,7 @@ func (ix *Index) ApplyBatch(ups []Update) ([]UpdateStats, error) {
 		var rst core.RefineStats
 		if rst, err = w.refineAfterBatch(); err == nil && len(sts) > 0 {
 			sts[0].SE.Refine.Add(rst)
+			sts[0].AdjTime = w.adjTime
 		}
 	}
 	if err != nil {

@@ -154,13 +154,12 @@ func (ix *Index) initRuntime() {
 // a cloned database, copy-on-write handles over the octree, secondary index
 // and region tree, the deferred-free list shared by both page-backed
 // structures, and the set of record IDs rewritten so far (for the cache
-// generation bump at publish and for the writer's own read-your-writes).
+// generation bump at publish).
 // In bootstrap mode (construction, load) there is no predecessor version:
 // structures mutate in place and no dirty tracking is needed.
 type working struct {
-	ix        *Index
-	epoch     uint64 // epoch this working set publishes as
-	baseEpoch uint64 // epoch writer-side cache fills are tagged with
+	ix    *Index
+	epoch uint64 // epoch this working set publishes as
 
 	db         *uncertain.DB
 	primary    *octree.Tree
@@ -175,6 +174,7 @@ type working struct {
 	adj        *adjgraph.Graph
 	adjChanged map[uint32]struct{}
 	adjRemoved map[uint32]struct{}
+	adjTime    time.Duration // wall time spent in updateAdjacency so far
 
 	freed []pagestore.PageID
 	dirty map[uint32]struct{} // nil in bootstrap mode
@@ -192,7 +192,7 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 			return nil, fmt.Errorf("pvindex: build: %w", err)
 		}
 	}
-	w := &working{ix: ix, epoch: 1, baseEpoch: 1, db: db}
+	w := &working{ix: ix, epoch: 1, db: db}
 	var err error
 	w.secondary, err = exthash.New(ix.store)
 	if err != nil {
@@ -216,11 +216,10 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 // pointers); the trees start as O(1) copy-on-write handles.
 func (ix *Index) newWorking(base *version) *working {
 	w := &working{
-		ix:        ix,
-		epoch:     base.epoch + 1,
-		baseEpoch: base.epoch,
-		db:        base.db.Clone(),
-		dirty:     make(map[uint32]struct{}),
+		ix:    ix,
+		epoch: base.epoch + 1,
+		db:    base.db.Clone(),
+		dirty: make(map[uint32]struct{}),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
 	w.secondary = base.secondary.CloneCOW(&w.freed)
@@ -388,6 +387,8 @@ func (w *working) updateAdjacency() error {
 	if w.adjChanged == nil {
 		return nil
 	}
+	start := time.Now()
+	defer func() { w.adjTime += time.Since(start) }()
 	var recomputed, patched, deleted int64
 	for id := range w.adjRemoved {
 		row, ok := w.adj.Get(id)
@@ -408,11 +409,19 @@ func (w *working) updateAdjacency() error {
 		w.adj.Delete(id)
 		deleted++
 	}
+	// Every UBR this pass compares is already in memory: an unchanged
+	// object's in its adjacency row (rows store the UBR they were built
+	// from), a changed one's in changedUBR — read here, before any row is
+	// rewritten, because a changed neighbor's row is stale until its turn.
+	changedUBR := make(map[uint32]geom.Rect, len(w.adjChanged))
 	for id := range w.adjChanged {
 		ubr, ok := w.lookupUBR(id)
 		if !ok {
 			return fmt.Errorf("pvindex: changed object %d has no stored UBR during adjacency update", id)
 		}
+		changedUBR[id] = ubr
+	}
+	for id, ubr := range changedUBR {
 		ids, err := w.primary.RangeIDs(ubr)
 		if err != nil {
 			return err
@@ -425,9 +434,13 @@ func (w *working) updateAdjacency() error {
 			if _, gone := w.adjRemoved[nid]; gone {
 				continue
 			}
-			nubr, ok := w.lookupUBR(nid)
+			nubr, ok := changedUBR[nid]
 			if !ok {
-				continue
+				row, has := w.adj.Get(nid)
+				if !has {
+					continue
+				}
+				nubr = row.UBR
 			}
 			if nubr.Intersects(ubr) {
 				ns = append(ns, nid)
@@ -554,35 +567,6 @@ func (ix *Index) Adjacency() AdjacencyStats {
 	return st
 }
 
-// getRecord is the writer's record read: it bypasses the cache for IDs this
-// batch already rewrote (the cached copy describes the predecessor version)
-// and otherwise serves and fills the shared cache at the base epoch.
-func (w *working) getRecord(id uint32) (rec record, ok bool, err error) {
-	dirty := false
-	if w.dirty != nil {
-		_, dirty = w.dirty[id]
-	}
-	if !dirty {
-		if rec, ok := w.ix.rcache.get(id, w.baseEpoch); ok {
-			return rec, true, nil
-		}
-	}
-	// Borrow-then-decode: GetView lends page memory for single-page values
-	// and decodeRecord copies every field out before the borrow ends.
-	buf, found, err := w.secondary.GetView(id)
-	if err != nil || !found {
-		return record{}, false, err
-	}
-	rec, err = decodeRecord(buf)
-	if err != nil {
-		return record{}, false, err
-	}
-	if !dirty {
-		w.ix.rcache.put(id, rec, w.baseEpoch)
-	}
-	return rec, true, nil
-}
-
 // putRecord writes o's record to the working secondary index and marks the
 // ID dirty so the cache generation bumps at publish.
 func (w *working) putRecord(id uint32, rec record) error {
@@ -601,13 +585,16 @@ func (w *working) markDirty(id uint32) {
 }
 
 // lookupUBR serves octree leaf splits (and the update algorithms' affected-
-// set filters) from the working secondary index.
+// set filters) from the working secondary index. It borrows the record's
+// header only — never the pdf, however many pages it spans — and stays out
+// of the readers' record cache: the writer neither fills nor evicts it.
 func (w *working) lookupUBR(id uint32) (geom.Rect, bool) {
-	rec, ok, err := w.getRecord(id)
+	prefix, total, ok, err := w.secondary.GetPrefix(id, recordUBRLen(w.db.Dim()))
 	if err != nil || !ok {
 		return geom.Rect{}, false
 	}
-	return rec.UBR, true
+	ubr, err := decodeRecordUBR(prefix, total)
+	return ubr, err == nil
 }
 
 // addObject writes o's record to the secondary index and its entries to the
@@ -871,6 +858,10 @@ type UpdateStats struct {
 	Examined  int           // objects touched by the range filter
 	SETime    time.Duration // UBR recomputation time
 	IndexTime time.Duration // primary/secondary maintenance time
+	// AdjTime is the wall time of the batch's adjacency-graph maintenance
+	// (updateAdjacency, after the apply and again after refinement). Like
+	// SE.Refine it is batch-scoped and attributed to the batch's first op.
+	AdjTime   time.Duration
 	TotalTime time.Duration
 	// SE aggregates the Shrink-and-Expand cost of every UBR computed by the
 	// operation: the newcomer's (insert) plus all affected recomputations.
@@ -1012,7 +1003,10 @@ func (ix *Index) Delete(id uncertain.ID) (UpdateStats, error) {
 // writer's working version. Affected PV-cells can only grow, so UBRs are
 // recomputed warm-started from the old UBR as the lower bound and entries
 // are added to newly covered leaves. The returned rectangle is the victim's
-// stored UBR (its impact region for later batch ops).
+// stored UBR (its impact region for later batch ops). The deletes of a batch
+// run one at a time for the same reason: a UBR stored before an earlier
+// delete is a lower bound of the current cell and no conservative filter for
+// a later one, so a set-at-a-time delete batch would miss affected rows.
 func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 	var st UpdateStats
 	start := time.Now()

@@ -174,24 +174,6 @@ func (c *recordCache) bumpGen(id uint32, epoch uint64) {
 	}
 }
 
-// drop removes id's entry outright, with no generation bump. Only valid
-// while the index is not shared (bootstrap construction rewrites records
-// after leaf splits may have cached them; there are no concurrent readers
-// yet, so the next fill simply decodes the rewritten bytes). The published
-// write path must use bumpGen instead — pinned readers rely on it.
-func (c *recordCache) drop(id uint32) {
-	if c == nil {
-		return
-	}
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[id]; ok {
-		sh.lru.Remove(el)
-		delete(sh.m, id)
-	}
-}
-
 // pruneGen forgets modification tags at or below the oldest pinnable epoch:
 // every future lookup and fill comes from a version at or beyond it, so the
 // tag can no longer fail a validity check. Keeps the generation table

@@ -280,13 +280,6 @@ func (w *working) refinePass(ids []uint32, rc RefineConfig) (core.RefineStats, e
 		if err := w.putRecord(j.id, rec); err != nil {
 			return st, err
 		}
-		if w.dirty == nil {
-			// Bootstrap has no publish-time generation bump, and leaf splits
-			// may already have cached this record's pre-refinement bytes.
-			// The index is not shared during construction, so a plain drop
-			// is race-free and the next fill decodes the rewritten record.
-			ix.rcache.drop(j.id)
-		}
 		w.adjMarkChanged(j.id)
 	}
 	return st, nil

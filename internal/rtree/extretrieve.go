@@ -92,15 +92,14 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 		return nil, bound, cost
 	}
 	kth := kMax{k: k}
-	var h nnHeap
-	var counter int64
-	h.push(nnHeapItem{dist: lower(t.root.mbr()), node: t.root})
-	for len(h) > 0 {
-		top := h.pop()
-		if top.dist > bound {
+	h := newBrowse(t, lower)
+	defer h.Release()
+	for len(h.heap) > 0 {
+		dist, top := h.pop()
+		if dist > bound {
 			break // best-first order: everything left is at least as far
 		}
-		n := top.node
+		n := top.child
 		if n.leaf() {
 			cost.Leaves++
 			t.leafIO.Add(1)
@@ -114,10 +113,10 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 			continue
 		}
 		cost.Nodes++
-		for _, e := range n.entries {
+		for i := range n.entries {
+			e := &n.entries[i]
 			if d := lower(e.rect); d <= bound {
-				counter++
-				h.push(nnHeapItem{dist: d, node: e.child, order: counter})
+				h.push(d, e)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"pvoronoi/internal/geom"
@@ -567,97 +568,126 @@ func CenterDistTo(q geom.Point) DistFunc {
 	return func(r geom.Rect) float64 { return geom.Dist(r.Center(), q) }
 }
 
-// nnHeapItem is a priority-queue element for distance browsing.
-type nnHeapItem struct {
-	dist  float64
-	node  *node // nil for item entries
-	item  Item
-	order int64 // tie-break for determinism
+// browseItem is one element of a best-first browse's priority queue: 16
+// bytes and no pointers, so sifting it moves no pointer past a write barrier.
+// ref indexes the iterator's append-only table of entries; because every push
+// appends exactly one entry, ref is also the push sequence number — the
+// tie-break among equal distances that fixes the pop sequence.
+type browseItem struct {
+	dist float64
+	ref  int32
 }
 
-// nnHeap is a binary min-heap on (dist, order), typed so that pushes do not
-// box every item. order is unique per push, so the pop sequence is fixed.
-type nnHeap []nnHeapItem
-
-func (a nnHeapItem) less(b nnHeapItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.order < b.order
-}
-
-func (h *nnHeap) push(it nnHeapItem) {
-	s := append(*h, it)
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *nnHeap) pop() nnHeapItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
-		if c+1 < n && s[c+1].less(s[c]) {
-			c++
-		}
-		if !s[c].less(s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-	}
-	*h = s
-	return top
+func (a browseItem) less(b browseItem) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.ref < b.ref)
 }
 
 // NNIter browses items in non-decreasing order of a distance function
 // (Hjaltason & Samet, TODS 1999). Create with NewNNIter; call Next until
-// ok == false.
+// ok == false, then Release. It is also the queue of the tree's other
+// best-first searches (PossibleNN, KthBound), which push and pop directly.
 type NNIter struct {
-	tree    *Tree
-	q       geom.Point
-	distFn  DistFunc
-	h       nnHeap
-	counter int64
+	tree   *Tree
+	q      geom.Point
+	distFn DistFunc
+	heap   []browseItem // binary min-heap on (dist, ref)
+	refs   []*entry     // refs[i] = the entry of the i-th push
+	root   entry        // stands in for an entry pointing at the tree's root
+}
+
+// iterPool recycles released iterators with their heap and entry table.
+var iterPool = sync.Pool{New: func() any { return new(NNIter) }}
+
+// newBrowse returns an iterator over t holding the root at key rootDist (an
+// empty queue when t is empty).
+func newBrowse(t *Tree, rootDist DistFunc) *NNIter {
+	it := iterPool.Get().(*NNIter)
+	it.tree = t
+	if t.size > 0 {
+		it.root = entry{child: t.root}
+		it.push(rootDist(t.root.mbr()), &it.root)
+	}
+	return it
+}
+
+// Release returns the iterator's memory for reuse by a later browse; the
+// iterator must not be used afterwards. Forgetting to call it costs only the
+// reuse. The entry table is cleared so a pooled iterator keeps no node of a
+// retired tree version alive.
+func (it *NNIter) Release() {
+	clear(it.refs)
+	*it = NNIter{heap: it.heap[:0], refs: it.refs[:0]}
+	iterPool.Put(it)
+}
+
+func (it *NNIter) push(dist float64, e *entry) {
+	x := browseItem{dist: dist, ref: int32(len(it.refs))}
+	it.refs = append(it.refs, e)
+	s := append(it.heap, x)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	it.heap = s
+}
+
+func (it *NNIter) pop() (float64, *entry) {
+	s := it.heap
+	top := s[0]
+	n := len(s) - 1
+	x := s[n]
+	s = s[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && s[c+1].less(s[c]) {
+			c++
+		}
+		if !s[c].less(x) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = x
+	}
+	it.heap = s
+	return top.dist, it.refs[top.ref]
 }
 
 // NewNNIter starts an incremental NN browse from q. distFn orders the
 // results; pass MinDistTo(q) or CenterDistTo(q).
 func NewNNIter(t *Tree, q geom.Point, distFn DistFunc) *NNIter {
-	it := &NNIter{tree: t, q: q, distFn: distFn}
-	if t.size > 0 {
-		it.h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
-	}
+	it := newBrowse(t, MinDistTo(q))
+	it.q, it.distFn = q, distFn
 	return it
 }
 
 // Next returns the next item in distance order.
 func (it *NNIter) Next() (Item, float64, bool) {
-	for len(it.h) > 0 {
-		top := it.h.pop()
-		if top.node == nil {
-			return top.item, top.dist, true
+	for len(it.heap) > 0 {
+		dist, top := it.pop()
+		n := top.child
+		if n == nil {
+			return top.item, dist, true
 		}
-		n := top.node
 		if n.leaf() {
 			it.tree.leafIO.Add(1)
-			for _, e := range n.entries {
-				it.counter++
-				it.h.push(nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})
+			for i := range n.entries {
+				e := &n.entries[i]
+				it.push(it.distFn(e.rect), e)
 			}
 			continue
 		}
-		for _, e := range n.entries {
-			it.counter++
-			it.h.push(nnHeapItem{dist: e.rect.MinDist(it.q), node: e.child, order: it.counter})
+		for i := range n.entries {
+			e := &n.entries[i]
+			it.push(e.rect.MinDist(it.q), e)
 		}
 	}
 	return Item{}, 0, false
@@ -678,15 +708,14 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 	}
 	var cands []cand
 
-	var h nnHeap
-	var counter int64
-	h.push(nnHeapItem{dist: t.root.mbr().MinDist(q), node: t.root})
-	for len(h) > 0 {
-		top := h.pop()
-		if top.dist > bestMax {
+	h := newBrowse(t, MinDistTo(q))
+	defer h.Release()
+	for len(h.heap) > 0 {
+		dist, top := h.pop()
+		if dist > bestMax {
 			break // all remaining nodes are farther than the pruning bound
 		}
-		n := top.node
+		n := top.child
 		if n.leaf() {
 			t.leafIO.Add(1)
 			for _, e := range n.entries {
@@ -698,11 +727,10 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 			}
 			continue
 		}
-		for _, e := range n.entries {
-			d := e.rect.MinDist(q)
-			if d <= bestMax {
-				counter++
-				h.push(nnHeapItem{dist: d, node: e.child, order: counter})
+		for i := range n.entries {
+			e := &n.entries[i]
+			if d := e.rect.MinDist(q); d <= bestMax {
+				h.push(d, e)
 			}
 		}
 	}

@@ -401,6 +401,7 @@ func BenchmarkNNIter(b *testing.B) {
 				b.Fatal("browse ended early")
 			}
 		}
+		it.Release()
 	}
 	b.ReportMetric(float64(tree.LeafIO())/float64(b.N), "leafIO/op")
 }

@@ -198,6 +198,7 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 // nearNeighbors returns up to k non-overlapping neighbor circles of c.
 func (ix *Index) nearNeighbors(tree *rtree.Tree, id uint32, c Circle, k int) []Circle {
 	it := rtree.NewNNIter(tree, c.Center, rtree.MinDistTo(c.Center))
+	defer it.Release()
 	var out []Circle
 	for len(out) < k {
 		item, _, ok := it.Next()
