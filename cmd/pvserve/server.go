@@ -788,6 +788,7 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":         req.ID,
 		"affected":   st.Affected,
+		"unchanged":  st.Unchanged,
 		"examined":   st.Examined,
 		"latency_us": elapsed.Microseconds(),
 	})
@@ -820,6 +821,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":         req.ID,
 		"affected":   st.Affected,
+		"unchanged":  st.Unchanged,
 		"examined":   st.Examined,
 		"latency_us": elapsed.Microseconds(),
 	})
@@ -992,6 +994,7 @@ func batchReply(sts []pvoronoi.UpdateStats, elapsed time.Duration) map[string]an
 	var sum pvoronoi.UpdateStats
 	for _, st := range sts {
 		sum.Affected += st.Affected
+		sum.Unchanged += st.Unchanged
 		sum.Examined += st.Examined
 		sum.SETime += st.SETime
 		sum.IndexTime += st.IndexTime
@@ -1001,6 +1004,7 @@ func batchReply(sts []pvoronoi.UpdateStats, elapsed time.Duration) map[string]an
 	return map[string]any{
 		"count":        len(sts),
 		"affected":     sum.Affected,
+		"unchanged":    sum.Unchanged,
 		"examined":     sum.Examined,
 		"latency_us":   elapsed.Microseconds(),
 		"se_us":        sum.SETime.Microseconds(),

@@ -149,6 +149,9 @@ func TestServeEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d: %s", resp.StatusCode, out["error"])
 	}
+	if out["affected"] == nil || out["unchanged"] == nil {
+		t.Fatalf("insert reply lacks affected/unchanged: %v", out)
+	}
 	resp, out = postJSON(t, ts, "/v1/query", map[string]any{"point": []float64{500, 500}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, out["error"])
@@ -201,9 +204,12 @@ func TestServeEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate insert status %d, want 409", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts, "/v1/delete", map[string]any{"id": 9000})
+	resp, out = postJSON(t, ts, "/v1/delete", map[string]any{"id": 9000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status %d", resp.StatusCode)
+	}
+	if out["affected"] == nil || out["unchanged"] == nil {
+		t.Fatalf("delete reply lacks affected/unchanged: %v", out)
 	}
 	resp, _ = postJSON(t, ts, "/v1/delete", map[string]any{"id": 9000})
 	if resp.StatusCode != http.StatusNotFound {
@@ -572,12 +578,13 @@ func TestServeBatchEndpoints(t *testing.T) {
 	}
 }
 
-// checkBatchStages checks a batch reply's stage breakdown: all four stages
-// present, SE and the adjacency patch non-zero (every write batch runs both).
+// checkBatchStages checks a batch reply's counts and stage breakdown: all
+// four stages present, SE and the adjacency patch non-zero (every write batch
+// runs both), and no more rows left unchanged than were recomputed.
 func checkBatchStages(t *testing.T, route string, out map[string]json.RawMessage) {
 	t.Helper()
 	stage := map[string]int64{}
-	for _, f := range []string{"latency_us", "se_us", "index_us", "adjacency_us", "refine_us"} {
+	for _, f := range []string{"affected", "unchanged", "latency_us", "se_us", "index_us", "adjacency_us", "refine_us"} {
 		var v int64
 		if err := json.Unmarshal(out[f], &v); err != nil || v < 0 {
 			t.Fatalf("%s reply: field %s = %s (err %v)", route, f, out[f], err)
@@ -586,6 +593,9 @@ func checkBatchStages(t *testing.T, route string, out map[string]json.RawMessage
 	}
 	if stage["se_us"] == 0 || stage["adjacency_us"] == 0 {
 		t.Fatalf("%s reply names no SE or adjacency time: %v", route, stage)
+	}
+	if stage["unchanged"] > stage["affected"] {
+		t.Fatalf("%s reply: %d rows unchanged of %d affected", route, stage["unchanged"], stage["affected"])
 	}
 }
 

@@ -8,26 +8,24 @@
 // filters, which is what makes it maintainable incrementally: an update
 // recomputes the rows of exactly the objects whose UBRs it recomputed.
 //
-// The graph is copy-on-write at bucket granularity, mirroring the octree and
-// hash-table COW discipline of the MVCC versions: CloneCOW is O(buckets),
-// the first mutation of a bucket copies its rows (a memcpy of the dense
-// pointer slice plus the overflow map), and rows themselves are immutable
-// once stored — a mutation installs a fresh *Row. A published
-// graph is therefore never modified; readers pinned to any version can walk
-// rows without synchronization, and discarding an unpublished clone is a
-// complete rollback (the graph owns no pagestore resources).
+// The graph is copy-on-write by ID page, mirroring the octree and hash-table
+// COW discipline of the MVCC versions: rows live in pages of 256 consecutive
+// IDs reached through a directory, CloneCOW copies the directory (one pointer
+// per page), the first mutation of a page copies its 256 row pointers, and
+// rows themselves are immutable once stored — a mutation installs a fresh
+// *Row. A batch therefore pays for the rows it touches, whatever the largest
+// ID is. A published graph is never modified; readers pinned to any version
+// can walk rows without synchronization, and discarding an unpublished clone
+// is a complete rollback (the graph owns no pagestore resources).
 package adjgraph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"pvoronoi/internal/geom"
 )
-
-// numBuckets is the COW granularity: IDs shard by their low bits, so a
-// write batch touching a localized neighborhood copies few buckets.
-const numBuckets = 256
 
 // Row is one object's adjacency row: its stored UBR plus the ascending IDs
 // of every object whose UBR intersects it. Rows are immutable once stored —
@@ -37,33 +35,39 @@ type Row struct {
 	Neighbors []uint32
 }
 
-// denseCap bounds the dense fast path: IDs below it live in a slice indexed
-// by id>>8 (their sequence number within the bucket), IDs at or above it in
-// the overflow map. The graph expansion probes rows once per distinct
-// neighbor, so for the common dense-ID case the probe must be an indexed
-// load, not a hash. 1<<20 caps a full bucket's slice at 4096 pointers.
-const denseCap = 1 << 20
+// pageBits sizes a page: 256 consecutive IDs, a 2 kB copy on first write.
+const pageBits = 8
 
-// bucket holds a shard of rows: a dense slice for small IDs (indexed by
-// id>>8 — the ID's rank within this bucket) plus an overflow map for large
-// ones. owner identifies the graph allowed to mutate the shard in place;
-// any other graph sharing the bucket must copy it first (copy-on-write).
-// Row pointers stay immutable under both paths, so readers pinned to a
-// published graph are never affected by a clone's writes.
-type bucket struct {
-	owner *Graph
-	dense []*Row          // dense[id>>8] for id < denseCap; nil slots = absent
-	rows  map[uint32]*Row // overflow: id >= denseCap
+// dirCap bounds the directory slice: pages of IDs below 1<<20 are reached by
+// an indexed load — the graph expansion probes a row once per distinct
+// neighbor, so for the common dense-ID case the probe must be two indexed
+// loads, not a hash — and a clone copies at most 32 kB of it. Pages further
+// out hang off a map keyed by page number.
+const dirCap = 1 << (20 - pageBits)
+
+// page holds the rows of 256 consecutive IDs; nil slots are absent. owner is
+// the tag of the graph allowed to mutate it in place (a tag, not the graph: a
+// page outlives the graph that made it and must not keep that graph's
+// directory alive); any other graph sharing the page must copy it first.
+type page struct {
+	owner *tag
+	live  int // non-nil rows; a page that empties is dropped
+	rows  [1 << pageBits]*Row
 }
+
+// tag is a graph's identity as a page owner.
+type tag struct{ _ byte }
 
 // Graph is the adjacency relation of one index version. The zero value is
 // not ready; use New. Not safe for concurrent mutation — the MVCC writer
 // owns at most one mutable clone at a time — but any number of readers may
 // traverse a graph that is no longer being mutated (i.e. published).
 type Graph struct {
-	buckets [numBuckets]*bucket
-	rows    int
-	edges   int // directed neighbor links; undirected edge count is edges/2
+	tag   *tag             // it owns the pages that carry it
+	dir   []*page          // dir[id>>pageBits], grown on demand up to dirCap
+	far   map[uint32]*page // pages numbered dirCap and up
+	rows  int
+	edges int // directed neighbor links; undirected edge count is edges/2
 
 	// maxDiag is an upper bound of the largest object diameter ever stored
 	// (the caller supplies each row's diameter — pvindex passes the
@@ -76,101 +80,83 @@ type Graph struct {
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	g := &Graph{}
-	for i := range g.buckets {
-		g.buckets[i] = &bucket{owner: g}
-	}
-	return g
-}
+func New() *Graph { return &Graph{tag: new(tag)} }
 
-// get returns id's row within this shard.
-func (b *bucket) get(id uint32) (*Row, bool) {
-	if id < denseCap {
-		if i := int(id >> 8); i < len(b.dense) {
-			if r := b.dense[i]; r != nil {
-				return r, true
-			}
-		}
-		return nil, false
-	}
-	r, ok := b.rows[id]
-	return r, ok
-}
-
-// put installs id's row within this shard, growing the dense slice (next
-// power of two) or allocating the overflow map on demand.
-func (b *bucket) put(id uint32, r *Row) {
-	if id < denseCap {
-		i := int(id >> 8)
-		if i >= len(b.dense) {
-			grown := 16
-			for grown <= i {
-				grown *= 2
-			}
-			next := make([]*Row, grown)
-			copy(next, b.dense)
-			b.dense = next
-		}
-		b.dense[i] = r
-		return
-	}
-	if b.rows == nil {
-		b.rows = make(map[uint32]*Row)
-	}
-	b.rows[id] = r
-}
-
-// del removes id's row within this shard.
-func (b *bucket) del(id uint32) {
-	if id < denseCap {
-		if i := int(id >> 8); i < len(b.dense) {
-			b.dense[i] = nil
-		}
-		return
-	}
-	delete(b.rows, id)
-}
-
-// CloneCOW returns a mutable copy sharing every bucket with g. The clone
-// copies a bucket's row map only when first writing to it; g itself must not
-// be mutated afterwards (it is the published predecessor).
+// CloneCOW returns a mutable copy sharing every page with g. The clone copies
+// a page when first writing to it; g itself must not be mutated afterwards
+// (it is the published predecessor).
 func (g *Graph) CloneCOW() *Graph {
-	c := &Graph{rows: g.rows, edges: g.edges, maxDiag: g.maxDiag}
-	c.buckets = g.buckets
-	return c
+	return &Graph{tag: new(tag), dir: slices.Clone(g.dir), far: maps.Clone(g.far),
+		rows: g.rows, edges: g.edges, maxDiag: g.maxDiag}
 }
 
-// bucketFor returns the shard holding id, read-only.
-func (g *Graph) bucketFor(id uint32) *bucket { return g.buckets[id&(numBuckets-1)] }
+// pageOf returns the page holding id, nil if there is none.
+func (g *Graph) pageOf(id uint32) *page {
+	if n := id >> pageBits; n < uint32(len(g.dir)) {
+		return g.dir[n]
+	} else if n >= dirCap {
+		return g.far[n]
+	}
+	return nil
+}
 
-// writable returns the shard holding id with g as its owner, copying the
-// shared slice/map on first write (the dense copy is a straight memcpy of
-// row pointers — cheaper than the old per-entry map copy).
-func (g *Graph) writable(id uint32) *bucket {
-	i := id & (numBuckets - 1)
-	b := g.buckets[i]
-	if b.owner == g {
-		return b
+// writable returns the page holding id with g as its owner, creating it or
+// copying a shared one on first write.
+func (g *Graph) writable(id uint32) *page {
+	p := g.pageOf(id)
+	if p != nil && p.owner == g.tag {
+		return p
 	}
-	nb := &bucket{owner: g}
-	if len(b.dense) > 0 {
-		nb.dense = make([]*Row, len(b.dense))
-		copy(nb.dense, b.dense)
+	np := &page{}
+	if p != nil {
+		*np = *p
 	}
-	if len(b.rows) > 0 {
-		nb.rows = make(map[uint32]*Row, len(b.rows))
-		for k, v := range b.rows {
-			nb.rows[k] = v
+	np.owner = g.tag
+	g.setPage(id>>pageBits, np)
+	return np
+}
+
+// setPage points the directory at p for page n; a nil p drops the page.
+func (g *Graph) setPage(n uint32, p *page) {
+	switch {
+	case n < dirCap:
+		if int(n) >= len(g.dir) {
+			g.dir = append(g.dir, make([]*page, int(n)+1-len(g.dir))...)
 		}
+		g.dir[n] = p
+	case p == nil:
+		delete(g.far, n)
+	default:
+		if g.far == nil {
+			g.far = make(map[uint32]*page)
+		}
+		g.far[n] = p
 	}
-	g.buckets[i] = nb
-	return nb
+}
+
+// put installs (or, with a nil row, removes) id's row; the page goes with
+// its last row, so IDs that came and went leave nothing behind.
+func (g *Graph) put(id uint32, r *Row) {
+	p := g.writable(id)
+	slot := &p.rows[id&(1<<pageBits-1)]
+	switch {
+	case *slot == nil && r != nil:
+		p.live++
+	case *slot != nil && r == nil:
+		p.live--
+	}
+	if *slot = r; p.live == 0 {
+		g.setPage(id>>pageBits, nil)
+	}
 }
 
 // Get returns id's row. The row is immutable — do not modify it.
 func (g *Graph) Get(id uint32) (*Row, bool) {
-	return g.bucketFor(id).get(id)
+	if p := g.pageOf(id); p != nil {
+		r := p.rows[id&(1<<pageBits-1)]
+		return r, r != nil
+	}
+	return nil, false
 }
 
 // Len returns the number of rows (objects).
@@ -188,9 +174,8 @@ func (g *Graph) Edges() int { return g.edges }
 // expansion's per-neighbor mindist reads one cache line, not two
 // allocations; the stored row never aliases the caller's rect.
 func (g *Graph) Set(id uint32, ubr geom.Rect, diam float64, neighbors []uint32) {
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-	b := g.writable(id)
-	if old, ok := b.get(id); ok {
+	slices.Sort(neighbors)
+	if old, ok := g.Get(id); ok {
 		g.edges -= len(old.Neighbors)
 	} else {
 		g.rows++
@@ -199,7 +184,7 @@ func (g *Graph) Set(id uint32, ubr geom.Rect, diam float64, neighbors []uint32) 
 	if diam > g.maxDiag {
 		g.maxDiag = diam
 	}
-	b.put(id, &Row{UBR: compactRect(ubr), Neighbors: neighbors})
+	g.put(id, &Row{UBR: compactRect(ubr), Neighbors: neighbors})
 }
 
 // compactRect deep-copies r with Lo and Hi sharing a single backing array.
@@ -223,34 +208,32 @@ func (g *Graph) MaxDiag() float64 { return g.maxDiag }
 // Delete removes id's row (not its reverse links — the maintenance pass
 // patches those explicitly). It reports whether the row existed.
 func (g *Graph) Delete(id uint32) bool {
-	b := g.writable(id)
-	old, ok := b.get(id)
+	old, ok := g.Get(id)
 	if !ok {
 		return false
 	}
 	g.rows--
 	g.edges -= len(old.Neighbors)
-	b.del(id)
+	g.put(id, nil)
 	return true
 }
 
 // AddNeighbor inserts n into id's neighbor list if absent (idempotent).
 // It reports whether the list changed. Missing rows are ignored.
 func (g *Graph) AddNeighbor(id, n uint32) bool {
-	b := g.writable(id)
-	old, ok := b.get(id)
+	old, ok := g.Get(id)
 	if !ok {
 		return false
 	}
-	i := sort.Search(len(old.Neighbors), func(k int) bool { return old.Neighbors[k] >= n })
-	if i < len(old.Neighbors) && old.Neighbors[i] == n {
+	i, found := slices.BinarySearch(old.Neighbors, n)
+	if found {
 		return false
 	}
 	ns := make([]uint32, 0, len(old.Neighbors)+1)
 	ns = append(ns, old.Neighbors[:i]...)
 	ns = append(ns, n)
 	ns = append(ns, old.Neighbors[i:]...)
-	b.put(id, &Row{UBR: old.UBR, Neighbors: ns})
+	g.put(id, &Row{UBR: old.UBR, Neighbors: ns})
 	g.edges++
 	return true
 }
@@ -258,39 +241,41 @@ func (g *Graph) AddNeighbor(id, n uint32) bool {
 // RemoveNeighbor removes n from id's neighbor list if present (idempotent).
 // It reports whether the list changed. Missing rows are ignored.
 func (g *Graph) RemoveNeighbor(id, n uint32) bool {
-	b := g.writable(id)
-	old, ok := b.get(id)
+	old, ok := g.Get(id)
 	if !ok {
 		return false
 	}
-	i := sort.Search(len(old.Neighbors), func(k int) bool { return old.Neighbors[k] >= n })
-	if i >= len(old.Neighbors) || old.Neighbors[i] != n {
+	i, found := slices.BinarySearch(old.Neighbors, n)
+	if !found {
 		return false
 	}
 	ns := make([]uint32, 0, len(old.Neighbors)-1)
 	ns = append(ns, old.Neighbors[:i]...)
 	ns = append(ns, old.Neighbors[i+1:]...)
-	b.put(id, &Row{UBR: old.UBR, Neighbors: ns})
+	g.put(id, &Row{UBR: old.UBR, Neighbors: ns})
 	g.edges--
 	return true
 }
 
-// ForEach visits every row in unspecified order; returning false stops the
+// ForEach visits every row in ascending ID order; returning false stops the
 // walk. Rows are immutable — do not modify them.
 func (g *Graph) ForEach(fn func(id uint32, row *Row) bool) {
-	for bi, b := range g.buckets {
-		for i, row := range b.dense {
-			if row == nil {
-				continue
-			}
-			if !fn(uint32(i)<<8|uint32(bi), row) {
-				return
+	visit := func(n uint32, p *page) bool {
+		for i, row := range p.rows {
+			if row != nil && !fn(n<<pageBits|uint32(i), row) {
+				return false
 			}
 		}
-		for id, row := range b.rows {
-			if !fn(id, row) {
-				return
-			}
+		return true
+	}
+	for n, p := range g.dir {
+		if p != nil && !visit(uint32(n), p) {
+			return
+		}
+	}
+	for _, n := range slices.Sorted(maps.Keys(g.far)) {
+		if !visit(n, g.far[n]) {
+			return
 		}
 	}
 }
@@ -316,22 +301,18 @@ func (g *Graph) Image() *Image {
 		Lens:    make([]uint32, 0, g.rows),
 		Flat:    make([]uint32, 0, g.edges),
 	}
-	g.ForEach(func(id uint32, _ *Row) bool {
-		img.IDs = append(img.IDs, id)
-		return true
-	})
-	sort.Slice(img.IDs, func(i, j int) bool { return img.IDs[i] < img.IDs[j] })
-	for _, id := range img.IDs {
-		row, _ := g.Get(id)
+	g.ForEach(func(id uint32, row *Row) bool {
 		if img.Dim == 0 {
 			img.Dim = row.UBR.Dim()
 			img.UBRs = make([]float64, 0, 2*img.Dim*g.rows)
 		}
+		img.IDs = append(img.IDs, id)
 		img.UBRs = append(img.UBRs, row.UBR.Lo...)
 		img.UBRs = append(img.UBRs, row.UBR.Hi...)
 		img.Lens = append(img.Lens, uint32(len(row.Neighbors)))
 		img.Flat = append(img.Flat, row.Neighbors...)
-	}
+		return true
+	})
 	return img
 }
 

@@ -91,7 +91,7 @@ func (rf *Refiner) Refine(oldUBR geom.Rect) (ubr geom.Rect, st Stats) {
 	}
 	testsBefore := rf.tester.Tests
 
-	st.Refine.Iterations, st.Refine.Shrinks = rf.tester.ShrinkExpand(rf.o.Region.Clone(), h, rf.opts.Delta)
+	st.Refine.Iterations, st.Refine.Shrinks = rf.tester.ShrinkExpand(rf.o.Region.Clone(), h, rf.opts.Delta, domination.Bisect)
 	st.Refine.DominationTests = rf.tester.Tests - testsBefore
 	return h, st
 }

@@ -72,34 +72,39 @@ func (s *Stats) Add(s2 Stats) {
 // ComputeUBR runs the SE algorithm (Algorithm 1) for object o over database
 // db and returns a UBR B(o) ⊇ V(o). The tree must index all object regions.
 func ComputeUBR(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) (geom.Rect, Stats) {
-	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), db.Domain.Clone())
+	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), db.Domain.Clone(), domination.Bisect)
 }
 
-// ComputeUBRAfterDelete recomputes o's UBR after another object was deleted
-// from db. By Lemma 9 the PV-cell can only grow, so SE warm-starts with the
-// old UBR as the lower bound l(o) (§VI-B, deletion Step 3).
-func ComputeUBRAfterDelete(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, oldUBR geom.Rect, opts Options) (geom.Rect, Stats) {
-	return computeUBRBounds(db, tree, o, opts, oldUBR.Clone(), db.Domain.Clone())
+// ComputeUBRAfterDelete recomputes o's UBR after other objects were deleted
+// from db; victimUBR bounds the UBRs they had. By Lemma 9 the PV-cell can only
+// grow, so SE warm-starts with the old UBR as the lower bound l(o) (§VI-B,
+// deletion Step 3) — and it can only grow into what the victims freed: a point
+// new to V(o) was in a victim's cell (docs/ARCHITECTURE.md, "Warm starts"), so
+// h(o) starts at the bounding box of the two instead of the domain, and a face
+// the victims do not stick out of is never probed.
+func ComputeUBRAfterDelete(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, oldUBR, victimUBR geom.Rect, opts Options) (geom.Rect, Stats) {
+	return computeUBRBounds(db, tree, o, opts, oldUBR.Clone(), oldUBR.Union(victimUBR), domination.Bisect)
 }
 
 // ComputeUBRAfterInsert recomputes o's UBR after another object was inserted
 // into db. By Lemma 9 the PV-cell can only shrink, so SE warm-starts with the
-// old UBR as the upper bound h(o) (§VI-B, insertion Step 3).
+// old UBR as the upper bound h(o) (§VI-B, insertion Step 3) and, expecting
+// most faces to stay where they are, probes from h (domination.FromH).
 func ComputeUBRAfterInsert(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, oldUBR geom.Rect, opts Options) (geom.Rect, Stats) {
 	// Guard the warm start: l(o)=u(o) must stay inside h(o)=oldUBR; if the
 	// stored UBR somehow fails that (it cannot for UBRs produced here, but
-	// defensive for external input), fall back to the domain.
-	h := oldUBR.Clone()
-	if !h.ContainsRect(o.Region) {
-		h = db.Domain.Clone()
+	// defensive for external input), this is a cold run: h is the domain and
+	// the answer is no longer expected near it, so the gaps are bisected.
+	if !oldUBR.ContainsRect(o.Region) {
+		return ComputeUBR(db, tree, o, opts)
 	}
-	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), h)
+	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), oldUBR.Clone(), domination.FromH)
 }
 
 // computeUBRBounds is SE with explicit initial bounds l ⊆ M(o) ⊆ h: select
-// the C-set, then shrink h and expand l (both are modified) until every
-// directional gap is below Δ. The returned UBR is h.
-func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options, l, h geom.Rect) (ubr geom.Rect, st Stats) {
+// the C-set, then shrink h and expand l (both are modified) on the given
+// schedule until every directional gap is below Δ. The returned UBR is h.
+func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options, l, h geom.Rect, sched domination.Schedule) (ubr geom.Rect, st Stats) {
 	t0 := time.Now()
 	cset := ChooseCSet(db, tree, o, opts)
 	st.CSetTime = time.Since(t0)
@@ -113,7 +118,7 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 		return h, st
 	}
 	tester := csetTester(cset, o, opts.MaxDepth)
-	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, opts.Delta)
+	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, opts.Delta, sched)
 	st.Expands = st.Iterations - st.Shrinks
 	st.DominationTests = tester.Tests
 	return h, st

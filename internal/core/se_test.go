@@ -250,12 +250,10 @@ func TestIncrementalDeleteConservative(t *testing.T) {
 		old[o.ID] = ubr
 	}
 	// Delete object 7 and recompute warm-started UBRs for everyone else.
-	victim := db.Get(7)
 	_, _ = db.Remove(7)
 	tree = BuildRegionTree(db, 16)
-	_ = victim
 	for _, o := range db.Objects()[:15] {
-		ubr, _ := ComputeUBRAfterDelete(db, tree, o, old[o.ID], opts)
+		ubr, _ := ComputeUBRAfterDelete(db, tree, o, old[o.ID], old[7], opts)
 		for s := 0; s < 300; s++ {
 			p := geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 			if bruteforce.InPVCell(db, o.ID, p) && !ubr.Contains(p) {

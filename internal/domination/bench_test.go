@@ -111,7 +111,7 @@ func TestRegionPrunableZeroAlloc(t *testing.T) {
 			copy(l.Hi, target.Hi)
 			copy(h.Lo, domain.Lo)
 			copy(h.Hi, domain.Hi)
-			tester.ShrinkExpand(l, h, 1)
+			tester.ShrinkExpand(l, h, 1, Bisect)
 		}
 		run() // warm-up: builds the face memory
 		probing := testing.AllocsPerRun(3, run)

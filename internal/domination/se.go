@@ -7,18 +7,37 @@ import (
 	"pvoronoi/internal/geom"
 )
 
+// Schedule says at which end of a face's gap a run expects the answer.
+type Schedule int
+
+const (
+	// Bisect expects nothing: every probe halves its face's gap.
+	Bisect Schedule = iota
+	// FromH expects the answer at h — a run after an insert, whose old UBR is
+	// on most faces still the answer. A face opens with a plate openPlate·Δ
+	// thick at h and doubles it while probes succeed; the first failure sets l
+	// and the face bisects what is left. A face stops as soon as its gap is
+	// below Δ, so one whose opening plate fails is done after that one probe
+	// with its h untouched (docs/ARCHITECTURE.md, "Warm starts").
+	FromH
+)
+
+// openPlate, in units of Δ, is the first plate of a FromH face: thinner than
+// Δ, so that its failure leaves a gap the loop is finished with.
+const openPlate = 0.99
+
 // ShrinkExpand is the SE loop (Algorithm 1, Steps 4–14): while some face of
-// h is at least delta away from l, bisect that gap and ask whether the plate
-// between h's face and the midplane is disjoint from I(Cset, o); if so h
-// shrinks to the midplane, otherwise l expands to it. l ⊆ h must hold on
-// entry; both are updated in place. It returns the number of steps and how
-// many of them shrank h (the rest expanded l).
+// h is at least delta away from l, cut that gap — in half, or as sched says —
+// and ask whether the plate between h's face and the cut is disjoint from
+// I(Cset, o); if so h shrinks to the cut, otherwise l expands to it. l ⊆ h
+// must hold on entry; both are updated in place. It returns the number of
+// steps and how many of them shrank h (the rest expanded l).
 //
 // Successive plates of one face differ by a sliver, so each face remembers
 // how its last plate was tiled and its next probe starts from that instead
 // of from the C-set (docs/ARCHITECTURE.md, "Probing a face: cover reuse") —
 // for this run only: the next call may bring an unrelated h.
-func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64) (iterations, shrinks int) {
+func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64, sched Schedule) (iterations, shrinks int) {
 	if delta <= 0 {
 		delta = 1e-9 // Δ=0 would loop forever on irrational boundaries
 	}
@@ -26,10 +45,16 @@ func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64) (iterations, shrink
 		t.resetFace(f)
 	}
 	// q is the plate: h as (lo, hi) pairs, face f's own side at q[f], the
-	// opposite side q[f^1] moved to the midplane while f is probed.
-	q := t.faces.plate
+	// opposite side q[f^1] moved to the cut while f is probed. step[f] is the
+	// signed thickness of f's next plate while it gallops from h, 0 once it
+	// bisects.
+	q, step, open := t.faces.plate, t.faces.step, 0.0
+	if sched == FromH {
+		open = openPlate * delta
+	}
 	for j := range h.Lo {
 		q[2*j], q[2*j+1] = h.Lo[j], h.Hi[j]
+		step[2*j], step[2*j+1] = open, -open
 	}
 	for maxGap(l, h) >= delta {
 		for f := range q {
@@ -38,10 +63,15 @@ func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64) (iterations, shrink
 			if f&1 == 1 {
 				hf, lf = &h.Hi[j], &l.Hi[j]
 			}
-			if f&1 == 0 && !(*hf < *lf) || f&1 == 1 && !(*hf > *lf) {
+			if gap := math.Abs(*hf - *lf); gap == 0 || sched == FromH && gap < delta {
 				continue
 			}
 			mid, far := (*hf+*lf)/2, q[f^1]
+			if g := *hf + step[f]; min(*hf, mid) < g && g < max(*hf, mid) {
+				mid = g
+			} else {
+				step[f] = 0
+			}
 			t.axis, t.gapLo, t.gapHi = j, min(*hf, *lf), max(*hf, *lf)
 			q[f^1] = mid
 			prunable := t.probe(f)
@@ -50,8 +80,10 @@ func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64) (iterations, shrink
 			if prunable {
 				*hf, q[f] = mid, mid
 				shrinks++
+				step[f] *= 2
 			} else {
 				*lf = mid
+				step[f] = 0
 			}
 		}
 	}
@@ -91,6 +123,7 @@ type faceMemory struct {
 	doms   []int32
 	sets   []uint64
 	plate  []float64 // the plate being probed
+	step   []float64 // per face, ShrinkExpand's gallop state
 	words  int       // uint64s per set
 	// onProbe, a test hook, sees the scratch slot after each probe.
 	onProbe func(face int, prunable bool)
@@ -108,13 +141,14 @@ func (t *Tester) leaf(slot, i int) ([]float64, []int32, []uint64) {
 func (t *Tester) resetFace(f int) {
 	if t.faces == nil {
 		d, leaves, words := t.dim, (2*t.dim+1)*leafCap, (t.n+63)/64
-		boxes := make([]float64, (leaves+1)*2*d)
+		boxes := make([]float64, (leaves+2)*2*d)
 		t.faces = &faceMemory{
 			covers: make([]cover, 2*d+1),
 			boxes:  boxes[:leaves*2*d],
 			doms:   make([]int32, leaves),
 			sets:   make([]uint64, leaves*words),
-			plate:  boxes[leaves*2*d:],
+			plate:  boxes[leaves*2*d : (leaves+1)*2*d],
+			step:   boxes[(leaves+1)*2*d:],
 			words:  words,
 		}
 	}

@@ -79,8 +79,11 @@ type seChecker struct {
 	cands  []geom.Rect
 	target geom.Rect
 	rng    *rand.Rand
-	// Probes the hook saw: prunable, and ones whose tiling outgrew leafCap.
+	// Probes the hook saw: prunable, and ones whose tiling outgrew leafCap;
+	// per face, how many and whether the first one failed.
 	prunable, overflows int
+	probes              []int
+	firstFailed         []bool
 }
 
 func rectOf(flat []float64, d int) geom.Rect {
@@ -126,6 +129,9 @@ func (c *seChecker) onProbe(f int, prunable bool) {
 	s := m.covers[2*d]
 	if prunable {
 		c.prunable++
+	}
+	if c.probes[f]++; c.probes[f] == 1 {
+		c.firstFailed[f] = !prunable
 	}
 	if s.overflow {
 		c.overflows++
@@ -202,25 +208,39 @@ func (c *seChecker) onProbe(f int, prunable bool) {
 }
 
 // checkedRun runs ShrinkExpand on copies of (l, h) with the hook attached and
-// checks the result: l ⊆ h still, and no sampled point of the initial h that
-// lies in I(Cset, o) — dominated by no candidate — was cut off.
-func checkedRun(t *testing.T, name string, tester *Tester, cands []geom.Rect, target, l, h geom.Rect, delta float64, rng *rand.Rand) (result geom.Rect, iterations int) {
+// checks the result: l ⊆ h still and less than delta apart, and no sampled
+// point of the initial h that lies in I(Cset, o) — dominated by no candidate —
+// was cut off. From h, a face whose first plate failed was probed once and has
+// not moved.
+func checkedRun(t *testing.T, name string, tester *Tester, cands []geom.Rect, target, l, h geom.Rect, delta float64, sched Schedule, rng *rand.Rand) (result geom.Rect, iterations int) {
 	t.Helper()
-	c := &seChecker{t: t, name: name, tester: tester, cands: cands, target: target, rng: rng}
+	d := len(h.Lo)
+	c := &seChecker{t: t, name: name, tester: tester, cands: cands, target: target, rng: rng,
+		probes: make([]int, 2*d), firstFailed: make([]bool, 2*d)}
 	start := h.Clone()
 	l, h = l.Clone(), h.Clone()
 	tester.resetFace(0) // builds the memory the hook hangs on
 	tester.faces.onProbe = c.onProbe
-	iterations, shrinks := tester.ShrinkExpand(l, h, delta)
+	iterations, shrinks := tester.ShrinkExpand(l, h, delta, sched)
 	tester.faces.onProbe = nil
 	seOverflows += c.overflows
 	if shrinks != c.prunable {
 		t.Fatalf("%s: %d shrinks but the hook saw %d prunable probes", name, shrinks, c.prunable)
 	}
-	if !h.ContainsRect(l) || !start.ContainsRect(h) {
-		t.Fatalf("%s: bounds out of order: l %v, h %v, initial h %v", name, l, h, start)
+	if !h.ContainsRect(l) || !start.ContainsRect(h) || !(maxGap(l, h) < delta) {
+		t.Fatalf("%s: bounds out of order or not within %v: l %v, h %v, initial h %v", name, delta, l, h, start)
 	}
-	p := make(geom.Point, len(h.Lo))
+	for f := 0; sched == FromH && f < 2*d; f++ {
+		moved := h.Lo[f/2] != start.Lo[f/2]
+		if f&1 == 1 {
+			moved = h.Hi[f/2] != start.Hi[f/2]
+		}
+		if c.firstFailed[f] && (c.probes[f] != 1 || moved) {
+			t.Fatalf("%s: face %d failed its first plate but was probed %d times (moved: %v): initial h %v, h %v",
+				name, f, c.probes[f], moved, start, h)
+		}
+	}
+	p := make(geom.Point, d)
 	for n := 0; n < 200; n++ {
 		for j := range p {
 			p[j] = start.Lo[j] + rng.Float64()*start.Side(j)
@@ -246,12 +266,14 @@ func sameRect(a, b geom.Rect) bool {
 }
 
 // TestShrinkExpandSound: on every input family, in every run shape SE is used
-// in — cold, warm-started from an old UBR as h or as l, and a second run on a
-// tester that has already served one (Refiner.Refine) — every cover the loop
-// accepts is a complete proof, nothing of I(Cset, o) is cut off, and a reused
-// tester behaves exactly like a fresh one.
+// in — cold, warm-started from an old UBR as h (probing from it) or as l, and a
+// second run on a tester that has already served one (Refiner.Refine) — every
+// cover the loop accepts is a complete proof, nothing of I(Cset, o) is cut
+// off, and a reused tester behaves exactly like a fresh one. Over all inputs
+// the runs from h end no looser than the stateless loop from the same bounds.
 func TestShrinkExpandSound(t *testing.T) {
 	domainOf := func(d int) geom.Rect { return geom.UnitCube(d, seSpan) }
+	var fromH, ref float64 // Σ volume after the insert: probing from h, reference
 	for _, d := range []int{1, 2, 3, 5, 6} {
 		for _, n := range []int{0, 1, 7, 200} {
 			for ki, kind := range seKinds {
@@ -272,24 +294,28 @@ func TestShrinkExpandSound(t *testing.T) {
 					delta := []float64{1, 0.01, 16}[round%3]
 					tester := NewTester(cands, target, depth)
 
-					cold, _ := checkedRun(t, name+"/cold", tester, cands, target, target, domain, delta, rng)
+					cold, _ := checkedRun(t, name+"/cold", tester, cands, target, target, domain, delta, Bisect, rng)
 
 					// Warm start from above: more candidates, old UBR as h.
 					more := append(append([]geom.Rect{}, cands...), g.candidates(1+n/4, target)...)
 					warm := NewTester(more, target, depth)
-					checkedRun(t, name+"/afterInsert", warm, more, target, target, cold, delta, rng)
+					back, _ := checkedRun(t, name+"/afterInsert", warm, more, target, target, cold, delta, FromH, rng)
+					rh := cold.Clone()
+					refShrinkExpand(NewTester(more, target, depth), target.Clone(), rh, delta)
+					fromH, ref = fromH+back.Volume(), ref+rh.Volume()
 
 					// Warm start from below: fewer candidates, old UBR as l.
 					fewer := cands[:n/2]
-					checkedRun(t, name+"/afterDelete", NewTester(fewer, target, depth), fewer, target, cold, domain, delta, rng)
+					checkedRun(t, name+"/afterDelete", NewTester(fewer, target, depth), fewer, target, cold, domain, delta, Bisect, rng)
 
 					// A second run on the used tester from an unrelated h
 					// must be the run a fresh tester makes.
 					other := target.Union(g.rect(0))
 					before := tester.Tests
-					again, steps := checkedRun(t, name+"/reused", tester, cands, target, target, other, delta, rng)
+					sched := Schedule(round % 2)
+					again, steps := checkedRun(t, name+"/reused", tester, cands, target, target, other, delta, sched, rng)
 					fresh := NewTester(cands, target, depth)
-					want, wantSteps := checkedRun(t, name+"/fresh", fresh, cands, target, target, other, delta, rng)
+					want, wantSteps := checkedRun(t, name+"/fresh", fresh, cands, target, target, other, delta, sched, rng)
 					if !sameRect(again, want) || steps != wantSteps || tester.Tests-before != fresh.Tests {
 						t.Fatalf("%s: a reused tester gives %v in %d steps and %d tests, a fresh one %v in %d steps and %d tests",
 							name, again, steps, tester.Tests-before, want, wantSteps, fresh.Tests)
@@ -297,6 +323,10 @@ func TestShrinkExpandSound(t *testing.T) {
 				}
 			}
 		}
+	}
+	t.Logf("after an insert, from h: Σ volume %+.3f %% of the stateless loop's", 100*(fromH/ref-1))
+	if fromH > 1.005*ref {
+		t.Errorf("probing from h: Σ volume %g exceeds 1.005 × the stateless loop's %g", fromH, ref)
 	}
 }
 
@@ -307,7 +337,7 @@ func TestShrinkExpandOverflow(t *testing.T) {
 	cands, target, _ := seScenario(5, 200, 3)
 	rng := rand.New(rand.NewSource(5))
 	before := seOverflows
-	checkedRun(t, "overflow", NewTester(cands, target, 10), cands, target, target, geom.UnitCube(5, 10000), 1, rng)
+	checkedRun(t, "overflow", NewTester(cands, target, 10), cands, target, target, geom.UnitCube(5, 10000), 1, Bisect, rng)
 	if seOverflows == before {
 		t.Fatalf("no tiling outgrew leafCap = %d: the test no longer reaches the overflow path", leafCap)
 	}
@@ -328,7 +358,7 @@ func TestFirstProbesMatchReference(t *testing.T) {
 				domain := geom.UnitCube(d, seSpan)
 				delta := 0.51 * refMaxGap(target, domain)
 				l, h := target.Clone(), domain.Clone()
-				steps, shrinks := NewTester(cands, target, depth).ShrinkExpand(l, h, delta)
+				steps, shrinks := NewTester(cands, target, depth).ShrinkExpand(l, h, delta, Bisect)
 				rl, rh := target.Clone(), domain.Clone()
 				rsteps, rshrinks := refShrinkExpand(NewTester(cands, target, depth), rl, rh, delta)
 				if !sameRect(h, rh) || !sameRect(l, rl) || steps != rsteps || shrinks != rshrinks {
@@ -343,13 +373,14 @@ func TestFirstProbesMatchReference(t *testing.T) {
 // FuzzShrinkExpandSound runs the checks of TestShrinkExpandSound on packed
 // inputs (fuzzCase: half-unit coordinates, so ties are the rule): a cold run
 // from the bounding box of everything, then a second run on the same tester
-// warm-started from the first result.
+// warm-started from the first result — each on a fuzzed schedule (bit 0 the
+// first run's, bit 1 the second's): any schedule is sound from any l ⊆ h.
 func FuzzShrinkExpandSound(f *testing.F) {
-	f.Add(byte(1), byte(10), []byte{20, 22, 0, 80, 40, 44, 0, 4, 60, 70})
-	f.Add(byte(0), byte(0), []byte{10, 10, 10, 10, 10, 10, 30, 30})
-	f.Add(byte(1), byte(3), []byte{16, 24, 16, 24, 0, 64, 0, 64, 32, 40, 16, 24, 16, 24, 32, 40, 0, 8, 16, 24, 16, 24, 0, 8, 32, 40, 32, 40})
-	f.Add(byte(2), byte(4), []byte{8, 16, 8, 16, 8, 16, 0, 255, 0, 255, 0, 255, 8, 16, 8, 16, 8, 16, 32, 40, 8, 16, 8, 16, 8, 16, 32, 40, 8, 16})
-	f.Fuzz(func(t *testing.T, dByte, depthByte byte, data []byte) {
+	f.Add(byte(1), byte(10), byte(2), []byte{20, 22, 0, 80, 40, 44, 0, 4, 60, 70})
+	f.Add(byte(0), byte(0), byte(1), []byte{10, 10, 10, 10, 10, 10, 30, 30})
+	f.Add(byte(1), byte(3), byte(3), []byte{16, 24, 16, 24, 0, 64, 0, 64, 32, 40, 16, 24, 16, 24, 32, 40, 0, 8, 16, 24, 16, 24, 0, 8, 32, 40, 32, 40})
+	f.Add(byte(2), byte(4), byte(0), []byte{8, 16, 8, 16, 8, 16, 0, 255, 0, 255, 0, 255, 8, 16, 8, 16, 8, 16, 32, 40, 8, 16, 8, 16, 8, 16, 32, 40, 8, 16})
+	f.Fuzz(func(t *testing.T, dByte, depthByte, schedByte byte, data []byte) {
 		d, depth, target, region, cands := fuzzCase(dByte, depthByte, data)
 		if target.Dim() == 0 {
 			return
@@ -361,7 +392,7 @@ func FuzzShrinkExpandSound(f *testing.F) {
 		delta := 0.25 + float64(len(data)%5)
 		rng := rand.New(rand.NewSource(int64(len(data))*31 + int64(d)))
 		tester := NewTester(cands, target, depth)
-		first, _ := checkedRun(t, "cold", tester, cands, target, target, h, delta, rng)
-		checkedRun(t, "again", tester, cands, target, target, first, delta/4, rng)
+		first, _ := checkedRun(t, "first", tester, cands, target, target, h, delta, Schedule(schedByte&1), rng)
+		checkedRun(t, "again", tester, cands, target, target, first, delta/4, Schedule(schedByte>>1&1), rng)
 	})
 }

@@ -403,9 +403,10 @@ func (w *working) applyInserts(ups []Update, staged []stagedSE) ([]UpdateStats, 
 	}
 
 	// Phase 4: recompute each affected object once (warm-started — its cell
-	// can only have shrunk), then patch the indexes serially. SE results
-	// land in per-object slots; stats fold serially afterward because
-	// several affected objects may attribute to the same op.
+	// can only have shrunk), then patch the indexes serially, leaving alone
+	// the rows whose UBR came back as it was. SE results land in per-object
+	// slots; stats fold serially afterward because several affected objects
+	// may attribute to the same op.
 	updatedB := make([]geom.Rect, len(affected))
 	seDur := make([]time.Duration, len(affected))
 	seStats := make([]core.Stats, len(affected))
@@ -419,6 +420,10 @@ func (w *working) applyInserts(ups []Update, staged []stagedSE) ([]UpdateStats, 
 	for k, a := range affected {
 		stats[a.op].SETime += seDur[k]
 		stats[a.op].SE.Add(seStats[k])
+		if updatedB[k].Equal(a.oldB) {
+			stats[a.op].Unchanged++
+			continue
+		}
 		other := w.db.Get(uncertain.ID(a.id))
 		t0 := time.Now()
 		if _, err := w.primary.RemoveDiff(a.id, a.oldB, updatedB[k]); err != nil {

@@ -224,7 +224,7 @@ func BenchmarkApplyBatchPairs(b *testing.B) {
 				ins := make([]Update, c.batch)
 				del := make([]Update, c.batch)
 				for k, o := range fresh[i*c.batch : (i+1)*c.batch] {
-					o.ID += uncertain.ID(c.p.N)
+					o.ID += 1_000_000 // where the harness puts its new objects
 					ins[k] = Update{Op: OpInsert, Object: o}
 					del[k] = Update{Op: OpDelete, ID: o.ID}
 				}

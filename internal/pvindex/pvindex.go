@@ -855,6 +855,7 @@ func (ix *Index) Snapshot(q geom.Point) (*QuerySnapshot, error) {
 // UpdateStats reports the cost of one incremental maintenance operation.
 type UpdateStats struct {
 	Affected  int           // objects whose UBRs were recomputed
+	Unchanged int           // of those, UBRs that came back bit-identical: nothing rewritten
 	Examined  int           // objects touched by the range filter
 	SETime    time.Duration // UBR recomputation time
 	IndexTime time.Duration // primary/secondary maintenance time
@@ -966,6 +967,10 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 		updated, seAffected := core.ComputeUBRAfterInsert(w.db, w.regionTree, other, oldB, cfg.SE)
 		st.SETime += time.Since(t1)
 		st.SE.Add(seAffected)
+		if updated.Equal(oldB) {
+			st.Unchanged++
+			continue
+		}
 
 		// Step 4: drop entries from leaves no longer covered, refresh record.
 		t2 := time.Now()
@@ -1000,13 +1005,15 @@ func (ix *Index) Delete(id uncertain.ID) (UpdateStats, error) {
 }
 
 // applyDelete performs the incremental deletion of §VI-B against the
-// writer's working version. Affected PV-cells can only grow, so UBRs are
-// recomputed warm-started from the old UBR as the lower bound and entries
-// are added to newly covered leaves. The returned rectangle is the victim's
-// stored UBR (its impact region for later batch ops). The deletes of a batch
-// run one at a time for the same reason: a UBR stored before an earlier
-// delete is a lower bound of the current cell and no conservative filter for
-// a later one, so a set-at-a-time delete batch would miss affected rows.
+// writer's working version. Affected PV-cells can only grow, and only into
+// the victim's, so UBRs are recomputed warm-started between the old UBR and
+// its union with the victim's, and entries are added to newly covered leaves;
+// a row whose UBR comes back as it was is left alone. The returned rectangle
+// is the victim's stored UBR (its impact region for later batch ops). The
+// deletes of a batch run one at a time for the same reason: a UBR stored
+// before an earlier delete is a lower bound of the current cell and no
+// conservative filter for a later one, so a set-at-a-time delete batch would
+// miss affected rows.
 func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 	var st UpdateStats
 	start := time.Now()
@@ -1070,11 +1077,15 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 		}
 		st.Affected++
 
-		// Step 3: warm-started SE (l = old UBR).
+		// Step 3: warm-started SE (l = old UBR, h = its union with the victim's).
 		t1 := time.Now()
-		updated, seAffected := core.ComputeUBRAfterDelete(w.db, w.regionTree, other, oldB, cfg.SE)
+		updated, seAffected := core.ComputeUBRAfterDelete(w.db, w.regionTree, other, oldB, victimUBR, cfg.SE)
 		st.SETime += time.Since(t1)
 		st.SE.Add(seAffected)
+		if updated.Equal(oldB) {
+			st.Unchanged++
+			continue
+		}
 
 		// Step 4b: extend coverage to newly reached leaves (N′−N).
 		t2 := time.Now()

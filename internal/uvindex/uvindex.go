@@ -301,7 +301,7 @@ func (ix *Index) conservativeBBox(c Circle, neighbors []Circle, tol float64, max
 	if li, ok := l.Intersection(ix.domain); ok {
 		l = li
 	}
-	tester.ShrinkExpand(l, h, tol)
+	tester.ShrinkExpand(l, h, tol, domination.Bisect)
 	return h
 }
 
