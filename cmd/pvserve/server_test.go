@@ -119,6 +119,40 @@ func TestServePNNQOverHTTP(t *testing.T) {
 	}
 }
 
+// Regression: a group of finite points so far apart that the anchor's
+// squared distances (or its centroid) overflow used to leave the anchor
+// non-finite, and /v1/groupnn answered 500 with "query point has a
+// non-finite coordinate". Every aggregate distance is +∞ then, every object
+// ties, and the reply is what the scan gives: all of them, summing to 1.
+func TestServeGroupNNFarApartPoints(t *testing.T) {
+	ix := testIndex(t, 40)
+	ts := httptest.NewServer(newServer(ix).routes())
+	defer ts.Close()
+	for _, points := range [][][]float64{
+		{{1e200, 1e200}, {500, 500}},
+		{{1e308, 1e308}, {-1e308, -1e308}},
+		{{1e308, 1e308}, {1e308, 1e308}},
+	} {
+		for _, agg := range []string{"sum", "max"} {
+			resp, out := postJSON(t, ts, "/v1/groupnn", map[string]any{"points": points, "agg": agg})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("groupnn %v %s: status %d: %s", points, agg, resp.StatusCode, out["error"])
+			}
+			var results []resultJSON
+			if err := json.Unmarshal(out["results"], &results); err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for _, r := range results {
+				sum += r.Prob
+			}
+			if len(results) != 40 || math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("groupnn %v %s: %d results summing to %g, want 40 summing to 1", points, agg, len(results), sum)
+			}
+		}
+	}
+}
+
 func TestServeEndpoints(t *testing.T) {
 	ix := testIndex(t, 60)
 	ts := httptest.NewServer(newServer(ix).routes())

@@ -36,13 +36,35 @@ func TestGraphExpansionAllocBudget(t *testing.T) {
 		i++
 	})
 	// Race instrumentation inflates allocation counts, so the workload runs
-	// under -race but the budget is only asserted in uninstrumented builds
+	// under -race but the budgets are only asserted in uninstrumented builds
 	// (same gating as TestSnapshotAllocBudget/TestPossibleNNAllocBudget).
 	if race.Enabled {
 		t.Logf("race detector enabled: skipping alloc budget assertion (measured %.1f)", allocs)
-		return
-	}
-	if allocs > 12 {
+	} else if allocs > 12 {
 		t.Fatalf("KNNCandidatesGraph allocates %.1f times per op, budget is 12", allocs)
+	}
+
+	// Group NN: the anchor is one allocation, the visited rows are pooled.
+	groups := make([][]geom.Point, len(points))
+	groupSeeds := make([][]uint32, len(points))
+	for i := range points {
+		groups[i] = []geom.Point{points[i], points[(i+1)%len(points)], points[(i+2)%len(points)]}
+		anchor := GroupAnchor(groups[i], AggSum)
+		groupSeeds[i] = seedsAt(g, anchor)
+		GroupNNCandidatesGraph(db, g, groupSeeds[i], anchor, groups[i], AggSum)
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(200, func() {
+		qs := groups[i%len(groups)]
+		ids, cost := GroupNNCandidatesGraph(db, g, groupSeeds[i%len(groups)], GroupAnchor(qs, AggSum), qs, AggSum)
+		if len(ids) == 0 || cost.Nodes == 0 {
+			t.Fatal("expansion returned no candidates")
+		}
+		i++
+	})
+	if race.Enabled {
+		t.Logf("race detector enabled: skipping alloc budget assertion (measured %.1f)", allocs)
+	} else if allocs > 8 {
+		t.Fatalf("GroupAnchor + GroupNNCandidatesGraph allocate %.1f times per op, budget is 8", allocs)
 	}
 }

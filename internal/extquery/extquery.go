@@ -12,7 +12,7 @@ package extquery
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
@@ -102,7 +102,7 @@ func GroupNNCandidates(db *uncertain.DB, qs []geom.Point, agg Agg) []uncertain.I
 			out = append(out, o.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -170,7 +170,7 @@ func KNNCandidates(db *uncertain.DB, q geom.Point, k int) []uncertain.ID {
 	}
 	// kth smallest max distance bounds the candidates.
 	sortedMax := append([]float64(nil), maxDists...)
-	sort.Float64s(sortedMax)
+	slices.Sort(sortedMax)
 	kth := sortedMax[min(k, len(sortedMax))-1]
 
 	var out []uncertain.ID
@@ -193,7 +193,7 @@ func KNNCandidates(db *uncertain.DB, q geom.Point, k int) []uncertain.ID {
 			out = append(out, o.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -251,7 +251,7 @@ func RNNCandidates(db *uncertain.DB, q geom.Point, maxDepth int) []uncertain.ID 
 			out = append(out, o.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -288,13 +288,6 @@ func RNNBruteForce(db *uncertain.DB, q geom.Point) []uncertain.ID {
 			out = append(out, o.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,7 @@ package extquery
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"pvoronoi/internal/adjgraph"
@@ -267,9 +267,9 @@ type knnVisited struct {
 	dmin, dmax float64
 }
 
-// knnScratch recycles the kNN retrieval's per-query slices (visited rows,
-// k-th tracker heap, sorted maxdists) — only the returned candidate slice
-// is allocated per call.
+// knnScratch recycles the graph retrievals' per-query slices (visited rows
+// for kNN and group NN; k-th tracker heap and sorted maxdists for kNN) — only
+// the returned candidate slice is allocated per call.
 type knnScratch struct {
 	vis  []knnVisited
 	kth  []float64
@@ -322,7 +322,7 @@ func KNNCandidatesGraph(db *uncertain.DB, g *adjgraph.Graph, seeds []uint32, q g
 		sortedMax = append(sortedMax, vis[i].dmax)
 	}
 	sc.smax = sortedMax
-	sort.Float64s(sortedMax)
+	slices.Sort(sortedMax)
 	kthVal := sortedMax[min(k, len(sortedMax))-1]
 
 	var out []uncertain.ID
@@ -331,11 +331,11 @@ func KNNCandidatesGraph(db *uncertain.DB, g *adjgraph.Graph, seeds []uint32, q g
 		if dmin > kthVal {
 			continue // at least k objects are surely closer
 		}
-		if dominators := sort.SearchFloat64s(sortedMax, dmin); dominators < k {
+		if dominators, _ := slices.BinarySearch(sortedMax, dmin); dominators < k {
 			out = append(out, uncertain.ID(vis[i].id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }
 
@@ -344,13 +344,18 @@ func KNNCandidatesGraph(db *uncertain.DB, g *adjgraph.Graph, seeds []uint32, q g
 // geometric median under AggSum, shrinking steps toward the farthest point
 // for the 1-center under AggMax). Exactness never depends on the anchor's
 // quality — the stop bound folds in the anchor's own aggregate value — a
-// good anchor only shrinks the visited neighborhood.
+// good anchor only shrinks the visited neighborhood. It only has to be a
+// finite point, and always is: query points far enough apart overflow the
+// squared distances (weights 0/0) or the centroid itself, so an iterate that
+// comes out non-finite is dropped for the last finite one, and a non-finite
+// centroid for the first query point, clamped.
 func GroupAnchor(qs []geom.Point, agg Agg) geom.Point {
 	if len(qs) == 0 {
 		return nil
 	}
 	dim := len(qs[0])
-	z := make(geom.Point, dim)
+	buf := make(geom.Point, 2*dim) // the iterate and the next one; the result is one of the halves
+	z, next := buf[:dim:dim], buf[dim:]
 	for _, q := range qs {
 		for j := range z {
 			z[j] += q[j]
@@ -359,11 +364,20 @@ func GroupAnchor(qs []geom.Point, agg Agg) geom.Point {
 	for j := range z {
 		z[j] /= float64(len(qs))
 	}
+	if !z.IsFinite() {
+		for j, v := range qs[0] {
+			z[j] = 0
+			if !math.IsNaN(v) {
+				z[j] = max(-math.MaxFloat64, min(v, math.MaxFloat64))
+			}
+		}
+		return z
+	}
 	const iters = 8
-	if agg == AggMax {
-		// Badoiu–Clarkson: step toward the farthest point with shrinking
-		// step size approximates the minimum enclosing ball center.
-		for i := 0; i < iters; i++ {
+	for i := 0; i < iters; i++ {
+		if agg == AggMax {
+			// Badoiu–Clarkson: step toward the farthest point with shrinking
+			// step size approximates the minimum enclosing ball center.
 			far, fd := 0, -1.0
 			for k, q := range qs {
 				if d := geom.Dist(z, q); d > fd {
@@ -371,30 +385,31 @@ func GroupAnchor(qs []geom.Point, agg Agg) geom.Point {
 				}
 			}
 			step := 1 / float64(i+2)
-			for j := range z {
-				z[j] += step * (qs[far][j] - z[j])
-			}
-		}
-		return z
-	}
-	for i := 0; i < iters; i++ {
-		var wsum float64
-		next := make(geom.Point, dim)
-		for _, q := range qs {
-			d := geom.Dist(z, q)
-			if d == 0 {
-				return z // at a query point: good enough as an anchor
-			}
-			w := 1 / d
-			wsum += w
 			for j := range next {
-				next[j] += w * q[j]
+				next[j] = z[j] + step*(qs[far][j]-z[j])
+			}
+		} else {
+			var wsum float64
+			clear(next)
+			for _, q := range qs {
+				d := geom.Dist(z, q)
+				if d == 0 {
+					return z // at a query point: good enough as an anchor
+				}
+				w := 1 / d
+				wsum += w
+				for j := range next {
+					next[j] += w * q[j]
+				}
+			}
+			for j := range next {
+				next[j] /= wsum
 			}
 		}
-		for j := range next {
-			next[j] /= wsum
+		if !next.IsFinite() {
+			return z
 		}
-		z = next
+		z, next = next, z
 	}
 	return z
 }
@@ -429,11 +444,9 @@ func GroupNNCandidatesGraph(db *uncertain.DB, g *adjgraph.Graph, seeds []uint32,
 	slack := lip * g.MaxDiag()
 	fAnchor := aggPoint(anchor, qs, agg)
 	best := math.Inf(1)
-	type visitedNode struct {
-		id    uint32
-		lower float64
-	}
-	var vis []visitedNode
+	sc := knnScratchPool.Get().(*knnScratch)
+	sc.vis = sc.vis[:0] // dmin holds the aggregate lower bound; dmax is not used
+	defer knnScratchPool.Put(sc)
 	cost := expandGraph(g, seeds,
 		func(row *adjgraph.Row) float64 { return aggMin(row.UBR, qs, agg) },
 		func(id uint32, _ *adjgraph.Row) float64 {
@@ -441,16 +454,16 @@ func GroupNNCandidatesGraph(db *uncertain.DB, g *adjgraph.Graph, seeds []uint32,
 				if ub := aggMax(o.Region, qs, agg); ub < best {
 					best = ub
 				}
-				vis = append(vis, visitedNode{id: id, lower: aggMin(o.Region, qs, agg)})
+				sc.vis = append(sc.vis, knnVisited{id: id, dmin: aggMin(o.Region, qs, agg)})
 			}
 			return math.Max(fAnchor, best+slack)
 		})
 	var out []uncertain.ID
-	for i := range vis {
-		if vis[i].lower <= best {
-			out = append(out, uncertain.ID(vis[i].id))
+	for _, v := range sc.vis {
+		if v.dmin <= best {
+			out = append(out, uncertain.ID(v.id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }

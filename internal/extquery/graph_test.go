@@ -1,6 +1,7 @@
 package extquery
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,6 +135,43 @@ func TestGroupNNGraphAnchorIndependence(t *testing.T) {
 			got, _ := GroupNNCandidatesGraph(db, g, seedsAt(g, bad), bad, qs, agg)
 			if !sameIDSlices(got, want) {
 				t.Fatalf("agg=%v bad anchor: graph %v != scan %v", agg, got, want)
+			}
+		}
+	}
+}
+
+// Regression: query points far enough apart overflow the squared distances
+// (Weiszfeld weights 0/0) or the centroid itself, and the anchor came out NaN
+// or infinite — which the index rejects as a bad query point. The anchor is
+// finite for every finite group, and the retrieval from it is the scan's.
+func TestGroupAnchorIsFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	db := randomDB(rng, 60, 2, 800, 30, 0)
+	g := buildAdjGraph(t, db)
+	for _, qs := range [][]geom.Point{
+		{{1e200, 1e200}, {5000, 5000}},
+		{{1e308, 1e308}, {-1e308, -1e308}},
+		{{1e308, 1e308}, {1e308, 1e308}},
+		{{-1e308, 0}, {-1e308, 5}, {-1e308, 3}},
+		{{1e154, 400}, {400, 400}, {-1e154, 1e154}},
+		{{math.Inf(1), math.NaN()}, {400, 400}},
+	} {
+		for _, agg := range []Agg{AggSum, AggMax} {
+			anchor := GroupAnchor(qs, agg)
+			if !anchor.IsFinite() {
+				t.Fatalf("GroupAnchor(%v, %v) = %v", qs, agg, anchor)
+			}
+			if !qs[0].IsFinite() {
+				continue
+			}
+			start := make(geom.Point, len(anchor)) // the index seeds at the anchor clamped into the domain
+			for j := range anchor {
+				start[j] = min(max(anchor[j], db.Domain.Lo[j]), db.Domain.Hi[j])
+			}
+			want := GroupNNCandidates(db, qs, agg)
+			got, _ := GroupNNCandidatesGraph(db, g, seedsAt(g, start), anchor, qs, agg)
+			if !sameIDSlices(got, want) {
+				t.Fatalf("%v agg=%v: graph %v != scan %v", qs, agg, got, want)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package extquery
 
 import (
-	"sort"
+	"slices"
 
 	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
@@ -37,7 +37,7 @@ func GroupNNCandidatesTree(t *rtree.Tree, qs []geom.Point, agg Agg) ([]uncertain
 			out = append(out, uncertain.ID(it.ID))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }
 
@@ -64,7 +64,7 @@ func KNNCandidatesTree(t *rtree.Tree, q geom.Point, k int) ([]uncertain.ID, rtre
 		maxDists[i] = it.Rect.MaxDist(q)
 	}
 	sortedMax := append([]float64(nil), maxDists...)
-	sort.Float64s(sortedMax)
+	slices.Sort(sortedMax)
 
 	var out []uncertain.ID
 	for i, it := range items {
@@ -73,11 +73,11 @@ func KNNCandidatesTree(t *rtree.Tree, q geom.Point, k int) ([]uncertain.ID, rtre
 			continue // at least k objects are surely closer
 		}
 		// An entry never dominates itself: its own maxdist >= its mindist.
-		if dominators := sort.SearchFloat64s(sortedMax, dmin); dominators < k {
+		if dominators, _ := slices.BinarySearch(sortedMax, dmin); dominators < k {
 			out = append(out, uncertain.ID(it.ID))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }
 
@@ -144,6 +144,6 @@ func RNNCandidatesTree(t *rtree.Tree, q geom.Point, maxDepth int) ([]uncertain.I
 		}
 	})
 	cost.Add(wcost)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, cost
 }

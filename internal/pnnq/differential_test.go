@@ -297,6 +297,17 @@ func TestSweepMatchesReference(t *testing.T) {
 		n := len(c.cands)
 		checkAgainstReference(t, c.name, c.q, c.cands, []int{0, 1, 2, n - 1, n, n + 1}, true)
 	}
+	// The served shapes of bench_test.go: real Step-1 candidate sets, 100 and
+	// 200 instances per candidate, bands hundreds of entries wide.
+	benchSets()
+	for name, sets := range map[string][]benchSet{"benchD2": benchD2, "benchD3": benchD3} {
+		for i, set := range sets {
+			checkAgainstReference(t, fmt.Sprintf("%s/%d", name, i), set.q, set.cands, nil, true)
+		}
+	}
+	for i, set := range benchK2 {
+		checkAgainstReference(t, fmt.Sprintf("benchK2/%d", i), set.q, set.cands, []int{1, 2, benchKNN, len(set.cands) - 1}, true)
+	}
 }
 
 // The Angiulli & Fassetti family is what it claims: the wide candidate has
@@ -407,6 +418,10 @@ func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add(byte(1), byte(2), []byte{4, 4, 2, 1, 1, 1, 7, 7, 1, 0, 2, 2, 2, 1, 6, 6, 0}) // region-only rival, zero weight
 	f.Add(byte(2), byte(0), []byte{1, 1, 1, 1, 1, 1, 1, 3, 1, 2, 2, 2, 0, 1, 3, 3, 3, 0})
 	f.Add(byte(4), byte(3), []byte{0, 0, 0, 0, 0, 3, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0, 0, 1, 0, 0, 3, 2, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(byte(0), byte(2), []byte{0, 2, 1, 1, 7, 1, 2, 2, 1, 6, 1, 2, 3, 1, 5, 1, 2, 1, 1, 7, 1}) // k=2, a wide band: F = 2, cutoff = 6
+	f.Add(byte(0), byte(1), []byte{0, 2, 1, 1, 2, 1, 2, 5, 1, 6, 1})                               // k=1, an empty band: F = 5 above the cutoff 2
+	f.Add(byte(0), byte(3), []byte{0, 1, 1, 1, 1, 2, 1, 0, 0})                                     // k=3, an empty band: two region-only rivals, F = +Inf
+	f.Add(byte(0), byte(2), []byte{0, 2, 1, 1, 2, 1, 2, 5, 1, 7, 1, 2, 6, 1, 7, 1})                // k=2, the first candidate finishes below F = 6
 	f.Fuzz(func(t *testing.T, dByte, kByte byte, data []byte) {
 		q, cands, k, normalized := fuzzCase(dByte, kByte, data)
 		// Twice: the second pass runs on the scratch the first one dirtied.

@@ -9,8 +9,8 @@ import "pvoronoi/internal/uncertain"
 // the current score, which the tie-splitting win computations need.
 type running struct {
 	id      uncertain.ID
-	lo, n   int32   // its entries are Sweep.ents[lo:lo+n] until the cutoff compacts them
-	left    int32   // entries strictly above the current score
+	lo, n   int32   // its entries are Sweep.ents[lo:lo+n] until topk compacts them
+	left    int32   // entries strictly above the current score; n while it has none at or below it
 	inGroup bool    // has an entry at the current score
 	min     float64 // smallest score
 	max     float64 // largest score
@@ -28,36 +28,32 @@ func (r *running) split() (less, tie, far float64) {
 	if r.left == 0 {
 		return r.less, r.tie, 0
 	}
-	far = r.total - r.less - r.tie
-	if far < 0 {
-		far = 0 // guard against float accumulation
-	}
-	return r.less, r.tie, far
+	return r.less, r.tie, max(r.total-r.less-r.tie, 0) // never negative by float accumulation
 }
 
 // topkMass returns the probability that candidate self, realizing the current
-// score, ranks among the k smallest across all rivals, breaking exact ties
-// uniformly at random: with c rivals strictly closer and t tied, the tie
-// group's internal order is a uniform permutation, so membership holds with
-// probability min(t+1, k-c)/(t+1). Outcomes with c >= k are dead and dropped
-// from the DP (a closer rival can never un-happen). With continuous scores
-// every tie mass is zero and the DP degenerates to the classic
-// Poisson-binomial over closer counts; with k = 1 it is the win probability,
-// the product of the rivals' strictly-farther masses with a t-way tie sharing
-// the win 1/(t+1). dp is scratch with room for len(run)·k values.
-func topkMass(run []running, self, k int, dp []float64) float64 {
+// score, ranks among the k smallest across the active rivals — k being the
+// slots the done rivals have left — breaking exact ties uniformly at random:
+// with c rivals strictly closer and t tied, the tie group's internal order is
+// a uniform permutation, so membership holds with probability
+// min(t+1, k-c)/(t+1). Outcomes with c >= k are dead and dropped from the DP
+// (a closer rival can never un-happen). With continuous scores every tie mass
+// is zero and the DP is the classic Poisson-binomial over closer counts; with
+// k = 1 it is the win probability, a t-way tie sharing the win 1/(t+1). The
+// caller multiplies in the idle and the done rivals' masses.
+func (s *Sweep) topkMass(self int32, k int) float64 {
 	// dp[t*k+c] = P(exactly t tied rivals and c strictly closer rivals so
 	// far), c < k. Rows are added lazily on the first rival with tie mass.
-	dp = dp[:k]
+	dp := s.dp[:k]
 	clear(dp)
 	dp[0] = 1
 	rows := 1
 	top := 0 // no state so far has more than top rivals strictly closer
-	for r := range run {
-		if r == self {
+	for _, a := range s.active {
+		if a == self {
 			continue
 		}
-		less, tie, far := run[r].split()
+		less, tie, far := s.run[a].split()
 		if tie > 0 {
 			dp = dp[:len(dp)+k]
 			clear(dp[rows*k:])
@@ -66,6 +62,7 @@ func topkMass(run []running, self, k int, dp []float64) float64 {
 		if less > 0 && top < k-1 {
 			top++
 		}
+		s.cells += rows * (top + 1)
 		for t := rows - 1; t >= 0; t-- {
 			row := dp[t*k : t*k+top+1]
 			for c := top; c >= 0; c-- {

@@ -114,6 +114,11 @@ func putSeeds(seeds []uint32) {
 // best-first expansion over the adjacency graph from the aggregate-minimizer
 // anchor.
 func groupNNAt(v *version, qs []geom.Point, agg extquery.Agg) ([]uncertain.ID, ExtCost, error) {
+	for _, q := range qs {
+		if err := checkFinite(q); err != nil {
+			return nil, ExtCost{}, err // the anchor is finite whatever the group is
+		}
+	}
 	anchor := extquery.GroupAnchor(qs, agg)
 	seeds, leafIO, err := graphSeeds(v, anchor)
 	if err != nil {
