@@ -1,25 +1,20 @@
 // Command pvbench regenerates the paper's evaluation (§VII): every figure of
-// Figs. 9 and 10 plus Table I and the parameter-sensitivity study, on
-// synthetic and simulated real datasets. It also doubles as a load generator
-// for the serving layer (the "load" experiment).
+// Figs. 9 and 10 plus Table I, the parameter-sensitivity study and the
+// ablations, on synthetic and simulated real datasets. Serving-layer numbers
+// (throughput, latency, write path, recovery) come from benchmark/run.sh.
 //
 // Usage:
 //
 //	pvbench [flags] <experiment>...
 //	pvbench -scale 0.05 fig9a fig9c
 //	pvbench -scale 0.02 all
-//	pvbench -qps 500 -load-duration 10s load             # in-process batch API
-//	pvbench -url http://localhost:8080 -qps 200 load     # against pvserve
 //
 // Experiments: fig9a fig9b fig9c fig9d fig9e fig9f fig9g fig9h
 //
 //	fig10a fig10b fig10c fig10d fig10e fig10f fig10g fig10h fig10i
-//	params table1 ablations all load
+//	params table1 ablations all
 //
-// Results print as aligned tables; the load experiment prints achieved
-// throughput and p50/p95/p99 latency (open-loop arrivals, so latency
-// includes queueing delay once the index saturates). "all" covers the paper
-// experiments only — load runs when named explicitly.
+// Results print as aligned tables.
 package main
 
 import (
@@ -41,50 +36,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generator seed")
 		verbose   = flag.Bool("v", false, "progress logging")
 		procs     = flag.Int("procs", 0, "GOMAXPROCS override (0 = runtime default)")
-
-		// Load-generator flags (the "load" experiment).
-		url     = flag.String("url", "", "load: pvserve base URL (empty = in-process batch API)")
-		qps     = flag.Int("qps", 0, "load: target queries per second (0 = max throughput)")
-		loadDur = flag.Duration("load-duration", 10*time.Second, "load: measurement window")
-		conns   = flag.Int("conns", 16, "load: HTTP connections / batch workers")
-		batch   = flag.Int("batch", 32, "load: max in-process batch size")
-		step1   = flag.Bool("step1only", false, "load: PossibleNN only (skip Step 2)")
-		loadN   = flag.Int("n", 20000, "load: object count for the in-process index")
-		loadD   = flag.Int("d", 2, "load: dimensionality for the in-process index")
-
-		// Read-path benchmark flags (the "readpath" experiment).
-		rpJSON     = flag.String("json", "BENCH_readpath.json", "readpath: output JSON path (empty = stdout only)")
-		rpBaseline = flag.String("baseline", "", "readpath: prior readpath JSON to embed as the before side")
-
-		// Write-path benchmark flags (the "writepath" experiment).
-		wpJSON  = flag.String("wp-json", "BENCH_writepath.json", "writepath: output JSON path (empty = stdout only)")
-		wpN     = flag.Int("wp-n", 4000, "writepath: base index object count")
-		wpOps   = flag.Int("wp-ops", 256, "writepath: measured insert ops per scenario")
-		wpBatch = flag.Int("wp-batch", 32, "writepath: group-commit batch size")
-
-		// Mixed read/write benchmark flags (the "mixed" experiment).
-		mxJSON    = flag.String("mixed-json", "BENCH_mixed.json", "mixed: output JSON path (empty = stdout only)")
-		mxDur     = flag.Duration("mixed-duration", 5*time.Second, "mixed: measurement window per writer count")
-		mxWriters = flag.String("mixed-writers", "0,1,4", "mixed: comma-separated concurrent writer counts")
-		mxBatch   = flag.Int("mixed-batch", 16, "mixed: writer group-commit batch size")
-
-		// Recovery benchmark flags (the "recovery" experiment).
-		rcJSON  = flag.String("rc-json", "BENCH_recovery.json", "recovery: output JSON path (empty = stdout only)")
-		rcN     = flag.Int("rc-n", 4000, "recovery: base store object count")
-		rcTails = flag.String("rc-tails", "0,512,2048", "recovery: comma-separated WAL tail lengths (updates)")
-		rcBatch = flag.Int("rc-batch", 64, "recovery: group-commit batch size while growing the tail")
-
-		// Memory-layout benchmark flags (the "memlayout" experiment).
-		mlJSON    = flag.String("ml-json", "BENCH_memlayout.json", "memlayout: output JSON path (empty = stdout only)")
-		mlRounds  = flag.Int("ml-rounds", 3, "memlayout: writer rounds per backend (insert+delete batch each)")
-		mlQueries = flag.Int("ml-queries", 4000, "memlayout: queries per worker per backend")
-		mlBatch   = flag.Int("ml-batch", 16, "memlayout: writer group-commit batch size")
-
-		// Extension-query benchmark flags (the "extquery" experiment).
-		eqJSON    = flag.String("eq-json", "BENCH_extquery.json", "extquery: output JSON path (empty = stdout only)")
-		eqNs      = flag.String("eq-n", "1000,10000,100000", "extquery: comma-separated dataset sizes")
-		eqQueries = flag.Int("eq-queries", 16, "extquery: measured queries per configuration")
-		eqRNNMax  = flag.Int("eq-rnn-max", 10000, "extquery: largest n for the O(n²) reverse-NN scan baseline")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -142,170 +93,25 @@ func main() {
 	}
 
 	var names []string
-	wantLoad := false
-	wantReadpath := false
-	wantWritepath := false
-	wantExtquery := false
-	wantMixed := false
-	wantRecovery := false
-	wantMemlayout := false
 	allSeen := false
 	for _, arg := range flag.Args() {
-		switch {
-		case arg == "load":
-			wantLoad = true
-		case arg == "readpath":
-			wantReadpath = true
-		case arg == "writepath":
-			wantWritepath = true
-		case arg == "extquery":
-			wantExtquery = true
-		case arg == "mixed":
-			wantMixed = true
-		case arg == "recovery":
-			wantRecovery = true
-		case arg == "memlayout":
-			wantMemlayout = true
-		case arg == "all":
+		if arg == "all" {
 			allSeen = true
-		default:
-			if _, ok := experiments[arg]; !ok {
-				fmt.Fprintf(os.Stderr, "pvbench: unknown experiment %q\n", arg)
-				usage()
-				os.Exit(2)
-			}
-			names = append(names, arg)
+			continue
 		}
+		if _, ok := experiments[arg]; !ok {
+			fmt.Fprintf(os.Stderr, "pvbench: unknown experiment %q\n", arg)
+			usage()
+			os.Exit(2)
+		}
+		names = append(names, arg)
 	}
 	if allSeen {
 		names = order
 	}
-	if wantLoad {
-		err := runLoad(loadConfig{
-			URL:       *url,
-			QPS:       *qps,
-			Duration:  *loadDur,
-			Conns:     *conns,
-			Batch:     *batch,
-			Step1:     *step1,
-			N:         *loadN,
-			Dim:       *loadD,
-			Instances: *instances,
-			Seed:      *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: load: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantReadpath {
-		err := runReadpath(readpathConfig{
-			JSONPath:     *rpJSON,
-			BaselinePath: *rpBaseline,
-			Duration:     *loadDur,
-			Conns:        *conns,
-			N:            *loadN,
-			Dim:          *loadD,
-			Instances:    *instances,
-			Seed:         *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: readpath: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantExtquery {
-		ns, err := parseIntList(*eqNs)
-		if err == nil {
-			err = runExtquery(extqueryConfig{
-				JSONPath: *eqJSON,
-				Ns:       ns,
-				Dim:      *loadD,
-				Seed:     *seed,
-				Queries:  *eqQueries,
-				RNNMaxN:  *eqRNNMax,
-			})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: extquery: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantMixed {
-		writersList, err := parseIntList(*mxWriters)
-		if err == nil {
-			err = runMixed(mixedConfig{
-				JSONPath:  *mxJSON,
-				N:         *loadN,
-				Dim:       *loadD,
-				Instances: *instances,
-				Seed:      *seed,
-				Duration:  *mxDur,
-				Conns:     *conns,
-				Batch:     *mxBatch,
-				Writers:   writersList,
-			})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: mixed: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantRecovery {
-		tails, err := parseIntList(*rcTails)
-		if err == nil {
-			err = runRecovery(recoveryConfig{
-				JSONPath:  *rcJSON,
-				N:         *rcN,
-				Dim:       *loadD,
-				Instances: *instances,
-				Seed:      *seed,
-				Tails:     tails,
-				Batch:     *rcBatch,
-			})
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: recovery: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantMemlayout {
-		err := runMemlayout(memlayoutConfig{
-			JSONPath:  *mlJSON,
-			N:         *loadN,
-			Dim:       *loadD,
-			Instances: *instances,
-			Seed:      *seed,
-			Rounds:    *mlRounds,
-			Queries:   *mlQueries,
-			Conns:     *conns,
-			Batch:     *mlBatch,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: memlayout: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if wantWritepath {
-		err := runWritepath(writepathConfig{
-			JSONPath:  *wpJSON,
-			N:         *wpN,
-			Dim:       *loadD,
-			Instances: *instances,
-			Seed:      *seed,
-			Ops:       *wpOps,
-			Batch:     *wpBatch,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pvbench: writepath: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
-	if len(names) > 0 {
-		fmt.Printf("pvbench: scale=%.3g queries=%d instances=%d seed=%d\n\n",
-			p.Scale, p.Queries, p.Instances, p.Seed)
-	}
+	fmt.Printf("pvbench: scale=%.3g queries=%d instances=%d seed=%d\n\n",
+		p.Scale, p.Queries, p.Instances, p.Seed)
 	for _, name := range names {
 		start := time.Now()
 		for _, tab := range experiments[name](p) {
@@ -333,14 +139,8 @@ experiments:
   fig9a..fig9h                  PNNQ query performance (Fig. 9)
   fig10a..fig10i                construction & update performance (Fig. 10)
   params                        parameter sensitivity study (§VII-C a)
+  ablations                     memory budget, primary index, parallel build
   all                           everything above, in order
-  load                          load generator: throughput + p50/p95/p99
-  readpath                      read-path benchmark: QPS, p50/p99, allocs/op -> JSON
-  writepath                     write-path benchmark: single vs batched, WAL on/off -> JSON
-  extquery                      extension-query retrieval: scan vs R-tree vs adjacency graph -> JSON
-  mixed                         query latency under 0/1/4 concurrent writers (MVCC) -> JSON
-  recovery                      crash-recovery time vs WAL tail, clean + corrupt-checkpoint fallback -> JSON
-  memlayout                     page-store layouts: sharded map vs slab arena, allocs/epoch + GC pause -> JSON
 
 flags:
 `)
@@ -350,7 +150,5 @@ examples:
   pvbench fig9a                         # query time vs |S|, laptop scale
   pvbench -scale 0.2 -v all             # larger run with progress logs
   pvbench -scale 1 fig9a                # paper-scale (slow: 100k objects)
-  pvbench -qps 500 load                 # paced load on the in-process batch API
-  pvbench -url http://localhost:8080 -qps 200 -conns 32 load
 `)
 }

@@ -88,9 +88,8 @@ func (m *metrics) snapshot() (map[string]endpointSnapshot, time.Duration) {
 	return out, time.Since(m.start)
 }
 
-// percentile reads the p-quantile from an ascending-sorted sample with the
-// same nearest-rank rule as internal/stats.Sample.Percentile, so /v1/stats
-// and pvbench's load report agree on identical data.
+// percentile reads the p-quantile from an ascending-sorted sample by the
+// nearest-rank rule.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

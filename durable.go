@@ -181,9 +181,13 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 	// corrupt CURRENT) still recovers.
 	cands := listCheckpoints(fs, dir)
 	var ix *Index
+	var newestErr error // why the newest checkpoint was rejected
 	for _, c := range cands {
 		loaded, err := loadCheckpoint(fs, dir, c.base)
 		if err != nil {
+			if newestErr == nil {
+				newestErr = err
+			}
 			d.recovery.CorruptCheckpoints = append(d.recovery.CorruptCheckpoints, c.base)
 			continue
 		}
@@ -204,8 +208,8 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 	if ix == nil {
 		if len(cands) > 0 {
 			log.Close()
-			return nil, fmt.Errorf("pvoronoi: all %d checkpoints in %s failed verification (%s): refusing to rebuild over acknowledged data",
-				len(cands), dir, strings.Join(d.recovery.CorruptCheckpoints, ", "))
+			return nil, fmt.Errorf("pvoronoi: all %d checkpoints in %s failed verification (%s): refusing to rebuild over acknowledged data; newest: %w",
+				len(cands), dir, strings.Join(d.recovery.CorruptCheckpoints, ", "), newestErr)
 		}
 		if db == nil {
 			log.Close()

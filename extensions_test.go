@@ -154,10 +154,22 @@ func TestPossibleKNN1MatchesQueryIDs(t *testing.T) {
 
 // The public candidate sets ride the R*-tree; they must equal the retained
 // brute-force scans at every point, including after the index absorbs
-// inserts and deletes.
+// inserts and deletes — with refinement on and off, since refined UBRs
+// change the adjacency graph the graph routes walk.
 func TestExtensionCandidatesMatchOraclesThroughUpdates(t *testing.T) {
+	for name, refineOff := range map[string]bool{"refined": false, "unrefined": true} {
+		t.Run(name, func(t *testing.T) {
+			opts := testOptions()
+			opts.Refine.Disabled = refineOff
+			extensionCandidatesMatchOracles(t, opts)
+		})
+	}
+}
+
+func extensionCandidatesMatchOracles(t *testing.T, opts Options) {
+	t.Helper()
 	db := buildSmallDB(t, 70, true)
-	ix, err := Build(db, testOptions())
+	ix, err := Build(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func TestExtensionCandidatesMatchOraclesThroughUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRNN := extquery.RNNCandidates(ix.DB(), q, testOptions().MMax)
+			wantRNN := extquery.RNNCandidates(ix.DB(), q, opts.MMax)
 			if len(rnn) != len(wantRNN) {
 				t.Fatalf("%s rnn: %v != oracle %v", stage, rnn, wantRNN)
 			}

@@ -20,7 +20,15 @@ func TestImageRoundTrip(t *testing.T) {
 		}
 	}
 	img := tab.Image()
-	store2, err := pagestore.FromImage(store.Image())
+	pages, err := tab.CollectPages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeImg, err := store.ImageOf(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store2, err := pagestore.FromImage(storeImg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,16 @@ func TestImageRoundTrip(t *testing.T) {
 		ti.insert(t, i, u, u.Expand(20))
 	}
 	img := ti.tree.Image()
-	// Restore over a copy of the store.
-	store2, err := pagestore.FromImage(ti.tree.store.Image())
+	// Restore over a copy of the tree's pages.
+	pages, err := ti.tree.CollectPages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeImg, err := ti.tree.store.ImageOf(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store2, err := pagestore.FromImage(storeImg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// TestViewBorrowsArenaMemory checks the zero-copy contract: in arena mode a
-// View aliases slab memory (a Write through the page shows up in the borrowed
-// slice), while in map mode View returns an independent copy.
+// TestViewBorrowsArenaMemory checks the zero-copy contract: a View aliases
+// slab memory (a Write through the page shows up in the borrowed slice).
 func TestViewBorrowsArenaMemory(t *testing.T) {
 	s := New(128)
 	id, err := s.Alloc()
@@ -33,25 +32,6 @@ func TestViewBorrowsArenaMemory(t *testing.T) {
 	}
 	if !bytes.Equal(v[:6], []byte("after!")) {
 		t.Fatalf("arena view did not alias slab memory: %q", v[:6])
-	}
-
-	m := NewMap(128)
-	mid, err := m.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(mid, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	mv, err := m.View(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(mid, []byte("after!")); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mv[:6], []byte("before")) {
-		t.Fatalf("map-mode view must be a stable copy, got %q", mv[:6])
 	}
 }
 
@@ -158,18 +138,24 @@ func TestArenaRecycleZeroes(t *testing.T) {
 	_ = a
 }
 
-// TestArenaMapParity drives both backends through an identical randomized
-// alloc/write/free/read script and checks IDs, contents, errors, and
-// accounting stay byte-for-byte identical.
+// pager is what TestArenaMapParity's script needs of a page store.
+type pager interface {
+	Alloc() (PageID, error)
+	Free(PageID) error
+	Read(PageID) ([]byte, error)
+	Write(PageID, []byte) error
+}
+
+// TestArenaMapParity drives the arena and the map reference model
+// (reference_test.go) through an identical alloc/write/free/read script and
+// checks IDs, contents, errors, and accounting stay byte-for-byte identical.
 func TestArenaMapParity(t *testing.T) {
 	arena := New(96)
-	mapped := NewMap(96)
-	stores := []*Store{arena, mapped}
+	mapped := newMapStore(96)
 
-	var ids [2][]PageID
-	step := func(f func(s *Store) (PageID, []byte, error)) {
-		id0, b0, err0 := f(stores[0])
-		id1, b1, err1 := f(stores[1])
+	step := func(f func(s pager) (PageID, []byte, error)) {
+		id0, b0, err0 := f(arena)
+		id1, b1, err1 := f(mapped)
 		if id0 != id1 || (err0 == nil) != (err1 == nil) || !bytes.Equal(b0, b1) {
 			t.Fatalf("backends diverged: arena (%d,%q,%v) vs map (%d,%q,%v)", id0, b0, err0, id1, b1, err1)
 		}
@@ -177,7 +163,7 @@ func TestArenaMapParity(t *testing.T) {
 	// Deterministic mixed script: allocate 40, free every third, reallocate
 	// 10, rewriting and reading as we go.
 	for i := 0; i < 40; i++ {
-		step(func(s *Store) (PageID, []byte, error) {
+		step(func(s pager) (PageID, []byte, error) {
 			id, err := s.Alloc()
 			if err != nil {
 				return 0, nil, err
@@ -190,19 +176,17 @@ func TestArenaMapParity(t *testing.T) {
 			return id, b, err
 		})
 	}
-	for i := range stores {
-		for id := PageID(1); id <= 40; id++ {
-			ids[i] = append(ids[i], id)
-		}
-	}
-	for j := 0; j < 40; j += 3 {
-		id := ids[0][j]
-		step(func(s *Store) (PageID, []byte, error) {
+	for id := PageID(1); id <= 40; id += 3 {
+		step(func(s pager) (PageID, []byte, error) {
 			return id, nil, s.Free(id)
 		})
 	}
+	// Page 1 is free now: a second free, a read and a write must all fail.
+	step(func(s pager) (PageID, []byte, error) { return 1, nil, s.Free(1) })
+	step(func(s pager) (PageID, []byte, error) { b, err := s.Read(1); return 1, b, err })
+	step(func(s pager) (PageID, []byte, error) { return 1, nil, s.Write(1, []byte("x")) })
 	for i := 0; i < 10; i++ {
-		step(func(s *Store) (PageID, []byte, error) {
+		step(func(s pager) (PageID, []byte, error) {
 			id, err := s.Alloc()
 			if err != nil {
 				return 0, nil, err
@@ -223,66 +207,62 @@ func TestArenaMapParity(t *testing.T) {
 	}
 }
 
-// TestImageRoundTripAcrossBackends snapshots each backend and restores the
-// image, checking pages, allocator state, and the unchanged gob format.
+// TestImageRoundTripAcrossBackends snapshots the pages a caller kept and
+// restores the image, checking pages, allocator state, and the gob format's
+// header fields.
 func TestImageRoundTripAcrossBackends(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		new  func(int) *Store
-	}{{"arena", New}, {"map", NewMap}} {
-		t.Run(mk.name, func(t *testing.T) {
-			s := mk.new(80)
-			var kept []PageID
-			for i := 0; i < 12; i++ {
-				id, err := s.Alloc()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Write(id, fmt.Appendf(nil, "v-%d", i)); err != nil {
-					t.Fatal(err)
-				}
-				if i%4 == 2 {
-					if err := s.Free(id); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				kept = append(kept, id)
-			}
-			img := s.Image()
-			if img.PageSize != 80 || len(img.Pages) != s.Live() {
-				t.Fatalf("image header mismatch: %+v live=%d", img, s.Live())
-			}
-			r, err := FromImage(img)
+	t.Run("arena", func(t *testing.T) {
+		s := New(80)
+		var kept []PageID
+		for i := 0; i < 12; i++ {
+			id, err := s.Alloc()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.MapBacked() {
-				t.Fatal("FromImage must restore into the arena backend")
+			if err := s.Write(id, fmt.Appendf(nil, "v-%d", i)); err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range kept {
-				want, err := s.Read(id)
-				if err != nil {
+			if i%4 == 2 {
+				if err := s.Free(id); err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.Read(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("page %d mismatch after round trip", id)
-				}
+				continue
 			}
-			if r.Live() != s.Live() || r.FreeListLen() != s.FreeListLen() {
-				t.Fatalf("allocator state mismatch: live %d/%d free %d/%d",
-					r.Live(), s.Live(), r.FreeListLen(), s.FreeListLen())
+			kept = append(kept, id)
+		}
+		img, err := s.ImageOf(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img.PageSize != 80 || len(img.Pages) != s.Live() {
+			t.Fatalf("image header mismatch: %+v live=%d", img, s.Live())
+		}
+		r, err := FromImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range kept {
+			want, err := s.Read(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The restored allocator must recycle the same IDs.
-			a1, _ := s.Alloc()
-			a2, _ := r.Alloc()
-			if a1 != a2 {
-				t.Fatalf("restored allocator minted %d, original %d", a2, a1)
+			got, err := r.Read(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("page %d mismatch after round trip", id)
+			}
+		}
+		if r.Live() != s.Live() || r.FreeListLen() != s.FreeListLen() {
+			t.Fatalf("allocator state mismatch: live %d/%d free %d/%d",
+				r.Live(), s.Live(), r.FreeListLen(), s.FreeListLen())
+		}
+		// The restored allocator must recycle the same IDs.
+		a1, _ := s.Alloc()
+		a2, _ := r.Alloc()
+		if a1 != a2 {
+			t.Fatalf("restored allocator minted %d, original %d", a2, a1)
+		}
+	})
 }

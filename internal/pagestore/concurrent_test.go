@@ -73,53 +73,3 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 		t.Fatalf("live pages = %d, want %d", got, fixed)
 	}
 }
-
-// TestCacheConcurrentReaders checks the LRU pool under parallel readers and
-// write-through writers.
-func TestCacheConcurrentReaders(t *testing.T) {
-	s := New(256)
-	c := NewCache(s, 8)
-	ids := make([]PageID, 16)
-	for i := range ids {
-		id, err := c.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-		if err := c.Write(id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := ids[(seed*7+i)%len(ids)]
-				if seed%4 == 0 {
-					if err := c.Write(id, []byte{byte(i)}); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				if _, err := c.Read(id); err != nil {
-					t.Error(err)
-					return
-				}
-				_ = c.Stats()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	cs := c.Stats()
-	if cs.Hits+cs.Misses == 0 {
-		t.Fatalf("expected cache traffic, got %+v", cs)
-	}
-	if cs.Resident > 8 {
-		t.Fatalf("resident %d exceeds capacity 8", cs.Resident)
-	}
-}

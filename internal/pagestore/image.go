@@ -3,57 +3,12 @@ package pagestore
 import "fmt"
 
 // Image is the serializable state of a Store, used by index persistence.
-// All fields are exported for encoding/gob. The format is layout-agnostic
-// (a plain page map), so checkpoints written by either backend load into
-// either backend unchanged.
+// All fields are exported for encoding/gob.
 type Image struct {
 	PageSize int
 	Next     uint32
 	Free     []uint32
 	Pages    map[uint32][]byte
-}
-
-// Image captures the store's current pages and allocator state. The copy is
-// deep; later mutations of the store do not affect it. It locks the
-// allocator and every shard (in the fixed allocMu-before-shards order), so
-// the snapshot is atomic with respect to concurrent operations. In the arena
-// layout it walks the extent liveness bitmaps instead of a page map.
-func (s *Store) Image() *Image {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		defer s.shards[i].mu.RUnlock()
-	}
-	img := &Image{
-		PageSize: s.pageSize,
-		Next:     uint32(s.next),
-		Free:     make([]uint32, len(s.free)),
-		Pages:    make(map[uint32][]byte, s.Live()),
-	}
-	for i, id := range s.free {
-		img.Free[i] = uint32(id)
-	}
-	if s.mapMode {
-		for i := range s.shards {
-			for id, data := range s.shards[i].pages {
-				buf := make([]byte, len(data))
-				copy(buf, data)
-				img.Pages[uint32(id)] = buf
-			}
-		}
-		return img
-	}
-	for id := PageID(1); id < s.next; id++ {
-		if !s.alive(id) {
-			continue
-		}
-		p, _ := s.page(id)
-		buf := make([]byte, len(p))
-		copy(buf, p)
-		img.Pages[uint32(id)] = buf
-	}
-	return img
 }
 
 // ImageOf captures only the listed pages — the reachable set of one MVCC
@@ -62,11 +17,11 @@ func (s *Store) Image() *Image {
 // and Free lists the gaps below it, so a store restored via FromImage can
 // allocate without ever colliding with a captured ID.
 //
-// Unlike Image, it takes no global lock: each page is copied under its
-// stripe's read lock only. The caller must guarantee the listed pages are
-// immutable for the duration (true for pages reachable from a pinned
-// version, which writers never rewrite in place and the reclaimer cannot
-// free while the version is pinned).
+// It takes no global lock: each page is copied under its stripe's read lock
+// only. The caller must guarantee the listed pages are immutable for the
+// duration (true for pages reachable from a pinned version, which writers
+// never rewrite in place and the reclaimer cannot free while the version is
+// pinned).
 func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 	img := &Image{
 		PageSize: s.pageSize,
@@ -79,21 +34,11 @@ func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 		}
 		sh := s.shardFor(id)
 		sh.mu.RLock()
-		var src []byte
-		if s.mapMode {
-			p, ok := sh.pages[id]
-			if !ok {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("pagestore: ImageOf references unknown page %d", id)
-			}
-			src = p
-		} else {
-			if !s.alive(id) {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("pagestore: ImageOf references unknown page %d", id)
-			}
-			src, _ = s.page(id)
+		if !s.alive(id) {
+			sh.mu.RUnlock()
+			return nil, fmt.Errorf("pagestore: ImageOf references unknown page %d", id)
 		}
+		src, _ := s.page(id)
 		buf := make([]byte, len(src))
 		copy(buf, src)
 		sh.mu.RUnlock()
@@ -111,33 +56,55 @@ func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 	return img, nil
 }
 
-// FromImage reconstructs an arena-backed store from a snapshot. I/O counters
-// start at zero; allocator state (next ID, free list) is restored exactly so
-// that page IDs recorded by the structures above remain valid.
+// FromImage reconstructs a store from a snapshot. I/O counters start at
+// zero; allocator state (next ID, free list) is restored exactly so that
+// page IDs recorded by the structures above remain valid. The image comes
+// from a file, so its allocator state is checked before it is trusted:
+// Pages and Free must partition [1, Next) — otherwise a later Alloc would
+// hand out a live page a second time.
 func FromImage(img *Image) (*Store, error) {
 	if img.PageSize <= 0 {
 		return nil, fmt.Errorf("pagestore: invalid page size %d in image", img.PageSize)
 	}
+	if img.Next == 0 {
+		return nil, fmt.Errorf("pagestore: image high-water mark is 0 (page IDs start at 1)")
+	}
+	// Checked first: it bounds Next by what the image actually holds, so a
+	// corrupt Next cannot make the arena below grow without limit.
+	if uint64(len(img.Pages))+uint64(len(img.Free)) != uint64(img.Next)-1 {
+		return nil, fmt.Errorf("pagestore: image has %d pages and %d free slots below high-water mark %d, want %d in all",
+			len(img.Pages), len(img.Free), img.Next, img.Next-1)
+	}
 	s := New(img.PageSize)
 	s.next = PageID(img.Next)
-	s.free = make([]PageID, len(img.Free))
-	for i, id := range img.Free {
-		s.free[i] = PageID(id)
-	}
 	if img.Next > 1 {
 		s.ensureExtent(img.Next - 2)
 	}
 	for id, data := range img.Pages {
+		if id == 0 || id >= img.Next {
+			return nil, fmt.Errorf("pagestore: page %d outside [1, %d)", id, img.Next)
+		}
 		if len(data) != img.PageSize {
 			return nil, fmt.Errorf("pagestore: page %d has %d bytes, want %d", id, len(data), img.PageSize)
 		}
-		p, ok := s.page(PageID(id))
-		if !ok {
-			return nil, fmt.Errorf("pagestore: page %d beyond image high-water mark %d", id, img.Next)
-		}
+		p, _ := s.page(PageID(id))
 		copy(p, data)
 		s.setLive(PageID(id), true)
 		s.live.Add(1)
+	}
+	s.free = make([]PageID, len(img.Free))
+	onFree := make([]bool, img.Next)
+	for i, id := range img.Free {
+		switch {
+		case id == 0 || id >= img.Next:
+			return nil, fmt.Errorf("pagestore: free slot %d outside [1, %d)", id, img.Next)
+		case s.alive(PageID(id)):
+			return nil, fmt.Errorf("pagestore: page %d is both stored and on the free list", id)
+		case onFree[id]:
+			return nil, fmt.Errorf("pagestore: page %d is on the free list twice", id)
+		}
+		onFree[id] = true
+		s.free[i] = PageID(id)
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -14,7 +15,10 @@ func TestStoreImageRoundTrip(t *testing.T) {
 	_ = s.Write(id2, []byte("two"))
 	_ = s.Free(id3) // exercise the free list
 
-	img := s.Image()
+	img, err := s.ImageOf([]PageID{id1, id2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	restored, err := FromImage(img)
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +54,26 @@ func TestStoreImageRoundTrip(t *testing.T) {
 }
 
 func TestFromImageValidation(t *testing.T) {
-	if _, err := FromImage(&Image{PageSize: 0}); err == nil {
-		t.Fatal("zero page size accepted")
-	}
-	img := &Image{PageSize: 64, Pages: map[uint32][]byte{1: make([]byte, 32)}}
-	if _, err := FromImage(img); err == nil {
-		t.Fatal("short page accepted")
+	page := func() []byte { return make([]byte, 64) }
+	for _, tc := range []struct {
+		name string
+		img  Image
+		want string // must appear in the error: the offending value, named
+	}{
+		{"zero page size", Image{PageSize: 0, Next: 1}, "page size 0"},
+		{"short page", Image{PageSize: 64, Next: 2, Pages: map[uint32][]byte{1: make([]byte, 32)}}, "page 1 has 32 bytes"},
+		{"zero high-water mark", Image{PageSize: 64}, "high-water mark is 0"},
+		{"page at high-water mark", Image{PageSize: 64, Next: 3, Pages: map[uint32][]byte{1: page(), 7: page()}}, "page 7 outside"},
+		{"page zero", Image{PageSize: 64, Next: 3, Pages: map[uint32][]byte{0: page(), 1: page()}}, "page 0 outside"},
+		{"free slot beyond high-water mark", Image{PageSize: 64, Next: 3, Free: []uint32{99999}, Pages: map[uint32][]byte{1: page()}}, "free slot 99999 outside"},
+		{"free slot zero", Image{PageSize: 64, Next: 3, Free: []uint32{0}, Pages: map[uint32][]byte{1: page()}}, "free slot 0 outside"},
+		{"free slot is a stored page", Image{PageSize: 64, Next: 3, Free: []uint32{1}, Pages: map[uint32][]byte{1: page()}}, "page 1 is both"},
+		{"duplicate free slot", Image{PageSize: 64, Next: 4, Free: []uint32{2, 2}, Pages: map[uint32][]byte{1: page()}}, "page 2 is on the free list twice"},
+		{"slots unaccounted for", Image{PageSize: 64, Next: 5, Free: []uint32{2}, Pages: map[uint32][]byte{1: page()}}, "1 pages and 1 free slots"},
+		{"four-entry free list under a two-slot mark", Image{PageSize: 64, Next: 3, Free: []uint32{1, 1, 0, 99999}, Pages: map[uint32][]byte{1: page()}}, "4 free slots"},
+	} {
+		if _, err := FromImage(&tc.img); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -12,8 +12,7 @@
 // arithmetic instead of a map lookup. Freed pages go onto an explicit
 // free-list and are recycled on the next Alloc, so steady-state MVCC churn
 // allocates nothing and the GC sees a handful of slab pointers instead of
-// one heap object per live page. The legacy sharded-map layout is retained
-// behind NewMap solely as a benchmark baseline (pvbench memlayout).
+// one heap object per live page.
 package pagestore
 
 import (
@@ -75,34 +74,30 @@ type extent struct {
 	live []atomic.Uint64
 }
 
-// shard is one stripe of lock state (and, in map mode, of the page map).
-// Copy-based reads and in-place writes of the same page serialize on the
-// stripe; different pages mostly hit different stripes.
+// shard is one stripe of lock state. Copy-based reads and in-place writes
+// of the same page serialize on the stripe; different pages mostly hit
+// different stripes.
 type shard struct {
-	mu    sync.RWMutex
-	pages map[PageID][]byte // map mode only; nil in arena mode
+	mu sync.RWMutex
 }
 
 // Store is a page allocator with I/O accounting. It is safe for concurrent
-// use. In the default arena layout, pages are slots in large slab extents
-// located by pointer arithmetic; a liveness bitmap (atomic words) gates
-// access and numShards lock stripes serialize copy-based reads against
-// in-place writes of the same page. In the legacy map layout (NewMap) pages
-// are individually allocated []byte values in a sharded map. Allocator state
-// (free list, next ID, page limit, extent growth) sits behind its own mutex,
-// and the I/O counters are atomics so accounting never serializes the read
-// path.
+// use. Pages are slots in large slab extents located by pointer arithmetic;
+// a liveness bitmap (atomic words) gates access and numShards lock stripes
+// serialize copy-based reads against in-place writes of the same page.
+// Allocator state (free list, next ID, page limit, extent growth) sits
+// behind its own mutex, and the I/O counters are atomics so accounting never
+// serializes the read path.
 //
 // Lock order: allocMu before any shard lock; shard locks are never nested.
 type Store struct {
 	pageSize int
-	mapMode  bool
 	shards   [numShards]shard
 
-	// Arena state. extents holds the current slice of slabs behind an
-	// atomic pointer: growth copies the slice and swaps the pointer, so
-	// lock-free readers always see a consistent prefix and slabs themselves
-	// never move. extShift/extMask turn a page index into (extent, slot).
+	// extents holds the current slice of slabs behind an atomic pointer:
+	// growth copies the slice and swaps the pointer, so lock-free readers
+	// always see a consistent prefix and slabs themselves never move.
+	// extShift/extMask turn a page index into (extent, slot).
 	extents  atomic.Pointer[[]*extent]
 	extShift uint32
 	extMask  uint32
@@ -159,25 +154,6 @@ func New(pageSize int) *Store {
 	return s
 }
 
-// NewMap returns a store using the legacy sharded-map page layout: every
-// page is its own heap allocation held in a lock-striped map. It exists as
-// the comparison baseline for the arena layout (pvbench memlayout) and
-// behaves identically at the API level, except that View always copies.
-func NewMap(pageSize int) *Store {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	s := &Store{pageSize: pageSize, mapMode: true, next: 1}
-	for i := range s.shards {
-		s.shards[i].pages = make(map[PageID][]byte)
-	}
-	s.bufs.New = func() any {
-		b := make([]byte, pageSize)
-		return &b
-	}
-	return s
-}
-
 // NewLimited returns a store that fails Alloc after maxPages live pages,
 // for failure-injection tests.
 func NewLimited(pageSize, maxPages int) *Store {
@@ -188,10 +164,6 @@ func NewLimited(pageSize, maxPages int) *Store {
 
 // PageSize returns the size in bytes of each page.
 func (s *Store) PageSize() int { return s.pageSize }
-
-// MapBacked reports whether the store uses the legacy sharded-map layout
-// (true) or the extent/slab arena layout (false).
-func (s *Store) MapBacked() bool { return s.mapMode }
 
 func (s *Store) shardFor(id PageID) *shard {
 	return &s.shards[uint32(id)&(numShards-1)]
@@ -275,10 +247,10 @@ func (s *Store) ReleasePage(p *[]byte) {
 	s.bufs.Put(p)
 }
 
-// Alloc reserves a new zeroed page and returns its ID. In the arena layout
-// this is GC-free at steady state: a recycled free-list slot is cleared in
-// place, and only a genuinely fresh high-water-mark page can trigger a new
-// slab extent (whose bytes Go already zeroed).
+// Alloc reserves a new zeroed page and returns its ID. This is GC-free at
+// steady state: a recycled free-list slot is cleared in place, and only a
+// genuinely fresh high-water-mark page can trigger a new slab extent (whose
+// bytes Go already zeroed).
 func (s *Store) Alloc() (PageID, error) {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
@@ -295,19 +267,12 @@ func (s *Store) Alloc() (PageID, error) {
 		id = s.next
 		s.next++
 	}
-	if s.mapMode {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		sh.pages[id] = make([]byte, s.pageSize)
-		sh.mu.Unlock()
-	} else {
-		s.ensureExtent(uint32(id) - 1)
-		if recycled {
-			p, _ := s.page(id)
-			clear(p)
-		}
-		s.setLive(id, true)
+	s.ensureExtent(uint32(id) - 1)
+	if recycled {
+		p, _ := s.page(id)
+		clear(p)
 	}
+	s.setLive(id, true)
 	s.live.Add(1)
 	s.allocs.Add(1)
 	s.mutations.Add(1)
@@ -315,29 +280,17 @@ func (s *Store) Alloc() (PageID, error) {
 }
 
 // Free releases a page back to the store. The slot goes onto the free-list
-// and is recycled by a later Alloc; in the arena layout the bytes stay in
-// the slab, so freeing returns no memory to the GC — by design, since the
-// MVCC reclaim sweep frees pages exactly when their last pinned reader has
-// drained and the slot can be reused immediately.
+// and is recycled by a later Alloc; the bytes stay in the slab, so freeing
+// returns no memory to the GC — by design, since the MVCC reclaim sweep
+// frees pages exactly when their last pinned reader has drained and the slot
+// can be reused immediately.
 func (s *Store) Free(id PageID) error {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	if s.mapMode {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		_, ok := sh.pages[id]
-		if !ok {
-			sh.mu.Unlock()
-			return fmt.Errorf("pagestore: free of unknown page %d", id)
-		}
-		delete(sh.pages, id)
-		sh.mu.Unlock()
-	} else {
-		if !s.alive(id) {
-			return fmt.Errorf("pagestore: free of unknown page %d", id)
-		}
-		s.setLive(id, false)
+	if !s.alive(id) {
+		return fmt.Errorf("pagestore: free of unknown page %d", id)
 	}
+	s.setLive(id, false)
 	s.free = append(s.free, id)
 	s.live.Add(-1)
 	s.frees.Add(1)
@@ -366,74 +319,27 @@ func (s *Store) ReadInto(id PageID, dst []byte) error {
 	}
 	sh := s.shardFor(id)
 	sh.mu.RLock()
-	if s.mapMode {
-		p, ok := sh.pages[id]
-		if !ok {
-			sh.mu.RUnlock()
-			return fmt.Errorf("pagestore: read of unknown page %d", id)
-		}
-		copy(dst, p)
-	} else {
-		if !s.alive(id) {
-			sh.mu.RUnlock()
-			return fmt.Errorf("pagestore: read of unknown page %d", id)
-		}
-		p, _ := s.page(id)
-		copy(dst, p)
+	if !s.alive(id) {
+		sh.mu.RUnlock()
+		return fmt.Errorf("pagestore: read of unknown page %d", id)
 	}
+	p, _ := s.page(id)
+	copy(dst, p)
 	sh.mu.RUnlock()
 	s.reads.Add(1)
 	return nil
 }
 
-// ReadAt copies up to len(dst) bytes starting at offset off within the page
-// into dst, returning the number of bytes copied. Like ReadInto it performs
-// no allocation; it still counts one full read I/O, because the simulated
-// disk transfers whole pages (partial reads are a decoding convenience, not
-// a cheaper access).
-func (s *Store) ReadAt(id PageID, dst []byte, off int) (int, error) {
-	if off < 0 || off > s.pageSize {
-		return 0, fmt.Errorf("pagestore: ReadAt offset %d outside page of %d bytes", off, s.pageSize)
-	}
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	var n int
-	if s.mapMode {
-		p, ok := sh.pages[id]
-		if !ok {
-			sh.mu.RUnlock()
-			return 0, fmt.Errorf("pagestore: read of unknown page %d", id)
-		}
-		n = copy(dst, p[off:])
-	} else {
-		if !s.alive(id) {
-			sh.mu.RUnlock()
-			return 0, fmt.Errorf("pagestore: read of unknown page %d", id)
-		}
-		p, _ := s.page(id)
-		n = copy(dst, p[off:])
-	}
-	sh.mu.RUnlock()
-	s.reads.Add(1)
-	return n, nil
-}
-
-// View returns the page contents without copying, counting one read I/O. In
-// the arena layout the returned slice borrows slab memory directly; it stays
-// valid and immutable exactly as long as the page cannot be rewritten or
-// recycled. The COW shadow-paging invariant provides that window: pages
-// reachable from a pinned MVCC version are never rewritten in place (writers
+// View returns the page contents without copying, counting one read I/O.
+// The returned slice borrows slab memory directly; it stays valid and
+// immutable exactly as long as the page cannot be rewritten or recycled.
+// The COW shadow-paging invariant provides that window: pages reachable
+// from a pinned MVCC version are never rewritten in place (writers
 // shadow-copy onto fresh pages) and never freed before the version's last
 // reader drains, so a borrow taken under a version pin is safe until the pin
 // is released — view lifetime must not exceed pin lifetime. Callers that
 // need the bytes past that window must copy them out.
-//
-// In the legacy map layout View degrades to Read (a fresh copy), so callers
-// are correct under either backend.
 func (s *Store) View(id PageID) ([]byte, error) {
-	if s.mapMode {
-		return s.Read(id)
-	}
 	if !s.alive(id) {
 		return nil, fmt.Errorf("pagestore: read of unknown page %d", id)
 	}
@@ -451,19 +357,10 @@ func (s *Store) Write(id PageID, data []byte) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var p []byte
-	if s.mapMode {
-		var ok bool
-		p, ok = sh.pages[id]
-		if !ok {
-			return fmt.Errorf("pagestore: write of unknown page %d", id)
-		}
-	} else {
-		if !s.alive(id) {
-			return fmt.Errorf("pagestore: write of unknown page %d", id)
-		}
-		p, _ = s.page(id)
+	if !s.alive(id) {
+		return fmt.Errorf("pagestore: write of unknown page %d", id)
 	}
+	p, _ := s.page(id)
 	s.writes.Add(1)
 	s.mutations.Add(1)
 	copy(p, data)
@@ -503,13 +400,9 @@ func (s *Store) FreeListLen() int {
 	return len(s.free)
 }
 
-// ArenaBytes returns the total bytes held in slab extents (0 in map mode).
-// Slabs are never returned to the GC, so this is the store's resident
-// high-water footprint.
+// ArenaBytes returns the total bytes held in slab extents. Slabs are never
+// returned to the GC, so this is the store's resident high-water footprint.
 func (s *Store) ArenaBytes() int {
-	if s.mapMode {
-		return 0
-	}
 	exts := *s.extents.Load()
 	total := 0
 	for _, e := range exts {

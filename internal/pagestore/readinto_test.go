@@ -39,49 +39,6 @@ func TestReadInto(t *testing.T) {
 	}
 }
 
-func TestReadAt(t *testing.T) {
-	s := New(128)
-	id, _ := s.Alloc()
-	data := make([]byte, 128)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if err := s.Write(id, data); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := make([]byte, 16)
-	n, err := s.ReadAt(id, dst, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 16 || !bytes.Equal(dst, data[32:48]) {
-		t.Fatalf("ReadAt(32) = %d bytes %v", n, dst)
-	}
-
-	// Reading past the end copies what remains.
-	n, err = s.ReadAt(id, dst, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 || !bytes.Equal(dst[:n], data[120:]) {
-		t.Fatalf("ReadAt(120) = %d bytes", n)
-	}
-
-	if _, err := s.ReadAt(id, dst, 129); err == nil {
-		t.Fatal("expected error for offset beyond page")
-	}
-	if _, err := s.ReadAt(999, dst, 0); err == nil {
-		t.Fatal("expected error for unknown page")
-	}
-
-	before := s.Stats().Reads
-	_, _ = s.ReadAt(id, dst, 0)
-	if got := s.Stats().Reads - before; got != 1 {
-		t.Fatalf("ReadAt counted %d reads, want 1", got)
-	}
-}
-
 // TestReadIntoZeroAlloc pins the core tentpole property: a pooled-buffer
 // read performs no heap allocation.
 func TestReadIntoZeroAlloc(t *testing.T) {

@@ -2,7 +2,6 @@ package pvindex
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -256,45 +255,6 @@ func TestAdjacencyPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAdjacency(t, loaded, "after post-load insert")
-}
-
-// TestAdjacencyLoadV2Fallback rewrites a saved image as the pre-adjacency V2
-// format (no Adjacency field) and asserts LoadFrom rebuilds an identical
-// graph from the octree and secondary index.
-func TestAdjacencyLoadV2Fallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	const span, maxSide = 600.0, 25.0
-	db := randomDB(rng, 40, 2, span, maxSide, false)
-	ix, err := Build(db, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := ix.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var img indexImage
-	if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
-	img.Magic = persistMagicV2
-	img.Adjacency = nil
-	var v2 bytes.Buffer
-	if err := gob.NewEncoder(&v2).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := LoadFrom(&v2, ix.DB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ix.current.Load().adj.Image()
-	got := loaded.current.Load().adj.Image()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("rebuilt adjacency graph differs from the incrementally maintained one")
-	}
-	verifyAdjacency(t, loaded, "after V2 load")
 }
 
 // TestBatchMaintainsAdjacencyIncrementally asserts the write path never

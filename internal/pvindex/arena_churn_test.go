@@ -64,9 +64,6 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.store.MapBacked() {
-		t.Fatal("default store should be arena-backed")
-	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -177,68 +174,46 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 	wg.Wait()
 }
 
-// TestArenaAccountingMatchesMapBaseline drives the arena store and the
-// legacy sharded-map store through an identical build + batch sequence and
-// checks the allocator accounting — live pages, free-list depth, cumulative
-// alloc/free counters — is identical, and that reclaimed pages really
-// return to the arena free-list (live + free-list covers every slot below
-// the high-water mark).
+// TestArenaAccountingMatchesMapBaseline drives the page store through a
+// build + batch sequence and checks the allocator accounting: reclaimed pages
+// really return to the free-list, and live + free-list covers every slot
+// below the high-water mark.
 func TestArenaAccountingMatchesMapBaseline(t *testing.T) {
-	build := func(store *pagestore.Store) *Index {
-		rng := rand.New(rand.NewSource(5))
-		db := randomDB(rng, 200, 3, 10000, 40, true)
-		cfg := DefaultConfig()
-		cfg.Store = store
-		ix, err := Build(db, cfg)
-		if err != nil {
+	arena := pagestore.New(pagestore.DefaultPageSize)
+	rng := rand.New(rand.NewSource(5))
+	db := randomDB(rng, 200, 3, 10000, 40, true)
+	cfg := DefaultConfig()
+	cfg.Store = arena
+	ix, err := Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrng := rand.New(rand.NewSource(9))
+	for i := 0; i < 30; i++ {
+		id := 50000 + i
+		if _, err := ix.Insert(churnObject(wrng, id)); err != nil {
 			t.Fatal(err)
 		}
-		return ix
-	}
-	churn := func(ix *Index) {
-		wrng := rand.New(rand.NewSource(9))
-		for i := 0; i < 30; i++ {
-			id := 50000 + i
-			if _, err := ix.Insert(churnObject(wrng, id)); err != nil {
+		if i%2 == 0 {
+			if _, err := ix.Delete(uncertain.ID(id)); err != nil {
 				t.Fatal(err)
 			}
-			if i%2 == 0 {
-				if _, err := ix.Delete(uncertain.ID(id)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// No pins are held, so every retired version reclaims on publish;
-		// wait out the async drain sweeps all the same.
-		deadline := time.Now().Add(10 * time.Second)
-		for ix.MVCC().LiveVersions > 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("versions never drained: %+v", ix.MVCC())
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
+	// No pins are held, so every retired version reclaims on publish;
+	// wait out the async drain sweeps all the same.
+	deadline := time.Now().Add(10 * time.Second)
+	for ix.MVCC().LiveVersions > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("versions never drained: %+v", ix.MVCC())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-	arena := pagestore.New(pagestore.DefaultPageSize)
-	mapped := pagestore.NewMap(pagestore.DefaultPageSize)
-	ixA := build(arena)
-	ixM := build(mapped)
-	churn(ixA)
-	churn(ixM)
-
-	if arena.Live() != mapped.Live() {
-		t.Fatalf("live pages diverge: arena %d, map %d", arena.Live(), mapped.Live())
-	}
-	if arena.FreeListLen() != mapped.FreeListLen() {
-		t.Fatalf("free-list depth diverges: arena %d, map %d", arena.FreeListLen(), mapped.FreeListLen())
-	}
-	as, ms := arena.Stats(), mapped.Stats()
-	if as.Allocs != ms.Allocs || as.Frees != ms.Frees || as.Writes != ms.Writes {
-		t.Fatalf("allocator counters diverge: arena %+v, map %+v", as, ms)
-	}
 	// Frees really return to the free-list: live pages account for exactly
 	// the alloc/free delta, so every freed slot is parked for recycling
 	// rather than leaked.
+	as := arena.Stats()
 	if int64(arena.Live()) != as.Allocs-as.Frees {
 		t.Fatalf("live %d != allocs-frees %d", arena.Live(), as.Allocs-as.Frees)
 	}
@@ -247,5 +222,16 @@ func TestArenaAccountingMatchesMapBaseline(t *testing.T) {
 	}
 	if arena.ArenaBytes() == 0 {
 		t.Fatal("arena store reports no slab memory")
+	}
+	// Drain the free-list; the first fresh ID after it must sit exactly one
+	// past the slots live and free accounted for.
+	wantFresh := pagestore.PageID(arena.Live() + arena.FreeListLen() + 1)
+	for arena.FreeListLen() > 0 {
+		if id, err := arena.Alloc(); err != nil || id >= wantFresh {
+			t.Fatalf("recycled Alloc = %d, %v; want an ID below %d", id, err, wantFresh)
+		}
+	}
+	if id, err := arena.Alloc(); err != nil || id != wantFresh {
+		t.Fatalf("first fresh Alloc = %d, %v; want %d", id, err, wantFresh)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"pvoronoi/internal/core"
@@ -451,39 +450,9 @@ func (w *working) applyInserts(ups []Update, staged []stagedSE) ([]UpdateStats, 
 
 // parallelSE runs fn(0..n-1) across a worker pool sized to GOMAXPROCS —
 // used for the SE staging and recomputation fan-outs, which are read-only
-// over the database and region tree they run against. Each index is visited
-// by exactly one worker, so fn may write to per-index slots without
-// synchronization.
+// over the database and region tree they run against.
 func (ix *Index) parallelSE(n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	parallelFor(runtime.GOMAXPROCS(0), n, fn)
 }
 
 // AttachWAL binds a write-ahead log to the index: every subsequent

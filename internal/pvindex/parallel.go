@@ -48,22 +48,9 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 
 	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
 	// its structure; structural reads are safe concurrently.
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ubrs[i], seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
-			}
-		}()
-	}
-	for i := range objs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	parallelFor(workers, len(objs), func(i int) {
+		ubrs[i], seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
+	})
 
 	t0 := time.Now()
 	for i, o := range objs {
@@ -89,4 +76,35 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil
+}
+
+// parallelFor runs fn(0..n-1) across at most workers goroutines (inline when
+// one suffices). Each index is visited by exactly one worker, so fn may
+// write to per-index slots without synchronization.
+func parallelFor(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }

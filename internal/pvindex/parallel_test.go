@@ -2,6 +2,7 @@ package pvindex
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
@@ -49,6 +50,10 @@ func TestParallelBuildEquivalent(t *testing.T) {
 		if !ua.Equal(ub) {
 			t.Fatalf("object %d: serial UBR %v != parallel UBR %v", o.ID, ua, ub)
 		}
+	}
+	// ... and so must every adjacency row.
+	if !reflect.DeepEqual(serial.current.Load().adj.Image(), parallel.current.Load().adj.Image()) {
+		t.Fatal("serial and parallel builds produced different adjacency graphs")
 	}
 }
 

@@ -16,23 +16,8 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// Image format versions. PVIDX2 added RecordCacheSize (V1 silently dropped
-// it, resetting loaded indexes to the default cache size) and WALSeq (so
-// recovery knows which write-ahead-log records a snapshot already covers).
-// PVIDX3 added the serialized UBR-adjacency graph. PVIDX4 added the
-// refinement configuration and the incremental re-refinement threshold; its
-// stored UBRs are already refined. Older images are still loadable: gob
-// decodes by field name, leaving new fields at their zero values — a nil
-// adjacency image is rebuilt from the loaded octree and secondary index at
-// load time, and pre-V4 images (no refinement state) run a refinement pass
-// at load so an old snapshot serves with the same tight hubs a fresh build
-// would.
-const (
-	persistMagicV1 = "PVIDX1"
-	persistMagicV2 = "PVIDX2"
-	persistMagicV3 = "PVIDX3"
-	persistMagic   = "PVIDX4"
-)
+// persistMagic names the one image format LoadFrom reads and SaveTo writes.
+const persistMagic = "PVIDX4"
 
 // indexImage bundles the serializable state of all index layers.
 type indexImage struct {
@@ -47,7 +32,7 @@ type indexImage struct {
 	Primary         *octree.Image
 	Secondary       *exthash.Image
 	Adjacency       *adjgraph.Image
-	// Refine and RefineThreshold (PVIDX4) restore the refinement subsystem:
+	// Refine and RefineThreshold restore the refinement subsystem:
 	// the config the UBRs were refined under and the hub-score cutoff the
 	// incremental write path re-refines against (0 = unset).
 	Refine          RefineConfig
@@ -98,11 +83,9 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Store:           storeImg,
 		Primary:         v.primary.Image(),
 		Secondary:       v.secondary.Image(),
+		Adjacency:       v.adj.Image(),
+		Refine:          ix.cfg.Refine,
 	}
-	if v.adj != nil {
-		img.Adjacency = v.adj.Image()
-	}
-	img.Refine = ix.cfg.Refine
 	if t := ix.refineThreshold(); !math.IsInf(t, 1) {
 		img.RefineThreshold = t
 	}
@@ -140,13 +123,21 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("pvindex: decoding index image: %w", err)
 	}
-	switch img.Magic {
-	case persistMagic, persistMagicV3, persistMagicV2, persistMagicV1:
-	default:
-		return nil, fmt.Errorf("pvindex: bad magic %q", img.Magic)
+	if img.Magic != persistMagic {
+		return nil, fmt.Errorf("pvindex: image magic is %q, this build reads only %q (a durable directory treats such a checkpoint as corrupt: it falls back to an older one, and refuses to open when none loads)", img.Magic, persistMagic)
 	}
 	if img.Objects != db.Len() {
 		return nil, fmt.Errorf("pvindex: index was built over %d objects, database has %d", img.Objects, db.Len())
+	}
+	switch {
+	case img.Store == nil:
+		return nil, fmt.Errorf("pvindex: image has no page store")
+	case img.Primary == nil:
+		return nil, fmt.Errorf("pvindex: image has no primary index")
+	case img.Secondary == nil:
+		return nil, fmt.Errorf("pvindex: image has no secondary index")
+	case img.Adjacency == nil:
+		return nil, fmt.Errorf("pvindex: image has no adjacency graph")
 	}
 	store, err := pagestore.FromImage(img.Store)
 	if err != nil {
@@ -202,20 +193,12 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		}
 	}
 
-	// V3 images carry the adjacency graph; older formats rebuild it from the
-	// loaded octree and secondary index (a one-time load cost, no SE).
-	var adj *adjgraph.Graph
-	if img.Adjacency != nil {
-		if adj, err = adjgraph.FromImage(img.Adjacency); err != nil {
-			return nil, err
-		}
-		if adj.Len() != db.Len() {
-			return nil, fmt.Errorf("pvindex: adjacency image has %d rows, database has %d", adj.Len(), db.Len())
-		}
-	} else {
-		if adj, err = rebuildAdjacency(db, primary, lookup); err != nil {
-			return nil, err
-		}
+	adj, err := adjgraph.FromImage(img.Adjacency)
+	if err != nil {
+		return nil, err
+	}
+	if adj.Len() != db.Len() {
+		return nil, fmt.Errorf("pvindex: adjacency image has %d rows, database has %d", adj.Len(), db.Len())
 	}
 
 	ix.current.Store(&version{
@@ -227,16 +210,5 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		regionTree: regionTree,
 		adj:        adj,
 	})
-
-	// Pre-V4 images carry unrefined UBRs and no re-refinement threshold:
-	// refine at load (one pass over the loaded state, published as version
-	// 2), so an old snapshot serves with the same tight hubs a fresh build
-	// would. V4 images are already refined — their threshold was restored
-	// above.
-	if img.Magic != persistMagic && !ix.cfg.Refine.Disabled {
-		if _, err := ix.Refine(); err != nil {
-			return nil, fmt.Errorf("pvindex: refining pre-%s image at load: %w", persistMagic, err)
-		}
-	}
 	return ix, nil
 }

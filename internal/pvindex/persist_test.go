@@ -2,7 +2,9 @@ package pvindex
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
@@ -230,5 +232,41 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	db := randomDB(rng, 10, 2, 100, 10, false)
 	if _, err := LoadFrom(bytes.NewReader([]byte("junk")), db); err == nil {
 		t.Fatal("garbage accepted")
+	}
+
+	// Well-formed gobs that are not a complete PVIDX4 image: each must come
+	// back as an error naming what is wrong — OpenDurable's fallback to an
+	// older checkpoint depends on an error, not a panic.
+	ix, err := Build(db, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := ix.SaveTo(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*indexImage)
+		want   string
+	}{
+		{"PVIDX3 magic", func(img *indexImage) { img.Magic = "PVIDX3" }, `"PVIDX3"`},
+		{"nil Store", func(img *indexImage) { img.Store = nil }, "no page store"},
+		{"nil Primary", func(img *indexImage) { img.Primary = nil }, "no primary index"},
+		{"nil Secondary", func(img *indexImage) { img.Secondary = nil }, "no secondary index"},
+		{"nil Adjacency", func(img *indexImage) { img.Adjacency = nil }, "no adjacency graph"},
+	} {
+		var img indexImage
+		if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&img)
+		var forged bytes.Buffer
+		if err := gob.NewEncoder(&forged).Encode(&img); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFrom(&forged, db); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -268,54 +268,15 @@ func (ix *Index) installBootstrap(w *working, walSeq uint64) {
 // adopted as version 1's snapshot: subsequent ApplyBatch/Insert/Delete
 // calls publish new versions with cloned bookkeeping, so read the current
 // database through Index.DB() or View rather than the original pointer.
+// It is BuildParallel with one worker.
 func Build(db *uncertain.DB, cfg Config) (*Index, error) {
-	if cfg.Store == nil {
-		cfg.Store = pagestore.New(pagestore.DefaultPageSize)
-	}
-	if cfg.MemBudget <= 0 {
-		cfg.MemBudget = 5 << 20
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = rtree.DefaultFanout
-	}
-	ix := &Index{store: cfg.Store, cfg: cfg}
-	ix.initRuntime()
-
-	start := time.Now()
-	w, err := ix.bootstrapWorking(db)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range db.Objects() {
-		ubr, st := core.ComputeUBR(db, w.regionTree, o, cfg.SE)
-		ix.Build.SE.Add(st)
-		ix.Build.CSetTime += st.CSetTime
-		ix.Build.UBRTime += st.UBRTime
-		ix.Build.CSetSizeSum += st.CSetSize
-		t0 := time.Now()
-		if err := w.addObject(o, ubr); err != nil {
-			return nil, err
-		}
-		ix.Build.InsertTime += time.Since(t0)
-		ix.Build.Objects++
-	}
-	w.adj, err = rebuildAdjacency(db, w.primary, w.lookupUBR)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.refineBootstrap(w); err != nil {
-		return nil, err
-	}
-	ix.Build.Total = time.Since(start)
-	ix.installBootstrap(w, 0)
-	return ix, nil
+	return BuildParallel(db, cfg, 1)
 }
 
 // rebuildAdjacency materializes the UBR-adjacency graph from scratch: one
 // row per object, listing every other object whose stored UBR intersects
-// its own. Used at construction and as the load fallback for pre-adjacency
-// snapshot formats; the write path never calls it (updateAdjacency patches
-// rows incrementally). The octree range query finds every intersecting UBR
+// its own. Used at construction only; the write path never calls it
+// (updateAdjacency patches rows incrementally). The octree range query finds every intersecting UBR
 // because two intersecting UBRs share a point, hence a leaf cell, hence
 // entries in a common leaf.
 func rebuildAdjacency(db *uncertain.DB, primary *octree.Tree, lookup func(uint32) (geom.Rect, bool)) (*adjgraph.Graph, error) {

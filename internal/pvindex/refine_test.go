@@ -2,7 +2,6 @@ package pvindex
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"sync"
@@ -238,8 +237,7 @@ func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 
 // TestRefinePersistRoundTrip checks PVIDX4 persistence: refined UBRs, the
 // refinement config and the incremental threshold all survive a save/load
-// cycle, and a pre-V4 image (no refinement state) is refined once at load so
-// old snapshots serve with the same tight rows a fresh build would.
+// cycle.
 func TestRefinePersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	db := randomDB(rng, 80, 2, 1000, 40, false)
@@ -268,52 +266,8 @@ func TestRefinePersistRoundTrip(t *testing.T) {
 			t.Fatalf("object %d UBR changed across round trip: %v vs %v", o.ID, a, b)
 		}
 	}
-	// A V4 load must not re-refine: its rows are already refined.
+	// A load must not re-refine: its rows are already refined.
 	if n := loaded.RefineCounters().RowsRefined; n != 0 {
-		t.Fatalf("V4 load refined %d rows", n)
-	}
-
-	// Forge a pre-V4 image: decode the saved gob, rewrite it as a PVIDX3
-	// image with no refinement state, and load it. The loader must run a
-	// refinement pass over the loaded rows.
-	var img indexImage
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
-	img.Magic = persistMagicV3
-	img.Refine = RefineConfig{TopFraction: 1, MinDegree: -1}
-	img.RefineThreshold = 0
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-	relo, err := LoadFrom(bytes.NewReader(old.Bytes()), ix.DB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := relo.RefineCounters()
-	if rc.RowsRefined == 0 {
-		t.Fatal("pre-V4 image was not refined at load")
-	}
-	if math.IsInf(rc.Threshold, 1) {
-		t.Fatal("pre-V4 load left the incremental threshold unset")
-	}
-	// The load-time pass publishes a second version on top of the loaded one.
-	if relo.Epoch() != 2 {
-		t.Fatalf("pre-V4 load epoch = %d, want 2", relo.Epoch())
-	}
-	for s := 0; s < 100; s++ {
-		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		a, err := ix.PossibleNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := relo.PossibleNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(idsOf(a), idsOf(b)) {
-			t.Fatalf("pre-V4 reload possible-NN diverges at %v", q)
-		}
+		t.Fatalf("load refined %d rows", n)
 	}
 }

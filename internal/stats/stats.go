@@ -1,89 +1,12 @@
-// Package stats provides the small measurement toolkit used by the
-// benchmark harness: repeated-run timing, aggregate statistics, and
-// fixed-width table rendering for the paper-style result series.
+// Package stats renders the fixed-width tables of the paper-style result
+// series (internal/bench, cmd/pvbench).
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Sample aggregates a set of float64 observations.
-type Sample struct {
-	values []float64
-}
-
-// Add appends an observation.
-func (s *Sample) Add(v float64) { s.values = append(s.values, v) }
-
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.values) }
-
-// Mean returns the arithmetic mean (0 for an empty sample).
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// TimeOp runs fn and returns its wall-clock duration.
-func TimeOp(fn func()) time.Duration {
-	t0 := time.Now()
-	fn()
-	return time.Since(t0)
-}
-
-// MeanDuration runs fn n times and returns the mean duration per run.
-func MeanDuration(n int, fn func()) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		fn()
-	}
-	return time.Since(t0) / time.Duration(n)
-}
 
 // Table renders paper-style result tables: a header row and aligned columns.
 type Table struct {

@@ -1,50 +1,10 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestSample(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.Stddev() != 0 || s.N() != 0 {
-		t.Fatal("empty sample not zeroed")
-	}
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
-	}
-	if s.N() != 5 || s.Mean() != 3 {
-		t.Fatalf("N=%d mean=%g", s.N(), s.Mean())
-	}
-	if got := s.Stddev(); math.Abs(got-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("stddev=%g", got)
-	}
-	if got := s.Percentile(50); got != 3 {
-		t.Fatalf("p50=%g", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Fatalf("p100=%g", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("p0=%g", got)
-	}
-}
-
-func TestTimeOp(t *testing.T) {
-	d := TimeOp(func() { time.Sleep(5 * time.Millisecond) })
-	if d < 4*time.Millisecond {
-		t.Fatalf("TimeOp = %v", d)
-	}
-	m := MeanDuration(3, func() { time.Sleep(2 * time.Millisecond) })
-	if m < time.Millisecond {
-		t.Fatalf("MeanDuration = %v", m)
-	}
-	if MeanDuration(0, func() {}) != 0 {
-		t.Fatal("MeanDuration(0) != 0")
-	}
-}
 
 func TestTable(t *testing.T) {
 	tab := NewTable("Fig X", "|S|", "Tq(R-tree)", "Tq(PV)")
