@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -572,24 +570,6 @@ func readSealed(fs vfs.FS, path string) ([]byte, error) {
 		return nil, fmt.Errorf("pvoronoi: %s: checkpoint checksum mismatch", path)
 	}
 	return payload, nil
-}
-
-// readCurrent returns the active checkpoint's base name, or "" when none.
-// Only used as a health signal these days — recovery trusts envelope
-// checksums over the pointer — but kept verifiable for operators and tests.
-func readCurrent(fs vfs.FS, dir string) (string, error) {
-	buf, err := fs.ReadFile(filepath.Join(dir, currentFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", nil
-	}
-	if err != nil {
-		return "", err
-	}
-	name := strings.TrimSpace(string(buf))
-	if name == "" || strings.ContainsAny(name, "/\\") {
-		return "", fmt.Errorf("pvoronoi: corrupt %s file %q", currentFile, name)
-	}
-	return name, nil
 }
 
 // writeCurrent atomically points CURRENT at the given checkpoint base name

@@ -1,12 +1,17 @@
 package pvoronoi
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/vfs"
+	"pvoronoi/internal/wal"
 )
 
 // tortureModel tracks the object-ID set a prefix of the torture workload's
@@ -341,5 +346,90 @@ func TestDurableCheckpointRetention(t *testing.T) {
 	idxs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.pvidx"))
 	if len(dbs) != len(idxs) {
 		t.Fatalf("unpaired checkpoint files: %d .db vs %d .pvidx", len(dbs), len(idxs))
+	}
+}
+
+// poisonObject is the acknowledged-data killer of the old write path: a 2-d
+// region with a 1-d instance. Nothing validated it, so the batch was logged
+// and fsynced, encodeRecord then panicked on the instance — and so did every
+// later replay of that log.
+func poisonObject(id ID) *Object {
+	return &Object{ID: id, Region: NewRect(Point{50, 50}, Point{60, 60}), Instances: []Instance{{Pos: Point{51}, Prob: 1}}}
+}
+
+// TestDurableRefusesMalformedObject: the insert is an error, nothing reaches
+// the log, and the directory opens again with exactly the valid writes.
+func TestDurableRefusesMalformedObject(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(41))
+	d, err := OpenDurable(dir, buildSmallDB(t, 30, true), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(mkObj(rng, 7000)); err != nil {
+		t.Fatal(err)
+	}
+	seq := d.log.LastSeq()
+	if err := d.Insert(poisonObject(7001)); err == nil {
+		t.Fatal("Insert of a 2-d object with a 1-d instance succeeded")
+	}
+	if _, err := d.InsertBatch([]*Object{mkObj(rng, 7002), poisonObject(7001)}); err == nil {
+		t.Fatal("InsertBatch holding a 2-d object with a 1-d instance succeeded")
+	}
+	if got := d.log.LastSeq(); got != seq {
+		t.Fatalf("a refused insert reached the log: seq %d -> %d", seq, got)
+	}
+	if err := d.Insert(mkObj(rng, 7003)); err != nil {
+		t.Fatalf("valid insert after the refused ones: %v", err)
+	}
+	// No Close: the reopen replays the log, as after a crash.
+	d.log.Close()
+
+	d2, err := OpenDurable(dir, nil, testOptions())
+	if err != nil {
+		t.Fatalf("reopen after refused inserts: %v", err)
+	}
+	defer d2.Close()
+	if d2.Recovery().Replayed != 2 || d2.Len() != 32 {
+		t.Fatalf("reopen replayed %d updates into %d objects, want 2 into 32", d2.Recovery().Replayed, d2.Len())
+	}
+	rebuildOracle(t, d2.Index, rng)
+}
+
+// TestDurablePoisonedLogFailsOpen: a directory whose log already holds such a
+// batch — written, sealed and fsynced by a binary that did not validate —
+// fails to open with an error naming the commit, not with the panic again.
+func TestDurablePoisonedLogFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, buildSmallDB(t, 30, true), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame as pvindex's walcodec writes it (gob matches fields by name).
+	type walInsert struct {
+		ID       uint32
+		Lo, Hi   []float64
+		InstPos  [][]float64
+		InstProb []float64
+	}
+	o := poisonObject(7001)
+	var frame bytes.Buffer
+	if err := gob.NewEncoder(&frame).Encode(&walInsert{
+		ID: uint32(o.ID), Lo: o.Region.Lo, Hi: o.Region.Hi,
+		InstPos: [][]float64{o.Instances[0].Pos}, InstProb: []float64{o.Instances[0].Prob},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, commitSeq, err := d.log.Append(
+		wal.Entry{Type: wal.TypeInsert, Payload: frame.Bytes()},
+		wal.Entry{Type: wal.TypeCommit, Payload: []byte{1, 0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.log.Close()
+
+	_, err = OpenDurable(dir, nil, testOptions())
+	if want := fmt.Sprintf("commit %d", commitSeq); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("open over a poisoned log: got %v, want an error naming %q", err, want)
 	}
 }

@@ -34,11 +34,6 @@ type Params struct {
 	Out       io.Writer
 }
 
-// DefaultParams returns laptop-friendly settings.
-func DefaultParams() Params {
-	return Params{Scale: 0.05, Queries: 50, Instances: 100, Seed: 1}
-}
-
 func (p Params) n(paperN int) int {
 	n := int(float64(paperN) * p.Scale)
 	if n < 50 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"pvoronoi/internal/core"
@@ -36,57 +37,26 @@ type Update struct {
 // an invalid request.
 var ErrWAL = errors.New("pvindex: wal failure")
 
-// seMode selects how an insert's UBR is obtained during batch application.
-type seMode int
-
-const (
-	// seUseStaged reuses the UBR staged before the apply unchanged — valid
-	// when no earlier batch op could have affected the newcomer's PV-cell.
-	seUseStaged seMode = iota
-	// seWarmStart re-runs SE warm-started from the staged UBR as the upper
-	// bound — valid when only earlier *inserts* interact (Lemma 9: the cell
-	// can only have shrunk).
-	seWarmStart
-	// seCold recomputes from scratch — required when an earlier delete
-	// interacts (the cell may have grown beyond the staged bound).
-	seCold
-)
-
-// stagedSE is the pre-apply SE precomputation for one insert: the
-// newcomer's UBR over the pre-batch database, with its cost profile.
-type stagedSE struct {
-	ubr   geom.Rect
-	stats core.Stats
-	dur   time.Duration
-}
-
-// impact records the region of influence of one applied batch op: the new
-// object's UBR for an insert, the victim's stored UBR for a delete. A staged
-// UBR that intersects no earlier impact is still exact.
-type impact struct {
-	rect     geom.Rect
-	isDelete bool
-}
-
 // ApplyBatch applies a batch of updates as one group commit onto a fresh
 // MVCC version:
 //
-//  1. The whole batch is validated and every insert's SE computation is
-//     staged against the current published version (in parallel across the
-//     batch) — queries keep flowing, untouched.
+//  1. The whole batch is validated against the current published version —
+//     queries keep flowing, untouched.
 //  2. If a WAL is attached (Config.WAL / AttachWAL), the batch is appended
 //     to the log and made durable with a single fsync before any state
 //     changes — log-then-apply, so recovery can replay it.
 //  3. All updates apply to a copy-on-write working version (shared pages
-//     and nodes are shadow-copied, never rewritten), which then publishes
-//     with a single atomic pointer swap. Readers never observe a partial
-//     batch and never wait: the previous version keeps serving until the
-//     swap, then drains and is reclaimed.
+//     and nodes are shadow-copied, never rewritten) through applyBatch — the
+//     code Recover replays the log with — which then publishes with a single
+//     atomic pointer swap. Readers never observe a partial batch and never
+//     wait: the previous version keeps serving until the swap, then drains
+//     and is reclaimed.
 //
-// Validation is all-or-nothing: a duplicate insert ID or unknown delete ID
-// anywhere in the batch (accounting for earlier ops in the same batch)
-// fails the whole batch before anything is logged or applied. Concurrent
-// ApplyBatch calls serialize; queries never block on any phase.
+// Validation is all-or-nothing: a malformed object, a duplicate insert ID or
+// an unknown delete ID anywhere in the batch (accounting for earlier ops in
+// the same batch) fails the whole batch before anything is logged or
+// applied. Concurrent ApplyBatch calls serialize; queries never block on any
+// phase.
 //
 // Stats are returned per op, positionally. A mid-apply error (e.g. a full
 // page store) discards the working version — the published state is
@@ -105,8 +75,7 @@ func (ix *Index) ApplyBatch(ups []Update) ([]UpdateStats, error) {
 	}
 
 	base := ix.current.Load()
-	staged, err := ix.stageBatch(base, ups)
-	if err != nil {
+	if err := validateBatch(base.db, ups); err != nil {
 		return nil, err
 	}
 
@@ -128,27 +97,14 @@ func (ix *Index) ApplyBatch(ups []Update) ([]UpdateStats, error) {
 		var count [4]byte
 		binary.LittleEndian.PutUint32(count[:], uint32(len(ups)))
 		entries = append(entries, wal.Entry{Type: wal.TypeCommit, Payload: count[:]})
+		var err error
 		if _, lastSeq, err = ix.wal.Append(entries...); err != nil {
 			return nil, fmt.Errorf("%w: append: %w", ErrWAL, err)
 		}
 	}
 
 	w := ix.newWorking(base)
-	sts, err := w.apply(ups, staged)
-	if err == nil {
-		err = w.updateAdjacency()
-	}
-	if err == nil {
-		// Budget-aware re-refinement of the rows this batch recomputed
-		// (refine.go). The pass is batch-scoped, so its cost lands on the
-		// batch's first op — UpdateStats.SE.Refine keeps it apart from the
-		// base SE counters.
-		var rst core.RefineStats
-		if rst, err = w.refineAfterBatch(); err == nil && len(sts) > 0 {
-			sts[0].SE.Refine.Add(rst)
-			sts[0].AdjTime = w.adjTime
-		}
-	}
+	sts, err := w.applyBatch(ups)
 	if err != nil {
 		// Clean rollback: the working version was never published, so
 		// readers keep the intact predecessor. But if the batch reached the
@@ -182,168 +138,171 @@ func (ix *Index) setDamaged(err error) {
 	}
 }
 
-// stageBatch validates the batch and precomputes every insert's UBR over
-// the published version's state, in parallel. writerMu (held by the caller)
-// guarantees no writer can shift the state underneath; queries proceed
-// untouched because nothing here mutates.
-func (ix *Index) stageBatch(base *version, ups []Update) ([]stagedSE, error) {
-	// Validate against the database plus the batch's own earlier effects.
+// validateBatch checks a batch against db plus the batch's own earlier
+// effects, before anything is logged or applied: ApplyBatch runs it over the
+// published database, Recover over the working one ahead of each commit
+// group.
+func validateBatch(db *uncertain.DB, ups []Update) error {
 	delta := make(map[uncertain.ID]bool, len(ups)) // ID -> exists after ops so far
 	exists := func(id uncertain.ID) bool {
 		if v, ok := delta[id]; ok {
 			return v
 		}
-		return base.db.Get(id) != nil
+		return db.Get(id) != nil
 	}
 	for i, u := range ups {
 		switch u.Op {
 		case OpInsert:
 			if u.Object == nil {
-				return nil, fmt.Errorf("pvindex: batch op %d: insert with nil object", i)
+				return fmt.Errorf("pvindex: batch op %d: insert with nil object", i)
 			}
-			if u.Object.Dim() != base.db.Dim() {
-				return nil, fmt.Errorf("pvindex: batch op %d: object %d has dim %d, domain dim %d",
-					i, u.Object.ID, u.Object.Dim(), base.db.Dim())
+			if u.Object.Dim() != db.Dim() {
+				return fmt.Errorf("pvindex: batch op %d: object %d has dim %d, domain dim %d",
+					i, u.Object.ID, u.Object.Dim(), db.Dim())
 			}
-			if err := base.db.CheckInDomain(u.Object); err != nil {
-				return nil, fmt.Errorf("pvindex: batch op %d: %w", i, err)
+			// A record's layout is fixed by the region's dimension: an
+			// instance of another one cannot be encoded, let alone replayed.
+			if err := u.Object.Validate(); err != nil {
+				return fmt.Errorf("pvindex: batch op %d: %w", i, err)
+			}
+			if err := db.CheckInDomain(u.Object); err != nil {
+				return fmt.Errorf("pvindex: batch op %d: %w", i, err)
 			}
 			if exists(u.Object.ID) {
-				return nil, fmt.Errorf("pvindex: batch op %d: %w: %d", i, uncertain.ErrDuplicateID, u.Object.ID)
+				return fmt.Errorf("pvindex: batch op %d: %w: %d", i, uncertain.ErrDuplicateID, u.Object.ID)
 			}
 			delta[u.Object.ID] = true
 		case OpDelete:
 			if !exists(u.ID) {
-				return nil, fmt.Errorf("pvindex: batch op %d: %w: %d", i, uncertain.ErrUnknownID, u.ID)
+				return fmt.Errorf("pvindex: batch op %d: %w: %d", i, uncertain.ErrUnknownID, u.ID)
 			}
 			delta[u.ID] = false
 		default:
-			return nil, fmt.Errorf("pvindex: batch op %d: unknown op %d", i, u.Op)
+			return fmt.Errorf("pvindex: batch op %d: unknown op %d", i, u.Op)
 		}
 	}
-
-	// Stage SE for the inserts with a worker pool. ChooseCSet skips the
-	// object's own ID, so computing a newcomer's UBR before it is added
-	// yields exactly what Insert would compute after adding it; R*-tree
-	// browsing mutates only atomic counters, so workers share the tree.
-	staged := make([]stagedSE, len(ups))
-	var idxs []int
-	for i, u := range ups {
-		if u.Op == OpInsert {
-			idxs = append(idxs, i)
-		}
-	}
-	ix.parallelSE(len(idxs), func(k int) {
-		i := idxs[k]
-		t0 := time.Now()
-		staged[i].ubr, staged[i].stats = core.ComputeUBR(base.db, base.regionTree, ups[i].Object, ix.cfg.SE)
-		staged[i].dur = time.Since(t0)
-	})
-	return staged, nil
+	return nil
 }
 
-// apply runs a validated, staged, logged batch against the working version.
-func (w *working) apply(ups []Update, staged []stagedSE) ([]UpdateStats, error) {
-	insertsOnly := true
-	for _, u := range ups {
-		if u.Op != OpInsert {
-			insertsOnly = false
-			break
+// applyBatch is the one write path: it runs a validated (and, with a WAL,
+// logged) batch against the working version — the ops, one adjacency patch,
+// one refinement pass over the rows the batch recomputed (refine.go) — and
+// leaves the change tracking empty for the next batch. ApplyBatch calls it
+// on a fresh working version, Recover once per commit group on the one it
+// replays the whole tail into, so a replayed batch does exactly what the
+// live one did. The refinement pass and the adjacency time are
+// batch-scoped: they land on the batch's first op (UpdateStats.SE.Refine
+// keeps the pass apart from the base SE counters).
+func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
+	sts, err := w.apply(ups)
+	if err == nil {
+		err = w.updateAdjacency()
+	}
+	if err == nil {
+		var rst core.RefineStats
+		if rst, err = w.refineAfterBatch(); err == nil {
+			sts[0].SE.Refine.Add(rst)
+			sts[0].AdjTime = w.adjTime
 		}
 	}
-	if insertsOnly && len(ups) > 1 {
-		return w.applyInserts(ups, staged)
-	}
+	clear(w.adjChanged)
+	clear(w.adjRemoved)
+	w.adjTime = 0
+	return sts, err
+}
 
+// apply runs the ops of a non-empty batch in order: each maximal run of
+// inserts set-at-a-time (applyInserts), each delete on its own (applyDelete
+// says why).
+func (w *working) apply(ups []Update) ([]UpdateStats, error) {
 	stats := make([]UpdateStats, 0, len(ups))
-	var impacts []impact
-	for i, u := range ups {
-		switch u.Op {
-		case OpInsert:
-			mode := seUseStaged
-			for _, im := range impacts {
-				if !im.rect.Intersects(staged[i].ubr) {
-					continue
-				}
-				if im.isDelete {
-					mode = seCold
-					break
-				}
-				mode = seWarmStart
-			}
-			st, newB, err := w.applyInsert(u.Object, &staged[i], mode)
+	for i := 0; i < len(ups); {
+		if ups[i].Op == OpDelete {
+			st, err := w.applyDelete(ups[i].ID)
+			stats = append(stats, st)
 			if err != nil {
 				return stats, err
 			}
-			stats = append(stats, st)
-			impacts = append(impacts, impact{rect: newB})
-		case OpDelete:
-			st, victimUBR, err := w.applyDelete(u.ID)
-			if err != nil {
-				return stats, err
-			}
-			stats = append(stats, st)
-			impacts = append(impacts, impact{rect: victimUBR, isDelete: true})
+			i++
+			continue
 		}
+		j := i + 1
+		for j < len(ups) && ups[j].Op == OpInsert {
+			j++
+		}
+		sts, err := w.applyInserts(ups[i:j])
+		stats = append(stats, sts...)
+		if err != nil {
+			return stats, err
+		}
+		i = j
 	}
 	return stats, nil
 }
 
-// applyInserts is the group-commit fast path for an all-insert batch.
-// Because insertions only ever shrink PV-cells (Lemma 9), the whole batch
-// can be applied set-at-a-time instead of op-at-a-time:
+// applyInserts applies one run of inserts — a single insert, an all-insert
+// batch, the inserts between two deletes of a mixed batch — set-at-a-time.
+// Because insertions only ever shrink PV-cells (Lemma 9):
 //
-//   - every newcomer's UBR is finalized against the final database state
-//     (reusing the staged UBR outright when it intersects no other
-//     newcomer's — disjoint bounds mean disjoint cells, hence no mutual
-//     influence — and warm-starting from it otherwise), and
+//   - every newcomer's UBR is staged over the database as the run finds it
+//     (the published state for a batch's first run, the post-delete state
+//     after a delete — either way nothing staged can be stale) and finalized
+//     against the database with the whole run in it, reusing the staged UBR
+//     outright when it intersects no other newcomer's — disjoint bounds mean
+//     disjoint cells, hence no mutual influence — and warm-starting from it
+//     otherwise, and
 //   - every affected existing object is recomputed exactly once, however
-//     many batch inserts touch it, instead of once per triggering op.
+//     many of the run's inserts touch it, instead of once per triggering op.
 //
-// The pre-batch stored UBRs used for the affected-set filters are upper
-// bounds of the final cells (shrink-only), so filtering against them is
-// conservative: no affected object can be missed. Both recompute phases
-// fan out across a worker pool — SE reads only the working database and
-// region tree, which no longer change at that point.
-func (w *working) applyInserts(ups []Update, staged []stagedSE) ([]UpdateStats, error) {
+// The stored UBRs the affected-set filters read are those from before the
+// run, upper bounds of the final cells (shrink-only), so filtering against
+// them is conservative: no affected object can be missed. The staging and
+// both recompute phases fan out across a worker pool — SE reads only the
+// working database and region tree, which do not change while one runs
+// (ChooseCSet skips the object's own ID, so a newcomer's UBR computed before
+// it is added is what it would be after; R*-tree browsing mutates only atomic
+// counters, so workers share the tree).
+func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 	ix := w.ix
 	n := len(ups)
 	stats := make([]UpdateStats, n)
-	batchStart := time.Now()
+	start := time.Now()
 	defer func() {
-		// TotalTime per op: its share of the batch's wall clock plus its
-		// attributed staging time (spent before the apply).
-		per := time.Since(batchStart) / time.Duration(n)
+		// TotalTime per op: its share of the run's wall clock.
+		per := time.Since(start) / time.Duration(n)
 		for i := range stats {
-			stats[i].TotalTime = per + staged[i].dur
+			stats[i].TotalTime = per
 		}
 	}()
+
+	// Phase 0: stage every newcomer's UBR over the database without the run.
+	staged := make([]geom.Rect, n)
+	ix.parallelSE(n, func(i int) {
+		t0 := time.Now()
+		staged[i], stats[i].SE = core.ComputeUBR(w.db, w.regionTree, ups[i].Object, ix.cfg.SE)
+		stats[i].SETime = time.Since(t0)
+	})
 
 	// Phase 1: database and region tree. Validation already cleared every
 	// op, so Add cannot fail on IDs; any error here is fatal corruption.
 	newcomer := make(map[uint32]struct{}, n)
 	for _, u := range ups {
 		if err := w.db.Add(u.Object); err != nil {
-			return nil, err
+			return stats, err
 		}
 		w.regionTree.Insert(rtree.Item{Rect: u.Object.Region, ID: uint32(u.Object.ID)})
 		newcomer[uint32(u.Object.ID)] = struct{}{}
 	}
 
 	// Phase 2: final newcomer UBRs over the completed database.
-	finalB := make([]geom.Rect, n)
+	finalB := slices.Clone(staged)
 	needsRefine := make([]bool, n)
 	for i := range ups {
-		stats[i].SETime += staged[i].dur
-		stats[i].SE.Add(staged[i].stats)
 		for j := range ups {
-			if j != i && staged[j].ubr.Intersects(staged[i].ubr) {
+			if j != i && staged[j].Intersects(staged[i]) {
 				needsRefine[i] = true
 				break
 			}
-		}
-		if !needsRefine[i] {
-			finalB[i] = staged[i].ubr
 		}
 	}
 	ix.parallelSE(n, func(i int) {
@@ -351,14 +310,14 @@ func (w *working) applyInserts(ups []Update, staged []stagedSE) ([]UpdateStats, 
 			return
 		}
 		t0 := time.Now()
-		b, s := core.ComputeUBRAfterInsert(w.db, w.regionTree, ups[i].Object, staged[i].ubr, ix.cfg.SE)
+		b, s := core.ComputeUBRAfterInsert(w.db, w.regionTree, ups[i].Object, staged[i], ix.cfg.SE)
 		finalB[i] = b
 		stats[i].SETime += time.Since(t0)
 		stats[i].SE.Add(s)
 	})
 
 	// Phase 3: the union of affected existing objects, each with its
-	// pre-batch UBR and the first op that touched it (for stats).
+	// pre-run UBR and the first op that touched it (for stats).
 	type affectedObj struct {
 		id   uint32
 		oldB geom.Rect
@@ -473,10 +432,13 @@ func (ix *Index) WALSeq() uint64 {
 
 // Recover replays every WAL record beyond the index's last applied
 // sequence — the tail the current snapshot is missing — and returns how
-// many updates it applied. The whole tail applies to one working version
-// (one database clone, one publish at the end), so replay cost stays
-// O(affected objects) per record, not O(index size); queries already being
-// served keep reading the pre-replay version until the single publish.
+// many updates it applied. Each commit group is validated and run through
+// applyBatch, exactly as ApplyBatch ran it, so the recovered index is the
+// live one bit for bit: same database order, stored UBRs, adjacency rows.
+// The whole tail applies to one working version (one database clone, one
+// publish at the end), so replay cost stays O(affected objects) per group,
+// not O(index size); queries already being served keep reading the
+// pre-replay version until the single publish.
 //
 // Update records buffer until their batch's commit record arrives and only
 // then apply, so a group commit torn mid-batch by a crash — some frames
@@ -487,8 +449,10 @@ func (ix *Index) WALSeq() uint64 {
 // count) and a checkpoint record clears the buffer, so stranded frames from
 // a tear that ended exactly on a frame boundary can never be adopted by a
 // later batch's commit — even if they predate the sealed-open truncation
-// that now removes them from the log. A replay error discards the working
-// version entirely — the index stays at its checkpoint state.
+// that now removes them from the log. A replay error — a group that fails
+// validation included: a log written before batches were checked for
+// malformed objects may hold one — names the commit and discards the working
+// version entirely: the index stays at its checkpoint state.
 func (ix *Index) Recover() (int, error) {
 	if ix.wal == nil {
 		return 0, fmt.Errorf("pvindex: Recover without an attached WAL")
@@ -528,21 +492,18 @@ func (ix *Index) Recover() (int, error) {
 				}
 				pending = pending[len(pending)-want:]
 			}
-			if len(pending) > 0 && w == nil {
-				w = ix.newWorking(base)
-			}
-			for _, u := range pending {
-				var aerr error
-				switch u.Op {
-				case OpInsert:
-					_, _, aerr = w.applyInsert(u.Object, nil, seCold)
-				case OpDelete:
-					_, _, aerr = w.applyDelete(u.ID)
+			if len(pending) > 0 {
+				if w == nil {
+					w = ix.newWorking(base)
 				}
-				if aerr != nil {
-					return fmt.Errorf("pvindex: replaying wal batch at commit %d: %w", rec.Seq, aerr)
+				err := validateBatch(w.db, pending)
+				if err == nil {
+					_, err = w.applyBatch(pending)
 				}
-				replayed++
+				if err != nil {
+					return fmt.Errorf("pvindex: replaying wal batch at commit %d: %w", rec.Seq, err)
+				}
+				replayed += len(pending)
 			}
 			pending = pending[:0]
 			lastSeq = rec.Seq
@@ -563,18 +524,6 @@ func (ix *Index) Recover() (int, error) {
 	}
 	switch {
 	case w != nil:
-		if err := w.updateAdjacency(); err != nil {
-			w.abort()
-			return replayed, err
-		}
-		// Re-refine the replayed rows like the original batches did.
-		// Refinement is not WAL-logged (it changes no query result), so the
-		// recovered UBRs may be tighter or looser than the pre-crash ones —
-		// either way they are supersets of the true cells, and exact.
-		if _, err := w.refineAfterBatch(); err != nil {
-			w.abort()
-			return replayed, err
-		}
 		ix.publishWorking(w, lastSeq)
 	case lastSeq != base.walSeq:
 		// Only checkpoint records: acknowledge the advanced sequence with a

@@ -3,9 +3,11 @@ package pvindex
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,9 +93,8 @@ func TestApplyBatchMixedMatchesOracle(t *testing.T) {
 }
 
 func TestApplyBatchInteractingInserts(t *testing.T) {
-	// A tight cluster of batch inserts forces the staged-UBR invalidation
-	// paths (warm-start and cold recompute): every newcomer's UBR intersects
-	// the previous ones'.
+	// A tight cluster of batch inserts forces the staged UBRs through the
+	// warm-started finalization: every newcomer's UBR intersects the others'.
 	rng := rand.New(rand.NewSource(12))
 	db := randomDB(rng, 60, 2, 600, 30, false)
 	ix, err := Build(db, testConfig())
@@ -109,8 +110,8 @@ func TestApplyBatchInteractingInserts(t *testing.T) {
 		}
 		ups = append(ups, Update{Op: OpInsert, Object: o})
 	}
-	// And a delete in the middle of the cluster, forcing seCold for the
-	// inserts that follow it.
+	// And a delete in the middle of the cluster: the inserts after it are a
+	// second run, staged over the post-delete state.
 	victim := db.Objects()[0].ID
 	mid := append([]Update{}, ups[:4]...)
 	mid = append(mid, Update{Op: OpDelete, ID: victim})
@@ -121,14 +122,68 @@ func TestApplyBatchInteractingInserts(t *testing.T) {
 	assertMatchesBruteforce(t, ix, rng, 600, 2, 80)
 }
 
+// malformedObjects are 2-d objects no batch may carry: a record's layout is
+// fixed by the region's dimension, so an instance of another dimension cannot
+// be stored (it used to panic in encodeRecord — after the batch was logged),
+// and a pdf that does not sum to 1 or leaves its region answers queries with
+// probabilities that mean nothing.
+func malformedObjects(id uncertain.ID) map[string]*uncertain.Object {
+	region := geom.NewRect(geom.Point{100, 100}, geom.Point{120, 120})
+	with := func(ins ...uncertain.Instance) *uncertain.Object {
+		return &uncertain.Object{ID: id, Region: region, Instances: ins}
+	}
+	return map[string]*uncertain.Object{
+		"short Pos":                 with(uncertain.Instance{Pos: geom.Point{110}, Prob: 1}),
+		"long Pos":                  with(uncertain.Instance{Pos: geom.Point{110, 110, 110}, Prob: 1}),
+		"probabilities sum to 0.25": with(uncertain.Instance{Pos: geom.Point{110, 110}, Prob: 0.25}),
+		"instance outside region":   with(uncertain.Instance{Pos: geom.Point{110, 130}, Prob: 1}),
+		"short Hi corner":           {ID: id, Region: geom.Rect{Lo: geom.Point{100, 100}, Hi: geom.Point{120}}},
+	}
+}
+
 func TestApplyBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	db := randomDB(rng, 40, 2, 500, 25, false)
-	ix, err := Build(db, testConfig())
+	log, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	cfg := testConfig()
+	cfg.WAL = log
+	ix, err := Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n0 := db.Len()
+
+	// A malformed object fails the whole batch — and a single Insert, and a
+	// Build — before anything reaches the log; the next valid batch succeeds.
+	for name, bad := range malformedObjects(7100) {
+		seq := log.LastSeq()
+		if _, err := ix.ApplyBatch([]Update{
+			{Op: OpInsert, Object: newObj(rng, 7101, 2, 450, 20)},
+			{Op: OpInsert, Object: bad},
+		}); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if _, err := ix.Insert(bad); err == nil {
+			t.Fatalf("%s: Insert accepted", name)
+		}
+		if log.LastSeq() != seq || ix.WALSeq() != seq || ix.DB().Len() != n0 {
+			t.Fatalf("%s: refused batch left a trace: log at %d, index at %d (was %d), %d objects (was %d)",
+				name, log.LastSeq(), ix.WALSeq(), seq, ix.DB().Len(), n0)
+		}
+		if _, err := ix.ApplyBatch([]Update{{Op: OpInsert, Object: newObj(rng, 7100, 2, 450, 20)}, {Op: OpDelete, ID: 7100}}); err != nil {
+			t.Fatalf("%s: valid batch after the refused one: %v", name, err)
+		}
+		seeded := uncertain.NewDB(db.Domain)
+		seeded.Add(db.Objects()[0])
+		seeded.Add(bad) // DB.Add reads the dimension off Region.Lo alone
+		if _, err := Build(seeded, testConfig()); err == nil {
+			t.Fatalf("%s: Build accepted", name)
+		}
+	}
 
 	// Duplicate of an existing ID fails the whole batch, applying nothing.
 	_, err = ix.ApplyBatch([]Update{
@@ -737,5 +792,55 @@ func TestRecoveryCheckpointRecordClearsPending(t *testing.T) {
 	}
 	if ix.DB().Get(acked.ID) == nil {
 		t.Fatal("committed update after the checkpoint barrier was lost")
+	}
+}
+
+// TestRecoveryRejectsPoisonRecord: a log written before batches were checked
+// for malformed objects may hold one, sealed by its commit and acknowledged
+// only by the panic that followed. Replay validates each commit group like
+// ApplyBatch does, so such a log ends in an error naming the commit — not in
+// the panic again — and the index stays at the state it had.
+func TestRecoveryRejectsPoisonRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	base := randomDB(rng, 40, 2, 600, 25, false)
+	for name, bad := range malformedObjects(9201) {
+		t.Run(name, func(t *testing.T) {
+			walDir := t.TempDir()
+			log, err := wal.Open(walDir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			good, err := encodeUpdate(Update{Op: OpInsert, Object: newObj(rng, 9200, 2, 550, 20)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			poison, err := encodeUpdate(Update{Op: OpInsert, Object: bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := []byte{1, 0, 0, 0}
+			if _, _, err := log.Append(good, wal.Entry{Type: wal.TypeCommit, Payload: one}); err != nil {
+				t.Fatal(err)
+			}
+			_, commitSeq, err := log.Append(poison, wal.Entry{Type: wal.TypeCommit, Payload: one})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ix, err := Build(base.Clone(), testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.AttachWAL(log)
+			_, err = ix.Recover()
+			if want := fmt.Sprintf("commit %d", commitSeq); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("replay over a poison record: got %v, want an error naming %q", err, want)
+			}
+			if ix.DB().Len() != base.Len() || ix.WALSeq() != 0 {
+				t.Fatalf("failed replay published: %d objects at seq %d", ix.DB().Len(), ix.WALSeq())
+			}
+			assertMatchesBruteforce(t, ix, rng, 600, 2, 20)
+		})
 	}
 }

@@ -1,0 +1,308 @@
+package pvindex
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pvoronoi/internal/adjgraph"
+	"pvoronoi/internal/geom"
+	"pvoronoi/internal/race"
+	"pvoronoi/internal/uncertain"
+	"pvoronoi/internal/wal"
+)
+
+func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.Hi, b.Hi) }
+
+// assertSameGraph: two adjacency graphs hold the same rows — UBR bits and
+// sorted neighbour lists — and the same gauges.
+func assertSameGraph(t *testing.T, got, want *adjgraph.Graph, label string) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Edges() != want.Edges() || got.MaxDiag() != want.MaxDiag() {
+		t.Fatalf("%s: graph has %d rows, %d edges, MaxDiag %v; want %d, %d, %v",
+			label, got.Len(), got.Edges(), got.MaxDiag(), want.Len(), want.Edges(), want.MaxDiag())
+	}
+	want.ForEach(func(id uint32, wr *adjgraph.Row) bool {
+		gr, ok := got.Get(id)
+		switch {
+		case !ok:
+			t.Errorf("%s: row %d missing", label, id)
+		case !sameRectBits(gr.UBR, wr.UBR):
+			t.Errorf("%s: row %d holds UBR %v, want %v", label, id, gr.UBR, wr.UBR)
+		case !slices.Equal(gr.Neighbors, wr.Neighbors):
+			t.Errorf("%s: row %d lists %v, want %v", label, id, gr.Neighbors, wr.Neighbors)
+		}
+		return !t.Failed()
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// assertSameState: two indexes publish the same state bit for bit — the
+// database in the same order, every stored UBR, every adjacency row, the
+// re-refinement threshold.
+func assertSameState(t *testing.T, got, want *Index, label string) {
+	t.Helper()
+	gv, wv := got.current.Load(), want.current.Load()
+	gobjs, wobjs := gv.db.Objects(), wv.db.Objects()
+	if len(gobjs) != len(wobjs) {
+		t.Fatalf("%s: %d objects, want %d", label, len(gobjs), len(wobjs))
+	}
+	differ := 0
+	for i, o := range wobjs {
+		if gobjs[i].ID != o.ID {
+			t.Fatalf("%s: object %d of the database is %d, want %d", label, i, gobjs[i].ID, o.ID)
+		}
+		g, gok := got.UBR(o.ID)
+		w, wok := want.UBR(o.ID)
+		if !gok || !wok {
+			t.Fatalf("%s: object %d has no stored UBR (got %v, want %v)", label, o.ID, gok, wok)
+		}
+		if !sameRectBits(g, w) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%s: %d of %d stored UBRs differ", label, differ, len(wobjs))
+	}
+	assertSameGraph(t, gv.adj, wv.adj, label)
+	if g, w := got.refineThreshold(), want.refineThreshold(); g != w {
+		t.Fatalf("%s: refine threshold %v, want %v", label, g, w)
+	}
+}
+
+// sumUBRVolume is Σ volume over every stored UBR.
+func sumUBRVolume(t *testing.T, ix *Index) float64 {
+	t.Helper()
+	var sum float64
+	for _, o := range ix.DB().Objects() {
+		ubr, ok := ix.UBR(o.ID)
+		if !ok {
+			t.Fatalf("object %d has no stored UBR", o.ID)
+		}
+		sum += ubr.Volume()
+	}
+	return sum
+}
+
+// differentialCases are the shapes the differential tests run: dense enough
+// that the sixteen inserts of a batch meet each other and the rows around
+// them, and with refinement aimed low enough that batches re-refine.
+var differentialCases = []struct {
+	d, n          int
+	span, maxSide float64
+}{
+	{d: 2, n: 400, span: 600, maxSide: 30},
+	{d: 3, n: 100, span: 220, maxSide: 30},
+}
+
+func differentialConfig(refine bool) Config {
+	cfg := testConfig()
+	cfg.Refine.Disabled = !refine
+	cfg.Refine.TopFraction = 0.3
+	cfg.Refine.MinDegree = 4
+	return cfg
+}
+
+// TestInsertPathMatchesReference holds the one insert path to the three it
+// replaced (reference_test.go). Where the old code staged against the
+// published version and used the result as it stood — single inserts,
+// all-insert batches — and on delete batches the two must agree bit for bit
+// in every stored UBR and adjacency row. On mixed batches the old code went
+// op-at-a-time and the new one goes run-at-a-time, so the bits may differ:
+// both must then match brute force, and the Σ UBR volume ratio is logged.
+func TestInsertPathMatchesReference(t *testing.T) {
+	for _, c := range differentialCases {
+		for _, refine := range []bool{true, false} {
+			seeds := int64(3)
+			if race.Enabled && c.d > 2 {
+				seeds = 1 // single-writer arithmetic, ~10× slower instrumented; CI's uninstrumented step runs them all
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				t.Run(fmt.Sprintf("d%d/refine=%v/seed%d", c.d, refine, seed), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(100*int64(c.d) + seed))
+					db := randomDB(rng, c.n, c.d, c.span, c.maxSide, false)
+					cfg := differentialConfig(refine)
+					ix, err := Build(db.Clone(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := Build(db.Clone(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nextID := uncertain.ID(10_000)
+					fresh := func() Update {
+						nextID++
+						return Update{Op: OpInsert, Object: randomObject(rng, nextID, c.d, c.span, c.maxSide)}
+					}
+					both := func(ups []Update, label string) {
+						t.Helper()
+						if _, err := ix.ApplyBatch(ups); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if err := ref.referenceApplyBatch(ups); err != nil {
+							t.Fatalf("%s (reference): %v", label, err)
+						}
+					}
+
+					for i := 0; i < 8; i++ {
+						both([]Update{fresh()}, "single insert")
+						assertSameState(t, ix, ref, fmt.Sprintf("after single insert %d", i))
+					}
+					for b := 0; b < 2; b++ {
+						ins, del := make([]Update, 16), make([]Update, 16)
+						for k := range ins {
+							ins[k] = fresh()
+							del[k] = Update{Op: OpDelete, ID: ins[k].Object.ID}
+						}
+						both(ins, "insert batch")
+						assertSameState(t, ix, ref, fmt.Sprintf("after insert batch %d", b))
+						if b == 0 {
+							both(del, "delete batch")
+							assertSameState(t, ix, ref, "after the delete batch")
+						}
+					}
+					if refine && ix.RefineCounters().RowsRefined == int64(ix.Build.SE.Refine.Rows) {
+						t.Fatal("no batch re-refined a row; the case no longer exercises the refinement pass")
+					}
+
+					victim := func() uncertain.ID {
+						objs := ix.DB().Objects()
+						return objs[rng.Intn(len(objs))].ID
+					}
+					for round := 0; round < 2; round++ {
+						// Insert runs around deletes.
+						ups := []Update{fresh(), fresh(), fresh(), {Op: OpDelete, ID: victim()}, fresh(), fresh()}
+						both(ups, "insert runs around a delete")
+						// A same-ID replace, then a run that may land in the freed space.
+						id := victim()
+						both([]Update{{Op: OpDelete, ID: id},
+							{Op: OpInsert, Object: randomObject(rng, id, c.d, c.span, c.maxSide)}, fresh()}, "same-ID replace")
+						// An ID inserted and deleted by the same batch, between two runs.
+						gone := fresh()
+						both([]Update{gone, fresh(), {Op: OpDelete, ID: gone.Object.ID}, fresh()}, "insert then delete of one ID")
+						for _, side := range []*Index{ix, ref} {
+							verifyAdjacency(t, side, "after mixed batches")
+							assertMatchesBruteforce(t, side, rng, c.span, c.d, 60)
+						}
+					}
+					t.Logf("after mixed batches Σ UBR volume is %.5f × the reference's", sumUBRVolume(t, ix)/sumUBRVolume(t, ref))
+				})
+			}
+		}
+	}
+}
+
+// TestBuildAdjacencyMatchesRebuild: the graph construction publishes — every
+// object a changed row of an empty graph, then the refinement pass's patch —
+// is the one the from-scratch builder it replaced (referenceGraph) makes of
+// the same stored UBRs, row for row.
+func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
+	for _, c := range differentialCases {
+		for _, refine := range []bool{true, false} {
+			t.Run(fmt.Sprintf("d%d/refine=%v", c.d, refine), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(c.d)))
+				ix, err := BuildParallel(randomDB(rng, c.n, c.d, c.span, c.maxSide, false), differentialConfig(refine), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceGraph(ix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameGraph(t, ix.current.Load().adj, want, "built graph")
+				if got, hubs := ix.Adjacency().RowsRecomputed, int64(ix.Build.SE.Refine.Rows); got < int64(c.n) || got > int64(c.n)+hubs {
+					t.Fatalf("construction recomputed %d rows, want the %d objects plus at most the %d refined hubs", got, c.n, hubs)
+				}
+			})
+		}
+	}
+}
+
+// TestReplayReproducesLive: a snapshot, then six insert/delete batch pairs
+// only the log knows about. Loading the snapshot and replaying the tail must
+// give the live index back bit for bit — replay runs each commit group
+// through the code the live batch ran, refinement pass included.
+func TestReplayReproducesLive(t *testing.T) {
+	for _, c := range differentialCases {
+		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(30 + c.d)))
+			walDir := t.TempDir()
+			log, err := wal.Open(walDir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			cfg := differentialConfig(true)
+			cfg.WAL = log
+			live, err := Build(randomDB(rng, c.n, c.d, c.span, c.maxSide, true), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nextID := uncertain.ID(10_000)
+			pair := func() {
+				objs := live.DB().Objects()
+				ins, del := make([]Update, 16), make([]Update, 16)
+				for k := range ins {
+					nextID++
+					o := randomObject(rng, nextID, c.d, c.span, c.maxSide)
+					o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, 10, rng)
+					ins[k] = Update{Op: OpInsert, Object: o}
+					// Half the newcomers leave again, and as many older objects.
+					del[k] = Update{Op: OpDelete, ID: o.ID}
+					if k%2 == 1 {
+						del[k].ID = objs[(k*len(objs))/16].ID
+					}
+				}
+				for _, ups := range [][]Update{ins, del} {
+					if _, err := live.ApplyBatch(ups); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			pair()
+			var snap bytes.Buffer
+			var dbAtSnap *uncertain.DB
+			if _, err := live.SnapshotWith(&snap, func(cur *uncertain.DB) error {
+				dbAtSnap = cur.Clone()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			refinedAtSnap := live.RefineCounters().RowsRefined
+			pairs := 6
+			if race.Enabled && c.d > 2 {
+				pairs = 2 // as in TestInsertPathMatchesReference
+			}
+			for i := 0; i < pairs; i++ {
+				pair()
+			}
+			if live.RefineCounters().RowsRefined == refinedAtSnap {
+				t.Fatal("no batch after the snapshot re-refined a row; the case no longer exercises the refinement pass")
+			}
+
+			log2, err := wal.Open(walDir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log2.Close()
+			recovered, err := LoadFrom(bytes.NewReader(snap.Bytes()), dbAtSnap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered.AttachWAL(log2)
+			replayed, err := recovered.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed != pairs*32 || recovered.WALSeq() != live.WALSeq() {
+				t.Fatalf("replayed %d updates to seq %d, want %d to seq %d", replayed, recovered.WALSeq(), pairs*32, live.WALSeq())
+			}
+			assertSameState(t, recovered, live, "recovered index")
+		})
+	}
+}

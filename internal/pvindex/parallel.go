@@ -61,17 +61,25 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		if err := w.addObject(o, ubrs[i]); err != nil {
 			return nil, err
 		}
+		w.adjMarkChanged(uint32(o.ID))
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	w.adj, err = rebuildAdjacency(db, w.primary, w.lookupUBR)
-	if err != nil {
+	// Every object is a changed row of the empty graph.
+	if err := w.updateAdjacency(); err != nil {
 		return nil, err
 	}
-	// The refinement pass reuses the same worker pool for its escalated SE
-	// runs; GOMAXPROCS is already the pool width parallelSE uses.
-	if err := ix.refineBootstrap(w); err != nil {
-		return nil, err
+	if !cfg.Refine.Disabled {
+		// The n rows just built are done: what the refinement pass marks
+		// changed is what it shrank. It reuses the same worker pool for its
+		// escalated SE runs; GOMAXPROCS is already the pool width parallelSE
+		// uses.
+		clear(w.adjChanged)
+		st, err := ix.refineAll(w)
+		if err != nil {
+			return nil, err
+		}
+		ix.Build.SE.Refine.Add(st)
 	}
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)

@@ -79,9 +79,9 @@ type Index struct {
 	store *pagestore.Store
 	cfg   Config
 
-	// writerMu serializes whole update batches (stage + log + build +
-	// publish), so a batch's staged SE work and its WAL order can never
-	// interleave with another writer's. Readers never touch it.
+	// writerMu serializes whole update batches (validate + log + apply +
+	// publish), so what a batch was validated against and its WAL order can
+	// never interleave with another writer's. Readers never touch it.
 	writerMu sync.Mutex
 	// wal, when attached, receives every update batch before it applies.
 	// Mutated only via AttachWAL before serving writers.
@@ -112,8 +112,9 @@ type Index struct {
 
 	// Adjacency-maintenance counters: rows recomputed from the primary
 	// index, rows patched by a single neighbor link, and rows deleted, over
-	// the index's lifetime. A full rebuild would show recomputed ≈ n per
-	// batch; the incremental path stays at O(affected).
+	// the index's lifetime, construction included (its n rows are the first n
+	// recomputed). A full rebuild would show recomputed ≈ n per batch; the
+	// incremental path stays at O(affected).
 	adjRecomputed atomic.Int64
 	adjPatched    atomic.Int64
 	adjDeleted    atomic.Int64
@@ -155,7 +156,7 @@ func (ix *Index) initRuntime() {
 // and region tree, the deferred-free list shared by both page-backed
 // structures, and the set of record IDs rewritten so far (for the cache
 // generation bump at publish).
-// In bootstrap mode (construction, load) there is no predecessor version:
+// In bootstrap mode (construction) there is no predecessor version:
 // structures mutate in place and no dirty tracking is needed.
 type working struct {
 	ix    *Index
@@ -167,14 +168,14 @@ type working struct {
 	regionTree *rtree.Tree
 
 	// adj is the next version's UBR-adjacency graph, cloned copy-on-write
-	// from the base. adjChanged collects the IDs whose stored UBR this batch
-	// (re)computed — exactly the rows updateAdjacency must rebuild — and
-	// adjRemoved the IDs it deleted. Both are nil in bootstrap mode, where
-	// the graph is rebuilt whole after the load loop instead.
+	// from the base (empty at construction). adjChanged collects the IDs whose
+	// stored UBR this batch (re)computed — exactly the rows updateAdjacency
+	// must rebuild; at construction, every object — and adjRemoved the IDs it
+	// deleted.
 	adj        *adjgraph.Graph
 	adjChanged map[uint32]struct{}
 	adjRemoved map[uint32]struct{}
-	adjTime    time.Duration // wall time spent in updateAdjacency so far
+	adjTime    time.Duration // wall time the current batch spent in updateAdjacency
 
 	freed []pagestore.PageID
 	dirty map[uint32]struct{} // nil in bootstrap mode
@@ -188,11 +189,20 @@ var buildRegionTree = core.BuildRegionTree
 // bootstrapWorking creates the construction-time working set over db.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 	for _, o := range db.Objects() {
-		if err := db.CheckInDomain(o); err != nil {
+		err := o.Validate()
+		if err == nil {
+			err = db.CheckInDomain(o)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("pvindex: build: %w", err)
 		}
 	}
-	w := &working{ix: ix, epoch: 1, db: db}
+	w := &working{
+		ix: ix, epoch: 1, db: db,
+		adj:        adjgraph.New(),
+		adjChanged: make(map[uint32]struct{}, db.Len()),
+		adjRemoved: make(map[uint32]struct{}),
+	}
 	var err error
 	w.secondary, err = exthash.New(ix.store)
 	if err != nil {
@@ -273,55 +283,9 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	return BuildParallel(db, cfg, 1)
 }
 
-// rebuildAdjacency materializes the UBR-adjacency graph from scratch: one
-// row per object, listing every other object whose stored UBR intersects
-// its own. Used at construction only; the write path never calls it
-// (updateAdjacency patches rows incrementally). The octree range query finds every intersecting UBR
-// because two intersecting UBRs share a point, hence a leaf cell, hence
-// entries in a common leaf.
-func rebuildAdjacency(db *uncertain.DB, primary *octree.Tree, lookup func(uint32) (geom.Rect, bool)) (*adjgraph.Graph, error) {
-	objs := db.Objects()
-	ubrs := make(map[uint32]geom.Rect, len(objs))
-	for _, o := range objs {
-		ubr, ok := lookup(uint32(o.ID))
-		if !ok {
-			return nil, fmt.Errorf("pvindex: object %d has no stored UBR during adjacency rebuild", o.ID)
-		}
-		ubrs[uint32(o.ID)] = ubr
-	}
-	g := adjgraph.New()
-	for _, o := range objs {
-		id := uint32(o.ID)
-		ubr := ubrs[id]
-		ids, err := primary.RangeIDs(ubr)
-		if err != nil {
-			return nil, err
-		}
-		ns := make([]uint32, 0, len(ids))
-		for nid := range ids {
-			if nid == id {
-				continue
-			}
-			if nubr, ok := ubrs[nid]; ok && nubr.Intersects(ubr) {
-				ns = append(ns, nid)
-			}
-		}
-		// The row's diameter contribution is the uncertainty-region diagonal
-		// (not the UBR's): the group-query slack bounds the gap between a
-		// candidate's rectangle lower bound and its true pointwise minimum,
-		// and that gap is Lipschitz-limited by the region's own extent.
-		g.Set(id, ubr, geom.Dist(o.Region.Lo, o.Region.Hi), ns)
-	}
-	return g, nil
-}
-
 // adjMarkChanged flags id's adjacency row for recomputation at the end of
-// the batch (its stored UBR was written by this working set). No-op during
-// bootstrap, where the graph is rebuilt whole instead.
+// the batch (its stored UBR was written by this working set).
 func (w *working) adjMarkChanged(id uint32) {
-	if w.adjChanged == nil {
-		return
-	}
 	delete(w.adjRemoved, id)
 	w.adjChanged[id] = struct{}{}
 }
@@ -329,25 +293,21 @@ func (w *working) adjMarkChanged(id uint32) {
 // adjMarkRemoved flags id's adjacency row for deletion at the end of the
 // batch.
 func (w *working) adjMarkRemoved(id uint32) {
-	if w.adjRemoved == nil {
-		return
-	}
 	delete(w.adjChanged, id)
 	w.adjRemoved[id] = struct{}{}
 }
 
 // updateAdjacency folds the batch's UBR changes into the working graph, in
-// O(changed rows + their neighborhoods) — never a full rebuild. Removals
+// O(changed rows + their neighborhoods); construction, where every row is a
+// changed row of an empty graph, builds the whole graph with it. Removals
 // unlink first; then each changed row is recomputed from the working octree
-// (the same shared-leaf argument as rebuildAdjacency makes the range query
-// complete), and the symmetric difference against its old row is patched
-// into neighbors this batch did not itself recompute. Neighbors that are in
-// adjChanged need no patch: both endpoints of an edge derive the same
-// intersection verdict from their own recomputation.
+// (the range query finds every intersecting UBR because two intersecting
+// UBRs share a point, hence a leaf cell, hence entries in a common leaf), and
+// the symmetric difference against its old row is patched into neighbors this
+// batch did not itself recompute. Neighbors that are in adjChanged need no
+// patch: both endpoints of an edge derive the same intersection verdict from
+// their own recomputation.
 func (w *working) updateAdjacency() error {
-	if w.adjChanged == nil {
-		return nil
-	}
 	start := time.Now()
 	defer func() { w.adjTime += time.Since(start) }()
 	var recomputed, patched, deleted int64
@@ -411,6 +371,10 @@ func (w *working) updateAdjacency() error {
 		if oldRow, had := w.adj.Get(id); had {
 			oldNs = oldRow.Neighbors
 		}
+		// The row's diameter contribution is the uncertainty-region diagonal
+		// (not the UBR's): the group-query slack bounds the gap between a
+		// candidate's rectangle lower bound and its true pointwise minimum,
+		// and that gap is Lipschitz-limited by the region's own extent.
 		var diam float64
 		if o := w.db.Get(uncertain.ID(id)); o != nil {
 			diam = geom.Dist(o.Region.Lo, o.Region.Hi)
@@ -463,7 +427,8 @@ type AdjacencyStats struct {
 	// Edges is the number of directed neighbor links (twice the undirected
 	// edge count).
 	Edges int
-	// RowsRecomputed counts rows rebuilt from the primary index by updates.
+	// RowsRecomputed counts rows rebuilt from the primary index: every row
+	// once at construction (not at load), then those updates changed.
 	RowsRecomputed int64
 	// RowsPatched counts single-link reverse patches applied by updates.
 	RowsPatched int64
@@ -844,115 +809,6 @@ func (ix *Index) Insert(o *uncertain.Object) (UpdateStats, error) {
 	return UpdateStats{}, err
 }
 
-// applyInsert performs the incremental insertion of §VI-B against the
-// writer's working version. The newcomer's UBR comes from the staged
-// precomputation when mode allows (staged may be nil, forcing seCold — the
-// replay path). The returned rectangle is the newcomer's applied UBR (its
-// impact region for later batch ops).
-func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode) (UpdateStats, geom.Rect, error) {
-	var st UpdateStats
-	start := time.Now()
-	defer func() { st.TotalTime = time.Since(start) }()
-	cfg := w.ix.cfg
-
-	if err := w.db.Add(o); err != nil {
-		return st, geom.Rect{}, err
-	}
-	w.regionTree.Insert(rtree.Item{Rect: o.Region, ID: uint32(o.ID)})
-
-	// Step 1: UBR of the newcomer over the updated database. The PV-cells
-	// of affected objects can only shrink (Lemma 9), so their UBRs are
-	// recomputed warm-started from the old UBR as the upper bound.
-	var newB geom.Rect
-	if staged == nil {
-		mode = seCold
-	}
-	switch mode {
-	case seUseStaged:
-		// Nothing relevant changed since staging: the precomputed UBR is
-		// exactly what SE would produce now, at zero additional cost.
-		newB = staged.ubr
-		st.SETime += staged.dur
-		st.SE.Add(staged.stats)
-	case seWarmStart:
-		// Earlier inserts in the batch intersect the staged bound; the cell
-		// can only have shrunk, so refine from the staged UBR (Lemma 9).
-		st.SETime += staged.dur
-		st.SE.Add(staged.stats)
-		t0 := time.Now()
-		var seStats core.Stats
-		newB, seStats = core.ComputeUBRAfterInsert(w.db, w.regionTree, o, staged.ubr, cfg.SE)
-		st.SETime += time.Since(t0)
-		st.SE.Add(seStats)
-	default: // seCold
-		t0 := time.Now()
-		var seStats core.Stats
-		newB, seStats = core.ComputeUBR(w.db, w.regionTree, o, cfg.SE)
-		st.SETime += time.Since(t0)
-		st.SE.Add(seStats)
-	}
-
-	// Step 2: candidate affected set from the primary index.
-	ids, err := w.primary.RangeIDs(newB)
-	if err != nil {
-		return st, geom.Rect{}, err
-	}
-	st.Examined = len(ids)
-
-	for id := range ids {
-		oid := uncertain.ID(id)
-		if oid == o.ID {
-			continue
-		}
-		other := w.db.Get(oid)
-		if other == nil {
-			continue
-		}
-		// Lemma 8(3): objects whose regions overlap u(o') are unaffected.
-		if other.Region.Intersects(o.Region) {
-			continue
-		}
-		oldB, ok := w.lookupUBR(id)
-		if !ok {
-			continue
-		}
-		// Lemma 8(2) via UBRs: disjoint bounding rectangles imply disjoint
-		// PV-cells, hence unaffected.
-		if !oldB.Intersects(newB) {
-			continue
-		}
-		st.Affected++
-
-		// Step 3: warm-started SE (h = old UBR).
-		t1 := time.Now()
-		updated, seAffected := core.ComputeUBRAfterInsert(w.db, w.regionTree, other, oldB, cfg.SE)
-		st.SETime += time.Since(t1)
-		st.SE.Add(seAffected)
-		if updated.Equal(oldB) {
-			st.Unchanged++
-			continue
-		}
-
-		// Step 4: drop entries from leaves no longer covered, refresh record.
-		t2 := time.Now()
-		if _, err := w.primary.RemoveDiff(id, oldB, updated); err != nil {
-			return st, geom.Rect{}, err
-		}
-		rec := record{UBR: updated, Region: other.Region, Instances: other.Instances}
-		if err := w.putRecord(id, rec); err != nil {
-			return st, geom.Rect{}, err
-		}
-		w.adjMarkChanged(id)
-		st.IndexTime += time.Since(t2)
-	}
-
-	t3 := time.Now()
-	err = w.addObject(o, newB)
-	w.adjMarkChanged(uint32(o.ID))
-	st.IndexTime += time.Since(t3)
-	return st, newB, err
-}
-
 // Delete removes the object with the given ID from the database and
 // incrementally refreshes the index (§VI-B, deletion). It is a one-op
 // batch: validation, WAL logging (when attached) and application all run
@@ -969,13 +825,11 @@ func (ix *Index) Delete(id uncertain.ID) (UpdateStats, error) {
 // writer's working version. Affected PV-cells can only grow, and only into
 // the victim's, so UBRs are recomputed warm-started between the old UBR and
 // its union with the victim's, and entries are added to newly covered leaves;
-// a row whose UBR comes back as it was is left alone. The returned rectangle
-// is the victim's stored UBR (its impact region for later batch ops). The
-// deletes of a batch run one at a time for the same reason: a UBR stored
-// before an earlier delete is a lower bound of the current cell and no
-// conservative filter for a later one, so a set-at-a-time delete batch would
-// miss affected rows.
-func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
+// a row whose UBR comes back as it was is left alone. The deletes of a batch
+// run one at a time for the same reason: a UBR stored before an earlier
+// delete is a lower bound of the current cell and no conservative filter for
+// a later one, so a set-at-a-time delete batch would miss affected rows.
+func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	var st UpdateStats
 	start := time.Now()
 	defer func() { st.TotalTime = time.Since(start) }()
@@ -983,22 +837,22 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 
 	victim := w.db.Get(id)
 	if victim == nil {
-		return st, geom.Rect{}, fmt.Errorf("pvindex: delete of object %d: %w", id, uncertain.ErrUnknownID)
+		return st, fmt.Errorf("pvindex: delete of object %d: %w", id, uncertain.ErrUnknownID)
 	}
 	victimUBR, ok := w.lookupUBR(uint32(id))
 	if !ok {
-		return st, geom.Rect{}, fmt.Errorf("pvindex: object %d missing from secondary index", id)
+		return st, fmt.Errorf("pvindex: object %d missing from secondary index", id)
 	}
 
 	if _, err := w.db.Remove(id); err != nil {
-		return st, geom.Rect{}, err
+		return st, err
 	}
 	w.regionTree.Delete(rtree.Item{Rect: victim.Region, ID: uint32(id)})
 
 	// Step 2: candidate affected set.
 	ids, err := w.primary.RangeIDs(victimUBR)
 	if err != nil {
-		return st, geom.Rect{}, err
+		return st, err
 	}
 	st.Examined = len(ids)
 
@@ -1006,10 +860,10 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 	// SE and leaf splits see the post-delete state.
 	t0 := time.Now()
 	if _, err := w.primary.Remove(uint32(id), victimUBR); err != nil {
-		return st, geom.Rect{}, err
+		return st, err
 	}
 	if _, err := w.secondary.Delete(uint32(id)); err != nil {
-		return st, geom.Rect{}, err
+		return st, err
 	}
 	w.markDirty(uint32(id))
 	w.adjMarkRemoved(uint32(id))
@@ -1052,13 +906,13 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, geom.Rect, error) {
 		t2 := time.Now()
 		rec := record{UBR: updated, Region: other.Region, Instances: other.Instances}
 		if err := w.putRecord(otherID, rec); err != nil {
-			return st, geom.Rect{}, err
+			return st, err
 		}
 		if err := w.primary.InsertDiff(otherID, other.Region, updated, oldB); err != nil {
-			return st, geom.Rect{}, err
+			return st, err
 		}
 		w.adjMarkChanged(otherID)
 		st.IndexTime += time.Since(t2)
 	}
-	return st, victimUBR, nil
+	return st, nil
 }

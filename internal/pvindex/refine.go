@@ -42,10 +42,6 @@ type RefineConfig struct {
 	MinDegree int
 }
 
-// Resolved returns the configuration with zero-value knobs replaced by their
-// documented defaults — the effective budget a refinement pass runs under.
-func (c RefineConfig) Resolved() RefineConfig { return c.withDefaults() }
-
 // withDefaults resolves the zero-value knobs to their documented defaults.
 func (c RefineConfig) withDefaults() RefineConfig {
 	if c.TopFraction == 0 {
@@ -285,36 +281,28 @@ func (w *working) refinePass(ids []uint32, rc RefineConfig) (core.RefineStats, e
 	return st, nil
 }
 
-// refineBootstrap runs the construction-time refinement pass over a fully
-// built working set (records stored, adjacency graph materialized): select
-// the top-fraction hubs, refine them, and fold the shrunken UBRs back into
-// the adjacency graph through the same incremental machinery batches use.
-// It also fixes the incremental re-refinement threshold for the index's
-// lifetime.
-func (ix *Index) refineBootstrap(w *working) error {
-	if ix.cfg.Refine.Disabled {
-		return nil
-	}
+// refineAll runs one whole-graph refinement pass on w, a working set whose
+// adjacency graph is current: select the top-fraction hubs across every row,
+// fix the incremental re-refinement threshold at the weakest of them, refine
+// them, and fold the shrunken UBRs back into the graph through the same
+// incremental machinery batches use. Construction runs it on the bootstrap
+// working set, Refine on a fresh one over the published version.
+func (ix *Index) refineAll(w *working) (core.RefineStats, error) {
 	rc := ix.cfg.Refine.withDefaults()
 	ids, threshold := w.selectHubsAll(rc)
 	ix.setRefineThreshold(threshold)
 	if len(ids) == 0 {
-		return nil
-	}
-	if w.adjChanged == nil {
-		// Bootstrap working sets rebuild the graph whole and carry no change
-		// tracking; give the refinement pass the incremental maps so its
-		// shrinks patch rows in O(affected) instead of a second full rebuild.
-		w.adjChanged = make(map[uint32]struct{})
-		w.adjRemoved = make(map[uint32]struct{})
+		return core.RefineStats{}, nil
 	}
 	st, err := w.refinePass(ids, rc)
-	if err != nil {
-		return err
+	if err == nil {
+		err = w.updateAdjacency()
 	}
-	ix.Build.SE.Refine.Add(st)
+	if err != nil {
+		return st, err
+	}
 	ix.noteRefine(st)
-	return w.updateAdjacency()
+	return st, nil
 }
 
 // refineAfterBatch is the incremental write-path hook: after a batch's
@@ -333,8 +321,8 @@ func (w *working) refineAfterBatch() (core.RefineStats, error) {
 	if len(ids) == 0 {
 		return core.RefineStats{}, nil
 	}
-	w.adjChanged = make(map[uint32]struct{})
-	w.adjRemoved = make(map[uint32]struct{})
+	clear(w.adjChanged)
+	clear(w.adjRemoved)
 	st, err := w.refinePass(ids, rc)
 	if err != nil {
 		return st, err
@@ -360,23 +348,11 @@ func (ix *Index) Refine() (core.RefineStats, error) {
 	}
 	base := ix.current.Load()
 	w := ix.newWorking(base)
-	rc := ix.cfg.Refine.withDefaults()
-	ids, threshold := w.selectHubsAll(rc)
-	ix.setRefineThreshold(threshold)
-	if len(ids) == 0 {
-		w.abort()
-		return core.RefineStats{}, nil
-	}
-	st, err := w.refinePass(ids, rc)
-	if err != nil {
+	st, err := ix.refineAll(w)
+	if err != nil || st.Rows == 0 { // failed, or no hub to refine: nothing to publish
 		w.abort()
 		return st, err
 	}
-	if err := w.updateAdjacency(); err != nil {
-		w.abort()
-		return st, err
-	}
-	ix.noteRefine(st)
 	ix.publishWorking(w, base.walSeq)
 	return st, nil
 }

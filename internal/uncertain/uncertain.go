@@ -39,6 +39,9 @@ func (o *Object) Dim() int { return o.Region.Dim() }
 // Validate checks structural invariants: a well-formed region, instances
 // inside the region, and probabilities summing to ~1 when present.
 func (o *Object) Validate() error {
+	if len(o.Region.Hi) != len(o.Region.Lo) {
+		return fmt.Errorf("object %d: region corners have %d and %d coordinates", o.ID, len(o.Region.Lo), len(o.Region.Hi))
+	}
 	for i := range o.Region.Lo {
 		if o.Region.Lo[i] > o.Region.Hi[i] {
 			return fmt.Errorf("object %d: inverted region in dim %d", o.ID, i)

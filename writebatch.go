@@ -30,16 +30,17 @@ func InsertOp(o *Object) Update { return Update{Op: OpInsert, Object: o} }
 func DeleteOp(id ID) Update { return Update{Op: OpDelete, ID: id} }
 
 // ApplyBatch applies a mixed batch of inserts and deletes as one group
-// commit: the expensive UBR computations are staged against the published
-// snapshot (in parallel, while queries keep running), the whole batch is
-// logged to the write-ahead log with a single fsync when one is attached
-// (durable mode), and all updates apply to a copy-on-write working version
-// that publishes with one atomic pointer swap — readers never block and
+// commit: the whole batch is validated, logged to the write-ahead log with a
+// single fsync when one is attached (durable mode), and applied to a
+// copy-on-write working version — each run of consecutive inserts
+// set-at-a-time, its UBR computations in parallel, while queries keep running
+// — that publishes with one atomic pointer swap: readers never block and
 // never observe a partial batch. Per-op maintenance stats return
 // positionally.
 //
-// Validation is all-or-nothing: a duplicate insert ID or unknown delete ID
-// anywhere in the batch fails it before anything is logged or applied.
+// Validation is all-or-nothing: a malformed object (Object.Validate), a
+// duplicate insert ID or an unknown delete ID anywhere in the batch fails it
+// before anything is logged or applied.
 // Later ops see earlier ops' effects, so a delete followed by an insert of
 // the same ID is one atomic replacement.
 func (ix *Index) ApplyBatch(ups []Update) ([]UpdateStats, error) {
