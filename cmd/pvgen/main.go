@@ -13,8 +13,10 @@
 // switches synthetic placement from uniform to Gaussian clusters; -real
 // selects a simulated real dataset (roads | rrlines | airports) instead.
 //
-// Output format: a single gob-encoded dataset image (domain rectangle plus
-// every object's ID, region and instances — see internal/dataset/file.go).
+// Output format: one dataset stream — a "PVDATA1" header, the domain, then
+// every object's ID, region and instances in the fixed-width object codec
+// (little-endian float64s; see internal/dataset/file.go). Files written
+// before that codec were gob and are refused by name; regenerate them.
 // On success pvgen prints a one-line summary of what it wrote to stdout.
 package main
 

@@ -362,11 +362,7 @@ func (d *Durable) Checkpoint() (CheckpointStats, error) {
 		if err != nil {
 			return err
 		}
-		dbw := bufio.NewWriter(dw)
-		if err := dataset.SaveTo(db, dbw); err == nil {
-			err = dbw.Flush()
-		}
-		if err != nil {
+		if err := dataset.SaveTo(db, dw); err != nil {
 			dw.Abort()
 			return err
 		}

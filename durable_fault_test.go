@@ -2,6 +2,7 @@ package pvoronoi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/vfs"
 	"pvoronoi/internal/wal"
 )
@@ -302,6 +304,65 @@ func TestDurableAllCheckpointsCorruptFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestDurableGobEraFilesFailLoudly: a directory written before the
+// fixed-width object codec holds gob in its checkpoints' database halves and
+// in its WAL inserts. Neither is read as something else: checkpoints whose
+// envelopes verify but whose database is gob take the all-checkpoints-failed
+// path with the format named, and a gob insert in the WAL tail ends the open
+// in an error naming its sequence number.
+func TestDurableGobEraFilesFailLoudly(t *testing.T) {
+	t.Run("checkpoints", func(t *testing.T) {
+		dir := t.TempDir()
+		seedTwoCheckpoints(t, dir)
+		type fileFormat struct {
+			Dim                int
+			DomainLo, DomainHi []float64
+		}
+		for _, c := range listCheckpoints(vfs.OS, dir) {
+			sw, err := newSealedWriter(vfs.OS, filepath.Join(dir, c.base+".db"))
+			if err == nil {
+				err = gob.NewEncoder(sw).Encode(fileFormat{Dim: 2, DomainLo: []float64{0, 0}, DomainHi: []float64{1000, 1000}})
+			}
+			if err == nil {
+				err = sw.Commit()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := OpenDurable(dir, buildSmallDB(t, 40, false), testOptions())
+		if err == nil || !strings.Contains(err.Error(), "failed verification") || !strings.Contains(err.Error(), "gob") {
+			t.Fatalf("open over gob-era checkpoints: got %v, want the all-checkpoints-failed error naming gob", err)
+		}
+	})
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		d, err := OpenDurable(dir, buildSmallDB(t, 30, true), testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		type walInsert struct {
+			ID     uint32
+			Lo, Hi []float64
+		}
+		var frame bytes.Buffer
+		if err := gob.NewEncoder(&frame).Encode(walInsert{ID: 7001, Lo: []float64{50, 50}, Hi: []float64{60, 60}}); err != nil {
+			t.Fatal(err)
+		}
+		insertSeq, _, err := d.log.Append(
+			wal.Entry{Type: wal.TypeInsert, Payload: frame.Bytes()},
+			wal.Entry{Type: wal.TypeCommit, Payload: []byte{1, 0, 0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.log.Close()
+		_, err = OpenDurable(dir, nil, testOptions())
+		if want := fmt.Sprintf("wal insert %d ", insertSeq); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("open over a gob-era wal insert: got %v, want an error naming %q", err, want)
+		}
+	})
+}
+
 // TestDurableCheckpointRetention drives several checkpoints and checks the
 // retention contract: exactly CheckpointRetain checkpoints on disk, and the
 // WAL still reaching back to just past the oldest retained one so fallback
@@ -405,23 +466,19 @@ func TestDurablePoisonedLogFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frame as pvindex's walcodec writes it (gob matches fields by name).
-	type walInsert struct {
-		ID       uint32
-		Lo, Hi   []float64
-		InstPos  [][]float64
-		InstProb []float64
-	}
-	o := poisonObject(7001)
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(&walInsert{
-		ID: uint32(o.ID), Lo: o.Region.Lo, Hi: o.Region.Hi,
-		InstPos: [][]float64{o.Instances[0].Pos}, InstProb: []float64{o.Instances[0].Prob},
-	}); err != nil {
+	// The frame as pvindex's walcodec writes it: magic, dim, ID, instance
+	// count, the fixed-width object. A 1-d instance has no fixed-width form,
+	// so this poison's instance lies outside its region instead.
+	o := &Object{ID: 7001, Region: NewRect(Point{50, 50}, Point{60, 60}), Instances: []Instance{{Pos: Point{51, 70}, Prob: 1}}}
+	frame := binary.LittleEndian.AppendUint16([]byte("PVO1"), 2)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(o.ID))
+	frame = binary.LittleEndian.AppendUint32(frame, 1)
+	frame, err = uncertain.AppendObject(frame, o)
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, commitSeq, err := d.log.Append(
-		wal.Entry{Type: wal.TypeInsert, Payload: frame.Bytes()},
+		wal.Entry{Type: wal.TypeInsert, Payload: frame},
 		wal.Entry{Type: wal.TypeCommit, Payload: []byte{1, 0, 0, 0}})
 	if err != nil {
 		t.Fatal(err)

@@ -537,8 +537,7 @@ func (t *Tree) leafRemove(n *node, id uint32) (int, error) {
 }
 
 // rewriteChain replaces leaf n's page chain with a fresh chain holding
-// entries (at least one page, possibly empty), freeing the old chain through
-// the session. Pages are written tail-first so each knows its successor.
+// entries, freeing the old chain through the session.
 func (t *Tree) rewriteChain(n *node, entries []Entry) error {
 	p := n.firstPage
 	for p != 0 {
@@ -551,29 +550,94 @@ func (t *Tree) rewriteChain(n *node, entries []Entry) error {
 		}
 		p = next
 	}
+	return t.writeChain(n, entries)
+}
+
+// writeChain makes entries leaf n's chain on fresh pages (at least one) in
+// the layout leafInsert leaves: full pages at the tail in entry order, the
+// newest, possibly partial, page at the head.
+func (t *Tree) writeChain(n *node, entries []Entry) error {
 	per := t.perPage()
-	numPages := (len(entries) + per - 1) / per
-	if numPages == 0 {
-		numPages = 1
-	}
 	var next pagestore.PageID
-	for i := numPages - 1; i >= 0; i-- {
-		lo := i * per
-		hi := lo + per
-		if hi > len(entries) {
-			hi = len(entries)
-		}
+	n.pages = 0
+	for lo := 0; lo < len(entries) || n.pages == 0; lo += per {
 		id, err := t.allocPage()
 		if err != nil {
 			return err
 		}
-		if err := t.writeLeafPage(id, next, entries[lo:hi]); err != nil {
+		if err := t.writeLeafPage(id, next, entries[lo:min(lo+per, len(entries))]); err != nil {
 			return err
 		}
 		next = id
+		n.pages++
 	}
 	n.firstPage = next
-	n.pages = numPages
+	return nil
+}
+
+// BulkItem is one object handed to BulkLoad: its leaf entry and the UBR that
+// decides which cells hold it.
+type BulkItem struct {
+	Entry
+	UBR geom.Rect
+}
+
+// BulkLoad fills an empty tree with items in one top-down pass: a cell that
+// more than a page of UBRs overlap splits while its depth is below MaxDepth
+// and the budget allows, granted in level order (every such cell at depth k
+// before any at k+1); any other cell becomes a leaf, its entries written once
+// in input order. While the budget does not bind, this is the tree Insert
+// builds from the items in order, down to every leaf's chain — only page IDs
+// differ.
+func (t *Tree) BulkLoad(items []BulkItem) error {
+	if t.size != 0 || t.root.children != nil {
+		return fmt.Errorf("octree: BulkLoad on a non-empty tree")
+	}
+	// Every node gets its pages when it becomes a leaf.
+	if err := t.freePage(t.root.firstPage); err != nil {
+		return err
+	}
+	t.root.firstPage, t.root.pages = 0, 0
+	type cell struct {
+		n      *node
+		region geom.Rect
+		items  []int32 // the parent's items; those whose UBR overlaps region are the cell's
+	}
+	all := make([]int32, len(items))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	var entries []Entry
+	for level := []cell{{t.root, t.domain, all}}; len(level) > 0; {
+		var next []cell
+		for _, c := range level {
+			var in []int32
+			for _, i := range c.items {
+				if c.region.Intersects(items[i].UBR) {
+					in = append(in, i)
+				}
+			}
+			if len(in) > t.perPage() && c.n.depth < t.maxDepth && t.memUsed+nodeBytes(t.dim) <= t.memBudget {
+				c.n.children = make([]*node, 1<<t.dim)
+				for mask := range c.n.children {
+					c.n.children[mask] = &node{owner: t.sess, depth: c.n.depth + 1}
+					next = append(next, cell{c.n.children[mask], childRegion(c.region, mask), in})
+				}
+				t.memUsed += nodeBytes(t.dim)
+				t.SplitCount++
+				continue
+			}
+			entries = entries[:0]
+			for _, i := range in {
+				entries = append(entries, items[i].Entry)
+			}
+			if err := t.writeChain(c.n, entries); err != nil {
+				return err
+			}
+			t.size += len(entries)
+		}
+		level = next
+	}
 	return nil
 }
 

@@ -799,7 +799,8 @@ func TestRecoveryCheckpointRecordClearsPending(t *testing.T) {
 // for malformed objects may hold one, sealed by its commit and acknowledged
 // only by the panic that followed. Replay validates each commit group like
 // ApplyBatch does, so such a log ends in an error naming the commit — not in
-// the panic again — and the index stays at the state it had.
+// the panic again — and the index stays at the state it had. (Since the
+// fixed-width codec only the well-shaped poisons can be logged at all.)
 func TestRecoveryRejectsPoisonRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	base := randomDB(rng, 40, 2, 600, 25, false)
@@ -817,7 +818,17 @@ func TestRecoveryRejectsPoisonRecord(t *testing.T) {
 			}
 			poison, err := encodeUpdate(Update{Op: OpInsert, Object: bad})
 			if err != nil {
-				t.Fatal(err)
+				// A ragged object — a corner or a position of the wrong
+				// length — has no fixed-width encoding: the WAL codec
+				// refuses it, so no log can hold one.
+				ragged := len(bad.Region.Hi) != bad.Dim()
+				for _, in := range bad.Instances {
+					ragged = ragged || len(in.Pos) != bad.Dim()
+				}
+				if !ragged {
+					t.Fatalf("encoding a well-shaped poison: %v", err)
+				}
+				return
 			}
 			one := []byte{1, 0, 0, 0}
 			if _, _, err := log.Append(good, wal.Entry{Type: wal.TypeCommit, Payload: one}); err != nil {

@@ -2,13 +2,17 @@ package pvindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"pvoronoi/internal/adjgraph"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/wal"
@@ -220,6 +224,81 @@ func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// octreeHash folds the published primary index — pre-order over its image's
+// nodes: depth, leaf or internal, a leaf's page count and every page's entry
+// count and packed entries (ID, region bits) in chain order — then size,
+// memory used and split count into one FNV-64a value. Page IDs are left out.
+func octreeHash(t *testing.T, ix *Index) uint64 {
+	t.Helper()
+	v := ix.current.Load()
+	img := v.primary.Image()
+	h := fnv.New64a()
+	put := func(x int) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x))) }
+	for _, n := range img.Nodes {
+		put(int(n.Depth))
+		put(len(n.Children))
+		put(int(n.Pages))
+		for p := pagestore.PageID(n.FirstPage); p != 0; {
+			buf, err := ix.store.View(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := int(binary.LittleEndian.Uint32(buf[4:8]))
+			h.Write(buf[4 : 8+count*(4+16*v.primary.Dim())]) // next-page ID excluded
+			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+		}
+	}
+	put(img.Size)
+	put(img.MemUsed)
+	put(img.SplitCount)
+	return h.Sum64()
+}
+
+// TestBuildMatchesReference: the bulk-loaded build publishes the index the
+// insert-at-a-time build loop it replaced (reference_test.go) publishes —
+// the same octree node for node and entry for entry, the same record bytes,
+// database order, stored UBRs and adjacency rows, refinement on.
+func TestBuildMatchesReference(t *testing.T) {
+	for _, c := range []struct{ d, n int }{{2, 3000}, {3, 1000}} {
+		if race.Enabled {
+			c.n /= 5 // CI's uninstrumented step runs the full size
+		}
+		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
+			db := dataset.Synthetic(dataset.SyntheticParams{N: c.n, Dim: c.d, MaxSide: 60, Instances: 10, Seed: 3})
+			cfg := differentialConfig(true)
+			ix, err := BuildParallel(db.Clone(), cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := referenceBuildParallel(db.Clone(), cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := octreeHash(t, ix), octreeHash(t, ref); got != want {
+				t.Fatalf("octree %+v hashes %#x, the reference's %+v %#x", ix.PrimaryStats(), got, ref.PrimaryStats(), want)
+			}
+			if st := ix.PrimaryStats(); st.Internal == 0 || ix.Build.SE.Refine.Rows == 0 {
+				t.Fatalf("case exercises too little: octree %+v, %d rows refined", st, ix.Build.SE.Refine.Rows)
+			}
+			assertSameState(t, ix, ref, "built index")
+			iv, rv := ix.current.Load(), ref.current.Load()
+			for _, o := range db.Objects() {
+				got, _, err := iv.secondary.GetView(uint32(o.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := rv.secondary.GetView(uint32(o.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("object %d: record bytes differ from the reference's", o.ID)
+				}
+			}
+		})
 	}
 }
 

@@ -2,12 +2,17 @@ package pvindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
+	"pvoronoi/internal/wal"
 )
 
 // FuzzDecodeRecord exercises the secondary-index record decoder with
@@ -18,7 +23,7 @@ import (
 func FuzzDecodeRecord(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	region := geom.NewRect(geom.Point{1, 2}, geom.Point{3, 4})
-	valid := encodeRecord(record{
+	valid := mustEncodeRecord(f, record{
 		UBR:       geom.NewRect(geom.Point{0, 0}, geom.Point{10, 10}),
 		Region:    region,
 		Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 5, rng),
@@ -53,7 +58,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		// A successful decode must re-encode to the same bytes (the format is
 		// fixed-width given d and n, and floats travel as their bits).
-		if out := encodeRecord(rec); !bytes.Equal(out, data) {
+		if out := mustEncodeRecord(t, rec); !bytes.Equal(out, data) {
 			t.Fatalf("re-encode differs from input (%d vs %d bytes)", len(out), len(data))
 		}
 		// Positions share one backing array; a capped Pos keeps an append by
@@ -64,6 +69,120 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// objectCodecSeeds are FuzzDecodeObject's seeds: WAL insert payloads and
+// dataset streams at d = 1 … 5 — no instances, −0, a NaN payload, ±Inf —
+// and the rows both decoders must reject: truncations, a trailing byte, an
+// instance count far beyond the input, a stream whose object is invalid or
+// leaves the domain, and the gob-era forms of both framings.
+func objectCodecSeeds(f *testing.F) [][]byte {
+	rng := rand.New(rand.NewSource(5))
+	negZero, nan := math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef)
+	var seeds [][]byte
+	for d := 1; d <= 5; d++ {
+		objs := []*uncertain.Object{newObj(rng, 1, d, 100, 10), newObj(rng, 2, d, 100, 10), newObj(rng, 3, d, 100, 10)}
+		objs[1].Instances = uncertain.SampleInstances(objs[1].Region, uncertain.PDFUniform, 3, rng)
+		objs[1].Region.Lo[0], objs[1].Instances[0].Pos[0] = negZero, negZero
+		objs[2].Instances = uncertain.SampleInstances(objs[2].Region, uncertain.PDFGaussian, 2, rng)
+		objs[2].Instances[1].Prob = nan
+		inf := &uncertain.Object{ID: 4, Region: geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}}
+		inf.Region.Lo[0], inf.Region.Hi[d-1] = math.Inf(-1), math.Inf(1)
+		db := uncertain.NewDB(geom.UnitCube(d, 100))
+		for _, o := range append(objs, inf) {
+			e, err := encodeUpdate(Update{Op: OpInsert, Object: o})
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, e.Payload)
+			if err := db.Add(o); err != nil {
+				f.Fatal(err)
+			}
+			var stream bytes.Buffer
+			if err := dataset.SaveTo(db, &stream); err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, stream.Bytes()) // valid until inf joins
+		}
+	}
+	ins, stream := seeds[2], seeds[5] // d = 1: an insert with instances, a three-object stream
+	huge := bytes.Clone(ins)
+	binary.LittleEndian.PutUint32(huge[walInsertHead-4:], 1<<31)
+	seeds = append(seeds, ins[:len(ins)-1], append(bytes.Clone(ins), 0), huge,
+		stream[:len(stream)-3], append(bytes.Clone(stream), 0, 0))
+
+	type walInsert struct {
+		ID       uint32
+		Lo, Hi   []float64
+		InstPos  [][]float64
+		InstProb []float64
+	}
+	type fileFormat struct {
+		Dim                int
+		DomainLo, DomainHi []float64
+	}
+	var gobIns, gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobIns).Encode(walInsert{ID: 7, Lo: []float64{1, 1}, Hi: []float64{2, 2}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := gob.NewEncoder(&gobStream).Encode(fileFormat{Dim: 1, DomainLo: []float64{0}, DomainHi: []float64{1}}); err != nil {
+		f.Fatal(err)
+	}
+	return append(seeds, gobIns.Bytes(), gobStream.Bytes(), nil)
+}
+
+// allocated reports the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeObject drives arbitrary bytes through both framings of the
+// fixed-width object codec — a WAL insert payload (decodeUpdate) and a
+// dataset stream (dataset.LoadFrom). Neither may panic, neither may allocate
+// more than a small multiple of its input whatever its counts claim, and a
+// successful decode must re-encode to the same bytes. (Mutate with
+// `go test -run '^$' -fuzz FuzzDecodeObject ./internal/pvindex`.)
+func FuzzDecodeObject(f *testing.F) {
+	for _, seed := range objectCodecSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := 16*uint64(len(data)) + 64<<10
+		var u Update
+		var err error
+		if n := allocated(func() { u, err = decodeUpdate(wal.Record{Seq: 1, Type: wal.TypeInsert, Payload: data}) }); n > limit {
+			t.Fatalf("decoding a %d-byte insert allocated %d bytes", len(data), n)
+		}
+		if err == nil {
+			e, err := encodeUpdate(u)
+			if err != nil || !bytes.Equal(e.Payload, data) {
+				t.Fatalf("insert re-encodes to %d bytes (%v), input was %d", len(e.Payload), err, len(data))
+			}
+		}
+		var db *uncertain.DB
+		if n := allocated(func() { db, err = dataset.LoadFrom(bytes.NewReader(data)) }); n > limit {
+			t.Fatalf("decoding a %d-byte dataset stream allocated %d bytes", len(data), n)
+		}
+		if err == nil {
+			var out bytes.Buffer
+			if err := dataset.SaveTo(db, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
+				t.Fatalf("dataset re-encodes to %d bytes (%v), input was %d", out.Len(), err, len(data))
+			}
+		}
+	})
+}
+
+func mustEncodeRecord(t testing.TB, r record) []byte {
+	t.Helper()
+	buf, err := encodeRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // sameBits compares coordinates bit for bit (NaN payloads included).

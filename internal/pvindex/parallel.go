@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
-	"pvoronoi/internal/geom"
+	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
@@ -15,10 +15,11 @@ import (
 // BuildParallel constructs the PV-index like Build but computes UBRs with a
 // pool of workers (the SE algorithm is read-only over the database and the
 // region tree, so per-object UBR computation parallelizes embarrassingly;
-// only index insertion is serialized). workers <= 0 uses GOMAXPROCS.
+// the octree bulk load and the record writes after it are serial). workers
+// <= 0 uses GOMAXPROCS.
 //
-// The resulting index answers queries identically to a serial Build — the
-// paper's bulk-loading direction from its conclusion, realized as a
+// The resulting index is the one a serial Build makes — the paper's
+// bulk-loading direction from its conclusion, realized as a
 // construction-time optimization.
 func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	if workers <= 0 {
@@ -43,22 +44,28 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	}
 
 	objs := db.Objects()
-	ubrs := make([]geom.Rect, len(objs))
+	items := make([]octree.BulkItem, len(objs))
 	seStats := make([]core.Stats, len(objs))
 
 	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
 	// its structure; structural reads are safe concurrently.
 	parallelFor(workers, len(objs), func(i int) {
-		ubrs[i], seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
+		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
+		items[i].UBR, seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
 	})
 
 	t0 := time.Now()
+	// The primary index in one pass — the tree inserting the objects in this
+	// order would build, without reading a leaf page back — then the records.
+	if err := w.primary.BulkLoad(items); err != nil {
+		return nil, err
+	}
 	for i, o := range objs {
 		ix.Build.SE.Add(seStats[i])
 		ix.Build.CSetTime += seStats[i].CSetTime
 		ix.Build.UBRTime += seStats[i].UBRTime
 		ix.Build.CSetSizeSum += seStats[i].CSetSize
-		if err := w.addObject(o, ubrs[i]); err != nil {
+		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
 			return nil, err
 		}
 		w.adjMarkChanged(uint32(o.ID))

@@ -496,7 +496,11 @@ func (ix *Index) Adjacency() AdjacencyStats {
 // putRecord writes o's record to the working secondary index and marks the
 // ID dirty so the cache generation bumps at publish.
 func (w *working) putRecord(id uint32, rec record) error {
-	if err := w.secondary.Put(id, encodeRecord(rec)); err != nil {
+	buf, err := encodeRecord(rec)
+	if err == nil {
+		err = w.secondary.Put(id, buf)
+	}
+	if err != nil {
 		return err
 	}
 	w.markDirty(id)

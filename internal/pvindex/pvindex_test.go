@@ -135,7 +135,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		Region:    region,
 		Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 25, rng),
 	}
-	buf := encodeRecord(rec)
+	buf := mustEncodeRecord(t, rec)
 	got, err := decodeRecord(buf)
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,14 @@ package pvindex
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
@@ -15,7 +17,8 @@ import (
 // The write paths the one write path replaced, kept as they were so that
 // differential_test.go can hold the new code to them: the op-at-a-time
 // apply loop with its three SE modes and impact rectangles, the insert it
-// drove, and the construction-time adjacency builder.
+// drove, the construction-time adjacency builder, and the insert-at-a-time
+// build loop the octree bulk load replaced.
 
 // seMode selects how an insert's UBR is obtained during batch application.
 type seMode int
@@ -293,6 +296,75 @@ func rebuildAdjacency(db *uncertain.DB, primary *octree.Tree, lookup func(uint32
 		g.Set(id, ubr, geom.Dist(o.Region.Lo, o.Region.Hi), ns)
 	}
 	return g, nil
+}
+
+// referenceBuildParallel is BuildParallel as it was before the primary index
+// was bulk-loaded: every object through addObject — its record, then an
+// octree.Insert — in database order.
+func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Store == nil {
+		cfg.Store = pagestore.New(pagestore.DefaultPageSize)
+	}
+	if cfg.MemBudget <= 0 {
+		cfg.MemBudget = 5 << 20
+	}
+	if cfg.Fanout <= 0 {
+		cfg.Fanout = rtree.DefaultFanout
+	}
+	ix := &Index{store: cfg.Store, cfg: cfg}
+	ix.initRuntime()
+
+	start := time.Now()
+	w, err := ix.bootstrapWorking(db)
+	if err != nil {
+		return nil, err
+	}
+
+	objs := db.Objects()
+	ubrs := make([]geom.Rect, len(objs))
+	seStats := make([]core.Stats, len(objs))
+
+	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
+	// its structure; structural reads are safe concurrently.
+	parallelFor(workers, len(objs), func(i int) {
+		ubrs[i], seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
+	})
+
+	t0 := time.Now()
+	for i, o := range objs {
+		ix.Build.SE.Add(seStats[i])
+		ix.Build.CSetTime += seStats[i].CSetTime
+		ix.Build.UBRTime += seStats[i].UBRTime
+		ix.Build.CSetSizeSum += seStats[i].CSetSize
+		if err := w.addObject(o, ubrs[i]); err != nil {
+			return nil, err
+		}
+		w.adjMarkChanged(uint32(o.ID))
+		ix.Build.Objects++
+	}
+	ix.Build.InsertTime = time.Since(t0)
+	// Every object is a changed row of the empty graph.
+	if err := w.updateAdjacency(); err != nil {
+		return nil, err
+	}
+	if !cfg.Refine.Disabled {
+		// The n rows just built are done: what the refinement pass marks
+		// changed is what it shrank. It reuses the same worker pool for its
+		// escalated SE runs; GOMAXPROCS is already the pool width parallelSE
+		// uses.
+		clear(w.adjChanged)
+		st, err := ix.refineAll(w)
+		if err != nil {
+			return nil, err
+		}
+		ix.Build.SE.Refine.Add(st)
+	}
+	ix.Build.Total = time.Since(start)
+	ix.installBootstrap(w, 0)
+	return ix, nil
 }
 
 // referenceGraph is the graph rebuildAdjacency makes of the current version's

@@ -1,91 +1,67 @@
 package pvindex
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
-	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/wal"
 )
 
-// walInsert is the gob payload of a TypeInsert record: the inserted object
-// in flat slices (gob handles these more compactly and robustly than the
-// nested geom/uncertain types).
-type walInsert struct {
-	ID       uint32
-	Lo, Hi   []float64
-	InstPos  [][]float64
-	InstProb []float64
-}
+// An insert payload is walInsertMagic (uncertain's fixed-width object codec,
+// version 1) | dim uint16 | id uint32 | nInstances uint32 | the object. An
+// insert a gob-era binary logged does not open with the magic and is refused
+// by sequence number.
+const (
+	walInsertMagic = "PVO1"
+	walInsertHead  = len(walInsertMagic) + 2 + 4 + 4
+)
 
-// walDelete is the gob payload of a TypeDelete record.
-type walDelete struct {
-	ID uint32
-}
-
-// encodeUpdate turns one batch update into a WAL entry.
+// encodeUpdate turns one batch update into a WAL entry; a delete's payload is
+// the ID (uint32).
 func encodeUpdate(u Update) (wal.Entry, error) {
-	var buf bytes.Buffer
 	switch u.Op {
 	case OpInsert:
 		o := u.Object
-		w := walInsert{
-			ID: uint32(o.ID),
-			Lo: o.Region.Lo,
-			Hi: o.Region.Hi,
-		}
-		if n := len(o.Instances); n > 0 {
-			w.InstPos = make([][]float64, n)
-			w.InstProb = make([]float64, n)
-			for i, in := range o.Instances {
-				w.InstPos[i] = in.Pos
-				w.InstProb[i] = in.Prob
-			}
-		}
-		if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		buf := binary.LittleEndian.AppendUint16([]byte(walInsertMagic), uint16(o.Dim()))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.Instances)))
+		buf, err := uncertain.AppendObject(buf, o)
+		if err != nil {
 			return wal.Entry{}, fmt.Errorf("pvindex: encoding insert for wal: %w", err)
 		}
-		return wal.Entry{Type: wal.TypeInsert, Payload: buf.Bytes()}, nil
+		return wal.Entry{Type: wal.TypeInsert, Payload: buf}, nil
 	case OpDelete:
-		if err := gob.NewEncoder(&buf).Encode(&walDelete{ID: uint32(u.ID)}); err != nil {
-			return wal.Entry{}, fmt.Errorf("pvindex: encoding delete for wal: %w", err)
-		}
-		return wal.Entry{Type: wal.TypeDelete, Payload: buf.Bytes()}, nil
+		return wal.Entry{Type: wal.TypeDelete, Payload: binary.LittleEndian.AppendUint32(nil, uint32(u.ID))}, nil
 	default:
 		return wal.Entry{}, fmt.Errorf("pvindex: encoding unknown op %d for wal", u.Op)
 	}
 }
 
-// decodeUpdate reconstructs a batch update from a replayed WAL record.
+// decodeUpdate reconstructs a batch update from a replayed WAL record,
+// refusing a payload whose lengths disagree with its header.
 func decodeUpdate(rec wal.Record) (Update, error) {
+	p := rec.Payload
 	switch rec.Type {
 	case wal.TypeInsert:
-		var w walInsert
-		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&w); err != nil {
+		if len(p) < walInsertHead || string(p[:len(walInsertMagic)]) != walInsertMagic {
+			return Update{}, fmt.Errorf("pvindex: wal insert %d is not a %q payload (a log written before the fixed-width codec holds gob, which is no longer read)", rec.Seq, walInsertMagic)
+		}
+		h := p[len(walInsertMagic):]
+		o := &uncertain.Object{ID: uncertain.ID(binary.LittleEndian.Uint32(h[2:6]))}
+		rest, err := uncertain.DecodeObject(o, p[walInsertHead:], int(binary.LittleEndian.Uint16(h[0:2])), int(binary.LittleEndian.Uint32(h[6:10])))
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		if err != nil {
 			return Update{}, fmt.Errorf("pvindex: decoding wal insert %d: %w", rec.Seq, err)
-		}
-		o := &uncertain.Object{
-			ID:     uncertain.ID(w.ID),
-			Region: geom.Rect{Lo: w.Lo, Hi: w.Hi},
-		}
-		if n := len(w.InstPos); n > 0 {
-			if len(w.InstProb) != n {
-				return Update{}, fmt.Errorf("pvindex: wal insert %d: %d positions, %d probabilities", rec.Seq, n, len(w.InstProb))
-			}
-			o.Instances = make([]uncertain.Instance, n)
-			for i := range w.InstPos {
-				o.Instances[i] = uncertain.Instance{Pos: w.InstPos[i], Prob: w.InstProb[i]}
-			}
 		}
 		return Update{Op: OpInsert, Object: o}, nil
 	case wal.TypeDelete:
-		var w walDelete
-		if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&w); err != nil {
-			return Update{}, fmt.Errorf("pvindex: decoding wal delete %d: %w", rec.Seq, err)
+		if len(p) != 4 {
+			return Update{}, fmt.Errorf("pvindex: wal delete %d has a %d-byte payload, want 4", rec.Seq, len(p))
 		}
-		return Update{Op: OpDelete, ID: uncertain.ID(w.ID)}, nil
+		return Update{Op: OpDelete, ID: uncertain.ID(binary.LittleEndian.Uint32(p))}, nil
 	default:
 		return Update{}, fmt.Errorf("pvindex: wal record %d has unknown type %d", rec.Seq, rec.Type)
 	}

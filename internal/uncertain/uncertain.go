@@ -8,8 +8,10 @@ package uncertain
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"pvoronoi/internal/geom"
 )
@@ -205,11 +207,5 @@ func (db *DB) Objects() []*Object { return db.objects }
 // Clone returns a shallow copy of the database sharing the object values but
 // with independent bookkeeping, so updates to one copy do not affect the other.
 func (db *DB) Clone() *DB {
-	c := NewDB(db.Domain)
-	c.objects = make([]*Object, len(db.objects))
-	copy(c.objects, db.objects)
-	for id, idx := range db.byID {
-		c.byID[id] = idx
-	}
-	return c
+	return &DB{Domain: db.Domain, objects: slices.Clone(db.objects), byID: maps.Clone(db.byID)}
 }
