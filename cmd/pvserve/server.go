@@ -421,8 +421,6 @@ func extCostFields(body map[string]any, cost pvoronoi.ExtQueryCost) map[string]a
 	body["candidates"] = cost.Candidates
 	body["node_io"] = cost.NodeIO
 	body["leaf_io"] = cost.LeafIO
-	body["graph_nodes"] = cost.GraphNodes
-	body["graph_edges"] = cost.GraphEdges
 	body["cache_hits"] = cost.CacheHits
 	body["cache_misses"] = cost.CacheMisses
 	return body

@@ -119,11 +119,11 @@ func TestServePNNQOverHTTP(t *testing.T) {
 	}
 }
 
-// Regression: a group of finite points so far apart that the anchor's
-// squared distances (or its centroid) overflow used to leave the anchor
-// non-finite, and /v1/groupnn answered 500 with "query point has a
-// non-finite coordinate". Every aggregate distance is +∞ then, every object
-// ties, and the reply is what the scan gives: all of them, summing to 1.
+// Regression: a group of finite points so far apart that their distances,
+// sums or centroid overflow once made /v1/groupnn answer 500 with "query
+// point has a non-finite coordinate". Every aggregate distance is +∞ then,
+// every object ties, and the reply is what the scan gives: all of them,
+// summing to 1.
 func TestServeGroupNNFarApartPoints(t *testing.T) {
 	ix := testIndex(t, 40)
 	ts := httptest.NewServer(newServer(ix).routes())

@@ -22,28 +22,23 @@ const (
 // KNNResult is an object's probability of ranking among the k nearest.
 type KNNResult = pnnq.KNNResult
 
-// PossibleKNN and GroupNN retrieve their candidates by best-first expansion
-// over the index's materialized Voronoi-adjacency graph (seeded by an octree
-// point query, never an O(n) scan); PossibleRNN retrieves through the region
-// R*-tree. All snapshot the candidates' stored instances from one pinned
-// MVCC version; the expensive probability refinement then runs on the
-// snapshot. No lock is taken at any point — long extension queries never
-// stall writers, and writers never stall them.
+// PossibleKNN, GroupNN and PossibleRNN all retrieve their candidates by
+// branch-and-bound over the index's R*-tree of uncertainty regions (the
+// paper's R-tree baseline, generalized to aggregate and k-th bounds — never
+// an O(n) scan). PossibleKNN and GroupNN snapshot the candidates' stored
+// instances from one pinned MVCC version; the expensive probability
+// refinement then runs on the snapshot. No lock is taken at any point — long
+// extension queries never stall writers, and writers never stall them.
 
 // ExtQueryCost reports the per-query cost of one extension query: candidate
-// count, R-tree node and leaf accesses during retrieval (on the graph paths
-// LeafIO counts the octree seed query's leaf reads), adjacency-graph
-// expansion work, the record-cache outcomes of the instance fetch, and the
-// end-to-end latency including the out-of-lock probability refinement. Like
-// QueryCost it is attributed exactly to the call that incurred it.
+// count, R-tree node and leaf accesses during retrieval, the record-cache
+// outcomes of the instance fetch, and the end-to-end latency including the
+// out-of-lock probability refinement. Like QueryCost it is attributed
+// exactly to the call that incurred it.
 type ExtQueryCost struct {
 	Candidates int
 	NodeIO     int
 	LeafIO     int
-	// GraphNodes/GraphEdges count the adjacency rows expanded and neighbor
-	// links examined by graph retrieval (zero on the R*-tree paths).
-	GraphNodes int
-	GraphEdges int
 	// CacheHits/CacheMisses are the instance fetch's record-cache outcomes
 	// (zero for candidate-only queries like PossibleRNN).
 	CacheHits   int
@@ -57,8 +52,6 @@ func extCost(c pvindex.ExtCost, start time.Time) ExtQueryCost {
 		Candidates:  c.Candidates,
 		NodeIO:      c.NodeIO,
 		LeafIO:      c.LeafIO,
-		GraphNodes:  c.GraphNodes,
-		GraphEdges:  c.GraphEdges,
 		CacheHits:   c.CacheHits,
 		CacheMisses: c.CacheMisses,
 		Latency:     time.Since(start),

@@ -1,11 +1,18 @@
 package pvoronoi
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/extquery"
+	"pvoronoi/internal/race"
 )
 
 func TestGroupNNPublicAPI(t *testing.T) {
@@ -152,94 +159,201 @@ func TestPossibleKNN1MatchesQueryIDs(t *testing.T) {
 	}
 }
 
-// The public candidate sets ride the R*-tree; they must equal the retained
-// brute-force scans at every point, including after the index absorbs
-// inserts and deletes — with refinement on and off, since refined UBRs
-// change the adjacency graph the graph routes walk.
+// The public candidate sets ride the region R*-tree; they must equal the
+// retained brute-force scans at every point — in d = 2, 3 and 4, on uniform
+// and clustered data with coincident regions, for queries inside and outside
+// the domain and for groups near and far apart — and keep equalling them as
+// the index absorbs mixed batches and same-ID replacements and comes back
+// from a checkpoint, with refinement on and off.
 func TestExtensionCandidatesMatchOraclesThroughUpdates(t *testing.T) {
-	for name, refineOff := range map[string]bool{"refined": false, "unrefined": true} {
-		t.Run(name, func(t *testing.T) {
-			opts := testOptions()
-			opts.Refine.Disabled = refineOff
-			extensionCandidatesMatchOracles(t, opts)
+	for _, refine := range []string{"refined", "unrefined"} {
+		t.Run(refine, func(t *testing.T) {
+			for _, dim := range []int{2, 3, 4} {
+				for _, layout := range []string{"uniform", "clustered"} {
+					t.Run(fmt.Sprintf("d%d/%s", dim, layout), func(t *testing.T) {
+						if race.Enabled && (refine == "refined") == (layout == "clustered") {
+							t.Skip("instrumented, each layout runs one refinement setting")
+						}
+						opts := testOptions()
+						opts.Refine.Disabled = refine == "unrefined"
+						extensionCandidatesMatchOracles(t, dim, layout == "clustered", opts)
+					})
+				}
+			}
 		})
 	}
 }
 
-func extensionCandidatesMatchOracles(t *testing.T, opts Options) {
+// extensionObject draws one object in [0, 1000]^d: uniform, or around one of
+// centres; its sides are 5–35 and it carries 20 pdf instances.
+func extensionObject(rng *rand.Rand, id ID, dim int, centres []Point) *Object {
+	lo, hi := make(Point, dim), make(Point, dim)
+	c := centres[rng.Intn(len(centres))]
+	for j := range lo {
+		if c == nil {
+			lo[j] = rng.Float64() * 950
+		} else {
+			lo[j] = min(max(c[j]+rng.NormFloat64()*40, 0), 950)
+		}
+		hi[j] = lo[j] + 5 + rng.Float64()*30
+	}
+	region := NewRect(lo, hi)
+	return &Object{ID: id, Region: region, Instances: SampleUniform(region, 20, rng.Int63())}
+}
+
+// extensionDB builds the differential's database: n objects, uniform or in
+// four Gaussian clusters, plus a twin with a coincident region for every
+// tenth of them.
+func extensionDB(t *testing.T, rng *rand.Rand, dim, n int, clustered bool) (*DB, []Point) {
 	t.Helper()
-	db := buildSmallDB(t, 70, true)
+	centres := []Point{nil}
+	if clustered {
+		centres = make([]Point, 4)
+		for i := range centres {
+			centres[i] = make(Point, dim)
+			for j := range centres[i] {
+				centres[i][j] = 100 + rng.Float64()*800
+			}
+		}
+	}
+	lo, hi := make(Point, dim), make(Point, dim)
+	for j := range hi {
+		hi[j] = 1000
+	}
+	db := NewDB(NewRect(lo, hi))
+	for i := 0; i < n; i++ {
+		o := extensionObject(rng, ID(i), dim, centres)
+		if err := db.Add(o); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			twin := &Object{ID: ID(10000 + i), Region: o.Region, Instances: SampleUniform(o.Region, 20, rng.Int63())}
+			if err := db.Add(twin); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db, centres
+}
+
+func extensionCandidatesMatchOracles(t *testing.T, dim int, clustered bool, opts Options) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(123 + dim)))
+	db, centres := extensionDB(t, rng, dim, 60, clustered)
 	ix, err := Build(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(123))
+	point := func(lo, hi float64) Point {
+		p := make(Point, dim)
+		for j := range p {
+			p[j] = lo + rng.Float64()*(hi-lo)
+		}
+		return p
+	}
+	fill := func(v float64) Point {
+		p := make(Point, dim)
+		for j := range p {
+			p[j] = v
+		}
+		return p
+	}
+	same := func(stage, what string, got, want []ID) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s %s: %v != oracle %v", stage, what, got, want)
+		}
+	}
 	check := func(stage string) {
 		t.Helper()
-		for iter := 0; iter < 15; iter++ {
-			q := Point{rng.Float64() * 1000, rng.Float64() * 1000}
-			group := []Point{q, {rng.Float64() * 1000, rng.Float64() * 1000}}
-			for _, agg := range []Agg{AggSum, AggMax} {
-				got, err := ix.GroupNNCandidates(group, agg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := extquery.GroupNNBruteForce(ix.DB(), group, agg)
-				if len(got) != len(want) {
-					t.Fatalf("%s groupnn agg=%d: %v != oracle %v", stage, agg, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s groupnn agg=%d: %v != oracle %v", stage, agg, got, want)
-					}
-				}
-			}
-			for _, k := range []int{1, 4, 9} {
+		// Queries inside the domain, just outside it, far outside it, and
+		// so far out that every distance overflows and every object ties.
+		queries := []Point{fill(-1e5), fill(1e300)}
+		for i := 0; i < 6; i++ {
+			queries = append(queries, point(0, 1000), point(-600, 1600))
+		}
+		for _, q := range queries {
+			for _, k := range []int{1, 4, 8} {
 				got, err := ix.PossibleKNNCandidates(q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := extquery.KNNCandidates(ix.DB(), q, k)
-				if len(got) != len(want) {
-					t.Fatalf("%s knn k=%d: %v != oracle %v", stage, k, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s knn k=%d: %v != oracle %v", stage, k, got, want)
-					}
-				}
+				same(stage, fmt.Sprintf("knn k=%d at %v", k, q), got, extquery.KNNCandidates(ix.DB(), q, k))
 			}
-			rnn, err := ix.PossibleRNN(q)
+			got, err := ix.PossibleRNN(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRNN := extquery.RNNCandidates(ix.DB(), q, opts.MMax)
-			if len(rnn) != len(wantRNN) {
-				t.Fatalf("%s rnn: %v != oracle %v", stage, rnn, wantRNN)
-			}
-			for i := range rnn {
-				if rnn[i] != wantRNN[i] {
-					t.Fatalf("%s rnn: %v != oracle %v", stage, rnn, wantRNN)
+			same(stage, fmt.Sprintf("rnn at %v", q), got, extquery.RNNCandidates(ix.DB(), q, opts.MMax))
+		}
+		// Single points, parties of four within 100 of each other, and
+		// groups spread over — and beyond — the whole domain.
+		var groups [][]Point
+		for i := 0; i < 4; i++ {
+			c := point(0, 1000)
+			party := make([]Point, 4)
+			for j := range party {
+				party[j] = make(Point, dim)
+				for m := range c {
+					party[j][m] = c[m] + (rng.Float64()-0.5)*100
 				}
+			}
+			groups = append(groups, []Point{point(-600, 1600)}, party,
+				[]Point{point(0, 1000), point(0, 1000), point(-600, 1600), point(-600, 1600)})
+		}
+		groups = append(groups, []Point{fill(0), fill(1000), fill(-5000), fill(1e6)})
+		for _, g := range groups {
+			for _, agg := range []Agg{AggSum, AggMax} {
+				got, err := ix.GroupNNCandidates(g, agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(stage, fmt.Sprintf("groupnn agg=%d at %v", agg, g), got, extquery.GroupNNBruteForce(ix.DB(), g, agg))
 			}
 		}
 	}
 	check("initial")
-	// Churn: delete a slice of objects, insert replacements elsewhere.
-	for i := 0; i < 15; i++ {
-		if err := ix.Delete(ID(i)); err != nil {
-			t.Fatal(err)
+
+	// Churn: mixed batches of deletes, inserts and same-ID replacements (a
+	// delete and an insert of the same ID in one batch).
+	next := ID(20000)
+	churn := func(round int) {
+		t.Helper()
+		objs := ix.DB().Objects()
+		var ups []Update
+		for i := 0; i < 6; i++ {
+			victim := objs[rng.Intn(len(objs))].ID
+			if slices.ContainsFunc(ups, func(u Update) bool { return u.ID == victim || u.Object != nil && u.Object.ID == victim }) {
+				continue
+			}
+			ups = append(ups, DeleteOp(victim))
+			switch i % 3 {
+			case 0:
+				ups = append(ups, InsertOp(extensionObject(rng, victim, dim, centres)))
+			case 1:
+				ups = append(ups, InsertOp(extensionObject(rng, next, dim, centres)))
+				next++
+			}
 		}
-	}
-	for i := 0; i < 15; i++ {
-		lo := Point{rng.Float64() * 950, rng.Float64() * 950}
-		region := NewRect(lo, Point{lo[0] + 5 + rng.Float64()*30, lo[1] + 5 + rng.Float64()*30})
-		o := &Object{ID: ID(5000 + i), Region: region, Instances: SampleUniform(region, 20, int64(i))}
-		if err := ix.Insert(o); err != nil {
-			t.Fatal(err)
+		if _, err := ix.ApplyBatch(ups); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
+		check(fmt.Sprintf("after batch %d", round))
 	}
-	check("after churn")
+	churn(1)
+	churn(2)
+
+	// A checkpoint: save, load over a copy of the database, and keep going
+	// on the loaded index.
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = LoadIndex(&buf, ix.DB().Clone()); err != nil {
+		t.Fatal(err)
+	}
+	check("after load")
+	churn(3)
 }
 
 // PossibleRNN must honor the configured MMax granularity rather than a
@@ -298,5 +412,90 @@ func TestPossibleRNNHonorsMMax(t *testing.T) {
 	// hardcoded depth would slip through the oracle comparison above.
 	if !diverged {
 		t.Fatal("depth 1 and depth 10 oracles agreed on every probe; test layout cannot detect MMax plumbing")
+	}
+}
+
+// harnessGroups draws query groups the way the benchmark harness does: size
+// points uniform in a box of side span around a uniform centre, clamped into
+// the domain.
+func harnessGroups(domain Rect, n, size int, span float64, seed int64) [][]Point {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]Point, n)
+	for i := range out {
+		centre := make(Point, domain.Dim())
+		for j := range centre {
+			centre[j] = domain.Lo[j] + rng.Float64()*(domain.Hi[j]-domain.Lo[j])
+		}
+		g := make([]Point, size)
+		for k := range g {
+			p := make(Point, len(centre))
+			for j := range p {
+				v := centre[j] + (rng.Float64()-0.5)*span
+				p[j] = min(max(v, domain.Lo[j]), domain.Hi[j])
+			}
+			g[k] = p
+		}
+		out[i] = g
+	}
+	return out
+}
+
+// TestExtensionCandidateHash pins the served possible-kNN (k = 8) and
+// group-NN (4 points within 500, sum) candidate lists over the benchmark
+// harness's seed-3 samples — its uni2 and uni3 datasets, 1 000 points and
+// 1 000 groups each — to hashes recorded while retrieval still walked the
+// adjacency graph. Candidate sets are defined by the scan oracles, so no
+// change of retrieval route may move them. The mean list lengths are the
+// harness's extquery.knn_candidates and extquery.gnn_candidates.
+func TestExtensionCandidateHash(t *testing.T) {
+	if race.Enabled {
+		t.Skip("two harness-sized builds; the hash is checked uninstrumented")
+	}
+	for _, c := range []struct {
+		name      string
+		n, dim    int
+		maxSide   float64
+		instances int
+		want      uint64
+		knn, gnn  int // candidates summed over the 1 000 samples
+	}{
+		{"uni2", 8000, 2, 60, 100, 0x6485e4023993d4db, 11590, 5230},
+		{"uni3", 3000, 3, 400, 200, 0x7d2764a0acb1c499, 18053, 4577},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 3 // the harness derives each input's seed as seed*1000 + purpose
+			db := dataset.Synthetic(dataset.SyntheticParams{N: c.n, Dim: c.dim, MaxSide: c.maxSide, Instances: c.instances, Seed: seed*1000 + 1})
+			ix, err := BuildParallel(db, DefaultOptions(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := dataset.QueryPoints(db.Domain, 1000, seed*1000+2)
+			groups := harnessGroups(db.Domain, len(points), 4, 500, seed*1000+3)
+			h := fnv.New64a()
+			var buf []byte
+			var knnLen, gnnLen int
+			for i, q := range points {
+				knn, err := ix.PossibleKNNCandidates(q, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gnn, err := ix.GroupNNCandidates(groups[i], AggSum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				knnLen, gnnLen = knnLen+len(knn), gnnLen+len(gnn)
+				buf = buf[:0]
+				for _, ids := range [][]ID{knn, gnn} {
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+					for _, id := range ids {
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+					}
+				}
+				h.Write(buf)
+			}
+			if got := h.Sum64(); got != c.want || knnLen != c.knn || gnnLen != c.gnn {
+				t.Fatalf("%s: hash %#x over %d kNN and %d group-NN candidates; want %#x over %d and %d", c.name, got, knnLen, gnnLen, c.want, c.knn, c.gnn)
+			}
+		})
 	}
 }

@@ -2,11 +2,12 @@
 // one row per object holding its stored UBR and the sorted IDs of every
 // object whose UBR intersects it. Because a possible Voronoi cell V(o) is
 // contained in UBR(o), two cells that touch anywhere have intersecting UBRs
-// — so the relation is a conservative superset of PV-cell adjacency, exactly
-// the connectivity best-first kNN/group-NN expansion needs (extquery). It is
+// — so the relation is a conservative superset of PV-cell adjacency. It is
 // also precisely the affected-set relation of the paper's Lemma 8 update
 // filters, which is what makes it maintainable incrementally: an update
-// recomputes the rows of exactly the objects whose UBRs it recomputed.
+// recomputes the rows of exactly the objects whose UBRs it recomputed. No
+// query reads it: UBR refinement ranks hubs by row degree, and the index
+// reports its size and degrees.
 //
 // The graph is copy-on-write by ID page, mirroring the octree and hash-table
 // COW discipline of the MVCC versions: rows live in pages of 256 consecutive
@@ -39,9 +40,9 @@ type Row struct {
 const pageBits = 8
 
 // dirCap bounds the directory slice: pages of IDs below 1<<20 are reached by
-// an indexed load — the graph expansion probes a row once per distinct
-// neighbor, so for the common dense-ID case the probe must be two indexed
-// loads, not a hash — and a clone copies at most 32 kB of it. Pages further
+// an indexed load — the adjacency pass probes a row once per range-query
+// hit, so for the common dense-ID case the probe must be two indexed loads,
+// not a hash — and a clone copies at most 32 kB of it. Pages further
 // out hang off a map keyed by page number.
 const dirCap = 1 << (20 - pageBits)
 
@@ -68,15 +69,6 @@ type Graph struct {
 	far   map[uint32]*page // pages numbered dirCap and up
 	rows  int
 	edges int // directed neighbor links; undirected edge count is edges/2
-
-	// maxDiag is an upper bound of the largest object diameter ever stored
-	// (the caller supplies each row's diameter — pvindex passes the
-	// uncertainty-region diagonal, the quantity the group-query slack
-	// argument actually needs). It grows monotonically with Set and is
-	// deliberately not lowered by Delete (a stale bound only loosens the
-	// group-query expansion stop rule, never its exactness). FromImage and
-	// full rebuilds reset it exactly.
-	maxDiag float64
 }
 
 // New returns an empty graph.
@@ -87,7 +79,7 @@ func New() *Graph { return &Graph{tag: new(tag)} }
 // (it is the published predecessor).
 func (g *Graph) CloneCOW() *Graph {
 	return &Graph{tag: new(tag), dir: slices.Clone(g.dir), far: maps.Clone(g.far),
-		rows: g.rows, edges: g.edges, maxDiag: g.maxDiag}
+		rows: g.rows, edges: g.edges}
 }
 
 // pageOf returns the page holding id, nil if there is none.
@@ -166,14 +158,11 @@ func (g *Graph) Len() int { return g.rows }
 // edge count, since the relation is symmetric).
 func (g *Graph) Edges() int { return g.edges }
 
-// Set installs id's row with the given UBR, object diameter, and neighbor
-// set, replacing any previous row. diam is the row's contribution to
-// MaxDiag (pvindex passes the uncertainty-region diagonal); neighbors is
-// adopted (sorted in place) — the caller must not reuse it. The UBR
-// coordinates are copied into one backing array (lo then hi) so the
-// expansion's per-neighbor mindist reads one cache line, not two
-// allocations; the stored row never aliases the caller's rect.
-func (g *Graph) Set(id uint32, ubr geom.Rect, diam float64, neighbors []uint32) {
+// Set installs id's row with the given UBR and neighbor set, replacing any
+// previous row. neighbors is adopted (sorted in place) — the caller must not
+// reuse it. The UBR coordinates are copied into one backing array (lo then
+// hi), so the stored row never aliases the caller's rect.
+func (g *Graph) Set(id uint32, ubr geom.Rect, neighbors []uint32) {
 	slices.Sort(neighbors)
 	if old, ok := g.Get(id); ok {
 		g.edges -= len(old.Neighbors)
@@ -181,9 +170,6 @@ func (g *Graph) Set(id uint32, ubr geom.Rect, diam float64, neighbors []uint32) 
 		g.rows++
 	}
 	g.edges += len(neighbors)
-	if diam > g.maxDiag {
-		g.maxDiag = diam
-	}
 	g.put(id, &Row{UBR: compactRect(ubr), Neighbors: neighbors})
 }
 
@@ -198,12 +184,6 @@ func compactRect(r geom.Rect) geom.Rect {
 	copy(flat[d:], r.Hi)
 	return geom.Rect{Lo: flat[:d:d], Hi: flat[d:]}
 }
-
-// MaxDiag returns an upper bound of the largest stored object diameter —
-// the slack term of the group-query expansion stop rule. It may be
-// stale-high after deletions (sound: a larger slack only widens the
-// search).
-func (g *Graph) MaxDiag() float64 { return g.maxDiag }
 
 // Delete removes id's row (not its reverse links — the maintenance pass
 // patches those explicitly). It reports whether the row existed.
@@ -283,23 +263,23 @@ func (g *Graph) ForEach(fn func(id uint32, row *Row) bool) {
 // Image is the graph's flat serialized form: IDs ascending, each id's UBR as
 // 2*Dim coordinates (lo then hi) in UBRs, its neighbor count in Lens, and
 // all neighbor lists concatenated in Flat. Deterministic for identical
-// graphs, gob-friendly, and reconstructible in one pass.
+// graphs, gob-friendly, and reconstructible in one pass. Images written
+// before the graph stopped tracking a maximum object diameter carry a
+// MaxDiag field as well; gob skips it on decode.
 type Image struct {
-	Dim     int
-	MaxDiag float64
-	IDs     []uint32
-	UBRs    []float64
-	Lens    []uint32
-	Flat    []uint32
+	Dim  int
+	IDs  []uint32
+	UBRs []float64
+	Lens []uint32
+	Flat []uint32
 }
 
 // Image serializes the graph.
 func (g *Graph) Image() *Image {
 	img := &Image{
-		MaxDiag: g.maxDiag,
-		IDs:     make([]uint32, 0, g.rows),
-		Lens:    make([]uint32, 0, g.rows),
-		Flat:    make([]uint32, 0, g.edges),
+		IDs:  make([]uint32, 0, g.rows),
+		Lens: make([]uint32, 0, g.rows),
+		Flat: make([]uint32, 0, g.edges),
 	}
 	g.ForEach(func(id uint32, row *Row) bool {
 		if img.Dim == 0 {
@@ -327,9 +307,6 @@ func FromImage(img *Image) (*Graph, error) {
 	if img.Dim > 0 && len(img.UBRs) != 2*img.Dim*len(img.IDs) {
 		return nil, fmt.Errorf("adjgraph: image has %d UBR coords, want %d", len(img.UBRs), 2*img.Dim*len(img.IDs))
 	}
-	if img.MaxDiag < 0 || img.MaxDiag != img.MaxDiag {
-		return nil, fmt.Errorf("adjgraph: image has invalid max diameter %v", img.MaxDiag)
-	}
 	g := New()
 	flat := img.Flat
 	coords := img.UBRs
@@ -346,12 +323,11 @@ func FromImage(img *Image) (*Graph, error) {
 			}
 			coords = coords[2*img.Dim:]
 		}
-		g.Set(id, ubr, 0, append([]uint32(nil), flat[:n]...))
+		g.Set(id, ubr, append([]uint32(nil), flat[:n]...))
 		flat = flat[n:]
 	}
 	if len(flat) != 0 {
 		return nil, fmt.Errorf("adjgraph: image has %d trailing neighbor entries", len(flat))
 	}
-	g.maxDiag = img.MaxDiag
 	return g, nil
 }

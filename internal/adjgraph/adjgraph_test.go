@@ -14,9 +14,9 @@ func rect(lo, hi float64) geom.Rect {
 
 func TestSetGetDelete(t *testing.T) {
 	g := New()
-	g.Set(1, rect(0, 10), 10, []uint32{3, 2})
-	g.Set(2, rect(5, 15), 10, []uint32{1})
-	g.Set(3, rect(8, 20), 12, []uint32{1})
+	g.Set(1, rect(0, 10), []uint32{3, 2})
+	g.Set(2, rect(5, 15), []uint32{1})
+	g.Set(3, rect(8, 20), []uint32{1})
 
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", g.Len())
@@ -36,7 +36,7 @@ func TestSetGetDelete(t *testing.T) {
 	}
 
 	// Replacing a row adjusts the edge count.
-	g.Set(1, rect(0, 12), 12, []uint32{2})
+	g.Set(1, rect(0, 12), []uint32{2})
 	if g.Len() != 3 || g.Edges() != 3 {
 		t.Fatalf("after replace: Len=%d Edges=%d, want 3/3", g.Len(), g.Edges())
 	}
@@ -54,7 +54,7 @@ func TestSetGetDelete(t *testing.T) {
 
 func TestNeighborPatchesIdempotent(t *testing.T) {
 	g := New()
-	g.Set(7, rect(0, 10), 10, []uint32{5})
+	g.Set(7, rect(0, 10), []uint32{5})
 	if !g.AddNeighbor(7, 9) {
 		t.Fatal("AddNeighbor(7,9) = false")
 	}
@@ -90,7 +90,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 	for id := uint32(0); id < 600; id++ {
 		lo := rng.Float64() * 100
 		ns := []uint32{(id + 1) % 600, (id + 7) % 600}
-		parent.Set(id, rect(lo, lo+5), 5, ns)
+		parent.Set(id, rect(lo, lo+5), ns)
 	}
 	snapRows := make(map[uint32]*Row, 600)
 	parent.ForEach(func(id uint32, row *Row) bool {
@@ -101,7 +101,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 
 	child := parent.CloneCOW()
 	for id := uint32(0); id < 600; id += 3 {
-		child.Set(id, rect(float64(id), float64(id)+1), 1, []uint32{id % 5})
+		child.Set(id, rect(float64(id), float64(id)+1), []uint32{id % 5})
 	}
 	for id := uint32(1); id < 600; id += 3 {
 		child.Delete(id)
@@ -136,7 +136,7 @@ func TestImageRoundTrip(t *testing.T) {
 		for j := 0; j < n; j++ {
 			ns = append(ns, rng.Uint32()%300)
 		}
-		g.Set(id*3, rect(lo, lo+rng.Float64()*50), rng.Float64()*40, dedup(ns))
+		g.Set(id*3, rect(lo, lo+rng.Float64()*50), dedup(ns))
 	}
 
 	got, err := FromImage(g.Image())

@@ -30,18 +30,22 @@ func modelIDs() []uint32 {
 	return ids
 }
 
-// model is the oracle: the rows a graph must hold, and its MaxDiag.
+// model is the oracle: the rows a graph must hold. legacyMaxDiag is the
+// largest object diameter a graph of these rows carried in the image layout
+// before the graph stopped tracking it (see TestImageBytesUnchanged).
 type model struct {
-	rows    map[uint32]Row
-	maxDiag float64
+	rows          map[uint32]Row
+	legacyMaxDiag float64
 }
 
-func (m model) clone() model { return model{rows: maps.Clone(m.rows), maxDiag: m.maxDiag} }
+func (m model) clone() model {
+	return model{rows: maps.Clone(m.rows), legacyMaxDiag: m.legacyMaxDiag}
+}
 
 // image is the serialized form the rows must have whatever the graph's
 // in-memory layout: IDs ascending, UBRs lo then hi, lists concatenated.
 func (m model) image() *Image {
-	img := &Image{MaxDiag: m.maxDiag, IDs: []uint32{}, Lens: []uint32{}, Flat: []uint32{}}
+	img := &Image{IDs: []uint32{}, Lens: []uint32{}, Flat: []uint32{}}
 	for _, id := range slices.Sorted(maps.Keys(m.rows)) {
 		row := m.rows[id]
 		if img.Dim == 0 {
@@ -72,8 +76,8 @@ func (m model) check(t *testing.T, label string, g *Graph, pool []uint32) {
 	for _, row := range m.rows {
 		edges += len(row.Neighbors)
 	}
-	if g.Len() != len(m.rows) || g.Edges() != edges || g.MaxDiag() != m.maxDiag {
-		t.Fatalf("%s: Len/Edges/MaxDiag %d/%d/%v, want %d/%d/%v", label, g.Len(), g.Edges(), g.MaxDiag(), len(m.rows), edges, m.maxDiag)
+	if g.Len() != len(m.rows) || g.Edges() != edges {
+		t.Fatalf("%s: Len/Edges %d/%d, want %d/%d", label, g.Len(), g.Edges(), len(m.rows), edges)
 	}
 	for _, id := range pool {
 		row, ok := g.Get(id)
@@ -140,10 +144,10 @@ func runModel(seed int64, steps int, after func(step int, live *Graph, m model, 
 					ns = append(ns, n)
 				}
 			}
-			diam := float64(rng.Intn(40))
-			live.Set(id, ubr, diam, slices.Clone(ns))
+			diam := float64(rng.Intn(40)) // the diameter an old graph tracked
+			live.Set(id, ubr, slices.Clone(ns))
 			slices.Sort(ns)
-			m.rows[id], m.maxDiag = Row{UBR: ubr, Neighbors: ns}, max(m.maxDiag, diam)
+			m.rows[id], m.legacyMaxDiag = Row{UBR: ubr, Neighbors: ns}, max(m.legacyMaxDiag, diam)
 		case op < 11:
 			live.Delete(id)
 			delete(m.rows, id)
@@ -198,19 +202,61 @@ func TestPagedGraphMatchesModel(t *testing.T) {
 }
 
 // TestImageBytesUnchanged pins the serialized image — what a PVIDX snapshot
-// embeds — to the bytes the bucketed layout wrote for the same rows (hash
-// recorded at the parent commit from this same sequence).
+// embeds — twice. imageGolden is the current layout's hash. legacyGolden is
+// the hash the bucketed layout wrote for the same rows, when the image still
+// carried the graph's maximum object diameter: the rows re-encoded in that
+// shape (legacy Image below, the old type verbatim) with the diameter the old
+// graph tracked must still hash to it, so the image changed only by the
+// dropped field.
 func TestImageBytesUnchanged(t *testing.T) {
 	var last *Graph
-	runModel(42, 1200, func(_ int, live *Graph, _ model, _ []*Graph, _ []model) { last = live })
-	h := fnv.New64a()
-	h.Write(imageBytes(t, last.Image()))
-	if got, want := h.Sum64(), uint64(imageGolden); got != want {
-		t.Fatalf("image of %d rows hashes to %#x, want %#x", last.Len(), got, want)
+	var lastModel model
+	runModel(42, 1200, func(_ int, live *Graph, m model, _ []*Graph, _ []model) { last, lastModel = live, m })
+	img := last.Image()
+	if got := hash64(imageBytes(t, img)); got != imageGolden {
+		t.Fatalf("image of %d rows hashes to %#x, want %#x", last.Len(), got, uint64(imageGolden))
+	}
+
+	if got := hash64(legacyImageBytes(t, img, lastModel.legacyMaxDiag)); got != legacyGolden {
+		t.Fatalf("legacy image of %d rows hashes to %#x, want %#x", last.Len(), got, uint64(legacyGolden))
 	}
 }
 
-const imageGolden = 0x587888c947dc3bc7
+// legacyImageBytes gob-encodes img in the image type from before MaxDiag was
+// dropped, kept verbatim: gob names a struct type by its Go name, so it is
+// called Image as well.
+func legacyImageBytes(t *testing.T, img *Image, maxDiag float64) []byte {
+	type Image struct {
+		Dim     int
+		MaxDiag float64
+		IDs     []uint32
+		UBRs    []float64
+		Lens    []uint32
+		Flat    []uint32
+	}
+	legacy := Image{Dim: img.Dim, MaxDiag: maxDiag, IDs: img.IDs, UBRs: img.UBRs, Lens: img.Lens, Flat: img.Flat}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// gob numbers types in the order a process first encodes them, and the
+// numbers are part of the bytes: the legacy type goes first, as it did when
+// legacyGolden was recorded.
+func init() { legacyImageBytes(nil, &Image{}, 0) }
+
+func hash64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+const (
+	imageGolden  = 0xab95a8812d9deb38
+	legacyGolden = 0x587888c947dc3bc7
+)
 
 // cloneWrite is one batch as the graph sees it: a clone, then 300 row writes,
 // half of them to rows of the 8 000 base objects, half to new rows from
@@ -218,8 +264,8 @@ const imageGolden = 0x587888c947dc3bc7
 func cloneWrite(g *Graph, fresh uint32) *Graph {
 	c := g.CloneCOW()
 	for i := uint32(0); i < 150; i++ {
-		c.Set(i*53%8000, rect(float64(i), float64(i)+9), 9, []uint32{i, i + 1, fresh + i})
-		c.Set(fresh+i, rect(float64(i), float64(i)+5), 5, []uint32{i * 53 % 8000})
+		c.Set(i*53%8000, rect(float64(i), float64(i)+9), []uint32{i, i + 1, fresh + i})
+		c.Set(fresh+i, rect(float64(i), float64(i)+5), []uint32{i * 53 % 8000})
 	}
 	return c
 }
@@ -229,7 +275,7 @@ func cloneWrite(g *Graph, fresh uint32) *Graph {
 func churned(fresh uint32) *Graph {
 	g := New()
 	for id := uint32(0); id < 8000; id++ {
-		g.Set(id, rect(float64(id), float64(id)+3), 3, []uint32{(id + 1) % 8000})
+		g.Set(id, rect(float64(id), float64(id)+3), []uint32{(id + 1) % 8000})
 	}
 	g = cloneWrite(g, fresh)
 	for i := uint32(0); i < 150; i++ {

@@ -87,8 +87,9 @@ func LoadFrom(r io.Reader) (*uncertain.DB, error) {
 }
 
 // decode parses a whole dataset stream. Nothing is allocated for a count
-// before the bytes it claims are there, and every object must pass the
-// checks an index build applies (Object.Validate, DB.CheckInDomain).
+// before the bytes it claims are there, the domain must be a finite
+// rectangle, and every object must pass the checks an index build applies
+// (Object.Validate, DB.CheckInDomain).
 func decode(buf []byte) (*uncertain.DB, error) {
 	if len(buf) < len(fileMagic)+2 || string(buf[:len(fileMagic)]) != fileMagic {
 		// gob names the top-level type in the stream's first message.
@@ -102,6 +103,9 @@ func decode(buf []byte) (*uncertain.DB, error) {
 	buf, err := uncertain.DecodeObject(&domain, buf[len(fileMagic)+2:], d, 0)
 	if err != nil || len(buf) < 4 {
 		return nil, fmt.Errorf("dataset: stream ends inside its header")
+	}
+	if err := domain.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: domain: %w", err)
 	}
 	count := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]

@@ -121,8 +121,10 @@ func TestLoadCorruptFile(t *testing.T) {
 }
 
 // TestLoadRejectsMalformed: every row is an error — never a panic, never a
-// database the index would refuse to build over.
+// database the index would refuse to build over. The durable layer reads a
+// checkpoint's database through LoadFrom too, so its rows hold there as well.
 func TestLoadRejectsMalformed(t *testing.T) {
+	nan := math.NaN()
 	square := func(lo, hi float64) geom.Rect { return geom.NewRect(geom.Point{lo, lo}, geom.Point{hi, hi}) }
 	encode := func(objs ...*uncertain.Object) []byte {
 		db := uncertain.NewDB(square(0, 100))
@@ -162,6 +164,11 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	dup := append(bytes.Clone(valid), valid[countOff+4:]...)
 	binary.LittleEndian.PutUint32(dup[countOff:], 2)
 
+	// The valid stream under a domain whose upper corner is NaN: every object
+	// is "inside" a domain that every comparison passes.
+	nanDomain := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(nanDomain[len(fileMagic)+2+16:], math.Float64bits(nan))
+
 	// A gob-era file: the format before this codec, whose object has two
 	// positions and one probability (the parent's decoder panicked on it).
 	type fileObject struct {
@@ -195,6 +202,11 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		"probabilities sum to 0.25":        {encode(&uncertain.Object{ID: 1, Region: square(10, 20), Instances: []uncertain.Instance{{Pos: geom.Point{11, 12}, Prob: 0.25}}}), "sum to"},
 		"instance outside its region":      {encode(&uncertain.Object{ID: 1, Region: square(10, 20), Instances: []uncertain.Instance{{Pos: geom.Point{11, 22}, Prob: 1}}}), "outside region"},
 		"region outside the domain":        {encode(&uncertain.Object{ID: 1, Region: square(90, 110)}), "outside the domain"},
+		"NaN lo":                           {encode(&uncertain.Object{ID: 1, Region: geom.Rect{Lo: geom.Point{nan, 10}, Hi: geom.Point{20, 20}}}), "non-finite"},
+		"+Inf hi":                          {encode(&uncertain.Object{ID: 1, Region: geom.Rect{Lo: geom.Point{10, 10}, Hi: geom.Point{20, math.Inf(1)}}}), "non-finite"},
+		"NaN position":                     {encode(&uncertain.Object{ID: 1, Region: square(10, 20), Instances: []uncertain.Instance{{Pos: geom.Point{nan, 12}, Prob: 1}}}), "non-finite"},
+		"NaN probability":                  {encode(&uncertain.Object{ID: 1, Region: square(10, 20), Instances: []uncertain.Instance{{Pos: geom.Point{11, 12}, Prob: nan}}}), "non-finite"},
+		"NaN domain":                       {nanDomain, "non-finite"},
 		"duplicate ID":                     {dup, "duplicate"},
 		"gob-era file":                     {gobEra.Bytes(), "gob"},
 	} {

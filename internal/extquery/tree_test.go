@@ -234,6 +234,71 @@ func TestTreeCandidatesEmptyInputs(t *testing.T) {
 	}
 }
 
+// Edge cases of the k-NN and group-NN retrievals: an empty or nil tree, a
+// single object, and k = 0.
+func TestGraphQueriesEdgeCases(t *testing.T) {
+	q := geom.Point{10, 10}
+
+	// Empty tree / nil inputs.
+	if got, _ := KNNCandidatesTree(nil, q, 3); got != nil {
+		t.Fatalf("nil tree returned %v", got)
+	}
+	db := uncertain.NewDB(geom.UnitCube(2, 100))
+	if got, _ := KNNCandidatesTree(regionTreeOf(db), q, 3); got != nil {
+		t.Fatalf("empty tree returned %v", got)
+	}
+
+	// Single object: it is the only candidate, wherever the query is.
+	_ = db.Add(&uncertain.Object{ID: 1, Region: geom.NewRect(geom.Point{1, 1}, geom.Point{2, 2})})
+	tree := regionTreeOf(db)
+	for _, q := range []geom.Point{{1.5, 1.5}, {10, 10}, {-500, 1e6}} {
+		for _, k := range []int{1, 4} {
+			if got, _ := KNNCandidatesTree(tree, q, k); !idsEqual(got, KNNCandidates(db, q, k)) || len(got) != 1 {
+				t.Fatalf("single object k=%d at %v: %v", k, q, got)
+			}
+		}
+		for _, agg := range []Agg{AggSum, AggMax} {
+			qs := []geom.Point{q, {50, 50}}
+			if got, _ := GroupNNCandidatesTree(tree, qs, agg); !idsEqual(got, GroupNNCandidates(db, qs, agg)) || len(got) != 1 {
+				t.Fatalf("single object group %v agg=%d: %v", qs, agg, got)
+			}
+		}
+	}
+
+	// k <= 0 yields nothing.
+	for _, k := range []int{0, -1} {
+		if got, _ := KNNCandidatesTree(tree, q, k); got != nil {
+			t.Fatalf("k=%d returned %v", k, got)
+		}
+	}
+}
+
+// Groups whose points lie far apart — far enough that distances, their sums
+// or the group's centroid overflow — still retrieve the scan's set: the
+// tree needs no anchor point, so nothing about the group has to be finite
+// beyond its own coordinates.
+func TestGroupNNTreeFarApartGroups(t *testing.T) {
+	for name, db := range testDBs(t, 15, 60, 2, 800, 30) {
+		tree := regionTreeOf(db)
+		for _, qs := range [][]geom.Point{
+			{{1e200, 1e200}, {5000, 5000}},
+			{{1e308, 1e308}, {-1e308, -1e308}},
+			{{1e308, 1e308}, {1e308, 1e308}},
+			{{-1e308, 0}, {-1e308, 5}, {-1e308, 3}},
+			{{1e154, 400}, {400, 400}, {-1e154, 1e154}},
+			{{0, 0}, {800, 800}, {0, 800}, {800, 0}},
+		} {
+			for _, agg := range []Agg{AggSum, AggMax} {
+				want := GroupNNCandidates(db, qs, agg)
+				got, _ := GroupNNCandidatesTree(tree, qs, agg)
+				if !idsEqual(got, want) || len(got) == 0 {
+					t.Fatalf("%s %v agg=%d: tree %v != scan %v", name, qs, agg, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Sanity: at serving scale the tree path must beat the scan on touched work
 // (pruned subtrees), which shows up as leaf accesses well below the leaf
 // count of a full walk.

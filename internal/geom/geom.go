@@ -237,9 +237,8 @@ func (r Rect) MinDist(p Point) float64 {
 }
 
 // MinDist2 returns the squared minimum distance from p to r. The planar
-// case is unrolled: it is the innermost call of every R*-tree descent and
-// of the adjacency expansion's per-neighbor keying, where the generic
-// loop's bounds checks are measurable.
+// case is unrolled: it is the innermost call of every R*-tree descent,
+// where the generic loop's bounds checks are measurable.
 func (r Rect) MinDist2(p Point) float64 {
 	if len(p) == 2 && len(r.Lo) == 2 && len(r.Hi) == 2 {
 		d0 := axisMinDist(p[0], r.Lo[0], r.Hi[0])

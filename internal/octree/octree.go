@@ -701,7 +701,7 @@ func (t *Tree) PointQueryInto(q geom.Point, dst []Entry) ([]Entry, int, error) {
 }
 
 // PointQueryIDsInto is PointQueryInto for callers that need only the entry
-// IDs (the adjacency-graph seed query): it strides over the packed leaf
+// IDs: it strides over the packed leaf
 // entries reading each 4-byte ID and skips the coordinate bytes entirely —
 // no Entry structs, no Point slices, no float decode. dst is appended to
 // with its capacity reused, so a pooled scratch makes the call

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -126,18 +127,24 @@ func TestApplyBatchInteractingInserts(t *testing.T) {
 // fixed by the region's dimension, so an instance of another dimension cannot
 // be stored (it used to panic in encodeRecord — after the batch was logged),
 // and a pdf that does not sum to 1 or leaves its region answers queries with
-// probabilities that mean nothing.
+// probabilities that mean nothing. A NaN corner, position or probability
+// passed every comparison the checks make; it answers nothing at all.
 func malformedObjects(id uncertain.ID) map[string]*uncertain.Object {
 	region := geom.NewRect(geom.Point{100, 100}, geom.Point{120, 120})
 	with := func(ins ...uncertain.Instance) *uncertain.Object {
 		return &uncertain.Object{ID: id, Region: region, Instances: ins}
 	}
+	nan := math.NaN()
 	return map[string]*uncertain.Object{
 		"short Pos":                 with(uncertain.Instance{Pos: geom.Point{110}, Prob: 1}),
 		"long Pos":                  with(uncertain.Instance{Pos: geom.Point{110, 110, 110}, Prob: 1}),
 		"probabilities sum to 0.25": with(uncertain.Instance{Pos: geom.Point{110, 110}, Prob: 0.25}),
 		"instance outside region":   with(uncertain.Instance{Pos: geom.Point{110, 130}, Prob: 1}),
 		"short Hi corner":           {ID: id, Region: geom.Rect{Lo: geom.Point{100, 100}, Hi: geom.Point{120}}},
+		"NaN lo":                    {ID: id, Region: geom.Rect{Lo: geom.Point{nan, 100}, Hi: geom.Point{120, 120}}},
+		"+Inf hi":                   {ID: id, Region: geom.Rect{Lo: geom.Point{100, 100}, Hi: geom.Point{120, math.Inf(1)}}},
+		"NaN position":              with(uncertain.Instance{Pos: geom.Point{110, nan}, Prob: 1}),
+		"NaN probability":           with(uncertain.Instance{Pos: geom.Point{110, 110}, Prob: 0.5}, uncertain.Instance{Pos: geom.Point{111, 111}, Prob: nan}),
 	}
 }
 

@@ -24,9 +24,8 @@ func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits
 // sorted neighbour lists — and the same gauges.
 func assertSameGraph(t *testing.T, got, want *adjgraph.Graph, label string) {
 	t.Helper()
-	if got.Len() != want.Len() || got.Edges() != want.Edges() || got.MaxDiag() != want.MaxDiag() {
-		t.Fatalf("%s: graph has %d rows, %d edges, MaxDiag %v; want %d, %d, %v",
-			label, got.Len(), got.Edges(), got.MaxDiag(), want.Len(), want.Edges(), want.MaxDiag())
+	if got.Len() != want.Len() || got.Edges() != want.Edges() {
+		t.Fatalf("%s: graph has %d rows, %d edges; want %d, %d", label, got.Len(), got.Edges(), want.Len(), want.Edges())
 	}
 	want.ForEach(func(id uint32, wr *adjgraph.Row) bool {
 		gr, ok := got.Get(id)

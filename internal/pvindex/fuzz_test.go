@@ -102,7 +102,7 @@ func objectCodecSeeds(f *testing.F) [][]byte {
 			if err := dataset.SaveTo(db, &stream); err != nil {
 				f.Fatal(err)
 			}
-			seeds = append(seeds, stream.Bytes()) // valid until inf joins
+			seeds = append(seeds, stream.Bytes()) // valid until the NaN probability joins
 		}
 	}
 	ins, stream := seeds[2], seeds[5] // d = 1: an insert with instances, a three-object stream
@@ -140,11 +140,24 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// finiteObject reports whether every coordinate and probability of o is
+// finite.
+func finiteObject(o *uncertain.Object) bool {
+	ok := o.Region.Lo.IsFinite() && o.Region.Hi.IsFinite()
+	for _, in := range o.Instances {
+		ok = ok && in.Pos.IsFinite() && !math.IsNaN(in.Prob) && !math.IsInf(in.Prob, 0)
+	}
+	return ok
+}
+
 // FuzzDecodeObject drives arbitrary bytes through both framings of the
 // fixed-width object codec — a WAL insert payload (decodeUpdate) and a
 // dataset stream (dataset.LoadFrom). Neither may panic, neither may allocate
 // more than a small multiple of its input whatever its counts claim, and a
-// successful decode must re-encode to the same bytes. (Mutate with
+// successful decode must re-encode to the same bytes. Floats travel as their
+// bits, so a decode may carry NaN or ±Inf: such an insert must fail the check
+// every batch passes before it is logged, and a dataset stream carrying one
+// must not load. (Mutate with
 // `go test -run '^$' -fuzz FuzzDecodeObject ./internal/pvindex`.)
 func FuzzDecodeObject(f *testing.F) {
 	for _, seed := range objectCodecSeeds(f) {
@@ -162,6 +175,11 @@ func FuzzDecodeObject(f *testing.F) {
 			if err != nil || !bytes.Equal(e.Payload, data) {
 				t.Fatalf("insert re-encodes to %d bytes (%v), input was %d", len(e.Payload), err, len(data))
 			}
+			if !finiteObject(u.Object) {
+				if err := validateBatch(uncertain.NewDB(geom.UnitCube(u.Object.Dim(), 100)), []Update{u}); err == nil {
+					t.Fatalf("an insert carrying non-finite bits passes the check before the log: %+v", *u.Object)
+				}
+			}
 		}
 		var db *uncertain.DB
 		if n := allocated(func() { db, err = dataset.LoadFrom(bytes.NewReader(data)) }); n > limit {
@@ -171,6 +189,14 @@ func FuzzDecodeObject(f *testing.F) {
 			var out bytes.Buffer
 			if err := dataset.SaveTo(db, &out); err != nil || !bytes.Equal(out.Bytes(), data) {
 				t.Fatalf("dataset re-encodes to %d bytes (%v), input was %d", out.Len(), err, len(data))
+			}
+			if !finiteObject(&uncertain.Object{Region: db.Domain}) {
+				t.Fatalf("a dataset stream loaded with domain %v", db.Domain)
+			}
+			for _, o := range db.Objects() {
+				if !finiteObject(o) {
+					t.Fatalf("a dataset stream loaded with object %+v", *o)
+				}
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 )
@@ -55,6 +56,75 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		ins, err := loaded.Instances(o.ID)
 		if err != nil || len(ins) != len(o.Instances) {
 			t.Fatalf("object %d instances corrupted: %v", o.ID, err)
+		}
+	}
+}
+
+// TestLoadsImageWithMaxDiag: a checkpoint written while the adjacency image
+// still carried MaxDiag loads with the current code — gob skips the field —
+// into the same graph and the same extension answers. The old bytes are the
+// current image re-encoded in the old types (reference_test.go) with the
+// diameter the old graph tracked; they differ from the current ones by that
+// field alone.
+func TestLoadsImageWithMaxDiag(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	db := randomDB(rng, 120, 2, 1000, 40, true)
+	ix, err := Build(db, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.ApplyBatch([]Update{{Op: OpDelete, ID: 3}, {Op: OpInsert, Object: newObj(rng, 500, 2, 950, 30)}}); err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := ix.SaveTo(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var maxDiag float64
+	for _, o := range ix.DB().Objects() {
+		maxDiag = max(maxDiag, geom.Dist(o.Region.Lo, o.Region.Hi))
+	}
+	old := bytes.NewBuffer(legacyImage(t, cur.Bytes(), maxDiag))
+	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 24 || !bytes.Contains(old.Bytes(), []byte("MaxDiag")) {
+		t.Fatalf("old image is %d bytes, current %d: want MaxDiag's few bytes more", old.Len(), cur.Len())
+	}
+	t.Logf("old image %d bytes, current %d", old.Len(), cur.Len())
+
+	loaded, err := LoadFrom(old, ix.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameGraph(t, loaded.current.Load().adj, ix.current.Load().adj, "old image")
+	for iter := 0; iter < 40; iter++ {
+		q := geom.Point{rng.Float64()*1200 - 100, rng.Float64()*1200 - 100}
+		qs := []geom.Point{q, {q[0] + 200, q[1] - 100}, {rng.Float64() * 1000, rng.Float64() * 1000}}
+		for _, k := range []int{1, 8} {
+			a, _, err := ix.KNNCandidatesOnly(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := loaded.KNNCandidatesOnly(q, k)
+			if err != nil || !sameIDs(a, b) {
+				t.Fatalf("kNN k=%d at %v: loaded %v (%v), live %v", k, q, b, err, a)
+			}
+		}
+		for _, agg := range []extquery.Agg{extquery.AggSum, extquery.AggMax} {
+			a, _, err := ix.GroupNNCandidatesOnly(qs, agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := loaded.GroupNNCandidatesOnly(qs, agg)
+			if err != nil || !sameIDs(a, b) {
+				t.Fatalf("group-NN agg=%d at %v: loaded %v (%v), live %v", agg, qs, b, err, a)
+			}
+		}
+		a, _, err := ix.RNNCandidates(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := loaded.RNNCandidates(q)
+		if err != nil || !sameIDs(a, b) {
+			t.Fatalf("RNN at %v: loaded %v (%v), live %v", q, b, err, a)
 		}
 	}
 }

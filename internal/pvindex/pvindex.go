@@ -371,15 +371,7 @@ func (w *working) updateAdjacency() error {
 		if oldRow, had := w.adj.Get(id); had {
 			oldNs = oldRow.Neighbors
 		}
-		// The row's diameter contribution is the uncertainty-region diagonal
-		// (not the UBR's): the group-query slack bounds the gap between a
-		// candidate's rectangle lower bound and its true pointwise minimum,
-		// and that gap is Lipschitz-limited by the region's own extent.
-		var diam float64
-		if o := w.db.Get(uncertain.ID(id)); o != nil {
-			diam = geom.Dist(o.Region.Lo, o.Region.Hi)
-		}
-		w.adj.Set(id, ubr, diam, ns)
+		w.adj.Set(id, ubr, ns)
 		recomputed++
 		newRow, _ := w.adj.Get(id)
 		newNs := newRow.Neighbors // ns, sorted by Set

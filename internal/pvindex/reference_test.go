@@ -1,12 +1,16 @@
 package pvindex
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"runtime"
+	"testing"
 	"time"
 
 	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
@@ -289,11 +293,7 @@ func rebuildAdjacency(db *uncertain.DB, primary *octree.Tree, lookup func(uint32
 				ns = append(ns, nid)
 			}
 		}
-		// The row's diameter contribution is the uncertainty-region diagonal
-		// (not the UBR's): the group-query slack bounds the gap between a
-		// candidate's rectangle lower bound and its true pointwise minimum,
-		// and that gap is Lipschitz-limited by the region's own extent.
-		g.Set(id, ubr, geom.Dist(o.Region.Lo, o.Region.Hi), ns)
+		g.Set(id, ubr, ns)
 	}
 	return g, nil
 }
@@ -372,4 +372,50 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 func referenceGraph(ix *Index) (*adjgraph.Graph, error) {
 	v := ix.current.Load()
 	return rebuildAdjacency(v.db, v.primary, func(id uint32) (geom.Rect, bool) { return ix.UBR(uncertain.ID(id)) })
+}
+
+// legacyImage re-encodes a PVIDX4 image in the types it had before the
+// adjacency graph stopped tracking its maximum object diameter (MaxDiag, the
+// slack term of the retired group-NN graph expansion), with maxDiag in that
+// field. The types are kept verbatim under their old names — gob writes a
+// struct's name into the stream — so the bytes differ from cur by the field
+// alone.
+func legacyImage(t *testing.T, cur []byte, maxDiag float64) []byte {
+	t.Helper()
+	type Image struct {
+		Dim     int
+		MaxDiag float64
+		IDs     []uint32
+		UBRs    []float64
+		Lens    []uint32
+		Flat    []uint32
+	}
+	type indexImage struct {
+		Magic           string
+		SE              core.Options
+		MemBudget       int
+		Fanout          int
+		Objects         int
+		RecordCacheSize int
+		WALSeq          uint64
+		Store           *pagestore.Image
+		Primary         *octree.Image
+		Secondary       *exthash.Image
+		Adjacency       *Image
+		// Refine and RefineThreshold restore the refinement subsystem:
+		// the config the UBRs were refined under and the hub-score cutoff the
+		// incremental write path re-refines against (0 = unset).
+		Refine          RefineConfig
+		RefineThreshold float64
+	}
+	var img indexImage
+	if err := gob.NewDecoder(bytes.NewReader(cur)).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	img.Adjacency.MaxDiag = maxDiag
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	return old.Bytes()
 }

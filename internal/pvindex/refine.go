@@ -16,8 +16,10 @@ import (
 // and a bounded extra-work budget is spent on the fattest ones — a deeper SE
 // bisection with an enlarged C-set plus a leaf-level clip of the UBR against
 // the octree cells that can still contain the PV-cell. Refined UBRs remain
-// supersets of the true cell, so every query stays exact; the payoff is the
-// graph expansion no longer drowning in fat-hub edges.
+// supersets of the true cell, so every query stays exact; the payoff is
+// tighter UBRs alone — fewer Step-1 candidates over-fetched by a PNNQ near a
+// hub and fewer adjacency edges for the write path to patch. No extension
+// query depends on it: they all retrieve over uncertainty regions.
 //
 // Zero values select the defaults noted per field; set a field negative to
 // force the knob off (e.g. MinDegree: -1 admits every row).
@@ -73,10 +75,9 @@ func (c RefineConfig) refineOptions() core.RefineOptions {
 	return core.RefineOptions{DepthBoost: c.DepthBoost, CSetFactor: c.CSetFactor}
 }
 
-// hubScore ranks a row's drag on graph expansion: a large UBR keys a small
-// mindist from everywhere (so best-first search pops it early) and a high
-// degree makes each such visit expensive. The product is the expected edge
-// work the row inflicts, which is exactly what the budget should buy down.
+// hubScore ranks a row's looseness: a large UBR is a Step-1 candidate over a
+// large part of the domain, and a high degree is the adjacency work every
+// update near it pays. The product is what the budget should buy down.
 func hubScore(row *adjgraph.Row) float64 {
 	return row.UBR.Volume() * float64(len(row.Neighbors))
 }

@@ -73,27 +73,42 @@ func (h *kMax) push(v float64) float64 {
 	return h.vals[0]
 }
 
+// Bounded is an item KthBound kept, with the bounds it evaluated for it.
+type Bounded struct {
+	Item
+	Lower, Upper float64
+}
+
 // KthBound browses the tree best-first by a lower-bound key until the k-th
-// smallest upper bound proves the remainder irrelevant. On return, bound is
-// the k-th smallest upper(item.Rect) over the WHOLE tree (+Inf when the tree
-// holds fewer than k items), items is a superset of
-// {item : lower(item.Rect) <= bound}, and every item absent from it has
+// smallest upper bound proves the remainder irrelevant. It appends the items
+// it keeps to dst and returns the extended slice; on return, bound is the
+// k-th smallest upper(item.Rect) over the WHOLE tree (+Inf when the tree
+// holds fewer than k items), the appended items are a superset of
+// {item : lower(item.Rect) <= bound}, and every item absent from them has
 // lower(item.Rect) > bound. An entry whose lower bound already exceeds the
 // running cutoff when its leaf is read is dropped outright: since
 // upper >= lower it can neither qualify nor tighten the cutoff further.
 //
+// Each kept item's lower and upper bound is evaluated exactly once and
+// stored with it, so callers filter on Lower/Upper instead of recomputing
+// them; the running k-th heap lives in the pooled browse, so a caller that
+// recycles dst pays no allocation here.
+//
 // lower must be monotone (lower(R) <= lower(r) whenever r ⊆ R) and must
 // lower-bound upper on every item rectangle. Both hold for aggregate
-// min/max-distance bounds, which makes the returned set exactly reproduce
-// what a linear scan filtered by the same bound would keep.
-func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []Item, bound float64, cost Cost) {
+// min/max-distance bounds, which makes the kept set exactly reproduce what
+// a linear scan filtered by the same bound would keep.
+func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int, dst []Bounded) (items []Bounded, bound float64, cost Cost) {
 	bound = math.Inf(1)
 	if t.size == 0 || k <= 0 {
-		return nil, bound, cost
+		return dst, bound, cost
 	}
-	kth := kMax{k: k}
-	h := newBrowse(t, lower)
-	defer h.Release()
+	h := newBrowse(t)
+	kth := kMax{k: k, vals: h.kth[:0]}
+	defer func() {
+		h.kth = kth.vals
+		h.Release()
+	}()
 	for len(h.heap) > 0 {
 		dist, top := h.pop()
 		if dist > bound {
@@ -104,11 +119,13 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 			cost.Leaves++
 			t.leafIO.Add(1)
 			for _, e := range n.entries {
-				if lower(e.rect) > bound {
+				lo := lower(e.rect)
+				if lo > bound {
 					continue
 				}
-				bound = kth.push(upper(e.rect))
-				items = append(items, e.item)
+				up := upper(e.rect)
+				bound = kth.push(up)
+				dst = append(dst, Bounded{Item: e.item, Lower: lo, Upper: up})
 			}
 			continue
 		}
@@ -120,7 +137,7 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int) (items []It
 			}
 		}
 	}
-	return items, bound, cost
+	return dst, bound, cost
 }
 
 // Walk descends the tree depth-first. prune is consulted with each subtree's

@@ -23,25 +23,44 @@ func randTree(rng *rand.Rand, n int) (*Tree, []Item) {
 
 // KthBound's contract: bound is the exact k-th smallest upper over the whole
 // tree, every item at or below the bound (by lower) is visited, and no
-// mass below the bound hides in unvisited subtrees.
+// mass below the bound hides in unvisited subtrees. Each kept item carries
+// its own bounds, evaluated once: upper runs exactly once per kept item, and
+// the items are appended after whatever dst already held.
 func TestKthBoundContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tree, items := randTree(rng, 300)
+	sentinel := Bounded{Item: Item{ID: 1 << 30}, Lower: -1, Upper: -1}
+	var dst []Bounded
 	for iter := 0; iter < 25; iter++ {
 		q := geom.Point{rng.Float64() * 900, rng.Float64() * 900}
 		lower := func(r geom.Rect) float64 { return r.MinDist(q) }
-		upper := func(r geom.Rect) float64 { return r.MaxDist(q) }
+		uppers := 0
+		upper := func(r geom.Rect) float64 { uppers++; return r.MaxDist(q) }
 		for _, k := range []int{1, 3, 17, 299, 300, 1000} {
-			visited, bound, cost := tree.KthBound(lower, upper, k)
-			// Exact k-th smallest upper by brute force.
-			uppers := make([]float64, len(items))
-			for i, it := range items {
-				uppers[i] = upper(it.Rect)
+			uppers = 0
+			got, bound, cost := tree.KthBound(lower, upper, k, append(dst[:0], sentinel))
+			dst = got
+			if got[0].ID != sentinel.ID || got[0].Lower != -1 {
+				t.Fatalf("k=%d: dst's own entry overwritten: %+v", k, got[0])
 			}
-			sort.Float64s(uppers)
+			visited := got[1:]
+			if uppers != len(visited) {
+				t.Fatalf("k=%d: upper evaluated %d times for %d kept items", k, uppers, len(visited))
+			}
+			for _, b := range visited {
+				if b.Lower != lower(b.Rect) || b.Upper != b.Rect.MaxDist(q) {
+					t.Fatalf("k=%d: item %d stored bounds %g/%g, want %g/%g", k, b.ID, b.Lower, b.Upper, lower(b.Rect), b.Rect.MaxDist(q))
+				}
+			}
+			// Exact k-th smallest upper by brute force.
+			all := make([]float64, len(items))
+			for i, it := range items {
+				all[i] = it.Rect.MaxDist(q)
+			}
+			sort.Float64s(all)
 			want := math.Inf(1)
-			if k <= len(uppers) {
-				want = uppers[k-1]
+			if k <= len(all) {
+				want = all[k-1]
 			}
 			if bound != want {
 				t.Fatalf("k=%d: bound %g, want %g", k, bound, want)
@@ -67,7 +86,7 @@ func TestKthBoundEmptyTree(t *testing.T) {
 	tree := New(2, 8)
 	items, bound, cost := tree.KthBound(
 		func(geom.Rect) float64 { return 0 },
-		func(geom.Rect) float64 { return 0 }, 3)
+		func(geom.Rect) float64 { return 0 }, 3, nil)
 	if items != nil || !math.IsInf(bound, 1) || cost.Leaves != 0 {
 		t.Fatalf("empty tree: items=%v bound=%g cost=%+v", items, bound, cost)
 	}

@@ -593,19 +593,22 @@ type NNIter struct {
 	heap   []browseItem // binary min-heap on (dist, ref)
 	refs   []*entry     // refs[i] = the entry of the i-th push
 	root   entry        // stands in for an entry pointing at the tree's root
+	kth    []float64    // KthBound's running k-th heap, pooled with the queue
 }
 
 // iterPool recycles released iterators with their heap and entry table.
 var iterPool = sync.Pool{New: func() any { return new(NNIter) }}
 
-// newBrowse returns an iterator over t holding the root at key rootDist (an
-// empty queue when t is empty).
-func newBrowse(t *Tree, rootDist DistFunc) *NNIter {
+// newBrowse returns an iterator over t holding the root (an empty queue when
+// t is empty). The root's key is never compared — it is the only element
+// when it is popped, and every cutoff starts at +Inf — so it goes in at 0
+// instead of paying for the root's MBR.
+func newBrowse(t *Tree) *NNIter {
 	it := iterPool.Get().(*NNIter)
 	it.tree = t
 	if t.size > 0 {
 		it.root = entry{child: t.root}
-		it.push(rootDist(t.root.mbr()), &it.root)
+		it.push(0, &it.root)
 	}
 	return it
 }
@@ -616,7 +619,7 @@ func newBrowse(t *Tree, rootDist DistFunc) *NNIter {
 // retired tree version alive.
 func (it *NNIter) Release() {
 	clear(it.refs)
-	*it = NNIter{heap: it.heap[:0], refs: it.refs[:0]}
+	*it = NNIter{heap: it.heap[:0], refs: it.refs[:0], kth: it.kth[:0]}
 	iterPool.Put(it)
 }
 
@@ -664,7 +667,7 @@ func (it *NNIter) pop() (float64, *entry) {
 // NewNNIter starts an incremental NN browse from q. distFn orders the
 // results; pass MinDistTo(q) or CenterDistTo(q).
 func NewNNIter(t *Tree, q geom.Point, distFn DistFunc) *NNIter {
-	it := newBrowse(t, MinDistTo(q))
+	it := newBrowse(t)
 	it.q, it.distFn = q, distFn
 	return it
 }
@@ -708,7 +711,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 	}
 	var cands []cand
 
-	h := newBrowse(t, MinDistTo(q))
+	h := newBrowse(t)
 	defer h.Release()
 	for len(h.heap) > 0 {
 		dist, top := h.pop()

@@ -38,11 +38,16 @@ type Object struct {
 // Dim returns the dimensionality of the object.
 func (o *Object) Dim() int { return o.Region.Dim() }
 
-// Validate checks structural invariants: a well-formed region, instances
-// inside the region, and probabilities summing to ~1 when present.
+// Validate checks structural invariants: a well-formed finite region,
+// finite instances inside the region, and probabilities summing to ~1 when
+// present. Every comparison with NaN is false, so finiteness is checked
+// first: a NaN would pass every other test.
 func (o *Object) Validate() error {
 	if len(o.Region.Hi) != len(o.Region.Lo) {
 		return fmt.Errorf("object %d: region corners have %d and %d coordinates", o.ID, len(o.Region.Lo), len(o.Region.Hi))
+	}
+	if !o.Region.Lo.IsFinite() || !o.Region.Hi.IsFinite() {
+		return fmt.Errorf("object %d: non-finite region corner in %v", o.ID, o.Region)
 	}
 	for i := range o.Region.Lo {
 		if o.Region.Lo[i] > o.Region.Hi[i] {
@@ -57,8 +62,14 @@ func (o *Object) Validate() error {
 		if in.Pos.Dim() != o.Dim() {
 			return fmt.Errorf("object %d: instance dim %d != region dim %d", o.ID, in.Pos.Dim(), o.Dim())
 		}
+		if !in.Pos.IsFinite() {
+			return fmt.Errorf("object %d: non-finite instance position %v", o.ID, in.Pos)
+		}
 		if !o.Region.Contains(in.Pos) {
 			return fmt.Errorf("object %d: instance %v outside region %v", o.ID, in.Pos, o.Region)
+		}
+		if math.IsNaN(in.Prob) || math.IsInf(in.Prob, 0) {
+			return fmt.Errorf("object %d: non-finite instance probability %g", o.ID, in.Prob)
 		}
 		if in.Prob < 0 {
 			return fmt.Errorf("object %d: negative instance probability %g", o.ID, in.Prob)

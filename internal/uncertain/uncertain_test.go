@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/geom"
@@ -41,6 +42,22 @@ func TestValidate(t *testing.T) {
 	o.Instances[0].Prob = -0.5
 	if err := o.Validate(); err == nil {
 		t.Fatal("negative probability accepted")
+	}
+
+	// Non-finite values: every comparison with NaN is false, so each of these
+	// passed the checks above.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, bad := range map[string]*Object{
+		"NaN lo":           {ID: 2, Region: region2D(nan, 0, 10, 10)},
+		"+Inf hi":          {ID: 2, Region: region2D(0, 0, 10, inf)},
+		"-Inf lo":          {ID: 2, Region: region2D(0, math.Inf(-1), 10, 10)},
+		"NaN position":     {ID: 2, Region: region2D(0, 0, 10, 10), Instances: []Instance{{Pos: geom.Point{nan, 1}, Prob: 1}}},
+		"NaN probability":  {ID: 2, Region: region2D(0, 0, 10, 10), Instances: []Instance{{Pos: geom.Point{1, 1}, Prob: 0.5}, {Pos: geom.Point{2, 2}, Prob: nan}}},
+		"+Inf probability": {ID: 2, Region: region2D(0, 0, 10, 10), Instances: []Instance{{Pos: geom.Point{1, 1}, Prob: inf}}},
+	} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: Validate = %v, want a non-finite error", name, err)
+		}
 	}
 }
 

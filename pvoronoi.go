@@ -130,7 +130,7 @@ type Options struct {
 	// after construction and incrementally after batches. The zero value
 	// enables it with the documented defaults; set Refine.Disabled to opt
 	// out. Refinement never changes a query result — only the tightness of
-	// stored UBRs and therefore the cost of graph-expansion retrieval.
+	// stored UBRs and therefore how many candidates PNNQ Step 1 fetches.
 	Refine RefineOptions
 }
 
