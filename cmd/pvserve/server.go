@@ -380,12 +380,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		out[i] = resultJSON{ID: uint32(res.ID), Prob: res.Prob}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"results":      out,
-		"candidates":   cost.Candidates,
-		"leaf_io":      cost.LeafIO,
-		"cache_hits":   cost.CacheHits,
-		"cache_misses": cost.CacheMisses,
-		"latency_us":   elapsed.Microseconds(),
+		"results":    out,
+		"candidates": cost.Candidates,
+		"leaf_io":    cost.LeafIO,
+		"latency_us": elapsed.Microseconds(),
 	})
 }
 
@@ -421,8 +419,6 @@ func extCostFields(body map[string]any, cost pvoronoi.ExtQueryCost) map[string]a
 	body["candidates"] = cost.Candidates
 	body["node_io"] = cost.NodeIO
 	body["leaf_io"] = cost.LeafIO
-	body["cache_hits"] = cost.CacheHits
-	body["cache_misses"] = cost.CacheMisses
 	return body
 }
 
@@ -1017,7 +1013,6 @@ func batchReply(sts []pvoronoi.UpdateStats, elapsed time.Duration) map[string]an
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	endpoints, uptime := s.metrics.snapshot()
 	io := s.ix.IO()
-	rc := s.ix.RecordCache()
 	mv := s.ix.MVCC()
 	adj := s.ix.Adjacency()
 	domain := s.ix.DB().Domain // immutable per version; safe without a lock
@@ -1037,12 +1032,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"io": map[string]int64{
 			"reads":  io.Reads,
 			"writes": io.Writes,
-		},
-		"record_cache": map[string]int64{
-			"hits":     rc.Hits,
-			"misses":   rc.Misses,
-			"resident": int64(rc.Resident),
-			"capacity": int64(rc.Capacity),
 		},
 		"mvcc": map[string]int64{
 			"epoch":            int64(mv.Epoch),

@@ -31,30 +31,23 @@ type KNNResult = pnnq.KNNResult
 // extension queries never stall writers, and writers never stall them.
 
 // ExtQueryCost reports the per-query cost of one extension query: candidate
-// count, R-tree node and leaf accesses during retrieval, the record-cache
-// outcomes of the instance fetch, and the end-to-end latency including the
-// out-of-lock probability refinement. Like QueryCost it is attributed
-// exactly to the call that incurred it.
+// count, R-tree node and leaf accesses during retrieval, and the end-to-end
+// latency including the out-of-lock probability refinement. Like QueryCost
+// it is attributed exactly to the call that incurred it.
 type ExtQueryCost struct {
 	Candidates int
 	NodeIO     int
 	LeafIO     int
-	// CacheHits/CacheMisses are the instance fetch's record-cache outcomes
-	// (zero for candidate-only queries like PossibleRNN).
-	CacheHits   int
-	CacheMisses int
 	// Latency spans retrieval, snapshot and refinement.
 	Latency time.Duration
 }
 
 func extCost(c pvindex.ExtCost, start time.Time) ExtQueryCost {
 	return ExtQueryCost{
-		Candidates:  c.Candidates,
-		NodeIO:      c.NodeIO,
-		LeafIO:      c.LeafIO,
-		CacheHits:   c.CacheHits,
-		CacheMisses: c.CacheMisses,
-		Latency:     time.Since(start),
+		Candidates: c.Candidates,
+		NodeIO:     c.NodeIO,
+		LeafIO:     c.LeafIO,
+		Latency:    time.Since(start),
 	}
 }
 

@@ -499,3 +499,67 @@ func TestExtensionCandidateHash(t *testing.T) {
 		})
 	}
 }
+
+// TestServedAnswerHash pins the served answers — IDs and the exact bits of
+// every probability — of Query, PossibleKNN (k = 8) and GroupNN (4 points
+// within 500, sum) over the same seed-3 harness samples as
+// TestExtensionCandidateHash, to hashes recorded while Step 2 still read its
+// pdfs through a decoded-record cache. Where Step 2 gets its instances from
+// is a speed decision only: no change to it may move one bit of an answer.
+func TestServedAnswerHash(t *testing.T) {
+	if race.Enabled {
+		t.Skip("two harness-sized builds; the hash is checked uninstrumented")
+	}
+	for _, c := range []struct {
+		name      string
+		n, dim    int
+		maxSide   float64
+		instances int
+		want      uint64
+		answers   int // results summed over the 1 000 samples and three kinds
+	}{
+		{"uni2", 8000, 2, 60, 100, 0xfc99a9a873efd951, 15830},
+		{"uni3", 3000, 3, 400, 200, 0x5582bf677a636d45, 23656},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const seed = 3
+			db := dataset.Synthetic(dataset.SyntheticParams{N: c.n, Dim: c.dim, MaxSide: c.maxSide, Instances: c.instances, Seed: seed*1000 + 1})
+			ix, err := BuildParallel(db, DefaultOptions(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := dataset.QueryPoints(db.Domain, 1000, seed*1000+2)
+			groups := harnessGroups(db.Domain, len(points), 4, 500, seed*1000+3)
+			h := fnv.New64a()
+			var buf []byte
+			answers := 0
+			for i, q := range points {
+				nn, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				knn, err := ix.PossibleKNN(q, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gnn, err := ix.GroupNN(groups[i], AggSum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = buf[:0]
+				for _, rs := range [][]Result{nn, knn, gnn} {
+					answers += len(rs)
+					buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs)))
+					for _, r := range rs {
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(r.ID))
+						buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Prob))
+					}
+				}
+				h.Write(buf)
+			}
+			if got := h.Sum64(); got != c.want || answers != c.answers {
+				t.Fatalf("%s: hash %#x over %d answers; want %#x over %d", c.name, got, answers, c.want, c.answers)
+			}
+		})
+	}
+}

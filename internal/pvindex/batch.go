@@ -56,7 +56,8 @@ var ErrWAL = errors.New("pvindex: wal failure")
 // an unknown delete ID anywhere in the batch (accounting for earlier ops in
 // the same batch) fails the whole batch before anything is logged or
 // applied. Concurrent ApplyBatch calls serialize; queries never block on any
-// phase.
+// phase. An inserted *Object is adopted into the database, and Step 2 reads
+// its instances in place: the caller must not mutate it afterwards.
 //
 // Stats are returned per op, positionally. A mid-apply error (e.g. a full
 // page store) discards the working version — the published state is
@@ -536,7 +537,7 @@ func (ix *Index) Recover() (int, error) {
 			secondary:  base.secondary,
 			regionTree: base.regionTree,
 			adj:        base.adj,
-		}, nil, nil)
+		}, nil)
 	}
 	return replayed, nil
 }

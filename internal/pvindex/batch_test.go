@@ -236,52 +236,58 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 }
 
+// TestApplyBatchKeepsRecordCacheCoherent drives mixed batches — deletes that
+// rewrite their neighbours' records, fresh inserts, and same-ID replacements
+// carrying a new pdf — at d = 2 and 3, and after the build and every batch
+// holds the record each object's secondary-index entry stores to the
+// database object Step 2 reads (assertPDFsMatchRecords), Instances to that
+// object's own slice, and Step 1 to brute force.
 func TestApplyBatchKeepsRecordCacheCoherent(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	db := randomDB(rng, 80, 2, 700, 30, true)
-	ix, err := Build(db, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache over the whole database.
-	for _, o := range db.Objects() {
-		if _, err := ix.Instances(o.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A batch that rewrites many records (deletes grow neighbors' UBRs).
-	cur := ix.DB()
-	var ups []Update
-	for i := 0; i < 10; i++ {
-		ups = append(ups, Update{Op: OpDelete, ID: cur.Objects()[rng.Intn(cur.Len()-i)].ID})
-		ups = append(ups, Update{Op: OpInsert, Object: newObj(rng, uncertain.ID(8000+i), 2, 650, 25)})
-	}
-	// Dedup batch-internal delete collisions.
-	seen := map[uncertain.ID]bool{}
-	var clean []Update
-	for _, u := range ups {
-		if u.Op == OpDelete {
-			if seen[u.ID] {
-				continue
+	for _, d := range []int{2, 3} {
+		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			const span = 700
+			withPDF := func(o *uncertain.Object) *uncertain.Object {
+				o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, 1+rng.Intn(40), rng)
+				return o
 			}
-			seen[u.ID] = true
-		}
-		clean = append(clean, u)
-	}
-	if _, err := ix.ApplyBatch(clean); err != nil {
-		t.Fatal(err)
-	}
-	// Every surviving object's cached record must match its stored truth:
-	// UBR lookups and instance fetches go through the cache.
-	assertMatchesBruteforce(t, ix, rng, 700, 2, 80)
-	for _, o := range ix.DB().Objects() {
-		ins, err := ix.Instances(o.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ins) != len(o.Instances) {
-			t.Fatalf("object %d: cached %d instances, database has %d", o.ID, len(ins), len(o.Instances))
-		}
+			ix, err := Build(randomDB(rng, 80, d, span, 30, true), testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertPDFsMatchRecords(t, ix)
+			nextID := uncertain.ID(8000)
+			for round := 0; round < 4; round++ {
+				objs := ix.DB().Objects()
+				perm := rng.Perm(len(objs))
+				var ups []Update
+				for k := 0; k < 6; k++ {
+					victim := objs[perm[k]]
+					ups = append(ups, Update{Op: OpDelete, ID: victim.ID})
+					if k%2 == 0 {
+						// Same ID, same region, a new pdf: one atomic replacement.
+						o := &uncertain.Object{ID: victim.ID, Region: victim.Region}
+						ups = append(ups, Update{Op: OpInsert, Object: withPDF(o)})
+					}
+					nextID++
+					ups = append(ups, Update{Op: OpInsert, Object: withPDF(newObj(rng, nextID, d, span-50, 25))})
+				}
+				if _, err := ix.ApplyBatch(ups); err != nil {
+					t.Fatal(err)
+				}
+				assertPDFsMatchRecords(t, ix)
+				for _, o := range ix.DB().Objects() {
+					ins, err := ix.Instances(o.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ins) != len(o.Instances) || (len(ins) > 0 && &ins[0] != &o.Instances[0]) {
+						t.Fatalf("object %d: Instances is not the database object's own slice", o.ID)
+					}
+				}
+				assertMatchesBruteforce(t, ix, rng, span, d, 40)
+			}
+		})
 	}
 }
 

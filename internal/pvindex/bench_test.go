@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
@@ -23,8 +24,8 @@ func benchIndex(b *testing.B, n int) *Index {
 	return ix
 }
 
-// benchIndexInstances is benchIndex with stored pdf instances, so Snapshot's
-// Step-2 data fetch has real records to decode.
+// benchIndexInstances is benchIndex with pdf instances, so Snapshot's Step-2
+// data access has real pdfs to hand over.
 func benchIndexInstances(b *testing.B, n int) *Index {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -55,8 +56,8 @@ func BenchmarkPossibleNN(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot measures the full atomic read: Step 1 plus fetching every
-// candidate's stored pdf instances from the secondary index.
+// BenchmarkSnapshot measures the full atomic read: Step 1 plus every
+// candidate's pdf instances from the pinned version.
 func BenchmarkSnapshot(b *testing.B) {
 	ix := benchIndexInstances(b, 2000)
 	rng := rand.New(rand.NewSource(2))
@@ -69,55 +70,102 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// TestSnapshotAllocBudget pins the atomic read's allocations. Warm (every
-// record cached) a Snapshot allocates 9 times whatever it returns; with the
-// cache off every candidate's record is decoded, at 4 allocations each (UBR,
-// region, instance slice, one array for all positions — it was 5 + one per
-// instance, 62 per Snapshot on this workload).
+// step2Points are the query points the Step-2 allocation tests cycle over.
+func step2Points() []geom.Point {
+	qrng := rand.New(rand.NewSource(2))
+	points := make([]geom.Point, 32)
+	for i := range points {
+		points[i] = benchPoint(qrng)
+	}
+	return points
+}
+
+// allocsPerQuery warms fn over every point (the scratch pools fill on the
+// first pass), then returns its allocations per call, cycling over them.
+func allocsPerQuery(t *testing.T, points []geom.Point, fn func(q geom.Point) error) float64 {
+	t.Helper()
+	for _, q := range points {
+		if err := fn(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		if err := fn(points[i%len(points)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+}
+
+// TestSnapshotAllocBudget pins the atomic read's allocations: 9 per
+// Snapshot whatever it returns — Step 1's survivors and their sort, the
+// snapshot and its instance-slice header. No record is decoded (a decode
+// costs 4 allocations per candidate): every candidate's pdf is read in place.
 func TestSnapshotAllocBudget(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		cacheSize int
-		budget    float64
-	}{{"warm", 0, 10}, {"uncached", -1, 16}} {
-		t.Run(c.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			db := randomDB(rng, 500, 3, 10000, 60, true)
-			cfg := DefaultConfig()
-			cfg.RecordCacheSize = c.cacheSize
-			ix, err := Build(db, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qrng := rand.New(rand.NewSource(2))
-			points := make([]geom.Point, 32)
-			for i := range points {
-				points[i] = benchPoint(qrng)
-			}
-			// Warm the record cache and the scratch pool first.
-			for _, q := range points {
-				if _, err := ix.Snapshot(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			i := 0
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := ix.Snapshot(points[i%len(points)]); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			})
-			// Race instrumentation inflates allocation counts (notably on
-			// 1-core machines), so the workload runs under -race but the
-			// budget is only asserted in uninstrumented builds.
-			if race.Enabled {
-				t.Logf("race detector enabled: skipping alloc budget assertion (measured %.1f)", allocs)
-				return
-			}
-			if allocs > c.budget {
-				t.Fatalf("Snapshot allocates %.1f times per op, budget is %.0f", allocs, c.budget)
-			}
+	t.Run("warm", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		ix, err := Build(randomDB(rng, 500, 3, 10000, 60, true), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := allocsPerQuery(t, step2Points(), func(q geom.Point) error {
+			_, err := ix.Snapshot(q)
+			return err
 		})
+		// Race instrumentation inflates allocation counts (notably on
+		// 1-core machines), so the workload runs under -race but the
+		// budget is only asserted in uninstrumented builds.
+		if race.Enabled {
+			t.Logf("race detector enabled: skipping alloc budget assertion (measured %.1f)", allocs)
+			return
+		}
+		if allocs > 10 {
+			t.Fatalf("Snapshot allocates %.1f times per op, budget is 10", allocs)
+		}
+	})
+}
+
+// TestStep2AllocsIndependentOfPDFSize: Step 2's data access reads the pinned
+// version's own objects, so a warm Snapshot, KNNSnapshot or GroupNNSnapshot
+// allocates exactly as often over 200-instance pdfs as over 20-instance ones
+// — same regions, hence the same UBRs and candidates; only the pdfs differ.
+func TestStep2AllocsIndependentOfPDFSize(t *testing.T) {
+	points := step2Points()
+	measure := func(instances int) map[string]float64 {
+		db := randomDB(rand.New(rand.NewSource(1)), 500, 3, 10000, 60, false)
+		prng := rand.New(rand.NewSource(3))
+		for _, o := range db.Objects() {
+			o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, instances, prng)
+		}
+		ix, err := Build(db, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		group := func(q geom.Point) []geom.Point {
+			return []geom.Point{q, {q[0] + 300, q[1], q[2]}, {q[0], q[1] + 300, q[2]}, {q[0], q[1], q[2] + 300}}
+		}
+		return map[string]float64{
+			"Snapshot": allocsPerQuery(t, points, func(q geom.Point) error {
+				_, err := ix.Snapshot(q)
+				return err
+			}),
+			"KNNSnapshot": allocsPerQuery(t, points, func(q geom.Point) error {
+				_, err := ix.KNNSnapshot(q, 8)
+				return err
+			}),
+			"GroupNNSnapshot": allocsPerQuery(t, points, func(q geom.Point) error {
+				_, err := ix.GroupNNSnapshot(group(q), extquery.AggSum)
+				return err
+			}),
+		}
+	}
+	small, large := measure(20), measure(200)
+	for name, s := range small {
+		t.Logf("%s: %.1f allocations at 20 instances per object, %.1f at 200", name, s, large[name])
+		if !race.Enabled && s != large[name] {
+			t.Errorf("%s allocates %.1f times at 20 instances per object, %.1f at 200", name, s, large[name])
+		}
 	}
 }
 

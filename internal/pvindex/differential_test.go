@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -74,6 +75,45 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	assertSameGraph(t, gv.adj, wv.adj, label)
 	if g, w := got.refineThreshold(), want.refineThreshold(); g != w {
 		t.Fatalf("%s: refine threshold %v, want %v", label, g, w)
+	}
+	assertPDFsMatchRecords(t, got)
+	assertPDFsMatchRecords(t, want)
+}
+
+// assertPDFsMatchRecords: the two copies of every object's pdf agree. Step 2
+// reads the current version's database objects; the secondary index's
+// records, which a checkpoint persists, hold a second copy. Decoded whole,
+// each record must carry its object's region and instances bit for bit, and
+// the index must hold no record without an object.
+func assertPDFsMatchRecords(t *testing.T, ix *Index) {
+	t.Helper()
+	v := ix.pin()
+	defer ix.unpin(v)
+	objs := v.db.Objects()
+	if n := v.secondary.Len(); n != len(objs) {
+		t.Fatalf("secondary index holds %d records, database %d objects", n, len(objs))
+	}
+	for _, o := range objs {
+		buf, ok, err := v.secondary.Get(uint32(o.ID))
+		if err != nil || !ok {
+			t.Fatalf("object %d: no record (%v)", o.ID, err)
+		}
+		rec, err := decodeRecord(buf)
+		if err != nil {
+			t.Fatalf("object %d: %v", o.ID, err)
+		}
+		if !sameRectBits(rec.Region, o.Region) {
+			t.Fatalf("object %d: record region %v, database %v", o.ID, rec.Region, o.Region)
+		}
+		if len(rec.Instances) != len(o.Instances) {
+			t.Fatalf("object %d: record holds %d instances, database %d", o.ID, len(rec.Instances), len(o.Instances))
+		}
+		for i, in := range o.Instances {
+			r := rec.Instances[i]
+			if !sameBits(r.Pos, in.Pos) || math.Float64bits(r.Prob) != math.Float64bits(in.Prob) {
+				t.Fatalf("object %d: record instance %d is %v, database %v", o.ID, i, r, in)
+			}
+		}
 	}
 }
 
@@ -372,6 +412,7 @@ func TestReplayReproducesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertPDFsMatchRecords(t, recovered)
 			recovered.AttachWAL(log2)
 			replayed, err := recovered.Recover()
 			if err != nil {

@@ -1,8 +1,6 @@
 package pvindex
 
 import (
-	"fmt"
-
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
@@ -16,8 +14,7 @@ import (
 // retrieve by branch-and-bound over the version's region R*-tree.
 
 // ExtCost attributes the retrieval cost of one extension query: candidate
-// count, R-tree node/leaf accesses, and the record-cache outcomes of the
-// instance fetch.
+// count and R-tree node/leaf accesses.
 type ExtCost struct {
 	Candidates int
 	NodeIO     int
@@ -25,41 +22,29 @@ type ExtCost struct {
 	// GraphNodes and GraphEdges are always 0: no query walks the adjacency
 	// graph. They stay only because the benchmark harness (benchmark/
 	// layers.go) still reads them.
-	GraphNodes  int
-	GraphEdges  int
-	CacheHits   int
-	CacheMisses int
+	GraphNodes int
+	GraphEdges int
 }
 
 // ExtSnapshot is an atomic extension-query read: the candidate IDs and each
-// candidate's stored pdf instances (parallel slice), fetched from one pinned
-// version so a concurrent writer can never remove a candidate between
-// retrieval and the data access. Instance slices may be shared with the
-// record cache — treat them as immutable.
+// candidate's pdf instances (parallel slice), from one pinned version so a
+// concurrent writer can never remove a candidate between retrieval and the
+// data access. The instance slices are the version's own objects' — treat
+// them as immutable.
 type ExtSnapshot struct {
 	IDs       []uncertain.ID
 	Instances [][]uncertain.Instance
 	Cost      ExtCost
 }
 
-// fetchInstancesAt resolves each candidate's stored instances through the
-// record cache against a pinned version, accumulating hit/miss counts.
-func (ix *Index) fetchInstancesAt(v *version, ids []uncertain.ID, cost *ExtCost) ([][]uncertain.Instance, error) {
+// fetchInstancesAt takes each candidate's instances from a pinned version.
+func fetchInstancesAt(v *version, ids []uncertain.ID) ([][]uncertain.Instance, error) {
 	out := make([][]uncertain.Instance, len(ids))
 	for i, id := range ids {
-		rec, ok, hit, err := ix.getRecordAt(v, uint32(id))
-		if err != nil {
+		var err error
+		if out[i], err = v.instances(id); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("pvindex: object %d not in secondary index", id)
-		}
-		if hit {
-			cost.CacheHits++
-		} else {
-			cost.CacheMisses++
-		}
-		out[i] = rec.Instances
 	}
 	return out, nil
 }
@@ -94,12 +79,11 @@ func (ix *Index) GroupNNSnapshot(qs []geom.Point, agg extquery.Agg) (*ExtSnapsho
 	if err != nil {
 		return nil, err
 	}
-	snap := &ExtSnapshot{IDs: ids, Cost: cost}
-	snap.Instances, err = ix.fetchInstancesAt(v, ids, &snap.Cost)
+	instances, err := fetchInstancesAt(v, ids)
 	if err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return &ExtSnapshot{IDs: ids, Instances: instances, Cost: cost}, nil
 }
 
 // GroupNNCandidatesOnly is GroupNNSnapshot without the instance fetch, for
@@ -120,12 +104,11 @@ func (ix *Index) KNNSnapshot(q geom.Point, k int) (*ExtSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &ExtSnapshot{IDs: ids, Cost: cost}
-	snap.Instances, err = ix.fetchInstancesAt(v, ids, &snap.Cost)
+	instances, err := fetchInstancesAt(v, ids)
 	if err != nil {
 		return nil, err
 	}
-	return snap, nil
+	return &ExtSnapshot{IDs: ids, Instances: instances, Cost: cost}, nil
 }
 
 // KNNCandidatesOnly is KNNSnapshot without the instance fetch, for callers

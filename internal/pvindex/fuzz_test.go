@@ -15,6 +15,22 @@ import (
 	"pvoronoi/internal/wal"
 )
 
+// decodeRecord parses a whole encoded record; recordShape has checked every
+// length before the object codec allocates. No production path decodes a
+// whole record — UBR reads take the header (decodeRecordUBR) and Step 2 reads
+// the version's own objects — so it lives here, as the oracle the tests hold
+// the stored records and the header decoder to.
+func decodeRecord(buf []byte) (record, error) {
+	d, n, err := recordShape(buf, len(buf))
+	if err != nil {
+		return record{}, err
+	}
+	var ubr, o uncertain.Object
+	rest, _ := uncertain.DecodeObject(&ubr, buf[6:], d, 0)
+	_, err = uncertain.DecodeObject(&o, rest, d, n)
+	return record{UBR: ubr.Region, Region: o.Region, Instances: o.Instances}, err
+}
+
 // FuzzDecodeRecord exercises the secondary-index record decoder with
 // arbitrary bytes: it must never panic, only return errors for malformed
 // input, and round-trip valid encodings. Seeds include valid records and

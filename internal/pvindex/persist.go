@@ -21,17 +21,16 @@ const persistMagic = "PVIDX4"
 
 // indexImage bundles the serializable state of all index layers.
 type indexImage struct {
-	Magic           string
-	SE              core.Options
-	MemBudget       int
-	Fanout          int
-	Objects         int
-	RecordCacheSize int
-	WALSeq          uint64
-	Store           *pagestore.Image
-	Primary         *octree.Image
-	Secondary       *exthash.Image
-	Adjacency       *adjgraph.Image
+	Magic     string
+	SE        core.Options
+	MemBudget int
+	Fanout    int
+	Objects   int
+	WALSeq    uint64
+	Store     *pagestore.Image
+	Primary   *octree.Image
+	Secondary *exthash.Image
+	Adjacency *adjgraph.Image
 	// Refine and RefineThreshold restore the refinement subsystem:
 	// the config the UBRs were refined under and the hub-score cutoff the
 	// incremental write path re-refines against (0 = unset).
@@ -73,18 +72,17 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		return err
 	}
 	img := indexImage{
-		Magic:           persistMagic,
-		SE:              ix.cfg.SE,
-		MemBudget:       ix.cfg.MemBudget,
-		Fanout:          ix.cfg.Fanout,
-		Objects:         v.db.Len(),
-		RecordCacheSize: ix.cfg.RecordCacheSize,
-		WALSeq:          v.walSeq,
-		Store:           storeImg,
-		Primary:         v.primary.Image(),
-		Secondary:       v.secondary.Image(),
-		Adjacency:       v.adj.Image(),
-		Refine:          ix.cfg.Refine,
+		Magic:     persistMagic,
+		SE:        ix.cfg.SE,
+		MemBudget: ix.cfg.MemBudget,
+		Fanout:    ix.cfg.Fanout,
+		Objects:   v.db.Len(),
+		WALSeq:    v.walSeq,
+		Store:     storeImg,
+		Primary:   v.primary.Image(),
+		Secondary: v.secondary.Image(),
+		Adjacency: v.adj.Image(),
+		Refine:    ix.cfg.Refine,
 	}
 	if t := ix.refineThreshold(); !math.IsInf(t, 1) {
 		img.RefineThreshold = t
@@ -146,12 +144,11 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	ix := &Index{
 		store: store,
 		cfg: Config{
-			Store:           store,
-			MemBudget:       img.MemBudget,
-			Fanout:          img.Fanout,
-			SE:              img.SE,
-			RecordCacheSize: img.RecordCacheSize,
-			Refine:          img.Refine,
+			Store:     store,
+			MemBudget: img.MemBudget,
+			Fanout:    img.Fanout,
+			SE:        img.SE,
+			Refine:    img.Refine,
 		},
 	}
 	ix.initRuntime()
@@ -162,20 +159,10 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The loaded octree's lookup reads the secondary index directly; it is
-	// only consulted by mutations, which run on CloneCOW descendants wired
-	// to the writer's own view.
-	lookup := func(id uint32) (geom.Rect, bool) {
-		buf, found, err := secondary.Get(id)
-		if err != nil || !found {
-			return geom.Rect{}, false
-		}
-		rec, err := decodeRecord(buf)
-		if err != nil {
-			return geom.Rect{}, false
-		}
-		return rec.UBR, true
-	}
+	// The loaded octree's lookup reads record headers from the secondary
+	// index directly; it is only consulted by mutations, which run on
+	// CloneCOW descendants wired to the writer's own view.
+	lookup := func(id uint32) (geom.Rect, bool) { return storedUBR(secondary, id, db.Dim()) }
 	primary, err := octree.FromImage(store, lookup, img.Primary)
 	if err != nil {
 		return nil, err

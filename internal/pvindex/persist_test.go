@@ -3,6 +3,7 @@ package pvindex
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -65,7 +67,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // into the same graph and the same extension answers. The old bytes are the
 // current image re-encoded in the old types (reference_test.go) with the
 // diameter the old graph tracked; they differ from the current ones by that
-// field alone.
+// field and by the declaration of the since-removed record-cache size.
 func TestLoadsImageWithMaxDiag(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := randomDB(rng, 120, 2, 1000, 40, true)
@@ -85,7 +87,7 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 		maxDiag = max(maxDiag, geom.Dist(o.Region.Lo, o.Region.Hi))
 	}
 	old := bytes.NewBuffer(legacyImage(t, cur.Bytes(), maxDiag))
-	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 24 || !bytes.Contains(old.Bytes(), []byte("MaxDiag")) {
+	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 48 || !bytes.Contains(old.Bytes(), []byte("MaxDiag")) {
 		t.Fatalf("old image is %d bytes, current %d: want MaxDiag's few bytes more", old.Len(), cur.Len())
 	}
 	t.Logf("old image %d bytes, current %d", old.Len(), cur.Len())
@@ -172,31 +174,68 @@ func TestLoadedIndexSupportsUpdates(t *testing.T) {
 	}
 }
 
-func TestLoadPreservesRecordCacheSize(t *testing.T) {
+// TestLoadsImageWithRecordCacheField: a checkpoint written while the index
+// still sized a decoded-record cache from its image loads with the current
+// code — gob skips the field — into the same state (stored UBRs, graph, the
+// pdfs of both copies) and the same Step-2 answers. The old bytes are the
+// current image re-encoded in the old type (reference_test.go) with a
+// non-default cache size; they differ from the current ones by that field
+// alone.
+func TestLoadsImageWithRecordCacheField(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	db := randomDB(rng, 40, 2, 500, 25, false)
-	cfg := testConfig()
-	cfg.RecordCacheSize = 128 // far from the 4096 default
-	ix, err := Build(db, cfg)
+	db := randomDB(rng, 60, 2, 500, 25, true)
+	ix, err := Build(db, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.SaveTo(&buf); err != nil {
+	if _, err := ix.ApplyBatch([]Update{{Op: OpDelete, ID: 3}, {Op: OpInsert, Object: newObj(rng, 500, 2, 480, 25)}}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFrom(&buf, db)
+	var cur bytes.Buffer
+	if err := ix.SaveTo(&cur); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.NewBuffer(cacheSizedImage(t, cur.Bytes(), 128))
+	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 40 || !bytes.Contains(old.Bytes(), []byte("RecordCache")) {
+		t.Fatalf("old image is %d bytes, current %d: want the cache size's few bytes more", old.Len(), cur.Len())
+	}
+	loaded, err := LoadFrom(old, ix.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ix.RecordCacheStats().Capacity
-	got := loaded.RecordCacheStats().Capacity
-	if got != want {
-		t.Fatalf("loaded record cache capacity %d, want %d (RecordCacheSize dropped on load)", got, want)
+	assertSameState(t, loaded, ix, "old image")
+	for iter := 0; iter < 60; iter++ {
+		q := geom.Point{rng.Float64() * 500, rng.Float64() * 500}
+		a, err := ix.Snapshot(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := loaded.Snapshot(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(idsOf(a.Candidates), idsOf(b.Candidates)) {
+			t.Fatalf("q=%v: loaded %v, live %v", q, idsOf(b.Candidates), idsOf(a.Candidates))
+		}
+		got, want := snapshotAnswer(b, q), snapshotAnswer(a, q)
+		if len(got) != len(want) {
+			t.Fatalf("q=%v: loaded answers %v, live %v", q, got, want)
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
+				t.Fatalf("q=%v: loaded answers %v, live %v", q, got, want)
+			}
+		}
 	}
-	if got == newRecordCache(0).stats().Capacity {
-		t.Fatalf("loaded cache fell back to the default capacity %d", got)
+}
+
+// snapshotAnswer runs Step 2 over a snapshot.
+func snapshotAnswer(s *QuerySnapshot, q geom.Point) []pnnq.Result {
+	data := make([]pnnq.CandidateData, len(s.Candidates))
+	for i, c := range s.Candidates {
+		data[i] = pnnq.CandidateData{ID: c.ID, Instances: s.Instances[i]}
 	}
+	return pnnq.Compute(data, q)
 }
 
 func TestSaveLoadAfterUpdateTraffic(t *testing.T) {

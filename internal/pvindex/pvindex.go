@@ -36,9 +36,6 @@ type Config struct {
 	Fanout int
 	// SE are the Shrink-and-Expand parameters.
 	SE core.Options
-	// RecordCacheSize bounds the decoded-record cache in entries
-	// (0 = DefaultRecordCacheSize, negative = cache disabled).
-	RecordCacheSize int
 	// WAL, when non-nil, is the write-ahead log every update batch is
 	// appended to (and fsynced) before it applies — the durable write path.
 	// Equivalent to calling AttachWAL after construction.
@@ -96,9 +93,6 @@ type Index struct {
 	dmgMu sync.Mutex
 	dmg   error
 
-	// rcache holds decoded secondary-index records, generation-tagged so
-	// readers pinned to different versions can share it (recordcache.go).
-	rcache *recordCache
 	// scratch pools per-query working memory for the Step-1 hot loop.
 	scratch sync.Pool
 
@@ -106,9 +100,6 @@ type Index struct {
 	reclaimMu sync.Mutex
 	retired   []*version
 	reclaims  int64
-	// prunedTo is the oldest-pinnable epoch the cache generation table was
-	// last pruned against (guarded by reclaimMu).
-	prunedTo uint64
 
 	// Adjacency-maintenance counters: rows recomputed from the primary
 	// index, rows patched by a single neighbor link, and rows deleted, over
@@ -140,11 +131,10 @@ type queryScratch struct {
 	seen    map[uint32]struct{}
 }
 
-// initRuntime wires the non-persisted runtime state (record cache, scratch
-// pool, WAL attachment). Every Index constructor — Build, BuildParallel,
-// LoadFrom — calls it before the index is shared.
+// initRuntime wires the non-persisted runtime state (scratch pool, WAL
+// attachment). Every Index constructor — Build, BuildParallel, LoadFrom —
+// calls it before the index is shared.
 func (ix *Index) initRuntime() {
-	ix.rcache = newRecordCache(ix.cfg.RecordCacheSize)
 	ix.wal = ix.cfg.WAL
 	ix.scratch.New = func() any {
 		return &queryScratch{seen: make(map[uint32]struct{}, 64)}
@@ -153,11 +143,10 @@ func (ix *Index) initRuntime() {
 
 // working is the writer's mutable view while it builds the next version:
 // a cloned database, copy-on-write handles over the octree, secondary index
-// and region tree, the deferred-free list shared by both page-backed
-// structures, and the set of record IDs rewritten so far (for the cache
-// generation bump at publish).
+// and region tree, and the deferred-free list shared by both page-backed
+// structures.
 // In bootstrap mode (construction) there is no predecessor version:
-// structures mutate in place and no dirty tracking is needed.
+// structures mutate in place.
 type working struct {
 	ix    *Index
 	epoch uint64 // epoch this working set publishes as
@@ -178,7 +167,6 @@ type working struct {
 	adjTime    time.Duration // wall time the current batch spent in updateAdjacency
 
 	freed []pagestore.PageID
-	dirty map[uint32]struct{} // nil in bootstrap mode
 }
 
 // buildRegionTree constructs the region R*-tree of a database. It is a
@@ -229,7 +217,6 @@ func (ix *Index) newWorking(base *version) *working {
 		ix:    ix,
 		epoch: base.epoch + 1,
 		db:    base.db.Clone(),
-		dirty: make(map[uint32]struct{}),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
 	w.secondary = base.secondary.CloneCOW(&w.freed)
@@ -265,7 +252,7 @@ func (w *working) seal(walSeq uint64) *version {
 
 // publishWorking seals w and swaps it in as the current version.
 func (ix *Index) publishWorking(w *working, walSeq uint64) {
-	ix.publish(w.seal(walSeq), w.freed, w.dirty)
+	ix.publish(w.seal(walSeq), w.freed)
 }
 
 // installBootstrap publishes the construction result as version 1 (no
@@ -278,7 +265,8 @@ func (ix *Index) installBootstrap(w *working, walSeq uint64) {
 // adopted as version 1's snapshot: subsequent ApplyBatch/Insert/Delete
 // calls publish new versions with cloned bookkeeping, so read the current
 // database through Index.DB() or View rather than the original pointer.
-// It is BuildParallel with one worker.
+// Its objects are adopted too: Step 2 reads their instances in place, so no
+// object may be mutated afterwards. It is BuildParallel with one worker.
 func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	return BuildParallel(db, cfg, 1)
 }
@@ -485,38 +473,20 @@ func (ix *Index) Adjacency() AdjacencyStats {
 	return st
 }
 
-// putRecord writes o's record to the working secondary index and marks the
-// ID dirty so the cache generation bumps at publish.
+// putRecord writes o's record to the working secondary index.
 func (w *working) putRecord(id uint32, rec record) error {
 	buf, err := encodeRecord(rec)
-	if err == nil {
-		err = w.secondary.Put(id, buf)
-	}
 	if err != nil {
 		return err
 	}
-	w.markDirty(id)
-	return nil
-}
-
-// markDirty records that id's stored bytes changed in this working set.
-func (w *working) markDirty(id uint32) {
-	if w.dirty != nil {
-		w.dirty[id] = struct{}{}
-	}
+	return w.secondary.Put(id, buf)
 }
 
 // lookupUBR serves octree leaf splits (and the update algorithms' affected-
-// set filters) from the working secondary index. It borrows the record's
-// header only — never the pdf, however many pages it spans — and stays out
-// of the readers' record cache: the writer neither fills nor evicts it.
+// set filters) from the working secondary index, reading the record's header
+// only (storedUBR).
 func (w *working) lookupUBR(id uint32) (geom.Rect, bool) {
-	prefix, total, ok, err := w.secondary.GetPrefix(id, recordUBRLen(w.db.Dim()))
-	if err != nil || !ok {
-		return geom.Rect{}, false
-	}
-	ubr, err := decodeRecordUBR(prefix, total)
-	return ubr, err == nil
+	return storedUBR(w.secondary, id, w.db.Dim())
 }
 
 // addObject writes o's record to the secondary index and its entries to the
@@ -529,44 +499,11 @@ func (w *working) addObject(o *uncertain.Object, ubr geom.Rect) error {
 	return w.primary.Insert(uint32(o.ID), o.Region, ubr)
 }
 
-// getRecordAt is the reader's record fetch against a pinned version: cache
-// first (validated against the version's epoch), then the version's
-// secondary index, filling the cache tagged with the version's epoch. hit
-// reports whether this call was a cache hit. The returned record's slices
-// are shared with the cache — callers must treat them as immutable.
-func (ix *Index) getRecordAt(v *version, id uint32) (rec record, ok bool, hit bool, err error) {
-	if rec, ok := ix.rcache.get(id, v.epoch); ok {
-		return rec, true, true, nil
-	}
-	// Borrow-then-decode under the version pin: the borrowed value stays
-	// valid until the pin releases, and decodeRecord copies everything out
-	// long before that.
-	buf, found, err := v.secondary.GetView(id)
-	if err != nil || !found {
-		return record{}, false, false, err
-	}
-	rec, err = decodeRecord(buf)
-	if err != nil {
-		return record{}, false, false, err
-	}
-	ix.rcache.put(id, rec, v.epoch)
-	return rec, true, false, nil
-}
-
-// RecordCacheStats reports the decoded-record cache's hit/miss counters and
-// residency. Safe under concurrent traffic.
-func (ix *Index) RecordCacheStats() RecordCacheStats { return ix.rcache.stats() }
-
-// UBR returns the stored UBR of an object. Its coordinate slices may be
-// shared with the record cache — treat the rectangle as immutable.
+// UBR returns the stored UBR of an object, read from its record's header.
 func (ix *Index) UBR(id uncertain.ID) (geom.Rect, bool) {
 	v := ix.pin()
 	defer ix.unpin(v)
-	rec, ok, _, err := ix.getRecordAt(v, uint32(id))
-	if err != nil || !ok {
-		return geom.Rect{}, false
-	}
-	return rec.UBR, true
+	return v.ubr(id)
 }
 
 // Store exposes the underlying page store (for I/O accounting).
@@ -704,45 +641,30 @@ func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error
 	return out, leafIO, nil
 }
 
-// Instances fetches the stored pdf instances for an object from the
-// secondary index (PNNQ Step 2's data access). The returned slice may be
-// shared with the record cache and other concurrent readers — treat it as
-// immutable.
+// Instances returns an object's pdf instances (PNNQ Step 2's data access):
+// the current version's own object's, shared with every reader of it — treat
+// the slice as immutable. No write ever mutates it, so it stays valid after
+// the call.
 func (ix *Index) Instances(id uncertain.ID) ([]uncertain.Instance, error) {
 	v := ix.pin()
 	defer ix.unpin(v)
-	return ix.instancesAt(v, id)
-}
-
-// instancesAt is Instances against a pinned version.
-func (ix *Index) instancesAt(v *version, id uncertain.ID) ([]uncertain.Instance, error) {
-	rec, ok, _, err := ix.getRecordAt(v, uint32(id))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("pvindex: object %d not in secondary index", id)
-	}
-	return rec.Instances, nil
+	return v.instances(id)
 }
 
 // QuerySnapshot is an atomic PNNQ read: the Step-1 candidate set, each
-// candidate's stored pdf instances (parallel slice), and the number of
-// primary-index leaf pages read — all fetched from one pinned version so a
+// candidate's pdf instances (parallel slice), and the number of
+// primary-index leaf pages read — all from one pinned version so a
 // concurrent writer can never remove a candidate between Step 1 and the
-// Step-2 data access.
+// Step-2 data access. The instance slices are the version's own objects' —
+// treat them as immutable.
 type QuerySnapshot struct {
 	Candidates []Candidate
 	Instances  [][]uncertain.Instance
 	LeafIO     int
-	// CacheHits/CacheMisses count this query's record-cache outcomes during
-	// the Step-2 data fetch (one lookup per candidate).
-	CacheHits   int
-	CacheMisses int
 }
 
-// Snapshot evaluates Step 1 and fetches every candidate's instances against
-// one pinned version. Full-query callers (Step 2 probability computation)
+// Snapshot evaluates Step 1 and takes every candidate's instances from the
+// same pinned version. Full-query callers (Step 2 probability computation)
 // run on the snapshot afterwards; writers are never blocked.
 func (ix *Index) Snapshot(q geom.Point) (*QuerySnapshot, error) {
 	v := ix.pin()
@@ -757,19 +679,9 @@ func (ix *Index) Snapshot(q geom.Point) (*QuerySnapshot, error) {
 		LeafIO:     leafIO,
 	}
 	for i, c := range cands {
-		rec, ok, hit, err := ix.getRecordAt(v, uint32(c.ID))
-		if err != nil {
+		if snap.Instances[i], err = v.instances(c.ID); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("pvindex: object %d not in secondary index", c.ID)
-		}
-		if hit {
-			snap.CacheHits++
-		} else {
-			snap.CacheMisses++
-		}
-		snap.Instances[i] = rec.Instances
 	}
 	return snap, nil
 }
@@ -861,7 +773,6 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	if _, err := w.secondary.Delete(uint32(id)); err != nil {
 		return st, err
 	}
-	w.markDirty(uint32(id))
 	w.adjMarkRemoved(uint32(id))
 	st.IndexTime += time.Since(t0)
 

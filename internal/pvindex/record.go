@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 )
@@ -59,7 +60,8 @@ func recordShape(head []byte, total int) (d, n int, err error) {
 
 // decodeRecordUBR returns the UBR of a record from its prefix (at least
 // recordUBRLen(d) bytes, or the whole record if shorter) and its total
-// length, rejecting exactly the shapes decodeRecord rejects.
+// length, rejecting exactly the shapes a whole-record decode rejects
+// (decodeRecord, kept beside the fuzz target that holds the two together).
 func decodeRecordUBR(prefix []byte, total int) (geom.Rect, error) {
 	d, _, err := recordShape(prefix, total)
 	if err != nil {
@@ -73,15 +75,15 @@ func decodeRecordUBR(prefix []byte, total int) (geom.Rect, error) {
 	return ubr.Region, err
 }
 
-// decodeRecord parses an encoded record; recordShape has checked every
-// length before the object codec allocates.
-func decodeRecord(buf []byte) (record, error) {
-	d, n, err := recordShape(buf, len(buf))
-	if err != nil {
-		return record{}, err
+// storedUBR reads the UBR of id's record in t from the record's header
+// alone: one bucket and one page view, never the pdf, however many pages it
+// spans. Every UBR read — the writer's, the readers', the load check's —
+// goes through it.
+func storedUBR(t *exthash.Table, id uint32, d int) (geom.Rect, bool) {
+	prefix, total, ok, err := t.GetPrefix(id, recordUBRLen(d))
+	if err != nil || !ok {
+		return geom.Rect{}, false
 	}
-	var ubr, o uncertain.Object
-	rest, _ := uncertain.DecodeObject(&ubr, buf[6:], d, 0)
-	_, err = uncertain.DecodeObject(&o, rest, d, n)
-	return record{UBR: ubr.Region, Region: o.Region, Instances: o.Instances}, err
+	ubr, err := decodeRecordUBR(prefix, total)
+	return ubr, err == nil
 }

@@ -419,3 +419,39 @@ func legacyImage(t *testing.T, cur []byte, maxDiag float64) []byte {
 	}
 	return old.Bytes()
 }
+
+// cacheSizedImage re-encodes a PVIDX4 image in the type it had while the
+// index sized a decoded-record cache from it, with size in that field. The
+// type is kept verbatim under its old name, so the bytes differ from cur by
+// the field alone.
+func cacheSizedImage(t *testing.T, cur []byte, size int) []byte {
+	t.Helper()
+	type indexImage struct {
+		Magic           string
+		SE              core.Options
+		MemBudget       int
+		Fanout          int
+		Objects         int
+		RecordCacheSize int
+		WALSeq          uint64
+		Store           *pagestore.Image
+		Primary         *octree.Image
+		Secondary       *exthash.Image
+		Adjacency       *adjgraph.Image
+		// Refine and RefineThreshold restore the refinement subsystem:
+		// the config the UBRs were refined under and the hub-score cutoff the
+		// incremental write path re-refines against (0 = unset).
+		Refine          RefineConfig
+		RefineThreshold float64
+	}
+	var img indexImage
+	if err := gob.NewDecoder(bytes.NewReader(cur)).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	img.RecordCacheSize = size
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	return old.Bytes()
+}

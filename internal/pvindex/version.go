@@ -1,6 +1,7 @@
 package pvindex
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"pvoronoi/internal/adjgraph"
@@ -80,14 +81,9 @@ func (ix *Index) unpin(v *version) {
 	}
 }
 
-// publish makes next the current version: record-cache generations bump
-// first (so no reader can cache soon-stale content under a passing
-// generation), then the pointer swaps, then the predecessor retires with
-// the batch's deferred page frees attached.
-func (ix *Index) publish(next *version, freed []pagestore.PageID, dirty map[uint32]struct{}) {
-	for id := range dirty {
-		ix.rcache.bumpGen(id, next.epoch)
-	}
+// publish makes next the current version: the pointer swaps, then the
+// predecessor retires with the batch's deferred page frees attached.
+func (ix *Index) publish(next *version, freed []pagestore.PageID) {
 	old := ix.current.Load()
 	old.freed = freed
 	ix.reclaimMu.Lock()
@@ -121,19 +117,6 @@ func (ix *Index) tryReclaim() {
 	}
 	if len(ix.retired) == 0 {
 		ix.retired = nil
-	}
-	// The oldest pinnable epoch bounds every future cache access; the
-	// generation table can forget modifications at or below it. Prune only
-	// when that bound actually advanced — under a long-held pin the bound
-	// is stuck, and rescanning a growing table per publish would be
-	// quadratic for nothing.
-	minLive := ix.current.Load().epoch
-	if len(ix.retired) > 0 {
-		minLive = ix.retired[0].epoch
-	}
-	if minLive > ix.prunedTo {
-		ix.rcache.pruneGen(minLive)
-		ix.prunedTo = minLive
 	}
 }
 
@@ -217,16 +200,29 @@ func (p *Pinned) PossibleNN(q geom.Point) ([]Candidate, error) {
 }
 
 // UBR returns an object's stored UBR in the pinned version.
-func (p *Pinned) UBR(id uncertain.ID) (geom.Rect, bool) {
-	rec, ok, _, err := p.ix.getRecordAt(p.v, uint32(id))
-	if err != nil || !ok {
-		return geom.Rect{}, false
-	}
-	return rec.UBR, true
+func (p *Pinned) UBR(id uncertain.ID) (geom.Rect, bool) { return p.v.ubr(id) }
+
+// Instances returns an object's pdf instances in the pinned version. The
+// slice is the version's own object's, shared with every reader — treat it
+// as immutable; it stays valid after Release.
+func (p *Pinned) Instances(id uncertain.ID) ([]uncertain.Instance, error) {
+	return p.v.instances(id)
 }
 
-// Instances returns an object's stored pdf instances in the pinned version.
-// The slice may be shared with the record cache — treat it as immutable.
-func (p *Pinned) Instances(id uncertain.ID) ([]uncertain.Instance, error) {
-	return p.ix.instancesAt(p.v, id)
+// ubr reads an object's stored UBR from its record's header in v.
+func (v *version) ubr(id uncertain.ID) (geom.Rect, bool) {
+	return storedUBR(v.secondary, uint32(id), v.db.Dim())
+}
+
+// instances returns an object's pdf instances in v: those of v's own
+// database object. Every record in v's secondary index was encoded from that
+// object, which no write mutates (a version's database is immutable, and an
+// object is adopted on insert), so Step 2 reads the pdf where it already
+// lives instead of decoding the record's copy.
+func (v *version) instances(id uncertain.ID) ([]uncertain.Instance, error) {
+	o := v.db.Get(id)
+	if o == nil {
+		return nil, fmt.Errorf("pvindex: object %d not in secondary index", id)
+	}
+	return o.Instances, nil
 }

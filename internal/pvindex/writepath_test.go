@@ -8,21 +8,23 @@ import (
 	"time"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
 )
 
-// TestLookupUBRHeaderOnly: the writer's UBR read returns the stored UBR,
+// TestLookupUBRHeaderOnly: the writer's UBR read returns the stored UBR and
 // allocates its one coordinate array whatever the record's size (the d=3
-// records here span two pages), and neither probes nor fills the readers'
-// record cache.
+// records here span two pages); so do the readers' Index.UBR and Pinned.UBR,
+// which read the same header.
 func TestLookupUBRHeaderOnly(t *testing.T) {
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 120, Dim: 3, MaxSide: 400, Instances: 200, Seed: 3})
 	ix, err := Build(db, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ix.RecordCacheStats()
+	pin := ix.Pin()
+	defer pin.Release()
 	w := ix.newWorking(ix.current.Load())
 	defer w.abort()
 	for _, o := range db.Objects() {
@@ -44,16 +46,26 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 		if !got.Equal(rec.UBR) {
 			t.Fatalf("object %d: lookupUBR %v, record holds %v", o.ID, got, rec.UBR)
 		}
+		for name, read := range map[string]func(uncertain.ID) (geom.Rect, bool){"Index.UBR": ix.UBR, "Pinned.UBR": pin.UBR} {
+			if r, ok := read(o.ID); !ok || !sameRectBits(r, rec.UBR) {
+				t.Fatalf("object %d: %s %v, record holds %v", o.ID, name, r, rec.UBR)
+			}
+		}
 	}
 	if _, ok := w.lookupUBR(1 << 30); ok {
 		t.Fatal("lookupUBR found an ID that was never stored")
 	}
-	if after := ix.RecordCacheStats(); after != before {
-		t.Fatalf("writer reads moved the record cache: %+v -> %+v", before, after)
+	if _, ok := ix.UBR(1 << 30); ok {
+		t.Fatal("Index.UBR found an ID that was never stored")
 	}
-	allocs := testing.AllocsPerRun(200, func() { w.lookupUBR(7) })
-	if !race.Enabled && allocs > 1 {
-		t.Fatalf("lookupUBR allocates %.0f times, budget 1", allocs)
+	for name, read := range map[string]func(){
+		"lookupUBR":  func() { w.lookupUBR(7) },
+		"Index.UBR":  func() { ix.UBR(7) },
+		"Pinned.UBR": func() { pin.UBR(7) },
+	} {
+		if allocs := testing.AllocsPerRun(200, read); !race.Enabled && allocs > 1 {
+			t.Fatalf("%s allocates %.0f times, budget 1", name, allocs)
+		}
 	}
 }
 

@@ -109,12 +109,6 @@ type Options struct {
 	MemBudget int
 	// PageSize is the simulated disk page size in bytes (default 4096).
 	PageSize int
-	// RecordCacheSize bounds the index's decoded-record cache in entries
-	// (0 = implementation default, negative = cache disabled). The cache
-	// serves each query's Step-2 pdf fetch from memory for hot objects; it
-	// is generation-tagged against the index's write epochs, so readers on
-	// any snapshot version never observe a stale record.
-	RecordCacheSize int
 	// CheckpointRetain is how many checkpoints the durable layer keeps on
 	// disk (0 = default 2, minimum 1). Retaining more than one means a
 	// corrupt or torn newest checkpoint falls back to the previous one plus
@@ -175,7 +169,6 @@ func (o Options) toConfig() pvindex.Config {
 	if o.KGlobal > 0 {
 		cfg.SE.KGlobal = o.KGlobal
 	}
-	cfg.RecordCacheSize = o.RecordCacheSize
 	cfg.Refine = o.Refine
 	return cfg
 }
@@ -207,7 +200,8 @@ type Index struct {
 // Build constructs a PV-index over db. The database is adopted as the first
 // snapshot version; subsequent updates publish new versions, so read the
 // current data through Index.DB(), Len, UBR and the query methods rather
-// than the original pointer.
+// than the original pointer. Its objects are adopted too: queries read their
+// instances in place, so no object may be mutated afterwards.
 func Build(db *DB, opts Options) (*Index, error) {
 	inner, err := pvindex.Build(db, opts.toConfig())
 	if err != nil {
@@ -230,9 +224,9 @@ func (ix *Index) PossibleNN(q Point) ([]Candidate, error) {
 type QueryCost struct {
 	Candidates int
 	LeafIO     int
-	// CacheHits/CacheMisses are this query's record-cache outcomes for the
-	// Step-2 pdf fetch (one lookup per candidate; both zero for Step-1-only
-	// calls like PossibleNNWithCost).
+	// CacheHits and CacheMisses are always 0: Step 2 reads the pinned
+	// version's pdfs in place, without a cache. They stay only because the
+	// benchmark harness (benchmark/layers.go) still reads them.
 	CacheHits   int
 	CacheMisses int
 }
@@ -253,12 +247,7 @@ func (ix *Index) QueryWithCost(q Point) ([]Result, QueryCost, error) {
 	if err != nil {
 		return nil, QueryCost{}, err
 	}
-	cost := QueryCost{
-		Candidates:  len(snap.Candidates),
-		LeafIO:      snap.LeafIO,
-		CacheHits:   snap.CacheHits,
-		CacheMisses: snap.CacheMisses,
-	}
+	cost := QueryCost{Candidates: len(snap.Candidates), LeafIO: snap.LeafIO}
 	return pnnq.Compute(snapshotData(snap), q), cost, nil
 }
 
@@ -278,12 +267,7 @@ func (ix *Index) QueryVerifiedWithCost(q Point, eps float64) ([]Result, QueryCos
 	if err != nil {
 		return nil, QueryCost{}, err
 	}
-	cost := QueryCost{
-		Candidates:  len(snap.Candidates),
-		LeafIO:      snap.LeafIO,
-		CacheHits:   snap.CacheHits,
-		CacheMisses: snap.CacheMisses,
-	}
+	cost := QueryCost{Candidates: len(snap.Candidates), LeafIO: snap.LeafIO}
 	return pnnq.ComputeVerified(snapshotData(snap), q, eps), cost, nil
 }
 
@@ -313,7 +297,9 @@ type UpdateStats = pvindex.UpdateStats
 // Insert adds o to the database and incrementally refreshes the index.
 // The update builds a new snapshot version and publishes it atomically:
 // in-flight queries keep reading the previous version undisturbed, and
-// queries started after the publish observe the fully applied update.
+// queries started after the publish observe the fully applied update. The
+// index adopts o: queries read its instances in place, so it must not be
+// mutated afterwards.
 func (ix *Index) Insert(o *Object) error {
 	_, err := ix.inner.Insert(o)
 	return err
@@ -348,9 +334,7 @@ func (ix *Index) Len() int {
 	return n
 }
 
-// UBR returns the stored Uncertain Bounding Rectangle of an object. The
-// rectangle may share memory with the index's record cache — treat it as
-// read-only.
+// UBR returns the stored Uncertain Bounding Rectangle of an object.
 func (ix *Index) UBR(id ID) (Rect, bool) { return ix.inner.UBR(id) }
 
 // DB returns the current version's database. The snapshot it points at is
@@ -380,15 +364,6 @@ type IOStats struct {
 func (ix *Index) IO() IOStats {
 	s := ix.inner.Store().Stats()
 	return IOStats{Reads: s.Reads, Writes: s.Writes}
-}
-
-// RecordCacheStats reports the decoded-record cache's global hit/miss
-// counters and residency (per-query counts come with QueryWithCost).
-type RecordCacheStats = pvindex.RecordCacheStats
-
-// RecordCache returns the index's accumulated record-cache statistics.
-func (ix *Index) RecordCache() RecordCacheStats {
-	return ix.inner.RecordCacheStats()
 }
 
 // ResetIO zeroes the I/O counters (useful around measured query batches).

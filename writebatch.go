@@ -42,7 +42,8 @@ func DeleteOp(id ID) Update { return Update{Op: OpDelete, ID: id} }
 // duplicate insert ID or an unknown delete ID anywhere in the batch fails it
 // before anything is logged or applied.
 // Later ops see earlier ops' effects, so a delete followed by an insert of
-// the same ID is one atomic replacement.
+// the same ID is one atomic replacement. An inserted object is adopted:
+// queries read its instances in place, so it must not be mutated afterwards.
 func (ix *Index) ApplyBatch(ups []Update) ([]UpdateStats, error) {
 	return ix.inner.ApplyBatch(ups)
 }
