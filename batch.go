@@ -6,52 +6,39 @@ import (
 	"sync"
 )
 
-// batchRun evaluates fn for every query using a bounded worker pool.
-// Results land positionally; the first error aborts outstanding work (workers
-// drain quickly because submission stops). workers <= 0 uses GOMAXPROCS.
-func batchRun[Q, T any](qs []Q, workers int, fn func(Q) (T, error)) ([]T, error) {
-	return batchRunCtx(context.Background(), qs, workers, fn)
-}
-
-// batchRunCtx is batchRun under a context: a cancelled or expired ctx stops
-// submission, drains the pool, and fails the batch with ctx.Err(). Queries
-// already dispatched run to completion — individual evaluations are short
-// (microseconds to low milliseconds), so the deadline bounds the batch
-// without needing cancellation points inside the geometry kernels.
-func batchRunCtx[Q, T any](ctx context.Context, qs []Q, workers int, fn func(Q) (T, error)) ([]T, error) {
+// Batch evaluates fn for every query in qs on a pool of workers (GOMAXPROCS
+// when workers <= 0); result i is fn(qs[i]). fn is usually a query method,
+// as in Batch(ctx, points, 0, ix.Query): each call pins its own snapshot
+// version lock-free, so a batch never waits on writers, and each result
+// equals a sequential call's against the same version.
+//
+// The first error fails the batch, which then returns no results. ctx is
+// checked before every query starts: once it ends, no further query starts
+// and the batch fails with ctx.Err(). Queries already running finish — they
+// take microseconds to milliseconds, so the deadline bounds the batch
+// without cancellation points inside the geometry kernels.
+func Batch[Q, T any](ctx context.Context, qs []Q, workers int, fn func(Q) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
+	workers = min(workers, len(qs))
 	out := make([]T, len(qs))
-	if len(qs) == 0 {
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   = make(chan struct{})
-	)
+	// The batch's own context ends with the first error or with ctx.
+	bctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				if bctx.Err() != nil {
+					continue // handed over as the batch ended: must not start
+				}
 				r, err := fn(qs[i])
 				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						close(failed)
-					})
-					continue
+					cancel(err)
 				}
 				out[i] = r
 			}
@@ -61,78 +48,17 @@ submit:
 	for i := range qs {
 		select {
 		case jobs <- i:
-		case <-failed:
-			break submit
-		case <-ctx.Done():
-			errOnce.Do(func() {
-				firstErr = ctx.Err()
-				close(failed)
-			})
+		case <-bctx.Done():
 			break submit
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := context.Cause(bctx); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// QueryBatch evaluates a full PNNQ for every point in qs using a pool of
-// workers (GOMAXPROCS when workers <= 0). Each query pins a snapshot
-// version lock-free, so batches interleave with concurrent Insert and
-// Delete calls without ever waiting on them; result i corresponds to qs[i]
-// and is identical to what a sequential Query(qs[i]) would return against
-// the same version. The first failing query (e.g. a point outside the
-// domain) fails the batch.
-func (ix *Index) QueryBatch(qs []Point, workers int) ([][]Result, error) {
-	return batchRun(qs, workers, ix.Query)
-}
-
-// QueryBatchCtx is QueryBatch bounded by ctx: a cancelled or expired context
-// stops the batch early and returns ctx.Err().
-func (ix *Index) QueryBatchCtx(ctx context.Context, qs []Point, workers int) ([][]Result, error) {
-	return batchRunCtx(ctx, qs, workers, ix.Query)
-}
-
-// PossibleNNBatch evaluates PNNQ Step 1 for every point in qs using a pool
-// of workers (GOMAXPROCS when workers <= 0). Semantics match QueryBatch.
-func (ix *Index) PossibleNNBatch(qs []Point, workers int) ([][]Candidate, error) {
-	return batchRun(qs, workers, ix.PossibleNN)
-}
-
-// PossibleNNBatchCtx is PossibleNNBatch bounded by ctx.
-func (ix *Index) PossibleNNBatchCtx(ctx context.Context, qs []Point, workers int) ([][]Candidate, error) {
-	return batchRunCtx(ctx, qs, workers, ix.PossibleNN)
-}
-
-// GroupNNBatch evaluates a group NN query for every group in groups using a
-// pool of workers (GOMAXPROCS when workers <= 0). Each query snapshots its
-// candidates from a pinned version and refines probabilities on the
-// snapshot, so batches never block writers; result i corresponds to
-// groups[i].
-func (ix *Index) GroupNNBatch(groups [][]Point, agg Agg, workers int) ([][]Result, error) {
-	return ix.GroupNNBatchCtx(context.Background(), groups, agg, workers)
-}
-
-// GroupNNBatchCtx is GroupNNBatch bounded by ctx.
-func (ix *Index) GroupNNBatchCtx(ctx context.Context, groups [][]Point, agg Agg, workers int) ([][]Result, error) {
-	return batchRunCtx(ctx, groups, workers, func(g []Point) ([]Result, error) {
-		return ix.GroupNN(g, agg)
-	})
-}
-
-// PossibleKNNBatch evaluates a possible k-NN query for every point in qs
-// using a pool of workers (GOMAXPROCS when workers <= 0). Semantics match
-// GroupNNBatch.
-func (ix *Index) PossibleKNNBatch(qs []Point, k, workers int) ([][]KNNResult, error) {
-	return ix.PossibleKNNBatchCtx(context.Background(), qs, k, workers)
-}
-
-// PossibleKNNBatchCtx is PossibleKNNBatch bounded by ctx.
-func (ix *Index) PossibleKNNBatchCtx(ctx context.Context, qs []Point, k, workers int) ([][]KNNResult, error) {
-	return batchRunCtx(ctx, qs, workers, func(q Point) ([]KNNResult, error) {
-		return ix.PossibleKNN(q, k)
-	})
 }

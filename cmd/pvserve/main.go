@@ -22,24 +22,37 @@
 // trigger a graceful shutdown: in-flight queries drain, and a final
 // checkpoint is written.
 //
-// Endpoints (request and response bodies are JSON; see server.go routes):
+// Endpoints (request and response bodies are JSON):
 //
-//	POST /v1/query        full PNNQ: candidates + qualification probabilities
-//	POST /v1/possiblenn   PNNQ Step 1 only (index retrieval, no pdf math)
-//	POST /v1/possibleknn  probabilistic k-NN membership probabilities
-//	POST /v1/groupnn      probabilistic group NN (agg: sum or max)
-//	POST /v1/insert       add an object, incremental index maintenance
-//	POST /v1/delete       remove an object, incremental index maintenance
-//	POST /v1/insertbatch  batched inserts: one group commit, one WAL fsync
-//	POST /v1/deletebatch  batched deletes: one group commit, one WAL fsync
-//	POST /v1/checkpoint   force a durable snapshot (durable mode only)
-//	GET  /v1/stats        per-endpoint latency percentiles, leaf I/O, counts
-//	GET  /v1/healthz      JSON health: {"status":"ok"} or "degraded" + cause
-//	GET  /healthz         liveness probe (same JSON)
+//	POST /v1/query             {"point":[x,y,...], "eps":0}  full PNNQ (eps > 0: verified Step 2)
+//	POST /v1/possiblenn        {"point":[...]}  PNNQ Step 1 only (index retrieval, no pdf math)
+//	POST /v1/possibleknn       {"point":[...], "k":3}  k-NN membership probabilities (k defaults to 1)
+//	POST /v1/possibleknnbatch  {"points":[[...],...], "k":3}  possibleknn over a worker pool
+//	POST /v1/possiblernn       {"point":[...]}  reverse-NN candidates
+//	POST /v1/groupnn           {"points":[[...],...], "agg":"sum"|"max"}  probabilistic group NN
+//	POST /v1/groupnnbatch      {"groups":[[[...],...],...], "agg":"max"}  groupnn over a worker pool
+//	POST /v1/insert            {"id":1, "region":{"lo":[...],"hi":[...]}, "instances":[{"pos":[...],"prob":0.5},...]}
+//	                           or "sample":{"kind":"uniform"|"gaussian", "n":100, "seed":1} for instances
+//	POST /v1/delete            {"id":1}
+//	POST /v1/insertbatch       {"objects":[{insert body},...]}  one group commit, one WAL fsync
+//	POST /v1/deletebatch       {"ids":[1,2,...]}  one group commit, one WAL fsync
+//	POST /v1/checkpoint        force a durable snapshot (durable mode only, 409 otherwise)
+//	GET  /v1/stats             per-endpoint latency percentiles, leaf I/O, counts
+//	GET  /v1/healthz           {"status":"ok"} or {"status":"degraded","cause":...}
+//	GET  /healthz              liveness probe (same JSON)
 //
-// Every query response carries its own server-side latency in microseconds
-// and (for /v1/query, /v1/possiblenn) the exact number of primary-index leaf
-// pages it read; /v1/stats aggregates both into p50/p95/p99 and means.
+// Writes, the two batches and /v1/checkpoint are POST-only (405 otherwise);
+// the five single queries take any method, and a GET reads ?point=x,y,....
+// The first eleven routes share one handler (server.go's routeTable): a
+// malformed request — wrong dimension, non-finite coordinate, k < 1, unknown
+// agg, empty list or group, and for /v1/query and /v1/possiblenn a point
+// outside the domain — is 400; 409 is a duplicate insert, 404 an unknown
+// delete, 503 a write while degraded, 504 an expired -request-timeout; any
+// other failure is 400 for a write and 500 for a query.
+//
+// Every response carries its own server-side latency in microseconds, and a
+// single query's also the exact number of index leaf pages it read;
+// /v1/stats aggregates both into p50/p95/p99 and means.
 //
 // Try it:
 //

@@ -2,7 +2,7 @@ package main
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -65,27 +65,33 @@ type endpointSnapshot struct {
 	P99Micros  int64   `json:"p99_us"`
 }
 
-// snapshot returns per-endpoint statistics plus the server uptime.
+// snapshot returns per-endpoint statistics plus the server uptime. It only
+// copies the windows under the mutex every request's observe takes; the
+// sorts run after it is released.
 func (m *metrics) snapshot() (map[string]endpointSnapshot, time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make(map[string]endpointSnapshot, len(m.endpoints))
+	windows := make(map[string][]time.Duration, len(m.endpoints))
 	for name, e := range m.endpoints {
 		s := endpointSnapshot{Count: e.Count, Errors: e.Errors}
 		if ok := e.Count - e.Errors; ok > 0 {
 			s.MeanLeafIO = float64(e.LeafIO) / float64(ok)
 		}
-		if len(e.latencies) > 0 {
-			sorted := make([]time.Duration, len(e.latencies))
-			copy(sorted, e.latencies)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			s.P50Micros = percentile(sorted, 0.50).Microseconds()
-			s.P95Micros = percentile(sorted, 0.95).Microseconds()
-			s.P99Micros = percentile(sorted, 0.99).Microseconds()
-		}
+		out[name] = s
+		windows[name] = append([]time.Duration(nil), e.latencies...)
+	}
+	uptime := time.Since(m.start)
+	m.mu.Unlock()
+
+	for name, sorted := range windows {
+		slices.Sort(sorted)
+		s := out[name]
+		s.P50Micros = percentile(sorted, 0.50).Microseconds()
+		s.P95Micros = percentile(sorted, 0.95).Microseconds()
+		s.P99Micros = percentile(sorted, 0.99).Microseconds()
 		out[name] = s
 	}
-	return out, time.Since(m.start)
+	return out, uptime
 }
 
 // percentile reads the p-quantile from an ascending-sorted sample by the

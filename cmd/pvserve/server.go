@@ -23,7 +23,7 @@ import (
 // insert/delete requests serialize as writers without ever stalling reads.
 type server struct {
 	ix      *pvoronoi.Index
-	dim     int // domain dimensionality, for request validation
+	domain  pvoronoi.Rect // the indexed domain, for request validation
 	metrics *metrics
 	// durable is non-nil in -data-dir mode: updates are WAL-logged, and
 	// /v1/checkpoint snapshots on demand.
@@ -50,7 +50,7 @@ type server struct {
 }
 
 func newServer(ix *pvoronoi.Index) *server {
-	return &server{ix: ix, dim: ix.DB().Domain.Dim(), metrics: newMetrics()}
+	return &server{ix: ix, domain: ix.DB().Domain, metrics: newMetrics()}
 }
 
 // newDurableServer serves a durable index; updates survive restarts.
@@ -60,79 +60,61 @@ func newDurableServer(d *pvoronoi.Durable) *server {
 	return s
 }
 
-// checkPoint rejects points whose dimensionality doesn't match the indexed
-// domain (the geometry layer assumes matching dims and would panic) and
-// points with a NaN or infinite coordinate (the GET form's ParseFloat accepts
-// both; every distance to such a point is unordered).
-func (s *server) checkPoint(p pvoronoi.Point) error {
-	if len(p) != s.dim {
-		return fmt.Errorf("point has %d coordinates, domain is %d-dimensional", len(p), s.dim)
-	}
-	if !p.IsFinite() {
-		return fmt.Errorf("point %v has a non-finite coordinate", p)
-	}
-	return nil
+// reply is a route's JSON answer; serve adds its latency_us.
+type reply = map[string]any
+
+// field is a set of request fields a route reads. validate checks exactly
+// those; the body's other fields are decoded but neither checked nor used.
+type field uint16
+
+const (
+	fPoint   field = 1 << iota // point: required, of the domain's dimension, finite
+	fDomain                    // point must also lie in the domain (the octree covers no more)
+	fK                         // k ≥ 1, 1 when absent
+	fAgg                       // agg: "", sum or max, any case
+	fPoints                    // points: non-empty, each valid
+	fGroups                    // groups: non-empty, no group empty, each point valid
+	fObject                    // the insert fields, one object
+	fObjects                   // objects: non-empty, each a valid insert
+	fIDs                       // ids: non-empty
+)
+
+// route is one table-driven endpoint.
+type route struct {
+	path  string
+	post  bool // POST only (405 otherwise); other routes take any method, and a GET reads ?point=
+	write bool // refused while degraded; a failure not mapped otherwise is the client's (400)
+	reads field
+	call  func(s *server, ctx context.Context, req *request) (reply, int, error) // reply, leaf I/O, error
 }
 
-// readPoint decodes the request body and its query point, validating the
-// point's dimensionality. On failure it writes the 400 response itself and
-// returns ok=false.
-func (s *server) readPoint(w http.ResponseWriter, r *http.Request) (pvoronoi.Point, map[string]json.RawMessage, bool) {
-	body, err := decodeBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	q, err := decodePoint(r, body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	if err := s.checkPoint(q); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	return q, body, true
+// routeTable holds every query and write route; main.go's package comment
+// documents their bodies. /v1/checkpoint, /v1/stats and the health probes
+// are hand-written in routes: they carry the degraded-mode and admission
+// logic no other route shares.
+var routeTable = [...]route{
+	{path: "/v1/query", reads: fPoint | fDomain, call: (*server).query},
+	{path: "/v1/possiblenn", reads: fPoint | fDomain, call: (*server).possibleNN},
+	{path: "/v1/possibleknn", reads: fPoint | fK, call: (*server).possibleKNN},
+	{path: "/v1/possibleknnbatch", post: true, reads: fPoints | fK, call: (*server).possibleKNNBatch},
+	{path: "/v1/possiblernn", reads: fPoint, call: (*server).possibleRNN},
+	{path: "/v1/groupnn", reads: fPoints | fAgg, call: (*server).groupNN},
+	{path: "/v1/groupnnbatch", post: true, reads: fGroups | fAgg, call: (*server).groupNNBatch},
+	{path: "/v1/insert", post: true, write: true, reads: fObject, call: (*server).insert},
+	{path: "/v1/delete", post: true, write: true, call: (*server).delete},
+	{path: "/v1/insertbatch", post: true, write: true, reads: fObjects, call: (*server).insertBatch},
+	{path: "/v1/deletebatch", post: true, write: true, reads: fIDs, call: (*server).deleteBatch},
 }
 
-// routes builds the HTTP handler. API summary (all bodies JSON):
-//
-//	POST /v1/query            {"point":[...], "eps":0}    full PNNQ (eps>0: verified mode)
-//	POST /v1/possiblenn       {"point":[...]}             PNNQ Step 1 only
-//	POST /v1/possibleknn      {"point":[...], "k":3}      probabilistic k-NN membership
-//	POST /v1/possibleknnbatch {"points":[[...],...], "k":3}  one worker-pool batch
-//	POST /v1/possiblernn      {"point":[...]}             reverse-NN candidates
-//	POST /v1/groupnn          {"points":[[...],...], "agg":"sum"|"max"}  group NN
-//	POST /v1/groupnnbatch     {"groups":[[[...],...],...], "agg":"sum"|"max"}  one worker-pool batch
-//	POST /v1/insert           {"id":1, "region":{"lo":[...],"hi":[...]}, "instances":[...]} or {"sample":{"kind":"uniform","n":100,"seed":1}}
-//	POST /v1/delete           {"id":1}
-//	POST /v1/insertbatch      {"objects":[{insert request}, ...]}   one group commit
-//	POST /v1/deletebatch      {"ids":[1,2,...]}                     one group commit
-//	POST /v1/checkpoint                              force a durable snapshot (durable mode); re-arms writes after a storage fault
-//	GET  /v1/stats                                   serving metrics + index shape + health status
-//	GET  /v1/healthz                                 health probe: {"status":"ok"} or {"status":"degraded","cause":...}
-//	GET  /healthz                                    same (legacy path)
-//
-// /v1/query, /v1/possiblenn and /v1/possiblernn also accept GET with
-// ?point=x,y,... for curl-friendly exploration.
-//
-// When the durable write path fail-stops (disk full, fsync error), the
-// server degrades instead of dying: reads keep serving the last published
-// MVCC version, writes return 503 with Retry-After, and a successful
-// /v1/checkpoint (after the operator clears the fault) re-arms writes.
+// routes builds the HTTP handler: every routeTable entry through serve, the
+// hand-written routes beside them, all behind the body bound, admission and
+// the request deadline.
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/possiblenn", s.handlePossibleNN)
-	mux.HandleFunc("/v1/possibleknn", s.handlePossibleKNN)
-	mux.HandleFunc("/v1/possibleknnbatch", s.handlePossibleKNNBatch)
-	mux.HandleFunc("/v1/possiblernn", s.handlePossibleRNN)
-	mux.HandleFunc("/v1/groupnn", s.handleGroupNN)
-	mux.HandleFunc("/v1/groupnnbatch", s.handleGroupNNBatch)
-	mux.HandleFunc("/v1/insert", s.handleInsert)
-	mux.HandleFunc("/v1/delete", s.handleDelete)
-	mux.HandleFunc("/v1/insertbatch", s.handleInsertBatch)
-	mux.HandleFunc("/v1/deletebatch", s.handleDeleteBatch)
+	for i := range routeTable {
+		rt := &routeTable[i]
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, rt) })
+	}
 	mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
@@ -171,90 +153,372 @@ func (s *server) routes() http.Handler {
 	})
 }
 
-// --- degraded mode -------------------------------------------------------
-
-// degradedState reports whether the server is in read-only degraded mode
-// and why. The explicit flag is set by the first write that hits a WAL
-// fail-stop; the WAL health check also catches faults observed before any
-// handler noticed.
-func (s *server) degradedState() (degraded bool, cause string, since time.Time) {
-	s.degMu.Lock()
-	degraded, cause, since = s.degraded, s.degradedCause, s.degradedSince
-	s.degMu.Unlock()
-	if degraded {
-		return degraded, cause, since
+// serve is the one handler of every routeTable entry: method check →
+// degraded-write refusal → decode and validate → call → metrics → status →
+// reply with the call's latency. The metrics key is the path after /v1/.
+func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
+	if rt.post && r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+		return
 	}
-	if s.durable != nil && !s.durable.WALHealthy() {
-		return true, "write-ahead log unhealthy (pending checkpoint re-arm)", time.Time{}
+	if rt.write && s.refuseDegradedWrite(w) {
+		return
 	}
-	return false, "", time.Time{}
+	req, err := s.decode(r, rt.reads)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	start := time.Now()
+	rep, leafIO, err := rt.call(s, r.Context(), req)
+	elapsed := time.Since(start)
+	// A client that went away is no failure of the endpoint's.
+	s.metrics.observe(rt.path[len("/v1/"):], elapsed, leafIO, err != nil && !errors.Is(err, context.Canceled))
+	if err != nil {
+		s.fail(w, err, rt.write)
+		return
+	}
+	rep["latency_us"] = elapsed.Microseconds()
+	writeJSON(w, http.StatusOK, rep)
 }
 
-func (s *server) enterDegraded(cause string) {
-	s.degMu.Lock()
-	defer s.degMu.Unlock()
-	if !s.degraded {
-		s.degraded = true
-		s.degradedCause = cause
-		s.degradedSince = time.Now()
-	}
-}
-
-func (s *server) exitDegraded() {
-	s.degMu.Lock()
-	s.degraded = false
-	s.degradedCause = ""
-	s.degradedSince = time.Time{}
-	s.degMu.Unlock()
-}
-
-// refuseDegradedWrite sheds a write request while degraded: 503 with a
-// Retry-After hint, reads unaffected. Returns true when the request was
-// handled (refused).
-func (s *server) refuseDegradedWrite(w http.ResponseWriter) bool {
-	degraded, cause, _ := s.degradedState()
-	if !degraded {
-		return false
-	}
-	w.Header().Set("Retry-After", "10")
-	writeError(w, http.StatusServiceUnavailable,
-		fmt.Errorf("degraded mode (%s): writes disabled until a successful checkpoint re-arms the write path", cause))
-	return true
-}
-
-// failUpdate writes an update error response. A WAL fail-stop flips the
-// server into degraded mode — subsequent writes are refused up front while
-// reads keep serving the last published version.
-func (s *server) failUpdate(w http.ResponseWriter, err error) {
-	if errors.Is(err, pvoronoi.ErrWAL) {
+// fail answers a call's error. A WAL fail-stop puts the server in degraded
+// mode (writes refused up front, reads served). A client that went away gets
+// nginx's 499, not a timeout or a 5xx. Any other failure is the client's for
+// a write (the index refused it) and the server's for a validated query.
+func (s *server) fail(w http.ResponseWriter, err error, write bool) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, pvoronoi.ErrWAL):
 		s.enterDegraded(err.Error())
 		w.Header().Set("Retry-After", "10")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, uncertain.ErrDuplicateID):
+		status = http.StatusConflict
+	case errors.Is(err, uncertain.ErrUnknownID):
+		status = http.StatusNotFound
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		status = 499
+	case write:
+		status = http.StatusBadRequest
 	}
-	writeError(w, updateStatus(err), err)
+	writeError(w, status, err)
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	degraded, cause, since := s.degradedState()
-	if !degraded {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
-		return
-	}
-	body := map[string]any{
-		"status": "degraded",
-		"cause":  cause,
-	}
-	if !since.IsZero() {
-		body["since"] = since.UTC().Format(time.RFC3339)
-	}
-	// 200: the process is alive and serving reads — degraded, not dead. A
-	// liveness probe must not restart-loop a node that can still answer
-	// queries; write routing keys on the status field.
-	writeJSON(w, http.StatusOK, body)
+// request is every route's input, decoded once: the JSON body, or ?point=
+// for a GET. validate fills k, agg and objs from the fields a route reads.
+type request struct {
+	insertRequest                    // /v1/insert; its ID is also /v1/delete's
+	Point         pvoronoi.Point     `json:"point"`
+	Points        []pvoronoi.Point   `json:"points"`
+	Groups        [][]pvoronoi.Point `json:"groups"`
+	K             *int               `json:"k"`
+	Agg           string             `json:"agg"`
+	Eps           float64            `json:"eps"`
+	IDs           []pvoronoi.ID      `json:"ids"`
+	Objects       []insertRequest    `json:"objects"`
+
+	k    int
+	agg  pvoronoi.Agg
+	objs []*pvoronoi.Object
 }
 
-// --- JSON wire types -----------------------------------------------------
+type insertRequest struct {
+	ID        pvoronoi.ID    `json:"id"`
+	Region    regionJSON     `json:"region"`
+	Instances []instanceJSON `json:"instances"`
+	Sample    *struct {
+		Kind string `json:"kind"` // "uniform" (default) or "gaussian"
+		N    int    `json:"n"`
+		Seed int64  `json:"seed"`
+	} `json:"sample"`
+}
+
+// decode reads a request — ?point= for a GET, the JSON body for any other
+// method — and validates the fields reads names.
+func (s *server) decode(r *http.Request, reads field) (*request, error) {
+	req := &request{k: 1}
+	if r.Method == http.MethodGet {
+		if raw := r.URL.Query().Get("point"); raw != "" {
+			parts := strings.Split(raw, ",")
+			req.Point = make(pvoronoi.Point, len(parts))
+			for i, part := range parts {
+				v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+				if err != nil {
+					return nil, fmt.Errorf("bad coordinate %q", part)
+				}
+				req.Point[i] = v
+			}
+		}
+	} else if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		return nil, fmt.Errorf("bad JSON body: %w", err)
+	}
+	return req, s.validate(req, reads)
+}
+
+// validate checks the fields reads names, once for every route.
+func (s *server) validate(req *request, reads field) error {
+	if reads&fPoint != 0 {
+		if req.Point == nil {
+			return errors.New("missing point")
+		}
+		if err := s.checkPoint(req.Point); err != nil {
+			return err
+		}
+		if reads&fDomain != 0 && !s.domain.Contains(req.Point) {
+			return fmt.Errorf("point %v outside the domain %v", req.Point, s.domain)
+		}
+	}
+	if reads&fPoints != 0 {
+		if err := s.checkPoints("points", req.Points); err != nil {
+			return err
+		}
+	}
+	if reads&fGroups != 0 {
+		if len(req.Groups) == 0 {
+			return errors.New("missing or empty groups")
+		}
+		for i, g := range req.Groups {
+			if err := s.checkPoints("group", g); err != nil {
+				return fmt.Errorf("groups[%d]: %w", i, err)
+			}
+		}
+	}
+	if reads&fK != 0 && req.K != nil {
+		if *req.K < 1 {
+			return fmt.Errorf("bad k %d (want k >= 1)", *req.K)
+		}
+		req.k = *req.K
+	}
+	if reads&fAgg != 0 {
+		switch strings.ToLower(req.Agg) {
+		case "", "sum":
+			req.agg = pvoronoi.AggSum
+		case "max":
+			req.agg = pvoronoi.AggMax
+		default:
+			return fmt.Errorf("unknown agg %q (want sum or max)", req.Agg)
+		}
+	}
+	if reads&fObject != 0 {
+		o, err := req.toObject()
+		if err != nil {
+			return err
+		}
+		req.objs = []*pvoronoi.Object{o}
+	}
+	if reads&fObjects != 0 {
+		if len(req.Objects) == 0 {
+			return errors.New("missing or empty objects")
+		}
+		req.objs = make([]*pvoronoi.Object, len(req.Objects))
+		for i := range req.Objects {
+			o, err := req.Objects[i].toObject()
+			if err != nil {
+				return fmt.Errorf("objects[%d]: %w", i, err)
+			}
+			req.objs[i] = o
+		}
+	}
+	if reads&fIDs != 0 && len(req.IDs) == 0 {
+		return errors.New("missing or empty ids")
+	}
+	return nil
+}
+
+// checkPoint rejects points whose dimensionality doesn't match the indexed
+// domain (the geometry layer assumes matching dims and would panic) and
+// points with a NaN or infinite coordinate (the GET form's ParseFloat accepts
+// both; every distance to such a point is unordered).
+func (s *server) checkPoint(p pvoronoi.Point) error {
+	if len(p) != s.domain.Dim() {
+		return fmt.Errorf("point has %d coordinates, domain is %d-dimensional", len(p), s.domain.Dim())
+	}
+	if !p.IsFinite() {
+		return fmt.Errorf("point %v has a non-finite coordinate", p)
+	}
+	return nil
+}
+
+// checkPoints checks a non-empty list of points; errors name the list.
+func (s *server) checkPoints(name string, pts []pvoronoi.Point) error {
+	if len(pts) == 0 {
+		return fmt.Errorf("missing or empty %s", name)
+	}
+	for i, p := range pts {
+		if err := s.checkPoint(p); err != nil {
+			return fmt.Errorf("%s[%d]: %w", name, i, err)
+		}
+	}
+	return nil
+}
+
+// maxSampleN caps insertRequest.Sample.N: the server draws that many
+// instances before the index sees the object, so the bound has to be here.
+// The paper's pdfs have 500 samples.
+const maxSampleN = 10000
+
+// toObject validates an insert request and builds the object it describes.
+func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
+	if len(req.Region.Lo) == 0 || len(req.Region.Lo) != len(req.Region.Hi) {
+		return nil, fmt.Errorf("region needs matching lo/hi")
+	}
+	for i := range req.Region.Lo {
+		if req.Region.Lo[i] > req.Region.Hi[i] {
+			return nil, fmt.Errorf("inverted region in dim %d", i)
+		}
+	}
+	region := pvoronoi.NewRect(pvoronoi.Point(req.Region.Lo), pvoronoi.Point(req.Region.Hi))
+
+	o := &pvoronoi.Object{ID: req.ID, Region: region}
+	switch {
+	case len(req.Instances) > 0:
+		o.Instances = make([]pvoronoi.Instance, len(req.Instances))
+		for i, in := range req.Instances {
+			o.Instances[i] = pvoronoi.Instance{Pos: pvoronoi.Point(in.Pos), Prob: in.Prob}
+		}
+		if err := o.Validate(); err != nil {
+			return nil, err
+		}
+	case req.Sample != nil:
+		n := req.Sample.N
+		if n <= 0 {
+			n = 100
+		}
+		if n > maxSampleN {
+			return nil, fmt.Errorf("sample.n %d exceeds the limit of %d", n, maxSampleN)
+		}
+		if strings.EqualFold(req.Sample.Kind, "gaussian") {
+			o.Instances = pvoronoi.SampleGaussian(region, n, req.Sample.Seed)
+		} else {
+			o.Instances = pvoronoi.SampleUniform(region, n, req.Sample.Seed)
+		}
+	}
+	return o, nil
+}
+
+func (s *server) query(_ context.Context, req *request) (reply, int, error) {
+	var (
+		res  []pvoronoi.Result
+		cost pvoronoi.QueryCost
+		err  error
+	)
+	if req.Eps > 0 {
+		res, cost, err = s.ix.QueryVerifiedWithCost(req.Point, req.Eps)
+	} else {
+		res, cost, err = s.ix.QueryWithCost(req.Point)
+	}
+	return reply{"results": results(res), "candidates": cost.Candidates, "leaf_io": cost.LeafIO}, cost.LeafIO, err
+}
+
+func (s *server) possibleNN(_ context.Context, req *request) (reply, int, error) {
+	cands, cost, err := s.ix.PossibleNNWithCost(req.Point)
+	out := make([]candidateJSON, len(cands))
+	for i, c := range cands {
+		out[i] = candidateJSON{ID: uint32(c.ID), MinDist: c.MinDist, MaxDist: c.MaxDist}
+	}
+	return reply{"candidates": out, "leaf_io": cost.LeafIO}, cost.LeafIO, err
+}
+
+func (s *server) possibleKNN(_ context.Context, req *request) (reply, int, error) {
+	res, cost, err := s.ix.PossibleKNNWithCost(req.Point, req.k)
+	return extReply(reply{"results": results(res), "k": req.k}, cost, err)
+}
+
+func (s *server) possibleKNNBatch(ctx context.Context, req *request) (reply, int, error) {
+	out, err := pvoronoi.Batch(ctx, req.Points, 0, func(q pvoronoi.Point) ([]resultJSON, error) {
+		res, err := s.ix.PossibleKNN(q, req.k)
+		return results(res), err
+	})
+	return reply{"results": out, "k": req.k, "count": len(out)}, 0, err
+}
+
+func (s *server) possibleRNN(_ context.Context, req *request) (reply, int, error) {
+	ids, cost, err := s.ix.PossibleRNNWithCost(req.Point)
+	out := make([]uint32, len(ids))
+	for i, id := range ids {
+		out[i] = uint32(id)
+	}
+	return extReply(reply{"ids": out}, cost, err)
+}
+
+func (s *server) groupNN(_ context.Context, req *request) (reply, int, error) {
+	res, cost, err := s.ix.GroupNNWithCost(req.Points, req.agg)
+	return extReply(reply{"results": results(res)}, cost, err)
+}
+
+func (s *server) groupNNBatch(ctx context.Context, req *request) (reply, int, error) {
+	out, err := pvoronoi.Batch(ctx, req.Groups, 0, func(g []pvoronoi.Point) ([]resultJSON, error) {
+		res, err := s.ix.GroupNN(g, req.agg)
+		return results(res), err
+	})
+	return reply{"results": out, "count": len(out)}, 0, err
+}
+
+func (s *server) insert(_ context.Context, req *request) (reply, int, error) {
+	sts, err := s.ix.InsertBatch(req.objs)
+	return writeReply(req.ID, sts), 0, err
+}
+
+func (s *server) delete(_ context.Context, req *request) (reply, int, error) {
+	sts, err := s.ix.DeleteBatch([]pvoronoi.ID{req.ID})
+	return writeReply(req.ID, sts), 0, err
+}
+
+func (s *server) insertBatch(_ context.Context, req *request) (reply, int, error) {
+	sts, err := s.ix.InsertBatch(req.objs)
+	return batchReply(sts), 0, err
+}
+
+func (s *server) deleteBatch(_ context.Context, req *request) (reply, int, error) {
+	sts, err := s.ix.DeleteBatch(req.IDs)
+	return batchReply(sts), 0, err
+}
+
+// extReply adds an extension query's retrieval cost to its reply.
+func extReply(rep reply, cost pvoronoi.ExtQueryCost, err error) (reply, int, error) {
+	rep["candidates"] = cost.Candidates
+	rep["node_io"] = cost.NodeIO
+	rep["leaf_io"] = cost.LeafIO
+	return rep, cost.LeafIO, err
+}
+
+// writeReply is a single insert's or delete's reply: its one op's counts.
+func writeReply(id pvoronoi.ID, sts []pvoronoi.UpdateStats) reply {
+	if len(sts) != 1 {
+		return nil
+	}
+	return reply{"id": id, "affected": sts[0].Affected, "unchanged": sts[0].Unchanged, "examined": sts[0].Examined}
+}
+
+// batchReply sums a write batch's per-op stats into its reply: the counts
+// and where the time went — SE, index maintenance, adjacency patch,
+// refinement (SE and refinement add up worker time, so on several cores they
+// can exceed their share of the wall clock).
+func batchReply(sts []pvoronoi.UpdateStats) reply {
+	var sum pvoronoi.UpdateStats
+	for _, st := range sts {
+		sum.Affected += st.Affected
+		sum.Unchanged += st.Unchanged
+		sum.Examined += st.Examined
+		sum.SETime += st.SETime
+		sum.IndexTime += st.IndexTime
+		sum.AdjTime += st.AdjTime
+		sum.SE.Refine.Time += st.SE.Refine.Time
+	}
+	return reply{
+		"count":        len(sts),
+		"affected":     sum.Affected,
+		"unchanged":    sum.Unchanged,
+		"examined":     sum.Examined,
+		"se_us":        sum.SETime.Microseconds(),
+		"index_us":     sum.IndexTime.Microseconds(),
+		"adjacency_us": sum.AdjTime.Microseconds(),
+		"refine_us":    sum.SE.Refine.Time.Microseconds(),
+	}
+}
 
 type regionJSON struct {
 	Lo []float64 `json:"lo"`
@@ -269,6 +533,15 @@ type instanceJSON struct {
 type resultJSON struct {
 	ID   uint32  `json:"id"`
 	Prob float64 `json:"prob"`
+}
+
+// results converts query results (KNNResult is the same type) to the wire.
+func results(res []pvoronoi.Result) []resultJSON {
+	out := make([]resultJSON, len(res))
+	for i, r := range res {
+		out[i] = resultJSON{ID: uint32(r.ID), Prob: r.Prob}
+	}
+	return out
 }
 
 type candidateJSON struct {
@@ -300,616 +573,59 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
-// decodePoint reads a query point from the JSON body (POST) or the ?point=
-// parameter (GET).
-func decodePoint(r *http.Request, body map[string]json.RawMessage) (pvoronoi.Point, error) {
-	if r.Method == http.MethodGet {
-		raw := r.URL.Query().Get("point")
-		if raw == "" {
-			return nil, fmt.Errorf("missing point parameter")
-		}
-		parts := strings.Split(raw, ",")
-		p := make(pvoronoi.Point, len(parts))
-		for i, part := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad coordinate %q", part)
-			}
-			p[i] = v
-		}
-		return p, nil
+// degradedState reports whether the server is in read-only degraded mode
+// and why. The explicit flag is set by the first write that hits a WAL
+// fail-stop; the WAL health check also catches faults observed before any
+// handler noticed.
+func (s *server) degradedState() (degraded bool, cause string, since time.Time) {
+	s.degMu.Lock()
+	degraded, cause, since = s.degraded, s.degradedCause, s.degradedSince
+	s.degMu.Unlock()
+	if !degraded && s.durable != nil && !s.durable.WALHealthy() {
+		return true, "write-ahead log unhealthy (pending checkpoint re-arm)", time.Time{}
 	}
-	raw, ok := body["point"]
-	if !ok {
-		return nil, fmt.Errorf("missing point field")
-	}
-	var p []float64
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, fmt.Errorf("bad point: %v", err)
-	}
-	return pvoronoi.Point(p), nil
+	return degraded, cause, since
 }
 
-// decodeBody parses a JSON object body into raw fields (empty map for GET).
-func decodeBody(r *http.Request) (map[string]json.RawMessage, error) {
-	if r.Method == http.MethodGet {
-		return map[string]json.RawMessage{}, nil
+func (s *server) enterDegraded(cause string) {
+	s.degMu.Lock()
+	defer s.degMu.Unlock()
+	if !s.degraded {
+		s.degraded = true
+		s.degradedCause = cause
+		s.degradedSince = time.Now()
 	}
-	body := make(map[string]json.RawMessage)
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("bad JSON body: %w", err)
-	}
-	return body, nil
 }
 
-// --- query handlers ------------------------------------------------------
-
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, body, ok := s.readPoint(w, r)
-	if !ok {
-		return
-	}
-	var eps float64
-	if raw, ok := body["eps"]; ok {
-		if err := json.Unmarshal(raw, &eps); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad eps: %v", err))
-			return
-		}
-	}
-
-	start := time.Now()
-	var (
-		results []pvoronoi.Result
-		cost    pvoronoi.QueryCost
-		err     error
-	)
-	if eps > 0 {
-		results, cost, err = s.ix.QueryVerifiedWithCost(q, eps)
-	} else {
-		results, cost, err = s.ix.QueryWithCost(q)
-	}
-	elapsed := time.Since(start)
-	s.metrics.observe("query", elapsed, cost.LeafIO, err != nil)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	out := make([]resultJSON, len(results))
-	for i, res := range results {
-		out[i] = resultJSON{ID: uint32(res.ID), Prob: res.Prob}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    out,
-		"candidates": cost.Candidates,
-		"leaf_io":    cost.LeafIO,
-		"latency_us": elapsed.Microseconds(),
-	})
+func (s *server) exitDegraded() {
+	s.degMu.Lock()
+	s.degraded, s.degradedCause, s.degradedSince = false, "", time.Time{}
+	s.degMu.Unlock()
 }
 
-func (s *server) handlePossibleNN(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := s.readPoint(w, r)
-	if !ok {
-		return
+// refuseDegradedWrite sheds a write request while degraded: 503 with a
+// Retry-After hint, reads unaffected. Returns true when the request was
+// handled (refused).
+func (s *server) refuseDegradedWrite(w http.ResponseWriter) bool {
+	degraded, cause, _ := s.degradedState()
+	if !degraded {
+		return false
 	}
-
-	start := time.Now()
-	cands, cost, err := s.ix.PossibleNNWithCost(q)
-	elapsed := time.Since(start)
-	s.metrics.observe("possiblenn", elapsed, cost.LeafIO, err != nil)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	out := make([]candidateJSON, len(cands))
-	for i, c := range cands {
-		out[i] = candidateJSON{ID: uint32(c.ID), MinDist: c.MinDist, MaxDist: c.MaxDist}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"candidates": out,
-		"leaf_io":    cost.LeafIO,
-		"latency_us": elapsed.Microseconds(),
-	})
-}
-
-// extCostFields appends an extension query's retrieval-cost breakdown to a
-// response body.
-func extCostFields(body map[string]any, cost pvoronoi.ExtQueryCost) map[string]any {
-	body["candidates"] = cost.Candidates
-	body["node_io"] = cost.NodeIO
-	body["leaf_io"] = cost.LeafIO
-	return body
-}
-
-// decodeK reads the optional "k" field (default 1, must be >= 1). On failure
-// it writes the 400 response itself and returns ok=false.
-func decodeK(w http.ResponseWriter, body map[string]json.RawMessage) (int, bool) {
-	k := 1
-	if raw, ok := body["k"]; ok {
-		if err := json.Unmarshal(raw, &k); err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k"))
-			return 0, false
-		}
-	}
-	return k, true
-}
-
-func (s *server) handlePossibleKNN(w http.ResponseWriter, r *http.Request) {
-	q, body, ok := s.readPoint(w, r)
-	if !ok {
-		return
-	}
-	k, ok := decodeK(w, body)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	results, cost, err := s.ix.PossibleKNNWithCost(q, k)
-	elapsed := time.Since(start)
-	s.metrics.observe("possibleknn", elapsed, cost.LeafIO, err != nil)
-	if err != nil {
-		// The request was validated; a failing query is a server-side fault.
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	out := make([]resultJSON, len(results))
-	for i, res := range results {
-		out[i] = resultJSON{ID: uint32(res.ID), Prob: res.Prob}
-	}
-	writeJSON(w, http.StatusOK, extCostFields(map[string]any{
-		"results":    out,
-		"k":          k,
-		"latency_us": elapsed.Microseconds(),
-	}, cost))
-}
-
-// handlePossibleKNNBatch evaluates possible k-NN for a whole set of points
-// through the index's worker pool: {"points":[[...],...], "k":3}.
-func (s *server) handlePossibleKNNBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	body, err := decodeBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	points, ok := s.decodePoints(w, body, "points")
-	if !ok {
-		return
-	}
-	k, ok := decodeK(w, body)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	results, err := s.ix.PossibleKNNBatchCtx(r.Context(), points, k, 0)
-	elapsed := time.Since(start)
-	s.metrics.observe("possibleknnbatch", elapsed, 0, serverFault(err))
-	if err != nil {
-		writeError(w, batchQueryStatus(err), err)
-		return
-	}
-
-	out := make([][]resultJSON, len(results))
-	for i, res := range results {
-		out[i] = make([]resultJSON, len(res))
-		for j, kr := range res {
-			out[i][j] = resultJSON{ID: uint32(kr.ID), Prob: kr.Prob}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    out,
-		"k":          k,
-		"count":      len(out),
-		"latency_us": elapsed.Microseconds(),
-	})
-}
-
-// handlePossibleRNN returns the reverse-NN candidate set of a point:
-// the objects with a non-zero chance that the point is their nearest
-// neighbor.
-func (s *server) handlePossibleRNN(w http.ResponseWriter, r *http.Request) {
-	q, _, ok := s.readPoint(w, r)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	ids, cost, err := s.ix.PossibleRNNWithCost(q)
-	elapsed := time.Since(start)
-	s.metrics.observe("possiblernn", elapsed, cost.LeafIO, err != nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	out := make([]uint32, len(ids))
-	for i, id := range ids {
-		out[i] = uint32(id)
-	}
-	writeJSON(w, http.StatusOK, extCostFields(map[string]any{
-		"ids":        out,
-		"latency_us": elapsed.Microseconds(),
-	}, cost))
-}
-
-// validatePoints converts and dim-validates a list of raw points; label
-// prefixes the per-point error position (e.g. "points" -> "points[2]: ...").
-func (s *server) validatePoints(pts [][]float64, label string) ([]pvoronoi.Point, error) {
-	out := make([]pvoronoi.Point, len(pts))
-	for i, p := range pts {
-		out[i] = pvoronoi.Point(p)
-		if err := s.checkPoint(out[i]); err != nil {
-			return nil, fmt.Errorf("%s[%d]: %w", label, i, err)
-		}
-	}
-	return out, nil
-}
-
-// decodePoints reads and dim-validates an array-of-points field. On failure
-// it writes the 400 response itself and returns ok=false.
-func (s *server) decodePoints(w http.ResponseWriter, body map[string]json.RawMessage, field string) ([]pvoronoi.Point, bool) {
-	var pts [][]float64
-	if raw, ok := body[field]; ok {
-		if err := json.Unmarshal(raw, &pts); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %v", field, err))
-			return nil, false
-		}
-	}
-	if len(pts) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing %s field", field))
-		return nil, false
-	}
-	out, err := s.validatePoints(pts, field)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	return out, true
-}
-
-// decodeAgg reads the optional "agg" field ("sum" default, or "max"). On
-// failure it writes the 400 response itself and returns ok=false.
-func decodeAgg(w http.ResponseWriter, body map[string]json.RawMessage) (pvoronoi.Agg, bool) {
-	agg := pvoronoi.AggSum
-	if raw, ok := body["agg"]; ok {
-		var name string
-		if err := json.Unmarshal(raw, &name); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad agg: %v", err))
-			return agg, false
-		}
-		switch strings.ToLower(name) {
-		case "sum", "":
-			agg = pvoronoi.AggSum
-		case "max":
-			agg = pvoronoi.AggMax
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown agg %q (want sum or max)", name))
-			return agg, false
-		}
-	}
-	return agg, true
-}
-
-func (s *server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
-	body, err := decodeBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	group, ok := s.decodePoints(w, body, "points")
-	if !ok {
-		return
-	}
-	agg, ok := decodeAgg(w, body)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	results, cost, err := s.ix.GroupNNWithCost(group, agg)
-	elapsed := time.Since(start)
-	s.metrics.observe("groupnn", elapsed, cost.LeafIO, err != nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-
-	out := make([]resultJSON, len(results))
-	for i, res := range results {
-		out[i] = resultJSON{ID: uint32(res.ID), Prob: res.Prob}
-	}
-	writeJSON(w, http.StatusOK, extCostFields(map[string]any{
-		"results":    out,
-		"latency_us": elapsed.Microseconds(),
-	}, cost))
-}
-
-// handleGroupNNBatch evaluates group NN for a whole set of groups through
-// the index's worker pool: {"groups":[[[...],...],...], "agg":"sum"}.
-func (s *server) handleGroupNNBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	body, err := decodeBody(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var raw [][][]float64
-	if rawGroups, ok := body["groups"]; ok {
-		if err := json.Unmarshal(rawGroups, &raw); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad groups: %v", err))
-			return
-		}
-	}
-	if len(raw) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing groups field"))
-		return
-	}
-	groups := make([][]pvoronoi.Point, len(raw))
-	for i, g := range raw {
-		if len(g) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("groups[%d]: empty group", i))
-			return
-		}
-		pts, err := s.validatePoints(g, fmt.Sprintf("groups[%d]", i))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		groups[i] = pts
-	}
-	agg, ok := decodeAgg(w, body)
-	if !ok {
-		return
-	}
-
-	start := time.Now()
-	results, err := s.ix.GroupNNBatchCtx(r.Context(), groups, agg, 0)
-	elapsed := time.Since(start)
-	s.metrics.observe("groupnnbatch", elapsed, 0, serverFault(err))
-	if err != nil {
-		writeError(w, batchQueryStatus(err), err)
-		return
-	}
-
-	out := make([][]resultJSON, len(results))
-	for i, res := range results {
-		out[i] = make([]resultJSON, len(res))
-		for j, gr := range res {
-			out[i][j] = resultJSON{ID: uint32(gr.ID), Prob: gr.Prob}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results":    out,
-		"count":      len(out),
-		"latency_us": elapsed.Microseconds(),
-	})
-}
-
-// --- update handlers -----------------------------------------------------
-
-type insertRequest struct {
-	ID        uint32         `json:"id"`
-	Region    regionJSON     `json:"region"`
-	Instances []instanceJSON `json:"instances"`
-	Sample    *struct {
-		Kind string `json:"kind"` // "uniform" (default) or "gaussian"
-		N    int    `json:"n"`
-		Seed int64  `json:"seed"`
-	} `json:"sample"`
-}
-
-// maxSampleN caps insertRequest.Sample.N: the server draws that many
-// instances before the index sees the object, so the bound has to be here.
-// The paper's pdfs have 500 samples.
-const maxSampleN = 10000
-
-// toObject validates an insert request and builds the object it describes.
-func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
-	if len(req.Region.Lo) == 0 || len(req.Region.Lo) != len(req.Region.Hi) {
-		return nil, fmt.Errorf("region needs matching lo/hi")
-	}
-	for i := range req.Region.Lo {
-		if req.Region.Lo[i] > req.Region.Hi[i] {
-			return nil, fmt.Errorf("inverted region in dim %d", i)
-		}
-	}
-	region := pvoronoi.NewRect(pvoronoi.Point(req.Region.Lo), pvoronoi.Point(req.Region.Hi))
-
-	o := &pvoronoi.Object{ID: pvoronoi.ID(req.ID), Region: region}
-	switch {
-	case len(req.Instances) > 0:
-		o.Instances = make([]pvoronoi.Instance, len(req.Instances))
-		for i, in := range req.Instances {
-			o.Instances[i] = pvoronoi.Instance{Pos: pvoronoi.Point(in.Pos), Prob: in.Prob}
-		}
-		if err := o.Validate(); err != nil {
-			return nil, err
-		}
-	case req.Sample != nil:
-		n := req.Sample.N
-		if n <= 0 {
-			n = 100
-		}
-		if n > maxSampleN {
-			return nil, fmt.Errorf("sample.n %d exceeds the limit of %d", n, maxSampleN)
-		}
-		if strings.EqualFold(req.Sample.Kind, "gaussian") {
-			o.Instances = pvoronoi.SampleGaussian(region, n, req.Sample.Seed)
-		} else {
-			o.Instances = pvoronoi.SampleUniform(region, n, req.Sample.Seed)
-		}
-	}
-	return o, nil
-}
-
-func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	if s.refuseDegradedWrite(w) {
-		return
-	}
-	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	o, err := req.toObject()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	start := time.Now()
-	st, err := s.ix.InsertWithStats(o)
-	elapsed := time.Since(start)
-	s.metrics.observe("insert", elapsed, 0, err != nil)
-	if err != nil {
-		s.failUpdate(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":         req.ID,
-		"affected":   st.Affected,
-		"unchanged":  st.Unchanged,
-		"examined":   st.Examined,
-		"latency_us": elapsed.Microseconds(),
-	})
-}
-
-func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	if s.refuseDegradedWrite(w) {
-		return
-	}
-	var req struct {
-		ID uint32 `json:"id"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-
-	start := time.Now()
-	st, err := s.ix.DeleteWithStats(pvoronoi.ID(req.ID))
-	elapsed := time.Since(start)
-	s.metrics.observe("delete", elapsed, 0, err != nil)
-	if err != nil {
-		s.failUpdate(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":         req.ID,
-		"affected":   st.Affected,
-		"unchanged":  st.Unchanged,
-		"examined":   st.Examined,
-		"latency_us": elapsed.Microseconds(),
-	})
-}
-
-// handleInsertBatch applies a whole set of inserts as one group commit:
-// {"objects":[{insert request}, ...]}. One write-lock acquisition and (in
-// durable mode) one WAL fsync cover the entire batch.
-func (s *server) handleInsertBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	if s.refuseDegradedWrite(w) {
-		return
-	}
-	var req struct {
-		Objects []insertRequest `json:"objects"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	if len(req.Objects) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing objects field"))
-		return
-	}
-	objs := make([]*pvoronoi.Object, len(req.Objects))
-	for i := range req.Objects {
-		o, err := req.Objects[i].toObject()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("objects[%d]: %w", i, err))
-			return
-		}
-		objs[i] = o
-	}
-
-	start := time.Now()
-	sts, err := s.ix.InsertBatch(objs)
-	elapsed := time.Since(start)
-	s.metrics.observe("insertbatch", elapsed, 0, err != nil)
-	if err != nil {
-		s.failUpdate(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchReply(sts, elapsed))
-}
-
-// handleDeleteBatch removes a whole set of IDs as one group commit:
-// {"ids":[1,2,...]}.
-func (s *server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	if s.refuseDegradedWrite(w) {
-		return
-	}
-	var req struct {
-		IDs []uint32 `json:"ids"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	if len(req.IDs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing ids field"))
-		return
-	}
-	ids := make([]pvoronoi.ID, len(req.IDs))
-	for i, id := range req.IDs {
-		ids[i] = pvoronoi.ID(id)
-	}
-
-	start := time.Now()
-	sts, err := s.ix.DeleteBatch(ids)
-	elapsed := time.Since(start)
-	s.metrics.observe("deletebatch", elapsed, 0, err != nil)
-	if err != nil {
-		s.failUpdate(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchReply(sts, elapsed))
+	w.Header().Set("Retry-After", "10")
+	writeError(w, http.StatusServiceUnavailable,
+		fmt.Errorf("degraded mode (%s): writes disabled until a successful checkpoint re-arms the write path", cause))
+	return true
 }
 
 // handleCheckpoint forces a durable snapshot (admin endpoint, POST only).
 // Outside durable mode it reports 409: there is nowhere to persist to.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
 	if s.durable == nil {
-		writeError(w, http.StatusConflict, fmt.Errorf("server is not running in durable mode (-data-dir)"))
+		writeError(w, http.StatusConflict, errors.New("server is not running in durable mode (-data-dir)"))
 		return
 	}
 	start := time.Now()
@@ -930,105 +646,42 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.durable.WALHealthy() {
 		s.exitDegraded()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, reply{
 		"wal_seq":    st.Seq,
 		"skipped":    st.Skipped,
 		"latency_us": elapsed.Microseconds(),
 	})
 }
 
-// updateStatus maps an update-path error to its HTTP status: conflict for
-// duplicate IDs, not-found for unknown IDs, service-unavailable for
-// server-side durability faults (WAL I/O — transient from the client's view:
-// retry after the operator re-arms), bad-request otherwise.
-func updateStatus(err error) int {
-	switch {
-	case errors.Is(err, pvoronoi.ErrWAL):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, uncertain.ErrDuplicateID):
-		return http.StatusConflict
-	case errors.Is(err, uncertain.ErrUnknownID):
-		return http.StatusNotFound
-	default:
-		return http.StatusBadRequest
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	body := reply{"status": "ok"}
+	if degraded, cause, since := s.degradedState(); degraded {
+		body = reply{"status": "degraded", "cause": cause}
+		if !since.IsZero() {
+			body["since"] = since.UTC().Format(time.RFC3339)
+		}
 	}
+	// 200 even when degraded: the process is alive and serving reads. A
+	// liveness probe must not restart-loop a node that can still answer
+	// queries; write routing keys on the status field.
+	writeJSON(w, http.StatusOK, body)
 }
-
-// statusClientClosedRequest is nginx's non-standard 499: the client went
-// away before the response was produced. Nothing failed server-side, so it
-// must not masquerade as a timeout or a 5xx in logs and metrics.
-const statusClientClosedRequest = 499
-
-// batchQueryStatus maps a batch query failure: a server-imposed request
-// deadline that expired mid-batch is a timeout (504), a client that
-// disconnected mid-batch is its own abort (499), anything else is a
-// server-side fault.
-func batchQueryStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// serverFault reports whether a batch query error should count as a server
-// failure in metrics — client cancellation is not one.
-func serverFault(err error) bool {
-	return err != nil && !errors.Is(err, context.Canceled)
-}
-
-// batchReply sums a write batch's per-op stats into its reply: the counts,
-// the handler's wall time, and where that time went — SE, index maintenance,
-// adjacency patch, refinement (SE and refinement add up worker time, so on
-// several cores they can exceed their share of the wall clock).
-func batchReply(sts []pvoronoi.UpdateStats, elapsed time.Duration) map[string]any {
-	var sum pvoronoi.UpdateStats
-	for _, st := range sts {
-		sum.Affected += st.Affected
-		sum.Unchanged += st.Unchanged
-		sum.Examined += st.Examined
-		sum.SETime += st.SETime
-		sum.IndexTime += st.IndexTime
-		sum.AdjTime += st.AdjTime
-		sum.SE.Refine.Time += st.SE.Refine.Time
-	}
-	return map[string]any{
-		"count":        len(sts),
-		"affected":     sum.Affected,
-		"unchanged":    sum.Unchanged,
-		"examined":     sum.Examined,
-		"latency_us":   elapsed.Microseconds(),
-		"se_us":        sum.SETime.Microseconds(),
-		"index_us":     sum.IndexTime.Microseconds(),
-		"adjacency_us": sum.AdjTime.Microseconds(),
-		"refine_us":    sum.SE.Refine.Time.Microseconds(),
-	}
-}
-
-// --- stats ---------------------------------------------------------------
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	endpoints, uptime := s.metrics.snapshot()
 	io := s.ix.IO()
 	mv := s.ix.MVCC()
 	adj := s.ix.Adjacency()
-	domain := s.ix.DB().Domain // immutable per version; safe without a lock
 	status := "ok"
 	degraded, cause, _ := s.degradedState()
 	if degraded {
 		status = "degraded"
 	}
-	body := map[string]any{
+	body := reply{
 		"status":   status,
 		"uptime_s": uptime.Seconds(),
 		"objects":  s.ix.Len(),
-		"domain": regionJSON{
-			Lo: []float64(domain.Lo),
-			Hi: []float64(domain.Hi),
-		},
+		"domain":   regionJSON{Lo: s.domain.Lo, Hi: s.domain.Hi},
 		"io": map[string]int64{
 			"reads":  io.Reads,
 			"writes": io.Writes,

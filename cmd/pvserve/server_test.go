@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"pvoronoi"
+	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/vfs"
 )
 
@@ -634,9 +638,9 @@ func checkBatchStages(t *testing.T, route string, out map[string]json.RawMessage
 }
 
 // TestServeBodyBound: a body past maxBodyBytes is refused with 413 and the
-// JSON error shape on every route family that reads one — the shared
-// decodeBody (queries) and each write handler's own decoder — instead of
-// being decoded whole; a body just under the bound still gets its own answer.
+// JSON error shape on every route family that reads one — queries, batches
+// and writes — instead of being decoded whole; a body just under the bound
+// still gets its own answer.
 func TestServeBodyBound(t *testing.T) {
 	ix := testIndex(t, 30)
 	h := newServer(ix).routes()
@@ -1096,5 +1100,66 @@ func TestStatsAdjacencyRefinement(t *testing.T) {
 	if adj.ClipPasses < adj.RowsRefined {
 		t.Fatalf("clip passes %d < rows refined %d (every refined row is clipped)",
 			adj.ClipPasses, adj.RowsRefined)
+	}
+}
+
+// TestServeErrorStatus holds the one error → status mapping every table
+// route answers through, for writes and queries, on wrapped errors; and
+// checks that an out-of-domain point is refused in validation — 400 on both
+// Step-1 routes, counted in no endpoint's errors — so that a failure after
+// validation is the server's (500).
+func TestServeErrorStatus(t *testing.T) {
+	s := newServer(testIndex(t, 30))
+	other := errors.New("page read failed")
+	for _, c := range []struct {
+		err         error
+		write, want int
+	}{
+		{pvoronoi.ErrWAL, http.StatusServiceUnavailable, http.StatusServiceUnavailable},
+		{uncertain.ErrDuplicateID, http.StatusConflict, http.StatusConflict},
+		{uncertain.ErrUnknownID, http.StatusNotFound, http.StatusNotFound},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, http.StatusGatewayTimeout},
+		{context.Canceled, 499, 499},
+		{other, http.StatusBadRequest, http.StatusInternalServerError},
+	} {
+		for _, write := range []bool{true, false} {
+			rec := httptest.NewRecorder()
+			s.fail(rec, fmt.Errorf("batch op 3: %w", c.err), write)
+			want := c.want
+			if write {
+				want = c.write
+			}
+			if rec.Code != want {
+				t.Errorf("%v (write %v): status %d, want %d", c.err, write, rec.Code, want)
+			}
+			if got := rec.Header().Get("Retry-After"); (got != "") != (want == http.StatusServiceUnavailable) {
+				t.Errorf("%v (write %v): Retry-After %q", c.err, write, got)
+			}
+		}
+	}
+	if degraded, _, _ := s.degradedState(); !degraded {
+		t.Fatal("a WAL failure did not put the server in degraded mode")
+	}
+
+	ts := httptest.NewServer(newServer(testIndex(t, 30)).routes())
+	defer ts.Close()
+	for _, path := range []string{"/v1/query", "/v1/possiblenn"} {
+		if resp, _ := postJSON(t, ts, path, map[string]any{"point": []float64{-1, 500}}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s outside the domain: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Endpoints map[string]endpointSnapshot `json:"endpoints"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Endpoints) != 0 {
+		t.Fatalf("refused requests reached the metrics: %+v", stats.Endpoints)
 	}
 }

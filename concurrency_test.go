@@ -1,6 +1,7 @@
 package pvoronoi
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,7 +9,7 @@ import (
 )
 
 // TestConcurrentQueriesWithWriter hammers the index with parallel readers —
-// Query, QueryBatch, PossibleNN, PossibleKNN, GroupNN — while one writer
+// Query, Batch over Query, PossibleNN, PossibleKNN, GroupNN — while one writer
 // goroutine interleaves Insert and Delete of a churn set. Under -race this
 // is the serving layer's core safety guarantee; without the race detector it
 // still checks that every read observes a consistent index (probabilities
@@ -87,7 +88,7 @@ func TestConcurrentQueriesWithWriter(t *testing.T) {
 					return
 				}
 				batch := []Point{randPoint(), randPoint(), randPoint()}
-				if _, err := ix.QueryBatch(batch, 2); err != nil {
+				if _, err := Batch(context.Background(), batch, 2, ix.Query); err != nil {
 					t.Error(err)
 					return
 				}
@@ -281,8 +282,9 @@ func TestRecordCacheConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential checks that QueryBatch and PossibleNNBatch
-// return, position for position, exactly what sequential calls return.
+// TestBatchMatchesSequential checks that Batch over Query and PossibleNN
+// returns, position for position, exactly what sequential calls return —
+// with 4 workers, with 0 (GOMAXPROCS) and with more workers than queries.
 func TestBatchMatchesSequential(t *testing.T) {
 	db := buildSmallDB(t, 100, true)
 	ix, err := Build(db, testOptions())
@@ -294,32 +296,34 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for i := range qs {
 		qs[i] = Point{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
-
-	batchResults, err := ix.QueryBatch(qs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchCands, err := ix.PossibleNNBatch(qs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batchResults) != len(qs) || len(batchCands) != len(qs) {
-		t.Fatalf("batch lengths %d/%d, want %d", len(batchResults), len(batchCands), len(qs))
-	}
-	for i, q := range qs {
-		seq, err := ix.Query(q)
+	ctx := context.Background()
+	for _, workers := range []int{4, 0, len(qs) + 5} {
+		batchResults, err := Batch(ctx, qs, workers, ix.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, batchResults[i]) {
-			t.Fatalf("query %d: batch result differs from sequential\nbatch: %v\nseq:   %v", i, batchResults[i], seq)
-		}
-		seqCands, err := ix.PossibleNN(q)
+		batchCands, err := Batch(ctx, qs, workers, ix.PossibleNN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seqCands, batchCands[i]) {
-			t.Fatalf("query %d: batch candidates differ from sequential", i)
+		if len(batchResults) != len(qs) || len(batchCands) != len(qs) {
+			t.Fatalf("workers %d: batch lengths %d/%d, want %d", workers, len(batchResults), len(batchCands), len(qs))
+		}
+		for i, q := range qs {
+			seq, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seq, batchResults[i]) {
+				t.Fatalf("workers %d, query %d: batch result differs from sequential\nbatch: %v\nseq:   %v", workers, i, batchResults[i], seq)
+			}
+			seqCands, err := ix.PossibleNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seqCands, batchCands[i]) {
+				t.Fatalf("workers %d, query %d: batch candidates differ from sequential", workers, i)
+			}
 		}
 	}
 }
@@ -333,8 +337,59 @@ func TestBatchErrorAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := []Point{{10, 10}, {-5000, -5000}, {20, 20}}
-	if _, err := ix.PossibleNNBatch(qs, 2); err == nil {
-		t.Fatal("expected error for out-of-domain point")
+	if res, err := Batch(context.Background(), qs, 2, ix.PossibleNN); err == nil || res != nil {
+		t.Fatalf("Batch = %v, %v; want no results and the out-of-domain error", res, err)
+	}
+}
+
+// TestBatchContext holds Batch to its context contract: an empty batch
+// succeeds without calling fn, a context cancelled before the call fails
+// with ctx.Err() and calls nothing, and a cancel mid-batch fails it with no
+// call of fn starting afterwards — with one worker exactly the calls before
+// the cancel run, with several at most one more per other worker.
+func TestBatchContext(t *testing.T) {
+	qs := make([]int, 200)
+	var (
+		mu    sync.Mutex
+		calls int
+	)
+	count := func(int) (int, error) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		return 0, nil
+	}
+
+	out, err := Batch(context.Background(), []int{}, 0, count)
+	if err != nil || out == nil || len(out) != 0 || calls != 0 {
+		t.Fatalf("empty batch: %v, %v after %d calls; want an empty result", out, err, calls)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := Batch(ctx, qs, 4, count); err != context.Canceled || out != nil || calls != 0 {
+		t.Fatalf("cancelled context: %v, %v after %d calls; want context.Canceled and no call", out, err, calls)
+	}
+
+	const cancelAt = 10
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls = 0
+		out, err := Batch(ctx, qs, workers, func(int) (int, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if calls++; calls == cancelAt {
+				cancel()
+			}
+			return 0, nil
+		})
+		cancel()
+		if err != context.Canceled || out != nil {
+			t.Fatalf("workers %d, cancel mid-batch: %v, %v; want context.Canceled", workers, out, err)
+		}
+		if calls < cancelAt || calls > cancelAt+workers-1 {
+			t.Fatalf("workers %d: %d calls of fn for a cancel at call %d; want at most %d", workers, calls, cancelAt, cancelAt+workers-1)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 // Serving: the concurrent-access pattern behind cmd/pvserve, in-process.
-// Builds a PV-index, then runs many query goroutines (single queries and
-// batches) in parallel with a writer that inserts and deletes objects —
-// exactly the reader/writer mix a query-serving deployment sees.
+// Builds a PV-index, then runs many query goroutines (single queries, and
+// batches through pvoronoi.Batch's worker pool) in parallel with a writer
+// that inserts and deletes objects — exactly the reader/writer mix a
+// query-serving deployment sees.
 //
 //	go run ./examples/serving
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +68,7 @@ func main() {
 					for i := range qs {
 						qs[i] = randPoint()
 					}
-					if _, err := ix.QueryBatch(qs, 4); err != nil {
+					if _, err := pvoronoi.Batch(context.Background(), qs, 4, ix.Query); err != nil {
 						log.Fatal(err)
 					}
 					queryCount.Add(int64(len(qs)))

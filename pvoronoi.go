@@ -184,8 +184,8 @@ type Result = pnnq.Result
 // Index is a built PV-index bound to a database.
 //
 // An Index is safe for concurrent use and serves reads lock-free through
-// epoch-based MVCC: any number of goroutines may run Query, QueryBatch,
-// PossibleNN and the extension queries in parallel while other goroutines
+// epoch-based MVCC: any number of goroutines may run Query, PossibleNN and
+// the extension queries (alone or through Batch) in parallel while others
 // interleave Insert, Delete and ApplyBatch. Every query pins an immutable
 // snapshot version with two atomic operations — it never takes a lock and
 // never waits for a writer, however large the concurrent batch. Writers
@@ -305,22 +305,12 @@ func (ix *Index) Insert(o *Object) error {
 	return err
 }
 
-// InsertWithStats is Insert plus the maintenance cost breakdown.
-func (ix *Index) InsertWithStats(o *Object) (UpdateStats, error) {
-	return ix.inner.Insert(o)
-}
-
 // Delete removes the object with the given ID from the database and
 // incrementally refreshes the index. Like Insert, it publishes a new
 // version without ever blocking readers.
 func (ix *Index) Delete(id ID) error {
 	_, err := ix.inner.Delete(id)
 	return err
-}
-
-// DeleteWithStats is Delete plus the maintenance cost breakdown.
-func (ix *Index) DeleteWithStats(id ID) (UpdateStats, error) {
-	return ix.inner.Delete(id)
 }
 
 // Len returns the number of indexed objects in the current version. Safe
