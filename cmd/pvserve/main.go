@@ -37,7 +37,7 @@
 //	POST /v1/insertbatch       {"objects":[{insert body},...]}  one group commit, one WAL fsync
 //	POST /v1/deletebatch       {"ids":[1,2,...]}  one group commit, one WAL fsync
 //	POST /v1/checkpoint        force a durable snapshot (durable mode only, 409 otherwise)
-//	GET  /v1/stats             per-endpoint latency percentiles, leaf I/O, counts
+//	GET  /v1/stats             per-endpoint latency percentiles, leaf I/O, counts, refinement counters
 //	GET  /v1/healthz           {"status":"ok"} or {"status":"degraded","cause":...}
 //	GET  /healthz              liveness probe (same JSON)
 //
@@ -52,7 +52,10 @@
 //
 // Every response carries its own server-side latency in microseconds, and a
 // single query's also the exact number of index leaf pages it read;
-// /v1/stats aggregates both into p50/p95/p99 and means.
+// /v1/stats aggregates both into p50/p95/p99 and means. A batch reply names
+// where its time went (se_us, index_us, refine_us); /v1/stats' refine block
+// holds the refinement subsystem's lifetime counters, all atomics, so the
+// route stays cheap to poll.
 //
 // Try it:
 //

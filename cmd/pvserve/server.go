@@ -494,9 +494,9 @@ func writeReply(id pvoronoi.ID, sts []pvoronoi.UpdateStats) reply {
 }
 
 // batchReply sums a write batch's per-op stats into its reply: the counts
-// and where the time went — SE, index maintenance, adjacency patch,
-// refinement (SE and refinement add up worker time, so on several cores they
-// can exceed their share of the wall clock).
+// and where the time went — SE, index maintenance, refinement (SE and
+// refinement add up worker time, so on several cores they can exceed their
+// share of the wall clock).
 func batchReply(sts []pvoronoi.UpdateStats) reply {
 	var sum pvoronoi.UpdateStats
 	for _, st := range sts {
@@ -505,18 +505,16 @@ func batchReply(sts []pvoronoi.UpdateStats) reply {
 		sum.Examined += st.Examined
 		sum.SETime += st.SETime
 		sum.IndexTime += st.IndexTime
-		sum.AdjTime += st.AdjTime
 		sum.SE.Refine.Time += st.SE.Refine.Time
 	}
 	return reply{
-		"count":        len(sts),
-		"affected":     sum.Affected,
-		"unchanged":    sum.Unchanged,
-		"examined":     sum.Examined,
-		"se_us":        sum.SETime.Microseconds(),
-		"index_us":     sum.IndexTime.Microseconds(),
-		"adjacency_us": sum.AdjTime.Microseconds(),
-		"refine_us":    sum.SE.Refine.Time.Microseconds(),
+		"count":     len(sts),
+		"affected":  sum.Affected,
+		"unchanged": sum.Unchanged,
+		"examined":  sum.Examined,
+		"se_us":     sum.SETime.Microseconds(),
+		"index_us":  sum.IndexTime.Microseconds(),
+		"refine_us": sum.SE.Refine.Time.Microseconds(),
 	}
 }
 
@@ -671,7 +669,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	endpoints, uptime := s.metrics.snapshot()
 	io := s.ix.IO()
 	mv := s.ix.MVCC()
-	adj := s.ix.Adjacency()
+	rc := s.ix.RefineCounters()
 	status := "ok"
 	degraded, cause, _ := s.degradedState()
 	if degraded {
@@ -692,24 +690,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"live_versions":    int64(mv.LiveVersions),
 			"reclaimed":        mv.Reclaimed,
 		},
-		"adjacency": map[string]any{
-			"rows":            int64(adj.Rows),
-			"edges":           int64(adj.Edges),
-			"rows_recomputed": adj.RowsRecomputed,
-			"rows_patched":    adj.RowsPatched,
-			"rows_deleted":    adj.RowsDeleted,
-			// Hub shape: degree and stored-UBR volume distributions over the
-			// current rows — what the refinement budget targets.
-			"degree_p50":  int64(adj.DegreeP50),
-			"degree_p90":  int64(adj.DegreeP90),
-			"degree_max":  int64(adj.DegreeMax),
-			"ubr_vol_p50": adj.UBRVolP50,
-			"ubr_vol_p90": adj.UBRVolP90,
-			"ubr_vol_max": adj.UBRVolMax,
-			// Refinement lifetime counters.
-			"rows_refined":        adj.RowsRefined,
-			"clip_passes":         adj.ClipPasses,
-			"refine_budget_spent": adj.RefineBudgetSpent,
+		// Refinement lifetime counters.
+		"refine": map[string]int64{
+			"rows_refined":        rc.RowsRefined,
+			"clip_passes":         rc.ClipPasses,
+			"refine_budget_spent": rc.BudgetSpent,
 		},
 		"endpoints": endpoints,
 		"runtime":   runtimeStats(),

@@ -251,7 +251,7 @@ func (wc wireCase) request() *http.Request {
 }
 
 // volatileKeys are the reply fields that carry wall-clock time.
-var volatileKeys = []string{"latency_us", "se_us", "index_us", "adjacency_us", "refine_us"}
+var volatileKeys = []string{"latency_us", "se_us", "index_us", "refine_us"}
 
 // canonicalReply is a 2xx body without its timings, re-marshalled with
 // sorted keys; a /v1/stats reply keeps only its object count and status.

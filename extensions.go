@@ -108,12 +108,12 @@ func (ix *Index) PossibleKNNCandidates(q Point, k int) ([]ID, error) {
 	return ids, err
 }
 
-// AdjacencyStats reports the Voronoi-adjacency graph's size and maintenance
-// counters.
+// AdjacencyStats reports the distribution of UBR-intersection degrees, the
+// degree refinement ranks hubs by.
 type AdjacencyStats = pvindex.AdjacencyStats
 
-// Adjacency returns the adjacency graph's gauges and lifetime maintenance
-// counters.
+// Adjacency computes the current version's degree distribution on demand:
+// one octree window per object, so it is a diagnostic, not a gauge to poll.
 func (ix *Index) Adjacency() AdjacencyStats { return ix.inner.Adjacency() }
 
 // PossibleRNN returns the objects with a non-zero chance that q is their

@@ -35,7 +35,7 @@ type Stats struct {
 type RefineStats struct {
 	Rows            int           // objects whose UBR a refinement recomputed
 	CSetSize        int           // escalated C-set sizes, summed
-	Time            time.Duration // wall time of refinement SE work
+	Time            time.Duration // time of refinement SE work and of the pass's hub scoring
 	Iterations      int           // refinement bisection steps attempted
 	DominationTests int64         // domination decisions spent by refinement bisection
 	Shrinks         int           // refinement steps that tightened the UBR

@@ -2,67 +2,60 @@ package pvindex
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
-	"pvoronoi/internal/adjgraph"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 )
 
-// verifyAdjacency is the adjacency-graph invariant oracle: the current
-// version's graph must equal a from-scratch recomputation of the UBR-
-// intersection relation over the stored UBRs — one row per live object,
-// carrying that object's stored UBR and exactly the IDs of every other
-// object whose stored UBR intersects it.
-func verifyAdjacency(t *testing.T, ix *Index, label string) {
+// windowDegrees is every live object's degree in v as refinement computes it:
+// one octree window over the object's stored UBR (ubrNeighbours).
+func windowDegrees(t *testing.T, v *version) map[uint32]int {
+	t.Helper()
+	nb := newUBRNeighbours(v.primary, func(id uint32) (geom.Rect, bool) { return v.ubr(uncertain.ID(id)) })
+	deg := make(map[uint32]int, v.db.Len())
+	for _, o := range v.db.Objects() {
+		id := uint32(o.ID)
+		ubr, ok := nb.ubr(id)
+		if !ok {
+			t.Fatalf("object %d has no stored UBR", id)
+		}
+		win, err := nb.window(id, ubr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg[id] = nb.degree(ubr, win)
+	}
+	return deg
+}
+
+// verifyDegrees is the degree oracle: in the current version every live
+// object's window degree equals the O(n²) count over stored UBRs, and
+// Index.Adjacency summarizes that list.
+func verifyDegrees(t *testing.T, ix *Index, label string) {
 	t.Helper()
 	v := ix.current.Load()
-	if v.adj == nil {
-		t.Fatalf("%s: version has no adjacency graph", label)
+	want := bruteDegrees(t, v)
+	got := windowDegrees(t, v)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d window degrees for %d objects", label, len(got), len(want))
 	}
-	objs := v.db.Objects()
-	ubrs := make(map[uint32]geom.Rect, len(objs))
-	for _, o := range objs {
-		ubr, ok := ix.UBR(o.ID)
-		if !ok {
-			t.Fatalf("%s: object %d has no stored UBR", label, o.ID)
+	for id, n := range want {
+		if got[id] != n {
+			t.Fatalf("%s: object %d has window degree %d, brute force %d", label, id, got[id], n)
 		}
-		ubrs[uint32(o.ID)] = ubr
 	}
-	if v.adj.Len() != len(objs) {
-		t.Fatalf("%s: graph has %d rows, database has %d objects", label, v.adj.Len(), len(objs))
-	}
-	edges := 0
-	for id, ubr := range ubrs {
-		row, ok := v.adj.Get(id)
-		if !ok {
-			t.Fatalf("%s: object %d missing from graph", label, id)
-		}
-		if !row.UBR.Equal(ubr) {
-			t.Fatalf("%s: object %d row UBR %v != stored UBR %v", label, id, row.UBR, ubr)
-		}
-		want := map[uint32]bool{}
-		for nid, nubr := range ubrs {
-			if nid != id && nubr.Intersects(ubr) {
-				want[nid] = true
-			}
-		}
-		if len(row.Neighbors) != len(want) {
-			t.Fatalf("%s: object %d has %d neighbors, want %d (%v vs %v)",
-				label, id, len(row.Neighbors), len(want), row.Neighbors, want)
-		}
-		for _, n := range row.Neighbors {
-			if !want[n] {
-				t.Fatalf("%s: object %d lists non-intersecting neighbor %d", label, id, n)
-			}
-		}
-		edges += len(want)
-	}
-	if v.adj.Edges() != edges {
-		t.Fatalf("%s: graph edge counter %d != recomputed %d", label, v.adj.Edges(), edges)
+	degs := slices.Sorted(maps.Values(want))
+	st := ix.Adjacency()
+	if st.Rows != len(degs) || st.DegreeP50 != degs[(len(degs)-1)/2] || st.DegreeMax != degs[len(degs)-1] {
+		t.Fatalf("%s: Adjacency() = %+v, brute-force degrees give rows %d, p50 %d, max %d",
+			label, st, len(degs), degs[(len(degs)-1)/2], degs[len(degs)-1])
 	}
 }
 
@@ -76,9 +69,88 @@ func randomObject(rng *rand.Rand, id uncertain.ID, d int, span, maxSide float64)
 	return &uncertain.Object{ID: id, Region: geom.Rect{Lo: lo, Hi: hi}}
 }
 
-// TestAdjacencyInvariantThroughChurn drives the graph through single-op and
+// TestUBRDegreeMatchesBruteForce holds the window degree refinement ranks
+// hubs by to the O(n²) count over stored UBRs after build, after mixed
+// batches — a same-ID replace, an ID inserted and deleted by one batch, a
+// delete-only batch — and after a save/load round trip, at d = 2, 3, 4, on
+// uniform data and on clustered data in which every tenth object has a
+// coincident twin (equal regions, hence equal UBRs, which touch everything
+// each other touches).
+func TestUBRDegreeMatchesBruteForce(t *testing.T) {
+	hubRuleForTest(t, 0.1, 4) // batches re-refine, so stored UBRs shrink mid-run
+	for _, d := range []int{2, 3, 4} {
+		for _, clustered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("d%d/clustered=%v", d, clustered), func(t *testing.T) {
+				p := dataset.SyntheticParams{N: 120, Dim: d, MaxSide: 150, Seed: int64(d), Clustered: clustered, Clusters: 8}
+				db := dataset.Synthetic(p)
+				if clustered {
+					for i, o := range slices.Clone(db.Objects()) {
+						if i%10 == 0 {
+							twin := &uncertain.Object{ID: o.ID + 10_000, Region: o.Region.Clone()}
+							if err := db.Add(twin); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				ix, err := Build(db, testConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				verifyDegrees(t, ix, "after build")
+
+				rng := rand.New(rand.NewSource(int64(50 + d)))
+				span := dataset.DomainSpan
+				nextID := uncertain.ID(20_000)
+				fresh := func() Update {
+					nextID++
+					return Update{Op: OpInsert, Object: randomObject(rng, nextID, d, span, 600)}
+				}
+				victim := func() uncertain.ID {
+					objs := ix.DB().Objects()
+					return objs[rng.Intn(len(objs))].ID
+				}
+				replaced := victim()
+				gone := fresh()
+				dels := []Update{{Op: OpDelete, ID: victim()}}
+				for dels[0].ID == replaced {
+					dels[0].ID = victim()
+				}
+				for _, b := range []struct {
+					label string
+					ups   []Update
+				}{
+					{"a same-ID replace", []Update{{Op: OpDelete, ID: replaced}, {Op: OpInsert, Object: randomObject(rng, replaced, d, span, 600)}, fresh()}},
+					{"an insert-then-delete", []Update{gone, fresh(), {Op: OpDelete, ID: gone.Object.ID}, fresh()}},
+					{"a delete-only batch", dels},
+				} {
+					if _, err := ix.ApplyBatch(b.ups); err != nil {
+						t.Fatalf("%s: %v", b.label, err)
+					}
+					verifyDegrees(t, ix, "after "+b.label)
+				}
+
+				var buf bytes.Buffer
+				if err := ix.SaveTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadFrom(&buf, ix.DB())
+				if err != nil {
+					t.Fatal(err)
+				}
+				verifyDegrees(t, loaded, "after load")
+				if loaded.Adjacency() != ix.Adjacency() {
+					t.Fatalf("loaded %+v, live %+v", loaded.Adjacency(), ix.Adjacency())
+				}
+				t.Logf("%+v, %d rows refined", ix.Adjacency(), ix.RefineCounters().RowsRefined)
+			})
+		}
+	}
+}
+
+// TestAdjacencyInvariantThroughChurn drives the index through single-op and
 // batched insert/delete/reinsert traffic — including a same-ID delete+insert
-// in one batch — checking the invariant oracle after every publish.
+// in one batch — checking the degree oracle after every publish.
 func TestAdjacencyInvariantThroughChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const span, maxSide = 600.0, 25.0
@@ -87,7 +159,7 @@ func TestAdjacencyInvariantThroughChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyAdjacency(t, ix, "after build")
+	verifyDegrees(t, ix, "after build")
 
 	nextID := uncertain.ID(50)
 	for round := 0; round < 6; round++ {
@@ -96,23 +168,24 @@ func TestAdjacencyInvariantThroughChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		nextID++
-		verifyAdjacency(t, ix, "after insert")
+		verifyDegrees(t, ix, "after insert")
 
 		victims := ix.DB().Objects()
 		victim := victims[rng.Intn(len(victims))].ID
 		if _, err := ix.Delete(victim); err != nil {
 			t.Fatal(err)
 		}
-		verifyAdjacency(t, ix, "after delete")
+		verifyDegrees(t, ix, "after delete")
 
-		// Reinsert the victim's ID elsewhere — the row must come back fresh.
+		// Reinsert the victim's ID elsewhere — its degree must be the new
+		// UBR's.
 		if _, err := ix.Insert(randomObject(rng, victim, 2, span, maxSide)); err != nil {
 			t.Fatal(err)
 		}
-		verifyAdjacency(t, ix, "after reinsert")
+		verifyDegrees(t, ix, "after reinsert")
 
 		// A mixed batch: two inserts, one delete, and a same-ID
-		// delete+reinsert (exercising the adjRemoved/adjChanged handoff).
+		// delete+reinsert.
 		victims = ix.DB().Objects()
 		cycled := victims[rng.Intn(len(victims))].ID
 		dropped := cycled
@@ -130,7 +203,7 @@ func TestAdjacencyInvariantThroughChurn(t *testing.T) {
 		if _, err := ix.ApplyBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		verifyAdjacency(t, ix, "after mixed batch")
+		verifyDegrees(t, ix, "after mixed batch")
 
 		// An all-insert batch (the group-commit fast path).
 		fast := make([]Update, 3)
@@ -141,14 +214,14 @@ func TestAdjacencyInvariantThroughChurn(t *testing.T) {
 		if _, err := ix.ApplyBatch(fast); err != nil {
 			t.Fatal(err)
 		}
-		verifyAdjacency(t, ix, "after insert batch")
+		verifyDegrees(t, ix, "after insert batch")
 	}
 }
 
 // TestAdjacencyCOWIsolation pins a version and asserts — under concurrent
-// writer churn and concurrent graph readers, so -race patrols the COW
-// discipline — that the pinned graph's rows stay bit-identical (same *Row
-// pointers) however many successors publish.
+// writer churn and concurrent readers, so -race patrols the COW discipline —
+// that the pinned version's window degrees stay what they were however many
+// successors publish.
 func TestAdjacencyCOWIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const span, maxSide = 600.0, 25.0
@@ -160,12 +233,7 @@ func TestAdjacencyCOWIsolation(t *testing.T) {
 
 	pinned := ix.Pin()
 	defer pinned.Release()
-	snap := make(map[uint32]*adjgraph.Row)
-	pinned.v.adj.ForEach(func(id uint32, row *adjgraph.Row) bool {
-		snap[id] = row
-		return true
-	})
-	wantLen, wantEdges := pinned.v.adj.Len(), pinned.v.adj.Edges()
+	want := windowDegrees(t, pinned.v)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -187,37 +255,23 @@ func TestAdjacencyCOWIsolation(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		qrng := rand.New(rand.NewSource(24))
-		for i := 0; i < 40; i++ {
-			q := geom.Point{qrng.Float64() * span, qrng.Float64() * span}
-			if _, _, err := ix.KNNCandidatesOnly(q, 4); err != nil {
-				t.Error(err)
-				return
-			}
+		for i := 0; i < 4; i++ {
+			_ = ix.Adjacency()
 		}
 	}()
 	wg.Wait()
 
-	if pinned.v.adj.Len() != wantLen || pinned.v.adj.Edges() != wantEdges {
-		t.Fatalf("pinned graph counters changed: %d/%d, want %d/%d",
-			pinned.v.adj.Len(), pinned.v.adj.Edges(), wantLen, wantEdges)
+	if got := windowDegrees(t, pinned.v); !maps.Equal(got, want) {
+		t.Fatalf("pinned version's degrees changed under writer churn: %v, want %v", got, want)
 	}
-	count := 0
-	pinned.v.adj.ForEach(func(id uint32, row *adjgraph.Row) bool {
-		count++
-		if snap[id] != row {
-			t.Fatalf("pinned graph row %d changed under writer churn", id)
-		}
-		return true
-	})
-	if count != wantLen {
-		t.Fatalf("pinned graph row count = %d, want %d", count, wantLen)
+	if got := bruteDegrees(t, pinned.v); !maps.Equal(got, want) {
+		t.Fatalf("pinned version's degrees %v, brute force %v", want, got)
 	}
 }
 
 // TestAdjacencyPersistRoundTrip saves an index that has seen update traffic
-// and asserts the loaded graph is identical to the saved one (V3 images
-// carry it verbatim — no rebuild).
+// and asserts the loaded index has the same degrees, computed from its own
+// octree, and keeps them right through a post-load insert.
 func TestAdjacencyPersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	const span, maxSide = 600.0, 25.0
@@ -243,24 +297,20 @@ func TestAdjacencyPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ix.current.Load().adj.Image()
-	got := loaded.current.Load().adj.Image()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("loaded adjacency graph differs from saved")
+	if want, got := windowDegrees(t, ix.current.Load()), windowDegrees(t, loaded.current.Load()); !maps.Equal(got, want) {
+		t.Fatal("loaded index's degrees differ from the saved one's")
 	}
-	verifyAdjacency(t, loaded, "after load")
+	verifyDegrees(t, loaded, "after load")
 
-	// And the loaded graph keeps maintaining itself.
 	if _, err := loaded.Insert(randomObject(rng, uncertain.ID(200), 2, span, maxSide)); err != nil {
 		t.Fatal(err)
 	}
-	verifyAdjacency(t, loaded, "after post-load insert")
+	verifyDegrees(t, loaded, "after post-load insert")
 }
 
-// TestBatchMaintainsAdjacencyIncrementally asserts the write path never
-// rebuilds the graph: the rows recomputed by a batch are bounded by the rows
-// whose UBRs the batch itself recomputed (newcomers plus Lemma 8 affected
-// sets), far below the object count.
+// TestBatchMaintainsAdjacencyIncrementally asserts a batch's refinement pass
+// scores only the rows whose UBRs the batch itself wrote (newcomers plus
+// Lemma 8 affected sets), far below the object count — never every row.
 func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const span, maxSide = 2000.0, 20.0
@@ -270,32 +320,28 @@ func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := ix.adjRecomputed.Load()
 	batch := make([]Update, 4)
 	for i := range batch {
 		batch[i] = Update{Op: OpInsert, Object: randomObject(rng, uncertain.ID(1000+i), 2, span, maxSide)}
 	}
-	sts, err := ix.ApplyBatch(batch)
+	w := ix.newWorking(ix.current.Load())
+	defer w.abort()
+	sts, err := w.apply(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	affected := 0
 	for _, st := range sts {
-		affected += st.Affected
+		affected += st.Affected - st.Unchanged
 	}
-	delta := ix.adjRecomputed.Load() - before
-	if delta == 0 {
-		t.Fatal("batch recomputed no adjacency rows")
+	scored := len(w.changed)
+	if scored < len(batch) {
+		t.Fatalf("batch scores %d rows, fewer than its %d newcomers", scored, len(batch))
 	}
-	if max := int64(len(batch) + affected); delta > max {
-		t.Fatalf("batch recomputed %d adjacency rows, want <= %d (newcomers + affected)", delta, max)
+	if limit := len(batch) + affected; scored > limit {
+		t.Fatalf("batch scores %d rows, want <= %d (newcomers + rewritten affected rows)", scored, limit)
 	}
-	if delta >= int64(ix.DB().Len()) {
-		t.Fatalf("batch recomputed %d rows of a %d-object graph — looks like a full rebuild", delta, ix.DB().Len())
+	if scored >= w.db.Len() {
+		t.Fatalf("batch scores %d rows of %d — looks like a full pass", scored, w.db.Len())
 	}
-	st := ix.Adjacency()
-	if st.Rows != ix.DB().Len() || st.RowsRecomputed != ix.adjRecomputed.Load() {
-		t.Fatalf("AdjacencyStats inconsistent: %+v", st)
-	}
-	verifyAdjacency(t, ix, "after incremental batch")
 }

@@ -186,29 +186,22 @@ func validateBatch(db *uncertain.DB, ups []Update) error {
 }
 
 // applyBatch is the one write path: it runs a validated (and, with a WAL,
-// logged) batch against the working version — the ops, one adjacency patch,
-// one refinement pass over the rows the batch recomputed (refine.go) — and
-// leaves the change tracking empty for the next batch. ApplyBatch calls it
-// on a fresh working version, Recover once per commit group on the one it
-// replays the whole tail into, so a replayed batch does exactly what the
-// live one did. The refinement pass and the adjacency time are
-// batch-scoped: they land on the batch's first op (UpdateStats.SE.Refine
-// keeps the pass apart from the base SE counters).
+// logged) batch against the working version — the ops, then one refinement
+// pass over the rows the batch recomputed (refine.go) — and leaves the
+// change tracking empty for the next batch. ApplyBatch calls it on a fresh
+// working version, Recover once per commit group on the one it replays the
+// whole tail into, so a replayed batch does exactly what the live one did.
+// The refinement pass is batch-scoped: it lands on the batch's first op
+// (UpdateStats.SE.Refine keeps it apart from the base SE counters).
 func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 	sts, err := w.apply(ups)
-	if err == nil {
-		err = w.updateAdjacency()
-	}
 	if err == nil {
 		var rst core.RefineStats
 		if rst, err = w.refineAfterBatch(); err == nil {
 			sts[0].SE.Refine.Add(rst)
-			sts[0].AdjTime = w.adjTime
 		}
 	}
-	clear(w.adjChanged)
-	clear(w.adjRemoved)
-	w.adjTime = 0
+	clear(w.changed)
 	return sts, err
 }
 
@@ -392,7 +385,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		if err := w.putRecord(a.id, rec); err != nil {
 			return stats, err
 		}
-		w.adjMarkChanged(a.id)
+		w.changed[a.id] = struct{}{}
 		stats[a.op].IndexTime += time.Since(t0)
 	}
 
@@ -402,7 +395,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		if err := w.addObject(u.Object, finalB[i]); err != nil {
 			return stats, err
 		}
-		w.adjMarkChanged(uint32(u.Object.ID))
+		w.changed[uint32(u.Object.ID)] = struct{}{}
 		stats[i].IndexTime += time.Since(t0)
 	}
 	return stats, nil
@@ -435,7 +428,8 @@ func (ix *Index) WALSeq() uint64 {
 // sequence — the tail the current snapshot is missing — and returns how
 // many updates it applied. Each commit group is validated and run through
 // applyBatch, exactly as ApplyBatch ran it, so the recovered index is the
-// live one bit for bit: same database order, stored UBRs, adjacency rows.
+// live one bit for bit: same database order, stored UBRs, refinement
+// threshold.
 // The whole tail applies to one working version (one database clone, one
 // publish at the end), so replay cost stays O(affected objects) per group,
 // not O(index size); queries already being served keep reading the
@@ -536,7 +530,6 @@ func (ix *Index) Recover() (int, error) {
 			primary:    base.primary,
 			secondary:  base.secondary,
 			regionTree: base.regionTree,
-			adj:        base.adj,
 		}, nil)
 	}
 	return replayed, nil

@@ -19,8 +19,8 @@ import (
 // is not rewritten; with h restarted at the domain every delete-recompute ends
 // each of the 2d faces up to Δ outside where it was, and Σ volume passes
 // 1.005 × cold within 100 pairs. Afterwards every stored UBR still contains
-// its cell, the adjacency graph is the UBR-intersection relation, and some
-// rows were left alone.
+// its cell, every window degree is the UBR-intersection count, and some rows
+// were left alone.
 func TestChurnDriftBounded(t *testing.T) {
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Seed: 7}
 	db := dataset.Synthetic(p)
@@ -55,7 +55,7 @@ func TestChurnDriftBounded(t *testing.T) {
 	if unchanged == 0 || unchanged >= affected {
 		t.Fatalf("%d of %d affected rows came back unchanged; want some, not all", unchanged, affected)
 	}
-	verifyAdjacency(t, ix, "after churn")
+	verifyDegrees(t, ix, "after churn")
 
 	final := ix.DB()
 	tree := core.BuildRegionTree(final, ix.cfg.Fanout)

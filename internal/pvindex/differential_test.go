@@ -10,7 +10,6 @@ import (
 	"slices"
 	"testing"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pagestore"
@@ -21,33 +20,9 @@ import (
 
 func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.Hi, b.Hi) }
 
-// assertSameGraph: two adjacency graphs hold the same rows — UBR bits and
-// sorted neighbour lists — and the same gauges.
-func assertSameGraph(t *testing.T, got, want *adjgraph.Graph, label string) {
-	t.Helper()
-	if got.Len() != want.Len() || got.Edges() != want.Edges() {
-		t.Fatalf("%s: graph has %d rows, %d edges; want %d, %d", label, got.Len(), got.Edges(), want.Len(), want.Edges())
-	}
-	want.ForEach(func(id uint32, wr *adjgraph.Row) bool {
-		gr, ok := got.Get(id)
-		switch {
-		case !ok:
-			t.Errorf("%s: row %d missing", label, id)
-		case !sameRectBits(gr.UBR, wr.UBR):
-			t.Errorf("%s: row %d holds UBR %v, want %v", label, id, gr.UBR, wr.UBR)
-		case !slices.Equal(gr.Neighbors, wr.Neighbors):
-			t.Errorf("%s: row %d lists %v, want %v", label, id, gr.Neighbors, wr.Neighbors)
-		}
-		return !t.Failed()
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-}
-
 // assertSameState: two indexes publish the same state bit for bit — the
-// database in the same order, every stored UBR, every adjacency row, the
-// re-refinement threshold.
+// database in the same order, every stored UBR, the re-refinement threshold.
+// Equal UBRs give equal hub degrees.
 func assertSameState(t *testing.T, got, want *Index, label string) {
 	t.Helper()
 	gv, wv := got.current.Load(), want.current.Load()
@@ -72,7 +47,6 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	if differ > 0 {
 		t.Fatalf("%s: %d of %d stored UBRs differ", label, differ, len(wobjs))
 	}
-	assertSameGraph(t, gv.adj, wv.adj, label)
 	if g, w := got.refineThreshold(), want.refineThreshold(); g != w {
 		t.Fatalf("%s: refine threshold %v, want %v", label, g, w)
 	}
@@ -142,11 +116,10 @@ var differentialCases = []struct {
 	{d: 3, n: 100, span: 220, maxSide: 30},
 }
 
-func differentialConfig(refine bool) Config {
+func differentialConfig(t *testing.T, refine bool) Config {
+	hubRuleForTest(t, 0.3, 4)
 	cfg := testConfig()
 	cfg.Refine.Disabled = !refine
-	cfg.Refine.TopFraction = 0.3
-	cfg.Refine.MinDegree = 4
 	return cfg
 }
 
@@ -154,7 +127,7 @@ func differentialConfig(refine bool) Config {
 // replaced (reference_test.go). Where the old code staged against the
 // published version and used the result as it stood — single inserts,
 // all-insert batches — and on delete batches the two must agree bit for bit
-// in every stored UBR and adjacency row. On mixed batches the old code went
+// in every stored UBR. On mixed batches the old code went
 // op-at-a-time and the new one goes run-at-a-time, so the bits may differ:
 // both must then match brute force, and the Σ UBR volume ratio is logged.
 func TestInsertPathMatchesReference(t *testing.T) {
@@ -168,7 +141,7 @@ func TestInsertPathMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("d%d/refine=%v/seed%d", c.d, refine, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(100*int64(c.d) + seed))
 					db := randomDB(rng, c.n, c.d, c.span, c.maxSide, false)
-					cfg := differentialConfig(refine)
+					cfg := differentialConfig(t, refine)
 					ix, err := Build(db.Clone(), cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -229,7 +202,7 @@ func TestInsertPathMatchesReference(t *testing.T) {
 						gone := fresh()
 						both([]Update{gone, fresh(), {Op: OpDelete, ID: gone.Object.ID}, fresh()}, "insert then delete of one ID")
 						for _, side := range []*Index{ix, ref} {
-							verifyAdjacency(t, side, "after mixed batches")
+							verifyDegrees(t, side, "after mixed batches")
 							assertMatchesBruteforce(t, side, rng, c.span, c.d, 60)
 						}
 					}
@@ -240,26 +213,28 @@ func TestInsertPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildAdjacencyMatchesRebuild: the graph construction publishes — every
-// object a changed row of an empty graph, then the refinement pass's patch —
-// is the one the from-scratch builder it replaced (referenceGraph) makes of
-// the same stored UBRs, row for row.
+// TestBuildAdjacencyMatchesRebuild: the hubs a whole-index pass selects from
+// window degrees over a built index — rows, order and re-refinement
+// threshold — are the ones the hub rule selects from the O(n²) degree count
+// over the same stored UBRs (referenceHubs).
 func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
 	for _, c := range differentialCases {
 		for _, refine := range []bool{true, false} {
 			t.Run(fmt.Sprintf("d%d/refine=%v", c.d, refine), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(c.d)))
-				ix, err := BuildParallel(randomDB(rng, c.n, c.d, c.span, c.maxSide, false), differentialConfig(refine), 2)
+				ix, err := BuildParallel(randomDB(rng, c.n, c.d, c.span, c.maxSide, false), differentialConfig(t, refine), 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := referenceGraph(ix)
+				w := ix.newWorking(ix.current.Load())
+				defer w.abort()
+				got, gotT, err := w.selectHubsAll()
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameGraph(t, ix.current.Load().adj, want, "built graph")
-				if got, hubs := ix.Adjacency().RowsRecomputed, int64(ix.Build.SE.Refine.Rows); got < int64(c.n) || got > int64(c.n)+hubs {
-					t.Fatalf("construction recomputed %d rows, want the %d objects plus at most the %d refined hubs", got, c.n, hubs)
+				want, wantT := referenceHubs(t, ix)
+				if len(got) == 0 || !slices.Equal(got, want) || math.Float64bits(gotT) != math.Float64bits(wantT) {
+					t.Fatalf("window degrees select %v (threshold %v), brute force %v (%v)", got, gotT, want, wantT)
 				}
 			})
 		}
@@ -299,7 +274,7 @@ func octreeHash(t *testing.T, ix *Index) uint64 {
 // TestBuildMatchesReference: the bulk-loaded build publishes the index the
 // insert-at-a-time build loop it replaced (reference_test.go) publishes —
 // the same octree node for node and entry for entry, the same record bytes,
-// database order, stored UBRs and adjacency rows, refinement on.
+// database order and stored UBRs, refinement on.
 func TestBuildMatchesReference(t *testing.T) {
 	for _, c := range []struct{ d, n int }{{2, 3000}, {3, 1000}} {
 		if race.Enabled {
@@ -307,7 +282,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
 			db := dataset.Synthetic(dataset.SyntheticParams{N: c.n, Dim: c.d, MaxSide: 60, Instances: 10, Seed: 3})
-			cfg := differentialConfig(true)
+			cfg := differentialConfig(t, true)
 			ix, err := BuildParallel(db.Clone(), cfg, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -355,7 +330,7 @@ func TestReplayReproducesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer log.Close()
-			cfg := differentialConfig(true)
+			cfg := differentialConfig(t, true)
 			cfg.WAL = log
 			live, err := Build(randomDB(rng, c.n, c.d, c.span, c.maxSide, true), cfg)
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/wal"
 )
@@ -214,6 +215,45 @@ func FuzzDecodeObject(f *testing.F) {
 					t.Fatalf("a dataset stream loaded with object %+v", *o)
 				}
 			}
+		}
+	})
+}
+
+// FuzzLoadImage drives arbitrary bytes through LoadFrom against a d = 2 and
+// a d = 3 database: every input must load or return an error, never panic.
+// Seeds are a d = 2 image, a d = 3 image, and the d = 2 image as an index
+// that kept an adjacency graph wrote it. (Mutate with
+// `go test -run '^$' -fuzz FuzzLoadImage ./internal/pvindex`.)
+func FuzzLoadImage(f *testing.F) {
+	var dbs []*uncertain.DB
+	for _, d := range []int{2, 3} {
+		rng := rand.New(rand.NewSource(int64(d)))
+		db := randomDB(rng, 12, d, 100, 20, false)
+		cfg := testConfig()
+		cfg.Store = pagestore.New(512)
+		ix, err := Build(db, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := ix.SaveTo(&img); err != nil {
+			f.Fatal(err)
+		}
+		seeds := [][]byte{img.Bytes()}
+		if d == 2 {
+			seeds = append(seeds, oldImage(f, ix, img.Bytes(), 0, 0))
+		}
+		for _, seed := range seeds {
+			if _, err := LoadFrom(bytes.NewReader(seed), db); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
+		dbs = append(dbs, db)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, db := range dbs {
+			LoadFrom(bytes.NewReader(data), db)
 		}
 	})
 }

@@ -68,20 +68,12 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
 			return nil, err
 		}
-		w.adjMarkChanged(uint32(o.ID))
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	// Every object is a changed row of the empty graph.
-	if err := w.updateAdjacency(); err != nil {
-		return nil, err
-	}
 	if !cfg.Refine.Disabled {
-		// The n rows just built are done: what the refinement pass marks
-		// changed is what it shrank. It reuses the same worker pool for its
-		// escalated SE runs; GOMAXPROCS is already the pool width parallelSE
-		// uses.
-		clear(w.adjChanged)
+		// The refinement pass reuses the SE worker pool for its escalated SE
+		// runs; GOMAXPROCS is already the pool width parallelSE uses.
 		st, err := ix.refineAll(w)
 		if err != nil {
 			return nil, err

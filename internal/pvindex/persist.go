@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
@@ -30,10 +29,11 @@ type indexImage struct {
 	Store     *pagestore.Image
 	Primary   *octree.Image
 	Secondary *exthash.Image
-	Adjacency *adjgraph.Image
 	// Refine and RefineThreshold restore the refinement subsystem:
 	// the config the UBRs were refined under and the hub-score cutoff the
-	// incremental write path re-refines against (0 = unset).
+	// incremental write path re-refines against (0 = unset). Images written
+	// while the index kept an adjacency graph carry it in an Adjacency field
+	// as well; gob skips it on decode.
 	Refine          RefineConfig
 	RefineThreshold float64
 }
@@ -81,7 +81,6 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Store:     storeImg,
 		Primary:   v.primary.Image(),
 		Secondary: v.secondary.Image(),
-		Adjacency: v.adj.Image(),
 		Refine:    ix.cfg.Refine,
 	}
 	if t := ix.refineThreshold(); !math.IsInf(t, 1) {
@@ -134,8 +133,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		return nil, fmt.Errorf("pvindex: image has no primary index")
 	case img.Secondary == nil:
 		return nil, fmt.Errorf("pvindex: image has no secondary index")
-	case img.Adjacency == nil:
-		return nil, fmt.Errorf("pvindex: image has no adjacency graph")
 	}
 	store, err := pagestore.FromImage(img.Store)
 	if err != nil {
@@ -180,14 +177,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		}
 	}
 
-	adj, err := adjgraph.FromImage(img.Adjacency)
-	if err != nil {
-		return nil, err
-	}
-	if adj.Len() != db.Len() {
-		return nil, fmt.Errorf("pvindex: adjacency image has %d rows, database has %d", adj.Len(), db.Len())
-	}
-
 	ix.current.Store(&version{
 		epoch:      1,
 		walSeq:     img.WALSeq,
@@ -195,7 +184,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		primary:    primary,
 		secondary:  secondary,
 		regionTree: regionTree,
-		adj:        adj,
 	})
 	return ix, nil
 }

@@ -64,10 +64,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadsImageWithMaxDiag: a checkpoint written while the adjacency image
 // still carried MaxDiag loads with the current code — gob skips the field —
-// into the same graph and the same extension answers. The old bytes are the
+// into the same state and the same extension answers. The old bytes are the
 // current image re-encoded in the old types (reference_test.go) with the
-// diameter the old graph tracked; they differ from the current ones by that
-// field and by the declaration of the since-removed record-cache size.
+// diameter the old graph tracked; they differ from the same re-encoding
+// without it by that field alone.
 func TestLoadsImageWithMaxDiag(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := randomDB(rng, 120, 2, 1000, 40, true)
@@ -86,9 +86,10 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 	for _, o := range ix.DB().Objects() {
 		maxDiag = max(maxDiag, geom.Dist(o.Region.Lo, o.Region.Hi))
 	}
-	old := bytes.NewBuffer(legacyImage(t, cur.Bytes(), maxDiag))
-	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 48 || !bytes.Contains(old.Bytes(), []byte("MaxDiag")) {
-		t.Fatalf("old image is %d bytes, current %d: want MaxDiag's few bytes more", old.Len(), cur.Len())
+	base := oldImage(t, ix, cur.Bytes(), 0, 0)
+	old := bytes.NewBuffer(oldImage(t, ix, cur.Bytes(), maxDiag, 0))
+	if grown := old.Len() - len(base); grown <= 0 || grown > 16 {
+		t.Fatalf("old image is %d bytes, without MaxDiag %d: want MaxDiag's few bytes more", old.Len(), len(base))
 	}
 	t.Logf("old image %d bytes, current %d", old.Len(), cur.Len())
 
@@ -96,7 +97,7 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameGraph(t, loaded.current.Load().adj, ix.current.Load().adj, "old image")
+	assertSameState(t, loaded, ix, "old image")
 	for iter := 0; iter < 40; iter++ {
 		q := geom.Point{rng.Float64()*1200 - 100, rng.Float64()*1200 - 100}
 		qs := []geom.Point{q, {q[0] + 200, q[1] - 100}, {rng.Float64() * 1000, rng.Float64() * 1000}}
@@ -129,6 +130,45 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 			t.Fatalf("RNN at %v: loaded %v (%v), live %v", q, b, err, a)
 		}
 	}
+}
+
+// TestLoadsImageWithAdjacencyGraph: a checkpoint written while the index
+// kept an adjacency graph and five refinement knobs loads with the current
+// code — gob skips the graph and the knobs — into the same stored UBRs and
+// threshold, and the next batch does on the loaded index what it does on the
+// live one.
+func TestLoadsImageWithAdjacencyGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	db := randomDB(rng, 120, 2, 1000, 40, true)
+	ix, err := Build(db, aggressiveRefine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.ApplyBatch([]Update{{Op: OpDelete, ID: 3}, {Op: OpInsert, Object: newObj(rng, 500, 2, 950, 30)}}); err != nil {
+		t.Fatal(err)
+	}
+	var cur bytes.Buffer
+	if err := ix.SaveTo(&cur); err != nil {
+		t.Fatal(err)
+	}
+	old := oldImage(t, ix, cur.Bytes(), 0, 0)
+	for _, field := range []string{"Adjacency", "Flat", "TopFraction", "MinDegree"} {
+		if !bytes.Contains(old, []byte(field)) {
+			t.Fatalf("old image does not declare %s", field)
+		}
+	}
+	loaded, err := LoadFrom(bytes.NewReader(old), ix.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameState(t, loaded, ix, "old image")
+	ups := []Update{{Op: OpDelete, ID: 5}, {Op: OpInsert, Object: newObj(rng, 501, 2, 950, 30)}, {Op: OpInsert, Object: newObj(rng, 502, 2, 950, 30)}}
+	for _, side := range []*Index{ix, loaded} {
+		if _, err := side.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameState(t, loaded, ix, "after a batch on both")
 }
 
 func TestLoadedIndexSupportsUpdates(t *testing.T) {
@@ -176,10 +216,10 @@ func TestLoadedIndexSupportsUpdates(t *testing.T) {
 
 // TestLoadsImageWithRecordCacheField: a checkpoint written while the index
 // still sized a decoded-record cache from its image loads with the current
-// code — gob skips the field — into the same state (stored UBRs, graph, the
-// pdfs of both copies) and the same Step-2 answers. The old bytes are the
-// current image re-encoded in the old type (reference_test.go) with a
-// non-default cache size; they differ from the current ones by that field
+// code — gob skips the field — into the same state (stored UBRs, the pdfs of
+// both copies) and the same Step-2 answers. The old bytes are the current
+// image re-encoded in the old types (reference_test.go) with a non-default
+// cache size; they differ from the same re-encoding without it by that field
 // alone.
 func TestLoadsImageWithRecordCacheField(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -195,9 +235,10 @@ func TestLoadsImageWithRecordCacheField(t *testing.T) {
 	if err := ix.SaveTo(&cur); err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.NewBuffer(cacheSizedImage(t, cur.Bytes(), 128))
-	if grown := old.Len() - cur.Len(); grown <= 0 || grown > 40 || !bytes.Contains(old.Bytes(), []byte("RecordCache")) {
-		t.Fatalf("old image is %d bytes, current %d: want the cache size's few bytes more", old.Len(), cur.Len())
+	base := oldImage(t, ix, cur.Bytes(), 0, 0)
+	old := bytes.NewBuffer(oldImage(t, ix, cur.Bytes(), 0, 128))
+	if grown := old.Len() - len(base); grown <= 0 || grown > 8 {
+		t.Fatalf("old image is %d bytes, without the cache size %d: want its few bytes more", old.Len(), len(base))
 	}
 	loaded, err := LoadFrom(old, ix.DB())
 	if err != nil {
@@ -363,7 +404,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"nil Store", func(img *indexImage) { img.Store = nil }, "no page store"},
 		{"nil Primary", func(img *indexImage) { img.Primary = nil }, "no primary index"},
 		{"nil Secondary", func(img *indexImage) { img.Secondary = nil }, "no secondary index"},
-		{"nil Adjacency", func(img *indexImage) { img.Adjacency = nil }, "no adjacency graph"},
 	} {
 		var img indexImage
 		if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {

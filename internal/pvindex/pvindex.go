@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
@@ -41,7 +40,7 @@ type Config struct {
 	// Equivalent to calling AttachWAL after construction.
 	WAL *wal.Log
 	// Refine configures the budget-aware UBR refinement subsystem
-	// (refine.go). The zero value enables it with the documented defaults.
+	// (refine.go). The zero value enables it.
 	Refine RefineConfig
 }
 
@@ -101,15 +100,6 @@ type Index struct {
 	retired   []*version
 	reclaims  int64
 
-	// Adjacency-maintenance counters: rows recomputed from the primary
-	// index, rows patched by a single neighbor link, and rows deleted, over
-	// the index's lifetime, construction included (its n rows are the first n
-	// recomputed). A full rebuild would show recomputed ≈ n per batch; the
-	// incremental path stays at O(affected).
-	adjRecomputed atomic.Int64
-	adjPatched    atomic.Int64
-	adjDeleted    atomic.Int64
-
 	// Refinement lifetime counters (refine.go): rows refined, clip walks
 	// run, domination decisions spent, and the incremental re-refinement
 	// threshold as float bits (0 = unset, read as +Inf).
@@ -156,15 +146,9 @@ type working struct {
 	secondary  *exthash.Table
 	regionTree *rtree.Tree
 
-	// adj is the next version's UBR-adjacency graph, cloned copy-on-write
-	// from the base (empty at construction). adjChanged collects the IDs whose
-	// stored UBR this batch (re)computed — exactly the rows updateAdjacency
-	// must rebuild; at construction, every object — and adjRemoved the IDs it
-	// deleted.
-	adj        *adjgraph.Graph
-	adjChanged map[uint32]struct{}
-	adjRemoved map[uint32]struct{}
-	adjTime    time.Duration // wall time the current batch spent in updateAdjacency
+	// changed collects the live IDs whose stored UBR this batch wrote: the
+	// rows its refinement pass scores.
+	changed map[uint32]struct{}
 
 	freed []pagestore.PageID
 }
@@ -185,12 +169,7 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 			return nil, fmt.Errorf("pvindex: build: %w", err)
 		}
 	}
-	w := &working{
-		ix: ix, epoch: 1, db: db,
-		adj:        adjgraph.New(),
-		adjChanged: make(map[uint32]struct{}, db.Len()),
-		adjRemoved: make(map[uint32]struct{}),
-	}
+	w := &working{ix: ix, epoch: 1, db: db}
 	var err error
 	w.secondary, err = exthash.New(ix.store)
 	if err != nil {
@@ -214,16 +193,14 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 // pointers); the trees start as O(1) copy-on-write handles.
 func (ix *Index) newWorking(base *version) *working {
 	w := &working{
-		ix:    ix,
-		epoch: base.epoch + 1,
-		db:    base.db.Clone(),
+		ix:      ix,
+		epoch:   base.epoch + 1,
+		db:      base.db.Clone(),
+		changed: make(map[uint32]struct{}),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
 	w.secondary = base.secondary.CloneCOW(&w.freed)
 	w.primary = base.primary.CloneCOW(w.lookupUBR, &w.freed)
-	w.adj = base.adj.CloneCOW()
-	w.adjChanged = make(map[uint32]struct{})
-	w.adjRemoved = make(map[uint32]struct{})
 	return w
 }
 
@@ -246,7 +223,6 @@ func (w *working) seal(walSeq uint64) *version {
 		primary:    w.primary,
 		secondary:  w.secondary,
 		regionTree: w.regionTree,
-		adj:        w.adj,
 	}
 }
 
@@ -269,208 +245,6 @@ func (ix *Index) installBootstrap(w *working, walSeq uint64) {
 // object may be mutated afterwards. It is BuildParallel with one worker.
 func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	return BuildParallel(db, cfg, 1)
-}
-
-// adjMarkChanged flags id's adjacency row for recomputation at the end of
-// the batch (its stored UBR was written by this working set).
-func (w *working) adjMarkChanged(id uint32) {
-	delete(w.adjRemoved, id)
-	w.adjChanged[id] = struct{}{}
-}
-
-// adjMarkRemoved flags id's adjacency row for deletion at the end of the
-// batch.
-func (w *working) adjMarkRemoved(id uint32) {
-	delete(w.adjChanged, id)
-	w.adjRemoved[id] = struct{}{}
-}
-
-// updateAdjacency folds the batch's UBR changes into the working graph, in
-// O(changed rows + their neighborhoods); construction, where every row is a
-// changed row of an empty graph, builds the whole graph with it. Removals
-// unlink first; then each changed row is recomputed from the working octree
-// (the range query finds every intersecting UBR because two intersecting
-// UBRs share a point, hence a leaf cell, hence entries in a common leaf), and
-// the symmetric difference against its old row is patched into neighbors this
-// batch did not itself recompute. Neighbors that are in adjChanged need no
-// patch: both endpoints of an edge derive the same intersection verdict from
-// their own recomputation.
-func (w *working) updateAdjacency() error {
-	start := time.Now()
-	defer func() { w.adjTime += time.Since(start) }()
-	var recomputed, patched, deleted int64
-	for id := range w.adjRemoved {
-		row, ok := w.adj.Get(id)
-		if !ok {
-			continue // inserted and deleted within this batch: never had a row
-		}
-		for _, n := range row.Neighbors {
-			if _, gone := w.adjRemoved[n]; gone {
-				continue
-			}
-			if _, changed := w.adjChanged[n]; changed {
-				continue
-			}
-			if w.adj.RemoveNeighbor(n, id) {
-				patched++
-			}
-		}
-		w.adj.Delete(id)
-		deleted++
-	}
-	// Every UBR this pass compares is already in memory: an unchanged
-	// object's in its adjacency row (rows store the UBR they were built
-	// from), a changed one's in changedUBR — read here, before any row is
-	// rewritten, because a changed neighbor's row is stale until its turn.
-	changedUBR := make(map[uint32]geom.Rect, len(w.adjChanged))
-	for id := range w.adjChanged {
-		ubr, ok := w.lookupUBR(id)
-		if !ok {
-			return fmt.Errorf("pvindex: changed object %d has no stored UBR during adjacency update", id)
-		}
-		changedUBR[id] = ubr
-	}
-	for id, ubr := range changedUBR {
-		ids, err := w.primary.RangeIDs(ubr)
-		if err != nil {
-			return err
-		}
-		ns := make([]uint32, 0, len(ids))
-		for nid := range ids {
-			if nid == id {
-				continue
-			}
-			if _, gone := w.adjRemoved[nid]; gone {
-				continue
-			}
-			nubr, ok := changedUBR[nid]
-			if !ok {
-				row, has := w.adj.Get(nid)
-				if !has {
-					continue
-				}
-				nubr = row.UBR
-			}
-			if nubr.Intersects(ubr) {
-				ns = append(ns, nid)
-			}
-		}
-		var oldNs []uint32
-		if oldRow, had := w.adj.Get(id); had {
-			oldNs = oldRow.Neighbors
-		}
-		w.adj.Set(id, ubr, ns)
-		recomputed++
-		newRow, _ := w.adj.Get(id)
-		newNs := newRow.Neighbors // ns, sorted by Set
-
-		// Merge-walk the sorted old and new lists; patch the reverse links
-		// of neighbors gained or lost, unless they recompute themselves.
-		i, j := 0, 0
-		for i < len(oldNs) || j < len(newNs) {
-			switch {
-			case j >= len(newNs) || (i < len(oldNs) && oldNs[i] < newNs[j]):
-				n := oldNs[i]
-				i++
-				if _, changed := w.adjChanged[n]; changed {
-					continue
-				}
-				if w.adj.RemoveNeighbor(n, id) {
-					patched++
-				}
-			case i >= len(oldNs) || newNs[j] < oldNs[i]:
-				n := newNs[j]
-				j++
-				if _, changed := w.adjChanged[n]; changed {
-					continue
-				}
-				if w.adj.AddNeighbor(n, id) {
-					patched++
-				}
-			default:
-				i++
-				j++
-			}
-		}
-	}
-	w.ix.adjRecomputed.Add(recomputed)
-	w.ix.adjPatched.Add(patched)
-	w.ix.adjDeleted.Add(deleted)
-	return nil
-}
-
-// AdjacencyStats reports the adjacency graph's size and shape as of the
-// current version plus the lifetime maintenance and refinement counters.
-type AdjacencyStats struct {
-	// Rows is the number of objects with an adjacency row (== Len()).
-	Rows int
-	// Edges is the number of directed neighbor links (twice the undirected
-	// edge count).
-	Edges int
-	// RowsRecomputed counts rows rebuilt from the primary index: every row
-	// once at construction (not at load), then those updates changed.
-	RowsRecomputed int64
-	// RowsPatched counts single-link reverse patches applied by updates.
-	RowsPatched int64
-	// RowsDeleted counts rows dropped by deletions.
-	RowsDeleted int64
-
-	// Degree distribution over the current rows — the hub shape the
-	// refinement budget targets.
-	DegreeP50 int
-	DegreeP90 int
-	DegreeMax int
-	// Stored-UBR volume distribution over the current rows.
-	UBRVolP50 float64
-	UBRVolP90 float64
-	UBRVolMax float64
-
-	// Refinement lifetime counters (refine.go).
-	RowsRefined       int64
-	ClipPasses        int64
-	RefineBudgetSpent int64
-}
-
-// Adjacency returns the adjacency graph's gauges, its degree and UBR-volume
-// distributions, and the maintenance plus refinement counters. The
-// distribution walk is O(rows) over the pinned version's immutable graph.
-func (ix *Index) Adjacency() AdjacencyStats {
-	v := ix.pin()
-	defer ix.unpin(v)
-	rc := ix.RefineCounters()
-	st := AdjacencyStats{
-		RowsRecomputed:    ix.adjRecomputed.Load(),
-		RowsPatched:       ix.adjPatched.Load(),
-		RowsDeleted:       ix.adjDeleted.Load(),
-		RowsRefined:       rc.RowsRefined,
-		ClipPasses:        rc.ClipPasses,
-		RefineBudgetSpent: rc.BudgetSpent,
-	}
-	if v.adj == nil {
-		return st
-	}
-	st.Rows = v.adj.Len()
-	st.Edges = v.adj.Edges()
-	if st.Rows == 0 {
-		return st
-	}
-	degs := make([]int, 0, st.Rows)
-	vols := make([]float64, 0, st.Rows)
-	v.adj.ForEach(func(_ uint32, row *adjgraph.Row) bool {
-		degs = append(degs, len(row.Neighbors))
-		vols = append(vols, row.UBR.Volume())
-		return true
-	})
-	sort.Ints(degs)
-	sort.Float64s(vols)
-	pct := func(n int, p float64) int { return int(p * float64(n-1)) }
-	st.DegreeP50 = degs[pct(len(degs), 0.5)]
-	st.DegreeP90 = degs[pct(len(degs), 0.9)]
-	st.DegreeMax = degs[len(degs)-1]
-	st.UBRVolP50 = vols[pct(len(vols), 0.5)]
-	st.UBRVolP90 = vols[pct(len(vols), 0.9)]
-	st.UBRVolMax = vols[len(vols)-1]
-	return st
 }
 
 // putRecord writes o's record to the working secondary index.
@@ -693,10 +467,6 @@ type UpdateStats struct {
 	Examined  int           // objects touched by the range filter
 	SETime    time.Duration // UBR recomputation time
 	IndexTime time.Duration // primary/secondary maintenance time
-	// AdjTime is the wall time of the batch's adjacency-graph maintenance
-	// (updateAdjacency, after the apply and again after refinement). Like
-	// SE.Refine it is batch-scoped and attributed to the batch's first op.
-	AdjTime   time.Duration
 	TotalTime time.Duration
 	// SE aggregates the Shrink-and-Expand cost of every UBR computed by the
 	// operation: the newcomer's (insert) plus all affected recomputations.
@@ -773,7 +543,7 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	if _, err := w.secondary.Delete(uint32(id)); err != nil {
 		return st, err
 	}
-	w.adjMarkRemoved(uint32(id))
+	delete(w.changed, uint32(id))
 	st.IndexTime += time.Since(t0)
 
 	for otherID := range ids {
@@ -818,7 +588,7 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 		if err := w.primary.InsertDiff(otherID, other.Region, updated, oldB); err != nil {
 			return st, err
 		}
-		w.adjMarkChanged(otherID)
+		w.changed[otherID] = struct{}{}
 		st.IndexTime += time.Since(t2)
 	}
 	return st, nil

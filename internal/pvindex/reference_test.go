@@ -2,13 +2,14 @@ package pvindex
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
-	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
@@ -21,8 +22,7 @@ import (
 // The write paths the one write path replaced, kept as they were so that
 // differential_test.go can hold the new code to them: the op-at-a-time
 // apply loop with its three SE modes and impact rectangles, the insert it
-// drove, the construction-time adjacency builder, and the insert-at-a-time
-// build loop the octree bulk load replaced.
+// drove, and the insert-at-a-time build loop the octree bulk load replaced.
 
 // seMode selects how an insert's UBR is obtained during batch application.
 type seMode int
@@ -76,7 +76,7 @@ func (ix *Index) referenceStage(base *version, ups []Update) []stagedSE {
 }
 
 // referenceApplyBatch is ApplyBatch as it was, minus the log: validate,
-// stage, apply through the old loop, patch the graph, refine, publish.
+// stage, apply through the old loop, refine, publish.
 func (ix *Index) referenceApplyBatch(ups []Update) error {
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
@@ -87,9 +87,6 @@ func (ix *Index) referenceApplyBatch(ups []Update) error {
 	staged := ix.referenceStage(base, ups)
 	w := ix.newWorking(base)
 	_, err := w.referenceApply(ups, staged)
-	if err == nil {
-		err = w.updateAdjacency()
-	}
 	if err == nil {
 		_, err = w.refineAfterBatch()
 	}
@@ -249,53 +246,15 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 		if err := w.putRecord(id, rec); err != nil {
 			return st, geom.Rect{}, err
 		}
-		w.adjMarkChanged(id)
+		w.changed[id] = struct{}{}
 		st.IndexTime += time.Since(t2)
 	}
 
 	t3 := time.Now()
 	err = w.addObject(o, newB)
-	w.adjMarkChanged(uint32(o.ID))
+	w.changed[uint32(o.ID)] = struct{}{}
 	st.IndexTime += time.Since(t3)
 	return st, newB, err
-}
-
-// rebuildAdjacency materializes the UBR-adjacency graph from scratch: one
-// row per object, listing every other object whose stored UBR intersects
-// its own. Used at construction only; the write path never calls it
-// (updateAdjacency patches rows incrementally). The octree range query finds every intersecting UBR
-// because two intersecting UBRs share a point, hence a leaf cell, hence
-// entries in a common leaf.
-func rebuildAdjacency(db *uncertain.DB, primary *octree.Tree, lookup func(uint32) (geom.Rect, bool)) (*adjgraph.Graph, error) {
-	objs := db.Objects()
-	ubrs := make(map[uint32]geom.Rect, len(objs))
-	for _, o := range objs {
-		ubr, ok := lookup(uint32(o.ID))
-		if !ok {
-			return nil, fmt.Errorf("pvindex: object %d has no stored UBR during adjacency rebuild", o.ID)
-		}
-		ubrs[uint32(o.ID)] = ubr
-	}
-	g := adjgraph.New()
-	for _, o := range objs {
-		id := uint32(o.ID)
-		ubr := ubrs[id]
-		ids, err := primary.RangeIDs(ubr)
-		if err != nil {
-			return nil, err
-		}
-		ns := make([]uint32, 0, len(ids))
-		for nid := range ids {
-			if nid == id {
-				continue
-			}
-			if nubr, ok := ubrs[nid]; ok && nubr.Intersects(ubr) {
-				ns = append(ns, nid)
-			}
-		}
-		g.Set(id, ubr, ns)
-	}
-	return g, nil
 }
 
 // referenceBuildParallel is BuildParallel as it was before the primary index
@@ -342,20 +301,10 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		if err := w.addObject(o, ubrs[i]); err != nil {
 			return nil, err
 		}
-		w.adjMarkChanged(uint32(o.ID))
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	// Every object is a changed row of the empty graph.
-	if err := w.updateAdjacency(); err != nil {
-		return nil, err
-	}
 	if !cfg.Refine.Disabled {
-		// The n rows just built are done: what the refinement pass marks
-		// changed is what it shrank. It reuses the same worker pool for its
-		// escalated SE runs; GOMAXPROCS is already the pool width parallelSE
-		// uses.
-		clear(w.adjChanged)
 		st, err := ix.refineAll(w)
 		if err != nil {
 			return nil, err
@@ -367,20 +316,44 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	return ix, nil
 }
 
-// referenceGraph is the graph rebuildAdjacency makes of the current version's
-// stored UBRs.
-func referenceGraph(ix *Index) (*adjgraph.Graph, error) {
+// referenceHubs is the selection of a whole-index refinement pass made from
+// the O(n²) degree count: the hubRule.topFraction fattest rows by UBR volume
+// × degree among those of degree ≥ hubRule.minDegree with a positive score,
+// and the weakest selected score (+Inf when none qualifies).
+func referenceHubs(t *testing.T, ix *Index) ([]uint32, float64) {
+	t.Helper()
 	v := ix.current.Load()
-	return rebuildAdjacency(v.db, v.primary, func(id uint32) (geom.Rect, bool) { return ix.UBR(uncertain.ID(id)) })
+	var rows []scoredRow
+	for id, deg := range bruteDegrees(t, v) {
+		ubr, _ := v.ubr(uncertain.ID(id))
+		if s := ubr.Volume() * float64(deg); deg >= hubRule.minDegree && s > 0 {
+			rows = append(rows, scoredRow{id, s})
+		}
+	}
+	slices.SortFunc(rows, func(a, b scoredRow) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	n := min(int(math.Ceil(hubRule.topFraction*float64(v.db.Len()))), len(rows))
+	if n == 0 {
+		return nil, math.Inf(1)
+	}
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = rows[i].id
+	}
+	return ids, rows[n-1].score
 }
 
-// legacyImage re-encodes a PVIDX4 image in the types it had before the
-// adjacency graph stopped tracking its maximum object diameter (MaxDiag, the
-// slack term of the retired group-NN graph expansion), with maxDiag in that
-// field. The types are kept verbatim under their old names — gob writes a
-// struct's name into the stream — so the bytes differ from cur by the field
-// alone.
-func legacyImage(t *testing.T, cur []byte, maxDiag float64) []byte {
+// oldImage re-encodes the PVIDX4 image cur of ix in the types it had while
+// the index kept an adjacency graph, a record-cache size and five refinement
+// knobs — kept verbatim under their old names, since gob writes a struct's
+// name into the stream — with the graph ix's stored UBRs induce and the knobs
+// at their old defaults. maxDiag and cacheSize fill the graph's retired
+// diameter field and the retired cache size; gob leaves either out when 0.
+func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize int) []byte {
 	t.Helper()
 	type Image struct {
 		Dim     int
@@ -389,6 +362,14 @@ func legacyImage(t *testing.T, cur []byte, maxDiag float64) []byte {
 		UBRs    []float64
 		Lens    []uint32
 		Flat    []uint32
+	}
+	type RefineConfig struct {
+		Disabled    bool
+		TopFraction float64
+		MaxRows     int
+		DepthBoost  int
+		CSetFactor  int
+		MinDegree   int
 	}
 	type indexImage struct {
 		Magic           string
@@ -412,43 +393,30 @@ func legacyImage(t *testing.T, cur []byte, maxDiag float64) []byte {
 	if err := gob.NewDecoder(bytes.NewReader(cur)).Decode(&img); err != nil {
 		t.Fatal(err)
 	}
-	img.Adjacency.MaxDiag = maxDiag
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-	return old.Bytes()
-}
+	img.RecordCacheSize = cacheSize
+	img.Refine = RefineConfig{Disabled: img.Refine.Disabled, TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
 
-// cacheSizedImage re-encodes a PVIDX4 image in the type it had while the
-// index sized a decoded-record cache from it, with size in that field. The
-// type is kept verbatim under its old name, so the bytes differ from cur by
-// the field alone.
-func cacheSizedImage(t *testing.T, cur []byte, size int) []byte {
-	t.Helper()
-	type indexImage struct {
-		Magic           string
-		SE              core.Options
-		MemBudget       int
-		Fanout          int
-		Objects         int
-		RecordCacheSize int
-		WALSeq          uint64
-		Store           *pagestore.Image
-		Primary         *octree.Image
-		Secondary       *exthash.Image
-		Adjacency       *adjgraph.Image
-		// Refine and RefineThreshold restore the refinement subsystem:
-		// the config the UBRs were refined under and the hub-score cutoff the
-		// incremental write path re-refines against (0 = unset).
-		Refine          RefineConfig
-		RefineThreshold float64
+	v := ix.current.Load()
+	objs := slices.Clone(v.db.Objects())
+	slices.SortFunc(objs, func(a, b *uncertain.Object) int { return cmp.Compare(a.ID, b.ID) })
+	ubrs := make([]geom.Rect, len(objs))
+	g := &Image{Dim: v.db.Dim(), MaxDiag: maxDiag}
+	for i, o := range objs {
+		ubrs[i], _ = v.ubr(o.ID)
+		g.IDs = append(g.IDs, uint32(o.ID))
+		g.UBRs = append(append(g.UBRs, ubrs[i].Lo...), ubrs[i].Hi...)
 	}
-	var img indexImage
-	if err := gob.NewDecoder(bytes.NewReader(cur)).Decode(&img); err != nil {
-		t.Fatal(err)
+	for i := range objs {
+		n := 0
+		for j := range objs {
+			if j != i && ubrs[j].Intersects(ubrs[i]) {
+				g.Flat = append(g.Flat, uint32(objs[j].ID))
+				n++
+			}
+		}
+		g.Lens = append(g.Lens, uint32(n))
 	}
-	img.RecordCacheSize = size
+	img.Adjacency = g
 	var old bytes.Buffer
 	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
 		t.Fatal(err)

@@ -2,84 +2,94 @@ package pvindex
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"time"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/octree"
 	"pvoronoi/internal/uncertain"
 )
 
 // RefineConfig controls the budget-aware UBR refinement subsystem: after the
-// base SE pass, rows are ranked by hub score (UBR volume × adjacency degree)
-// and a bounded extra-work budget is spent on the fattest ones — a deeper SE
-// bisection with an enlarged C-set plus a leaf-level clip of the UBR against
-// the octree cells that can still contain the PV-cell. Refined UBRs remain
-// supersets of the true cell, so every query stays exact; the payoff is
-// tighter UBRs alone — fewer Step-1 candidates over-fetched by a PNNQ near a
-// hub and fewer adjacency edges for the write path to patch. No extension
+// base SE pass, rows are ranked by hub score (UBR volume × degree, the number
+// of other objects whose stored UBR intersects the row's) and a bounded
+// extra-work budget is spent on the fattest ones — a deeper SE bisection with
+// an enlarged C-set plus a leaf-level clip of the UBR against the octree
+// cells that can still contain the PV-cell. Refined UBRs remain supersets of
+// the true cell, so every query stays exact; the payoff is tighter UBRs alone
+// — fewer Step-1 candidates over-fetched by a PNNQ near a hub. No extension
 // query depends on it: they all retrieve over uncertainty regions.
 //
-// Zero values select the defaults noted per field; set a field negative to
-// force the knob off (e.g. MinDegree: -1 admits every row).
+// The zero value enables it. Images written while the config carried its
+// budget knobs (now the constants below) still load: gob skips the fields.
 type RefineConfig struct {
 	// Disabled turns the subsystem off entirely (construction, batches,
 	// load). An explicit Index.Refine call still runs a pass.
 	Disabled bool
-	// TopFraction is the fraction of rows the construction pass refines,
-	// fattest-first (default 0.02).
-	TopFraction float64
-	// MaxRows caps the rows refined by any single pass (default 0: no cap).
-	MaxRows int
-	// DepthBoost deepens the refinement domination tester beyond the base
-	// SE MaxDepth (default 4).
-	DepthBoost int
-	// CSetFactor multiplies the base C-set quotas (K, KPartition, KGlobal)
-	// for the refinement pass (default 4).
-	CSetFactor int
-	// MinDegree exempts rows with fewer neighbors — they are not hubs, and
-	// spending budget on them would be uniform work, not targeted
-	// (default 16).
-	MinDegree int
 }
 
-// withDefaults resolves the zero-value knobs to their documented defaults.
-func (c RefineConfig) withDefaults() RefineConfig {
-	if c.TopFraction == 0 {
-		c.TopFraction = 0.02
-	}
-	if c.TopFraction > 1 {
-		c.TopFraction = 1
-	}
-	if c.MaxRows < 0 {
-		c.MaxRows = 0
-	}
-	if c.DepthBoost == 0 {
-		c.DepthBoost = 4
-	}
-	if c.CSetFactor == 0 {
-		c.CSetFactor = 4
-	}
-	if c.MinDegree == 0 {
-		c.MinDegree = 16
-	}
-	if c.MinDegree < 0 {
-		c.MinDegree = 0
-	}
-	return c
+// hubRule selects the rows a whole-index pass refines: the topFraction
+// fattest by hub score among rows of degree ≥ minDegree (lower-degree rows
+// are not hubs, and spending budget on them would be uniform work, not
+// targeted). It is a variable only so that in-package tests can widen the
+// selection.
+var hubRule = struct {
+	topFraction float64
+	minDegree   int
+}{topFraction: 0.02, minDegree: 16}
+
+// refineOptions escalates the base SE pass for refinement: four more levels
+// of domination recursion and four times the C-set quotas.
+var refineOptions = core.RefineOptions{DepthBoost: 4, CSetFactor: 4}
+
+// ubrNeighbours counts hub degrees over one version's octree and stored UBRs.
+// Every object whose UBR intersects UBR(o) has an entry in a leaf UBR(o)
+// reaches — two intersecting UBRs share a point, hence a leaf cell — so one
+// octree window over UBR(o) holds all of o's neighbours. A pass scores many
+// overlapping windows, so it reads each UBR once and keeps it in ubrs.
+type ubrNeighbours struct {
+	primary *octree.Tree
+	lookup  func(uint32) (geom.Rect, bool)
+	ubrs    map[uint32]geom.Rect
 }
 
-// refineOptions maps the config onto the core escalation knobs.
-func (c RefineConfig) refineOptions() core.RefineOptions {
-	return core.RefineOptions{DepthBoost: c.DepthBoost, CSetFactor: c.CSetFactor}
+func newUBRNeighbours(primary *octree.Tree, lookup func(uint32) (geom.Rect, bool)) *ubrNeighbours {
+	return &ubrNeighbours{primary: primary, lookup: lookup, ubrs: make(map[uint32]geom.Rect)}
 }
 
-// hubScore ranks a row's looseness: a large UBR is a Step-1 candidate over a
-// large part of the domain, and a high degree is the adjacency work every
-// update near it pays. The product is what the budget should buy down.
-func hubScore(row *adjgraph.Row) float64 {
-	return row.UBR.Volume() * float64(len(row.Neighbors))
+// ubr returns id's stored UBR, read at most once per pass.
+func (nb *ubrNeighbours) ubr(id uint32) (geom.Rect, bool) {
+	if r, ok := nb.ubrs[id]; ok {
+		return r, true
+	}
+	r, ok := nb.lookup(id)
+	if ok {
+		nb.ubrs[id] = r
+	}
+	return r, ok
+}
+
+// window returns the other IDs in the octree window over id's stored UBR:
+// a superset of id's neighbours, so its size bounds id's degree.
+func (nb *ubrNeighbours) window(id uint32, ubr geom.Rect) (map[uint32]bool, error) {
+	ids, err := nb.primary.RangeIDs(ubr)
+	delete(ids, id)
+	return ids, err
+}
+
+// degree counts the IDs of window whose stored UBR intersects ubr.
+func (nb *ubrNeighbours) degree(ubr geom.Rect, window map[uint32]bool) int {
+	deg := 0
+	for nid := range window {
+		if nubr, ok := nb.ubr(nid); ok && nubr.Intersects(ubr) {
+			deg++
+		}
+	}
+	return deg
 }
 
 // refineThreshold returns the incremental re-refinement cutoff: the minimum
@@ -134,24 +144,31 @@ type scoredRow struct {
 	score float64
 }
 
-// selectHubsAll scores every adjacency row and returns the construction
-// budget's targets — the TopFraction fattest rows (degree ≥ MinDegree,
-// positive score), capped by MaxRows — plus the threshold score the
-// incremental path will re-refine against (the weakest selected hub; +Inf
-// when nothing qualifies).
-func (w *working) selectHubsAll(rc RefineConfig) ([]uint32, float64) {
+// hubScores scores the listed rows of w — hub score UBR volume × degree —
+// and returns those of degree ≥ hubRule.minDegree whose score is positive and
+// reaches floor, fattest first (ties by ID). A row whose window alone rules
+// it out is dropped before any neighbour's UBR is read.
+func (w *working) hubScores(ids []uint32, floor float64) ([]scoredRow, error) {
+	nb := newUBRNeighbours(w.primary, w.lookupUBR)
+	keep := func(s float64) bool { return s > 0 && s >= floor }
 	var rows []scoredRow
-	w.adj.ForEach(func(id uint32, row *adjgraph.Row) bool {
-		if len(row.Neighbors) < rc.MinDegree {
-			return true
+	for _, id := range ids {
+		ubr, ok := nb.ubr(id)
+		if !ok {
+			continue
 		}
-		if s := hubScore(row); s > 0 {
+		win, err := nb.window(id, ubr)
+		if err != nil {
+			return nil, err
+		}
+		vol := ubr.Volume()
+		if len(win) < hubRule.minDegree || !keep(vol*float64(len(win))) {
+			continue
+		}
+		deg := nb.degree(ubr, win)
+		if s := vol * float64(deg); deg >= hubRule.minDegree && keep(s) {
 			rows = append(rows, scoredRow{id, s})
 		}
-		return true
-	})
-	if len(rows) == 0 {
-		return nil, math.Inf(1)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].score != rows[j].score {
@@ -159,59 +176,44 @@ func (w *working) selectHubsAll(rc RefineConfig) ([]uint32, float64) {
 		}
 		return rows[i].id < rows[j].id
 	})
-	budget := int(math.Ceil(rc.TopFraction * float64(w.adj.Len())))
-	if budget < 1 {
-		budget = 1
+	return rows, nil
+}
+
+// selectHubsAll scores every row and returns the construction budget's
+// targets — the hubRule.topFraction fattest qualifying rows — plus the
+// threshold score the incremental path will re-refine against (the weakest
+// selected hub; +Inf when nothing qualifies).
+func (w *working) selectHubsAll() ([]uint32, float64, error) {
+	objs := w.db.Objects()
+	ids := make([]uint32, len(objs))
+	for i, o := range objs {
+		ids[i] = uint32(o.ID)
 	}
-	if rc.MaxRows > 0 && budget > rc.MaxRows {
-		budget = rc.MaxRows
+	rows, err := w.hubScores(ids, 0)
+	if err != nil || len(rows) == 0 {
+		return nil, math.Inf(1), err
 	}
-	if budget > len(rows) {
-		budget = len(rows)
-	}
-	ids := make([]uint32, budget)
-	for i := 0; i < budget; i++ {
+	budget := min(int(math.Ceil(hubRule.topFraction*float64(len(objs)))), len(rows))
+	for i := range budget {
 		ids[i] = rows[i].id
 	}
-	return ids, rows[budget-1].score
+	return ids[:budget], rows[budget-1].score, nil
 }
 
 // selectHubsAmong scores only the given rows (a batch's recomputed set) and
-// returns those whose hub score reaches the construction threshold —
-// the incremental re-refinement rule: spend extra budget exactly on rows
-// that just crossed back into hub territory, fattest first, capped by
-// MaxRows.
-func (w *working) selectHubsAmong(ids map[uint32]struct{}, rc RefineConfig, threshold float64) []uint32 {
+// returns those whose hub score reaches the construction threshold, fattest
+// first — the incremental re-refinement rule: spend extra budget exactly on
+// rows that just crossed back into hub territory.
+func (w *working) selectHubsAmong(ids map[uint32]struct{}, threshold float64) ([]uint32, error) {
 	if math.IsInf(threshold, 1) {
-		return nil
+		return nil, nil
 	}
-	var rows []scoredRow
-	for id := range ids {
-		row, ok := w.adj.Get(id)
-		if !ok || len(row.Neighbors) < rc.MinDegree {
-			continue
-		}
-		if s := hubScore(row); s >= threshold && s > 0 {
-			rows = append(rows, scoredRow{id, s})
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].score != rows[j].score {
-			return rows[i].score > rows[j].score
-		}
-		return rows[i].id < rows[j].id
-	})
-	if rc.MaxRows > 0 && len(rows) > rc.MaxRows {
-		rows = rows[:rc.MaxRows]
-	}
+	rows, err := w.hubScores(slices.Collect(maps.Keys(ids)), threshold)
 	out := make([]uint32, len(rows))
 	for i, r := range rows {
 		out[i] = r.id
 	}
-	return out
+	return out, err
 }
 
 // refineJob is one row's refinement: computed in parallel, applied serially.
@@ -225,13 +227,12 @@ type refineJob struct {
 
 // refinePass recomputes the listed rows' UBRs with the escalated SE pass and
 // the octree clip walk, then applies every strict shrink to the primary and
-// secondary indexes and marks the rows for adjacency recomputation. The
-// compute phase fans out over the SE worker pool (read-only over the
-// database, region tree and octree skeleton); the apply phase is serial,
-// like every other index mutation. Exactness: both shrink mechanisms remove
+// secondary indexes. The compute phase fans out over the SE worker pool
+// (read-only over the database, region tree and octree skeleton); the apply
+// phase is serial, like every other index mutation. Exactness: both shrink mechanisms remove
 // only regions a conservative domination tester proves disjoint from the
 // PV-cell, so the stored UBR remains a superset of V(o) throughout.
-func (w *working) refinePass(ids []uint32, rc RefineConfig) (core.RefineStats, error) {
+func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 	ix := w.ix
 	jobs := make([]refineJob, 0, len(ids))
 	for _, id := range ids {
@@ -245,10 +246,9 @@ func (w *working) refinePass(ids []uint32, rc RefineConfig) (core.RefineStats, e
 		}
 		jobs = append(jobs, refineJob{id: id, obj: obj, oldB: oldB})
 	}
-	refOpts := rc.refineOptions()
 	ix.parallelSE(len(jobs), func(i int) {
 		j := &jobs[i]
-		rf := core.NewRefiner(w.db, w.regionTree, j.obj, ix.cfg.SE, refOpts)
+		rf := core.NewRefiner(w.db, w.regionTree, j.obj, ix.cfg.SE, refineOptions)
 		j.newB, j.st = rf.Refine(j.oldB)
 		seTests := rf.Tests()
 		clipped, cells := w.primary.ClipUBR(j.newB, rf.Prunable)
@@ -277,64 +277,59 @@ func (w *working) refinePass(ids []uint32, rc RefineConfig) (core.RefineStats, e
 		if err := w.putRecord(j.id, rec); err != nil {
 			return st, err
 		}
-		w.adjMarkChanged(j.id)
 	}
 	return st, nil
 }
 
-// refineAll runs one whole-graph refinement pass on w, a working set whose
-// adjacency graph is current: select the top-fraction hubs across every row,
-// fix the incremental re-refinement threshold at the weakest of them, refine
-// them, and fold the shrunken UBRs back into the graph through the same
-// incremental machinery batches use. Construction runs it on the bootstrap
-// working set, Refine on a fresh one over the published version.
+// refineAll runs one whole-index refinement pass on w: select the
+// top-fraction hubs across every row, fix the incremental re-refinement
+// threshold at the weakest of them, and refine them. Construction runs it on
+// the bootstrap working set, Refine on a fresh one over the published
+// version.
 func (ix *Index) refineAll(w *working) (core.RefineStats, error) {
-	rc := ix.cfg.Refine.withDefaults()
-	ids, threshold := w.selectHubsAll(rc)
-	ix.setRefineThreshold(threshold)
-	if len(ids) == 0 {
-		return core.RefineStats{}, nil
-	}
-	st, err := w.refinePass(ids, rc)
-	if err == nil {
-		err = w.updateAdjacency()
-	}
+	start := time.Now()
+	ids, threshold, err := w.selectHubsAll()
 	if err != nil {
-		return st, err
+		return core.RefineStats{}, err
 	}
-	ix.noteRefine(st)
-	return st, nil
+	ix.setRefineThreshold(threshold)
+	return w.refine(ids, time.Since(start))
 }
 
-// refineAfterBatch is the incremental write-path hook: after a batch's
-// adjacency update, re-score exactly the rows the batch recomputed and
-// re-refine those whose hub score crossed the construction threshold. The
-// refinement's own UBR shrinks then flow through a second, equally
-// incremental adjacency update. Returns the pass's stats so the batch can
+// refineAfterBatch is the incremental write-path hook: re-score exactly the
+// rows the batch recomputed and re-refine those whose hub score crossed the
+// construction threshold. Returns the pass's stats so the batch can
 // attribute the extra budget.
 func (w *working) refineAfterBatch() (core.RefineStats, error) {
-	ix := w.ix
-	if ix.cfg.Refine.Disabled || len(w.adjChanged) == 0 {
+	if w.ix.cfg.Refine.Disabled || len(w.changed) == 0 {
 		return core.RefineStats{}, nil
 	}
-	rc := ix.cfg.Refine.withDefaults()
-	ids := w.selectHubsAmong(w.adjChanged, rc, ix.refineThreshold())
-	if len(ids) == 0 {
-		return core.RefineStats{}, nil
-	}
-	clear(w.adjChanged)
-	clear(w.adjRemoved)
-	st, err := w.refinePass(ids, rc)
+	start := time.Now()
+	ids, err := w.selectHubsAmong(w.changed, w.ix.refineThreshold())
 	if err != nil {
-		return st, err
+		return core.RefineStats{}, err
 	}
-	ix.noteRefine(st)
-	return st, w.updateAdjacency()
+	return w.refine(ids, time.Since(start))
+}
+
+// refine runs refinePass over the selected rows, if any, and folds its work
+// into the lifetime counters; the pass's time includes scoring, the time the
+// selection took.
+func (w *working) refine(ids []uint32, scoring time.Duration) (core.RefineStats, error) {
+	st := core.RefineStats{Time: scoring}
+	if len(ids) == 0 {
+		return st, nil
+	}
+	pass, err := w.refinePass(ids)
+	st.Add(pass)
+	if err == nil {
+		w.ix.noteRefine(st)
+	}
+	return st, err
 }
 
 // Refine runs one budget-aware refinement pass over the current version as
-// its own write batch: hubs are selected fresh across the whole adjacency
-// graph (resetting the incremental threshold), refined on the SE worker
+// its own write batch: hubs are selected fresh across every row (resetting the incremental threshold), refined on the SE worker
 // pool, and published as a new MVCC version. Queries never block, and the
 // pass runs even when Config.Refine.Disabled — an explicit call is the
 // opt-in (this is how benchmarks measure the same index before and after
@@ -356,4 +351,44 @@ func (ix *Index) Refine() (core.RefineStats, error) {
 	}
 	ix.publishWorking(w, base.walSeq)
 	return st, nil
+}
+
+// AdjacencyStats is the degree distribution refinement ranks hubs by, over
+// the current version's rows, computed on demand: one octree window per row.
+type AdjacencyStats struct {
+	// Rows is the number of objects.
+	Rows int
+	// RowsRecomputed and RowsPatched are always 0: no graph is maintained.
+	// They are kept only because benchmark/layers.go still reads them
+	// (ROADMAP item 2).
+	RowsRecomputed int64
+	RowsPatched    int64
+	// DegreeP50 and DegreeMax summarize the UBR-intersection degrees.
+	DegreeP50 int
+	DegreeMax int
+}
+
+// Adjacency computes the current version's degree distribution. It costs
+// one octree window per object, so it is a diagnostic, not a gauge to poll.
+// A row whose UBR or window cannot be read is left out.
+func (ix *Index) Adjacency() AdjacencyStats {
+	v := ix.pin()
+	defer ix.unpin(v)
+	nb := newUBRNeighbours(v.primary, func(id uint32) (geom.Rect, bool) { return v.ubr(uncertain.ID(id)) })
+	degs := make([]int, 0, v.db.Len())
+	for _, o := range v.db.Objects() {
+		ubr, ok := nb.ubr(uint32(o.ID))
+		if !ok {
+			continue
+		}
+		if win, err := nb.window(uint32(o.ID), ubr); err == nil {
+			degs = append(degs, nb.degree(ubr, win))
+		}
+	}
+	st := AdjacencyStats{Rows: len(degs)}
+	if len(degs) > 0 {
+		slices.Sort(degs)
+		st.DegreeP50, st.DegreeMax = degs[(len(degs)-1)/2], degs[len(degs)-1]
+	}
+	return st
 }

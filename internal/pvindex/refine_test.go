@@ -12,14 +12,21 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// aggressiveRefine returns a config whose refinement pass targets every row
-// (no degree floor, full top fraction) — the setting the oracle tests use to
-// maximize the chance of surfacing an unsound shrink.
-func aggressiveRefine() Config {
-	cfg := testConfig()
-	cfg.Refine.TopFraction = 1
-	cfg.Refine.MinDegree = -1
-	return cfg
+// hubRuleForTest widens (or narrows) refinement's hub selection for the rest
+// of the test.
+func hubRuleForTest(t *testing.T, topFraction float64, minDegree int) {
+	old := hubRule
+	hubRule.topFraction, hubRule.minDegree = topFraction, minDegree
+	t.Cleanup(func() { hubRule = old })
+}
+
+// aggressiveRefine aims the refinement pass at every row (no degree floor,
+// full top fraction) for the rest of the test — the setting the oracle tests
+// use to maximize the chance of surfacing an unsound shrink — and returns
+// the test config.
+func aggressiveRefine(t *testing.T) Config {
+	hubRuleForTest(t, 1, 0)
+	return testConfig()
 }
 
 // checkUBRSoundness asserts the PV-cell containment oracle over a sample
@@ -53,7 +60,7 @@ func TestRefineSoundnessOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const span = 1000.0
 	db := randomDB(rng, 90, 2, span, 40, false)
-	ix, err := Build(db, aggressiveRefine())
+	ix, err := Build(db, aggressiveRefine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +145,8 @@ func TestRefineSoundnessOracle(t *testing.T) {
 func TestRefineSelectionAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	db := randomDB(rng, 100, 2, 1000, 40, false)
-	cfg := testConfig()
-	cfg.Refine.TopFraction = 0.1
-	cfg.Refine.MinDegree = -1
-	ix, err := Build(db, cfg)
+	hubRuleForTest(t, 0.1, 0)
+	ix, err := Build(db, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +216,7 @@ func TestRefineSelectionAndCounters(t *testing.T) {
 func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	db := randomDB(rng, 80, 2, 1000, 40, false)
-	ix, err := Build(db, aggressiveRefine())
+	ix, err := Build(db, aggressiveRefine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 func TestRefinePersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	db := randomDB(rng, 80, 2, 1000, 40, false)
-	ix, err := Build(db, aggressiveRefine())
+	ix, err := Build(db, aggressiveRefine(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"pvoronoi/internal/adjgraph"
 	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
@@ -35,10 +34,6 @@ type version struct {
 	primary    *octree.Tree
 	secondary  *exthash.Table
 	regionTree *rtree.Tree
-	// adj is the materialized UBR-adjacency graph (one row per object, the
-	// IDs of every object with an intersecting UBR), maintained incrementally
-	// by the writer and shared copy-on-write across versions like the trees.
-	adj *adjgraph.Graph
 
 	// readers counts pinned readers. A version with readers > 0 is never
 	// reclaimed; transient increments from the pin retry loop are harmless

@@ -109,11 +109,11 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 }
 
 // TestBatchStageTimes: the named stages of a batch — SE, index maintenance,
-// adjacency patch, refinement — account for the batch. On one processor
-// (so worker time is wall time) they never sum to more than ApplyBatch's
-// wall clock, staging included, and in the best of four batches (one GC
-// cycle outside the timers must not fail the test) to at least 80 % of it;
-// before the adjacency patch had a timer they covered 55 %.
+// refinement (hub scoring included) — account for the batch. On one
+// processor (so worker time is wall time) they never sum to more than
+// ApplyBatch's wall clock, staging included, and in the best of four batches
+// (one GC cycle outside the timers must not fail the test) to at least 80 %
+// of it.
 func TestBatchStageTimes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1}
@@ -137,20 +137,19 @@ func TestBatchStageTimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var se, index, adj, refine time.Duration
+		var se, index, refine time.Duration
 		for i, st := range sts {
 			se += st.SETime
 			index += st.IndexTime
-			adj += st.AdjTime
 			refine += st.SE.Refine.Time
-			if i > 0 && st.AdjTime != 0 {
-				t.Fatalf("batch %d op %d carries adjacency time %v; it belongs to the batch's first op", b, i, st.AdjTime)
+			if i > 0 && st.SE.Refine.Time != 0 {
+				t.Fatalf("batch %d op %d carries refinement time %v; it belongs to the batch's first op", b, i, st.SE.Refine.Time)
 			}
 		}
-		named := se + index + adj + refine
-		t.Logf("wall %v = SE %v + index %v + adjacency %v + refinement %v + unnamed %v", wall, se, index, adj, refine, wall-named)
-		if adj <= 0 {
-			t.Fatalf("batch %d reports no adjacency time", b)
+		named := se + index + refine
+		t.Logf("wall %v = SE %v + index %v + refinement %v + unnamed %v", wall, se, index, refine, wall-named)
+		if refine <= 0 {
+			t.Fatalf("batch %d reports no refinement time", b)
 		}
 		if named > wall {
 			t.Fatalf("batch %d: named stages %v exceed the batch's wall time %v", b, named, wall)
@@ -162,22 +161,22 @@ func TestBatchStageTimes(t *testing.T) {
 	}
 }
 
-// TestAdjacencyThroughSeededMix runs the adjacency oracle after every one of
-// 40 seeded batches of every kind the write path has — inserts, deletes, a
+// TestAdjacencyThroughSeededMix runs the degree oracle after every one of 40
+// seeded batches of every kind the write path has — inserts, deletes, a
 // same-ID replace, deletes then inserts in one batch, an explicit Refine —
-// with refinement aimed at every row so most batches patch the graph twice.
+// with refinement aimed at every row so most batches also re-refine.
 func TestAdjacencyThroughSeededMix(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several SE workers on any machine
 	for _, d := range []int{2, 3} {
 		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(40 + d)))
 			const span, maxSide = 500.0, 40.0
-			cfg := aggressiveRefine()
-			ix, err := Build(randomDB(rng, 80, d, span, maxSide, false), cfg)
+			ix, err := Build(randomDB(rng, 80, d, span, maxSide, false), aggressiveRefine(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			verifyAdjacency(t, ix, "after build")
+			verifyDegrees(t, ix, "after build")
+			explicit := int64(ix.Build.SE.Refine.Rows)
 			nextID := uncertain.ID(5000)
 			fresh := func() Update {
 				nextID++
@@ -215,19 +214,21 @@ func TestAdjacencyThroughSeededMix(t *testing.T) {
 					ups = []Update{victim(nil), fresh()}
 					ups = append(ups, victim(ups), fresh(), fresh())
 				case 4:
-					if _, err := ix.Refine(); err != nil {
+					st, err := ix.Refine()
+					if err != nil {
 						t.Fatal(err)
 					}
+					explicit += int64(st.Rows)
 				}
 				if len(ups) > 0 {
 					if _, err := ix.ApplyBatch(ups); err != nil {
 						t.Fatalf("batch %d (kind %d): %v", b, kind, err)
 					}
 				}
-				verifyAdjacency(t, ix, fmt.Sprintf("after batch %d (kind %d)", b, kind))
+				verifyDegrees(t, ix, fmt.Sprintf("after batch %d (kind %d)", b, kind))
 			}
-			if ix.Adjacency().RowsPatched == 0 {
-				t.Fatal("40 batches patched no neighbor row; the mix no longer exercises the patch path")
+			if ix.RefineCounters().RowsRefined == explicit {
+				t.Fatal("40 batches re-refined no row; the mix no longer exercises the incremental pass")
 			}
 		})
 	}

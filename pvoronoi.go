@@ -120,16 +120,18 @@ type Options struct {
 	// disk-full, and bit rot deterministically.
 	FS vfs.FS
 	// Refine configures the budget-aware UBR refinement subsystem, which
-	// spends a bounded extra SE budget shrinking the fattest adjacency hubs
-	// after construction and incrementally after batches. The zero value
-	// enables it with the documented defaults; set Refine.Disabled to opt
-	// out. Refinement never changes a query result — only the tightness of
-	// stored UBRs and therefore how many candidates PNNQ Step 1 fetches.
+	// spends a bounded extra SE budget shrinking the fattest hubs (UBR
+	// volume × the number of intersecting UBRs) after construction and
+	// incrementally after batches. The zero value enables it; set
+	// Refine.Disabled to opt out. Refinement never changes a query result —
+	// only the tightness of stored UBRs and therefore how many candidates
+	// PNNQ Step 1 fetches.
 	Refine RefineOptions
 }
 
-// RefineOptions configures the UBR refinement budget (see
-// pvindex.RefineConfig for the per-field defaults).
+// RefineOptions switches UBR refinement off (Disabled); its budget — the
+// fattest 2 % of rows of degree ≥ 16, four more recursion levels and four
+// times the C-set — is fixed (see pvindex.RefineConfig).
 type RefineOptions = pvindex.RefineConfig
 
 // DefaultOptions returns the paper's default parameters.
@@ -367,7 +369,7 @@ type RefineCounters = pvindex.RefineCounters
 func (ix *Index) RefineCounters() RefineCounters { return ix.inner.RefineCounters() }
 
 // Refine runs one explicit budget-aware UBR refinement pass (hub selection
-// across the whole adjacency graph) and publishes the result as a new
+// across every row) and publishes the result as a new
 // version. It runs even when Options.Refine.Disabled — the call is the
 // opt-in. Query results are unchanged; only retrieval cost improves.
 func (ix *Index) Refine() error {
