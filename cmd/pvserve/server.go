@@ -693,6 +693,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// Refinement lifetime counters.
 		"refine": map[string]int64{
 			"rows_refined":        rc.RowsRefined,
+			"rows_unchanged":      rc.RowsUnchanged,
 			"clip_passes":         rc.ClipPasses,
 			"refine_budget_spent": rc.BudgetSpent,
 		},

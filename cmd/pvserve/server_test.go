@@ -1032,8 +1032,9 @@ func TestServeRequestTimeout(t *testing.T) {
 
 // TestStatsAdjacencyRefinement checks the /v1/stats refine block: the
 // refinement subsystem's lifetime counters, non-zero on an index dense
-// enough that the default budget refines rows at build. The block that
-// reported the adjacency graph is gone.
+// enough that the default budget refines rows at build, with the refined
+// rows that came back bit-identical a part of them. The block that reported
+// the adjacency graph is gone.
 func TestStatsAdjacencyRefinement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := pvoronoi.NewDB(pvoronoi.NewRect(pvoronoi.Point{0, 0}, pvoronoi.Point{1000, 1000}))
@@ -1068,15 +1069,20 @@ func TestStatsAdjacencyRefinement(t *testing.T) {
 		t.Fatal("/v1/stats still carries the adjacency block")
 	}
 	var ref struct {
-		RowsRefined int64 `json:"rows_refined"`
-		ClipPasses  int64 `json:"clip_passes"`
-		BudgetSpent int64 `json:"refine_budget_spent"`
+		RowsRefined   int64 `json:"rows_refined"`
+		RowsUnchanged int64 `json:"rows_unchanged"`
+		ClipPasses    int64 `json:"clip_passes"`
+		BudgetSpent   int64 `json:"refine_budget_spent"`
 	}
 	if err := json.Unmarshal(stats["refine"], &ref); err != nil {
 		t.Fatalf("refine block %s: %v", stats["refine"], err)
 	}
-	if want := ix.RefineCounters(); ref.RowsRefined != want.RowsRefined || ref.ClipPasses != want.ClipPasses || ref.BudgetSpent != want.BudgetSpent {
+	if want := ix.RefineCounters(); ref.RowsRefined != want.RowsRefined || ref.RowsUnchanged != want.RowsUnchanged ||
+		ref.ClipPasses != want.ClipPasses || ref.BudgetSpent != want.BudgetSpent {
 		t.Fatalf("refine block %+v, index counters %+v", ref, want)
+	}
+	if ref.RowsUnchanged > ref.RowsRefined {
+		t.Fatalf("rows_unchanged %d > rows_refined %d", ref.RowsUnchanged, ref.RowsRefined)
 	}
 	if ref.RowsRefined < 1 || ref.BudgetSpent < 1 {
 		t.Fatalf("refinement counters empty: rows_refined=%d budget=%d clips=%d",

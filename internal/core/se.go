@@ -34,6 +34,7 @@ type Stats struct {
 // extra budget went.
 type RefineStats struct {
 	Rows            int           // objects whose UBR a refinement recomputed
+	Unchanged       int           // of those, rows whose UBR came back bit-identical
 	CSetSize        int           // escalated C-set sizes, summed
 	Time            time.Duration // time of refinement SE work and of the pass's hub scoring
 	Iterations      int           // refinement bisection steps attempted
@@ -47,6 +48,7 @@ type RefineStats struct {
 // Add accumulates s2 into s, for aggregating per-pass refinement stats.
 func (s *RefineStats) Add(s2 RefineStats) {
 	s.Rows += s2.Rows
+	s.Unchanged += s2.Unchanged
 	s.CSetSize += s2.CSetSize
 	s.Time += s2.Time
 	s.Iterations += s2.Iterations

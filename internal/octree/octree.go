@@ -784,6 +784,67 @@ func (t *Tree) rangeIDs(n *node, region geom.Rect, r geom.Rect, out map[uint32]b
 	return nil
 }
 
+// WindowMass counts the entry copies in the leaves whose cells intersect r —
+// the leaves RangeIDs reads, by its closed rule — and those leaves, from leaf
+// page header counts alone; cell bounds live on the stack: no allocation.
+func (t *Tree) WindowMass(r geom.Rect) (entries, leaves int, err error) {
+	var stack [512]float64
+	cells := stack[:]
+	if need := 2 * t.dim * (t.maxDepth + 2); need > len(cells) {
+		cells = make([]float64, need)
+	}
+	copy(cells, t.domain.Lo)
+	copy(cells[t.dim:], t.domain.Hi)
+	err = t.windowMass(t.root, cells, r, &entries, &leaves)
+	return entries, leaves, err
+}
+
+// windowMass walks n, whose cell is cells[:d] (lo) and cells[d:2d] (hi),
+// writing each child's cell into the next 2d slots. A corrupt image (a node
+// below maxDepth, a chain past its page count) is an error.
+func (t *Tree) windowMass(n *node, cells []float64, r geom.Rect, entries, leaves *int) error {
+	d := t.dim
+	lo, hi := cells[:d], cells[d:2*d]
+	for j := range d {
+		if hi[j] < r.Lo[j] || r.Hi[j] < lo[j] {
+			return nil
+		}
+	}
+	if n.children == nil {
+		*leaves++
+		for i, p := 0, n.firstPage; p != 0; i++ {
+			if i == n.pages {
+				return fmt.Errorf("octree: leaf chain longer than its %d pages", n.pages)
+			}
+			buf, err := t.store.View(p)
+			if err != nil {
+				return err
+			}
+			*entries += int(binary.LittleEndian.Uint32(buf[4:8]))
+			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+		}
+		return nil
+	}
+	if len(cells) < 4*d {
+		return fmt.Errorf("octree: node below depth %d", t.maxDepth)
+	}
+	child := cells[2*d:]
+	for mask, c := range n.children {
+		for j := range d {
+			mid := (lo[j] + hi[j]) / 2
+			if mask&(1<<j) != 0 {
+				child[j], child[d+j] = mid, hi[j]
+			} else {
+				child[j], child[d+j] = lo[j], mid
+			}
+		}
+		if err := t.windowMass(c, child, r, entries, leaves); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CollectPages appends every page ID reachable from the tree — each leaf's
 // full page chain — to dst and returns it. Read-only: it is how a pinned
 // MVCC version enumerates its share of the page store for serialization.

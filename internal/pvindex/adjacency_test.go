@@ -14,23 +14,13 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// windowDegrees is every live object's degree in v as refinement computes it:
-// one octree window over the object's stored UBR (ubrNeighbours).
+// windowDegrees is every live object's degree in v as Index.Adjacency
+// computes it: one octree window over the object's stored UBR.
 func windowDegrees(t *testing.T, v *version) map[uint32]int {
 	t.Helper()
-	nb := newUBRNeighbours(v.primary, func(id uint32) (geom.Rect, bool) { return v.ubr(uncertain.ID(id)) })
-	deg := make(map[uint32]int, v.db.Len())
-	for _, o := range v.db.Objects() {
-		id := uint32(o.ID)
-		ubr, ok := nb.ubr(id)
-		if !ok {
-			t.Fatalf("object %d has no stored UBR", id)
-		}
-		win, err := nb.window(id, ubr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deg[id] = nb.degree(ubr, win)
+	deg := v.windowDegrees()
+	if len(deg) != v.db.Len() {
+		t.Fatalf("window degrees for %d of %d objects", len(deg), v.db.Len())
 	}
 	return deg
 }
@@ -69,8 +59,8 @@ func randomObject(rng *rand.Rand, id uncertain.ID, d int, span, maxSide float64)
 	return &uncertain.Object{ID: id, Region: geom.Rect{Lo: lo, Hi: hi}}
 }
 
-// TestUBRDegreeMatchesBruteForce holds the window degree refinement ranks
-// hubs by to the O(n²) count over stored UBRs after build, after mixed
+// TestUBRDegreeMatchesBruteForce holds the window degree Index.Adjacency
+// reports to the O(n²) count over stored UBRs after build, after mixed
 // batches — a same-ID replace, an ID inserted and deleted by one batch, a
 // delete-only batch — and after a save/load round trip, at d = 2, 3, 4, on
 // uniform data and on clustered data in which every tenth object has a

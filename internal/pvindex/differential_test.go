@@ -22,7 +22,7 @@ func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits
 
 // assertSameState: two indexes publish the same state bit for bit — the
 // database in the same order, every stored UBR, the re-refinement threshold.
-// Equal UBRs give equal hub degrees.
+// Equal UBRs give equal hub scores.
 func assertSameState(t *testing.T, got, want *Index, label string) {
 	t.Helper()
 	gv, wv := got.current.Load(), want.current.Load()
@@ -214,9 +214,10 @@ func TestInsertPathMatchesReference(t *testing.T) {
 }
 
 // TestBuildAdjacencyMatchesRebuild: the hubs a whole-index pass selects from
-// window degrees over a built index — rows, order and re-refinement
-// threshold — are the ones the hub rule selects from the O(n²) degree count
-// over the same stored UBRs (referenceHubs).
+// octree window masses over a built index — rows, order and re-refinement
+// threshold — are the ones the hub rule selects from masses summed by brute
+// force over the image's leaf cells and the same stored UBRs
+// (referenceHubs).
 func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
 	for _, c := range differentialCases {
 		for _, refine := range []bool{true, false} {
@@ -234,7 +235,7 @@ func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
 				}
 				want, wantT := referenceHubs(t, ix)
 				if len(got) == 0 || !slices.Equal(got, want) || math.Float64bits(gotT) != math.Float64bits(wantT) {
-					t.Fatalf("window degrees select %v (threshold %v), brute force %v (%v)", got, gotT, want, wantT)
+					t.Fatalf("window masses select %v (threshold %v), brute force %v (%v)", got, gotT, want, wantT)
 				}
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/exthash"
@@ -29,13 +28,14 @@ type indexImage struct {
 	Store     *pagestore.Image
 	Primary   *octree.Image
 	Secondary *exthash.Image
-	// Refine and RefineThreshold restore the refinement subsystem:
-	// the config the UBRs were refined under and the hub-score cutoff the
-	// incremental write path re-refines against (0 = unset). Images written
-	// while the index kept an adjacency graph carry it in an Adjacency field
-	// as well; gob skips it on decode.
+	// Refine and HubThreshold restore the refinement subsystem: the config
+	// the UBRs were refined under and the window-mass hub-score cutoff
+	// batches re-refine against (+Inf = unset). Older images carry a cutoff
+	// in degree units as RefineThreshold (0 = unset), which LoadFrom
+	// re-derives, and maybe an adjacency graph, which gob skips.
 	Refine          RefineConfig
 	RefineThreshold float64
+	HubThreshold    float64
 }
 
 // SaveTo serializes the index (page store, octree skeleton, hash directory,
@@ -72,19 +72,17 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		return err
 	}
 	img := indexImage{
-		Magic:     persistMagic,
-		SE:        ix.cfg.SE,
-		MemBudget: ix.cfg.MemBudget,
-		Fanout:    ix.cfg.Fanout,
-		Objects:   v.db.Len(),
-		WALSeq:    v.walSeq,
-		Store:     storeImg,
-		Primary:   v.primary.Image(),
-		Secondary: v.secondary.Image(),
-		Refine:    ix.cfg.Refine,
-	}
-	if t := ix.refineThreshold(); !math.IsInf(t, 1) {
-		img.RefineThreshold = t
+		Magic:        persistMagic,
+		SE:           ix.cfg.SE,
+		MemBudget:    ix.cfg.MemBudget,
+		Fanout:       ix.cfg.Fanout,
+		Objects:      v.db.Len(),
+		WALSeq:       v.walSeq,
+		Store:        storeImg,
+		Primary:      v.primary.Image(),
+		Secondary:    v.secondary.Image(),
+		Refine:       ix.cfg.Refine,
+		HubThreshold: ix.refineThreshold(),
 	}
 	return gob.NewEncoder(w).Encode(&img)
 }
@@ -149,9 +147,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		},
 	}
 	ix.initRuntime()
-	if img.RefineThreshold > 0 {
-		ix.setRefineThreshold(img.RefineThreshold)
-	}
 	secondary, err := exthash.FromImage(store, img.Secondary)
 	if err != nil {
 		return nil, err
@@ -185,5 +180,15 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		secondary:  secondary,
 		regionTree: regionTree,
 	})
+	switch {
+	case img.HubThreshold > 0:
+		ix.setRefineThreshold(img.HubThreshold)
+	case img.RefineThreshold > 0: // degree units: one scoring pass re-derives it
+		_, t, err := (&working{ix: ix, db: db, primary: primary, secondary: secondary}).selectHubsAll()
+		if err != nil {
+			return nil, err
+		}
+		ix.setRefineThreshold(t)
+	}
 	return ix, nil
 }

@@ -93,10 +93,7 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 	}
 	t.Logf("old image %d bytes, current %d", old.Len(), cur.Len())
 
-	loaded, err := LoadFrom(old, ix.DB())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadOldImage(t, ix, old)
 	assertSameState(t, loaded, ix, "old image")
 	for iter := 0; iter < 40; iter++ {
 		q := geom.Point{rng.Float64()*1200 - 100, rng.Float64()*1200 - 100}
@@ -157,10 +154,7 @@ func TestLoadsImageWithAdjacencyGraph(t *testing.T) {
 			t.Fatalf("old image does not declare %s", field)
 		}
 	}
-	loaded, err := LoadFrom(bytes.NewReader(old), ix.DB())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadOldImage(t, ix, bytes.NewReader(old))
 	assertSameState(t, loaded, ix, "old image")
 	ups := []Update{{Op: OpDelete, ID: 5}, {Op: OpInsert, Object: newObj(rng, 501, 2, 950, 30)}, {Op: OpInsert, Object: newObj(rng, 502, 2, 950, 30)}}
 	for _, side := range []*Index{ix, loaded} {
@@ -240,10 +234,7 @@ func TestLoadsImageWithRecordCacheField(t *testing.T) {
 	if grown := old.Len() - len(base); grown <= 0 || grown > 8 {
 		t.Fatalf("old image is %d bytes, without the cache size %d: want its few bytes more", old.Len(), len(base))
 	}
-	loaded, err := LoadFrom(old, ix.DB())
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadOldImage(t, ix, old)
 	assertSameState(t, loaded, ix, "old image")
 	for iter := 0; iter < 60; iter++ {
 		q := geom.Point{rng.Float64() * 500, rng.Float64() * 500}

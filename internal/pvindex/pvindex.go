@@ -100,10 +100,10 @@ type Index struct {
 	retired   []*version
 	reclaims  int64
 
-	// Refinement lifetime counters (refine.go): rows refined, clip walks
-	// run, domination decisions spent, and the incremental re-refinement
-	// threshold as float bits (0 = unset, read as +Inf).
+	// Refinement lifetime counters (refine.go, see RefineCounters) and the
+	// incremental re-refinement threshold as float bits (0 = unset = +Inf).
 	refRows          atomic.Int64
+	refUnchanged     atomic.Int64
 	refClipPasses    atomic.Int64
 	refBudget        atomic.Int64
 	refThresholdBits atomic.Uint64

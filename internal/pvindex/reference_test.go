@@ -3,7 +3,9 @@ package pvindex
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -316,17 +318,68 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	return ix, nil
 }
 
-// referenceHubs is the selection of a whole-index refinement pass made from
-// the O(n²) degree count: the hubRule.topFraction fattest rows by UBR volume
-// × degree among those of degree ≥ hubRule.minDegree with a positive score,
-// and the weakest selected score (+Inf when none qualifies).
-func referenceHubs(t *testing.T, ix *Index) ([]uint32, float64) {
+// bruteMasses is every live object's window mass in ix's current version
+// from the octree's image: over the leaf cells (the domain halved down the node list) that its
+// stored UBR intersects, the entries each leaf's pages hold, less its own.
+func bruteMasses(t *testing.T, ix *Index) map[uint32]int {
 	t.Helper()
 	v := ix.current.Load()
+	img := v.primary.Image()
+	type leaf struct {
+		cell    geom.Rect
+		entries int
+	}
+	var leaves []leaf
+	var walk func(idx int32, cell geom.Rect)
+	walk = func(idx int32, cell geom.Rect) {
+		n := img.Nodes[idx]
+		for mask, c := range n.Children {
+			child := cell.Clone()
+			for j := range child.Lo {
+				if mid := (cell.Lo[j] + cell.Hi[j]) / 2; mask&(1<<j) != 0 {
+					child.Lo[j] = mid
+				} else {
+					child.Hi[j] = mid
+				}
+			}
+			walk(c, child)
+		}
+		if len(n.Children) > 0 {
+			return
+		}
+		l := leaf{cell: cell}
+		for p := pagestore.PageID(n.FirstPage); p != 0; {
+			buf, err := ix.store.View(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.entries += int(binary.LittleEndian.Uint32(buf[4:8]))
+			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+		}
+		leaves = append(leaves, l)
+	}
+	walk(0, geom.Rect{Lo: img.DomainLo, Hi: img.DomainHi})
+	mass := make(map[uint32]int, v.db.Len())
+	for _, o := range v.db.Objects() {
+		ubr, _ := v.ubr(o.ID)
+		for _, l := range leaves {
+			if l.cell.Intersects(ubr) {
+				mass[uint32(o.ID)] += l.entries - 1
+			}
+		}
+	}
+	return mass
+}
+
+// topHubs applies the hub rule to per-row weights: the hubRule.topFraction
+// fattest rows by UBR volume × weight among those of weight ≥
+// hubRule.minMass with a positive score, and the weakest selected score
+// (+Inf when none qualifies).
+func topHubs(v *version, weights map[uint32]int) ([]uint32, float64) {
 	var rows []scoredRow
-	for id, deg := range bruteDegrees(t, v) {
+	for id, n := range weights {
 		ubr, _ := v.ubr(uncertain.ID(id))
-		if s := ubr.Volume() * float64(deg); deg >= hubRule.minDegree && s > 0 {
+		if s := ubr.Volume() * float64(n); n >= hubRule.minMass && s > 0 {
 			rows = append(rows, scoredRow{id, s})
 		}
 	}
@@ -345,6 +398,37 @@ func referenceHubs(t *testing.T, ix *Index) ([]uint32, float64) {
 		ids[i] = rows[i].id
 	}
 	return ids, rows[n-1].score
+}
+
+// referenceHubs is the selection of a whole-index refinement pass made from
+// the brute-force window masses (bruteMasses).
+func referenceHubs(t *testing.T, ix *Index) ([]uint32, float64) {
+	t.Helper()
+	return topHubs(ix.current.Load(), bruteMasses(t, ix))
+}
+
+// loadOldImage loads old, an image oldImage wrote, over ix's database. Its
+// cutoff is in degree units, so LoadFrom re-derives it: the loaded threshold
+// must be the one a whole-index scoring pass over the loaded UBRs fixes
+// (selectHubsAll). The live ix then takes that cutoff too — its own was fixed
+// over its construction-time UBRs — so that the two compare, and re-refine
+// later batches, alike.
+func loadOldImage(t *testing.T, ix *Index, old io.Reader) *Index {
+	t.Helper()
+	loaded, err := LoadFrom(old, ix.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := loaded.current.Load()
+	_, want, err := (&working{ix: loaded, db: v.db, primary: v.primary, secondary: v.secondary}).selectHubsAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.refineThreshold(); got != want || math.IsInf(got, 1) != math.IsInf(ix.refineThreshold(), 1) {
+		t.Fatalf("loaded threshold %v, a scoring pass over the loaded UBRs %v, live %v", got, want, ix.refineThreshold())
+	}
+	ix.setRefineThreshold(want)
+	return loaded
 }
 
 // oldImage re-encodes the PVIDX4 image cur of ix in the types it had while
@@ -397,6 +481,9 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 	img.Refine = RefineConfig{Disabled: img.Refine.Disabled, TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
 
 	v := ix.current.Load()
+	if _, deg := topHubs(v, v.windowDegrees()); !math.IsInf(ix.refineThreshold(), 1) && !math.IsInf(deg, 1) {
+		img.RefineThreshold = deg // the cutoff in the old score's degree units
+	}
 	objs := slices.Clone(v.db.Objects())
 	slices.SortFunc(objs, func(a, b *uncertain.Object) int { return cmp.Compare(a.ID, b.ID) })
 	ubrs := make([]geom.Rect, len(objs))

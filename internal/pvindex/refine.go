@@ -10,19 +10,19 @@ import (
 
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/geom"
-	"pvoronoi/internal/octree"
 	"pvoronoi/internal/uncertain"
 )
 
 // RefineConfig controls the budget-aware UBR refinement subsystem: after the
-// base SE pass, rows are ranked by hub score (UBR volume × degree, the number
-// of other objects whose stored UBR intersects the row's) and a bounded
-// extra-work budget is spent on the fattest ones — a deeper SE bisection with
-// an enlarged C-set plus a leaf-level clip of the UBR against the octree
-// cells that can still contain the PV-cell. Refined UBRs remain supersets of
-// the true cell, so every query stays exact; the payoff is tighter UBRs alone
-// — fewer Step-1 candidates over-fetched by a PNNQ near a hub. No extension
-// query depends on it: they all retrieve over uncertainty regions.
+// base SE pass, rows are ranked by hub score (UBR volume × window mass, the
+// other objects' entries in the octree leaves the row's UBR reaches) and a
+// bounded extra-work budget is spent on the fattest ones — a deeper SE
+// bisection with an enlarged C-set plus a leaf-level clip of the UBR against
+// the octree cells that can still contain the PV-cell. Refined UBRs remain
+// supersets of the true cell, so every query stays exact; the payoff is
+// tighter UBRs alone — fewer Step-1 candidates over-fetched by a PNNQ near a
+// hub. No extension query depends on it: they all retrieve over uncertainty
+// regions.
 //
 // The zero value enables it. Images written while the config carried its
 // budget knobs (now the constants below) still load: gob skips the fields.
@@ -33,64 +33,18 @@ type RefineConfig struct {
 }
 
 // hubRule selects the rows a whole-index pass refines: the topFraction
-// fattest by hub score among rows of degree ≥ minDegree (lower-degree rows
-// are not hubs, and spending budget on them would be uniform work, not
+// fattest by hub score among rows of window mass ≥ minMass (lighter rows are
+// not hubs, and spending budget on them would be uniform work, not
 // targeted). It is a variable only so that in-package tests can widen the
 // selection.
 var hubRule = struct {
 	topFraction float64
-	minDegree   int
-}{topFraction: 0.02, minDegree: 16}
+	minMass     int
+}{topFraction: 0.02, minMass: 16}
 
 // refineOptions escalates the base SE pass for refinement: four more levels
 // of domination recursion and four times the C-set quotas.
 var refineOptions = core.RefineOptions{DepthBoost: 4, CSetFactor: 4}
-
-// ubrNeighbours counts hub degrees over one version's octree and stored UBRs.
-// Every object whose UBR intersects UBR(o) has an entry in a leaf UBR(o)
-// reaches — two intersecting UBRs share a point, hence a leaf cell — so one
-// octree window over UBR(o) holds all of o's neighbours. A pass scores many
-// overlapping windows, so it reads each UBR once and keeps it in ubrs.
-type ubrNeighbours struct {
-	primary *octree.Tree
-	lookup  func(uint32) (geom.Rect, bool)
-	ubrs    map[uint32]geom.Rect
-}
-
-func newUBRNeighbours(primary *octree.Tree, lookup func(uint32) (geom.Rect, bool)) *ubrNeighbours {
-	return &ubrNeighbours{primary: primary, lookup: lookup, ubrs: make(map[uint32]geom.Rect)}
-}
-
-// ubr returns id's stored UBR, read at most once per pass.
-func (nb *ubrNeighbours) ubr(id uint32) (geom.Rect, bool) {
-	if r, ok := nb.ubrs[id]; ok {
-		return r, true
-	}
-	r, ok := nb.lookup(id)
-	if ok {
-		nb.ubrs[id] = r
-	}
-	return r, ok
-}
-
-// window returns the other IDs in the octree window over id's stored UBR:
-// a superset of id's neighbours, so its size bounds id's degree.
-func (nb *ubrNeighbours) window(id uint32, ubr geom.Rect) (map[uint32]bool, error) {
-	ids, err := nb.primary.RangeIDs(ubr)
-	delete(ids, id)
-	return ids, err
-}
-
-// degree counts the IDs of window whose stored UBR intersects ubr.
-func (nb *ubrNeighbours) degree(ubr geom.Rect, window map[uint32]bool) int {
-	deg := 0
-	for nid := range window {
-		if nubr, ok := nb.ubr(nid); ok && nubr.Intersects(ubr) {
-			deg++
-		}
-	}
-	return deg
-}
 
 // refineThreshold returns the incremental re-refinement cutoff: the minimum
 // hub score the construction pass spent budget on. Unset (no pass yet, or
@@ -110,6 +64,7 @@ func (ix *Index) setRefineThreshold(v float64) {
 // noteRefine folds one pass's work into the lifetime counters.
 func (ix *Index) noteRefine(st core.RefineStats) {
 	ix.refRows.Add(int64(st.Rows))
+	ix.refUnchanged.Add(int64(st.Unchanged))
 	ix.refClipPasses.Add(int64(st.ClipPasses))
 	ix.refBudget.Add(st.DominationTests + st.ClipTests)
 }
@@ -118,6 +73,9 @@ func (ix *Index) noteRefine(st core.RefineStats) {
 type RefineCounters struct {
 	// RowsRefined counts rows whose UBR a refinement pass recomputed.
 	RowsRefined int64
+	// RowsUnchanged counts refined rows whose UBR came back bit-identical:
+	// refinement spent on a row it could not tighten.
+	RowsUnchanged int64
 	// ClipPasses counts octree clip walks executed.
 	ClipPasses int64
 	// BudgetSpent counts domination decisions consumed by refinement
@@ -131,10 +89,11 @@ type RefineCounters struct {
 // RefineCounters returns the refinement subsystem's lifetime totals.
 func (ix *Index) RefineCounters() RefineCounters {
 	return RefineCounters{
-		RowsRefined: ix.refRows.Load(),
-		ClipPasses:  ix.refClipPasses.Load(),
-		BudgetSpent: ix.refBudget.Load(),
-		Threshold:   ix.refineThreshold(),
+		RowsRefined:   ix.refRows.Load(),
+		RowsUnchanged: ix.refUnchanged.Load(),
+		ClipPasses:    ix.refClipPasses.Load(),
+		BudgetSpent:   ix.refBudget.Load(),
+		Threshold:     ix.refineThreshold(),
 	}
 }
 
@@ -144,29 +103,23 @@ type scoredRow struct {
 	score float64
 }
 
-// hubScores scores the listed rows of w — hub score UBR volume × degree —
-// and returns those of degree ≥ hubRule.minDegree whose score is positive and
-// reaches floor, fattest first (ties by ID). A row whose window alone rules
-// it out is dropped before any neighbour's UBR is read.
+// hubScores scores the listed rows of w — UBR volume × window mass, the
+// entries of the octree leaves the UBR reaches less the row's own in each, an
+// upper bound on its degree — and returns those of mass ≥ hubRule.minMass
+// whose score is positive and reaches floor, fattest first (ties by ID).
 func (w *working) hubScores(ids []uint32, floor float64) ([]scoredRow, error) {
-	nb := newUBRNeighbours(w.primary, w.lookupUBR)
-	keep := func(s float64) bool { return s > 0 && s >= floor }
 	var rows []scoredRow
 	for _, id := range ids {
-		ubr, ok := nb.ubr(id)
+		ubr, ok := w.lookupUBR(id)
 		if !ok {
 			continue
 		}
-		win, err := nb.window(id, ubr)
+		entries, leaves, err := w.primary.WindowMass(ubr)
 		if err != nil {
 			return nil, err
 		}
-		vol := ubr.Volume()
-		if len(win) < hubRule.minDegree || !keep(vol*float64(len(win))) {
-			continue
-		}
-		deg := nb.degree(ubr, win)
-		if s := vol * float64(deg); deg >= hubRule.minDegree && keep(s) {
+		mass := entries - leaves
+		if s := ubr.Volume() * float64(mass); mass >= hubRule.minMass && s > 0 && s >= floor {
 			rows = append(rows, scoredRow{id, s})
 		}
 	}
@@ -268,6 +221,7 @@ func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 		j := &jobs[i]
 		st.Add(j.st.Refine)
 		if j.newB.Equal(j.oldB) {
+			st.Unchanged++
 			continue
 		}
 		if _, err := w.primary.RemoveDiff(j.id, j.oldB, j.newB); err != nil {
@@ -353,8 +307,8 @@ func (ix *Index) Refine() (core.RefineStats, error) {
 	return st, nil
 }
 
-// AdjacencyStats is the degree distribution refinement ranks hubs by, over
-// the current version's rows, computed on demand: one octree window per row.
+// AdjacencyStats is the UBR-intersection degree distribution over the
+// current version's rows, computed on demand: one octree window per row.
 type AdjacencyStats struct {
 	// Rows is the number of objects.
 	Rows int
@@ -370,25 +324,40 @@ type AdjacencyStats struct {
 
 // Adjacency computes the current version's degree distribution. It costs
 // one octree window per object, so it is a diagnostic, not a gauge to poll.
-// A row whose UBR or window cannot be read is left out.
 func (ix *Index) Adjacency() AdjacencyStats {
 	v := ix.pin()
 	defer ix.unpin(v)
-	nb := newUBRNeighbours(v.primary, func(id uint32) (geom.Rect, bool) { return v.ubr(uncertain.ID(id)) })
-	degs := make([]int, 0, v.db.Len())
-	for _, o := range v.db.Objects() {
-		ubr, ok := nb.ubr(uint32(o.ID))
-		if !ok {
-			continue
-		}
-		if win, err := nb.window(uint32(o.ID), ubr); err == nil {
-			degs = append(degs, nb.degree(ubr, win))
-		}
-	}
+	degs := slices.Sorted(maps.Values(v.windowDegrees()))
 	st := AdjacencyStats{Rows: len(degs)}
 	if len(degs) > 0 {
-		slices.Sort(degs)
 		st.DegreeP50, st.DegreeMax = degs[(len(degs)-1)/2], degs[len(degs)-1]
 	}
 	return st
+}
+
+// windowDegrees returns each row's degree, the other stored UBRs that meet
+// its own, all of which one octree window over the UBR holds (two meeting
+// UBRs share a point, hence a leaf). Unreadable rows are left out.
+func (v *version) windowDegrees() map[uint32]int {
+	ubrs := make(map[uint32]geom.Rect, v.db.Len())
+	for _, o := range v.db.Objects() {
+		if ubr, ok := v.ubr(o.ID); ok {
+			ubrs[uint32(o.ID)] = ubr
+		}
+	}
+	degs := make(map[uint32]int, len(ubrs))
+	for id, ubr := range ubrs {
+		win, err := v.primary.RangeIDs(ubr)
+		if err != nil {
+			continue
+		}
+		n := 0
+		for nid := range win {
+			if nubr, ok := ubrs[nid]; ok && nid != id && nubr.Intersects(ubr) {
+				n++
+			}
+		}
+		degs[id] = n
+	}
+	return degs
 }

@@ -14,9 +14,9 @@ import (
 
 // hubRuleForTest widens (or narrows) refinement's hub selection for the rest
 // of the test.
-func hubRuleForTest(t *testing.T, topFraction float64, minDegree int) {
+func hubRuleForTest(t *testing.T, topFraction float64, minMass int) {
 	old := hubRule
-	hubRule.topFraction, hubRule.minDegree = topFraction, minDegree
+	hubRule.topFraction, hubRule.minMass = topFraction, minMass
 	t.Cleanup(func() { hubRule = old })
 }
 

@@ -78,14 +78,25 @@ func hashState(t *testing.T, h hash.Hash64, ix *Index) {
 // uni2-shaped and a uni3-shaped index with refinement at its defaults,
 // through build, four insert/delete batch pairs of 16 (one insert batch
 // also replaces an object under its own ID), an explicit Refine, and a
-// save/load round trip. The hashes were recorded while hub degrees still came
-// from a materialized adjacency graph; computing them from octree windows
-// must select the same rows and so store the same bits.
+// save/load round trip. The hashes were recorded when hub scores became UBR
+// volume × octree window mass. The exact-degree scores before them selected
+// other hubs, and so stored other bits in these rows (the differences from
+// that rule's UBRs, by ID, after build / the batches / Refine):
+//   - uni2: 39 / 56 / 56 rows — 34, 41, 55, 81, 100, 144, 242, 284, 422, 423,
+//     469, 501, 510, 556, 642, 708, 720, 873, 940, 958, 994, 1031, 1098,
+//     1106, 1222, 1259, 1309, 1310, 1342, 1378, 1434, 1507, 1530, 1622, 1624,
+//     1704, 1929, 1935, 1939 at build, and from the batches on also 209, 258,
+//     342, 574, 609, 702, 719, 731, 884, 1026, 1260, 1718, 1741, 1745, 1795,
+//     1818, 1932;
+//   - uni3: 20 / 31 / 34 rows — 61, 195, 210, 286, 319, 361, 386, 474, 492,
+//     503, 512, 577, 652, 657, 790, 793, 827, 877, 937, 950 at build, from
+//     the batches on also 14, 53, 77, 248, 495, 582, 585, 607, 656, 766, 948,
+//     and after Refine also 543, 740, 787.
 func TestStoredUBRHash(t *testing.T) {
 	if race.Enabled {
 		t.Skip("≈ 40× slower instrumented; CI's uninstrumented step runs it")
 	}
-	want := map[string]uint64{"uni2": 0x7b4e45eaf29236a4, "uni3": 0x2bc7a9734c2b4056}
+	want := map[string]uint64{"uni2": 0x42f3fcfd861bbeaf, "uni3": 0x6f571845f1b7c564}
 	for _, c := range []struct {
 		name    string
 		n, d    int
@@ -100,7 +111,7 @@ func TestStoredUBRHash(t *testing.T) {
 			h := fnv.New64a()
 			counters := func() {
 				rc := ix.RefineCounters()
-				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.ClipPasses), uint64(rc.BudgetSpent), math.Float64bits(rc.Threshold)} {
+				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.RowsUnchanged), uint64(rc.ClipPasses), uint64(rc.BudgetSpent), math.Float64bits(rc.Threshold)} {
 					h.Write(binary.LittleEndian.AppendUint64(nil, x))
 				}
 			}

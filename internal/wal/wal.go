@@ -240,7 +240,8 @@ func Open(dir string, opts Options) (*Log, error) {
 // still stop at the first bad record (frame boundaries past it cannot be
 // trusted transactionally), but the intact records beyond it are counted
 // into OpenStats.DroppedRecords so the loss is loud, never silent. Earlier
-// segments must be fully intact.
+// segments must be fully intact. Append numbers frames upward, so a frame
+// whose seq does not rise (a stray copy, CRC-valid or not) is bad too.
 func (l *Log) scanSegment(seg *segment, last bool) (drop bool, err error) {
 	buf, err := l.fs.ReadFile(seg.path)
 	if err != nil {
@@ -263,9 +264,9 @@ func (l *Log) scanSegment(seg *segment, last bool) (drop bool, err error) {
 	sealedOff := off
 	sealedSeq := uint64(0)
 	unsealed := 0
-	for len(data) > 0 {
+	for next := l.nextSeq; len(data) > 0; next = seg.lastSeq + 1 {
 		rec, n, ok := parseFrame(data)
-		if !ok {
+		if !ok || rec.Seq < next {
 			if !last {
 				return false, fmt.Errorf("wal: %s: corrupt frame at offset %d in non-final segment", seg.path, off)
 			}

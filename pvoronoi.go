@@ -130,7 +130,7 @@ type Options struct {
 }
 
 // RefineOptions switches UBR refinement off (Disabled); its budget — the
-// fattest 2 % of rows of degree ≥ 16, four more recursion levels and four
+// fattest 2 % of rows of window mass ≥ 16, four more recursion levels and four
 // times the C-set — is fixed (see pvindex.RefineConfig).
 type RefineOptions = pvindex.RefineConfig
 
@@ -362,7 +362,8 @@ func (ix *Index) IO() IOStats {
 func (ix *Index) ResetIO() { ix.inner.Store().ResetStats() }
 
 // RefineCounters reports the refinement subsystem's lifetime totals: rows
-// refined, clip passes run, and the domination-test budget spent.
+// refined, refined rows left bit-identical, clip passes run, and the
+// domination-test budget spent.
 type RefineCounters = pvindex.RefineCounters
 
 // RefineCounters returns the refinement subsystem's lifetime totals.
