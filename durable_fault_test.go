@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -489,4 +490,84 @@ func TestDurablePoisonedLogFailsOpen(t *testing.T) {
 	if want := fmt.Sprintf("commit %d", commitSeq); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("open over a poisoned log: got %v, want an error naming %q", err, want)
 	}
+}
+
+// envelopeHolds reports whether b is a sealed checkpoint file: the magic, a
+// payload, and a footer holding the payload's CRC-32 and length.
+func envelopeHolds(b []byte) bool {
+	n := len(b) - len(ckptMagic) - ckptFooter
+	if n < 0 || !bytes.HasPrefix(b, []byte(ckptMagic)) {
+		return false
+	}
+	payload, foot := b[len(ckptMagic):len(ckptMagic)+n], b[len(ckptMagic)+n:]
+	return binary.LittleEndian.Uint32(foot) == crc32.ChecksumIEEE(payload) && binary.LittleEndian.Uint64(foot[4:]) == uint64(n)
+}
+
+// seal wraps payload in a valid checkpoint envelope.
+func seal(payload []byte) []byte {
+	b := append([]byte(ckptMagic), payload...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+}
+
+// FuzzCheckpointEnvelope writes arbitrary bytes as a checkpoint's .db/.pvidx
+// pair and reads them back through readSealed and loadCheckpoint: nothing
+// panics, readSealed returns exactly the payload of a file whose magic, length
+// footer and CRC all hold and an error for any other, and a pair loads only if
+// both envelopes hold. Bits 0 and 1 of sealed wrap the .db and .pvidx bytes in
+// a valid envelope first, so the payload decoders behind it see arbitrary
+// input too. Seeds: a real pair from a small durable store, torn, bit-flipped
+// and bare-magic files, and an empty payload.
+func FuzzCheckpointEnvelope(f *testing.F) {
+	dir := f.TempDir()
+	d, err := OpenDurable(dir, buildSmallDB(f, 12, true), testOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	base := listCheckpoints(vfs.OS, dir)[0].base
+	var pair [2][]byte
+	for i, ext := range []string{".db", ".pvidx"} {
+		if pair[i], err = os.ReadFile(filepath.Join(dir, base+ext)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	dbFile, ixFile := pair[0], pair[1]
+	flipped := bytes.Clone(ixFile)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(byte(0), dbFile, ixFile)
+	f.Add(byte(0), dbFile[:len(dbFile)-1], ixFile)
+	f.Add(byte(0), dbFile, flipped)
+	f.Add(byte(0), []byte(ckptMagic), seal(nil))
+	f.Add(byte(0), []byte{}, []byte{})
+	f.Add(byte(3), dbFile[len(ckptMagic):len(dbFile)-ckptFooter], ixFile[len(ckptMagic):len(ixFile)-ckptFooter])
+	f.Add(byte(3), []byte{}, []byte("PVIDX"))
+	f.Fuzz(func(t *testing.T, sealed byte, dbFile, ixFile []byte) {
+		if sealed&1 != 0 {
+			dbFile = seal(dbFile)
+		}
+		if sealed&2 != 0 {
+			ixFile = seal(ixFile)
+		}
+		dir := t.TempDir()
+		const base = "ckpt-0000000000000001"
+		for ext, b := range map[string][]byte{".db": dbFile, ".pvidx": ixFile} {
+			path := filepath.Join(dir, base+ext)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := readSealed(vfs.OS, path)
+			if holds := envelopeHolds(b); holds != (err == nil) {
+				t.Fatalf("%s: envelope holds: %v, readSealed error: %v", ext, holds, err)
+			}
+			if err == nil && !bytes.Equal(payload, b[len(ckptMagic):len(b)-ckptFooter]) {
+				t.Fatalf("%s: readSealed returned %d bytes that are not the payload", ext, len(payload))
+			}
+		}
+		if _, err := loadCheckpoint(vfs.OS, dir, base); err == nil && !(envelopeHolds(dbFile) && envelopeHolds(ixFile)) {
+			t.Fatal("loadCheckpoint loaded a pair whose envelope does not hold")
+		}
+	})
 }

@@ -9,12 +9,14 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// TestComputeUBRAllocBudget: one SE run allocates for its C-set, its tester
-// and its three rectangles — a fixed handful, whatever the number of
-// shrink/expand steps (Δ = 1e-6 instead of 1 more than doubles them) and
-// however deep the domination recursion goes.
+// TestComputeUBRAllocBudget: once the workspace pool is warm, one SE run
+// allocates its two starting rectangles (l and h, whose coordinates it hands
+// back) and the C-set browse's query point and distance closure — six
+// allocations, whatever the number of shrink/expand steps (Δ = 1e-6 instead
+// of 1 more than doubles them) and however deep the domination recursion
+// goes. With a fresh tester, face memory and C-set per run it took 24.
 func TestComputeUBRAllocBudget(t *testing.T) {
-	const budget = 48
+	const budget = 6
 	rng := rand.New(rand.NewSource(1))
 	db := randomDB(rng, 2000, 3, 10000, 60)
 	tree := BuildRegionTree(db, 100)
@@ -99,41 +101,38 @@ func BenchmarkChooseCSetIS(b *testing.B) {
 	db := randomDB(rng, 5000, 3, 10000, 60)
 	tree := BuildRegionTree(db, 100)
 	opts := DefaultOptions()
+	ws := new(workspace)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o := db.Objects()[i%db.Len()]
-		_ = ChooseCSet(db, tree, o, opts)
+		ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts)
 	}
 }
 
 // TestChooseCSetAllocBudget: an IS C-set selection on the uni2 shape costs
-// four allocations once the pooled browse iterator is warm — the query
-// point, the quadrant counters, the distance closure, the root's MBR — plus
-// the growth steps of the slice it returns, however many leaves the browse
-// opens.
+// two allocations once the iterator pool and the workspace are warm — the
+// query point and the distance closure — however many leaves the browse
+// opens. Before the workspace it also allocated the quadrant counters, a
+// result slice and its growth steps: 12 allocations at KGlobal 200, 18 at
+// 3200.
 func TestChooseCSetAllocBudget(t *testing.T) {
-	const fixed = 4
+	const budget = 2
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 8000, Dim: 2, MaxSide: 60, Seed: 1})
 	tree := BuildRegionTree(db, 100)
 	o := db.Objects()[7]
-	measure := func(kGlobal int) (allocs float64, leaves int64, growths int) {
+	measure := func(kGlobal int) (allocs float64, leaves int64) {
 		opts := DefaultOptions()
 		opts.KGlobal, opts.KPartition = kGlobal, kGlobal
-		size := len(ChooseCSet(db, tree, o, opts)) // warm the iterator to this browse's size
+		ws := new(workspace)
+		browse := func() { ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts) }
+		browse() // warm the iterator and the workspace to this browse's size
 		tree.ResetLeafIO()
-		allocs = testing.AllocsPerRun(20, func() { ChooseCSet(db, tree, o, opts) })
-		var out []*uncertain.Object
-		for i := 0; i < size; i++ {
-			if len(out) == cap(out) {
-				growths++
-			}
-			out = append(out, nil)
-		}
-		return allocs, tree.LeafIO() / 21, growths
+		allocs = testing.AllocsPerRun(20, browse)
+		return allocs, tree.LeafIO() / 21
 	}
-	short, fewLeaves, shortGrowths := measure(200)
-	long, manyLeaves, longGrowths := measure(3200)
+	short, fewLeaves := measure(200)
+	long, manyLeaves := measure(3200)
 	t.Logf("KGlobal 200: %.0f allocs, %d leaves; KGlobal 3200: %.0f allocs, %d leaves", short, fewLeaves, long, manyLeaves)
 	if manyLeaves < 4*fewLeaves {
 		t.Fatalf("the long browse opened %d leaves against %d: the test no longer varies the browse", manyLeaves, fewLeaves)
@@ -141,10 +140,12 @@ func TestChooseCSetAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("budget not asserted under -race")
 	}
-	if want := float64(fixed + shortGrowths); short > want {
-		t.Errorf("ChooseCSet allocates %.0f times over %d leaves, budget %.0f", short, fewLeaves, want)
-	}
-	if want := float64(fixed + longGrowths); long > want {
-		t.Errorf("ChooseCSet allocates %.0f times over %d leaves, budget %.0f", long, manyLeaves, want)
+	for _, c := range []struct {
+		allocs float64
+		leaves int64
+	}{{short, fewLeaves}, {long, manyLeaves}} {
+		if c.allocs > budget {
+			t.Errorf("chooseCSet allocates %.0f times over %d leaves, budget %d", c.allocs, c.leaves, budget)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/rtree"
@@ -75,67 +76,64 @@ func DefaultOptions() Options {
 	}
 }
 
-// ChooseCSet returns the C-set of object o: a subset of the database whose
-// non-dominated intersection bounds V(o) (any non-empty subset is valid by
-// Lemma 7; larger, better-placed sets let SE shrink the UBR further). The
-// tree must index the uncertainty regions of all database objects by ID.
-func ChooseCSet(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) []*uncertain.Object {
+// chooseCSet appends the regions of object o's C-set to dst and returns it:
+// a subset of the database whose non-dominated intersection bounds V(o) (any
+// non-empty subset is valid by Lemma 7; larger, better-placed sets let SE
+// shrink the UBR further). The tree must index the uncertainty regions of all
+// database objects by ID.
+func (ws *workspace) chooseCSet(dst []geom.Rect, db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) []geom.Rect {
 	switch opts.Strategy {
 	case CSetFS:
-		return chooseFS(db, tree, o, opts.K)
+		return chooseFS(dst, tree, o, opts.K)
 	case CSetIS:
-		return chooseIS(db, tree, o, opts.KPartition, opts.KGlobal)
+		return ws.chooseIS(dst, tree, o, opts.KPartition, opts.KGlobal)
 	default:
-		return chooseAll(db, o)
+		return chooseAll(dst, db, o)
 	}
 }
 
-func chooseAll(db *uncertain.DB, o *uncertain.Object) []*uncertain.Object {
-	out := make([]*uncertain.Object, 0, db.Len()-1)
+func chooseAll(dst []geom.Rect, db *uncertain.DB, o *uncertain.Object) []geom.Rect {
 	for _, other := range db.Objects() {
 		if other.ID != o.ID {
-			out = append(out, other)
+			dst = append(dst, other.Region)
 		}
 	}
-	return out
+	return dst
 }
 
-// chooseFS returns the k objects with region centers nearest to o's center.
+// chooseFS appends the regions of the k objects centered nearest to o's center.
 // Per the paper, FS does not skip objects whose regions overlap u(o).
-func chooseFS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, k int) []*uncertain.Object {
+func chooseFS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, k int) []geom.Rect {
 	center := o.Region.Center()
 	it := rtree.NewNNIter(tree, center, rtree.CenterDistTo(center))
 	defer it.Release()
-	out := make([]*uncertain.Object, 0, k)
-	for len(out) < k {
+	for added := 0; added < k; {
 		item, _, ok := it.Next()
 		if !ok {
 			break
 		}
-		if uncertain.ID(item.ID) == o.ID {
-			continue
-		}
-		if obj := db.Get(uncertain.ID(item.ID)); obj != nil {
-			out = append(out, obj)
+		if uncertain.ID(item.ID) != o.ID {
+			dst, added = append(dst, item.Rect), added+1
 		}
 	}
-	return out
+	return dst
 }
 
 // chooseIS browses o's neighbors in ascending distance from o's mean
 // position, maintaining a counter per domain quadrant (2^d orthants rooted
 // at o's center). Neighbors whose regions overlap u(o) are skipped (they
 // cannot constrain V(o), Lemma 2). Iteration stops when every quadrant
-// counter reaches kPartition or kGlobal neighbors have been examined.
-func chooseIS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, kPartition, kGlobal int) []*uncertain.Object {
-	d := o.Dim()
+// counter reaches kPartition or kGlobal neighbors have been examined. With
+// no neighbor that does not overlap o, the C-set is empty and SE returns h.
+func (ws *workspace) chooseIS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, kPartition, kGlobal int) []geom.Rect {
 	center := o.Region.Center()
-	quadrants := 1 << d
-	counts := make([]int, quadrants)
+	quadrants := 1 << o.Dim()
+	counts := slices.Grow(ws.counts[:0], quadrants)[:quadrants]
+	clear(counts)
+	ws.counts = counts
 	satisfied := 0
 	it := rtree.NewNNIter(tree, center, rtree.MinDistTo(center))
 	defer it.Release()
-	var out []*uncertain.Object
 	examined := 0
 	for examined < kGlobal && satisfied < quadrants {
 		item, _, ok := it.Next()
@@ -149,11 +147,7 @@ func chooseIS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, kPartitio
 		if item.Rect.Intersects(o.Region) {
 			continue // overlapping regions never constrain V(o)
 		}
-		obj := db.Get(uncertain.ID(item.ID))
-		if obj == nil {
-			continue
-		}
-		out = append(out, obj)
+		dst = append(dst, item.Rect)
 		for q := 0; q < quadrants; q++ {
 			if !quadrantIntersects(item.Rect, center, q) {
 				continue
@@ -164,14 +158,7 @@ func chooseIS(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, kPartitio
 			}
 		}
 	}
-	if len(out) == 0 {
-		// Degenerate cases (everything overlaps o, or o is alone): fall
-		// back to any non-overlapping neighbor set — an empty C-set would
-		// leave SE with nothing to prune, returning the domain, which is
-		// still correct; we return nil and let SE handle it.
-		return nil
-	}
-	return out
+	return dst
 }
 
 // quadrantIntersects reports whether rect r intersects the orthant of the

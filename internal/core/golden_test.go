@@ -12,6 +12,7 @@ import (
 	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
+	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -119,15 +120,15 @@ func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 		o := db.Get(uncertain.ID(i * step))
 		ubr, st := ComputeUBR(db, tree, o, opts)
 		cold.base(ubr, st)
-		guard[0].add(ubr, st.DominationTests, csetTester(ChooseCSet(db, tree, o, opts), o, opts.MaxDepth), o.Region, db.Domain, opts)
+		guard[0].add(ubr, st.DominationTests, csetTester(db, tree, o, opts), o.Region, db.Domain, opts)
 
 		grown, st := ComputeUBRAfterDelete(smaller, smallerTree, o, ubr, db.Domain, opts)
 		del.base(grown, st)
-		guard[1].add(grown, st.DominationTests, csetTester(ChooseCSet(smaller, smallerTree, o, opts), o, opts.MaxDepth), ubr, db.Domain, opts)
+		guard[1].add(grown, st.DominationTests, csetTester(smaller, smallerTree, o, opts), ubr, db.Domain, opts)
 
 		back, st := ComputeUBRAfterInsert(db, tree, o, grown, opts)
 		ins.base(back, st)
-		guard[2].add(back, st.DominationTests, csetTester(ChooseCSet(db, tree, o, opts), o, opts.MaxDepth), o.Region, grown, opts)
+		guard[2].add(back, st.DominationTests, csetTester(db, tree, o, opts), o.Region, grown, opts)
 
 		rf := NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 3, CSetFactor: 2})
 		tight, st := rf.Refine(ubr)
@@ -146,6 +147,11 @@ func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 		ref.u64(uint64(rf.Tests()))
 	}
 	return goldenHashes{cold: cold.Sum64(), afterDelete: del.Sum64(), afterInsert: ins.Sum64(), refine: ref.Sum64()}, guard
+}
+
+// csetTester builds the domination tester of o against its C-set, as SE does.
+func csetTester(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) *domination.Tester {
+	return domination.NewTester(new(workspace).chooseCSet(nil, db, tree, o, opts), o.Region, opts.MaxDepth)
 }
 
 // goldenGuard sums, per mode (cold, afterDelete, afterInsert, refine), what

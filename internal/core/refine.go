@@ -45,27 +45,36 @@ func Escalate(base Options, r RefineOptions) Options {
 type Refiner struct {
 	o      *uncertain.Object
 	opts   Options
-	tester *domination.Tester // nil when the C-set is empty
+	ws     *workspace
+	tester *domination.Tester // the workspace's, nil when the C-set is empty
 
 	csetSize int
 	csetTime time.Duration
 }
 
 // NewRefiner selects the escalated C-set for o and builds its domination
-// tester. The tree must index the uncertainty regions of all objects; the
-// call is read-only over db and tree, so refiners for different objects may
-// be built and used concurrently.
+// tester in a pooled workspace, which it holds until Release. The tree must
+// index the uncertainty regions of all objects; the call is read-only over db
+// and tree, so refiners for different objects may be built and used
+// concurrently.
 func NewRefiner(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, base Options, r RefineOptions) *Refiner {
 	opts := Escalate(base, r)
-	rf := &Refiner{o: o, opts: opts}
+	rf := &Refiner{o: o, opts: opts, ws: workspaces.Get().(*workspace)}
 	t0 := time.Now()
-	cset := ChooseCSet(db, tree, o, opts)
+	rf.ws.cset = rf.ws.chooseCSet(rf.ws.cset[:0], db, tree, o, opts)
 	rf.csetTime = time.Since(t0)
-	rf.csetSize = len(cset)
-	if len(cset) > 0 {
-		rf.tester = csetTester(cset, o, opts.MaxDepth)
+	rf.csetSize = len(rf.ws.cset)
+	if rf.csetSize > 0 {
+		rf.tester = rf.ws.tester.Reset(rf.ws.cset, o.Region, opts.MaxDepth)
 	}
 	return rf
+}
+
+// Release returns the refiner's workspace to the pool; the refiner must not
+// be used afterwards.
+func (rf *Refiner) Release() {
+	rf.ws.release()
+	rf.ws, rf.tester = nil, nil
 }
 
 // Refine re-runs the SE bisection for the refiner's object with the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"pvoronoi/internal/domination"
@@ -103,36 +104,47 @@ func ComputeUBRAfterInsert(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Obje
 	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), oldUBR.Clone(), domination.FromH)
 }
 
+// workspace is the memory an SE run reuses from the last one: the tester, the
+// C-set's regions and IS's quadrant counters. Every run takes one from
+// workspaces and puts it back when it is done; nothing a run returns aliases
+// it.
+type workspace struct {
+	tester domination.Tester
+	cset   []geom.Rect
+	counts []int
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// release returns ws to the pool, dropping its references to the regions.
+func (ws *workspace) release() {
+	clear(ws.cset)
+	workspaces.Put(ws)
+}
+
 // computeUBRBounds is SE with explicit initial bounds l ⊆ M(o) ⊆ h: select
 // the C-set, then shrink h and expand l (both are modified) on the given
 // schedule until every directional gap is below Δ. The returned UBR is h.
 func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options, l, h geom.Rect, sched domination.Schedule) (ubr geom.Rect, st Stats) {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
 	t0 := time.Now()
-	cset := ChooseCSet(db, tree, o, opts)
+	ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts)
 	st.CSetTime = time.Since(t0)
-	st.CSetSize = len(cset)
+	st.CSetSize = len(ws.cset)
 
 	t1 := time.Now()
 	defer func() { st.UBRTime = time.Since(t1) }()
 
-	if len(cset) == 0 {
+	if len(ws.cset) == 0 {
 		// Nothing constrains V(o): the PV-cell is the whole domain.
 		return h, st
 	}
-	tester := csetTester(cset, o, opts.MaxDepth)
+	tester := ws.tester.Reset(ws.cset, o.Region, opts.MaxDepth)
 	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, opts.Delta, sched)
 	st.Expands = st.Iterations - st.Shrinks
 	st.DominationTests = tester.Tests
 	return h, st
-}
-
-// csetTester builds the domination tester of o against its C-set.
-func csetTester(cset []*uncertain.Object, o *uncertain.Object, maxDepth int) *domination.Tester {
-	regions := make([]geom.Rect, len(cset))
-	for i, c := range cset {
-		regions[i] = c.Region
-	}
-	return domination.NewTester(regions, o.Region, maxDepth)
 }
 
 // BuildRegionTree indexes the uncertainty regions of every object in db in

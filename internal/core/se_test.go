@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
@@ -163,19 +164,33 @@ func TestChooseCSetStrategies(t *testing.T) {
 	db := randomDB(rng, 100, 2, 1000, 30)
 	tree := BuildRegionTree(db, 16)
 	o := db.Objects()[0]
+	// The C-set is regions; map them back to objects (the random regions are
+	// distinct).
+	ids := func(cset []geom.Rect) []uncertain.ID {
+		var out []uncertain.ID
+		for _, r := range cset {
+			for _, other := range db.Objects() {
+				if other.Region.Equal(r) {
+					out = append(out, other.ID)
+				}
+			}
+		}
+		if len(out) != len(cset) {
+			t.Fatalf("%d C-set regions map to %d objects", len(cset), len(out))
+		}
+		return out
+	}
 
-	all := ChooseCSet(db, tree, o, optsWith(CSetAll))
+	all := ids(new(workspace).chooseCSet(nil, db, tree, o, optsWith(CSetAll)))
 	if len(all) != 99 {
 		t.Fatalf("ALL size = %d", len(all))
 	}
-	for _, c := range all {
-		if c.ID == o.ID {
-			t.Fatal("ALL contains the object itself")
-		}
+	if slices.Contains(all, o.ID) {
+		t.Fatal("ALL contains the object itself")
 	}
 
 	opts := optsWith(CSetFS)
-	fs := ChooseCSet(db, tree, o, opts)
+	fs := ids(new(workspace).chooseCSet(nil, db, tree, o, opts))
 	if len(fs) != opts.K {
 		t.Fatalf("FS size = %d, want %d", len(fs), opts.K)
 	}
@@ -185,26 +200,31 @@ func TestChooseCSetStrategies(t *testing.T) {
 	for _, id := range want[1 : opts.K+1] { // index 0 is o itself
 		wantSet[id] = true
 	}
-	for _, c := range fs {
-		if !wantSet[c.ID] {
-			t.Errorf("FS returned %d, not among %d nearest centers", c.ID, opts.K)
+	for _, id := range fs {
+		if !wantSet[id] {
+			t.Errorf("FS returned %d, not among %d nearest centers", id, opts.K)
 		}
 	}
 
-	is := ChooseCSet(db, tree, o, optsWith(CSetIS))
+	is := ids(new(workspace).chooseCSet(nil, db, tree, o, optsWith(CSetIS)))
 	if len(is) == 0 {
 		t.Fatal("IS returned empty C-set on a populated database")
 	}
-	for _, c := range is {
-		if c.ID == o.ID {
+	for _, id := range is {
+		if id == o.ID {
 			t.Fatal("IS contains the object itself")
 		}
-		if c.Region.Intersects(o.Region) {
-			t.Errorf("IS returned overlapping object %d", c.ID)
+		if db.Get(id).Region.Intersects(o.Region) {
+			t.Errorf("IS returned overlapping object %d", id)
 		}
 	}
 	if len(is) > optsWith(CSetIS).KGlobal {
 		t.Errorf("IS exceeded kGlobal: %d", len(is))
+	}
+	// The C-set is appended to the caller's slice.
+	head := []geom.Rect{o.Region}
+	if got := new(workspace).chooseCSet(head, db, tree, o, optsWith(CSetIS)); len(got) != 1+len(is) || !got[0].Equal(o.Region) {
+		t.Errorf("chooseCSet onto a 1-element slice returned %d regions, want %d after the caller's", len(got), 1+len(is))
 	}
 }
 
@@ -231,7 +251,7 @@ func TestISQuadrantCoverage(t *testing.T) {
 	opts := DefaultOptions()
 	opts.KPartition = 1
 	opts.KGlobal = 100
-	got := ChooseCSet(db, tree, o, opts)
+	got := new(workspace).chooseCSet(nil, db, tree, o, opts)
 	if len(got) != 4 {
 		t.Fatalf("IS returned %d objects, want all 4 quadrant reps", len(got))
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -99,6 +100,9 @@ func decode(buf []byte) (*uncertain.DB, error) {
 		return nil, fmt.Errorf("dataset: not a dataset stream: starts with %q, want %q", buf[:min(len(buf), len(fileMagic))], fileMagic)
 	}
 	d := int(binary.LittleEndian.Uint16(buf[len(fileMagic):]))
+	if err := geom.CheckDim(d); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
 	var domain uncertain.Object
 	buf, err := uncertain.DecodeObject(&domain, buf[len(fileMagic)+2:], d, 0)
 	if err != nil || len(buf) < 4 {

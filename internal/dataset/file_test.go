@@ -216,3 +216,19 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadDimensionBound: a stream is refused unless its dimension is in
+// [1, geom.MaxDim] — the header is a uint16, and an index over more
+// dimensions would take exponential time and memory to build.
+func TestLoadDimensionBound(t *testing.T) {
+	for _, d := range []int{0, 1, geom.MaxDim, geom.MaxDim + 1} {
+		var buf bytes.Buffer
+		if err := SaveTo(uncertain.NewDB(geom.UnitCube(d, 100)), &buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadFrom(&buf)
+		if ok := d >= 1 && d <= geom.MaxDim; ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "dimension") {
+			t.Errorf("d = %d: LoadFrom returned %v", d, err)
+		}
+	}
+}

@@ -19,6 +19,7 @@ package domination
 
 import (
 	"math"
+	"slices"
 
 	"pvoronoi/internal/geom"
 )
@@ -142,12 +143,19 @@ type Tester struct {
 // bounds the recursive bisection (depth m allows up to 2^m parts; the paper's
 // default m_max=10). The rectangles are copied, so the caller may reuse them.
 func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
-	if maxDepth < 0 {
-		maxDepth = 0
-	}
+	return new(Tester).Reset(candidates, target, maxDepth)
+}
+
+// Reset makes t the tester NewTester(candidates, target, maxDepth) builds,
+// keeping its storage where it is large enough: a reset tester decides every
+// probe, counts every test and tiles every face exactly like a fresh one.
+func (t *Tester) Reset(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
+	maxDepth = max(maxDepth, 0)
 	d, n := target.Dim(), len(candidates)
-	buf := make([]float64, n*3*d+2*d+(maxDepth+1)*2*d+6*d)
-	t := &Tester{dim: d, n: n, maxDepth: maxDepth, live: make([]int32, n*(maxDepth+3))}
+	size := n*3*d + 2*d + (maxDepth+1)*2*d + 6*d
+	buf := slices.Grow(t.cand[:0], size)[:size] // cand heads the buffer
+	t.Tests, t.dim, t.n, t.maxDepth = 0, d, n, maxDepth
+	t.live = slices.Grow(t.live[:0], n*(maxDepth+3))[:n*(maxDepth+3)]
 	t.cand, buf = buf[:n*3*d], buf[n*3*d:]
 	t.target, buf = buf[:2*d], buf[2*d:]
 	t.regions, t.terms = buf[:(maxDepth+1)*2*d], buf[(maxDepth+1)*2*d:]
@@ -160,6 +168,9 @@ func NewTester(candidates []geom.Rect, target geom.Rect, maxDepth int) *Tester {
 	}
 	for j := 0; j < d; j++ {
 		t.target[2*j], t.target[2*j+1] = target.Lo[j], target.Hi[j]
+	}
+	if t.faces != nil {
+		t.faces.fit(d, n)
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package domination
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"pvoronoi/internal/geom"
 )
@@ -140,17 +141,8 @@ func (t *Tester) leaf(slot, i int) ([]float64, []int32, []uint64) {
 // C-set: its next probe is the plain recursion.
 func (t *Tester) resetFace(f int) {
 	if t.faces == nil {
-		d, leaves, words := t.dim, (2*t.dim+1)*leafCap, (t.n+63)/64
-		boxes := make([]float64, (leaves+2)*2*d)
-		t.faces = &faceMemory{
-			covers: make([]cover, 2*d+1),
-			boxes:  boxes[:leaves*2*d],
-			doms:   make([]int32, leaves),
-			sets:   make([]uint64, leaves*words),
-			plate:  boxes[leaves*2*d : (leaves+1)*2*d],
-			step:   boxes[(leaves+1)*2*d:],
-			words:  words,
-		}
+		t.faces = new(faceMemory)
+		t.faces.fit(t.dim, t.n)
 	}
 	t.faces.covers[f] = cover{leaves: 1}
 	box, dom, set := t.leaf(f, 0)
@@ -161,6 +153,21 @@ func (t *Tester) resetFace(f int) {
 	for c := 0; c < t.n; c++ {
 		set[c>>6] |= 1 << (c & 63)
 	}
+}
+
+// fit sizes m for d dimensions and n candidates, growing only storage that is
+// too small, and clears the covers and the sets: resetFace ORs the C-set into
+// a set without clearing it, so a stale bit would list a missing candidate.
+func (m *faceMemory) fit(d, n int) {
+	leaves, words := (2*d+1)*leafCap, (n+63)/64
+	boxes := slices.Grow(m.boxes[:0], (leaves+2)*2*d)[:(leaves+2)*2*d]
+	m.boxes, m.plate, m.step = boxes[:leaves*2*d], boxes[leaves*2*d:(leaves+1)*2*d], boxes[(leaves+1)*2*d:]
+	m.covers = slices.Grow(m.covers[:0], 2*d+1)[:2*d+1]
+	m.doms = slices.Grow(m.doms[:0], leaves)[:leaves]
+	m.sets = slices.Grow(m.sets[:0], leaves*words)[:leaves*words]
+	m.words = words
+	clear(m.covers)
+	clear(m.sets)
 }
 
 // probe decides whether the plate is covered by singly dominated boxes by

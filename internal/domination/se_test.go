@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvoronoi/internal/geom"
@@ -394,5 +395,103 @@ func FuzzShrinkExpandSound(f *testing.F) {
 		tester := NewTester(cands, target, depth)
 		first, _ := checkedRun(t, "first", tester, cands, target, target, h, delta, Schedule(schedByte&1), rng)
 		checkedRun(t, "again", tester, cands, target, target, first, delta/4, Schedule(schedByte>>1&1), rng)
+
+		// Reset onto other inputs — a larger C-set, a smaller one under
+		// another target, another dimension — must leave the tester exactly
+		// as a fresh one.
+		third := len(data) / 3
+		_, _, target2, region2, cands2 := fuzzCase(dByte, depthByte, append(slices.Clone(data[third:]), data[:third]...))
+		_, _, target3, _, cands3 := fuzzCase(dByte+1, depthByte, data)
+		for i, next := range []struct {
+			target geom.Rect
+			cands  []geom.Rect
+		}{
+			{target2, append(slices.Clip(cands), cands2...)},
+			{region2, cands[:len(cands)/2]},
+			{target3, cands3},
+		} {
+			if next.target.Dim() == 0 {
+				continue
+			}
+			h := next.target.Clone()
+			for _, c := range next.cands {
+				h = h.Union(c)
+			}
+			assertResetMatchesFresh(t, fmt.Sprintf("reset %d", i), tester, next.cands, next.target, h, delta, Schedule(schedByte&1), depth)
+		}
 	})
+}
+
+// recordedRun runs ShrinkExpand on copies of l and h and records, as bits,
+// every probe's face and answer and the tiling it assembled: leaf boxes,
+// dominators and lists.
+func recordedRun(tt *Tester, l, h geom.Rect, delta float64, sched Schedule) (geom.Rect, int, []uint64) {
+	var rec []uint64
+	l, h = l.Clone(), h.Clone()
+	tt.resetFace(0) // builds the memory the hook hangs on
+	tt.faces.onProbe = func(f int, prunable bool) {
+		m := tt.faces
+		s := m.covers[2*tt.dim]
+		rec = append(rec, uint64(f), uint64(s.leaves))
+		if prunable {
+			rec = append(rec, 1)
+		}
+		for i := 0; i < s.leaves; i++ {
+			box, dom, set := tt.leaf(2*tt.dim, i)
+			for _, x := range box[:2*tt.dim] {
+				rec = append(rec, math.Float64bits(x))
+			}
+			rec = append(append(rec, uint64(dom[0])), set[:m.words]...)
+		}
+	}
+	steps, _ := tt.ShrinkExpand(l, h, delta, sched)
+	tt.faces.onProbe = nil
+	return h, steps, rec
+}
+
+// assertResetMatchesFresh resets the used tester onto (cands, target, depth)
+// and requires of it what a fresh NewTester does: the same SE run — result,
+// steps, every probe's answer and tiling — the same answer on a stateless
+// probe, and the same test counts. A stale bit left in a list by an earlier,
+// larger C-set is what this must catch.
+func assertResetMatchesFresh(t *testing.T, name string, used *Tester, cands []geom.Rect, target, h geom.Rect, delta float64, sched Schedule, depth int) {
+	t.Helper()
+	fresh := NewTester(cands, target, depth)
+	used.Reset(cands, target, depth)
+	got, gotSteps, gotRec := recordedRun(used, target, h, delta, sched)
+	want, wantSteps, wantRec := recordedRun(fresh, target, h, delta, sched)
+	if !sameRect(got, want) || gotSteps != wantSteps || used.Tests != fresh.Tests || !slices.Equal(gotRec, wantRec) {
+		t.Fatalf("%s (d=%d, n=%d): a reset tester gives %v in %d steps and %d tests, a fresh one %v in %d steps and %d tests (tilings equal: %v)",
+			name, target.Dim(), len(cands), got, gotSteps, used.Tests, want, wantSteps, fresh.Tests, slices.Equal(gotRec, wantRec))
+	}
+	probe := h.Clone()
+	probe.Hi[0] = (probe.Lo[0] + probe.Hi[0]) / 2
+	if a, b := used.RegionPrunable(probe), fresh.RegionPrunable(probe); a != b || used.Tests != fresh.Tests {
+		t.Fatalf("%s: on %v a reset tester answers %v after %d tests, a fresh one %v after %d", name, probe, a, used.Tests, b, fresh.Tests)
+	}
+}
+
+// TestTesterResetMatchesFresh: one tester, reset onto C-sets that grow and
+// shrink across the 64-candidate word boundary and onto every dimension in
+// turn, decides every probe, counts every test and tiles every face exactly
+// like a fresh tester over the same input.
+func TestTesterResetMatchesFresh(t *testing.T) {
+	used := new(Tester)
+	rng := rand.New(rand.NewSource(36))
+	for round := 0; round < 3; round++ {
+		for _, d := range []int{1, 2, 3, 5} {
+			for _, n := range []int{130, 7, 64, 65, 1, 0} {
+				if race.Enabled && d == 5 && n > 64 {
+					continue
+				}
+				kind := seKinds[(round+n)%len(seKinds)]
+				g := diffGen{rng: rng, d: d, grid: round == 1}
+				target, cands := seInput(g, kind, n)
+				domain := geom.UnitCube(d, seSpan)
+				depth := []int{10, 4, 13}[round]
+				name := fmt.Sprintf("round %d/d%d/n%d/%s", round, d, n, kind)
+				assertResetMatchesFresh(t, name, used, cands, target, domain, []float64{1, 0.01, 16}[round], Schedule(n%2), depth)
+			}
+		}
+	}
 }

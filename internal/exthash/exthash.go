@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pvoronoi/internal/pagestore"
 )
@@ -29,6 +30,9 @@ type Table struct {
 	size        int
 	slotsPer    int
 	sess        *pagestore.COWSession
+	// slots is the scratch readBucket decodes into. Only Put and Delete call
+	// it, on the handle being mutated: a CloneCOW clone starts without one.
+	slots []slot
 }
 
 const (
@@ -69,6 +73,7 @@ func (t *Table) CloneCOW(freed *[]pagestore.PageID) *Table {
 	c := *t
 	c.dir = append(make([]pagestore.PageID, 0, len(t.dir)), t.dir...)
 	c.sess = pagestore.NewCOWSession(t.store, freed)
+	c.slots = nil
 	return &c
 }
 
@@ -144,8 +149,8 @@ type slot struct {
 	firstPage pagestore.PageID
 }
 
-// readBucket decodes a bucket page via a borrowed view; every field is
-// copied out, so nothing aliases page memory after it returns.
+// readBucket decodes a bucket page via a borrowed view into t's scratch;
+// every field is copied out, so nothing aliases page memory after it returns.
 func (t *Table) readBucket(id pagestore.PageID) (bucket, error) {
 	buf, err := t.store.View(id)
 	if err != nil {
@@ -153,7 +158,8 @@ func (t *Table) readBucket(id pagestore.PageID) (bucket, error) {
 	}
 	b := bucket{localDepth: binary.LittleEndian.Uint16(buf[0:2])}
 	n := int(binary.LittleEndian.Uint16(buf[2:4]))
-	b.slots = make([]slot, n)
+	t.slots = slices.Grow(t.slots[:0], n)[:n]
+	b.slots = t.slots
 	off := bucketHeader
 	for i := 0; i < n; i++ {
 		b.slots[i] = slot{
@@ -514,19 +520,19 @@ func (t *Table) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error)
 		}
 		seen[p] = true
 		dst = append(dst, p)
-		b, err := t.readBucket(p)
+		buf, err := t.store.View(p)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range b.slots {
-			v := s.firstPage
+		for i := range int(binary.LittleEndian.Uint16(buf[2:4])) {
+			v := pagestore.PageID(binary.LittleEndian.Uint32(buf[bucketHeader+i*slotSize+8:]))
 			for v != 0 {
 				dst = append(dst, v)
-				buf, err := t.store.View(v)
+				page, err := t.store.View(v)
 				if err != nil {
 					return nil, err
 				}
-				v = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+				v = pagestore.PageID(binary.LittleEndian.Uint32(page[0:4]))
 			}
 		}
 	}

@@ -253,7 +253,7 @@ func (w *working) apply(ups []Update) ([]UpdateStats, error) {
 // them is conservative: no affected object can be missed. The staging and
 // both recompute phases fan out across a worker pool — SE reads only the
 // working database and region tree, which do not change while one runs
-// (ChooseCSet skips the object's own ID, so a newcomer's UBR computed before
+// (chooseCSet skips the object's own ID, so a newcomer's UBR computed before
 // it is added is what it would be after; R*-tree browsing mutates only atomic
 // counters, so workers share the tree).
 func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {

@@ -268,6 +268,7 @@ func BenchmarkApplyBatchPairs(b *testing.B) {
 			fresh := dataset.Synthetic(extra).Objects()
 			var insert, remove time.Duration
 			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ins := make([]Update, c.batch)
 				del := make([]Update, c.batch)

@@ -52,6 +52,28 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	}
 	assertPDFsMatchRecords(t, got)
 	assertPDFsMatchRecords(t, want)
+	assertRegionTreeIsDB(t, got, label)
+	assertRegionTreeIsDB(t, want, label)
+}
+
+// assertRegionTreeIsDB: the region tree indexes exactly the database's
+// objects under their own regions. The C-set selection takes its regions from
+// the tree's items and never looks the IDs up, which is sound only because a
+// working set mutates its database and its region tree together.
+func assertRegionTreeIsDB(t *testing.T, ix *Index, label string) {
+	t.Helper()
+	v := ix.current.Load()
+	items := v.regionTree.All(nil)
+	if len(items) != v.db.Len() {
+		t.Fatalf("%s: region tree holds %d items, database %d objects", label, len(items), v.db.Len())
+	}
+	seen := make(map[uint32]bool, len(items))
+	for _, it := range items {
+		if o := v.db.Get(uncertain.ID(it.ID)); o == nil || seen[it.ID] || !sameRectBits(it.Rect, o.Region) {
+			t.Fatalf("%s: region tree item %d %v is not a database object's region, or a second one", label, it.ID, it.Rect)
+		}
+		seen[it.ID] = true
+	}
 }
 
 // assertPDFsMatchRecords: the two copies of every object's pdf agree. Step 2

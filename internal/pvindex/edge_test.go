@@ -5,7 +5,9 @@ package pvindex
 // identical regions, and page-store exhaustion.
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
@@ -227,6 +229,38 @@ func TestDeleteEverything(t *testing.T) {
 		}
 		if !sameIDs(idsOf(got), bruteforce.PossibleNN(ix.DB(), q)) {
 			t.Fatalf("refilled DB mismatch at %v", q)
+		}
+	}
+}
+
+// TestDimensionBound: Build and LoadFrom refuse a database whose dimension is
+// outside [1, geom.MaxDim], and accept both ends of that range.
+func TestDimensionBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, d := range []int{0, 1, geom.MaxDim, geom.MaxDim + 1} {
+		db := randomDB(rng, 6, max(d, 1), 1000, 30, true)
+		if d == 0 || d > geom.MaxDim {
+			db = uncertain.NewDB(geom.UnitCube(d, 1000))
+		}
+		ix, err := Build(db, testConfig())
+		if d == 0 || d > geom.MaxDim {
+			if err == nil || !strings.Contains(err.Error(), "dimension") {
+				t.Errorf("d = %d: Build returned %v", d, err)
+			}
+			if _, err := LoadFrom(bytes.NewReader(nil), db); err == nil || !strings.Contains(err.Error(), "dimension") {
+				t.Errorf("d = %d: LoadFrom returned %v", d, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("d = %d: %v", d, err)
+		}
+		var buf bytes.Buffer
+		if err := ix.SaveTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFrom(&buf, db); err != nil {
+			t.Fatalf("d = %d: LoadFrom: %v", d, err)
 		}
 	}
 }

@@ -260,7 +260,7 @@ func FuzzLoadImage(f *testing.F) {
 
 func mustEncodeRecord(t testing.TB, r record) []byte {
 	t.Helper()
-	buf, err := encodeRecord(r)
+	buf, err := appendRecord(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}

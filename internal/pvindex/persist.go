@@ -114,6 +114,9 @@ func (ix *Index) SnapshotWith(w io.Writer, fn func(db *uncertain.DB) error) (wal
 // database must be the same object set the index was built on (checked by
 // cardinality and by per-object UBR presence).
 func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
+	if err := geom.CheckDim(db.Dim()); err != nil {
+		return nil, fmt.Errorf("pvindex: load: %w", err)
+	}
 	var img indexImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("pvindex: decoding index image: %w", err)

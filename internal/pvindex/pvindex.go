@@ -150,7 +150,8 @@ type working struct {
 	// rows its refinement pass scores.
 	changed map[uint32]struct{}
 
-	freed []pagestore.PageID
+	freed  []pagestore.PageID
+	recBuf []byte // putRecord's encoding buffer
 }
 
 // buildRegionTree constructs the region R*-tree of a database. It is a
@@ -160,6 +161,9 @@ var buildRegionTree = core.BuildRegionTree
 
 // bootstrapWorking creates the construction-time working set over db.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
+	if err := geom.CheckDim(db.Dim()); err != nil {
+		return nil, fmt.Errorf("pvindex: build: %w", err)
+	}
 	for _, o := range db.Objects() {
 		err := o.Validate()
 		if err == nil {
@@ -247,12 +251,14 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	return BuildParallel(db, cfg, 1)
 }
 
-// putRecord writes o's record to the working secondary index.
+// putRecord writes o's record to the working secondary index, encoding it in
+// the writer's buffer (Put copies the value into pages).
 func (w *working) putRecord(id uint32, rec record) error {
-	buf, err := encodeRecord(rec)
+	buf, err := appendRecord(w.recBuf[:0], rec)
 	if err != nil {
 		return err
 	}
+	w.recBuf = buf
 	return w.secondary.Put(id, buf)
 }
 

@@ -18,7 +18,7 @@ type record struct {
 	Instances []uncertain.Instance
 }
 
-// encodeRecord serializes r. Layout:
+// appendRecord appends the serialization of r to dst. Layout:
 //
 //	dim uint16 | nInstances uint32 | UBR lo/hi (2d float64) |
 //	region lo/hi (2d float64) | instances (d+1 float64 each)
@@ -28,11 +28,10 @@ type record struct {
 // recordUBRLen(d) bytes are self-sufficient: together with the value's total
 // length they validate the whole record's shape and yield the UBR
 // (decodeRecordUBR), so the write path never reads past them.
-func encodeRecord(r record) ([]byte, error) {
+func appendRecord(dst []byte, r record) ([]byte, error) {
 	d, n := r.UBR.Dim(), len(r.Instances)
-	buf := make([]byte, 6, 2+4+4*8*d+n*(8*d+8))
-	binary.LittleEndian.PutUint16(buf[0:2], uint16(d))
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(n))
+	buf := binary.LittleEndian.AppendUint16(dst, uint16(d))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf, err := uncertain.AppendObject(buf, &uncertain.Object{Region: r.UBR})
 	if err == nil {
 		buf, err = uncertain.AppendObject(buf, &uncertain.Object{Region: r.Region, Instances: r.Instances})

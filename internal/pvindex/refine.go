@@ -208,6 +208,7 @@ func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 		j.st.Refine.ClipPasses++
 		j.st.Refine.ClipCells += cells
 		j.st.Refine.ClipTests = rf.Tests() - seTests
+		rf.Release()
 		if !clipped.ContainsRect(j.obj.Region) {
 			// Unreachable for a sound tester (u(o) ⊆ V(o) survives every
 			// prune); keep the guard so a bug can only cost tightness.

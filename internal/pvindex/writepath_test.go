@@ -70,12 +70,17 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 }
 
 // TestApplyBatchAllocBudget: one batch of 16 inserts into a 2 000-object d=2
-// index with 100-instance pdfs. Before the writer read UBRs from record
-// headers and adjacency rows and browsed with pooled iterators, this very
-// batch allocated 391 211 times (measured at the parent commit with this
-// test's code); the budget is a tenth of that, the count now 24 k.
+// index with 100-instance pdfs, then one batch deleting them again. Before the
+// writer read UBRs from record headers and adjacency rows and browsed with
+// pooled iterators, the insert batch allocated 391 211 times (measured at the
+// parent commit with this test's code); the budget is a tenth of that, the
+// count now 10 k. Before SE runs took their tester, face memory and C-set from
+// a pooled workspace and the writer encoded records and decoded buckets into
+// buffers it owns, the two batches allocated 7 434 040 and 7 866 784 bytes
+// (now ≈ 0.8 MB each); the byte budgets are a third of those.
 func TestApplyBatchAllocBudget(t *testing.T) {
 	const parent, budget = 391_211, 39_100
+	const insertBytes, deleteBytes = 7_434_040 / 3, 7_866_784 / 3
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1}
 	ix, err := Build(dataset.Synthetic(p), DefaultConfig())
 	if err != nil {
@@ -83,28 +88,62 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 	}
 	p.N, p.Seed = 32, 2
 	fresh := dataset.Synthetic(p).Objects()
-	batch := func(objs []*uncertain.Object) []Update {
-		ups := make([]Update, len(objs))
-		for i, o := range objs {
-			o.ID += 10_000
-			ups[i] = Update{Op: OpInsert, Object: o}
-		}
-		return ups
+	ups := make([]Update, len(fresh))
+	for i, o := range fresh {
+		o.ID += 10_000
+		ups[i] = Update{Op: OpInsert, Object: o}
 	}
-	if _, err := ix.ApplyBatch(batch(fresh[:16])); err != nil { // warm pools
+	if _, err := ix.ApplyBatch(ups[:16]); err != nil { // warm pools
 		t.Fatal(err)
 	}
-	ups := batch(fresh[16:])
+	apply := func(ups []Update) (allocs, bytes uint64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := ix.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	allocs, insBytes := apply(ups[16:])
+	for i, o := range fresh[16:] {
+		ups[i] = Update{Op: OpDelete, ID: o.ID}
+	}
+	_, delBytes := apply(ups[:16])
+	t.Logf("ApplyBatch of 16 inserts: %d allocations (parent %d), %d bytes; of 16 deletes: %d bytes", allocs, parent, insBytes, delBytes)
+	if race.Enabled {
+		return
+	}
+	if allocs > budget {
+		t.Errorf("ApplyBatch of 16 inserts allocates %d times, budget %d", allocs, budget)
+	}
+	if insBytes > insertBytes {
+		t.Errorf("ApplyBatch of 16 inserts allocates %d bytes, budget %d", insBytes, insertBytes)
+	}
+	if delBytes > deleteBytes {
+		t.Errorf("ApplyBatch of 16 deletes allocates %d bytes, budget %d", delBytes, deleteBytes)
+	}
+}
+
+// TestBuildAllocBudget: a build on the uni2 shape at n 2 000 allocates, per
+// object, its share of the pages, trees and records it keeps — not a tester,
+// face memory and C-set per SE run, nor a record encoding and a bucket decode
+// per write. Before those came from a pooled workspace and writer-owned
+// buffers it allocated 50 358 bytes per object (now ≈ 7.3 kB); the budget is
+// a third of that.
+func TestBuildAllocBudget(t *testing.T) {
+	const budget = 50_358 / 3
+	db := dataset.Synthetic(dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1})
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, err := ix.ApplyBatch(ups); err != nil {
+	if _, err := BuildParallel(db, DefaultConfig(), 2); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
-	allocs := m1.Mallocs - m0.Mallocs
-	t.Logf("ApplyBatch of 16 inserts: %d allocations (parent %d)", allocs, parent)
-	if !race.Enabled && allocs > budget {
-		t.Fatalf("ApplyBatch of 16 inserts allocates %d times, budget %d", allocs, budget)
+	perObject := (m1.TotalAlloc - m0.TotalAlloc) / uint64(db.Len())
+	t.Logf("BuildParallel allocates %d bytes per object", perObject)
+	if !race.Enabled && perObject > budget {
+		t.Errorf("BuildParallel allocates %d bytes per object, budget %d", perObject, budget)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"pvoronoi/internal/bruteforce"
 )
 
-func buildSmallDB(t *testing.T, n int, withPDF bool) *DB {
+func buildSmallDB(t testing.TB, n int, withPDF bool) *DB {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	db := NewDB(NewRect(Point{0, 0}, Point{1000, 1000}))
