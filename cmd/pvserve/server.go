@@ -694,7 +694,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"refine": map[string]int64{
 			"rows_refined":        rc.RowsRefined,
 			"rows_unchanged":      rc.RowsUnchanged,
-			"clip_passes":         rc.ClipPasses,
 			"refine_budget_spent": rc.BudgetSpent,
 		},
 		"endpoints": endpoints,

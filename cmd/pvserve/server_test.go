@@ -1035,7 +1035,7 @@ func TestServeRequestTimeout(t *testing.T) {
 // refinement subsystem's lifetime counters, non-zero on an index dense
 // enough that the default budget refines rows at build, with the refined
 // rows that came back bit-identical a part of them. The block that reported
-// the adjacency graph is gone.
+// the adjacency graph is gone, and so is the clip walk's counter.
 func TestStatsAdjacencyRefinement(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := pvoronoi.NewDB(pvoronoi.NewRect(pvoronoi.Point{0, 0}, pvoronoi.Point{1000, 1000}))
@@ -1072,26 +1072,23 @@ func TestStatsAdjacencyRefinement(t *testing.T) {
 	var ref struct {
 		RowsRefined   int64 `json:"rows_refined"`
 		RowsUnchanged int64 `json:"rows_unchanged"`
-		ClipPasses    int64 `json:"clip_passes"`
 		BudgetSpent   int64 `json:"refine_budget_spent"`
 	}
 	if err := json.Unmarshal(stats["refine"], &ref); err != nil {
 		t.Fatalf("refine block %s: %v", stats["refine"], err)
 	}
+	if bytes.Contains(stats["refine"], []byte("clip_passes")) {
+		t.Fatalf("refine block %s still reports clip passes", stats["refine"])
+	}
 	if want := ix.RefineCounters(); ref.RowsRefined != want.RowsRefined || ref.RowsUnchanged != want.RowsUnchanged ||
-		ref.ClipPasses != want.ClipPasses || ref.BudgetSpent != want.BudgetSpent {
+		ref.BudgetSpent != want.BudgetSpent {
 		t.Fatalf("refine block %+v, index counters %+v", ref, want)
 	}
 	if ref.RowsUnchanged > ref.RowsRefined {
 		t.Fatalf("rows_unchanged %d > rows_refined %d", ref.RowsUnchanged, ref.RowsRefined)
 	}
 	if ref.RowsRefined < 1 || ref.BudgetSpent < 1 {
-		t.Fatalf("refinement counters empty: rows_refined=%d budget=%d clips=%d",
-			ref.RowsRefined, ref.BudgetSpent, ref.ClipPasses)
-	}
-	if ref.ClipPasses < ref.RowsRefined {
-		t.Fatalf("clip passes %d < rows refined %d (every refined row is clipped)",
-			ref.ClipPasses, ref.RowsRefined)
+		t.Fatalf("refinement counters empty: rows_refined=%d budget=%d", ref.RowsRefined, ref.BudgetSpent)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 //
 // Directory layout:
 //
-//	dir/CURRENT          name of the active checkpoint (atomic rename)
 //	dir/ckpt-<seq>.db    database snapshot at WAL sequence <seq>
 //	dir/ckpt-<seq>.pvidx index snapshot at WAL sequence <seq>
 //	dir/wal/seg-*.wal    write-ahead-log segments
@@ -120,8 +119,6 @@ type DurableStats struct {
 }
 
 const (
-	currentFile = "CURRENT"
-
 	// ckptMagic heads every checkpoint file; ckptFooter trails it with
 	// crc32(payload) LE32 followed by len(payload) LE64. The length makes a
 	// truncated file distinguishable from a checksum mismatch.
@@ -173,10 +170,8 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 	d.recovery.TornWALBytes = walScan.TornBytes
 	d.recovery.UncommittedWALRecords = walScan.UncommittedRecords
 
-	// Candidate checkpoints, newest first. CURRENT is only a hint — the
-	// envelope checksum, not the pointer, decides what is loadable, so a
-	// crash between the data-file renames and the CURRENT update (or a
-	// corrupt CURRENT) still recovers.
+	// Candidate checkpoints, newest first: the envelope checksum decides
+	// what is loadable.
 	cands := listCheckpoints(fs, dir)
 	var ix *Index
 	var newestErr error // why the newest checkpoint was rejected
@@ -314,13 +309,13 @@ func HasCheckpointFS(fs vfs.FS, dir string) bool {
 func (d *Durable) WALHealthy() bool { return d.log.Healthy() }
 
 // Checkpoint persists a consistent snapshot of the database and index,
-// updates CURRENT atomically, prunes checkpoints beyond the retention
-// count, and trims WAL segments below the oldest retained checkpoint. If
-// nothing changed since the last checkpoint (same index write epoch and WAL
-// sequence) it is a no-op. Safe to call while queries and updates are
-// running — the snapshot pair reads one pinned MVCC version and serializes
-// entirely off-lock, so a checkpoint concurrent with ApplyBatch blocks
-// neither: writers keep publishing while the pinned version streams to disk.
+// prunes checkpoints beyond the retention count, and trims WAL segments
+// below the oldest retained checkpoint. If nothing changed since the last
+// checkpoint (same index write epoch and WAL sequence) it is a no-op. Safe to
+// call while queries and updates are running — the snapshot pair reads one
+// pinned MVCC version and serializes entirely off-lock, so a checkpoint
+// concurrent with ApplyBatch blocks neither: writers keep publishing while
+// the pinned version streams to disk.
 //
 // Checkpoint is also the re-arm point after a storage fault: a WAL that
 // fail-stopped (disk full, fsync error) is rotated onto a fresh segment
@@ -389,13 +384,9 @@ func (d *Durable) Checkpoint() (CheckpointStats, error) {
 	if err := d.fs.Rename(tmpIx, filepath.Join(d.dir, base+".pvidx")); err != nil {
 		return CheckpointStats{}, err
 	}
-	// The renames must be durable before CURRENT names the pair: a crash
-	// could otherwise persist the pointer while losing the files it points
-	// at. (writeCurrent fsyncs the directory again after its own rename.)
+	// The renames must be durable before the log records the checkpoint
+	// and the pruning below removes older pairs and log segments.
 	if err := d.fs.SyncDir(d.dir); err != nil {
-		return CheckpointStats{}, err
-	}
-	if err := writeCurrent(d.fs, d.dir, base); err != nil {
 		return CheckpointStats{}, err
 	}
 
@@ -566,28 +557,4 @@ func readSealed(fs vfs.FS, path string) ([]byte, error) {
 		return nil, fmt.Errorf("pvoronoi: %s: checkpoint checksum mismatch", path)
 	}
 	return payload, nil
-}
-
-// writeCurrent atomically points CURRENT at the given checkpoint base name
-// and fsyncs the directory so the pointer survives a crash.
-func writeCurrent(fs vfs.FS, dir, name string) error {
-	tmp := filepath.Join(dir, currentFile+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write([]byte(name + "\n"))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, currentFile)); err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
 }

@@ -196,9 +196,6 @@ func TestDurableCrashBeforeFirstCheckpointWindow(t *testing.T) {
 
 	// Wipe the checkpoint, leaving only the WAL — the pre-first-checkpoint
 	// state on disk.
-	if err := os.Remove(filepath.Join(dir, "CURRENT")); err != nil {
-		t.Fatal(err)
-	}
 	ckpts, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
 	if err != nil || len(ckpts) == 0 {
 		t.Fatalf("no checkpoint files to wipe: %v", err)

@@ -164,24 +164,18 @@ func TestPossibleKNN1MatchesQueryIDs(t *testing.T) {
 // and clustered data with coincident regions, for queries inside and outside
 // the domain and for groups near and far apart — and keep equalling them as
 // the index absorbs mixed batches and same-ID replacements and comes back
-// from a checkpoint, with refinement on and off.
+// from a checkpoint. Refinement is always on, hence the one "refined" level;
+// the candidate sets never read a UBR.
 func TestExtensionCandidatesMatchOraclesThroughUpdates(t *testing.T) {
-	for _, refine := range []string{"refined", "unrefined"} {
-		t.Run(refine, func(t *testing.T) {
-			for _, dim := range []int{2, 3, 4} {
-				for _, layout := range []string{"uniform", "clustered"} {
-					t.Run(fmt.Sprintf("d%d/%s", dim, layout), func(t *testing.T) {
-						if race.Enabled && (refine == "refined") == (layout == "clustered") {
-							t.Skip("instrumented, each layout runs one refinement setting")
-						}
-						opts := testOptions()
-						opts.Refine.Disabled = refine == "unrefined"
-						extensionCandidatesMatchOracles(t, dim, layout == "clustered", opts)
-					})
-				}
+	t.Run("refined", func(t *testing.T) {
+		for _, dim := range []int{2, 3, 4} {
+			for _, layout := range []string{"uniform", "clustered"} {
+				t.Run(fmt.Sprintf("d%d/%s", dim, layout), func(t *testing.T) {
+					extensionCandidatesMatchOracles(t, dim, layout == "clustered", testOptions())
+				})
 			}
-		})
-	}
+		}
+	})
 }
 
 // extensionObject draws one object in [0, 1000]^d: uniform, or around one of

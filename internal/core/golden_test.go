@@ -24,16 +24,19 @@ import (
 // covers: its partitions, hence its bits, differ from the stateless loop's on
 // purpose, and goldenGuard below holds the new output to that loop instead;
 // afterInsert again when those runs began to probe from h (domination.FromH):
-// 1.15–1.65× fewer tests for Σ volume within +0.2 % of the stateless loop's.
+// 1.15–1.65× fewer tests for Σ volume within +0.2 % of the stateless loop's;
+// refine when it became RefineUBR at production's escalation (+4 depth, ×4
+// quotas, was +3, ×2) without the clip walk's probe; TestRefineUBRMatchesRefiner
+// holds RefineUBR to the Refiner it replaced.
 // amd64 values; the Go compiler may fuse multiply-adds on other
 // architectures.
 var goldenSE = map[string]goldenHashes{
-	"uniform/d2":   {cold: 0xee90f9ed268a594d, afterDelete: 0x198892c8a6421ce9, afterInsert: 0xaaf85ea7e3a5bf22, refine: 0x423cc53b2dcb9834},
-	"uniform/d3":   {cold: 0xaa92583c29f995d9, afterDelete: 0x205382332975b375, afterInsert: 0x649328bf57ac6969, refine: 0x9b589700b330f680},
-	"uniform/d5":   {cold: 0xc351a4561dad1a09, afterDelete: 0x1272c61510eda094, afterInsert: 0xe819a3342be3d77c, refine: 0x62a3a80c2d4b429e},
-	"clustered/d2": {cold: 0xa423d24f2930a1de, afterDelete: 0x4039cd108df3d854, afterInsert: 0xdc7fc654b103adc5, refine: 0xa72f360a1aaeaa03},
-	"clustered/d3": {cold: 0x503a2b0cbc87a0cb, afterDelete: 0xa1141ad2d975f09b, afterInsert: 0xca0ce92c45e41c06, refine: 0x9160acba8b33910a},
-	"clustered/d5": {cold: 0x34926af26ae739f6, afterDelete: 0x5bb75766f2f5465d, afterInsert: 0xa4ce240a5d7f5668, refine: 0x1c9427fd80500f09},
+	"uniform/d2":   {cold: 0xee90f9ed268a594d, afterDelete: 0x198892c8a6421ce9, afterInsert: 0xaaf85ea7e3a5bf22, refine: 0xddb8cadb5d9e7043},
+	"uniform/d3":   {cold: 0xaa92583c29f995d9, afterDelete: 0x205382332975b375, afterInsert: 0x649328bf57ac6969, refine: 0xc0b51a11c6b7a40a},
+	"uniform/d5":   {cold: 0xc351a4561dad1a09, afterDelete: 0x1272c61510eda094, afterInsert: 0xe819a3342be3d77c, refine: 0xaa1343c0c796e04b},
+	"clustered/d2": {cold: 0xa423d24f2930a1de, afterDelete: 0x4039cd108df3d854, afterInsert: 0xdc7fc654b103adc5, refine: 0x65f62ad7dc5cb09e},
+	"clustered/d3": {cold: 0x503a2b0cbc87a0cb, afterDelete: 0xa1141ad2d975f09b, afterInsert: 0xca0ce92c45e41c06, refine: 0x7f62e430f283de3c},
+	"clustered/d5": {cold: 0x34926af26ae739f6, afterDelete: 0x5bb75766f2f5465d, afterInsert: 0xa4ce240a5d7f5668, refine: 0x42e774da6aee250a},
 }
 
 type goldenHashes struct{ cold, afterDelete, afterInsert, refine uint64 }
@@ -130,21 +133,13 @@ func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 		ins.base(back, st)
 		guard[2].add(back, st.DominationTests, csetTester(db, tree, o, opts), o.Region, grown, opts)
 
-		rf := NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 3, CSetFactor: 2})
-		tight, st := rf.Refine(ubr)
-		guard[3].add(tight, st.Refine.DominationTests, NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 3, CSetFactor: 2}).tester, o.Region, ubr, rf.opts)
+		tight, st := RefineUBR(db, tree, o, ubr, opts)
+		guard[3].add(tight, st.Refine.DominationTests, csetTester(db, tree, o, escalated(opts)), o.Region, ubr, escalated(opts))
 		ref.rect(tight)
 		ref.u64(uint64(st.Refine.CSetSize))
 		ref.u64(uint64(st.Refine.Iterations))
 		ref.u64(uint64(st.Refine.Shrinks))
 		ref.u64(uint64(st.Refine.DominationTests))
-		// The clip walk probes arbitrary boxes through the same tester.
-		probe := tight.Clone()
-		probe.Hi[0] = (probe.Lo[0] + probe.Hi[0]) / 2
-		if rf.Prunable(probe) {
-			ref.u64(1)
-		}
-		ref.u64(uint64(rf.Tests()))
 	}
 	return goldenHashes{cold: cold.Sum64(), afterDelete: del.Sum64(), afterInsert: ins.Sum64(), refine: ref.Sum64()}, guard
 }

@@ -1,48 +1,94 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/uncertain"
 )
 
-// TestEscalate checks the knob mapping: DepthBoost adds to the tester
-// recursion depth, CSetFactor multiplies all three C-set quotas, and
-// non-positive values leave the base untouched.
+// TestEscalate checks refinement's escalation: four more levels of tester
+// recursion, four times all three C-set quotas, every other knob untouched.
 func TestEscalate(t *testing.T) {
 	base := DefaultOptions()
-	esc := Escalate(base, RefineOptions{DepthBoost: 4, CSetFactor: 3})
+	esc := escalated(base)
 	if esc.MaxDepth != base.MaxDepth+4 {
 		t.Fatalf("MaxDepth = %d, want %d", esc.MaxDepth, base.MaxDepth+4)
 	}
-	if esc.K != base.K*3 || esc.KPartition != base.KPartition*3 || esc.KGlobal != base.KGlobal*3 {
-		t.Fatalf("C-set quotas not tripled: %+v", esc)
+	if esc.K != base.K*4 || esc.KPartition != base.KPartition*4 || esc.KGlobal != base.KGlobal*4 {
+		t.Fatalf("C-set quotas not quadrupled: %+v", esc)
 	}
 	if esc.Delta != base.Delta || esc.Strategy != base.Strategy {
 		t.Fatalf("escalation changed unrelated knobs: %+v", esc)
 	}
-	same := Escalate(base, RefineOptions{DepthBoost: 0, CSetFactor: 1})
-	if same != base {
-		t.Fatalf("no-op escalation altered options: %+v", same)
+}
+
+// TestRefineUBRMatchesRefiner holds RefineUBR to the Refiner it replaced
+// (reference_test.go) at the escalation production used (+4 depth, ×4
+// quotas): the same UBR bits and the same counts — rows, C-set size,
+// iterations, shrinks and domination tests — on uniform and clustered data
+// in d = 2, 3 and 4, starting from every sampled object's cold UBR.
+func TestRefineUBRMatchesRefiner(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		for _, d := range []int{2, 3, 4} {
+			t.Run(fmt.Sprintf("clustered=%v/d%d", clustered, d), func(t *testing.T) {
+				db := dataset.Synthetic(dataset.SyntheticParams{N: 600, Dim: d, Seed: int64(60 + d), Clustered: clustered})
+				tree := BuildRegionTree(db, 32)
+				opts := DefaultOptions()
+				shrunk, samples := 0, map[int]int{2: 30, 3: 15, 4: 10}[d]
+				for i := 0; i < 600; i += 600 / samples {
+					o := db.Get(uncertain.ID(i))
+					stored, _ := ComputeUBR(db, tree, o, opts)
+					rf := NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 4, CSetFactor: 4})
+					want, wst := rf.Refine(stored)
+					wantTests := rf.Tests()
+					rf.Release()
+					got, gst := RefineUBR(db, tree, o, stored, opts)
+					if !sameBits(got, want) {
+						t.Fatalf("object %d: RefineUBR %v, Refiner %v", o.ID, got, want)
+					}
+					g, w := gst.Refine, wst.Refine
+					g.Time, w.Time = 0, 0
+					if g != w || gst.DominationTests != 0 || g.DominationTests != wantTests {
+						t.Fatalf("object %d: RefineUBR counts %+v, Refiner %+v (%d tests)", o.ID, gst, wst, wantTests)
+					}
+					if !got.Equal(stored) {
+						shrunk++
+					}
+				}
+				t.Logf("%d rows tightened", shrunk)
+			})
+		}
 	}
 }
 
-// TestRefinerShrinkOnlyAndSound is the refinement pass's core contract:
+// sameBits reports whether two rectangles agree bit for bit.
+func sameBits(a, b geom.Rect) bool {
+	for j := range a.Lo {
+		if math.Float64bits(a.Lo[j]) != math.Float64bits(b.Lo[j]) || math.Float64bits(a.Hi[j]) != math.Float64bits(b.Hi[j]) {
+			return false
+		}
+	}
+	return len(a.Lo) == len(b.Lo)
+}
+
+// TestRefineUBRShrinkOnlyAndSound is the refinement pass's core contract:
 // starting from the base SE UBR, the refined rectangle never grows, always
 // contains the object's uncertainty region, and still contains every sampled
 // point of the true PV-cell (conservativeness survives the deeper tester).
-func TestRefinerShrinkOnlyAndSound(t *testing.T) {
+func TestRefineUBRShrinkOnlyAndSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := randomDB(rng, 80, 2, 1000, 40)
 	tree := BuildRegionTree(db, 16)
 	opts := optsWith(CSetIS)
-	r := RefineOptions{DepthBoost: 4, CSetFactor: 4}
 	for _, o := range db.Objects()[:16] {
 		base, _ := ComputeUBR(db, tree, o, opts)
-		rf := NewRefiner(db, tree, o, opts, r)
-		refined, st := rf.Refine(base)
+		refined, st := RefineUBR(db, tree, o, base, opts)
 		if !base.ContainsRect(refined) {
 			t.Fatalf("object %d: refined UBR %v escapes base %v", o.ID, refined, base)
 		}
@@ -75,34 +121,28 @@ func TestRefinerShrinkOnlyAndSound(t *testing.T) {
 	}
 }
 
-// TestRefinerDegenerateInputs covers the guards: an oldUBR that does not
+// TestRefineUBRDegenerateInputs covers the guards: a stored UBR that does not
 // contain u(o) is returned untouched (refuse to shrink on bad input), and a
-// single-object database (empty C-set, nil tester) keeps the old UBR and
-// reports nothing prunable.
-func TestRefinerDegenerateInputs(t *testing.T) {
+// single-object database (empty C-set) keeps the stored UBR.
+func TestRefineUBRDegenerateInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	db := randomDB(rng, 40, 2, 1000, 40)
 	tree := BuildRegionTree(db, 16)
 	opts := optsWith(CSetIS)
 	o := db.Objects()[0]
-	rf := NewRefiner(db, tree, o, opts, RefineOptions{DepthBoost: 2, CSetFactor: 2})
 	bogus := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	if got, _ := rf.Refine(bogus); !got.Equal(bogus) {
-		t.Fatalf("bad oldUBR was shrunk: %v -> %v", bogus, got)
+	if got, _ := RefineUBR(db, tree, o, bogus, opts); !got.Equal(bogus) {
+		t.Fatalf("bad stored UBR was shrunk: %v -> %v", bogus, got)
 	}
 
 	solo := randomDB(rand.New(rand.NewSource(33)), 1, 2, 1000, 40)
 	soloTree := BuildRegionTree(solo, 16)
-	so := solo.Objects()[0]
-	srf := NewRefiner(solo, soloTree, so, optsWith(CSetIS), RefineOptions{DepthBoost: 2})
 	domain := solo.Domain
-	if got, _ := srf.Refine(domain); !got.Equal(domain) {
+	got, st := RefineUBR(solo, soloTree, solo.Objects()[0], domain, opts)
+	if !got.Equal(domain) {
 		t.Fatalf("single-object refinement shrank the domain UBR: %v", got)
 	}
-	if srf.Prunable(domain) {
-		t.Fatal("nil-tester refiner claimed a region prunable")
-	}
-	if srf.Tests() != 0 {
-		t.Fatalf("nil-tester refiner counted %d tests", srf.Tests())
+	if st.Refine.DominationTests != 0 {
+		t.Fatalf("empty C-set counted %d tests", st.Refine.DominationTests)
 	}
 }

@@ -29,10 +29,9 @@ type Stats struct {
 	Refine RefineStats
 }
 
-// RefineStats is the cost profile of the budget-aware refinement pass:
-// the escalated SE bisection plus the octree clip walk. Kept apart from the
-// base Stats counters so per-batch accounting can show exactly where the
-// extra budget went.
+// RefineStats is the cost profile of the budget-aware refinement pass, the
+// escalated SE re-run (RefineUBR). Kept apart from the base Stats counters so
+// per-batch accounting can show exactly where the extra budget went.
 type RefineStats struct {
 	Rows            int           // objects whose UBR a refinement recomputed
 	Unchanged       int           // of those, rows whose UBR came back bit-identical
@@ -41,9 +40,6 @@ type RefineStats struct {
 	Iterations      int           // refinement bisection steps attempted
 	DominationTests int64         // domination decisions spent by refinement bisection
 	Shrinks         int           // refinement steps that tightened the UBR
-	ClipPasses      int           // octree clip walks executed
-	ClipCells       int           // leaf cells examined by clip walks
-	ClipTests       int64         // domination decisions spent by clip walks
 }
 
 // Add accumulates s2 into s, for aggregating per-pass refinement stats.
@@ -55,9 +51,6 @@ func (s *RefineStats) Add(s2 RefineStats) {
 	s.Iterations += s2.Iterations
 	s.DominationTests += s2.DominationTests
 	s.Shrinks += s2.Shrinks
-	s.ClipPasses += s2.ClipPasses
-	s.ClipCells += s2.ClipCells
-	s.ClipTests += s2.ClipTests
 }
 
 // Add accumulates s2 into s, for aggregating per-object stats over a build.

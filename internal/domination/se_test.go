@@ -268,7 +268,7 @@ func sameRect(a, b geom.Rect) bool {
 
 // TestShrinkExpandSound: on every input family, in every run shape SE is used
 // in — cold, warm-started from an old UBR as h (probing from it) or as l, and a
-// second run on a tester that has already served one (Refiner.Refine) — every
+// second run on a tester that has already served one (a pooled workspace) — every
 // cover the loop accepts is a complete proof, nothing of I(Cset, o) is cut
 // off, and a reused tester behaves exactly like a fresh one. Over all inputs
 // the runs from h end no looser than the stateless loop from the same bounds.

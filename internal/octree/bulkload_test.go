@@ -12,6 +12,16 @@ import (
 	"pvoronoi/internal/pagestore"
 )
 
+// readLeafPage decodes one leaf page into fresh entries.
+func (t *Tree) readLeafPage(id pagestore.PageID) (next pagestore.PageID, entries []Entry, err error) {
+	buf, err := t.store.View(id)
+	if err != nil {
+		return 0, nil, err
+	}
+	next, entries = t.decodeLeafPage(buf, nil)
+	return next, entries, nil
+}
+
 // structuralHash folds the whole tree — pre-order over nodes: depth, leaf or
 // internal, a leaf's page count and its chain's entries (ID and region bits)
 // in chain order — then size, memory used and split count into one FNV-64a

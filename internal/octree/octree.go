@@ -45,6 +45,11 @@ type Tree struct {
 	maxDepth  int
 	size      int // total entry copies across leaves
 	sess      *pagestore.COWSession
+	// recs is the mutating handle's scratch for a leaf's packed entry
+	// records, so inserting into or removing from a leaf copies bytes without
+	// decoding or allocating. CloneCOW gives the clone none: sealed handles
+	// never touch it.
+	recs []byte
 
 	// SplitCount tallies leaf splits, for construction statistics.
 	SplitCount int
@@ -119,6 +124,7 @@ func New(cfg Config) (*Tree, error) {
 func (t *Tree) CloneCOW(lookup UBRLookup, freed *[]pagestore.PageID) *Tree {
 	c := *t
 	c.sess = pagestore.NewCOWSession(t.store, freed)
+	c.recs = nil
 	if lookup != nil {
 		c.lookup = lookup
 	}
@@ -179,29 +185,34 @@ func (t *Tree) MemUsed() int { return t.memUsed }
 // Leaf page layout: next PageID uint32 | count uint32 | entries...
 // Entry layout: id uint32 | lo [d]float64 | hi [d]float64.
 
-func (t *Tree) writeLeafPage(id pagestore.PageID, next pagestore.PageID, entries []Entry) error {
-	if len(entries) > t.perPage() {
-		return fmt.Errorf("octree: %d entries exceed page capacity %d", len(entries), t.perPage())
+func (t *Tree) writeLeafPage(id pagestore.PageID, next pagestore.PageID, recs []byte) error {
+	if n := len(recs) / t.entrySize(); n > t.perPage() {
+		return fmt.Errorf("octree: %d entries exceed page capacity %d", n, t.perPage())
 	}
 	scratch := t.store.AcquirePage()
 	defer t.store.ReleasePage(scratch)
-	buf := (*scratch)[:8+len(entries)*t.entrySize()]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(next))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(entries)))
-	off := 8
-	for _, e := range entries {
-		binary.LittleEndian.PutUint32(buf[off:], e.ID)
-		off += 4
-		for j := 0; j < t.dim; j++ {
-			binary.LittleEndian.PutUint64(buf[off:], floatBits(e.Region.Lo[j]))
-			off += 8
-		}
-		for j := 0; j < t.dim; j++ {
-			binary.LittleEndian.PutUint64(buf[off:], floatBits(e.Region.Hi[j]))
-			off += 8
-		}
+	buf := binary.LittleEndian.AppendUint32((*scratch)[:0], uint32(next))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)/t.entrySize()))
+	return t.store.Write(id, append(buf, recs...))
+}
+
+// appendEntry appends e's record to recs.
+func (t *Tree) appendEntry(recs []byte, e Entry) []byte {
+	recs = binary.LittleEndian.AppendUint32(recs, e.ID)
+	for j := 0; j < t.dim; j++ {
+		recs = binary.LittleEndian.AppendUint64(recs, floatBits(e.Region.Lo[j]))
 	}
-	return t.store.Write(id, buf)
+	for j := 0; j < t.dim; j++ {
+		recs = binary.LittleEndian.AppendUint64(recs, floatBits(e.Region.Hi[j]))
+	}
+	return recs
+}
+
+// pageRecs splits an encoded leaf page into its next-page ID and its packed
+// entry records.
+func (t *Tree) pageRecs(buf []byte) (next pagestore.PageID, recs []byte) {
+	n := int(binary.LittleEndian.Uint32(buf[4:8]))
+	return pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4])), buf[8 : 8+n*t.entrySize()]
 }
 
 // decodeLeafPage parses an encoded leaf page, appending its entries to dst
@@ -244,18 +255,6 @@ func (t *Tree) decodeLeafPage(buf []byte, dst []Entry) (next pagestore.PageID, o
 	return next, dst
 }
 
-// readLeafPage decodes a leaf page via a borrowed view: decodeLeafPage
-// copies every field out of the page, so nothing aliases slab memory after
-// it returns and the borrow never outlives the call.
-func (t *Tree) readLeafPage(id pagestore.PageID) (next pagestore.PageID, entries []Entry, err error) {
-	buf, err := t.store.View(id)
-	if err != nil {
-		return 0, nil, err
-	}
-	next, entries = t.decodeLeafPage(buf, nil)
-	return next, entries, nil
-}
-
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
@@ -282,28 +281,33 @@ func childRegion(region geom.Rect, mask int) geom.Rect {
 // Insert adds an entry for object id with uncertainty region u to every leaf
 // whose cell intersects ubr.
 func (t *Tree) Insert(id uint32, u geom.Rect, ubr geom.Rect) error {
-	if !t.domain.Intersects(ubr) {
-		return nil
-	}
-	t.root = t.ownedNode(t.root)
-	return t.insert(t.root, t.domain, Entry{ID: id, Region: u}, ubr)
+	return t.insertWithin(id, u, ubr, nil)
 }
 
 // InsertDiff adds the entry only to leaves whose cells intersect newUBR but
 // not oldUBR — the N′−N leaf set of the paper's incremental deletion Step 4.
 func (t *Tree) InsertDiff(id uint32, u geom.Rect, newUBR, oldUBR geom.Rect) error {
-	if !t.domain.Intersects(newUBR) {
+	return t.insertWithin(id, u, newUBR, &oldUBR)
+}
+
+func (t *Tree) insertWithin(id uint32, u, ubr geom.Rect, except *geom.Rect) error {
+	if !t.domain.Intersects(ubr) {
 		return nil
 	}
 	t.root = t.ownedNode(t.root)
-	return t.insertDiff(t.root, t.domain, Entry{ID: id, Region: u}, newUBR, oldUBR)
+	return t.insert(t.root, t.domain, t.appendEntry(nil, Entry{ID: id, Region: u}), ubr, except)
 }
 
-// insert descends into the cells intersecting ubr. n is session-owned;
-// children are path-copied before descent so shared subtrees never mutate.
-func (t *Tree) insert(n *node, region geom.Rect, e Entry, ubr geom.Rect) error {
+// insert adds the entry record rec to the leaves under n whose cells meet ubr
+// and not except (a leaf meeting except already holds it). n is
+// session-owned; children are path-copied before descent so shared subtrees
+// never mutate.
+func (t *Tree) insert(n *node, region geom.Rect, rec []byte, ubr geom.Rect, except *geom.Rect) error {
 	if n.children == nil {
-		return t.leafInsert(n, region, e)
+		if except != nil && region.Intersects(*except) {
+			return nil
+		}
+		return t.leafInsert(n, region, rec)
 	}
 	for mask := range n.children {
 		cr := childRegion(region, mask)
@@ -312,45 +316,26 @@ func (t *Tree) insert(n *node, region geom.Rect, e Entry, ubr geom.Rect) error {
 		}
 		c := t.ownedNode(n.children[mask])
 		n.children[mask] = c
-		if err := t.insert(c, cr, e, ubr); err != nil {
+		if err := t.insert(c, cr, rec, ubr, except); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (t *Tree) insertDiff(n *node, region geom.Rect, e Entry, newUBR, oldUBR geom.Rect) error {
-	if n.children == nil {
-		if region.Intersects(oldUBR) {
-			return nil // leaf already holds the entry
-		}
-		return t.leafInsert(n, region, e)
-	}
-	for mask := range n.children {
-		cr := childRegion(region, mask)
-		if !cr.Intersects(newUBR) {
-			continue
-		}
-		c := t.ownedNode(n.children[mask])
-		n.children[mask] = c
-		if err := t.insertDiff(c, cr, e, newUBR, oldUBR); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// leafInsert places e into leaf n (cell = region), splitting or chaining on
-// overflow per the paper's construction Step 3. n is session-owned; a head
-// page shared with an older version is shadow-copied (fresh page ID, old ID
-// deferred to the freed list) rather than rewritten in place.
-func (t *Tree) leafInsert(n *node, region geom.Rect, e Entry) error {
-	next, entries, err := t.readLeafPage(n.firstPage)
+// leafInsert places the entry record rec into leaf n (cell = region),
+// splitting or chaining on overflow per the paper's construction Step 3. n is
+// session-owned; a head page shared with an older version is shadow-copied
+// (fresh page ID, old ID deferred to the freed list) rather than rewritten in
+// place. rec must not alias the scratch.
+func (t *Tree) leafInsert(n *node, region geom.Rect, rec []byte) error {
+	buf, err := t.store.View(n.firstPage)
 	if err != nil {
 		return err
 	}
-	if len(entries) < t.perPage() {
-		entries = append(entries, e)
+	next, recs := t.pageRecs(buf)
+	if len(recs) < t.perPage()*t.entrySize() {
+		t.recs = append(append(t.recs[:0], recs...), rec...)
 		target := n.firstPage
 		if !t.pageOwned(target) {
 			p, err := t.allocPage()
@@ -363,7 +348,7 @@ func (t *Tree) leafInsert(n *node, region geom.Rect, e Entry) error {
 			n.firstPage = p
 			target = p
 		}
-		if err := t.writeLeafPage(target, next, entries); err != nil {
+		if err := t.writeLeafPage(target, next, t.recs); err != nil {
 			return err
 		}
 		t.size++
@@ -378,7 +363,7 @@ func (t *Tree) leafInsert(n *node, region geom.Rect, e Entry) error {
 		if err != nil {
 			return err
 		}
-		if err := t.writeLeafPage(p, n.firstPage, []Entry{e}); err != nil {
+		if err := t.writeLeafPage(p, n.firstPage, rec); err != nil {
 			return err
 		}
 		n.firstPage = p
@@ -386,17 +371,17 @@ func (t *Tree) leafInsert(n *node, region geom.Rect, e Entry) error {
 		t.size++
 		return nil
 	}
-	return t.splitLeaf(n, region, e)
+	return t.splitLeaf(n, region, rec)
 }
 
 // splitLeaf converts leaf n into an internal node with 2^d leaf children and
-// redistributes its entries (plus the pending entry e) by UBR overlap.
-func (t *Tree) splitLeaf(n *node, region geom.Rect, e Entry) error {
+// redistributes its entries (plus the pending record rec) by UBR overlap.
+func (t *Tree) splitLeaf(n *node, region geom.Rect, rec []byte) error {
 	all, err := t.drainLeaf(n)
 	if err != nil {
 		return err
 	}
-	all = append(all, e)
+	all = append(all, rec...)
 
 	fan := 1 << t.dim
 	n.children = make([]*node, fan)
@@ -415,13 +400,13 @@ func (t *Tree) splitLeaf(n *node, region geom.Rect, e Entry) error {
 	t.memUsed += nodeBytes(t.dim)
 	t.SplitCount++
 
-	for _, entry := range all {
+	for es := t.entrySize(); len(all) > 0; all = all[es:] {
 		// Redistribute by the entry's UBR; fall back to every child when
 		// the UBR is unknown (conservative, never loses query answers).
 		var ubr geom.Rect
 		ok := false
 		if t.lookup != nil {
-			ubr, ok = t.lookup(entry.ID)
+			ubr, ok = t.lookup(binary.LittleEndian.Uint32(all))
 		}
 		if !ok {
 			ubr = region
@@ -429,7 +414,7 @@ func (t *Tree) splitLeaf(n *node, region geom.Rect, e Entry) error {
 		for mask, c := range n.children {
 			cr := childRegion(region, mask)
 			if cr.Intersects(ubr) {
-				if err := t.leafInsert(c, cr, entry); err != nil {
+				if err := t.leafInsert(c, cr, all[:es]); err != nil {
 					return err
 				}
 			}
@@ -438,64 +423,70 @@ func (t *Tree) splitLeaf(n *node, region geom.Rect, e Entry) error {
 	return nil
 }
 
-// drainLeaf reads and frees leaf n's page chain, returning its entries and
-// removing them from the size count (they are re-counted on redistribution).
-func (t *Tree) drainLeaf(n *node) ([]Entry, error) {
-	var all []Entry
-	p := n.firstPage
-	for p != 0 {
-		next, entries, err := t.readLeafPage(p)
+// drainLeaf reads and frees leaf n's page chain, returning its entry records
+// in a buffer of their own (the redistribution inserts through the scratch)
+// and removing them from the size count (they are re-counted on
+// redistribution).
+func (t *Tree) drainLeaf(n *node) ([]byte, error) {
+	all := make([]byte, 0, (n.pages*t.perPage()+1)*t.entrySize())
+	for p := n.firstPage; p != 0; {
+		buf, err := t.store.View(p)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, entries...)
+		next, recs := t.pageRecs(buf)
+		all = append(all, recs...)
 		if err := t.freePage(p); err != nil {
 			return nil, err
 		}
 		p = next
 	}
-	t.size -= len(all)
+	t.size -= len(all) / t.entrySize()
 	return all, nil
 }
 
 // Remove deletes all entries for object id from leaves whose cells intersect
 // ubr. It returns the number of entry copies removed.
 func (t *Tree) Remove(id uint32, ubr geom.Rect) (int, error) {
-	if !t.domain.Intersects(ubr) {
-		return 0, nil
-	}
-	t.root = t.ownedNode(t.root)
-	return t.remove(t.root, t.domain, id, ubr, nil)
+	return t.removeWithin(id, ubr, nil)
 }
 
 // RemoveDiff deletes entries for id only from leaves intersecting oldUBR but
 // not newUBR — the N−N′ leaf set of the paper's incremental insertion Step 4.
 func (t *Tree) RemoveDiff(id uint32, oldUBR, newUBR geom.Rect) (int, error) {
-	if !t.domain.Intersects(oldUBR) {
-		return 0, nil
-	}
-	t.root = t.ownedNode(t.root)
-	return t.remove(t.root, t.domain, id, oldUBR, &newUBR)
+	return t.removeWithin(id, oldUBR, &newUBR)
 }
 
-// remove descends into the cells intersecting ubr. n is session-owned;
-// children are path-copied before descent.
-func (t *Tree) remove(n *node, region geom.Rect, id uint32, ubr geom.Rect, except *geom.Rect) (int, error) {
+func (t *Tree) removeWithin(id uint32, ubr geom.Rect, except *geom.Rect) (int, error) {
+	if !t.domain.Intersects(ubr) {
+		return 0, nil
+	}
+	var stack [512]float64
+	t.root = t.ownedNode(t.root)
+	return t.remove(t.root, t.rootCells(stack[:]), id, ubr, except)
+}
+
+// remove descends into the cells intersecting ubr; n's cell is cells[:2d], as
+// in windowMass. n is session-owned; children are path-copied before descent.
+func (t *Tree) remove(n *node, cells []float64, id uint32, ubr geom.Rect, except *geom.Rect) (int, error) {
 	if n.children == nil {
-		if except != nil && region.Intersects(*except) {
+		if except != nil && cellMeets(t.dim, cells, *except) {
 			return 0, nil
 		}
 		return t.leafRemove(n, id)
 	}
+	if len(cells) < 4*t.dim {
+		return 0, fmt.Errorf("octree: node below depth %d", t.maxDepth)
+	}
 	total := 0
 	for mask := range n.children {
-		cr := childRegion(region, mask)
-		if !cr.Intersects(ubr) {
+		child := childCell(t.dim, cells, mask)
+		if !cellMeets(t.dim, child, ubr) {
 			continue
 		}
 		c := t.ownedNode(n.children[mask])
 		n.children[mask] = c
-		k, err := t.remove(c, cr, id, ubr, except)
+		k, err := t.remove(c, child, id, ubr, except)
 		if err != nil {
 			return total, err
 		}
@@ -507,39 +498,40 @@ func (t *Tree) remove(n *node, region geom.Rect, id uint32, ubr geom.Rect, excep
 // leafRemove drops every entry for id from leaf n. When anything changes the
 // whole chain is rebuilt onto fresh session-owned pages (a mid-chain rewrite
 // would cascade next-pointer patches up to the head anyway), and the old
-// pages are freed through the session — deferred if shared.
+// pages are freed through the session — deferred if shared. The kept records
+// are copied into the scratch, never decoded.
 func (t *Tree) leafRemove(n *node, id uint32) (int, error) {
-	var all []Entry
-	p := n.firstPage
-	for p != 0 {
-		next, entries, err := t.readLeafPage(p)
+	es, kept, removed := t.entrySize(), t.recs[:0], 0
+	for p := n.firstPage; p != 0; {
+		buf, err := t.store.View(p)
 		if err != nil {
 			return 0, err
 		}
-		all = append(all, entries...)
-		p = next
-	}
-	kept := all[:0]
-	for _, e := range all {
-		if e.ID != id {
-			kept = append(kept, e)
+		var recs []byte
+		for p, recs = t.pageRecs(buf); len(recs) > 0; recs = recs[es:] {
+			if binary.LittleEndian.Uint32(recs) == id {
+				removed++
+			} else {
+				kept = append(kept, recs[:es]...)
+			}
 		}
 	}
-	removed := len(all) - len(kept)
+	t.recs = kept
 	if removed == 0 {
 		return 0, nil
 	}
-	if err := t.rewriteChain(n, kept); err != nil {
+	if err := t.freeChain(n.firstPage); err != nil {
+		return removed, err
+	}
+	if err := t.writeChain(n, kept); err != nil {
 		return removed, err
 	}
 	t.size -= removed
 	return removed, nil
 }
 
-// rewriteChain replaces leaf n's page chain with a fresh chain holding
-// entries, freeing the old chain through the session.
-func (t *Tree) rewriteChain(n *node, entries []Entry) error {
-	p := n.firstPage
+// freeChain frees the page chain starting at page p through the session.
+func (t *Tree) freeChain(p pagestore.PageID) error {
 	for p != 0 {
 		next, err := t.chainNext(p)
 		if err != nil {
@@ -550,22 +542,22 @@ func (t *Tree) rewriteChain(n *node, entries []Entry) error {
 		}
 		p = next
 	}
-	return t.writeChain(n, entries)
+	return nil
 }
 
-// writeChain makes entries leaf n's chain on fresh pages (at least one) in
-// the layout leafInsert leaves: full pages at the tail in entry order, the
-// newest, possibly partial, page at the head.
-func (t *Tree) writeChain(n *node, entries []Entry) error {
-	per := t.perPage()
+// writeChain makes the entry records recs leaf n's chain on fresh pages (at
+// least one) in the layout leafInsert leaves: full pages at the tail in entry
+// order, the newest, possibly partial, page at the head.
+func (t *Tree) writeChain(n *node, recs []byte) error {
+	per := t.perPage() * t.entrySize()
 	var next pagestore.PageID
 	n.pages = 0
-	for lo := 0; lo < len(entries) || n.pages == 0; lo += per {
+	for lo := 0; lo < len(recs) || n.pages == 0; lo += per {
 		id, err := t.allocPage()
 		if err != nil {
 			return err
 		}
-		if err := t.writeLeafPage(id, next, entries[lo:min(lo+per, len(entries))]); err != nil {
+		if err := t.writeLeafPage(id, next, recs[lo:min(lo+per, len(recs))]); err != nil {
 			return err
 		}
 		next = id
@@ -607,7 +599,6 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	var entries []Entry
 	for level := []cell{{t.root, t.domain, all}}; len(level) > 0; {
 		var next []cell
 		for _, c := range level {
@@ -627,14 +618,14 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 				t.SplitCount++
 				continue
 			}
-			entries = entries[:0]
+			t.recs = t.recs[:0]
 			for _, i := range in {
-				entries = append(entries, items[i].Entry)
+				t.recs = t.appendEntry(t.recs, items[i].Entry)
 			}
-			if err := t.writeChain(c.n, entries); err != nil {
+			if err := t.writeChain(c.n, t.recs); err != nil {
 				return err
 			}
-			t.size += len(entries)
+			t.size += len(in)
 		}
 		level = next
 	}
@@ -789,13 +780,7 @@ func (t *Tree) rangeIDs(n *node, region geom.Rect, r geom.Rect, out map[uint32]b
 // page header counts alone; cell bounds live on the stack: no allocation.
 func (t *Tree) WindowMass(r geom.Rect) (entries, leaves int, err error) {
 	var stack [512]float64
-	cells := stack[:]
-	if need := 2 * t.dim * (t.maxDepth + 2); need > len(cells) {
-		cells = make([]float64, need)
-	}
-	copy(cells, t.domain.Lo)
-	copy(cells[t.dim:], t.domain.Hi)
-	err = t.windowMass(t.root, cells, r, &entries, &leaves)
+	err = t.windowMass(t.root, t.rootCells(stack[:]), r, &entries, &leaves)
 	return entries, leaves, err
 }
 
@@ -804,11 +789,8 @@ func (t *Tree) WindowMass(r geom.Rect) (entries, leaves int, err error) {
 // below maxDepth, a chain past its page count) is an error.
 func (t *Tree) windowMass(n *node, cells []float64, r geom.Rect, entries, leaves *int) error {
 	d := t.dim
-	lo, hi := cells[:d], cells[d:2*d]
-	for j := range d {
-		if hi[j] < r.Lo[j] || r.Hi[j] < lo[j] {
-			return nil
-		}
+	if !cellMeets(d, cells, r) {
+		return nil
 	}
 	if n.children == nil {
 		*leaves++
@@ -828,21 +810,49 @@ func (t *Tree) windowMass(n *node, cells []float64, r geom.Rect, entries, leaves
 	if len(cells) < 4*d {
 		return fmt.Errorf("octree: node below depth %d", t.maxDepth)
 	}
-	child := cells[2*d:]
 	for mask, c := range n.children {
-		for j := range d {
-			mid := (lo[j] + hi[j]) / 2
-			if mask&(1<<j) != 0 {
-				child[j], child[d+j] = mid, hi[j]
-			} else {
-				child[j], child[d+j] = lo[j], mid
-			}
-		}
-		if err := t.windowMass(c, child, r, entries, leaves); err != nil {
+		if err := t.windowMass(c, childCell(d, cells, mask), r, entries, leaves); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rootCells returns buf, grown to hold the cells of a root-to-leaf path (2d
+// coordinates per level, lo then hi), with the domain's cell first.
+func (t *Tree) rootCells(buf []float64) []float64 {
+	if need := 2 * t.dim * (t.maxDepth + 2); need > len(buf) {
+		buf = make([]float64, need)
+	}
+	copy(buf, t.domain.Lo)
+	copy(buf[t.dim:], t.domain.Hi)
+	return buf
+}
+
+// childCell writes the cell of child mask (bit j set: the upper half in
+// dimension j, as childRegion) of the cell in cells[:2d] into cells[2d:4d]
+// and returns cells[2d:].
+func childCell(d int, cells []float64, mask int) []float64 {
+	lo, hi, child := cells[:d], cells[d:2*d], cells[2*d:]
+	for j := range d {
+		mid := (lo[j] + hi[j]) / 2
+		if mask&(1<<j) != 0 {
+			child[j], child[d+j] = mid, hi[j]
+		} else {
+			child[j], child[d+j] = lo[j], mid
+		}
+	}
+	return child
+}
+
+// cellMeets reports whether the cell in cells[:2d] and r share a point.
+func cellMeets(d int, cells []float64, r geom.Rect) bool {
+	for j := range d {
+		if cells[d+j] < r.Lo[j] || r.Hi[j] < cells[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // CollectPages appends every page ID reachable from the tree — each leaf's

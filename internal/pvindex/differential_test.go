@@ -138,11 +138,15 @@ var differentialCases = []struct {
 	{d: 3, n: 100, span: 220, maxSide: 30},
 }
 
+// differentialConfig aims refinement at the top 30 % of rows, or at none
+// (topFraction 0 turns refinement off).
 func differentialConfig(t *testing.T, refine bool) Config {
-	hubRuleForTest(t, 0.3, 4)
-	cfg := testConfig()
-	cfg.Refine.Disabled = !refine
-	return cfg
+	frac := 0.0
+	if refine {
+		frac = 0.3
+	}
+	hubRuleForTest(t, frac, 4)
+	return testConfig()
 }
 
 // TestInsertPathMatchesReference holds the one insert path to the three it
@@ -249,6 +253,7 @@ func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				hubRuleForTest(t, 0.3, 4) // select over the built rows, refined or not
 				w := ix.newWorking(ix.current.Load())
 				defer w.abort()
 				got, gotT, err := w.selectHubsAll()

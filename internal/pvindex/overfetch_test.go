@@ -69,10 +69,9 @@ func TestRefinementOverFetch(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			qs := dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 2000, c.p.Seed)
 			var got [2]measure // off, on
-			for i, disabled := range []bool{true, false} {
-				cfg := DefaultConfig()
-				cfg.Refine.Disabled = disabled
-				ix, err := BuildParallel(dataset.Synthetic(c.p), cfg, 2)
+			for i, frac := range []float64{0, hubRule.topFraction} {
+				hubRuleForTest(t, frac, hubRule.minMass) // topFraction 0: refinement off
+				ix, err := BuildParallel(dataset.Synthetic(c.p), DefaultConfig(), 2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -71,15 +71,13 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	if !cfg.Refine.Disabled {
-		// The refinement pass reuses the SE worker pool for its escalated SE
-		// runs; GOMAXPROCS is already the pool width parallelSE uses.
-		st, err := ix.refineAll(w)
-		if err != nil {
-			return nil, err
-		}
-		ix.Build.SE.Refine.Add(st)
+	// The refinement pass reuses the SE worker pool for its escalated SE runs;
+	// GOMAXPROCS is already the pool width parallelSE uses.
+	st, err := ix.refineAll(w)
+	if err != nil {
+		return nil, err
 	}
+	ix.Build.SE.Refine.Add(st)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil

@@ -28,12 +28,11 @@ type indexImage struct {
 	Store     *pagestore.Image
 	Primary   *octree.Image
 	Secondary *exthash.Image
-	// Refine and HubThreshold restore the refinement subsystem: the config
-	// the UBRs were refined under and the window-mass hub-score cutoff
-	// batches re-refine against (+Inf = unset). Older images carry a cutoff
-	// in degree units as RefineThreshold (0 = unset), which LoadFrom
-	// re-derives, and maybe an adjacency graph, which gob skips.
-	Refine          RefineConfig
+	// HubThreshold restores the window-mass hub-score cutoff batches
+	// re-refine against (+Inf = unset). Older images carry a cutoff in
+	// degree units as RefineThreshold (0 = unset), which LoadFrom
+	// re-derives, and maybe a refinement config or an adjacency graph, which
+	// gob skips.
 	RefineThreshold float64
 	HubThreshold    float64
 }
@@ -81,7 +80,6 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Store:        storeImg,
 		Primary:      v.primary.Image(),
 		Secondary:    v.secondary.Image(),
-		Refine:       ix.cfg.Refine,
 		HubThreshold: ix.refineThreshold(),
 	}
 	return gob.NewEncoder(w).Encode(&img)
@@ -146,7 +144,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 			MemBudget: img.MemBudget,
 			Fanout:    img.Fanout,
 			SE:        img.SE,
-			Refine:    img.Refine,
 		},
 	}
 	ix.initRuntime()

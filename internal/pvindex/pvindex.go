@@ -39,9 +39,6 @@ type Config struct {
 	// appended to (and fsynced) before it applies — the durable write path.
 	// Equivalent to calling AttachWAL after construction.
 	WAL *wal.Log
-	// Refine configures the budget-aware UBR refinement subsystem
-	// (refine.go). The zero value enables it.
-	Refine RefineConfig
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -104,7 +101,6 @@ type Index struct {
 	// incremental re-refinement threshold as float bits (0 = unset = +Inf).
 	refRows          atomic.Int64
 	refUnchanged     atomic.Int64
-	refClipPasses    atomic.Int64
 	refBudget        atomic.Int64
 	refThresholdBits atomic.Uint64
 

@@ -306,13 +306,11 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	if !cfg.Refine.Disabled {
-		st, err := ix.refineAll(w)
-		if err != nil {
-			return nil, err
-		}
-		ix.Build.SE.Refine.Add(st)
+	st, err := ix.refineAll(w)
+	if err != nil {
+		return nil, err
 	}
+	ix.Build.SE.Refine.Add(st)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil
@@ -478,7 +476,7 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 		t.Fatal(err)
 	}
 	img.RecordCacheSize = cacheSize
-	img.Refine = RefineConfig{Disabled: img.Refine.Disabled, TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
+	img.Refine = RefineConfig{TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
 
 	v := ix.current.Load()
 	if _, deg := topHubs(v, v.windowDegrees()); !math.IsInf(ix.refineThreshold(), 1) && !math.IsInf(deg, 1) {

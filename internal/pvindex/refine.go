@@ -13,38 +13,25 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// RefineConfig controls the budget-aware UBR refinement subsystem: after the
+// Refinement spends a bounded extra SE budget on the fattest rows: after the
 // base SE pass, rows are ranked by hub score (UBR volume × window mass, the
-// other objects' entries in the octree leaves the row's UBR reaches) and a
-// bounded extra-work budget is spent on the fattest ones — a deeper SE
-// bisection with an enlarged C-set plus a leaf-level clip of the UBR against
-// the octree cells that can still contain the PV-cell. Refined UBRs remain
-// supersets of the true cell, so every query stays exact; the payoff is
-// tighter UBRs alone — fewer Step-1 candidates over-fetched by a PNNQ near a
-// hub. No extension query depends on it: they all retrieve over uncertainty
-// regions.
-//
-// The zero value enables it. Images written while the config carried its
-// budget knobs (now the constants below) still load: gob skips the fields.
-type RefineConfig struct {
-	// Disabled turns the subsystem off entirely (construction, batches,
-	// load). An explicit Index.Refine call still runs a pass.
-	Disabled bool
-}
+// other objects' entries in the octree leaves the row's UBR reaches) and the
+// top ones re-run SE with a deeper recursion and a larger C-set
+// (core.RefineUBR). Refined UBRs remain supersets of the true cell, so every
+// query stays exact; the payoff is tighter UBRs alone — fewer Step-1
+// candidates over-fetched by a PNNQ near a hub, and fewer rows a delete batch
+// recomputes. No extension query depends on it: they all retrieve over
+// uncertainty regions.
 
 // hubRule selects the rows a whole-index pass refines: the topFraction
 // fattest by hub score among rows of window mass ≥ minMass (lighter rows are
 // not hubs, and spending budget on them would be uniform work, not
 // targeted). It is a variable only so that in-package tests can widen the
-// selection.
+// selection, or turn refinement off with topFraction 0.
 var hubRule = struct {
 	topFraction float64
 	minMass     int
 }{topFraction: 0.02, minMass: 16}
-
-// refineOptions escalates the base SE pass for refinement: four more levels
-// of domination recursion and four times the C-set quotas.
-var refineOptions = core.RefineOptions{DepthBoost: 4, CSetFactor: 4}
 
 // refineThreshold returns the incremental re-refinement cutoff: the minimum
 // hub score the construction pass spent budget on. Unset (no pass yet, or
@@ -65,8 +52,7 @@ func (ix *Index) setRefineThreshold(v float64) {
 func (ix *Index) noteRefine(st core.RefineStats) {
 	ix.refRows.Add(int64(st.Rows))
 	ix.refUnchanged.Add(int64(st.Unchanged))
-	ix.refClipPasses.Add(int64(st.ClipPasses))
-	ix.refBudget.Add(st.DominationTests + st.ClipTests)
+	ix.refBudget.Add(st.DominationTests)
 }
 
 // RefineCounters are the refinement subsystem's lifetime totals.
@@ -76,10 +62,8 @@ type RefineCounters struct {
 	// RowsUnchanged counts refined rows whose UBR came back bit-identical:
 	// refinement spent on a row it could not tighten.
 	RowsUnchanged int64
-	// ClipPasses counts octree clip walks executed.
-	ClipPasses int64
-	// BudgetSpent counts domination decisions consumed by refinement
-	// (bisection plus clip walks) — the subsystem's work unit.
+	// BudgetSpent counts domination decisions consumed by refinement's SE
+	// runs — the subsystem's work unit.
 	BudgetSpent int64
 	// Threshold is the current incremental re-refinement cutoff (+Inf until
 	// a construction pass sets it).
@@ -91,7 +75,6 @@ func (ix *Index) RefineCounters() RefineCounters {
 	return RefineCounters{
 		RowsRefined:   ix.refRows.Load(),
 		RowsUnchanged: ix.refUnchanged.Load(),
-		ClipPasses:    ix.refClipPasses.Load(),
 		BudgetSpent:   ix.refBudget.Load(),
 		Threshold:     ix.refineThreshold(),
 	}
@@ -143,10 +126,10 @@ func (w *working) selectHubsAll() ([]uint32, float64, error) {
 		ids[i] = uint32(o.ID)
 	}
 	rows, err := w.hubScores(ids, 0)
-	if err != nil || len(rows) == 0 {
+	budget := min(int(math.Ceil(hubRule.topFraction*float64(len(objs)))), len(rows))
+	if err != nil || budget == 0 {
 		return nil, math.Inf(1), err
 	}
-	budget := min(int(math.Ceil(hubRule.topFraction*float64(len(objs)))), len(rows))
 	for i := range budget {
 		ids[i] = rows[i].id
 	}
@@ -178,13 +161,13 @@ type refineJob struct {
 	st   core.Stats
 }
 
-// refinePass recomputes the listed rows' UBRs with the escalated SE pass and
-// the octree clip walk, then applies every strict shrink to the primary and
-// secondary indexes. The compute phase fans out over the SE worker pool
-// (read-only over the database, region tree and octree skeleton); the apply
-// phase is serial, like every other index mutation. Exactness: both shrink mechanisms remove
-// only regions a conservative domination tester proves disjoint from the
-// PV-cell, so the stored UBR remains a superset of V(o) throughout.
+// refinePass recomputes the listed rows' UBRs with the escalated SE run, then
+// applies every strict shrink to the primary and secondary indexes. The
+// compute phase fans out over the SE worker pool (read-only over the database
+// and region tree); the apply phase is serial, like every other index
+// mutation. Exactness: SE removes only slabs a conservative domination tester
+// proves disjoint from the PV-cell, so the stored UBR remains a superset of
+// V(o) throughout.
 func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 	ix := w.ix
 	jobs := make([]refineJob, 0, len(ids))
@@ -201,20 +184,7 @@ func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 	}
 	ix.parallelSE(len(jobs), func(i int) {
 		j := &jobs[i]
-		rf := core.NewRefiner(w.db, w.regionTree, j.obj, ix.cfg.SE, refineOptions)
-		j.newB, j.st = rf.Refine(j.oldB)
-		seTests := rf.Tests()
-		clipped, cells := w.primary.ClipUBR(j.newB, rf.Prunable)
-		j.st.Refine.ClipPasses++
-		j.st.Refine.ClipCells += cells
-		j.st.Refine.ClipTests = rf.Tests() - seTests
-		rf.Release()
-		if !clipped.ContainsRect(j.obj.Region) {
-			// Unreachable for a sound tester (u(o) ⊆ V(o) survives every
-			// prune); keep the guard so a bug can only cost tightness.
-			clipped = clipped.Union(j.obj.Region)
-		}
-		j.newB = clipped
+		j.newB, j.st = core.RefineUBR(w.db, w.regionTree, j.obj, j.oldB, ix.cfg.SE)
 	})
 
 	var st core.RefineStats
@@ -239,8 +209,7 @@ func (w *working) refinePass(ids []uint32) (core.RefineStats, error) {
 // refineAll runs one whole-index refinement pass on w: select the
 // top-fraction hubs across every row, fix the incremental re-refinement
 // threshold at the weakest of them, and refine them. Construction runs it on
-// the bootstrap working set, Refine on a fresh one over the published
-// version.
+// the bootstrap working set.
 func (ix *Index) refineAll(w *working) (core.RefineStats, error) {
 	start := time.Now()
 	ids, threshold, err := w.selectHubsAll()
@@ -256,7 +225,7 @@ func (ix *Index) refineAll(w *working) (core.RefineStats, error) {
 // construction threshold. Returns the pass's stats so the batch can
 // attribute the extra budget.
 func (w *working) refineAfterBatch() (core.RefineStats, error) {
-	if w.ix.cfg.Refine.Disabled || len(w.changed) == 0 {
+	if len(w.changed) == 0 {
 		return core.RefineStats{}, nil
 	}
 	start := time.Now()
@@ -281,31 +250,6 @@ func (w *working) refine(ids []uint32, scoring time.Duration) (core.RefineStats,
 		w.ix.noteRefine(st)
 	}
 	return st, err
-}
-
-// Refine runs one budget-aware refinement pass over the current version as
-// its own write batch: hubs are selected fresh across every row (resetting the incremental threshold), refined on the SE worker
-// pool, and published as a new MVCC version. Queries never block, and the
-// pass runs even when Config.Refine.Disabled — an explicit call is the
-// opt-in (this is how benchmarks measure the same index before and after
-// refinement). Refinement changes no query result, only the tightness of
-// stored UBRs, so the pass is not WAL-logged: a crash simply loses tightness
-// that the next pass can re-buy.
-func (ix *Index) Refine() (core.RefineStats, error) {
-	ix.writerMu.Lock()
-	defer ix.writerMu.Unlock()
-	if err := ix.damagedErr(); err != nil {
-		return core.RefineStats{}, err
-	}
-	base := ix.current.Load()
-	w := ix.newWorking(base)
-	st, err := ix.refineAll(w)
-	if err != nil || st.Rows == 0 { // failed, or no hub to refine: nothing to publish
-		w.abort()
-		return st, err
-	}
-	ix.publishWorking(w, base.walSeq)
-	return st, nil
 }
 
 // AdjacencyStats is the UBR-intersection degree distribution over the

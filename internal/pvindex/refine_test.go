@@ -140,8 +140,8 @@ func TestRefineSoundnessOracle(t *testing.T) {
 // TestRefineSelectionAndCounters checks the budget policy: the construction
 // pass refines exactly the configured top fraction of qualifying rows,
 // fattest first, and the lifetime counters plus the incremental threshold
-// reflect it. A disabled config must spend nothing and leave the threshold
-// unset, and an explicit Refine call must still run (the benchmark opt-in).
+// reflect it. A rule that selects nothing (topFraction 0, how tests turn
+// refinement off) must spend nothing and leave the threshold unset.
 func TestRefineSelectionAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	db := randomDB(rng, 100, 2, 1000, 40, false)
@@ -154,7 +154,7 @@ func TestRefineSelectionAndCounters(t *testing.T) {
 	if rc.RowsRefined != 10 {
 		t.Fatalf("rows refined = %d, want 10 (top 10%% of 100)", rc.RowsRefined)
 	}
-	if rc.ClipPasses != 10 || rc.BudgetSpent <= 0 {
+	if rc.BudgetSpent <= 0 {
 		t.Fatalf("counters inconsistent: %+v", rc)
 	}
 	if math.IsInf(rc.Threshold, 1) || rc.Threshold <= 0 {
@@ -164,31 +164,19 @@ func TestRefineSelectionAndCounters(t *testing.T) {
 		t.Fatalf("build stats attribute %d refined rows, want 10", ix.Build.SE.Refine.Rows)
 	}
 
-	off := testConfig()
-	off.Refine.Disabled = true
+	hubRuleForTest(t, 0, 0)
 	rng2 := rand.New(rand.NewSource(73))
 	db2 := randomDB(rng2, 100, 2, 1000, 40, false)
-	ix2, err := Build(db2, off)
+	ix2, err := Build(db2, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc2 := ix2.RefineCounters()
 	if rc2.RowsRefined != 0 || rc2.BudgetSpent != 0 {
-		t.Fatalf("disabled config spent budget: %+v", rc2)
+		t.Fatalf("empty hub rule spent budget: %+v", rc2)
 	}
 	if !math.IsInf(rc2.Threshold, 1) {
-		t.Fatalf("disabled config set threshold %v", rc2.Threshold)
-	}
-	epochBefore := ix2.Epoch()
-	if _, err := ix2.Refine(); err != nil {
-		t.Fatal(err)
-	}
-	if ix2.RefineCounters().RowsRefined == 0 {
-		t.Fatal("explicit Refine on a disabled config refined nothing")
-	}
-	if ix2.Epoch() != epochBefore+1 {
-		t.Fatalf("explicit Refine did not publish a version: epoch %d -> %d",
-			epochBefore, ix2.Epoch())
+		t.Fatalf("empty hub rule set threshold %v", rc2.Threshold)
 	}
 	// The two builds saw the same data; the refined index must give every
 	// query the same answer, only cheaper.
@@ -205,6 +193,12 @@ func TestRefineSelectionAndCounters(t *testing.T) {
 		if !sameIDs(idsOf(a), idsOf(b)) {
 			t.Fatalf("refined/unrefined possible-NN diverge at %v: %v vs %v", q, a, b)
 		}
+	}
+	if _, err := ix2.ApplyBatch([]Update{{Op: OpDelete, ID: ix2.DB().Objects()[0].ID}}); err != nil {
+		t.Fatal(err)
+	}
+	if rc := ix2.RefineCounters(); rc.RowsRefined != 0 {
+		t.Fatalf("empty hub rule refined %d rows after a batch", rc.RowsRefined)
 	}
 }
 
@@ -240,9 +234,8 @@ func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 	}
 }
 
-// TestRefinePersistRoundTrip checks PVIDX4 persistence: refined UBRs, the
-// refinement config and the incremental threshold all survive a save/load
-// cycle.
+// TestRefinePersistRoundTrip checks PVIDX4 persistence: refined UBRs and the
+// incremental threshold survive a save/load cycle.
 func TestRefinePersistRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	db := randomDB(rng, 80, 2, 1000, 40, false)
@@ -257,9 +250,6 @@ func TestRefinePersistRoundTrip(t *testing.T) {
 	loaded, err := LoadFrom(bytes.NewReader(buf.Bytes()), ix.DB())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.cfg.Refine != ix.cfg.Refine {
-		t.Fatalf("refine config not restored: %+v vs %+v", loaded.cfg.Refine, ix.cfg.Refine)
 	}
 	if lt, it := loaded.refineThreshold(), ix.refineThreshold(); lt != it {
 		t.Fatalf("threshold not restored: %v vs %v", lt, it)

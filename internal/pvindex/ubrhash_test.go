@@ -73,30 +73,27 @@ func hashState(t *testing.T, h hash.Hash64, ix *Index) {
 	}
 }
 
-// TestStoredUBRHash pins what refinement leaves behind — every stored UBR
-// bit, the refinement counters and the UBR-intersection degree list — on a
-// uni2-shaped and a uni3-shaped index with refinement at its defaults,
-// through build, four insert/delete batch pairs of 16 (one insert batch
-// also replaces an object under its own ID), an explicit Refine, and a
-// save/load round trip. The hashes were recorded when hub scores became UBR
-// volume × octree window mass. The exact-degree scores before them selected
-// other hubs, and so stored other bits in these rows (the differences from
-// that rule's UBRs, by ID, after build / the batches / Refine):
-//   - uni2: 39 / 56 / 56 rows — 34, 41, 55, 81, 100, 144, 242, 284, 422, 423,
-//     469, 501, 510, 556, 642, 708, 720, 873, 940, 958, 994, 1031, 1098,
-//     1106, 1222, 1259, 1309, 1310, 1342, 1378, 1434, 1507, 1530, 1622, 1624,
-//     1704, 1929, 1935, 1939 at build, and from the batches on also 209, 258,
-//     342, 574, 609, 702, 719, 731, 884, 1026, 1260, 1718, 1741, 1745, 1795,
-//     1818, 1932;
-//   - uni3: 20 / 31 / 34 rows — 61, 195, 210, 286, 319, 361, 386, 474, 492,
-//     503, 512, 577, 652, 657, 790, 793, 827, 877, 937, 950 at build, from
-//     the batches on also 14, 53, 77, 248, 495, 582, 585, 607, 656, 766, 948,
-//     and after Refine also 543, 740, 787.
+// TestStoredUBRHash pins what refinement leaves behind on a uni2-shaped and a
+// uni3-shaped index with refinement at its defaults, through build, four
+// insert/delete batch pairs of 16 (one insert batch also replaces an object
+// under its own ID) and a save/load round trip, as two hashes: the state
+// (every stored UBR bit and the UBR-intersection degree list, hashState) and
+// the refinement counters. They were recorded when refinement became one
+// escalated SE run and the octree clip walk went. Taken with the same stages
+// on the code before that change, uni2's state hash is the same bit for bit;
+// of uni3's rows two differ, where the clip had cut a face to a leaf-cell
+// boundary: 607 after build (one face, 0.48 units) and after the batches 585
+// (one face, 1.22) and 607 (every face, up to 0.63 — its batch recomputation
+// started from the other stored UBR). SE's own Δ is 1. The counters moved
+// with the clip's domination tests leaving the budget.
 func TestStoredUBRHash(t *testing.T) {
 	if race.Enabled {
 		t.Skip("≈ 40× slower instrumented; CI's uninstrumented step runs it")
 	}
-	want := map[string]uint64{"uni2": 0x42f3fcfd861bbeaf, "uni3": 0x6f571845f1b7c564}
+	want := map[string][2]uint64{ // state, counters
+		"uni2": {0x7ec23f67e05de63c, 0x13d79bff982fb70c},
+		"uni3": {0xa85e123a8ad53f0b, 0x54eabb5a1dc8099c},
+	}
 	for _, c := range []struct {
 		name    string
 		n, d    int
@@ -108,14 +105,14 @@ func TestStoredUBRHash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := fnv.New64a()
+			hs, hc := fnv.New64a(), fnv.New64a()
 			counters := func() {
 				rc := ix.RefineCounters()
-				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.RowsUnchanged), uint64(rc.ClipPasses), uint64(rc.BudgetSpent), math.Float64bits(rc.Threshold)} {
-					h.Write(binary.LittleEndian.AppendUint64(nil, x))
+				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.RowsUnchanged), uint64(rc.BudgetSpent), math.Float64bits(rc.Threshold)} {
+					hc.Write(binary.LittleEndian.AppendUint64(nil, x))
 				}
 			}
-			hashState(t, h, ix)
+			hashState(t, hs, ix)
 			counters()
 			if ix.Build.SE.Refine.Rows == 0 {
 				t.Fatal("the default configuration refined no row at build")
@@ -141,13 +138,7 @@ func TestStoredUBRHash(t *testing.T) {
 					}
 				}
 			}
-			hashState(t, h, ix)
-			counters()
-
-			if _, err := ix.Refine(); err != nil {
-				t.Fatal(err)
-			}
-			hashState(t, h, ix)
+			hashState(t, hs, ix)
 			counters()
 
 			var buf bytes.Buffer
@@ -158,16 +149,16 @@ func TestStoredUBRHash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashState(t, h, loaded)
+			hashState(t, hs, loaded)
 			if got := math.Float64bits(loaded.RefineCounters().Threshold); got != math.Float64bits(ix.RefineCounters().Threshold) {
 				t.Fatalf("loaded threshold %v, live %v", loaded.RefineCounters().Threshold, ix.RefineCounters().Threshold)
 			}
 
 			rc := ix.RefineCounters()
-			got := h.Sum64()
-			t.Logf("%s: %d rows refined, %d clip passes, budget %d: hash %#x", c.name, rc.RowsRefined, rc.ClipPasses, rc.BudgetSpent, got)
+			got := [2]uint64{hs.Sum64(), hc.Sum64()}
+			t.Logf("%s: %d rows refined, budget %d: state hash %#x, counters hash %#x", c.name, rc.RowsRefined, rc.BudgetSpent, got[0], got[1])
 			if got != want[c.name] {
-				t.Fatalf("stored UBR hash %#x, recorded %#x", got, want[c.name])
+				t.Fatalf("stored UBR hashes %#x, recorded %#x", got, want[c.name])
 			}
 		})
 	}

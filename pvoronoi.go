@@ -119,20 +119,7 @@ type Options struct {
 	// Tests swap in a vfs.FaultFS to inject torn writes, fsync failures,
 	// disk-full, and bit rot deterministically.
 	FS vfs.FS
-	// Refine configures the budget-aware UBR refinement subsystem, which
-	// spends a bounded extra SE budget shrinking the fattest hubs (UBR
-	// volume × the number of intersecting UBRs) after construction and
-	// incrementally after batches. The zero value enables it; set
-	// Refine.Disabled to opt out. Refinement never changes a query result —
-	// only the tightness of stored UBRs and therefore how many candidates
-	// PNNQ Step 1 fetches.
-	Refine RefineOptions
 }
-
-// RefineOptions switches UBR refinement off (Disabled); its budget — the
-// fattest 2 % of rows of window mass ≥ 16, four more recursion levels and four
-// times the C-set — is fixed (see pvindex.RefineConfig).
-type RefineOptions = pvindex.RefineConfig
 
 // DefaultOptions returns the paper's default parameters.
 func DefaultOptions() Options {
@@ -171,7 +158,6 @@ func (o Options) toConfig() pvindex.Config {
 	if o.KGlobal > 0 {
 		cfg.SE.KGlobal = o.KGlobal
 	}
-	cfg.Refine = o.Refine
 	return cfg
 }
 
@@ -362,18 +348,9 @@ func (ix *Index) IO() IOStats {
 func (ix *Index) ResetIO() { ix.inner.Store().ResetStats() }
 
 // RefineCounters reports the refinement subsystem's lifetime totals: rows
-// refined, refined rows left bit-identical, clip passes run, and the
-// domination-test budget spent.
+// refined, refined rows left bit-identical, and the domination-test budget
+// spent.
 type RefineCounters = pvindex.RefineCounters
 
 // RefineCounters returns the refinement subsystem's lifetime totals.
 func (ix *Index) RefineCounters() RefineCounters { return ix.inner.RefineCounters() }
-
-// Refine runs one explicit budget-aware UBR refinement pass (hub selection
-// across every row) and publishes the result as a new
-// version. It runs even when Options.Refine.Disabled — the call is the
-// opt-in. Query results are unchanged; only retrieval cost improves.
-func (ix *Index) Refine() error {
-	_, err := ix.inner.Refine()
-	return err
-}
