@@ -53,9 +53,10 @@
 // Every response carries its own server-side latency in microseconds, and a
 // single query's also the exact number of index leaf pages it read;
 // /v1/stats aggregates both into p50/p95/p99 and means. A batch reply names
-// where its time went (se_us, index_us, refine_us); /v1/stats' refine block
-// holds the refinement subsystem's lifetime counters, all atomics, so the
-// route stays cheap to poll.
+// where its time went (se_us, index_us, and refine_us, the share of se_us
+// spent escalating fat rows); /v1/stats' refine block holds the refinement
+// subsystem's lifetime counters, all atomics, so the route stays cheap to
+// poll.
 //
 // Try it:
 //

@@ -494,9 +494,9 @@ func writeReply(id pvoronoi.ID, sts []pvoronoi.UpdateStats) reply {
 }
 
 // batchReply sums a write batch's per-op stats into its reply: the counts
-// and where the time went — SE, index maintenance, refinement (SE and
-// refinement add up worker time, so on several cores they can exceed their
-// share of the wall clock).
+// and where the time went — SE and index maintenance, with refine_us the
+// share of se_us the escalated re-runs of fat rows took (SE adds up worker
+// time, so on several cores it can exceed its share of the wall clock).
 func batchReply(sts []pvoronoi.UpdateStats) reply {
 	var sum pvoronoi.UpdateStats
 	for _, st := range sts {

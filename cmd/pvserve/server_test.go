@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pvoronoi"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/vfs"
@@ -1032,25 +1033,13 @@ func TestServeRequestTimeout(t *testing.T) {
 }
 
 // TestStatsAdjacencyRefinement checks the /v1/stats refine block: the
-// refinement subsystem's lifetime counters, non-zero on an index dense
-// enough that the default budget refines rows at build, with the refined
-// rows that came back bit-identical a part of them. The block that reported
-// the adjacency graph is gone, and so is the clip walk's counter.
+// refinement subsystem's lifetime counters, non-zero on clustered data, where
+// the rule escalates rows at build, with the refined rows that came back
+// bit-identical a part of them. The block that reported the adjacency graph
+// is gone, and so is the clip walk's counter.
 func TestStatsAdjacencyRefinement(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := pvoronoi.NewDB(pvoronoi.NewRect(pvoronoi.Point{0, 0}, pvoronoi.Point{1000, 1000}))
-	for i := 0; i < 200; i++ {
-		lo := pvoronoi.Point{rng.Float64() * 950, rng.Float64() * 950}
-		region := pvoronoi.NewRect(lo, pvoronoi.Point{lo[0] + 5 + rng.Float64()*45, lo[1] + 5 + rng.Float64()*45})
-		if err := db.Add(&pvoronoi.Object{ID: pvoronoi.ID(i), Region: region}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := pvoronoi.DefaultOptions()
-	opts.K = 20
-	opts.KPartition = 3
-	opts.KGlobal = 40
-	ix, err := pvoronoi.Build(db, opts)
+	db := dataset.Synthetic(dataset.SyntheticParams{N: 400, Dim: 2, Seed: 7, Clustered: true})
+	ix, err := pvoronoi.Build(db, pvoronoi.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

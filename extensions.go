@@ -109,7 +109,7 @@ func (ix *Index) PossibleKNNCandidates(q Point, k int) ([]ID, error) {
 }
 
 // AdjacencyStats reports the distribution of UBR-intersection degrees, the
-// degree refinement ranks hubs by.
+// stored UBRs each row's UBR meets.
 type AdjacencyStats = pvindex.AdjacencyStats
 
 // Adjacency computes the current version's degree distribution on demand:

@@ -77,18 +77,22 @@ func sameBits(a, b geom.Rect) bool {
 	return len(a.Lo) == len(b.Lo)
 }
 
-// TestRefineUBRShrinkOnlyAndSound is the refinement pass's core contract:
+// TestRefineUBRShrinkOnlyAndSound is the escalated re-run's core contract:
 // starting from the base SE UBR, the refined rectangle never grows, always
 // contains the object's uncertainty region, and still contains every sampled
-// point of the true PV-cell (conservativeness survives the deeper tester).
+// point of the true PV-cell (conservativeness survives the deeper tester),
+// bisecting (RefineUBR) and probing from h (RefineUBRFromH) alike.
 func TestRefineUBRShrinkOnlyAndSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := randomDB(rng, 80, 2, 1000, 40)
 	tree := BuildRegionTree(db, 16)
 	opts := optsWith(CSetIS)
-	for _, o := range db.Objects()[:16] {
+	for i, o := range db.Objects()[:32] {
 		base, _ := ComputeUBR(db, tree, o, opts)
 		refined, st := RefineUBR(db, tree, o, base, opts)
+		if i%2 == 1 {
+			refined, st = RefineUBRFromH(db, tree, o, o.Region, base, opts)
+		}
 		if !base.ContainsRect(refined) {
 			t.Fatalf("object %d: refined UBR %v escapes base %v", o.ID, refined, base)
 		}

@@ -12,11 +12,12 @@ import (
 
 // Stats reports the cost profile of one SE run, feeding the paper's
 // construction-time breakdowns (Fig. 10(e)). The flat counters cover the
-// base SE pass only; the budget-aware refinement pass accounts its extra
+// base SE run only; an escalated re-run of the same row accounts its extra
 // work separately in Refine, so aggregated stats attribute base and
 // refinement effort honestly instead of lumping them together.
 type Stats struct {
 	CSetSize        int
+	CSetVolume      float64 // bounding-box volume of the C-set's regions, 0 if empty; not summed by Add
 	CSetTime        time.Duration
 	UBRTime         time.Duration
 	Iterations      int   // shrink-or-expand steps executed
@@ -24,19 +25,19 @@ type Stats struct {
 	Shrinks         int   // steps that shrank h(o)
 	Expands         int   // steps that expanded l(o)
 
-	// Refine isolates the refinement pass's cost from the base counters
-	// above. Zero unless a budget-aware refinement ran.
+	// Refine isolates the escalated re-run's cost from the base counters
+	// above. Zero unless the row was escalated.
 	Refine RefineStats
 }
 
-// RefineStats is the cost profile of the budget-aware refinement pass, the
-// escalated SE re-run (RefineUBR). Kept apart from the base Stats counters so
-// per-batch accounting can show exactly where the extra budget went.
+// RefineStats is the cost profile of refinement, the escalated SE re-run
+// (RefineUBR). Kept apart from the base Stats counters so per-batch
+// accounting can show exactly where the extra budget went.
 type RefineStats struct {
 	Rows            int           // objects whose UBR a refinement recomputed
 	Unchanged       int           // of those, rows whose UBR came back bit-identical
 	CSetSize        int           // escalated C-set sizes, summed
-	Time            time.Duration // time of refinement SE work and of the pass's hub scoring
+	Time            time.Duration // time of the escalated SE runs
 	Iterations      int           // refinement bisection steps attempted
 	DominationTests int64         // domination decisions spent by refinement bisection
 	Shrinks         int           // refinement steps that tightened the UBR
@@ -125,6 +126,7 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 	ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts)
 	st.CSetTime = time.Since(t0)
 	st.CSetSize = len(ws.cset)
+	st.CSetVolume = boxVolume(ws.cset)
 
 	t1 := time.Now()
 	defer func() { st.UBRTime = time.Since(t1) }()
@@ -138,6 +140,23 @@ func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, o
 	st.Expands = st.Iterations - st.Shrinks
 	st.DominationTests = tester.Tests
 	return h, st
+}
+
+// boxVolume is the volume of the bounding box of rs, 0 when rs is empty,
+// taken a dimension at a time without building the box.
+func boxVolume(rs []geom.Rect) float64 {
+	if len(rs) == 0 {
+		return 0
+	}
+	v := 1.0
+	for k := range rs[0].Lo {
+		lo, hi := rs[0].Lo[k], rs[0].Hi[k]
+		for _, r := range rs[1:] {
+			lo, hi = min(lo, r.Lo[k]), max(hi, r.Hi[k])
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 // BuildRegionTree indexes the uncertainty regions of every object in db in

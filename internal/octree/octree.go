@@ -466,8 +466,9 @@ func (t *Tree) removeWithin(id uint32, ubr geom.Rect, except *geom.Rect) (int, e
 	return t.remove(t.root, t.rootCells(stack[:]), id, ubr, except)
 }
 
-// remove descends into the cells intersecting ubr; n's cell is cells[:2d], as
-// in windowMass. n is session-owned; children are path-copied before descent.
+// remove descends into the cells intersecting ubr; n's cell is cells[:d] (lo)
+// and cells[d:2d] (hi), and each child's cell goes into the next 2d slots. n
+// is session-owned; children are path-copied before descent.
 func (t *Tree) remove(n *node, cells []float64, id uint32, ubr geom.Rect, except *geom.Rect) (int, error) {
 	if n.children == nil {
 		if except != nil && cellMeets(t.dim, cells, *except) {
@@ -769,49 +770,6 @@ func (t *Tree) rangeIDs(n *node, region geom.Rect, r geom.Rect, out map[uint32]b
 	}
 	for mask, c := range n.children {
 		if err := t.rangeIDs(c, childRegion(region, mask), r, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WindowMass counts the entry copies in the leaves whose cells intersect r —
-// the leaves RangeIDs reads, by its closed rule — and those leaves, from leaf
-// page header counts alone; cell bounds live on the stack: no allocation.
-func (t *Tree) WindowMass(r geom.Rect) (entries, leaves int, err error) {
-	var stack [512]float64
-	err = t.windowMass(t.root, t.rootCells(stack[:]), r, &entries, &leaves)
-	return entries, leaves, err
-}
-
-// windowMass walks n, whose cell is cells[:d] (lo) and cells[d:2d] (hi),
-// writing each child's cell into the next 2d slots. A corrupt image (a node
-// below maxDepth, a chain past its page count) is an error.
-func (t *Tree) windowMass(n *node, cells []float64, r geom.Rect, entries, leaves *int) error {
-	d := t.dim
-	if !cellMeets(d, cells, r) {
-		return nil
-	}
-	if n.children == nil {
-		*leaves++
-		for i, p := 0, n.firstPage; p != 0; i++ {
-			if i == n.pages {
-				return fmt.Errorf("octree: leaf chain longer than its %d pages", n.pages)
-			}
-			buf, err := t.store.View(p)
-			if err != nil {
-				return err
-			}
-			*entries += int(binary.LittleEndian.Uint32(buf[4:8]))
-			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
-		}
-		return nil
-	}
-	if len(cells) < 4*d {
-		return fmt.Errorf("octree: node below depth %d", t.maxDepth)
-	}
-	for mask, c := range n.children {
-		if err := t.windowMass(c, childCell(d, cells, mask), r, entries, leaves); err != nil {
 			return err
 		}
 	}

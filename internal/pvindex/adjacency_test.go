@@ -67,7 +67,7 @@ func randomObject(rng *rand.Rand, id uncertain.ID, d int, span, maxSide float64)
 // coincident twin (equal regions, hence equal UBRs, which touch everything
 // each other touches).
 func TestUBRDegreeMatchesBruteForce(t *testing.T) {
-	hubRuleForTest(t, 0.1, 4) // batches re-refine, so stored UBRs shrink mid-run
+	refineFactorForTest(t, 0) // batches escalate, so stored UBRs shrink mid-run
 	for _, d := range []int{2, 3, 4} {
 		for _, clustered := range []bool{false, true} {
 			t.Run(fmt.Sprintf("d%d/clustered=%v", d, clustered), func(t *testing.T) {
@@ -298,14 +298,15 @@ func TestAdjacencyPersistRoundTrip(t *testing.T) {
 	verifyDegrees(t, loaded, "after post-load insert")
 }
 
-// TestBatchMaintainsAdjacencyIncrementally asserts a batch's refinement pass
-// scores only the rows whose UBRs the batch itself wrote (newcomers plus
-// Lemma 8 affected sets), far below the object count — never every row.
+// TestBatchMaintainsAdjacencyIncrementally asserts a batch refines only the
+// rows its own SE jobs compute — each newcomer's staging and at most one
+// warm finalization, plus the affected rows whose UBR changed — far below the
+// object count, never every row, even with every job's row fat.
 func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const span, maxSide = 2000.0, 20.0
 	db := randomDB(rng, 300, 2, span, maxSide, false)
-	ix, err := Build(db, testConfig())
+	ix, err := Build(db, aggressiveRefine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,24 +315,22 @@ func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 	for i := range batch {
 		batch[i] = Update{Op: OpInsert, Object: randomObject(rng, uncertain.ID(1000+i), 2, span, maxSide)}
 	}
-	w := ix.newWorking(ix.current.Load())
-	defer w.abort()
-	sts, err := w.apply(batch)
+	sts, err := ix.ApplyBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	affected := 0
+	refined, rewritten := 0, 0
 	for _, st := range sts {
-		affected += st.Affected - st.Unchanged
+		refined += st.SE.Refine.Rows
+		rewritten += st.Affected - st.Unchanged
 	}
-	scored := len(w.changed)
-	if scored < len(batch) {
-		t.Fatalf("batch scores %d rows, fewer than its %d newcomers", scored, len(batch))
+	if refined < len(batch) {
+		t.Fatalf("batch refines %d rows, fewer than its %d newcomers", refined, len(batch))
 	}
-	if limit := len(batch) + affected; scored > limit {
-		t.Fatalf("batch scores %d rows, want <= %d (newcomers + rewritten affected rows)", scored, limit)
+	if limit := 2*len(batch) + rewritten; refined > limit {
+		t.Fatalf("batch refines %d rows, want <= %d (newcomers twice + rewritten affected rows)", refined, limit)
 	}
-	if scored >= w.db.Len() {
-		t.Fatalf("batch scores %d rows of %d — looks like a full pass", scored, w.db.Len())
+	if refined >= ix.DB().Len() {
+		t.Fatalf("batch refines %d rows of %d — looks like a full pass", refined, ix.DB().Len())
 	}
 }

@@ -185,30 +185,14 @@ func validateBatch(db *uncertain.DB, ups []Update) error {
 	return nil
 }
 
-// applyBatch is the one write path: it runs a validated (and, with a WAL,
-// logged) batch against the working version — the ops, then one refinement
-// pass over the rows the batch recomputed (refine.go) — and leaves the
-// change tracking empty for the next batch. ApplyBatch calls it on a fresh
-// working version, Recover once per commit group on the one it replays the
-// whole tail into, so a replayed batch does exactly what the live one did.
-// The refinement pass is batch-scoped: it lands on the batch's first op
-// (UpdateStats.SE.Refine keeps it apart from the base SE counters).
+// applyBatch is the one write path: it runs the ops of a validated (and, with
+// a WAL, logged) non-empty batch against the working version in order — each
+// maximal run of inserts set-at-a-time (applyInserts), each delete on its own
+// (applyDelete says why). ApplyBatch calls it on a fresh working version,
+// Recover once per commit group on the one it replays the whole tail into, so
+// a replayed batch does exactly what the live one did. Refinement happens
+// inside each op's SE jobs (refine.go), so it is the op's too.
 func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
-	sts, err := w.apply(ups)
-	if err == nil {
-		var rst core.RefineStats
-		if rst, err = w.refineAfterBatch(); err == nil {
-			sts[0].SE.Refine.Add(rst)
-		}
-	}
-	clear(w.changed)
-	return sts, err
-}
-
-// apply runs the ops of a non-empty batch in order: each maximal run of
-// inserts set-at-a-time (applyInserts), each delete on its own (applyDelete
-// says why).
-func (w *working) apply(ups []Update) ([]UpdateStats, error) {
 	stats := make([]UpdateStats, 0, len(ups))
 	for i := 0; i < len(ups); {
 		if ups[i].Op == OpDelete {
@@ -273,7 +257,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 	staged := make([]geom.Rect, n)
 	ix.parallelSE(n, func(i int) {
 		t0 := time.Now()
-		staged[i], stats[i].SE = core.ComputeUBR(w.db, w.regionTree, ups[i].Object, ix.cfg.SE)
+		staged[i], stats[i].SE = w.se(ups[i].Object, geom.Rect{}, geom.Rect{})
 		stats[i].SETime = time.Since(t0)
 	})
 
@@ -304,7 +288,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 			return
 		}
 		t0 := time.Now()
-		b, s := core.ComputeUBRAfterInsert(w.db, w.regionTree, ups[i].Object, staged[i], ix.cfg.SE)
+		b, s := w.se(ups[i].Object, staged[i], geom.Rect{})
 		finalB[i] = b
 		stats[i].SETime += time.Since(t0)
 		stats[i].SE.Add(s)
@@ -366,7 +350,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		a := affected[k]
 		other := w.db.Get(uncertain.ID(a.id))
 		t0 := time.Now()
-		updatedB[k], seStats[k] = core.ComputeUBRAfterInsert(w.db, w.regionTree, other, a.oldB, ix.cfg.SE)
+		updatedB[k], seStats[k] = w.se(other, a.oldB, geom.Rect{})
 		seDur[k] = time.Since(t0)
 	})
 	for k, a := range affected {
@@ -385,7 +369,6 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		if err := w.putRecord(a.id, rec); err != nil {
 			return stats, err
 		}
-		w.changed[a.id] = struct{}{}
 		stats[a.op].IndexTime += time.Since(t0)
 	}
 
@@ -395,7 +378,6 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		if err := w.addObject(u.Object, finalB[i]); err != nil {
 			return stats, err
 		}
-		w.changed[uint32(u.Object.ID)] = struct{}{}
 		stats[i].IndexTime += time.Since(t0)
 	}
 	return stats, nil
@@ -428,8 +410,7 @@ func (ix *Index) WALSeq() uint64 {
 // sequence — the tail the current snapshot is missing — and returns how
 // many updates it applied. Each commit group is validated and run through
 // applyBatch, exactly as ApplyBatch ran it, so the recovered index is the
-// live one bit for bit: same database order, stored UBRs, refinement
-// threshold.
+// live one bit for bit: same database order, stored UBRs.
 // The whole tail applies to one working version (one database clone, one
 // publish at the end), so replay cost stays O(affected objects) per group,
 // not O(index size); queries already being served keep reading the

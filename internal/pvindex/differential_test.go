@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"pvoronoi/internal/dataset"
@@ -21,8 +20,7 @@ import (
 func sameRectBits(a, b geom.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.Hi, b.Hi) }
 
 // assertSameState: two indexes publish the same state bit for bit — the
-// database in the same order, every stored UBR, the re-refinement threshold.
-// Equal UBRs give equal hub scores.
+// database in the same order, every stored UBR.
 func assertSameState(t *testing.T, got, want *Index, label string) {
 	t.Helper()
 	gv, wv := got.current.Load(), want.current.Load()
@@ -46,9 +44,6 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	}
 	if differ > 0 {
 		t.Fatalf("%s: %d of %d stored UBRs differ", label, differ, len(wobjs))
-	}
-	if g, w := got.refineThreshold(), want.refineThreshold(); g != w {
-		t.Fatalf("%s: refine threshold %v, want %v", label, g, w)
 	}
 	assertPDFsMatchRecords(t, got)
 	assertPDFsMatchRecords(t, want)
@@ -129,7 +124,7 @@ func sumUBRVolume(t *testing.T, ix *Index) float64 {
 
 // differentialCases are the shapes the differential tests run: dense enough
 // that the sixteen inserts of a batch meet each other and the rows around
-// them, and with refinement aimed low enough that batches re-refine.
+// them.
 var differentialCases = []struct {
 	d, n          int
 	span, maxSide float64
@@ -138,14 +133,13 @@ var differentialCases = []struct {
 	{d: 3, n: 100, span: 220, maxSide: 30},
 }
 
-// differentialConfig aims refinement at the top 30 % of rows, or at none
-// (topFraction 0 turns refinement off).
+// differentialConfig escalates every row's SE job, or none.
 func differentialConfig(t *testing.T, refine bool) Config {
-	frac := 0.0
+	factor := math.Inf(1)
 	if refine {
-		frac = 0.3
+		factor = 0
 	}
-	hubRuleForTest(t, frac, 4)
+	refineFactorForTest(t, factor)
 	return testConfig()
 }
 
@@ -209,7 +203,7 @@ func TestInsertPathMatchesReference(t *testing.T) {
 						}
 					}
 					if refine && ix.RefineCounters().RowsRefined == int64(ix.Build.SE.Refine.Rows) {
-						t.Fatal("no batch re-refined a row; the case no longer exercises the refinement pass")
+						t.Fatal("no batch refined a row; the case no longer exercises escalation on the write path")
 					}
 
 					victim := func() uncertain.ID {
@@ -235,36 +229,6 @@ func TestInsertPathMatchesReference(t *testing.T) {
 					t.Logf("after mixed batches Σ UBR volume is %.5f × the reference's", sumUBRVolume(t, ix)/sumUBRVolume(t, ref))
 				})
 			}
-		}
-	}
-}
-
-// TestBuildAdjacencyMatchesRebuild: the hubs a whole-index pass selects from
-// octree window masses over a built index — rows, order and re-refinement
-// threshold — are the ones the hub rule selects from masses summed by brute
-// force over the image's leaf cells and the same stored UBRs
-// (referenceHubs).
-func TestBuildAdjacencyMatchesRebuild(t *testing.T) {
-	for _, c := range differentialCases {
-		for _, refine := range []bool{true, false} {
-			t.Run(fmt.Sprintf("d%d/refine=%v", c.d, refine), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(c.d)))
-				ix, err := BuildParallel(randomDB(rng, c.n, c.d, c.span, c.maxSide, false), differentialConfig(t, refine), 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hubRuleForTest(t, 0.3, 4) // select over the built rows, refined or not
-				w := ix.newWorking(ix.current.Load())
-				defer w.abort()
-				got, gotT, err := w.selectHubsAll()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantT := referenceHubs(t, ix)
-				if len(got) == 0 || !slices.Equal(got, want) || math.Float64bits(gotT) != math.Float64bits(wantT) {
-					t.Fatalf("window masses select %v (threshold %v), brute force %v (%v)", got, gotT, want, wantT)
-				}
-			})
 		}
 	}
 }
@@ -347,7 +311,7 @@ func TestBuildMatchesReference(t *testing.T) {
 // TestReplayReproducesLive: a snapshot, then six insert/delete batch pairs
 // only the log knows about. Loading the snapshot and replaying the tail must
 // give the live index back bit for bit — replay runs each commit group
-// through the code the live batch ran, refinement pass included.
+// through the code the live batch ran, refinement included.
 func TestReplayReproducesLive(t *testing.T) {
 	for _, c := range differentialCases {
 		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
@@ -403,7 +367,7 @@ func TestReplayReproducesLive(t *testing.T) {
 				pair()
 			}
 			if live.RefineCounters().RowsRefined == refinedAtSnap {
-				t.Fatal("no batch after the snapshot re-refined a row; the case no longer exercises the refinement pass")
+				t.Fatal("no batch after the snapshot refined a row; the case no longer exercises escalation on the write path")
 			}
 
 			log2, err := wal.Open(walDir, wal.Options{})

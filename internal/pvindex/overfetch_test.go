@@ -1,6 +1,7 @@
 package pvindex
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -45,16 +46,17 @@ func overFetch(t *testing.T, ix *Index, qs []geom.Point) (mean, p90 float64) {
 }
 
 // TestRefinementOverFetch is refinement's verdict and its tightness guard.
-// Three seeded datasets are built with refinement on and off and run four
-// insert/delete pairs of 16; then the Step-1 over-fetch (mean, p90) over
-// 2 000 seeded points and Σ UBR volume are measured. On clustered d = 2 data
-// refinement at least halves the mean over-fetch; on uniform data it barely
-// moves it. The "on" side may not get looser than the values recorded while
-// hub scores were exact UBR-intersection degrees: mean and Σ volume within
-// 1 %, p90 no higher.
+// Three seeded datasets are built and run four insert/delete pairs of 16;
+// then the Step-1 over-fetch (mean, p90) over 2 000 seeded points and Σ UBR
+// volume are measured. On uniform data the rule escalates no row, at build
+// or in the batches, so refinement on is refinement off and one build
+// measures both. On clustered d = 2 data it is measured off (factor +Inf)
+// and on, and refinement at least halves the mean over-fetch. The "on" side
+// may not get looser than the values recorded while hub scores were exact
+// UBR-intersection degrees: mean and Σ volume within 1 %, p90 no higher.
 func TestRefinementOverFetch(t *testing.T) {
 	if race.Enabled {
-		t.Skip("six harness-sized builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
+		t.Skip("four harness-sized builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
 	}
 	type measure struct{ mean, p90, vol float64 }
 	for _, c := range []struct {
@@ -68,9 +70,8 @@ func TestRefinementOverFetch(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			qs := dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 2000, c.p.Seed)
-			var got [2]measure // off, on
-			for i, frac := range []float64{0, hubRule.topFraction} {
-				hubRuleForTest(t, frac, hubRule.minMass) // topFraction 0: refinement off
+			measureAt := func(factor float64) (measure, RefineCounters) {
+				refineFactorForTest(t, factor)
 				ix, err := BuildParallel(dataset.Synthetic(c.p), DefaultConfig(), 2)
 				if err != nil {
 					t.Fatal(err)
@@ -90,14 +91,24 @@ func TestRefinementOverFetch(t *testing.T) {
 						}
 					}
 				}
-				got[i].mean, got[i].p90 = overFetch(t, ix, qs)
-				got[i].vol = sumUBRVolume(t, ix)
+				var m measure
+				m.mean, m.p90 = overFetch(t, ix, qs)
+				m.vol = sumUBRVolume(t, ix)
+				return m, ix.RefineCounters()
 			}
-			off, on := got[0], got[1]
-			t.Logf("%s over-fetch mean/p90/ΣUBR volume: off %.6g / %v / %.6g, on %.6g / %v / %.6g",
-				c.name, off.mean, off.p90, off.vol, on.mean, on.p90, on.vol)
-			if c.p.Clustered && on.mean > 0.5*off.mean {
-				t.Errorf("clustered over-fetch with refinement %.4g, without %.4g: refinement no longer halves it", on.mean, off.mean)
+			on, rc := measureAt(refineFactor)
+			if !c.p.Clustered {
+				t.Logf("%s over-fetch mean/p90/ΣUBR volume: %.6g / %v / %.6g, no row refined", c.name, on.mean, on.p90, on.vol)
+				if rc.RowsRefined != 0 {
+					t.Errorf("the rule escalated %d rows on uniform data", rc.RowsRefined)
+				}
+			} else {
+				off, _ := measureAt(math.Inf(1))
+				t.Logf("%s over-fetch mean/p90/ΣUBR volume: off %.6g / %v / %.6g, on %.6g / %v / %.6g, %d rows refined",
+					c.name, off.mean, off.p90, off.vol, on.mean, on.p90, on.vol, rc.RowsRefined)
+				if on.mean > 0.5*off.mean {
+					t.Errorf("clustered over-fetch with refinement %.4g, without %.4g: refinement no longer halves it", on.mean, off.mean)
+				}
 			}
 			if on.mean > 1.01*c.rec.mean || on.p90 > c.rec.p90 || on.vol > 1.01*c.rec.vol {
 				t.Errorf("refined over-fetch mean %.6g, p90 %v, Σ volume %.6g; recorded %.6g, %v, %.6g",

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
@@ -51,7 +52,7 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	// its structure; structural reads are safe concurrently.
 	parallelFor(workers, len(objs), func(i int) {
 		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
-		items[i].UBR, seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
+		items[i].UBR, seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
 	})
 
 	t0 := time.Now()
@@ -71,13 +72,6 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	// The refinement pass reuses the SE worker pool for its escalated SE runs;
-	// GOMAXPROCS is already the pool width parallelSE uses.
-	st, err := ix.refineAll(w)
-	if err != nil {
-		return nil, err
-	}
-	ix.Build.SE.Refine.Add(st)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil

@@ -17,7 +17,9 @@ import (
 // persistMagic names the one image format LoadFrom reads and SaveTo writes.
 const persistMagic = "PVIDX4"
 
-// indexImage bundles the serializable state of all index layers.
+// indexImage bundles the serializable state of all index layers. Older images
+// may also carry a refinement cutoff, a refinement config or an adjacency
+// graph, which gob skips: refinement keeps no state.
 type indexImage struct {
 	Magic     string
 	SE        core.Options
@@ -28,13 +30,6 @@ type indexImage struct {
 	Store     *pagestore.Image
 	Primary   *octree.Image
 	Secondary *exthash.Image
-	// HubThreshold restores the window-mass hub-score cutoff batches
-	// re-refine against (+Inf = unset). Older images carry a cutoff in
-	// degree units as RefineThreshold (0 = unset), which LoadFrom
-	// re-derives, and maybe a refinement config or an adjacency graph, which
-	// gob skips.
-	RefineThreshold float64
-	HubThreshold    float64
 }
 
 // SaveTo serializes the index (page store, octree skeleton, hash directory,
@@ -71,16 +66,15 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		return err
 	}
 	img := indexImage{
-		Magic:        persistMagic,
-		SE:           ix.cfg.SE,
-		MemBudget:    ix.cfg.MemBudget,
-		Fanout:       ix.cfg.Fanout,
-		Objects:      v.db.Len(),
-		WALSeq:       v.walSeq,
-		Store:        storeImg,
-		Primary:      v.primary.Image(),
-		Secondary:    v.secondary.Image(),
-		HubThreshold: ix.refineThreshold(),
+		Magic:     persistMagic,
+		SE:        ix.cfg.SE,
+		MemBudget: ix.cfg.MemBudget,
+		Fanout:    ix.cfg.Fanout,
+		Objects:   v.db.Len(),
+		WALSeq:    v.walSeq,
+		Store:     storeImg,
+		Primary:   v.primary.Image(),
+		Secondary: v.secondary.Image(),
 	}
 	return gob.NewEncoder(w).Encode(&img)
 }
@@ -180,15 +174,5 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		secondary:  secondary,
 		regionTree: regionTree,
 	})
-	switch {
-	case img.HubThreshold > 0:
-		ix.setRefineThreshold(img.HubThreshold)
-	case img.RefineThreshold > 0: // degree units: one scoring pass re-derives it
-		_, t, err := (&working{ix: ix, db: db, primary: primary, secondary: secondary}).selectHubsAll()
-		if err != nil {
-			return nil, err
-		}
-		ix.setRefineThreshold(t)
-	}
 	return ix, nil
 }

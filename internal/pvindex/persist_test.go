@@ -131,9 +131,9 @@ func TestLoadsImageWithMaxDiag(t *testing.T) {
 
 // TestLoadsImageWithAdjacencyGraph: a checkpoint written while the index
 // kept an adjacency graph and five refinement knobs loads with the current
-// code — gob skips the graph and the knobs — into the same stored UBRs and
-// threshold, and the next batch does on the loaded index what it does on the
-// live one.
+// code — gob skips the graph, the knobs and the refinement cutoff — into the
+// same stored UBRs, and the next batch does on the loaded index what it does
+// on the live one.
 func TestLoadsImageWithAdjacencyGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	db := randomDB(rng, 120, 2, 1000, 40, true)

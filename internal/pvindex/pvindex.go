@@ -97,12 +97,10 @@ type Index struct {
 	retired   []*version
 	reclaims  int64
 
-	// Refinement lifetime counters (refine.go, see RefineCounters) and the
-	// incremental re-refinement threshold as float bits (0 = unset = +Inf).
-	refRows          atomic.Int64
-	refUnchanged     atomic.Int64
-	refBudget        atomic.Int64
-	refThresholdBits atomic.Uint64
+	// Refinement lifetime counters (refine.go, see RefineCounters).
+	refRows      atomic.Int64
+	refUnchanged atomic.Int64
+	refBudget    atomic.Int64
 
 	// Build records the construction cost profile.
 	Build BuildStats
@@ -141,10 +139,6 @@ type working struct {
 	primary    *octree.Tree
 	secondary  *exthash.Table
 	regionTree *rtree.Tree
-
-	// changed collects the live IDs whose stored UBR this batch wrote: the
-	// rows its refinement pass scores.
-	changed map[uint32]struct{}
 
 	freed  []pagestore.PageID
 	recBuf []byte // putRecord's encoding buffer
@@ -193,10 +187,9 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 // pointers); the trees start as O(1) copy-on-write handles.
 func (ix *Index) newWorking(base *version) *working {
 	w := &working{
-		ix:      ix,
-		epoch:   base.epoch + 1,
-		db:      base.db.Clone(),
-		changed: make(map[uint32]struct{}),
+		ix:    ix,
+		epoch: base.epoch + 1,
+		db:    base.db.Clone(),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
 	w.secondary = base.secondary.CloneCOW(&w.freed)
@@ -472,9 +465,9 @@ type UpdateStats struct {
 	TotalTime time.Duration
 	// SE aggregates the Shrink-and-Expand cost of every UBR computed by the
 	// operation: the newcomer's (insert) plus all affected recomputations.
-	// The flat counters cover the base SE pass only; SE.Refine isolates the
-	// budget-aware refinement work, which is batch-scoped and attributed to
-	// the batch's first op.
+	// The flat counters cover the base SE runs only; SE.Refine isolates the
+	// escalated re-runs of the op's fat rows (refine.go), whose time is part
+	// of SETime.
 	SE core.Stats
 }
 
@@ -513,7 +506,6 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	var st UpdateStats
 	start := time.Now()
 	defer func() { st.TotalTime = time.Since(start) }()
-	cfg := w.ix.cfg
 
 	victim := w.db.Get(id)
 	if victim == nil {
@@ -545,7 +537,6 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	if _, err := w.secondary.Delete(uint32(id)); err != nil {
 		return st, err
 	}
-	delete(w.changed, uint32(id))
 	st.IndexTime += time.Since(t0)
 
 	for otherID := range ids {
@@ -573,7 +564,7 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 
 		// Step 3: warm-started SE (l = old UBR, h = its union with the victim's).
 		t1 := time.Now()
-		updated, seAffected := core.ComputeUBRAfterDelete(w.db, w.regionTree, other, oldB, victimUBR, cfg.SE)
+		updated, seAffected := w.se(other, oldB, victimUBR)
 		st.SETime += time.Since(t1)
 		st.SE.Add(seAffected)
 		if updated.Equal(oldB) {
@@ -590,7 +581,6 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 		if err := w.primary.InsertDiff(otherID, other.Region, updated, oldB); err != nil {
 			return st, err
 		}
-		w.changed[otherID] = struct{}{}
 		st.IndexTime += time.Since(t2)
 	}
 	return st, nil

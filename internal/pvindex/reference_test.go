@@ -68,17 +68,19 @@ func (ix *Index) referenceStage(base *version, ups []Update) []stagedSE {
 			idxs = append(idxs, i)
 		}
 	}
+	w := &working{ix: ix, db: base.db, regionTree: base.regionTree}
 	ix.parallelSE(len(idxs), func(k int) {
 		i := idxs[k]
 		t0 := time.Now()
-		staged[i].ubr, staged[i].stats = core.ComputeUBR(base.db, base.regionTree, ups[i].Object, ix.cfg.SE)
+		staged[i].ubr, staged[i].stats = w.se(ups[i].Object, geom.Rect{}, geom.Rect{})
 		staged[i].dur = time.Since(t0)
 	})
 	return staged
 }
 
 // referenceApplyBatch is ApplyBatch as it was, minus the log: validate,
-// stage, apply through the old loop, refine, publish.
+// stage, apply through the old loop, publish. Its SE jobs refine as
+// production's do (working.se).
 func (ix *Index) referenceApplyBatch(ups []Update) error {
 	ix.writerMu.Lock()
 	defer ix.writerMu.Unlock()
@@ -88,11 +90,7 @@ func (ix *Index) referenceApplyBatch(ups []Update) error {
 	}
 	staged := ix.referenceStage(base, ups)
 	w := ix.newWorking(base)
-	_, err := w.referenceApply(ups, staged)
-	if err == nil {
-		_, err = w.refineAfterBatch()
-	}
-	if err != nil {
+	if _, err := w.referenceApply(ups, staged); err != nil {
 		w.abort()
 		return err
 	}
@@ -159,7 +157,6 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 	var st UpdateStats
 	start := time.Now()
 	defer func() { st.TotalTime = time.Since(start) }()
-	cfg := w.ix.cfg
 
 	if err := w.db.Add(o); err != nil {
 		return st, geom.Rect{}, err
@@ -187,13 +184,13 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 		st.SE.Add(staged.stats)
 		t0 := time.Now()
 		var seStats core.Stats
-		newB, seStats = core.ComputeUBRAfterInsert(w.db, w.regionTree, o, staged.ubr, cfg.SE)
+		newB, seStats = w.se(o, staged.ubr, geom.Rect{})
 		st.SETime += time.Since(t0)
 		st.SE.Add(seStats)
 	default: // seCold
 		t0 := time.Now()
 		var seStats core.Stats
-		newB, seStats = core.ComputeUBR(w.db, w.regionTree, o, cfg.SE)
+		newB, seStats = w.se(o, geom.Rect{}, geom.Rect{})
 		st.SETime += time.Since(t0)
 		st.SE.Add(seStats)
 	}
@@ -231,7 +228,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 
 		// Step 3: warm-started SE (h = old UBR).
 		t1 := time.Now()
-		updated, seAffected := core.ComputeUBRAfterInsert(w.db, w.regionTree, other, oldB, cfg.SE)
+		updated, seAffected := w.se(other, oldB, geom.Rect{})
 		st.SETime += time.Since(t1)
 		st.SE.Add(seAffected)
 		if updated.Equal(oldB) {
@@ -248,13 +245,11 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 		if err := w.putRecord(id, rec); err != nil {
 			return st, geom.Rect{}, err
 		}
-		w.changed[id] = struct{}{}
 		st.IndexTime += time.Since(t2)
 	}
 
 	t3 := time.Now()
 	err = w.addObject(o, newB)
-	w.changed[uint32(o.ID)] = struct{}{}
 	st.IndexTime += time.Since(t3)
 	return st, newB, err
 }
@@ -291,7 +286,7 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
 	// its structure; structural reads are safe concurrently.
 	parallelFor(workers, len(objs), func(i int) {
-		ubrs[i], seStats[i] = core.ComputeUBR(db, w.regionTree, objs[i], cfg.SE)
+		ubrs[i], seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
 	})
 
 	t0 := time.Now()
@@ -306,11 +301,6 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
-	st, err := ix.refineAll(w)
-	if err != nil {
-		return nil, err
-	}
-	ix.Build.SE.Refine.Add(st)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil
@@ -369,15 +359,19 @@ func bruteMasses(t *testing.T, ix *Index) map[uint32]int {
 	return mass
 }
 
-// topHubs applies the hub rule to per-row weights: the hubRule.topFraction
-// fattest rows by UBR volume × weight among those of weight ≥
-// hubRule.minMass with a positive score, and the weakest selected score
-// (+Inf when none qualifies).
+// topHubs is the whole-index selection refinement made before its rule was
+// per row: the 2 % fattest rows by UBR volume × weight among those of weight
+// ≥ 16 with a positive score, and the weakest selected score (+Inf when none
+// qualifies).
 func topHubs(v *version, weights map[uint32]int) ([]uint32, float64) {
+	type scoredRow struct {
+		id    uint32
+		score float64
+	}
 	var rows []scoredRow
 	for id, n := range weights {
 		ubr, _ := v.ubr(uncertain.ID(id))
-		if s := ubr.Volume() * float64(n); n >= hubRule.minMass && s > 0 {
+		if s := ubr.Volume() * float64(n); n >= 16 && s > 0 {
 			rows = append(rows, scoredRow{id, s})
 		}
 	}
@@ -387,7 +381,7 @@ func topHubs(v *version, weights map[uint32]int) ([]uint32, float64) {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	n := min(int(math.Ceil(hubRule.topFraction*float64(v.db.Len()))), len(rows))
+	n := min(int(math.Ceil(0.02*float64(v.db.Len()))), len(rows))
 	if n == 0 {
 		return nil, math.Inf(1)
 	}
@@ -398,34 +392,22 @@ func topHubs(v *version, weights map[uint32]int) ([]uint32, float64) {
 	return ids, rows[n-1].score
 }
 
-// referenceHubs is the selection of a whole-index refinement pass made from
-// the brute-force window masses (bruteMasses).
-func referenceHubs(t *testing.T, ix *Index) ([]uint32, float64) {
+// referenceHubs is the selection a whole-index refinement pass made from the
+// brute-force window masses (bruteMasses).
+func referenceHubs(t *testing.T, ix *Index) []uint32 {
 	t.Helper()
-	return topHubs(ix.current.Load(), bruteMasses(t, ix))
+	ids, _ := topHubs(ix.current.Load(), bruteMasses(t, ix))
+	return ids
 }
 
-// loadOldImage loads old, an image oldImage wrote, over ix's database. Its
-// cutoff is in degree units, so LoadFrom re-derives it: the loaded threshold
-// must be the one a whole-index scoring pass over the loaded UBRs fixes
-// (selectHubsAll). The live ix then takes that cutoff too — its own was fixed
-// over its construction-time UBRs — so that the two compare, and re-refine
-// later batches, alike.
+// loadOldImage loads old, an image oldImage wrote, over ix's database; the
+// refinement cutoff it carries is skipped.
 func loadOldImage(t *testing.T, ix *Index, old io.Reader) *Index {
 	t.Helper()
 	loaded, err := LoadFrom(old, ix.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := loaded.current.Load()
-	_, want, err := (&working{ix: loaded, db: v.db, primary: v.primary, secondary: v.secondary}).selectHubsAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.refineThreshold(); got != want || math.IsInf(got, 1) != math.IsInf(ix.refineThreshold(), 1) {
-		t.Fatalf("loaded threshold %v, a scoring pass over the loaded UBRs %v, live %v", got, want, ix.refineThreshold())
-	}
-	ix.setRefineThreshold(want)
 	return loaded
 }
 
@@ -479,7 +461,7 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 	img.Refine = RefineConfig{TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
 
 	v := ix.current.Load()
-	if _, deg := topHubs(v, v.windowDegrees()); !math.IsInf(ix.refineThreshold(), 1) && !math.IsInf(deg, 1) {
+	if _, deg := topHubs(v, v.windowDegrees()); !math.IsInf(deg, 1) {
 		img.RefineThreshold = deg // the cutoff in the old score's degree units
 	}
 	objs := slices.Clone(v.db.Objects())

@@ -2,31 +2,41 @@ package pvindex
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/core"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/race"
+	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
 
-// hubRuleForTest widens (or narrows) refinement's hub selection for the rest
-// of the test.
-func hubRuleForTest(t *testing.T, topFraction float64, minMass int) {
-	old := hubRule
-	hubRule.topFraction, hubRule.minMass = topFraction, minMass
-	t.Cleanup(func() { hubRule = old })
+// refineFactorForTest sets the fatness rule's factor for the rest of the
+// test: 0 escalates every row with a C-set, +Inf none.
+func refineFactorForTest(t *testing.T, factor float64) {
+	old := refineFactor
+	refineFactor = factor
+	t.Cleanup(func() { refineFactor = old })
 }
 
-// aggressiveRefine aims the refinement pass at every row (no degree floor,
-// full top fraction) for the rest of the test — the setting the oracle tests
-// use to maximize the chance of surfacing an unsound shrink — and returns
-// the test config.
+// aggressiveRefine escalates every row for the rest of the test — the
+// setting the oracle tests use to maximize the chance of surfacing an
+// unsound shrink — and returns the test config.
 func aggressiveRefine(t *testing.T) Config {
-	hubRuleForTest(t, 1, 0)
+	refineFactorForTest(t, 0)
 	return testConfig()
+}
+
+// rho is the quantity the rule thresholds: vol(UBR)·|C| ÷ vol(C-box).
+func rho(ubr geom.Rect, st core.Stats) float64 {
+	return ubr.Volume() * float64(st.CSetSize) / st.CSetVolume
 }
 
 // checkUBRSoundness asserts the PV-cell containment oracle over a sample
@@ -137,46 +147,35 @@ func TestRefineSoundnessOracle(t *testing.T) {
 	checkUBRSoundness(t, ix, rng, 250, span)
 }
 
-// TestRefineSelectionAndCounters checks the budget policy: the construction
-// pass refines exactly the configured top fraction of qualifying rows,
-// fattest first, and the lifetime counters plus the incremental threshold
-// reflect it. A rule that selects nothing (topFraction 0, how tests turn
-// refinement off) must spend nothing and leave the threshold unset.
+// TestRefineSelectionAndCounters checks the rule's two ends and the
+// counters: at factor 0 the build escalates every row (each has a C-set),
+// the lifetime counters and the build stats agree on it; at +Inf nothing
+// escalates, at build or in a batch, and every query gets the same answer.
 func TestRefineSelectionAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	db := randomDB(rng, 100, 2, 1000, 40, false)
-	hubRuleForTest(t, 0.1, 0)
+	refineFactorForTest(t, 0)
 	ix, err := Build(db, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := ix.RefineCounters()
-	if rc.RowsRefined != 10 {
-		t.Fatalf("rows refined = %d, want 10 (top 10%% of 100)", rc.RowsRefined)
+	if rc.RowsRefined != 100 || rc.BudgetSpent <= 0 || rc.RowsUnchanged > rc.RowsRefined {
+		t.Fatalf("factor 0 escalated %+v, want every one of 100 rows", rc)
 	}
-	if rc.BudgetSpent <= 0 {
-		t.Fatalf("counters inconsistent: %+v", rc)
-	}
-	if math.IsInf(rc.Threshold, 1) || rc.Threshold <= 0 {
-		t.Fatalf("construction pass left threshold %v", rc.Threshold)
-	}
-	if ix.Build.SE.Refine.Rows != 10 {
-		t.Fatalf("build stats attribute %d refined rows, want 10", ix.Build.SE.Refine.Rows)
+	if r := ix.Build.SE.Refine; int64(r.Rows) != rc.RowsRefined || r.DominationTests != rc.BudgetSpent || int64(r.Unchanged) != rc.RowsUnchanged {
+		t.Fatalf("build stats attribute %+v, lifetime counters %+v", r, rc)
 	}
 
-	hubRuleForTest(t, 0, 0)
+	refineFactorForTest(t, math.Inf(1))
 	rng2 := rand.New(rand.NewSource(73))
 	db2 := randomDB(rng2, 100, 2, 1000, 40, false)
 	ix2, err := Build(db2, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc2 := ix2.RefineCounters()
-	if rc2.RowsRefined != 0 || rc2.BudgetSpent != 0 {
-		t.Fatalf("empty hub rule spent budget: %+v", rc2)
-	}
-	if !math.IsInf(rc2.Threshold, 1) {
-		t.Fatalf("empty hub rule set threshold %v", rc2.Threshold)
+	if rc2 := ix2.RefineCounters(); rc2 != (RefineCounters{}) {
+		t.Fatalf("factor +Inf spent budget: %+v", rc2)
 	}
 	// The two builds saw the same data; the refined index must give every
 	// query the same answer, only cheaper.
@@ -198,15 +197,15 @@ func TestRefineSelectionAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rc := ix2.RefineCounters(); rc.RowsRefined != 0 {
-		t.Fatalf("empty hub rule refined %d rows after a batch", rc.RowsRefined)
+		t.Fatalf("factor +Inf refined %d rows after a batch", rc.RowsRefined)
 	}
 }
 
-// TestRefineBatchRerefinesCrossedHubs checks the incremental rule: rows a
-// batch recomputes get re-refined only when their hub score reaches the
-// construction threshold. With an aggressive config the threshold is the
-// weakest row's score, so churn keeps refining and the lifetime counters
-// grow; the batch stats carry the extra work in the Refine block.
+// TestRefineBatchRerefinesCrossedHubs checks the rule on the write path: a
+// row a batch recomputes is escalated in the same SE job when it is fat, so
+// the op that recomputed it carries the extra work — in SE.Refine, as a share
+// of its SETime — and the lifetime counters grow by exactly the batch's
+// refinement rows.
 func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	db := randomDB(rng, 80, 2, 1000, 40, false)
@@ -217,29 +216,30 @@ func TestRefineBatchRerefinesCrossedHubs(t *testing.T) {
 	before := ix.RefineCounters()
 	lo := geom.Point{500, 500}
 	o := &uncertain.Object{ID: 5000, Region: geom.NewRect(lo, geom.Point{540, 540})}
-	sts, err := ix.ApplyBatch([]Update{{Op: OpInsert, Object: o}})
+	sts, err := ix.ApplyBatch([]Update{{Op: OpInsert, Object: o}, {Op: OpDelete, ID: db.Objects()[0].ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := ix.RefineCounters()
-	if after.RowsRefined <= before.RowsRefined {
-		t.Fatalf("batch refined no rows (aggressive threshold): %d -> %d",
-			before.RowsRefined, after.RowsRefined)
+	rows := int64(0)
+	for i, st := range sts {
+		if st.SE.Refine.Rows == 0 || st.SE.Refine.Time > st.SETime {
+			t.Fatalf("op %d: refinement %+v against SE time %v", i, st.SE.Refine, st.SETime)
+		}
+		rows += int64(st.SE.Refine.Rows)
 	}
-	if after.BudgetSpent <= before.BudgetSpent {
-		t.Fatal("batch refinement spent no budget")
-	}
-	if len(sts) != 1 || sts[0].SE.Refine.Rows == 0 {
-		t.Fatalf("batch stats missing refinement attribution: %+v", sts)
+	if after.RowsRefined-before.RowsRefined != rows || after.BudgetSpent <= before.BudgetSpent {
+		t.Fatalf("counters %+v -> %+v, the batch's ops refined %d rows", before, after, rows)
 	}
 }
 
-// TestRefinePersistRoundTrip checks PVIDX4 persistence: refined UBRs and the
-// incremental threshold survive a save/load cycle.
+// TestRefinePersistRoundTrip: the rule keeps no state, so a saved-and-loaded
+// index refines exactly like the live one. On clustered data, where the rule
+// fires, the two reach the same stored-UBR state hash after the same batches,
+// and each batch refines the same rows on both.
 func TestRefinePersistRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	db := randomDB(rng, 80, 2, 1000, 40, false)
-	ix, err := Build(db, aggressiveRefine(t))
+	p := dataset.SyntheticParams{N: 600, Dim: 2, MaxSide: 60, Seed: 75, Clustered: true}
+	ix, err := Build(dataset.Synthetic(p), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,18 +251,175 @@ func TestRefinePersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt, it := loaded.refineThreshold(), ix.refineThreshold(); lt != it {
-		t.Fatalf("threshold not restored: %v vs %v", lt, it)
-	}
-	for _, o := range ix.DB().Objects() {
-		a, _ := ix.UBR(o.ID)
-		b, ok := loaded.UBR(o.ID)
-		if !ok || !a.Equal(b) {
-			t.Fatalf("object %d UBR changed across round trip: %v vs %v", o.ID, a, b)
-		}
-	}
-	// A load must not re-refine: its rows are already refined.
 	if n := loaded.RefineCounters().RowsRefined; n != 0 {
 		t.Fatalf("load refined %d rows", n)
+	}
+	p.N, p.Seed = 2*16, 76
+	fresh := dataset.Synthetic(p).Objects()
+	refined := 0
+	for k := 0; k < 2; k++ {
+		ins, del := make([]Update, 16), make([]Update, 16)
+		for j, o := range fresh[k*16 : (k+1)*16] {
+			o.ID += 100_000
+			ins[j], del[j] = Update{Op: OpInsert, Object: o}, Update{Op: OpDelete, ID: o.ID}
+		}
+		for _, ups := range [][]Update{ins, del} {
+			var rows [2]int
+			for s, side := range []*Index{ix, loaded} {
+				sts, err := side.ApplyBatch(ups)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range sts {
+					rows[s] += st.SE.Refine.Rows
+				}
+			}
+			if rows[0] != rows[1] {
+				t.Fatalf("batch refined %d rows live, %d loaded", rows[0], rows[1])
+			}
+			refined += rows[0]
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no batch refined a row; the data no longer exercises the rule")
+	}
+	t.Logf("%d rows refined by the batches on each side", refined)
+	hl, hr := fnv.New64a(), fnv.New64a()
+	hashState(t, hl, ix)
+	hashState(t, hr, loaded)
+	if hl.Sum64() != hr.Sum64() {
+		t.Fatalf("live state hash %#x, loaded %#x", hl.Sum64(), hr.Sum64())
+	}
+	assertSameState(t, loaded, ix, "loaded index after the batches")
+}
+
+// TestRefineRuleDegenerate: the rule decides degenerate C-sets without NaN.
+// An empty C-set (a lone object) never escalates, whatever the factor; a
+// zero-volume C-box — collinear regions, coincident zero-extent regions —
+// escalates at every finite factor and at none at +Inf; zero-extent objects
+// in general position get a finite ρ. Each goes through the SE job itself,
+// and its result still contains the object's region.
+func TestRefineRuleDegenerate(t *testing.T) {
+	pt := func(x, y float64) geom.Rect { return geom.NewRect(geom.Point{x, y}, geom.Point{x, y}) }
+	box := func(x0, y0, x1, y1 float64) geom.Rect { return geom.NewRect(geom.Point{x0, y0}, geom.Point{x1, y1}) }
+	for _, c := range []struct {
+		name    string
+		self    geom.Rect
+		others  []geom.Rect
+		wantFat [3]bool // at factor 0, 8, +Inf
+		zeroBox bool
+	}{
+		{"empty", box(10, 10, 20, 20), nil, [3]bool{false, false, false}, true},
+		{"collinear", box(480, 100, 520, 140), []geom.Rect{box(100, 500, 200, 500), pt(500, 500), box(700, 500, 900, 500)}, [3]bool{true, true, false}, true},
+		{"coincident points", pt(100, 100), []geom.Rect{pt(600, 600), pt(600, 600), pt(600, 600)}, [3]bool{true, true, false}, true},
+		{"zero-extent objects", pt(500, 500), []geom.Rect{pt(100, 200), pt(800, 300), pt(450, 900), pt(520, 480)}, [3]bool{true, false, false}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := uncertain.NewDB(geom.UnitCube(2, 1000))
+			objs := append([]geom.Rect{c.self}, c.others...)
+			for i, r := range objs {
+				if err := db.Add(&uncertain.Object{ID: uncertain.ID(i), Region: r}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix := &Index{cfg: testConfig()}
+			w := &working{ix: ix, db: db, regionTree: core.BuildRegionTree(db, rtree.DefaultFanout)}
+			o := db.Get(0)
+			ubr, st := core.ComputeUBR(db, w.regionTree, o, ix.cfg.SE)
+			if (st.CSetVolume == 0) != c.zeroBox || math.IsNaN(st.CSetVolume) {
+				t.Fatalf("C-set of %d regions, box volume %v", st.CSetSize, st.CSetVolume)
+			}
+			if r := rho(ubr, st); !c.zeroBox && (math.IsNaN(r) || math.IsInf(r, 0)) {
+				t.Fatalf("ρ = %v", r)
+			}
+			for k, f := range []float64{0, 8, math.Inf(1)} {
+				refineFactorForTest(t, f)
+				if got := fat(ubr, st); got != c.wantFat[k] {
+					t.Fatalf("factor %v: fat = %v, want %v (ρ %v, |C| %d)", f, got, c.wantFat[k], rho(ubr, st), st.CSetSize)
+				}
+				got, gst := w.se(o, geom.Rect{}, geom.Rect{})
+				if escalated := gst.Refine.Rows == 1; escalated != c.wantFat[k] || !got.ContainsRect(o.Region) {
+					t.Fatalf("factor %v: SE job escalated %v, want %v; UBR %v", f, escalated, c.wantFat[k], got)
+				}
+			}
+		})
+	}
+}
+
+// TestRefineRuleUniform: on seeded uniform data at d = 2…5 the rule escalates
+// no row at build — the build is the unrefined one — and the largest ρ
+// stays under the threshold, by the logged margin.
+func TestRefineRuleUniform(t *testing.T) {
+	if race.Enabled {
+		t.Skip("harness-sized SE passes, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
+	}
+	for _, c := range []struct{ d, n int }{{2, 8000}, {3, 3000}, {4, 1000}, {5, 600}} {
+		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
+			db := dataset.Synthetic(dataset.SyntheticParams{N: c.n, Dim: c.d, Seed: int64(3800 + c.d)})
+			tree := core.BuildRegionTree(db, rtree.DefaultFanout)
+			objs := db.Objects()
+			rhos := make([]float64, len(objs))
+			escalated := make([]bool, len(objs))
+			parallelFor(2, len(objs), func(i int) {
+				ubr, st := core.ComputeUBR(db, tree, objs[i], DefaultConfig().SE)
+				rhos[i], escalated[i] = rho(ubr, st), fat(ubr, st)
+			})
+			worst := 0
+			for i := range objs {
+				if escalated[i] {
+					t.Errorf("object %d escalates: ρ %.4g", objs[i].ID, rhos[i])
+				}
+				if rhos[i] > rhos[worst] {
+					worst = i
+				}
+			}
+			t.Logf("d%d n %d: max ρ %.3g (object %d), threshold %g", c.d, c.n, rhos[worst], objs[worst].ID, math.Ldexp(refineFactor, c.d))
+		})
+	}
+}
+
+// TestRefineRuleCoversOldHubs: on clustered d = 2 data every row the old
+// whole-index selection picked — the top 2 % by UBR volume × window mass,
+// over the unrefined build (topHubs over bruteMasses, reference_test.go) —
+// is escalated by its build SE job, and the fat rows stay a small share of
+// the index.
+func TestRefineRuleCoversOldHubs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("a harness-sized build, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
+	}
+	factor := refineFactor
+	refineFactorForTest(t, math.Inf(1))
+	ix, err := BuildParallel(dataset.Synthetic(dataset.SyntheticParams{N: 8000, Dim: 2, Seed: 3802, Clustered: true}), DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs := referenceHubs(t, ix)
+	refineFactor = factor
+	v := ix.current.Load()
+	w := &working{ix: ix, db: v.db, regionTree: v.regionTree}
+	objs := v.db.Objects()
+	escalated := make([]bool, len(objs))
+	parallelFor(2, len(objs), func(i int) {
+		ubr, st := core.ComputeUBR(w.db, w.regionTree, objs[i], ix.cfg.SE)
+		escalated[i] = fat(ubr, st)
+	})
+	fatRows := 0
+	for _, e := range escalated {
+		if e {
+			fatRows++
+		}
+	}
+	for _, id := range hubs {
+		o := v.db.Get(uncertain.ID(id))
+		stored, _ := v.ubr(o.ID)
+		got, st := w.se(o, geom.Rect{}, geom.Rect{})
+		want, _ := core.RefineUBR(w.db, w.regionTree, o, stored, ix.cfg.SE)
+		if st.Refine.Rows != 1 || !sameRectBits(got, want) {
+			t.Fatalf("old hub %d: the build SE job escalated %d times, UBR %v, escalated cold UBR %v", id, st.Refine.Rows, got, want)
+		}
+	}
+	t.Logf("%d old hubs, all escalated; %d fat rows of %d (%.1f %%)", len(hubs), fatRows, len(objs), 100*float64(fatRows)/float64(len(objs)))
+	if len(hubs) == 0 || fatRows > len(objs)/10 {
+		t.Fatalf("%d old hubs, %d fat rows of %d", len(hubs), fatRows, len(objs))
 	}
 }

@@ -73,34 +73,33 @@ func hashState(t *testing.T, h hash.Hash64, ix *Index) {
 	}
 }
 
-// TestStoredUBRHash pins what refinement leaves behind on a uni2-shaped and a
-// uni3-shaped index with refinement at its defaults, through build, four
-// insert/delete batch pairs of 16 (one insert batch also replaces an object
-// under its own ID) and a save/load round trip, as two hashes: the state
-// (every stored UBR bit and the UBR-intersection degree list, hashState) and
-// the refinement counters. They were recorded when refinement became one
-// escalated SE run and the octree clip walk went. Taken with the same stages
-// on the code before that change, uni2's state hash is the same bit for bit;
-// of uni3's rows two differ, where the clip had cut a face to a leaf-cell
-// boundary: 607 after build (one face, 0.48 units) and after the batches 585
-// (one face, 1.22) and 607 (every face, up to 0.63 — its batch recomputation
-// started from the other stored UBR). SE's own Δ is 1. The counters moved
-// with the clip's domination tests leaving the budget.
+// TestStoredUBRHash pins what refinement leaves behind on a uni2-shaped, a
+// uni3-shaped and a clustered d = 2 index with refinement at its defaults,
+// through build, four insert/delete batch pairs of 16 (one insert batch also
+// replaces an object under its own ID) and a save/load round trip, as two
+// hashes: the state (every stored UBR bit and the UBR-intersection degree
+// list, hashState) and the refinement counters. They were recorded when
+// refinement became a per-row rule inside SE. On uniform data the rule
+// escalates no row, and the uni2 and uni3 state hashes are those of the same
+// stages on the code before that change with its hub selection turned off;
+// on clustered data it must escalate rows at build.
 func TestStoredUBRHash(t *testing.T) {
 	if race.Enabled {
 		t.Skip("≈ 40× slower instrumented; CI's uninstrumented step runs it")
 	}
 	want := map[string][2]uint64{ // state, counters
-		"uni2": {0x7ec23f67e05de63c, 0x13d79bff982fb70c},
-		"uni3": {0xa85e123a8ad53f0b, 0x54eabb5a1dc8099c},
+		"uni2":       {0x2e47d20cb18c1c1c, 0xa09d945a1cd8d6e5},
+		"uni3":       {0x6ab2560075c74e85, 0xa09d945a1cd8d6e5},
+		"clustered2": {0xb7e7964e2b1ed4b2, 0x6600eb808a5bb1fe},
 	}
 	for _, c := range []struct {
-		name    string
-		n, d    int
-		maxSide float64
-	}{{"uni2", 2000, 2, 60}, {"uni3", 1000, 3, 400}} {
+		name      string
+		n, d      int
+		maxSide   float64
+		clustered bool
+	}{{"uni2", 2000, 2, 60, false}, {"uni3", 1000, 3, 400, false}, {"clustered2", 2000, 2, 60, true}} {
 		t.Run(c.name, func(t *testing.T) {
-			p := dataset.SyntheticParams{N: c.n, Dim: c.d, MaxSide: c.maxSide, Instances: 10, Seed: 3001}
+			p := dataset.SyntheticParams{N: c.n, Dim: c.d, MaxSide: c.maxSide, Instances: 10, Seed: 3001, Clustered: c.clustered}
 			ix, err := Build(dataset.Synthetic(p), DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -108,14 +107,14 @@ func TestStoredUBRHash(t *testing.T) {
 			hs, hc := fnv.New64a(), fnv.New64a()
 			counters := func() {
 				rc := ix.RefineCounters()
-				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.RowsUnchanged), uint64(rc.BudgetSpent), math.Float64bits(rc.Threshold)} {
+				for _, x := range []uint64{uint64(rc.RowsRefined), uint64(rc.RowsUnchanged), uint64(rc.BudgetSpent)} {
 					hc.Write(binary.LittleEndian.AppendUint64(nil, x))
 				}
 			}
 			hashState(t, hs, ix)
 			counters()
-			if ix.Build.SE.Refine.Rows == 0 {
-				t.Fatal("the default configuration refined no row at build")
+			if refined := ix.Build.SE.Refine.Rows > 0; refined != c.clustered {
+				t.Fatalf("the default configuration refined %d rows at build", ix.Build.SE.Refine.Rows)
 			}
 
 			p.N, p.Seed = 4*16, 3002
@@ -150,9 +149,6 @@ func TestStoredUBRHash(t *testing.T) {
 				t.Fatal(err)
 			}
 			hashState(t, hs, loaded)
-			if got := math.Float64bits(loaded.RefineCounters().Threshold); got != math.Float64bits(ix.RefineCounters().Threshold) {
-				t.Fatalf("loaded threshold %v, live %v", loaded.RefineCounters().Threshold, ix.RefineCounters().Threshold)
-			}
 
 			rc := ix.RefineCounters()
 			got := [2]uint64{hs.Sum64(), hc.Sum64()}

@@ -147,12 +147,13 @@ func TestBuildAllocBudget(t *testing.T) {
 	}
 }
 
-// TestBatchStageTimes: the named stages of a batch — SE, index maintenance,
-// refinement (hub scoring included) — account for the batch. On one
-// processor (so worker time is wall time) they never sum to more than
-// ApplyBatch's wall clock, staging included, and in the best of four batches
-// (one GC cycle outside the timers must not fail the test) to at least 80 %
-// of it.
+// TestBatchStageTimes: the named stages of a batch — SE and index
+// maintenance — account for the batch. On one processor (so worker time is
+// wall time) they never sum to more than ApplyBatch's wall clock, staging
+// included, and in the best of four batches (one GC cycle outside the timers
+// must not fail the test) to at least 80 % of it. Refinement is a share of
+// SE time: an op that escalated rows reports a positive refinement time no
+// larger than its SE time.
 func TestBatchStageTimes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1}
@@ -181,15 +182,12 @@ func TestBatchStageTimes(t *testing.T) {
 			se += st.SETime
 			index += st.IndexTime
 			refine += st.SE.Refine.Time
-			if i > 0 && st.SE.Refine.Time != 0 {
-				t.Fatalf("batch %d op %d carries refinement time %v; it belongs to the batch's first op", b, i, st.SE.Refine.Time)
+			if st.SE.Refine.Rows > 0 && (st.SE.Refine.Time <= 0 || st.SE.Refine.Time > st.SETime) {
+				t.Fatalf("batch %d op %d escalated %d rows in %v of its SE time %v", b, i, st.SE.Refine.Rows, st.SE.Refine.Time, st.SETime)
 			}
 		}
-		named := se + index + refine
-		t.Logf("wall %v = SE %v + index %v + refinement %v + unnamed %v", wall, se, index, refine, wall-named)
-		if refine <= 0 {
-			t.Fatalf("batch %d reports no refinement time", b)
-		}
+		named := se + index
+		t.Logf("wall %v = SE %v (refinement %v of it) + index %v + unnamed %v", wall, se, refine, index, wall-named)
 		if named > wall {
 			t.Fatalf("batch %d: named stages %v exceed the batch's wall time %v", b, named, wall)
 		}
@@ -202,8 +200,8 @@ func TestBatchStageTimes(t *testing.T) {
 
 // TestAdjacencyThroughSeededMix runs the degree oracle after every one of 40
 // seeded batches of every kind the write path has — inserts, deletes, a
-// same-ID replace, deletes then inserts in one batch — with refinement aimed
-// at every row so most batches also re-refine.
+// same-ID replace, deletes then inserts in one batch — with every SE job's
+// row fat, so most batches also refine.
 func TestAdjacencyThroughSeededMix(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several SE workers on any machine
 	for _, d := range []int{2, 3} {
@@ -259,7 +257,7 @@ func TestAdjacencyThroughSeededMix(t *testing.T) {
 				verifyDegrees(t, ix, fmt.Sprintf("after batch %d (kind %d)", b, kind))
 			}
 			if ix.RefineCounters().RowsRefined == built {
-				t.Fatal("40 batches re-refined no row; the mix no longer exercises the incremental pass")
+				t.Fatal("40 batches refined no row; the mix no longer exercises escalation on the write path")
 			}
 		})
 	}
