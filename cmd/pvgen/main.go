@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -63,6 +64,9 @@ func main() {
 func generate(real string, n, d int, uo float64, instances int, seed int64, clustered bool) (*uncertain.DB, error) {
 	switch real {
 	case "":
+		if err := geom.CheckDim(d); err != nil {
+			return nil, fmt.Errorf("-d: %w", err)
+		}
 		return dataset.Synthetic(dataset.SyntheticParams{
 			N: n, Dim: d, MaxSide: uo, Instances: instances, Seed: seed, Clustered: clustered,
 		}), nil

@@ -31,6 +31,7 @@ import (
 
 	"pvoronoi"
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/geom"
 )
 
 func main() {
@@ -162,6 +163,9 @@ func main() {
 func loadOrGenerate(path string, n, d int, uo float64, instances int, seed int64) (*pvoronoi.DB, error) {
 	if path != "" {
 		return dataset.Load(path)
+	}
+	if err := geom.CheckDim(d); err != nil {
+		return nil, fmt.Errorf("-d: %w", err)
 	}
 	return dataset.Synthetic(dataset.SyntheticParams{
 		N: n, Dim: d, MaxSide: uo, Instances: instances, Seed: seed,

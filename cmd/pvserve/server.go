@@ -713,7 +713,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"wal_segments":   ds.WALSegments,
 			"wal_healthy":    ds.WALHealthy,
 			"checkpoint_seq": ds.CheckpointSeq,
-			"store_epoch":    ds.StoreEpoch,
 		}
 	}
 	writeJSON(w, http.StatusOK, body)

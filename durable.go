@@ -47,10 +47,10 @@ type Durable struct {
 
 	ckptMu sync.Mutex
 	// lastCkptSeq/lastCkptEpoch identify the state the newest checkpoint
-	// covers: its WAL sequence and the index's MVCC write epoch. The epoch
-	// replaces the page store's mutation counter as the "anything changed?"
-	// signal — the store now also mutates on version reclamation, which
-	// changes no logical state.
+	// covers: its WAL sequence and the index's MVCC write epoch. The epoch,
+	// not the page store's traffic, is the "anything changed?" signal — the
+	// store also mutates on version reclamation, which changes no logical
+	// state.
 	lastCkptSeq   uint64
 	lastCkptEpoch uint64
 	hasCkpt       bool
@@ -97,7 +97,7 @@ type CheckpointStats struct {
 	// Seq is the WAL sequence the checkpoint covers.
 	Seq uint64
 	// Skipped is true when the state was unchanged since the last
-	// checkpoint (per the page store's mutation epoch) and nothing was
+	// checkpoint (same MVCC write epoch and WAL sequence) and nothing was
 	// written.
 	Skipped bool
 	// Duration is the wall time spent writing the snapshot pair.
@@ -114,7 +114,6 @@ type DurableStats struct {
 	WALSegments   int    // segment files on disk
 	WALHealthy    bool   // false after an unrecovered WAL write/fsync failure
 	CheckpointSeq uint64 // WAL sequence of the newest checkpoint
-	StoreEpoch    int64  // page store mutation epoch
 	IndexEpoch    uint64 // MVCC write epoch the skip check keys on
 }
 
@@ -448,7 +447,6 @@ func (d *Durable) Stats() DurableStats {
 		WALSegments:   ws.Segments,
 		WALHealthy:    d.log.Healthy(),
 		CheckpointSeq: ckptSeq,
-		StoreEpoch:    d.Index.inner.Store().Epoch(),
 		IndexEpoch:    d.Index.inner.Epoch(),
 	}
 }

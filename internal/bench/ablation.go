@@ -4,8 +4,10 @@ import (
 	"time"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pvindex"
 	"pvoronoi/internal/stats"
+	"pvoronoi/internal/uncertain"
 )
 
 // AblationMemBudget measures how the primary index's non-leaf memory budget
@@ -25,7 +27,7 @@ func AblationMemBudget(p Params) *stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		cost := measurePV(ix, db, queries)
+		cost := measure(db, queries, pvStep1(ix))
 		ps := ix.PrimaryStats()
 		tab.AddRow(budget/1024, ps.Leaves, ps.Pages, cost.IO, cost.Total())
 		p.logf("ablation-mem: budget=%dKB done\n", budget/1024)
@@ -43,22 +45,18 @@ func AblationPrimaryIndex(p Params) *stats.Table {
 	queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 	ix := buildPV(db, defaultStrategy)
 
-	octreeCost := measurePV(ix, db, queries)
+	octreeCost := measure(db, queries, pvStep1(ix))
 
 	rp := pvindex.NewRTreePrimary(ix, 100)
-	rp.ResetLeafIO()
-	var orTime time.Duration
-	for _, q := range queries {
-		t0 := time.Now()
-		rp.PossibleNN(q)
-		orTime += time.Since(t0)
-	}
-	rtreeIO := float64(rp.LeafIO()) / float64(len(queries))
+	rtreeCost := measure(db, queries, func(q geom.Point) ([]uncertain.ID, int) {
+		cs, io := rp.PossibleNN(q)
+		return candidateIDs(cs), io
+	})
 
 	tab := stats.NewTable("Ablation: primary index — octree vs R-tree over UBRs  (§VI-A fn.3)",
 		"primary", "T_OR", "IO/query")
 	tab.AddRow("octree", octreeCost.OR, octreeCost.IO)
-	tab.AddRow("R-tree", orTime/time.Duration(len(queries)), rtreeIO)
+	tab.AddRow("R-tree", rtreeCost.OR, rtreeCost.IO)
 	return tab
 }
 

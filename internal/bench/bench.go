@@ -76,23 +76,21 @@ func stepTwo(db *uncertain.DB, ids []uncertain.ID, q geom.Point) []pnnq.Result {
 	return pnnq.Compute(data, q)
 }
 
-// measurePV runs the query workload against a PV-index.
-func measurePV(ix *pvindex.Index, db *uncertain.DB, queries []geom.Point) queryCost {
+// step1 answers PNNQ Step 1 on one index: the surviving IDs and the leaf
+// pages this call read.
+type step1 func(q geom.Point) ([]uncertain.ID, int)
+
+// measure runs the query workload through one index's Step 1, then Step 2
+// over its survivors.
+func measure(db *uncertain.DB, queries []geom.Point, possibleNN step1) queryCost {
 	var cost queryCost
-	ix.Store().ResetStats()
-	var cands int
+	var cands, leaves int
 	for _, q := range queries {
 		t0 := time.Now()
-		cs, err := ix.PossibleNN(q)
-		if err != nil {
-			panic(err)
-		}
+		ids, io := possibleNN(q)
 		cost.OR += time.Since(t0)
-		ids := make([]uncertain.ID, len(cs))
-		for i, c := range cs {
-			ids[i] = c.ID
-		}
 		cands += len(ids)
+		leaves += io
 		t1 := time.Now()
 		stepTwo(db, ids, q)
 		cost.PC += time.Since(t1)
@@ -100,65 +98,57 @@ func measurePV(ix *pvindex.Index, db *uncertain.DB, queries []geom.Point) queryC
 	n := len(queries)
 	cost.OR /= time.Duration(n)
 	cost.PC /= time.Duration(n)
-	cost.IO = float64(ix.Store().Stats().Reads) / float64(n)
+	cost.IO = float64(leaves) / float64(n)
 	cost.AvgCand = float64(cands) / float64(n)
 	return cost
 }
 
-// measureRTree runs the workload against the R*-tree baseline
-// (branch-and-prune PossibleNN of Cheng et al. 2004).
-func measureRTree(tree *rtree.Tree, db *uncertain.DB, queries []geom.Point) queryCost {
-	var cost queryCost
-	tree.ResetLeafIO()
-	var cands int
-	for _, q := range queries {
-		t0 := time.Now()
-		raw := tree.PossibleNN(q)
-		cost.OR += time.Since(t0)
+// candidateIDs lists the IDs of a PV-index Step-1 answer.
+func candidateIDs(cs []pvindex.Candidate) []uncertain.ID {
+	ids := make([]uncertain.ID, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
+// pvStep1 is the PV-index's Step 1: one octree leaf chain.
+func pvStep1(ix *pvindex.Index) step1 {
+	return func(q geom.Point) ([]uncertain.ID, int) {
+		cs, io, err := ix.PossibleNNIO(q)
+		if err != nil {
+			panic(err)
+		}
+		return candidateIDs(cs), io
+	}
+}
+
+// rtreeStep1 is the R*-tree baseline (branch-and-prune PossibleNN of Cheng
+// et al. 2004).
+func rtreeStep1(tree *rtree.Tree) step1 {
+	return func(q geom.Point) ([]uncertain.ID, int) {
+		raw, cost := tree.PossibleNN(q)
 		ids := make([]uncertain.ID, len(raw))
 		for i, r := range raw {
 			ids[i] = uncertain.ID(r)
 		}
-		cands += len(ids)
-		t1 := time.Now()
-		stepTwo(db, ids, q)
-		cost.PC += time.Since(t1)
+		return ids, cost.Leaves
 	}
-	n := len(queries)
-	cost.OR /= time.Duration(n)
-	cost.PC /= time.Duration(n)
-	cost.IO = float64(tree.LeafIO()) / float64(n)
-	cost.AvgCand = float64(cands) / float64(n)
-	return cost
 }
 
-// measureUV runs the workload against the UV-index (2-D only).
-func measureUV(ix *uvindex.Index, db *uncertain.DB, queries []geom.Point) queryCost {
-	var cost queryCost
-	ix.Store().ResetStats()
-	var cands int
-	for _, q := range queries {
-		t0 := time.Now()
-		cs, err := ix.PossibleNN(q)
+// uvStep1 is the UV-index's Step 1 (2-D only).
+func uvStep1(ix *uvindex.Index) step1 {
+	return func(q geom.Point) ([]uncertain.ID, int) {
+		cs, io, err := ix.PossibleNN(q)
 		if err != nil {
 			panic(err)
 		}
-		cost.OR += time.Since(t0)
 		ids := make([]uncertain.ID, len(cs))
 		for i, c := range cs {
 			ids[i] = c.ID
 		}
-		cands += len(ids)
-		t1 := time.Now()
-		stepTwo(db, ids, q)
-		cost.PC += time.Since(t1)
+		return ids, io
 	}
-	n := len(queries)
-	cost.OR /= time.Duration(n)
-	cost.PC /= time.Duration(n)
-	cost.IO = float64(ix.Store().Stats().Reads) / float64(n)
-	cost.AvgCand = float64(cands) / float64(n)
-	return cost
 }
 
 func buildPV(db *uncertain.DB, strategy core.CSetStrategy) *pvindex.Index {

@@ -89,8 +89,8 @@ func Fig10e(p Params) *stats.Table {
 		"strategy", "chooseCSet", "UBR compute", "avg C-set", "Tc total")
 	for _, strat := range []core.CSetStrategy{core.CSetFS, core.CSetIS} {
 		ix := buildPV(db, strat)
-		avg := float64(ix.Build.CSetSizeSum) / float64(ix.Build.Objects)
-		tab.AddRow(strat.String(), ix.Build.CSetTime, ix.Build.UBRTime, avg, ix.Build.Total)
+		avg := float64(ix.Build.SE.CSetSize) / float64(ix.Build.Objects)
+		tab.AddRow(strat.String(), ix.Build.SE.CSetTime, ix.Build.SE.UBRTime, avg, ix.Build.Total)
 	}
 	return tab
 }
@@ -269,7 +269,7 @@ func ParamSensitivity(p Params) []*stats.Table {
 	tq := stats.NewTable("Params: Tq and Tc vs Δ", "Δ", "Tq", "Tc")
 	for _, delta := range []float64{0.1, 1, 10, 100, 1000} {
 		ix := buildPVDelta(db, delta)
-		c := measurePV(ix, db, queries)
+		c := measure(db, queries, pvStep1(ix))
 		tq.AddRow(delta, c.Total(), ix.Build.Total)
 	}
 	tables = append(tables, tq)
@@ -283,7 +283,7 @@ func ParamSensitivity(p Params) []*stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		c := measurePV(ix, db, queries)
+		c := measure(db, queries, pvStep1(ix))
 		tk.AddRow(k, c.Total(), ix.Build.Total)
 	}
 	tables = append(tables, tk)
@@ -297,7 +297,7 @@ func ParamSensitivity(p Params) []*stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		c := measurePV(ix, db, queries)
+		c := measure(db, queries, pvStep1(ix))
 		tp.AddRow(kp, c.Total(), ix.Build.Total)
 	}
 	tables = append(tables, tp)

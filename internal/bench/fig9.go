@@ -19,8 +19,8 @@ func Fig9a(p Params) *stats.Table {
 		queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 		tree := buildRTree(db)
 		pv := buildPV(db, defaultStrategy)
-		rc := measureRTree(tree, db, queries)
-		pc := measurePV(pv, db, queries)
+		rc := measure(db, queries, rtreeStep1(tree))
+		pc := measure(db, queries, pvStep1(pv))
 		tab.AddRow(n, rc.Total(), pc.Total(), ratio(rc.Total(), pc.Total()))
 		p.logf("fig9a: |S|=%d done\n", n)
 	}
@@ -36,8 +36,8 @@ func Fig9b(p Params) *stats.Table {
 	queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 	tree := buildRTree(db)
 	pv := buildPV(db, defaultStrategy)
-	rc := measureRTree(tree, db, queries)
-	pc := measurePV(pv, db, queries)
+	rc := measure(db, queries, rtreeStep1(tree))
+	pc := measure(db, queries, pvStep1(pv))
 	tab := stats.NewTable("Fig 9(b): Tq composition  (|S|=60k scaled, d=3)",
 		"method", "OR", "PC", "total", "OR share")
 	tab.AddRow("R-tree", rc.OR, rc.PC, rc.Total(), share(rc.OR, rc.Total()))
@@ -55,8 +55,8 @@ func Fig9c(p Params) *stats.Table {
 		queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 		tree := buildRTree(db)
 		pv := buildPV(db, defaultStrategy)
-		rc := measureRTree(tree, db, queries)
-		pc := measurePV(pv, db, queries)
+		rc := measure(db, queries, rtreeStep1(tree))
+		pc := measure(db, queries, pvStep1(pv))
 		tab.AddRow(n, rc.IO, pc.IO, pc.IO/maxf(rc.IO, 1e-9))
 		p.logf("fig9c: |S|=%d done\n", n)
 	}
@@ -74,8 +74,8 @@ func Fig9d(p Params) *stats.Table {
 		queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 		tree := buildRTree(db)
 		pv := buildPV(db, defaultStrategy)
-		rc := measureRTree(tree, db, queries)
-		pc := measurePV(pv, db, queries)
+		rc := measure(db, queries, rtreeStep1(tree))
+		pc := measure(db, queries, pvStep1(pv))
 		tab.AddRow(uo, rc.Total(), pc.Total(), ratio(rc.Total(), pc.Total()))
 		p.logf("fig9d: |u(o)|=%g done\n", uo)
 	}
@@ -104,13 +104,13 @@ func dimSweep(p Params) []dimRow {
 		queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 		row := dimRow{d: d}
 		tree := buildRTree(db)
-		row.rt = measureRTree(tree, db, queries)
+		row.rt = measure(db, queries, rtreeStep1(tree))
 		pv := buildPV(db, defaultStrategy)
-		row.pv = measurePV(pv, db, queries)
+		row.pv = measure(db, queries, pvStep1(pv))
 		if d == 2 {
 			uv, err := uvindex.Build(db, uvindex.DefaultConfig())
 			if err == nil {
-				row.uv = measureUV(uv, db, queries)
+				row.uv = measure(db, queries, uvStep1(uv))
 				row.hasUV = true
 			}
 		}
@@ -176,14 +176,14 @@ func Fig9h(p Params) *stats.Table {
 		})
 		queries := dataset.QueryPoints(db.Domain, p.Queries, p.Seed+100)
 		tree := buildRTree(db)
-		rc := measureRTree(tree, db, queries)
+		rc := measure(db, queries, rtreeStep1(tree))
 		pv := buildPV(db, defaultStrategy)
-		pc := measurePV(pv, db, queries)
+		pc := measure(db, queries, pvStep1(pv))
 		uvCell := "-"
 		if kind.Dim() == 2 {
 			uv, err := uvindex.Build(db, uvindex.DefaultConfig())
 			if err == nil {
-				uvCost := measureUV(uv, db, queries)
+				uvCost := measure(db, queries, uvStep1(uv))
 				uvCell = durMS(uvCost.Total())
 			}
 		}

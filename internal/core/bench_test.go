@@ -121,15 +121,14 @@ func TestChooseCSetAllocBudget(t *testing.T) {
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 8000, Dim: 2, MaxSide: 60, Seed: 1})
 	tree := BuildRegionTree(db, 100)
 	o := db.Objects()[7]
-	measure := func(kGlobal int) (allocs float64, leaves int64) {
+	measure := func(kGlobal int) (allocs float64, leaves int) {
 		opts := DefaultOptions()
 		opts.KGlobal, opts.KPartition = kGlobal, kGlobal
 		ws := new(workspace)
 		browse := func() { ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts) }
 		browse() // warm the iterator and the workspace to this browse's size
-		tree.ResetLeafIO()
 		allocs = testing.AllocsPerRun(20, browse)
-		return allocs, tree.LeafIO() / 21
+		return allocs, ws.leaves
 	}
 	short, fewLeaves := measure(200)
 	long, manyLeaves := measure(3200)
@@ -142,7 +141,7 @@ func TestChooseCSetAllocBudget(t *testing.T) {
 	}
 	for _, c := range []struct {
 		allocs float64
-		leaves int64
+		leaves int
 	}{{short, fewLeaves}, {long, manyLeaves}} {
 		if c.allocs > budget {
 			t.Errorf("chooseCSet allocates %.0f times over %d leaves, budget %d", c.allocs, c.leaves, budget)

@@ -158,6 +158,7 @@ func (ws *workspace) chooseIS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Ob
 			}
 		}
 	}
+	ws.leaves = it.Leaves()
 	return dst
 }
 

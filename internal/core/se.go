@@ -106,6 +106,7 @@ type workspace struct {
 	tester domination.Tester
 	cset   []geom.Rect
 	counts []int
+	leaves int // region-tree leaves the last IS browse opened
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}

@@ -164,7 +164,7 @@ func RNNCandidatesTree(t *rtree.Tree, q geom.Point, maxDepth int) ([]uncertain.I
 		}
 		reach := r.MaxDist(q) // everything farther cannot matter
 		var sc rtree.Cost
-		scratch, sc = t.SearchWithCost(r.Expand(reach), scratch[:0])
+		scratch, sc = t.Search(r.Expand(reach), scratch[:0])
 		cost.Add(sc)
 		cands := make([]geom.Rect, 0, len(scratch))
 		for _, other := range scratch {

@@ -306,11 +306,10 @@ func TestTreeRetrievalPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	db := randomDB(rng, 2000, 2, 10000, 40, 0)
 	tree := regionTreeOf(db)
-	full, _ := tree.SearchWithCost(db.Domain, nil)
+	full, fullCost := tree.Search(db.Domain, nil)
 	if len(full) != 2000 {
 		t.Fatalf("tree holds %d items", len(full))
 	}
-	_, fullCost := tree.SearchWithCost(db.Domain, nil)
 	var worst rtree.Cost
 	for iter := 0; iter < 20; iter++ {
 		q := geom.Point{rng.Float64() * 10000, rng.Float64() * 10000}

@@ -10,7 +10,7 @@ import (
 
 func queryIDs(t *testing.T, tree *Tree, q []float64) []uint32 {
 	t.Helper()
-	entries, err := tree.PointQuery(q)
+	entries, _, err := tree.PointQueryInto(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,13 +60,23 @@ func (t *Tree) Image() *Image {
 	return img
 }
 
+// maxImageDepth bounds a loaded tree's MaxDepth: beyond it a float64 cell
+// can no longer be halved.
+const maxImageDepth = 64
+
 // FromImage reconstructs a tree over a restored store. The lookup callback
 // must be re-supplied (closures do not serialize).
 func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, error) {
 	if len(img.Nodes) == 0 {
 		return nil, fmt.Errorf("octree: empty node list in image")
 	}
+	if img.MaxDepth < 0 || img.MaxDepth > maxImageDepth {
+		return nil, fmt.Errorf("octree: max depth %d out of range", img.MaxDepth)
+	}
 	domain := geom.Rect{Lo: img.DomainLo, Hi: img.DomainHi}
+	if err := geom.CheckDim(domain.Dim()); err != nil {
+		return nil, fmt.Errorf("octree: %w", err)
+	}
 	t := &Tree{
 		domain:     domain,
 		dim:        domain.Dim(),
@@ -80,8 +90,8 @@ func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, err
 		sess:       pagestore.NewFullSession(store),
 	}
 	fan := 1 << t.dim
-	var build func(idx int32) (*node, error)
-	build = func(idx int32) (*node, error) {
+	var build func(idx int32, depth int) (*node, error)
+	build = func(idx int32, depth int) (*node, error) {
 		if idx < 0 || int(idx) >= len(img.Nodes) {
 			return nil, fmt.Errorf("octree: node index %d out of range", idx)
 		}
@@ -93,12 +103,16 @@ func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, err
 			depth:     int(ni.Depth),
 		}
 		if len(ni.Children) > 0 {
+			// Splits stop at MaxDepth, which sizes every walk's cell stack.
+			if depth >= t.maxDepth {
+				return nil, fmt.Errorf("octree: node %d splits at depth %d, max %d", idx, depth, t.maxDepth)
+			}
 			if len(ni.Children) != fan {
 				return nil, fmt.Errorf("octree: node %d has %d children, want %d", idx, len(ni.Children), fan)
 			}
 			n.children = make([]*node, fan)
 			for i, ci := range ni.Children {
-				c, err := build(ci)
+				c, err := build(ci, depth+1)
 				if err != nil {
 					return nil, err
 				}
@@ -107,7 +121,7 @@ func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, err
 		}
 		return n, nil
 	}
-	root, err := build(0)
+	root, err := build(0, 0)
 	if err != nil {
 		return nil, err
 	}

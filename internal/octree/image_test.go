@@ -43,11 +43,11 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 	for iter := 0; iter < 100; iter++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		a, err := ti.tree.PointQuery(q)
+		a, _, err := ti.tree.PointQueryInto(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := tree2.PointQuery(q)
+		b, _, err := tree2.PointQueryInto(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +66,7 @@ func TestFromImageRejectsCorruptStructures(t *testing.T) {
 	img := &Image{
 		DomainLo: []float64{0, 0},
 		DomainHi: []float64{1, 1},
+		MaxDepth: 24,
 		Nodes: []NodeImage{
 			{Children: []int32{1, 2, 3, 99}},
 			{}, {}, {},
@@ -78,6 +79,7 @@ func TestFromImageRejectsCorruptStructures(t *testing.T) {
 	img2 := &Image{
 		DomainLo: []float64{0, 0},
 		DomainHi: []float64{1, 1},
+		MaxDepth: 24,
 		Nodes: []NodeImage{
 			{Children: []int32{1, 2}},
 			{}, {},
@@ -85,5 +87,27 @@ func TestFromImageRejectsCorruptStructures(t *testing.T) {
 	}
 	if _, err := FromImage(store, nil, img2); err == nil {
 		t.Fatal("wrong fanout accepted")
+	}
+	// A split at MaxDepth: every walk's cell stack holds MaxDepth+2 cells.
+	img3 := &Image{
+		DomainLo: []float64{0, 0},
+		DomainHi: []float64{1, 1},
+		MaxDepth: 1,
+		Nodes: []NodeImage{
+			{Children: []int32{1, 2, 3, 4}},
+			{Children: []int32{5, 6, 7, 8}}, {}, {}, {},
+			{}, {}, {}, {},
+		},
+	}
+	if _, err := FromImage(store, nil, img3); err == nil {
+		t.Fatal("split at MaxDepth accepted")
+	}
+	img3.MaxDepth = 2
+	if _, err := FromImage(store, nil, img3); err != nil {
+		t.Fatalf("depth-2 tree under MaxDepth 2: %v", err)
+	}
+	img3.MaxDepth = maxImageDepth + 1
+	if _, err := FromImage(store, nil, img3); err == nil {
+		t.Fatal("MaxDepth beyond a float's halvings accepted")
 	}
 }

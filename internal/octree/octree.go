@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pagestore"
@@ -86,6 +87,9 @@ type Config struct {
 func New(cfg Config) (*Tree, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("octree: nil page store")
+	}
+	if err := geom.CheckDim(cfg.Domain.Dim()); err != nil {
+		return nil, fmt.Errorf("octree: %w", err)
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 24
@@ -258,24 +262,6 @@ func (t *Tree) decodeLeafPage(buf []byte, dst []Entry) (next pagestore.PageID, o
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
-// --- cell geometry -------------------------------------------------------
-
-// childRegion returns the sub-cell of region for child index mask (bit j set
-// means the upper half in dimension j).
-func childRegion(region geom.Rect, mask int) geom.Rect {
-	lo := region.Lo.Clone()
-	hi := region.Hi.Clone()
-	for j := 0; j < region.Dim(); j++ {
-		mid := (region.Lo[j] + region.Hi[j]) / 2
-		if mask&(1<<j) != 0 {
-			lo[j] = mid
-		} else {
-			hi[j] = mid
-		}
-	}
-	return geom.Rect{Lo: lo, Hi: hi}
-}
-
 // --- operations ----------------------------------------------------------
 
 // Insert adds an entry for object id with uncertainty region u to every leaf
@@ -294,41 +280,42 @@ func (t *Tree) insertWithin(id uint32, u, ubr geom.Rect, except *geom.Rect) erro
 	if !t.domain.Intersects(ubr) {
 		return nil
 	}
+	var stack [512]float64
 	t.root = t.ownedNode(t.root)
-	return t.insert(t.root, t.domain, t.appendEntry(nil, Entry{ID: id, Region: u}), ubr, except)
+	return t.insert(t.root, t.rootCells(stack[:]), t.appendEntry(nil, Entry{ID: id, Region: u}), ubr, except)
 }
 
 // insert adds the entry record rec to the leaves under n whose cells meet ubr
-// and not except (a leaf meeting except already holds it). n is
-// session-owned; children are path-copied before descent so shared subtrees
-// never mutate.
-func (t *Tree) insert(n *node, region geom.Rect, rec []byte, ubr geom.Rect, except *geom.Rect) error {
+// and not except (a leaf meeting except already holds it); n's cell is
+// cells[:2d], as in remove. n is session-owned; children are path-copied
+// before descent so shared subtrees never mutate.
+func (t *Tree) insert(n *node, cells []float64, rec []byte, ubr geom.Rect, except *geom.Rect) error {
 	if n.children == nil {
-		if except != nil && region.Intersects(*except) {
+		if except != nil && cellMeets(t.dim, cells, *except) {
 			return nil
 		}
-		return t.leafInsert(n, region, rec)
+		return t.leafInsert(n, cells, rec)
 	}
 	for mask := range n.children {
-		cr := childRegion(region, mask)
-		if !cr.Intersects(ubr) {
+		child := childCell(t.dim, cells, mask)
+		if !cellMeets(t.dim, child, ubr) {
 			continue
 		}
 		c := t.ownedNode(n.children[mask])
 		n.children[mask] = c
-		if err := t.insert(c, cr, rec, ubr, except); err != nil {
+		if err := t.insert(c, child, rec, ubr, except); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// leafInsert places the entry record rec into leaf n (cell = region),
+// leafInsert places the entry record rec into leaf n (cell = cells[:2d]),
 // splitting or chaining on overflow per the paper's construction Step 3. n is
 // session-owned; a head page shared with an older version is shadow-copied
 // (fresh page ID, old ID deferred to the freed list) rather than rewritten in
 // place. rec must not alias the scratch.
-func (t *Tree) leafInsert(n *node, region geom.Rect, rec []byte) error {
+func (t *Tree) leafInsert(n *node, cells []float64, rec []byte) error {
 	buf, err := t.store.View(n.firstPage)
 	if err != nil {
 		return err
@@ -371,12 +358,12 @@ func (t *Tree) leafInsert(n *node, region geom.Rect, rec []byte) error {
 		t.size++
 		return nil
 	}
-	return t.splitLeaf(n, region, rec)
+	return t.splitLeaf(n, cells, rec)
 }
 
 // splitLeaf converts leaf n into an internal node with 2^d leaf children and
 // redistributes its entries (plus the pending record rec) by UBR overlap.
-func (t *Tree) splitLeaf(n *node, region geom.Rect, rec []byte) error {
+func (t *Tree) splitLeaf(n *node, cells []float64, rec []byte) error {
 	all, err := t.drainLeaf(n)
 	if err != nil {
 		return err
@@ -408,13 +395,10 @@ func (t *Tree) splitLeaf(n *node, region geom.Rect, rec []byte) error {
 		if t.lookup != nil {
 			ubr, ok = t.lookup(binary.LittleEndian.Uint32(all))
 		}
-		if !ok {
-			ubr = region
-		}
 		for mask, c := range n.children {
-			cr := childRegion(region, mask)
-			if cr.Intersects(ubr) {
-				if err := t.leafInsert(c, cr, all[:es]); err != nil {
+			child := childCell(t.dim, cells, mask)
+			if !ok || cellMeets(t.dim, child, ubr) {
+				if err := t.leafInsert(c, child, all[:es]); err != nil {
 					return err
 				}
 			}
@@ -475,9 +459,6 @@ func (t *Tree) remove(n *node, cells []float64, id uint32, ubr geom.Rect, except
 			return 0, nil
 		}
 		return t.leafRemove(n, id)
-	}
-	if len(cells) < 4*t.dim {
-		return 0, fmt.Errorf("octree: node below depth %d", t.maxDepth)
 	}
 	total := 0
 	for mask := range n.children {
@@ -591,29 +572,37 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 		return err
 	}
 	t.root.firstPage, t.root.pages = 0, 0
+	// A level's cells sit side by side in one flat slice, 2d coordinates
+	// each; pair holds a parent's cell and childCell's output.
 	type cell struct {
-		n      *node
-		region geom.Rect
-		items  []int32 // the parent's items; those whose UBR overlaps region are the cell's
+		n     *node
+		items []int32 // the parent's items; those whose UBR overlaps the cell are the cell's
 	}
 	all := make([]int32, len(items))
 	for i := range all {
 		all[i] = int32(i)
 	}
-	for level := []cell{{t.root, t.domain, all}}; len(level) > 0; {
+	d2 := 2 * t.dim
+	pair := make([]float64, 2*d2)
+	level, cells := []cell{{t.root, all}}, append(slices.Clone(t.domain.Lo), t.domain.Hi...)
+	for len(level) > 0 {
 		var next []cell
-		for _, c := range level {
+		var nextCells []float64
+		for k, c := range level {
+			box := cells[k*d2 : (k+1)*d2]
 			var in []int32
 			for _, i := range c.items {
-				if c.region.Intersects(items[i].UBR) {
+				if cellMeets(t.dim, box, items[i].UBR) {
 					in = append(in, i)
 				}
 			}
 			if len(in) > t.perPage() && c.n.depth < t.maxDepth && t.memUsed+nodeBytes(t.dim) <= t.memBudget {
 				c.n.children = make([]*node, 1<<t.dim)
+				copy(pair, box)
 				for mask := range c.n.children {
 					c.n.children[mask] = &node{owner: t.sess, depth: c.n.depth + 1}
-					next = append(next, cell{c.n.children[mask], childRegion(c.region, mask), in})
+					next = append(next, cell{c.n.children[mask], in})
+					nextCells = append(nextCells, childCell(t.dim, pair, mask)...)
 				}
 				t.memUsed += nodeBytes(t.dim)
 				t.SplitCount++
@@ -628,7 +617,7 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 			}
 			t.size += len(in)
 		}
-		level = next
+		level, cells = next, nextCells
 	}
 	return nil
 }
@@ -643,94 +632,73 @@ func (t *Tree) chainNext(id pagestore.PageID) (pagestore.PageID, error) {
 	return pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4])), nil
 }
 
-// PointQuery returns the entries of the unique leaf whose cell contains q.
-// Page reads are counted by the underlying store.
-func (t *Tree) PointQuery(q geom.Point) ([]Entry, error) {
-	entries, _, err := t.PointQueryIO(q)
-	return entries, err
-}
-
-// PointQueryIO is PointQuery plus the number of leaf pages read to answer
-// it — the per-query leaf I/O cost of Figs. 9(c)/9(g), attributable to this
-// call even when many queries share the store concurrently.
-func (t *Tree) PointQueryIO(q geom.Point) ([]Entry, int, error) {
-	return t.PointQueryInto(q, nil)
-}
-
-// PointQueryInto is PointQueryIO decoding into dst (appended to, capacity
-// reused): the allocation-free variant for callers that keep a scratch
-// slice across queries. The returned entries alias dst's backing memory —
-// including recycled coordinate slices — so they are only valid until dst is
-// next reused; retain them beyond that only as deep copies.
-func (t *Tree) PointQueryInto(q geom.Point, dst []Entry) ([]Entry, int, error) {
+// leafAt returns the unique leaf whose cell contains q, descending purely in
+// memory. A point descent needs only the current cell, so it keeps two cell
+// slots and moves childCell's output back into the first at every level.
+func (t *Tree) leafAt(q geom.Point) (*node, error) {
 	if !t.domain.Contains(q) {
-		return dst, 0, fmt.Errorf("octree: query point %v outside domain %v", q, t.domain)
+		return nil, fmt.Errorf("octree: query point %v outside domain %v", q, t.domain)
 	}
-	n := t.root
-	region := t.domain
+	var buf [4 * geom.MaxDim]float64
+	cells, n := buf[:4*t.dim], t.root
+	copy(cells, t.domain.Lo)
+	copy(cells[t.dim:], t.domain.Hi)
 	for n.children != nil {
 		mask := 0
 		for j := 0; j < t.dim; j++ {
-			mid := (region.Lo[j] + region.Hi[j]) / 2
-			if q[j] >= mid {
+			if q[j] >= (cells[j]+cells[t.dim+j])/2 {
 				mask |= 1 << j
 			}
 		}
-		region = childRegion(region, mask)
+		copy(cells, childCell(t.dim, cells, mask))
 		n = n.children[mask]
 	}
+	return n, nil
+}
+
+// PointQueryInto decodes the entries of the unique leaf whose cell contains
+// q into dst (appended to, capacity reused) and returns them with the number
+// of leaf pages read — the per-query leaf I/O of Figs. 9(c)/9(g),
+// attributable to this call even when many queries share the store. The
+// returned entries alias dst's backing memory — including recycled
+// coordinate slices — so they are only valid until dst is next reused;
+// retain them beyond that only as deep copies.
+func (t *Tree) PointQueryInto(q geom.Point, dst []Entry) ([]Entry, int, error) {
+	n, err := t.leafAt(q)
+	if err != nil {
+		return dst, 0, err
+	}
 	pagesRead := 0
-	p := n.firstPage
-	for p != 0 {
+	for p := n.firstPage; p != 0; pagesRead++ {
 		buf, err := t.store.View(p)
 		if err != nil {
 			return dst, pagesRead, err
 		}
-		pagesRead++
 		p, dst = t.decodeLeafPage(buf, dst)
 	}
 	return dst, pagesRead, nil
 }
 
 // PointQueryIDsInto is PointQueryInto for callers that need only the entry
-// IDs: it strides over the packed leaf
-// entries reading each 4-byte ID and skips the coordinate bytes entirely —
-// no Entry structs, no Point slices, no float decode. dst is appended to
-// with its capacity reused, so a pooled scratch makes the call
-// allocation-free.
+// IDs: it strides over the packed leaf entries reading each 4-byte ID and
+// skips the coordinate bytes entirely — no Entry structs, no Point slices,
+// no float decode. dst is appended to with its capacity reused, so a pooled
+// scratch makes the call allocation-free.
 func (t *Tree) PointQueryIDsInto(q geom.Point, dst []uint32) ([]uint32, int, error) {
-	if !t.domain.Contains(q) {
-		return dst, 0, fmt.Errorf("octree: query point %v outside domain %v", q, t.domain)
+	n, err := t.leafAt(q)
+	if err != nil {
+		return dst, 0, err
 	}
-	n := t.root
-	region := t.domain
-	for n.children != nil {
-		mask := 0
-		for j := 0; j < t.dim; j++ {
-			mid := (region.Lo[j] + region.Hi[j]) / 2
-			if q[j] >= mid {
-				mask |= 1 << j
-			}
-		}
-		region = childRegion(region, mask)
-		n = n.children[mask]
-	}
-	stride := t.entrySize()
-	pagesRead := 0
-	p := n.firstPage
-	for p != 0 {
+	es, pagesRead := t.entrySize(), 0
+	for p := n.firstPage; p != 0; pagesRead++ {
 		buf, err := t.store.View(p)
 		if err != nil {
 			return dst, pagesRead, err
 		}
-		pagesRead++
-		count := int(binary.LittleEndian.Uint32(buf[4:8]))
-		off := 8
-		for i := 0; i < count; i++ {
-			dst = append(dst, binary.LittleEndian.Uint32(buf[off:]))
-			off += stride
+		var recs []byte
+		for p, recs = t.pageRecs(buf); len(recs) > 0; recs = recs[es:] {
+			dst = append(dst, binary.LittleEndian.Uint32(recs))
 		}
-		p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 	}
 	return dst, pagesRead, nil
 }
@@ -739,37 +707,35 @@ func (t *Tree) PointQueryIDsInto(q geom.Point, dst []uint32) ([]uint32, int, err
 // intersect r — Step 2 of the paper's incremental update (the potentially
 // affected set A).
 func (t *Tree) RangeIDs(r geom.Rect) (map[uint32]bool, error) {
+	var stack [512]float64
 	out := make(map[uint32]bool)
-	err := t.rangeIDs(t.root, t.domain, r, out)
+	err := t.rangeIDs(t.root, t.rootCells(stack[:]), r, out)
 	return out, err
 }
 
-func (t *Tree) rangeIDs(n *node, region geom.Rect, r geom.Rect, out map[uint32]bool) error {
-	if !region.Intersects(r) {
+// rangeIDs collects the IDs under n, whose cell is cells[:2d].
+func (t *Tree) rangeIDs(n *node, cells []float64, r geom.Rect, out map[uint32]bool) error {
+	if !cellMeets(t.dim, cells, r) {
 		return nil
 	}
 	if n.children == nil {
 		// Lazy decode: stride over the packed entries reading only each
 		// 4-byte ID, skipping the 16d coordinate bytes entirely.
-		stride := t.entrySize()
-		p := n.firstPage
-		for p != 0 {
+		es := t.entrySize()
+		for p := n.firstPage; p != 0; {
 			buf, err := t.store.View(p)
 			if err != nil {
 				return err
 			}
-			count := int(binary.LittleEndian.Uint32(buf[4:8]))
-			off := 8
-			for i := 0; i < count; i++ {
-				out[binary.LittleEndian.Uint32(buf[off:])] = true
-				off += stride
+			var recs []byte
+			for p, recs = t.pageRecs(buf); len(recs) > 0; recs = recs[es:] {
+				out[binary.LittleEndian.Uint32(recs)] = true
 			}
-			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 		}
 		return nil
 	}
 	for mask, c := range n.children {
-		if err := t.rangeIDs(c, childRegion(region, mask), r, out); err != nil {
+		if err := t.rangeIDs(c, childCell(t.dim, cells, mask), r, out); err != nil {
 			return err
 		}
 	}
@@ -788,8 +754,8 @@ func (t *Tree) rootCells(buf []float64) []float64 {
 }
 
 // childCell writes the cell of child mask (bit j set: the upper half in
-// dimension j, as childRegion) of the cell in cells[:2d] into cells[2d:4d]
-// and returns cells[2d:].
+// dimension j) of the cell in cells[:2d] into cells[2d:4d] and returns
+// cells[2d:].
 func childCell(d int, cells []float64, mask int) []float64 {
 	lo, hi, child := cells[:d], cells[d:2*d], cells[2*d:]
 	for j := range d {

@@ -69,12 +69,20 @@ func TestPointQueryFindsOverlappingUBRs(t *testing.T) {
 			for j := range q {
 				q[j] = rng.Float64() * 1000
 			}
-			got, err := ti.tree.PointQuery(q)
+			got, io, err := ti.tree.PointQueryInto(q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The ID-only query takes the same descent and chain.
+			ids, idIO, err := ti.tree.PointQueryIDsInto(q, nil)
+			if err != nil || idIO != io || len(ids) != len(got) {
+				t.Fatalf("PointQueryIDsInto: %d IDs, %d pages, err %v; PointQueryInto: %d entries, %d pages", len(ids), idIO, err, len(got), io)
+			}
 			found := map[uint32]bool{}
-			for _, e := range got {
+			for i, e := range got {
+				if ids[i] != e.ID {
+					t.Fatalf("PointQueryIDsInto entry %d is %d, PointQueryInto's %d", i, ids[i], e.ID)
+				}
 				found[e.ID] = true
 				if !e.Region.Equal(objs[e.ID].u) {
 					t.Fatalf("entry region corrupted for %d", e.ID)
@@ -92,8 +100,24 @@ func TestPointQueryFindsOverlappingUBRs(t *testing.T) {
 
 func TestPointQueryOutsideDomain(t *testing.T) {
 	ti := newTestIndex(t, 2, 100, 512, 1<<20)
-	if _, err := ti.tree.PointQuery(geom.Point{500, 500}); err == nil {
+	if _, _, err := ti.tree.PointQueryInto(geom.Point{500, 500}, nil); err == nil {
 		t.Fatal("out-of-domain query accepted")
+	}
+}
+
+// TestDimensionBound: New and FromImage refuse a domain outside
+// [1, geom.MaxDim] — a point descent keeps its cells in a MaxDim-sized array.
+func TestDimensionBound(t *testing.T) {
+	for _, d := range []int{0, 1, geom.MaxDim, geom.MaxDim + 1} {
+		ok := d >= 1 && d <= geom.MaxDim
+		dom := geom.UnitCube(d, 1)
+		if _, err := New(Config{Domain: dom, Store: pagestore.New(512)}); (err == nil) != ok {
+			t.Errorf("New at d=%d: %v", d, err)
+		}
+		img := &Image{DomainLo: dom.Lo, DomainHi: dom.Hi, MaxDepth: 24, Nodes: []NodeImage{{}}}
+		if _, err := FromImage(pagestore.New(512), nil, img); (err == nil) != ok {
+			t.Errorf("FromImage at d=%d: %v", d, err)
+		}
 	}
 }
 
@@ -130,7 +154,7 @@ func TestChainsWhenMemoryExhausted(t *testing.T) {
 	}
 	// Queries must still be complete.
 	q := geom.Point{500, 500}
-	got, err := ti.tree.PointQuery(q)
+	got, _, err := ti.tree.PointQueryInto(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +197,7 @@ func TestRemove(t *testing.T) {
 	// Removed objects must not appear in any point query.
 	for iter := 0; iter < 60; iter++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		got, err := ti.tree.PointQuery(q)
+		got, _, err := ti.tree.PointQueryInto(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +246,7 @@ func TestInsertDiffAndRemoveDiff(t *testing.T) {
 			newUBR.Lo[0] + rng.Float64()*(newUBR.Hi[0]-newUBR.Lo[0]),
 			newUBR.Lo[1] + rng.Float64()*(newUBR.Hi[1]-newUBR.Lo[1]),
 		}
-		got, err := ti.tree.PointQuery(q)
+		got, _, err := ti.tree.PointQueryInto(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +271,7 @@ func TestInsertDiffAndRemoveDiff(t *testing.T) {
 			oldUBR.Lo[0] + rng.Float64()*(oldUBR.Hi[0]-oldUBR.Lo[0]),
 			oldUBR.Lo[1] + rng.Float64()*(oldUBR.Hi[1]-oldUBR.Lo[1]),
 		}
-		got, _ := ti.tree.PointQuery(q)
+		got, _, _ := ti.tree.PointQueryInto(q, nil)
 		found := false
 		for _, e := range got {
 			if e.ID == 1 {
@@ -294,11 +318,11 @@ func TestIOCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store.ResetStats()
-	if _, err := tree.PointQuery(geom.Point{500, 500}); err != nil {
+	before := store.Stats()
+	if _, _, err := tree.PointQueryInto(geom.Point{500, 500}, nil); err != nil {
 		t.Fatal(err)
 	}
-	delta := store.Stats()
+	delta := store.Stats().Sub(before)
 	if delta.Reads == 0 {
 		t.Fatal("point query recorded no page reads")
 	}

@@ -111,11 +111,6 @@ type Store struct {
 	bufs sync.Pool // *[]byte scratch buffers of pageSize bytes
 
 	reads, writes, allocs, frees atomic.Int64
-
-	// mutations counts every state-changing operation (Write, Alloc, Free)
-	// over the store's lifetime — the dirty epoch checkpointing compares to
-	// decide whether a new snapshot is needed. Reads never advance it.
-	mutations atomic.Int64
 }
 
 // ErrFull is returned by Alloc when the store's page limit is exhausted.
@@ -275,7 +270,6 @@ func (s *Store) Alloc() (PageID, error) {
 	s.setLive(id, true)
 	s.live.Add(1)
 	s.allocs.Add(1)
-	s.mutations.Add(1)
 	return id, nil
 }
 
@@ -294,7 +288,6 @@ func (s *Store) Free(id PageID) error {
 	s.free = append(s.free, id)
 	s.live.Add(-1)
 	s.frees.Add(1)
-	s.mutations.Add(1)
 	return nil
 }
 
@@ -362,7 +355,6 @@ func (s *Store) Write(id PageID, data []byte) error {
 	}
 	p, _ := s.page(id)
 	s.writes.Add(1)
-	s.mutations.Add(1)
 	copy(p, data)
 	clear(p[len(data):])
 	return nil
@@ -378,12 +370,6 @@ func (s *Store) Stats() Stats {
 		Allocs: s.allocs.Load(),
 		Frees:  s.frees.Load(),
 	}
-}
-
-// ResetStats zeroes the read/write counters (allocation counters persist).
-func (s *Store) ResetStats() {
-	s.reads.Store(0)
-	s.writes.Store(0)
 }
 
 // Live returns the number of currently allocated pages.
@@ -409,13 +395,4 @@ func (s *Store) ArenaBytes() int {
 		total += len(e.data)
 	}
 	return total
-}
-
-// Epoch returns the store's mutation counter: a monotonic value that
-// advances on every Write, Alloc and Free and never on reads. Two equal
-// Epoch readings bracket a window in which the stored bytes did not change,
-// so a checkpointer can skip re-snapshotting an unchanged store. It is not
-// persisted; a store restored via FromImage restarts at zero.
-func (s *Store) Epoch() int64 {
-	return s.mutations.Load()
 }

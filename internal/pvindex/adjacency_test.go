@@ -221,9 +221,9 @@ func TestAdjacencyCOWIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pinned := ix.Pin()
-	defer pinned.Release()
-	want := windowDegrees(t, pinned.v)
+	pinned := ix.pin()
+	defer ix.unpin(pinned)
+	want := windowDegrees(t, pinned)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -251,10 +251,10 @@ func TestAdjacencyCOWIsolation(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := windowDegrees(t, pinned.v); !maps.Equal(got, want) {
+	if got := windowDegrees(t, pinned); !maps.Equal(got, want) {
 		t.Fatalf("pinned version's degrees changed under writer churn: %v, want %v", got, want)
 	}
-	if got := bruteDegrees(t, pinned.v); !maps.Equal(got, want) {
+	if got := bruteDegrees(t, pinned); !maps.Equal(got, want) {
 		t.Fatalf("pinned version's degrees %v, brute force %v", want, got)
 	}
 }

@@ -14,13 +14,13 @@ import (
 
 // versionPages returns every page ID reachable from the pinned version: the
 // octree leaf chains plus every exthash bucket and value chain.
-func versionPages(t *testing.T, p *Pinned) []pagestore.PageID {
+func versionPages(t *testing.T, p *version) []pagestore.PageID {
 	t.Helper()
-	pages, err := p.v.primary.CollectPages(nil)
+	pages, err := p.primary.CollectPages(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err = p.v.secondary.CollectPages(pages)
+	pages, err = p.secondary.CollectPages(pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 		}(int64(100 + r))
 	}
 
-	capture := func(p *Pinned) (ids []pagestore.PageID, snaps [][]byte) {
+	capture := func(p *version) (ids []pagestore.PageID, snaps [][]byte) {
 		ids = versionPages(t, p)
 		snaps = make([][]byte, len(ids))
 		for i, id := range ids {
@@ -144,22 +144,22 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		pinOld := ix.Pin()
+		pinOld := ix.pin()
 		oldIDs, oldSnaps := capture(pinOld)
 		// Writer churns while pinOld blocks the reclaim queue: shared pages
 		// must not be rewritten in place.
-		waitEpochAdvance(t, ix, pinOld.Epoch(), 4)
+		waitEpochAdvance(t, ix, pinOld.epoch, 4)
 		verify(oldIDs, oldSnaps, "while oldest pin held")
 
 		// Take a newer pin, then drain the old one: everything between the
 		// two reclaims, the free-list refills, and the storming writer
 		// recycles those slots — all while the new pin's views are held.
-		pinNew := ix.Pin()
+		pinNew := ix.pin()
 		newIDs, newSnaps := capture(pinNew)
 		reclaimedBefore := ix.MVCC().Reclaimed
 		freesBefore := ix.store.Stats().Frees
-		pinOld.Release()
-		waitEpochAdvance(t, ix, pinNew.Epoch(), 4)
+		ix.unpin(pinOld)
+		waitEpochAdvance(t, ix, pinNew.epoch, 4)
 		verify(newIDs, newSnaps, "across free-list recycling")
 		if ix.MVCC().Reclaimed <= reclaimedBefore {
 			t.Fatal("no version reclaimed after releasing the oldest pin — churn did not exercise recycling")
@@ -167,7 +167,7 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 		if ix.store.Stats().Frees <= freesBefore {
 			t.Fatal("no pages freed after releasing the oldest pin")
 		}
-		pinNew.Release()
+		ix.unpin(pinNew)
 	}
 
 	close(stop)

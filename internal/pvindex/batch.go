@@ -42,7 +42,7 @@ var ErrWAL = errors.New("pvindex: wal failure")
 //
 //  1. The whole batch is validated against the current published version —
 //     queries keep flowing, untouched.
-//  2. If a WAL is attached (Config.WAL / AttachWAL), the batch is appended
+//  2. If a WAL is attached (AttachWAL), the batch is appended
 //     to the log and made durable with a single fsync before any state
 //     changes — log-then-apply, so recovery can replay it.
 //  3. All updates apply to a copy-on-write working version (shared pages
@@ -395,9 +395,6 @@ func (ix *Index) parallelSE(n int, fn func(i int)) {
 // updates to l before applying them. Attach before serving writers; it is
 // not safe to call concurrently with updates.
 func (ix *Index) AttachWAL(l *wal.Log) { ix.wal = l }
-
-// WAL returns the attached write-ahead log, or nil.
-func (ix *Index) WAL() *wal.Log { return ix.wal }
 
 // WALSeq returns the sequence number of the last WAL record this index has
 // applied (0 if none). A snapshot saved at this value plus a replay of all

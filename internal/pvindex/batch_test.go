@@ -157,11 +157,11 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 	defer log.Close()
 	cfg := testConfig()
-	cfg.WAL = log
 	ix, err := Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.AttachWAL(log)
 	n0 := db.Len()
 
 	// A malformed object fails the whole batch — and a single Insert, and a
@@ -277,7 +277,7 @@ func TestApplyBatchKeepsRecordCacheCoherent(t *testing.T) {
 				}
 				assertPDFsMatchRecords(t, ix)
 				for _, o := range ix.DB().Objects() {
-					ins, err := ix.Instances(o.ID)
+					ins, err := instancesOf(ix, o.ID)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -404,11 +404,11 @@ func TestRecoveryStopsAtTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.WAL = log
 	ix, err := Build(base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.AttachWAL(log)
 	var ups []Update
 	for i := 0; i < 8; i++ {
 		ups = append(ups, Update{Op: OpInsert, Object: newObj(rng, uncertain.ID(3000+i), 2, 550, 20)})
@@ -632,11 +632,11 @@ func TestMidApplyFailureWithWALPoisonsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	cfg.WAL = log
 	ix, err := Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.AttachWAL(log)
 
 	var ups []Update
 	for i := 0; i < 40; i++ {

@@ -323,11 +323,11 @@ func TestReplayReproducesLive(t *testing.T) {
 			}
 			defer log.Close()
 			cfg := differentialConfig(t, true)
-			cfg.WAL = log
 			live, err := Build(randomDB(rng, c.n, c.d, c.span, c.maxSide, true), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			live.AttachWAL(log)
 			nextID := uncertain.ID(10_000)
 			pair := func() {
 				objs := live.DB().Objects()

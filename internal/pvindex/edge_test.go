@@ -175,7 +175,7 @@ func TestManyInstancesRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range db.Objects() {
-		ins, err := ix.Instances(o.ID)
+		ins, err := instancesOf(ix, o.ID)
 		if err != nil {
 			t.Fatal(err)
 		}

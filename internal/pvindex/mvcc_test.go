@@ -32,17 +32,17 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pin := ix.Pin()
-	defer pin.Release()
-	pinEpoch := pin.Epoch()
-	pinDB := pin.DB().Clone() // oracle for the pinned version
+	pin := ix.pin()
+	defer ix.unpin(pin)
+	pinEpoch := pin.epoch
+	pinDB := pin.db.Clone() // oracle for the pinned version
 	probes := make([]geom.Point, 50)
 	wantNN := make([][]uncertain.ID, len(probes))
 	for i := range probes {
 		probes[i] = geom.Point{rng.Float64() * 700, rng.Float64() * 700}
 		wantNN[i] = bruteforce.PossibleNN(pinDB, probes[i])
 	}
-	ubrA, ok := pin.UBR(churnID)
+	ubrA, ok := pin.ubr(churnID)
 	if !ok {
 		t.Fatal("pinned version lost the churn object")
 	}
@@ -69,13 +69,13 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	if ix.Epoch() <= pinEpoch {
 		t.Fatalf("epoch did not advance past the pin: %d <= %d", ix.Epoch(), pinEpoch)
 	}
-	if pin.Epoch() != pinEpoch {
+	if pin.epoch != pinEpoch {
 		t.Fatal("pinned epoch drifted")
 	}
 
 	// Every pinned read is version-consistent with the pinned oracle.
 	for i, q := range probes {
-		got, err := pin.PossibleNN(q)
+		got, _, err := ix.possibleNNAt(pin, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,10 +83,10 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 			t.Fatalf("probe %v: pinned answer diverged from pinned oracle", q)
 		}
 	}
-	if ubrNow, ok := pin.UBR(churnID); !ok || !ubrNow.Equal(ubrA) {
+	if ubrNow, ok := pin.ubr(churnID); !ok || !ubrNow.Equal(ubrA) {
 		t.Fatal("pinned UBR changed under concurrent writes")
 	}
-	ins, err := pin.Instances(churnID)
+	ins, err := pin.instances(churnID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	}
 
 	// The live index serves the new pdf.
-	liveIns, err := ix.Instances(churnID)
+	liveIns, err := instancesOf(ix, churnID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,21 +170,21 @@ func TestPinnedSnapshotsUnderChurnStorm(t *testing.T) {
 					return
 				default:
 				}
-				pin := ix.Pin()
-				pdb := pin.DB()
+				pin := ix.pin()
+				pdb := pin.db
 				// Tree vs database: Step-1 answers match the oracle over
 				// the pinned database at random points.
 				for i := 0; i < 5; i++ {
 					q := geom.Point{qrng.Float64() * 800, qrng.Float64() * 800}
-					got, err := pin.PossibleNN(q)
+					got, _, err := ix.possibleNNAt(pin, q)
 					if err != nil {
 						fail(err)
-						pin.Release()
+						ix.unpin(pin)
 						return
 					}
 					if !sameIDs(idsOf(got), bruteforce.PossibleNN(pdb, q)) {
-						fail(errInconsistent(pin.Epoch(), q))
-						pin.Release()
+						fail(errInconsistent(pin.epoch, q))
+						ix.unpin(pin)
 						return
 					}
 				}
@@ -192,20 +192,20 @@ func TestPinnedSnapshotsUnderChurnStorm(t *testing.T) {
 				// containing their region and their exact pdf.
 				for i := 0; i < 5; i++ {
 					o := pdb.Objects()[qrng.Intn(pdb.Len())]
-					ubr, ok := pin.UBR(o.ID)
+					ubr, ok := pin.ubr(o.ID)
 					if !ok || !ubr.ContainsRect(o.Region) {
-						fail(errInconsistent(pin.Epoch(), geom.Point{-1}))
-						pin.Release()
+						fail(errInconsistent(pin.epoch, geom.Point{-1}))
+						ix.unpin(pin)
 						return
 					}
-					ins, err := pin.Instances(o.ID)
+					ins, err := pin.instances(o.ID)
 					if err != nil || len(ins) != len(o.Instances) {
-						fail(errInconsistent(pin.Epoch(), geom.Point{-2}))
-						pin.Release()
+						fail(errInconsistent(pin.epoch, geom.Point{-2}))
+						ix.unpin(pin)
 						return
 					}
 				}
-				pin.Release()
+				ix.unpin(pin)
 			}
 		}(int64(100 + r))
 	}
@@ -314,7 +314,7 @@ func TestPinBlocksReclamation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pin := ix.Pin()
+	pin := ix.pin()
 	for i := 0; i < 20; i++ {
 		o := newObj(rng, uncertain.ID(40_000+i), 2, 450, 20)
 		if _, err := ix.Insert(o); err != nil {
@@ -329,11 +329,11 @@ func TestPinBlocksReclamation(t *testing.T) {
 		t.Fatalf("in-flight readers = %d, want 1", st.InFlightReaders)
 	}
 	// The pinned version still answers from its own state.
-	if _, err := pin.PossibleNN(geom.Point{250, 250}); err != nil {
+	if _, _, err := ix.possibleNNAt(pin, geom.Point{250, 250}); err != nil {
 		t.Fatal(err)
 	}
 
-	pin.Release()
+	ix.unpin(pin)
 	waitLiveVersions(t, ix, 1)
 	if st := ix.MVCC(); st.InFlightReaders != 0 {
 		t.Fatalf("release left %d in-flight readers", st.InFlightReaders)

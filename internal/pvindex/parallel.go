@@ -48,8 +48,7 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	items := make([]octree.BulkItem, len(objs))
 	seStats := make([]core.Stats, len(objs))
 
-	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
-	// its structure; structural reads are safe concurrently.
+	// NN iterators only read the shared R*-tree, so the workers share it.
 	parallelFor(workers, len(objs), func(i int) {
 		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
 		items[i].UBR, seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
@@ -63,9 +62,6 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	}
 	for i, o := range objs {
 		ix.Build.SE.Add(seStats[i])
-		ix.Build.CSetTime += seStats[i].CSetTime
-		ix.Build.UBRTime += seStats[i].UBRTime
-		ix.Build.CSetSizeSum += seStats[i].CSetSize
 		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
 			return nil, err
 		}

@@ -55,7 +55,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if !ok || !ua.Equal(ub) {
 			t.Fatalf("object %d UBR mismatch after load", o.ID)
 		}
-		ins, err := loaded.Instances(o.ID)
+		ins, err := instancesOf(loaded, o.ID)
 		if err != nil || len(ins) != len(o.Instances) {
 			t.Fatalf("object %d instances corrupted: %v", o.ID, err)
 		}
@@ -331,7 +331,7 @@ func TestSaveLoadAfterUpdateTraffic(t *testing.T) {
 		if !ok || !ua.Equal(ub) {
 			t.Fatalf("object %d UBR mismatch after load of updated index", o.ID)
 		}
-		ins, err := loaded.Instances(o.ID)
+		ins, err := instancesOf(loaded, o.ID)
 		if err != nil || len(ins) != len(o.Instances) {
 			t.Fatalf("object %d instances corrupted: %v", o.ID, err)
 		}

@@ -35,10 +35,6 @@ type Config struct {
 	Fanout int
 	// SE are the Shrink-and-Expand parameters.
 	SE core.Options
-	// WAL, when non-nil, is the write-ahead log every update batch is
-	// appended to (and fsynced) before it applies — the durable write path.
-	// Equivalent to calling AttachWAL after construction.
-	WAL *wal.Log
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -48,13 +44,10 @@ func DefaultConfig() Config {
 
 // BuildStats aggregates construction cost, feeding Figs. 10(b)–10(f).
 type BuildStats struct {
-	Objects     int
-	Total       time.Duration
-	CSetTime    time.Duration // chooseCSet portion of SE
-	UBRTime     time.Duration // shrink/expand portion of SE
-	InsertTime  time.Duration // primary+secondary insertion portion
-	CSetSizeSum int           // divide by Objects for the average
-	SE          core.Stats
+	Objects    int
+	Total      time.Duration
+	InsertTime time.Duration // primary+secondary insertion portion
+	SE         core.Stats    // summed over objects: C-set and SE times, C-set sizes
 }
 
 // Index is a built PV-index over a database, served through epoch-based
@@ -115,11 +108,10 @@ type queryScratch struct {
 	seen    map[uint32]struct{}
 }
 
-// initRuntime wires the non-persisted runtime state (scratch pool, WAL
-// attachment). Every Index constructor — Build, BuildParallel, LoadFrom —
-// calls it before the index is shared.
+// initRuntime wires the non-persisted runtime state (the scratch pool).
+// Every Index constructor — Build, BuildParallel, LoadFrom — calls it before
+// the index is shared.
 func (ix *Index) initRuntime() {
-	ix.wal = ix.cfg.WAL
 	ix.scratch.New = func() any {
 		return &queryScratch{seen: make(map[uint32]struct{}, 64)}
 	}
@@ -287,7 +279,7 @@ func (ix *Index) PrimaryStats() octree.Stats {
 
 // DB returns the current version's database. It is immutable — writers
 // publish new versions instead of mutating it — so reading it is safe, but
-// the pointer changes with every applied batch; pin a version (Pin, View)
+// the pointer changes with every applied batch; pin a version (View)
 // when multiple reads must agree.
 func (ix *Index) DB() *uncertain.DB { return ix.current.Load().db }
 
@@ -408,16 +400,6 @@ func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error
 		out[i].Region = geom.Rect{Lo: lo, Hi: hi}
 	}
 	return out, leafIO, nil
-}
-
-// Instances returns an object's pdf instances (PNNQ Step 2's data access):
-// the current version's own object's, shared with every reader of it — treat
-// the slice as immutable. No write ever mutates it, so it stays valid after
-// the call.
-func (ix *Index) Instances(id uncertain.ID) ([]uncertain.Instance, error) {
-	v := ix.pin()
-	defer ix.unpin(v)
-	return v.instances(id)
 }
 
 // QuerySnapshot is an atomic PNNQ read: the Step-1 candidate set, each

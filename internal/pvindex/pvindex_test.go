@@ -10,6 +10,7 @@ import (
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
 )
@@ -40,6 +41,14 @@ func randomDB(rng *rand.Rand, n, d int, span, maxSide float64, withInstances boo
 		_ = db.Add(o)
 	}
 	return db
+}
+
+// instancesOf reads an object's pdf from the current version, as Step 2
+// does.
+func instancesOf(ix *Index, id uncertain.ID) ([]uncertain.Instance, error) {
+	v := ix.pin()
+	defer ix.unpin(v)
+	return v.instances(id)
 }
 
 func idsOf(cands []Candidate) []uncertain.ID {
@@ -312,7 +321,7 @@ func TestStep2MatchesBruteForce(t *testing.T) {
 		}
 		data := make([]pnnq.CandidateData, len(cands))
 		for i, c := range cands {
-			ins, err := ix.Instances(c.ID)
+			ins, err := instancesOf(ix, c.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +357,7 @@ func TestBuildStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := ix.Build
-	if bs.Objects != 50 || bs.Total <= 0 || bs.SE.Iterations == 0 || bs.CSetSizeSum == 0 {
+	if bs.Objects != 50 || bs.Total <= 0 || bs.SE.Iterations == 0 || bs.SE.CSetSize == 0 {
 		t.Fatalf("build stats: %+v", bs)
 	}
 	ps := ix.PrimaryStats()
@@ -365,12 +374,12 @@ func TestQueryIOBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Store().ResetStats()
+	before := ix.Store().Stats()
 	q := geom.Point{500, 500}
 	if _, err := ix.PossibleNN(q); err != nil {
 		t.Fatal(err)
 	}
-	stats := ix.Store().Stats()
+	stats := ix.Store().Stats().Sub(before)
 	if stats.Reads == 0 {
 		t.Fatal("no I/O recorded")
 	}
@@ -380,6 +389,38 @@ func TestQueryIOBounded(t *testing.T) {
 	}
 	if stats.Writes != 0 {
 		t.Fatal("query wrote pages")
+	}
+}
+
+// TestPossibleNNIOMatchesStoreReads: the leaf pages PossibleNNIO reports
+// are exactly the page reads the store counts over the same queries, chained
+// leaves included.
+func TestPossibleNNIOMatchesStoreReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	db := randomDB(rng, 300, 2, 1000, 30, false)
+	cfg := testConfig()
+	cfg.Store = pagestore.New(512)
+	cfg.MemBudget = 1 << 10 // a few splits, then chained leaves
+	ix, err := Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, leaves := ix.Store().Stats(), 0
+	for i := 0; i < 100; i++ {
+		_, io, err := ix.PossibleNNIO(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if io < 1 {
+			t.Fatalf("query %d read %d leaf pages", i, io)
+		}
+		leaves += io
+	}
+	if leaves <= 100 {
+		t.Fatalf("%d leaf pages over 100 queries: no chained leaf was read", leaves)
+	}
+	if reads := ix.Store().Stats().Sub(before).Reads; reads != int64(leaves) {
+		t.Fatalf("PossibleNNIO reported %d leaf pages, the store counted %d reads", leaves, reads)
 	}
 }
 

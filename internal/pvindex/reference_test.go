@@ -283,8 +283,7 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	ubrs := make([]geom.Rect, len(objs))
 	seStats := make([]core.Stats, len(objs))
 
-	// NN iterators on the shared R*-tree mutate its LeafIO counter but not
-	// its structure; structural reads are safe concurrently.
+	// NN iterators only read the shared R*-tree, so they run concurrently.
 	parallelFor(workers, len(objs), func(i int) {
 		ubrs[i], seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
 	})
@@ -292,9 +291,6 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	t0 := time.Now()
 	for i, o := range objs {
 		ix.Build.SE.Add(seStats[i])
-		ix.Build.CSetTime += seStats[i].CSetTime
-		ix.Build.UBRTime += seStats[i].UBRTime
-		ix.Build.CSetSizeSum += seStats[i].CSetSize
 		if err := w.addObject(o, ubrs[i]); err != nil {
 			return nil, err
 		}

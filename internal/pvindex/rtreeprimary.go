@@ -39,11 +39,12 @@ func NewRTreePrimary(ix *Index, fanout int) *RTreePrimary {
 }
 
 // PossibleNN answers PNNQ Step 1 exactly like Index.PossibleNN: objects
-// whose UBR contains q, pruned by min/max distance.
-func (rp *RTreePrimary) PossibleNN(q geom.Point) []Candidate {
-	items := rp.tree.Search(geom.PointRect(q), nil)
+// whose UBR contains q, pruned by min/max distance. It also returns the
+// number of R-tree leaves it read.
+func (rp *RTreePrimary) PossibleNN(q geom.Point) ([]Candidate, int) {
+	items, cost := rp.tree.Search(geom.PointRect(q), nil)
 	if len(items) == 0 {
-		return nil
+		return nil, cost.Leaves
 	}
 	cands := make([]Candidate, 0, len(items))
 	bestMax := -1.0
@@ -70,11 +71,5 @@ func (rp *RTreePrimary) PossibleNN(q geom.Point) []Candidate {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, cost.Leaves
 }
-
-// LeafIO exposes the R-tree's leaf access counter for the ablation.
-func (rp *RTreePrimary) LeafIO() int64 { return rp.tree.LeafIO() }
-
-// ResetLeafIO zeroes the counter.
-func (rp *RTreePrimary) ResetLeafIO() { rp.tree.ResetLeafIO() }

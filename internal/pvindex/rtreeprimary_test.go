@@ -24,7 +24,7 @@ func TestRTreePrimaryEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := rp.PossibleNN(q)
+		b, _ := rp.PossibleNN(q)
 		if !sameIDs(idsOf(a), idsOf(b)) {
 			t.Fatalf("q=%v: octree %v rtree-primary %v", q, idsOf(a), idsOf(b))
 		}
@@ -42,11 +42,9 @@ func TestRTreePrimaryIOCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := NewRTreePrimary(ix, 8)
-	rp.ResetLeafIO()
 	for i := 0; i < 20; i++ {
-		rp.PossibleNN(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
-	}
-	if rp.LeafIO() == 0 {
-		t.Fatal("no leaf I/O recorded")
+		if _, io := rp.PossibleNN(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}); io == 0 {
+			t.Fatalf("query %d: no leaf I/O recorded", i)
+		}
 	}
 }

@@ -154,56 +154,6 @@ func (ix *Index) MVCC() MVCCStats {
 	return st
 }
 
-// Pinned is an explicitly held snapshot: every read through it observes the
-// same version, however many writes commit in the meantime. Release it when
-// done — a pinned version keeps its pages alive. Safe for concurrent use by
-// multiple goroutines until Release.
-type Pinned struct {
-	ix *Index
-	v  *version
-}
-
-// Pin acquires the current version for multi-read consistency. The caller
-// must Release it.
-func (ix *Index) Pin() *Pinned {
-	return &Pinned{ix: ix, v: ix.pin()}
-}
-
-// Release drops the pin. The Pinned must not be used afterwards.
-func (p *Pinned) Release() {
-	if p.v != nil {
-		p.ix.unpin(p.v)
-		p.v = nil
-	}
-}
-
-// Epoch returns the pinned version's write epoch.
-func (p *Pinned) Epoch() uint64 { return p.v.epoch }
-
-// WALSeq returns the pinned version's last applied WAL sequence.
-func (p *Pinned) WALSeq() uint64 { return p.v.walSeq }
-
-// DB returns the pinned version's database. It is immutable — later writes
-// build new versions and never touch it — so it may be read freely, shared
-// object pointers included.
-func (p *Pinned) DB() *uncertain.DB { return p.v.db }
-
-// PossibleNN evaluates PNNQ Step 1 against the pinned version.
-func (p *Pinned) PossibleNN(q geom.Point) ([]Candidate, error) {
-	cands, _, err := p.ix.possibleNNAt(p.v, q)
-	return cands, err
-}
-
-// UBR returns an object's stored UBR in the pinned version.
-func (p *Pinned) UBR(id uncertain.ID) (geom.Rect, bool) { return p.v.ubr(id) }
-
-// Instances returns an object's pdf instances in the pinned version. The
-// slice is the version's own object's, shared with every reader — treat it
-// as immutable; it stays valid after Release.
-func (p *Pinned) Instances(id uncertain.ID) ([]uncertain.Instance, error) {
-	return p.v.instances(id)
-}
-
 // ubr reads an object's stored UBR from its record's header in v.
 func (v *version) ubr(id uncertain.ID) (geom.Rect, bool) {
 	return storedUBR(v.secondary, uint32(id), v.db.Dim())

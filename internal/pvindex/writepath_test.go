@@ -15,7 +15,7 @@ import (
 
 // TestLookupUBRHeaderOnly: the writer's UBR read returns the stored UBR and
 // allocates its one coordinate array whatever the record's size (the d=3
-// records here span two pages); so do the readers' Index.UBR and Pinned.UBR,
+// records here span two pages); so do the readers' Index.UBR and version.ubr,
 // which read the same header.
 func TestLookupUBRHeaderOnly(t *testing.T) {
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 120, Dim: 3, MaxSide: 400, Instances: 200, Seed: 3})
@@ -23,8 +23,8 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := ix.Pin()
-	defer pin.Release()
+	pin := ix.pin()
+	defer ix.unpin(pin)
 	w := ix.newWorking(ix.current.Load())
 	defer w.abort()
 	for _, o := range db.Objects() {
@@ -46,7 +46,7 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 		if !got.Equal(rec.UBR) {
 			t.Fatalf("object %d: lookupUBR %v, record holds %v", o.ID, got, rec.UBR)
 		}
-		for name, read := range map[string]func(uncertain.ID) (geom.Rect, bool){"Index.UBR": ix.UBR, "Pinned.UBR": pin.UBR} {
+		for name, read := range map[string]func(uncertain.ID) (geom.Rect, bool){"Index.UBR": ix.UBR, "version.ubr": pin.ubr} {
 			if r, ok := read(o.ID); !ok || !sameRectBits(r, rec.UBR) {
 				t.Fatalf("object %d: %s %v, record holds %v", o.ID, name, r, rec.UBR)
 			}
@@ -59,9 +59,9 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 		t.Fatal("Index.UBR found an ID that was never stored")
 	}
 	for name, read := range map[string]func(){
-		"lookupUBR":  func() { w.lookupUBR(7) },
-		"Index.UBR":  func() { ix.UBR(7) },
-		"Pinned.UBR": func() { pin.UBR(7) },
+		"lookupUBR":   func() { w.lookupUBR(7) },
+		"Index.UBR":   func() { ix.UBR(7) },
+		"version.ubr": func() { pin.ubr(7) },
 	} {
 		if allocs := testing.AllocsPerRun(200, read); !race.Enabled && allocs > 1 {
 			t.Fatalf("%s allocates %.0f times, budget 1", name, allocs)

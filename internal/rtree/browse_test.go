@@ -10,27 +10,32 @@ import (
 	"pvoronoi/internal/race"
 )
 
-// browseStep is one Next of a browse: what came out and the tree's leaf
-// counter right after it.
+// browseStep is one Next of a browse: what came out and the number of
+// leaves the browse had opened right after it.
 type browseStep struct {
 	id     uint32
 	dist   float64
-	leafIO int64
+	leaves int
 }
 
 // browseSteps drives next for at most limit items (all when limit < 0) and
-// records every step. The tree's leaf counter is reset first.
-func browseSteps(t *Tree, limit int, next func() (Item, float64, bool)) []browseStep {
-	t.ResetLeafIO()
+// records every step with the browse's own leaf count.
+func browseSteps(limit int, next func() (Item, float64, bool), leaves func() int) []browseStep {
 	var out []browseStep
 	for limit < 0 || len(out) < limit {
 		item, d, ok := next()
 		if !ok {
 			break
 		}
-		out = append(out, browseStep{item.ID, d, t.LeafIO()})
+		out = append(out, browseStep{item.ID, d, leaves()})
 	}
 	return out
+}
+
+// refSteps records the whole reference browse from q.
+func refSteps(tree *Tree, q geom.Point, fn DistFunc) []browseStep {
+	ref := newRefNNIter(tree, q, fn)
+	return browseSteps(-1, ref.Next, func() int { return ref.leaves })
 }
 
 func randQuery(rng *rand.Rand, d int) geom.Point {
@@ -66,7 +71,7 @@ func browseTrees(rng *rand.Rand, kind string, n, d int) map[string]*Tree {
 // TestBrowseMatchesReference holds NNIter to the browse it replaced
 // (reference_test.go): the same (ID, dist) at every step — ties among
 // duplicated rectangles included, which only the push order resolves — and
-// the same leaf counter after every step, to exhaustion.
+// the same number of leaves opened after every step, to exhaustion.
 func TestBrowseMatchesReference(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5} {
 		for _, kind := range []string{"uniform", "degenerate"} {
@@ -76,10 +81,9 @@ func TestBrowseMatchesReference(t *testing.T) {
 					for i := 0; i < 6; i++ {
 						q := randQuery(rng, d)
 						for fi, fn := range []DistFunc{MinDistTo(q), CenterDistTo(q)} {
-							ref := newRefNNIter(tree, q, fn)
-							want := browseSteps(tree, -1, ref.Next)
+							want := refSteps(tree, q, fn)
 							it := NewNNIter(tree, q, fn)
-							got := browseSteps(tree, -1, it.Next)
+							got := browseSteps(-1, it.Next, it.Leaves)
 							it.Release()
 							if len(got) != tree.Len() || len(got) != len(want) {
 								t.Fatalf("browse from %v returned %d items, reference %d, tree holds %d", q, len(got), len(want), tree.Len())
@@ -106,12 +110,12 @@ func TestBrowseReleaseResets(t *testing.T) {
 	tree := BulkLoad(2, 8, bulkTestItems(rng, "degenerate", 500, 2))
 	q := randQuery(rng, 2)
 	it := NewNNIter(tree, q, MinDistTo(q))
-	browseSteps(tree, 37, it.Next) // abandon mid-browse: queue and table non-empty
+	browseSteps(37, it.Next, it.Leaves) // abandon mid-browse: queue and table non-empty
 	if len(it.heap) == 0 || len(it.refs) == 0 {
 		t.Fatal("abandoned browse left nothing queued; the test needs a longer tree")
 	}
 	it.Release()
-	if it.tree != nil || it.q != nil || it.distFn != nil || it.root.child != nil || len(it.heap) != 0 || len(it.refs) != 0 {
+	if it.tree != nil || it.q != nil || it.distFn != nil || it.root.child != nil || len(it.heap) != 0 || len(it.refs) != 0 || it.leaves != 0 {
 		t.Fatalf("released iterator keeps state: %+v", it)
 	}
 	for i, e := range it.refs[:cap(it.refs)] {
@@ -121,12 +125,12 @@ func TestBrowseReleaseResets(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		q := randQuery(rng, 2)
-		want := browseSteps(tree, -1, newRefNNIter(tree, q, MinDistTo(q)).Next)
+		want := refSteps(tree, q, MinDistTo(q))
 		it := NewNNIter(tree, q, MinDistTo(q)) // most likely the iterator just released
-		got := browseSteps(tree, 50+i, it.Next)
+		got := browseSteps(50+i, it.Next, it.Leaves)
 		it.Release()
 		for s := range got {
-			if got[s].id != want[s].id || got[s].dist != want[s].dist {
+			if got[s] != want[s] {
 				t.Fatalf("reused iterator, browse %d step %d: got %+v, reference %+v", i, s, got[s], want[s])
 			}
 		}
@@ -144,7 +148,7 @@ func TestBrowseConcurrentPooled(t *testing.T) {
 	want := make([][]browseStep, len(queries))
 	for i := range queries {
 		queries[i] = randQuery(rng, 3)
-		want[i] = browseSteps(tree, -1, newRefNNIter(tree, queries[i], MinDistTo(queries[i])).Next)
+		want[i] = refSteps(tree, queries[i], MinDistTo(queries[i]))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

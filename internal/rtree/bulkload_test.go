@@ -97,10 +97,14 @@ func TestBulkLoadMatchesInsertBuilt(t *testing.T) {
 						q[k] = rng.Float64() * 1000
 					}
 					window := geom.PointRect(q).Expand(40)
-					if got, want := idSet(bulk.Search(window, nil)), idSet(ins.Search(window, nil)); !slices.Equal(got, want) {
+					bs, _ := bulk.Search(window, nil)
+					is, _ := ins.Search(window, nil)
+					if got, want := idSet(bs), idSet(is); !slices.Equal(got, want) {
 						t.Fatalf("Search(%v): bulk %v, insert-built %v", window, got, want)
 					}
-					if got, want := bulk.PossibleNN(q), ins.PossibleNN(q); !slices.Equal(got, want) {
+					got, _ := bulk.PossibleNN(q)
+					want, _ := ins.PossibleNN(q)
+					if !slices.Equal(got, want) {
 						t.Fatalf("PossibleNN(%v): bulk %v, insert-built %v", q, got, want)
 					}
 					if i%10 != 0 {
@@ -219,10 +223,10 @@ func TestBulkLoadEmpty(t *testing.T) {
 	if _, _, ok := NewNNIter(tree, q, MinDistTo(q)).Next(); ok {
 		t.Fatal("NNIter on empty tree returned an item")
 	}
-	if got := tree.PossibleNN(q); got != nil {
+	if got, _ := tree.PossibleNN(q); got != nil {
 		t.Fatalf("PossibleNN on empty tree = %v", got)
 	}
-	if got := tree.Search(geom.UnitCube(2, 10), nil); len(got) != 0 {
+	if got, _ := tree.Search(geom.UnitCube(2, 10), nil); len(got) != 0 {
 		t.Fatalf("Search on empty tree = %v", got)
 	}
 	item := Item{Rect: geom.NewRect(geom.Point{1, 1}, geom.Point{2, 2}), ID: 9}
@@ -230,7 +234,7 @@ func TestBulkLoadEmpty(t *testing.T) {
 		t.Fatal("Delete on empty tree reported success")
 	}
 	tree.Insert(item)
-	if got := tree.PossibleNN(q); !slices.Equal(got, []uint32{9}) {
+	if got, _ := tree.PossibleNN(q); !slices.Equal(got, []uint32{9}) {
 		t.Fatalf("after one insert PossibleNN = %v", got)
 	}
 }

@@ -88,7 +88,8 @@ func testCloneCOWIsolation(t *testing.T, build func([]Item) *Tree) {
 			Hi: geom.Point{900, 900},
 		}
 		q.Hi = geom.Point{q.Lo[0] + 50, q.Lo[1] + 50}
-		got := idSet(base.Search(q, nil))
+		found, _ := base.Search(q, nil)
+		got := idSet(found)
 		var want []uint32
 		for _, it := range items {
 			if it.Rect.Intersects(q) {

@@ -2,8 +2,8 @@
 // queries (group NN, possible k-NN, reverse NN). They generalize PossibleNN:
 // the caller supplies lower/upper bound functions over rectangles, and the
 // tree prunes subtrees whose lower bound exceeds the running k-th smallest
-// upper bound. Unlike the tree-global LeafIO counter, every primitive
-// returns a per-call Cost, so concurrent queries get exact attribution.
+// upper bound. Like every query on the tree, each primitive returns a
+// per-call Cost, so concurrent queries get exact attribution.
 package rtree
 
 import (
@@ -14,7 +14,7 @@ import (
 
 // Cost counts the node accesses of one index-assisted retrieval: internal
 // nodes visited and leaf pages read (the simulated disk I/O of the paper's
-// experiments). Leaf accesses also feed the tree-global LeafIO counter.
+// experiments).
 type Cost struct {
 	Nodes  int
 	Leaves int
@@ -117,7 +117,6 @@ func (t *Tree) KthBound(lower, upper func(geom.Rect) float64, k int, dst []Bound
 		n := top.child
 		if n.leaf() {
 			cost.Leaves++
-			t.leafIO.Add(1)
 			for _, e := range n.entries {
 				lo := lower(e.rect)
 				if lo > bound {
@@ -155,7 +154,6 @@ func (t *Tree) Walk(prune func(geom.Rect) bool, visit func(Item)) (cost Cost) {
 	rec = func(n *node) {
 		if n.leaf() {
 			cost.Leaves++
-			t.leafIO.Add(1)
 			for _, e := range n.entries {
 				visit(e.item)
 			}
@@ -171,32 +169,4 @@ func (t *Tree) Walk(prune func(geom.Rect) bool, visit func(Item)) (cost Cost) {
 	}
 	rec(t.root)
 	return cost
-}
-
-// SearchWithCost is Search with per-call cost attribution: it appends to dst
-// all items intersecting r and reports the nodes and leaves it touched.
-func (t *Tree) SearchWithCost(r geom.Rect, dst []Item) ([]Item, Cost) {
-	var cost Cost
-	var rec func(n *node)
-	var out []Item = dst
-	rec = func(n *node) {
-		if n.leaf() {
-			cost.Leaves++
-			t.leafIO.Add(1)
-			for _, e := range n.entries {
-				if e.rect.Intersects(r) {
-					out = append(out, e.item)
-				}
-			}
-			return
-		}
-		cost.Nodes++
-		for _, e := range n.entries {
-			if e.rect.Intersects(r) {
-				rec(e.child)
-			}
-		}
-	}
-	rec(t.root)
-	return out, cost
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"pvoronoi/internal/geom"
@@ -122,19 +123,81 @@ func TestWalkPruning(t *testing.T) {
 	}
 }
 
-func TestSearchWithCostMatchesSearch(t *testing.T) {
+// TestSearchCountsLeaves holds Search to a linear scan and its Cost to a
+// non-empty, bounded leaf count.
+func TestSearchCountsLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tree, _ := randTree(rng, 150)
+	tree, items := randTree(rng, 150)
+	_, all := tree.Search(geom.UnitCube(2, 1000), nil)
 	for iter := 0; iter < 20; iter++ {
 		lo := geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 		r := geom.NewRect(lo, geom.Point{lo[0] + 100, lo[1] + 100})
-		want := tree.Search(r, nil)
-		got, cost := tree.SearchWithCost(r, nil)
-		if len(got) != len(want) {
-			t.Fatalf("SearchWithCost found %d, Search %d", len(got), len(want))
+		want := 0
+		for _, it := range items {
+			if it.Rect.Intersects(r) {
+				want++
+			}
 		}
-		if cost.Leaves <= 0 {
-			t.Fatal("no leaf accesses recorded")
+		got, cost := tree.Search(r, nil)
+		if len(got) != want {
+			t.Fatalf("Search found %d, linear scan %d", len(got), want)
+		}
+		if cost.Leaves <= 0 || cost.Leaves > all.Leaves {
+			t.Fatalf("window read %d leaves, the whole tree %d", cost.Leaves, all.Leaves)
 		}
 	}
+}
+
+// callCosts is what one query point costs on each query of the tree.
+type callCosts struct {
+	search, kth, walk, pnn Cost
+	browse                 int
+}
+
+func costsAt(tree *Tree, q geom.Point) callCosts {
+	var c callCosts
+	window := geom.PointRect(q).Expand(60)
+	_, c.search = tree.Search(window, nil)
+	lower := func(r geom.Rect) float64 { return r.MinDist(q) }
+	upper := func(r geom.Rect) float64 { return r.MaxDist(q) }
+	_, _, c.kth = tree.KthBound(lower, upper, 8, nil)
+	c.walk = tree.Walk(func(r geom.Rect) bool { return !r.Intersects(window) }, func(Item) {})
+	_, c.pnn = tree.PossibleNN(q)
+	it := NewNNIter(tree, q, MinDistTo(q))
+	for i := 0; i < 50; i++ {
+		it.Next()
+	}
+	c.browse = it.Leaves()
+	it.Release()
+	return c
+}
+
+// TestConcurrentCallCost has goroutines run every query of one sealed tree
+// at once: each call's Cost (and a browse's Leaves) must equal that of the
+// same call run alone, since queries count into nothing they share. Run
+// under -race.
+func TestConcurrentCallCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tree := BulkLoad(2, 8, bulkTestItems(rng, "uniform", 2000, 2))
+	queries := make([]geom.Point, 12)
+	alone := make([]callCosts, len(queries))
+	for i := range queries {
+		queries[i] = randQuery(rng, 2)
+		alone[i] = costsAt(tree, queries[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				qi := (g + round) % len(queries)
+				if got := costsAt(tree, queries[qi]); got != alone[qi] {
+					t.Errorf("goroutine %d query %d: costs %+v, alone %+v", g, qi, got, alone[qi])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -45,7 +45,7 @@ func TestQuickInsertAllSearch(t *testing.T) {
 					want[it.ID] = true
 				}
 			}
-			res := tree.Search(q, nil)
+			res, _ := tree.Search(q, nil)
 			if len(res) != len(want) {
 				return false
 			}

@@ -65,6 +65,7 @@ type refNNIter struct {
 	distFn  DistFunc
 	h       nnHeap
 	counter int64
+	leaves  int
 }
 
 func newRefNNIter(t *Tree, q geom.Point, distFn DistFunc) *refNNIter {
@@ -84,7 +85,7 @@ func (it *refNNIter) Next() (Item, float64, bool) {
 		}
 		n := top.node
 		if n.leaf() {
-			it.tree.leafIO.Add(1)
+			it.leaves++
 			for _, e := range n.entries {
 				it.counter++
 				it.h.push(nnHeapItem{dist: it.distFn(e.rect), item: e.item, order: it.counter})

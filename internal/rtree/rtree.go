@@ -5,8 +5,9 @@
 // (Hjaltason–Samet distance browsing, used by the FS and IS C-set strategies).
 //
 // The tree is main-memory resident but models the paper's disk layout: one
-// leaf node corresponds to one disk page, and every leaf visited during a
-// query counts one I/O against the tree's counter (Figs. 9(c), 9(g)).
+// leaf node corresponds to one disk page, and every leaf a query visits is
+// one I/O in that call's Cost (Figs. 9(c), 9(g)). Queries write nothing to
+// the tree, so a sealed tree is read concurrently without any counter.
 package rtree
 
 import (
@@ -15,7 +16,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"pvoronoi/internal/geom"
 )
@@ -44,11 +44,6 @@ type Tree struct {
 	root       *node
 	size       int
 	sess       *cowTag
-
-	// leafIO counts leaf-node accesses during queries — the simulated
-	// disk reads of the paper's experiments. Atomic so concurrent readers
-	// (e.g. parallel index construction) do not race.
-	leafIO atomic.Int64
 }
 
 type node struct {
@@ -99,7 +94,7 @@ func New(dim, fanout int) *Tree {
 // versioning. Cost is O(1) plus one node copy per node on each subsequent
 // mutation path.
 func (t *Tree) CloneCOW() *Tree {
-	c := &Tree{
+	return &Tree{
 		dim:        t.dim,
 		maxEntries: t.maxEntries,
 		minEntries: t.minEntries,
@@ -107,8 +102,6 @@ func (t *Tree) CloneCOW() *Tree {
 		size:       t.size,
 		sess:       new(cowTag),
 	}
-	c.leafIO.Store(t.leafIO.Load())
-	return c
 }
 
 // ownedNode returns n if the current session already owns it, otherwise a
@@ -132,13 +125,6 @@ func (t *Tree) Dim() int { return t.dim }
 
 // Height returns the tree height (1 for a root-only tree).
 func (t *Tree) Height() int { return t.root.level + 1 }
-
-// LeafIO returns the number of leaf-node accesses recorded since the last
-// ResetLeafIO — the simulated disk reads of the paper's experiments.
-func (t *Tree) LeafIO() int64 { return t.leafIO.Load() }
-
-// ResetLeafIO zeroes the leaf access counter.
-func (t *Tree) ResetLeafIO() { t.leafIO.Store(0) }
 
 // pendingEntry is an entry awaiting (re)insertion at a given level.
 type pendingEntry struct {
@@ -510,28 +496,30 @@ func (t *Tree) condense(path []*node) {
 	}
 }
 
-// Search appends to dst all items whose rectangles intersect r, counting
-// leaf I/O, and returns the extended slice.
-func (t *Tree) Search(r geom.Rect, dst []Item) []Item {
-	return t.search(t.root, r, dst)
-}
-
-func (t *Tree) search(n *node, r geom.Rect, dst []Item) []Item {
-	if n.leaf() {
-		t.leafIO.Add(1)
+// Search appends to dst all items whose rectangles intersect r and returns
+// the extended slice with the nodes and leaves it touched.
+func (t *Tree) Search(r geom.Rect, dst []Item) ([]Item, Cost) {
+	var cost Cost
+	var rec func(n *node)
+	rec = func(n *node) {
+		if n.leaf() {
+			cost.Leaves++
+			for _, e := range n.entries {
+				if e.rect.Intersects(r) {
+					dst = append(dst, e.item)
+				}
+			}
+			return
+		}
+		cost.Nodes++
 		for _, e := range n.entries {
 			if e.rect.Intersects(r) {
-				dst = append(dst, e.item)
+				rec(e.child)
 			}
 		}
-		return dst
 	}
-	for _, e := range n.entries {
-		if e.rect.Intersects(r) {
-			dst = t.search(e.child, r, dst)
-		}
-	}
-	return dst
+	rec(t.root)
+	return dst, cost
 }
 
 // All appends every stored item to dst.
@@ -594,6 +582,7 @@ type NNIter struct {
 	refs   []*entry     // refs[i] = the entry of the i-th push
 	root   entry        // stands in for an entry pointing at the tree's root
 	kth    []float64    // KthBound's running k-th heap, pooled with the queue
+	leaves int          // leaves Next has opened
 }
 
 // iterPool recycles released iterators with their heap and entry table.
@@ -681,7 +670,7 @@ func (it *NNIter) Next() (Item, float64, bool) {
 			return top.item, dist, true
 		}
 		if n.leaf() {
-			it.tree.leafIO.Add(1)
+			it.leaves++
 			for i := range n.entries {
 				e := &n.entries[i]
 				it.push(it.distFn(e.rect), e)
@@ -696,13 +685,19 @@ func (it *NNIter) Next() (Item, float64, bool) {
 	return Item{}, 0, false
 }
 
+// Leaves returns the number of leaf pages Next has opened so far — the
+// browse's own leaf I/O.
+func (it *NNIter) Leaves() int { return it.leaves }
+
 // PossibleNN implements the paper's R-tree baseline for PNNQ Step 1
 // (branch-and-prune, Cheng et al. 2004): it returns the IDs of all items o
 // with distmin(o, q) <= min_o' distmax(o', q), visiting only nodes whose
-// MinDist does not exceed the running best max-distance.
-func (t *Tree) PossibleNN(q geom.Point) []uint32 {
+// MinDist does not exceed the running best max-distance, and the nodes and
+// leaves it visited.
+func (t *Tree) PossibleNN(q geom.Point) ([]uint32, Cost) {
+	var cost Cost
 	if t.size == 0 {
-		return nil
+		return nil, cost
 	}
 	bestMax := math.Inf(1)
 	type cand struct {
@@ -720,7 +715,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 		}
 		n := top.child
 		if n.leaf() {
-			t.leafIO.Add(1)
+			cost.Leaves++
 			for _, e := range n.entries {
 				minD := e.rect.MinDist(q)
 				if maxD := e.rect.MaxDist(q); maxD < bestMax {
@@ -730,6 +725,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 			}
 			continue
 		}
+		cost.Nodes++
 		for i := range n.entries {
 			e := &n.entries[i]
 			if d := e.rect.MinDist(q); d <= bestMax {
@@ -744,7 +740,7 @@ func (t *Tree) PossibleNN(q geom.Point) []uint32 {
 		}
 	}
 	slices.Sort(out)
-	return out
+	return out, cost
 }
 
 // checkInvariants validates structural invariants; used by tests.

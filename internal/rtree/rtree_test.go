@@ -43,7 +43,7 @@ func TestInsertAndSearchSmall(t *testing.T) {
 	for _, it := range items {
 		tree.Insert(it)
 	}
-	got := tree.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2}), nil)
+	got, _ := tree.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2}), nil)
 	ids := idsOf(got)
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
 		t.Fatalf("Search = %v", ids)
@@ -74,7 +74,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 					want[it.ID] = true
 				}
 			}
-			got := tree.Search(q, nil)
+			got, _ := tree.Search(q, nil)
 			if len(got) != len(want) {
 				t.Fatalf("d=%d: Search returned %d items, want %d", d, len(got), len(want))
 			}
@@ -142,7 +142,7 @@ func TestDelete(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Fatalf("Len after full delete = %d", tree.Len())
 	}
-	if got := tree.Search(geom.UnitCube(3, 1000), nil); len(got) != 0 {
+	if got, _ := tree.Search(geom.UnitCube(3, 1000), nil); len(got) != 0 {
 		t.Fatalf("empty tree search returned %v", got)
 	}
 }
@@ -268,7 +268,7 @@ func TestPossibleNNMatchesBruteForce(t *testing.T) {
 					want[it.ID] = true
 				}
 			}
-			got := tree.PossibleNN(q)
+			got, _ := tree.PossibleNN(q)
 			if len(got) != len(want) {
 				t.Fatalf("d=%d: PossibleNN returned %d, want %d", d, len(got), len(want))
 			}
@@ -283,24 +283,22 @@ func TestPossibleNNMatchesBruteForce(t *testing.T) {
 
 func TestPossibleNNEmptyTree(t *testing.T) {
 	tree := New(2, 8)
-	if got := tree.PossibleNN(geom.Point{1, 2}); got != nil {
-		t.Fatalf("empty tree PossibleNN = %v", got)
+	if got, cost := tree.PossibleNN(geom.Point{1, 2}); got != nil || cost != (Cost{}) {
+		t.Fatalf("empty tree PossibleNN = %v, cost %+v", got, cost)
 	}
 }
 
 func TestLeafIOCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tree, _ := buildRandomTree(t, rng, 3000, 2, 10)
-	tree.ResetLeafIO()
-	tree.PossibleNN(geom.Point{500, 500})
-	ioQuery := tree.LeafIO()
+	_, cost := tree.PossibleNN(geom.Point{500, 500})
+	ioQuery := cost.Leaves
 	if ioQuery == 0 {
 		t.Fatal("no leaf I/O recorded")
 	}
 	// Pruned search must touch far fewer leaves than a full scan.
-	tree.ResetLeafIO()
-	tree.Search(geom.UnitCube(2, 1000), nil)
-	ioFull := tree.LeafIO()
+	_, cost = tree.Search(geom.UnitCube(2, 1000), nil)
+	ioFull := cost.Leaves
 	if ioQuery*3 > ioFull {
 		t.Fatalf("PossibleNN touched %d of %d leaves; pruning ineffective", ioQuery, ioFull)
 	}
@@ -315,7 +313,7 @@ func TestDuplicateRects(t *testing.T) {
 	if err := tree.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := tree.Search(r, nil)
+	got, _ := tree.Search(r, nil)
 	if len(got) != 20 {
 		t.Fatalf("Search = %d items", len(got))
 	}
@@ -323,7 +321,7 @@ func TestDuplicateRects(t *testing.T) {
 	if !tree.Delete(Item{Rect: r, ID: 7}) {
 		t.Fatal("delete of duplicate-rect item failed")
 	}
-	got = tree.Search(r, nil)
+	got, _ = tree.Search(r, nil)
 	if len(got) != 19 {
 		t.Fatalf("after delete: %d items", len(got))
 	}
@@ -379,11 +377,13 @@ func BenchmarkPossibleNN3D(b *testing.B) {
 	tree := benchQueryTree(rng, 20000, 3)
 	b.ResetTimer()
 	b.ReportAllocs()
+	leaves := 0
 	for i := 0; i < b.N; i++ {
 		q := geom.Point{rng.Float64() * 10000, rng.Float64() * 10000, rng.Float64() * 10000}
-		_ = tree.PossibleNN(q)
+		_, cost := tree.PossibleNN(q)
+		leaves += cost.Leaves
 	}
-	b.ReportMetric(float64(tree.LeafIO())/float64(b.N), "leafIO/op")
+	b.ReportMetric(float64(leaves)/float64(b.N), "leafIO/op")
 }
 
 // BenchmarkNNIter browses the 200 nearest regions of a point — the shape of
@@ -393,6 +393,7 @@ func BenchmarkNNIter(b *testing.B) {
 	tree := benchQueryTree(rng, 8000, 2)
 	b.ResetTimer()
 	b.ReportAllocs()
+	leaves := 0
 	for i := 0; i < b.N; i++ {
 		q := geom.Point{rng.Float64() * 10000, rng.Float64() * 10000}
 		it := NewNNIter(tree, q, MinDistTo(q))
@@ -401,7 +402,8 @@ func BenchmarkNNIter(b *testing.B) {
 				b.Fatal("browse ended early")
 			}
 		}
+		leaves += it.Leaves()
 		it.Release()
 	}
-	b.ReportMetric(float64(tree.LeafIO())/float64(b.N), "leafIO/op")
+	b.ReportMetric(float64(leaves)/float64(b.N), "leafIO/op")
 }

@@ -34,7 +34,7 @@ func TestBoundaryObjectsAndQueries(t *testing.T) {
 		queries = append(queries, geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
 	for _, q := range queries {
-		got, err := ix.PossibleNN(q)
+		got, _, err := ix.PossibleNN(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestPointCircles(t *testing.T) {
 	}
 	for iter := 0; iter < 100; iter++ {
 		q := geom.Point{rng.Float64() * 500, rng.Float64() * 500}
-		got, err := ix.PossibleNN(q)
+		got, _, err := ix.PossibleNN(q)
 		if err != nil {
 			t.Fatal(err)
 		}

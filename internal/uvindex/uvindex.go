@@ -104,7 +104,6 @@ type BuildStats struct {
 // Index is a built UV-index.
 type Index struct {
 	domain  geom.Rect
-	store   *pagestore.Store
 	primary *octree.Tree
 	circles map[uint32]Circle
 	cells   map[uint32][]geom.Point // traced UV-cell polygons
@@ -140,7 +139,6 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 
 	ix := &Index{
 		domain:  db.Domain,
-		store:   cfg.Store,
 		circles: make(map[uint32]Circle, db.Len()),
 		cells:   make(map[uint32][]geom.Point, db.Len()),
 		bboxes:  make(map[uint32]geom.Rect, db.Len()),
@@ -314,14 +312,12 @@ type Candidate struct {
 }
 
 // PossibleNN returns the objects with non-zero probability of being q's
-// nearest neighbor under the circle uncertainty model.
-func (ix *Index) PossibleNN(q geom.Point) ([]Candidate, error) {
-	entries, err := ix.primary.PointQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) == 0 {
-		return nil, nil
+// nearest neighbor under the circle uncertainty model, and the number of
+// primary-index leaf pages it read.
+func (ix *Index) PossibleNN(q geom.Point) ([]Candidate, int, error) {
+	entries, leafIO, err := ix.primary.PointQueryInto(q, nil)
+	if err != nil || len(entries) == 0 {
+		return nil, leafIO, err
 	}
 	seen := make(map[uint32]bool, len(entries))
 	cands := make([]Candidate, 0, len(entries))
@@ -350,7 +346,7 @@ func (ix *Index) PossibleNN(q geom.Point) ([]Candidate, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	return out, leafIO, nil
 }
 
 // Cell returns the traced UV-cell polygon of an object (the UV-diagram
@@ -362,9 +358,6 @@ func (ix *Index) BBox(id uncertain.ID) (geom.Rect, bool) {
 	r, ok := ix.bboxes[uint32(id)]
 	return r, ok
 }
-
-// Store exposes the underlying page store for I/O accounting.
-func (ix *Index) Store() *pagestore.Store { return ix.store }
 
 // PossibleNNBruteForce is the reference implementation under the circle
 // model: o qualifies iff distmin(o, q) <= min over all o' of distmax(o', q).

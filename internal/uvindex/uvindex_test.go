@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -79,7 +80,7 @@ func TestQueryMatchesCircleBruteForce(t *testing.T) {
 	}
 	for iter := 0; iter < 200; iter++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		got, err := ix.PossibleNN(q)
+		got, _, err := ix.PossibleNN(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,6 +93,37 @@ func TestQueryMatchesCircleBruteForce(t *testing.T) {
 				t.Fatalf("q=%v: got[%d]=%d want %d", q, i, got[i].ID, want[i])
 			}
 		}
+	}
+}
+
+// TestPossibleNNLeafIOMatchesStore: the leaf pages PossibleNN reports are
+// exactly the page reads its store counts over the same queries.
+func TestPossibleNNLeafIOMatchesStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	db := randomDB(rng, 200, 1000, 35)
+	cfg := testConfig()
+	cfg.Store = pagestore.New(512)
+	cfg.MemBudget = 1 << 10 // a few splits, then chained leaves
+	ix, err := Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, leaves := cfg.Store.Stats(), 0
+	for iter := 0; iter < 100; iter++ {
+		_, io, err := ix.PossibleNN(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if io < 1 {
+			t.Fatalf("query %d read %d leaf pages", iter, io)
+		}
+		leaves += io
+	}
+	if leaves <= 100 {
+		t.Fatalf("%d leaf pages over 100 queries: no chained leaf was read", leaves)
+	}
+	if reads := cfg.Store.Stats().Sub(before).Reads; reads != int64(leaves) {
+		t.Fatalf("PossibleNN reported %d leaf pages, the store counted %d reads", leaves, reads)
 	}
 }
 
@@ -207,7 +239,7 @@ func TestEmptyDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.PossibleNN(geom.Point{50, 50})
+	got, _, err := ix.PossibleNN(geom.Point{50, 50})
 	if err != nil || got != nil {
 		t.Fatalf("empty: %v %v", got, err)
 	}
@@ -220,7 +252,7 @@ func TestSingleObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ix.PossibleNN(geom.Point{90, 90})
+	got, _, err := ix.PossibleNN(geom.Point{90, 90})
 	if err != nil || len(got) != 1 || got[0].ID != 3 {
 		t.Fatalf("single object: %v %v", got, err)
 	}

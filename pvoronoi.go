@@ -344,9 +344,6 @@ func (ix *Index) IO() IOStats {
 	return IOStats{Reads: s.Reads, Writes: s.Writes}
 }
 
-// ResetIO zeroes the I/O counters (useful around measured query batches).
-func (ix *Index) ResetIO() { ix.inner.Store().ResetStats() }
-
 // RefineCounters reports the refinement subsystem's lifetime totals: rows
 // refined, refined rows left bit-identical, and the domination-test budget
 // spent.
