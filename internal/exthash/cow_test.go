@@ -53,7 +53,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 
 	// The sealed original serves every original value byte-for-byte.
 	for k, v := range want {
-		got, ok, err := tab.Get(k)
+		got, ok, err := get(tab, k)
 		if err != nil || !ok {
 			t.Fatalf("original lost key %d: ok=%v err=%v", k, ok, err)
 		}
@@ -75,12 +75,12 @@ func TestCloneCOWIsolation(t *testing.T) {
 		}
 	}
 	for i := uint32(0); i < 60; i++ {
-		if _, ok, err := clone.Get(i); err != nil || !ok {
+		if _, ok, err := get(clone, i); err != nil || !ok {
 			t.Fatalf("clone lost key %d after reclaim: ok=%v err=%v", i, ok, err)
 		}
 	}
 	for i := uint32(60); i < 90; i++ {
-		if _, ok, _ := clone.Get(i); ok {
+		if _, ok, _ := get(clone, i); ok {
 			t.Fatalf("clone still has deleted key %d", i)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCloneCOWAbort(t *testing.T) {
 		t.Fatalf("abort leaked pages: %d live, want %d", live, liveBefore)
 	}
 	for i := uint32(0); i < 50; i++ {
-		if _, ok, err := tab.Get(i); err != nil || !ok {
+		if _, ok, err := get(tab, i); err != nil || !ok {
 			t.Fatalf("original lost key %d after abort", i)
 		}
 	}

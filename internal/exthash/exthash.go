@@ -9,6 +9,11 @@
 // d=3) exceeds one 4 KB page. Bucket overflow triggers the classic split:
 // redistribute on one more hash bit, doubling the directory when the
 // bucket's local depth equals the global depth.
+//
+// Pages are written only through the handle's copy-on-write session, and
+// only pages that session allocated: a bucket shared with an older version
+// is shadowed onto a fresh page, and a value chain is written once, onto
+// fresh pages, and never patched. Reads borrow page memory through View.
 package exthash
 
 import (
@@ -30,9 +35,12 @@ type Table struct {
 	size        int
 	slotsPer    int
 	sess        *pagestore.COWSession
-	// slots is the scratch readBucket decodes into. Only Put and Delete call
-	// it, on the handle being mutated: a CloneCOW clone starts without one.
+	// slots is the scratch readBucket decodes into, and page the one a
+	// bucket or value page is encoded into before it is written. Only Put
+	// and Delete use them, on the handle being mutated: a CloneCOW clone
+	// starts without either.
 	slots []slot
+	page  []byte
 }
 
 const (
@@ -51,7 +59,7 @@ func New(store *pagestore.Store) (*Table, error) {
 	if t.slotsPer < 2 {
 		return nil, fmt.Errorf("exthash: page size %d too small", store.PageSize())
 	}
-	p, err := t.allocPage()
+	p, err := t.sess.Alloc()
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +81,7 @@ func (t *Table) CloneCOW(freed *[]pagestore.PageID) *Table {
 	c := *t
 	c.dir = append(make([]pagestore.PageID, 0, len(t.dir)), t.dir...)
 	c.sess = pagestore.NewCOWSession(t.store, freed)
-	c.slots = nil
+	c.slots, c.page = nil, nil
 	return &c
 }
 
@@ -81,13 +89,6 @@ func (t *Table) CloneCOW(freed *[]pagestore.PageID) *Table {
 // published version) and forgets its deferred frees. The handle must not be
 // used afterwards.
 func (t *Table) AbortCOW() { t.sess.Abort() }
-
-// allocPage reserves a page through the session (ownership recorded).
-func (t *Table) allocPage() (pagestore.PageID, error) { return t.sess.Alloc() }
-
-// freePage releases a page the table stops referencing: immediately when the
-// session owns it, deferred to the freed list otherwise.
-func (t *Table) freePage(id pagestore.PageID) error { return t.sess.Free(id) }
 
 // writableBucket returns a bucket page ID the session may write in place.
 // A shared bucket is shadowed: a fresh page is allocated, every directory
@@ -98,7 +99,7 @@ func (t *Table) writableBucket(id pagestore.PageID) (pagestore.PageID, error) {
 	if t.sess.Owned(id) {
 		return id, nil
 	}
-	p, err := t.allocPage()
+	p, err := t.sess.Alloc()
 	if err != nil {
 		return 0, err
 	}
@@ -107,7 +108,7 @@ func (t *Table) writableBucket(id pagestore.PageID) (pagestore.PageID, error) {
 			t.dir[i] = p
 		}
 	}
-	if err := t.freePage(id); err != nil {
+	if err := t.sess.Free(id); err != nil {
 		return 0, err
 	}
 	return p, nil
@@ -115,9 +116,6 @@ func (t *Table) writableBucket(id pagestore.PageID) (pagestore.PageID, error) {
 
 // Len returns the number of stored keys.
 func (t *Table) Len() int { return t.size }
-
-// GlobalDepth returns the directory depth (directory size is 2^depth).
-func (t *Table) GlobalDepth() uint { return t.globalDepth }
 
 // hash mixes the key (murmur3 finalizer) so sequential IDs spread evenly.
 func hash(key uint32) uint32 {
@@ -176,64 +174,48 @@ func (t *Table) writeBucket(id pagestore.PageID, b bucket) error {
 	if len(b.slots) > t.slotsPer {
 		return fmt.Errorf("exthash: bucket overflow: %d slots", len(b.slots))
 	}
-	scratch := t.store.AcquirePage()
-	defer t.store.ReleasePage(scratch)
-	buf := (*scratch)[:bucketHeader+len(b.slots)*slotSize]
-	binary.LittleEndian.PutUint16(buf[0:2], b.localDepth)
-	binary.LittleEndian.PutUint16(buf[2:4], uint16(len(b.slots)))
-	off := bucketHeader
+	buf := binary.LittleEndian.AppendUint16(t.page[:0], b.localDepth)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.slots)))
 	for _, s := range b.slots {
-		binary.LittleEndian.PutUint32(buf[off:], s.key)
-		binary.LittleEndian.PutUint32(buf[off+4:], s.valLen)
-		binary.LittleEndian.PutUint32(buf[off+8:], uint32(s.firstPage))
-		off += slotSize
+		buf = binary.LittleEndian.AppendUint32(buf, s.key)
+		buf = binary.LittleEndian.AppendUint32(buf, s.valLen)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.firstPage))
 	}
-	return t.store.Write(id, buf)
+	t.page = buf
+	return t.sess.Write(id, buf)
+}
+
+// chainPages is how many value pages hold a value of n bytes: at least one,
+// so an empty value still has a head page.
+func (t *Table) chainPages(n int) int {
+	dataPer := t.store.PageSize() - chainHeader
+	return max(1, (n+dataPer-1)/dataPer)
 }
 
 // writeValue stores val in a fresh chain of value pages, returning the head.
+// Each page's successor is allocated before the page is written, so every
+// page is written once, complete, and none is read back.
 func (t *Table) writeValue(val []byte) (pagestore.PageID, error) {
 	dataPer := t.store.PageSize() - chainHeader
-	scratch := t.store.AcquirePage()
-	defer t.store.ReleasePage(scratch)
-	var head, prev pagestore.PageID
-	for off := 0; off == 0 || off < len(val); off += dataPer {
-		p, err := t.allocPage()
-		if err != nil {
-			return 0, err
-		}
-		end := off + dataPer
-		if end > len(val) {
-			end = len(val)
-		}
-		chunk := val[off:end]
-		buf := (*scratch)[:chainHeader+len(chunk)]
-		binary.LittleEndian.PutUint32(buf[0:4], 0) // no next page yet
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(chunk)))
-		copy(buf[chainHeader:], chunk)
-		if err := t.store.Write(p, buf); err != nil {
-			return 0, err
-		}
-		if head == 0 {
-			head = p
-		} else {
-			// Patch the previous page's next pointer (full read-modify-write;
-			// scratch still holds this page's chunk, so use a second buffer).
-			pb := t.store.AcquirePage()
-			err := t.store.ReadInto(prev, *pb)
-			if err == nil {
-				binary.LittleEndian.PutUint32(*pb, uint32(p))
-				err = t.store.Write(prev, *pb)
-			}
-			t.store.ReleasePage(pb)
-			if err != nil {
+	head, err := t.sess.Alloc()
+	if err != nil {
+		return 0, err
+	}
+	for p, i, n := head, 0, t.chainPages(len(val)); i < n; i++ {
+		var next pagestore.PageID
+		if i+1 < n {
+			if next, err = t.sess.Alloc(); err != nil {
 				return 0, err
 			}
 		}
-		prev = p
-		if len(val) == 0 {
-			break
+		chunk := val[i*dataPer : min((i+1)*dataPer, len(val))]
+		t.page = binary.LittleEndian.AppendUint32(t.page[:0], uint32(next))
+		t.page = binary.LittleEndian.AppendUint32(t.page, uint32(len(chunk)))
+		t.page = append(t.page, chunk...)
+		if err := t.sess.Write(p, t.page); err != nil {
+			return 0, err
 		}
+		p = next
 	}
 	return head, nil
 }
@@ -272,7 +254,7 @@ func (t *Table) freeValue(head pagestore.PageID) error {
 			return err
 		}
 		next := pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
-		if err := t.freePage(p); err != nil {
+		if err := t.sess.Free(p); err != nil {
 			return err
 		}
 		p = next
@@ -301,20 +283,6 @@ func (t *Table) findSlot(bucketPage pagestore.PageID, key uint32) (slot, bool, e
 		off += slotSize
 	}
 	return slot{}, false, nil
-}
-
-// Get returns the value stored under key. The returned slice is always an
-// owned copy, safe to retain.
-func (t *Table) Get(key uint32) ([]byte, bool, error) {
-	s, ok, err := t.findSlot(t.dir[t.dirIndex(key)], key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	v, err := t.readValue(s.firstPage, s.valLen)
-	if err != nil {
-		return nil, false, err
-	}
-	return v, true, nil
 }
 
 // GetView returns the value stored under key, borrowing page memory when the
@@ -397,41 +365,36 @@ func (t *Table) Put(key uint32, val []byte) error {
 		if err != nil {
 			return err
 		}
-		// Replace in place (shadowing the bucket page if shared).
-		for i, s := range b.slots {
-			if s.key == key {
-				if err := t.freeValue(s.firstPage); err != nil {
-					return err
-				}
-				head, err := t.writeValue(val)
-				if err != nil {
-					return err
-				}
-				b.slots[i] = slot{key: key, valLen: uint32(len(val)), firstPage: head}
-				target, err := t.writableBucket(pageID)
-				if err != nil {
-					return err
-				}
-				return t.writeBucket(target, b)
-			}
-		}
-		if len(b.slots) < t.slotsPer {
-			head, err := t.writeValue(val)
-			if err != nil {
+		i := slices.IndexFunc(b.slots, func(s slot) bool { return s.key == key })
+		if i < 0 && len(b.slots) >= t.slotsPer {
+			// Bucket full: split and retry.
+			if err := t.split(idx, pageID, b); err != nil {
 				return err
 			}
-			b.slots = append(b.slots, slot{key: key, valLen: uint32(len(val)), firstPage: head})
-			t.size++
-			target, err := t.writableBucket(pageID)
-			if err != nil {
+			continue
+		}
+		if i >= 0 { // replace, freeing the old chain first
+			if err := t.freeValue(b.slots[i].firstPage); err != nil {
 				return err
 			}
-			return t.writeBucket(target, b)
 		}
-		// Bucket full: split and retry.
-		if err := t.split(idx, pageID, b); err != nil {
+		head, err := t.writeValue(val)
+		if err != nil {
 			return err
 		}
+		s := slot{key: key, valLen: uint32(len(val)), firstPage: head}
+		if i >= 0 {
+			b.slots[i] = s
+		} else {
+			b.slots = append(b.slots, s)
+			t.size++
+		}
+		// Shadow the bucket page if it is shared.
+		target, err := t.writableBucket(pageID)
+		if err != nil {
+			return err
+		}
+		return t.writeBucket(target, b)
 	}
 }
 
@@ -456,7 +419,7 @@ func (t *Table) split(idx int, pageID pagestore.PageID, b bucket) error {
 	}
 	newDepth := b.localDepth + 1
 	bit := uint32(1) << (newDepth - 1)
-	newPage, err := t.allocPage()
+	newPage, err := t.sess.Alloc()
 	if err != nil {
 		return err
 	}
@@ -534,29 +497,6 @@ func (t *Table) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error)
 				}
 				v = pagestore.PageID(binary.LittleEndian.Uint32(page[0:4]))
 			}
-		}
-	}
-	return dst, nil
-}
-
-// Keys appends all stored keys to dst (in unspecified order). Bucket pages
-// are walked lazily: only each slot's 4-byte key is read.
-func (t *Table) Keys(dst []uint32) ([]uint32, error) {
-	seen := make(map[pagestore.PageID]bool)
-	for _, p := range t.dir {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		buf, err := t.store.View(p)
-		if err != nil {
-			return nil, err
-		}
-		n := int(binary.LittleEndian.Uint16(buf[2:4]))
-		off := bucketHeader
-		for i := 0; i < n; i++ {
-			dst = append(dst, binary.LittleEndian.Uint32(buf[off:]))
-			off += slotSize
 		}
 	}
 	return dst, nil

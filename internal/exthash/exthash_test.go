@@ -9,6 +9,13 @@ import (
 	"pvoronoi/internal/pagestore"
 )
 
+// get is GetView with the value cloned, for tests that keep or compare it
+// past later mutations.
+func get(tab *Table, key uint32) ([]byte, bool, error) {
+	v, ok, err := tab.GetView(key)
+	return bytes.Clone(v), ok, err
+}
+
 func newTable(t *testing.T, pageSize int) *Table {
 	t.Helper()
 	tab, err := New(pagestore.New(pageSize))
@@ -23,18 +30,18 @@ func TestPutGetDelete(t *testing.T) {
 	if err := tab.Put(42, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := tab.Get(42)
+	v, ok, err := get(tab, 42)
 	if err != nil || !ok || !bytes.Equal(v, []byte("hello")) {
 		t.Fatalf("Get = %q, %v, %v", v, ok, err)
 	}
-	if _, ok, _ := tab.Get(43); ok {
+	if _, ok, _ := get(tab, 43); ok {
 		t.Fatal("missing key found")
 	}
 	// Replace.
 	if err := tab.Put(42, []byte("world, longer value")); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, _ = tab.Get(42)
+	v, ok, _ = get(tab, 42)
 	if !ok || !bytes.Equal(v, []byte("world, longer value")) {
 		t.Fatalf("after replace: %q", v)
 	}
@@ -45,7 +52,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || !deleted {
 		t.Fatalf("Delete = %v, %v", deleted, err)
 	}
-	if _, ok, _ := tab.Get(42); ok {
+	if _, ok, _ := get(tab, 42); ok {
 		t.Fatal("deleted key still present")
 	}
 	if deleted, _ := tab.Delete(42); deleted {
@@ -61,7 +68,7 @@ func TestEmptyValue(t *testing.T) {
 	if err := tab.Put(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := tab.Get(1)
+	v, ok, err := get(tab, 1)
 	if err != nil || !ok || len(v) != 0 {
 		t.Fatalf("empty value roundtrip: %v %v %v", v, ok, err)
 	}
@@ -76,7 +83,7 @@ func TestLargeValuesSpanPages(t *testing.T) {
 	if err := tab.Put(9, val); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := tab.Get(9)
+	got, ok, err := get(tab, 9)
 	if err != nil || !ok || !bytes.Equal(got, val) {
 		t.Fatalf("large value corrupted (ok=%v err=%v, len=%d)", ok, err, len(got))
 	}
@@ -102,21 +109,17 @@ func TestManyKeysForceSplits(t *testing.T) {
 	if tab.Len() != n {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	if tab.GlobalDepth() == 0 {
+	if tab.globalDepth == 0 {
 		t.Fatal("no directory doubling happened")
 	}
 	for i := 0; i < n; i++ {
-		v, ok, err := tab.Get(uint32(i))
+		v, ok, err := get(tab, uint32(i))
 		if err != nil || !ok || !bytes.Equal(v, []byte(fmt.Sprintf("value-%d", i))) {
 			t.Fatalf("Get(%d) = %q, %v, %v", i, v, ok, err)
 		}
 	}
-	keys, err := tab.Keys(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != n {
-		t.Fatalf("Keys returned %d", len(keys))
+	if err := tab.check(); err != nil {
+		t.Fatalf("table after splits fails its load check: %v", err)
 	}
 }
 
@@ -137,7 +140,7 @@ func TestAgainstMapModel(t *testing.T) {
 			}
 			model[key] = val
 		case 1: // Get
-			got, ok, err := tab.Get(key)
+			got, ok, err := get(tab, key)
 			if err != nil {
 				t.Fatalf("op %d: Get: %v", op, err)
 			}
@@ -163,7 +166,7 @@ func TestAgainstMapModel(t *testing.T) {
 	}
 	// Final sweep.
 	for key, want := range model {
-		got, ok, err := tab.Get(key)
+		got, ok, err := get(tab, key)
 		if err != nil || !ok || !bytes.Equal(got, want) {
 			t.Fatalf("final Get(%d) mismatch", key)
 		}
@@ -216,6 +219,6 @@ func BenchmarkPutGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = tab.Put(uint32(i%10000), val)
-		_, _, _ = tab.Get(uint32(i % 10000))
+		_, _, _ = tab.GetView(uint32(i % 10000))
 	}
 }

@@ -111,7 +111,7 @@ func TestGetPrefixCorruptChain(t *testing.T) {
 	for _, used := range []uint32{99, 101, 4096} { // two length mismatches, one overrun
 		page := make([]byte, store.PageSize())
 		binary.LittleEndian.PutUint32(page[4:8], used)
-		if err := store.Write(s.firstPage, page); err != nil {
+		if err := pagestore.NewFullSession(store).Write(s.firstPage, page); err != nil {
 			t.Fatal(err)
 		}
 		_, _, viewErr := tab.GetView(7)
@@ -133,7 +133,7 @@ func TestGetPrefixCorruptChain(t *testing.T) {
 	page := make([]byte, store.PageSize())
 	binary.LittleEndian.PutUint32(page[0:4], uint32(other.firstPage))
 	binary.LittleEndian.PutUint32(page[4:8], 100)
-	if err := store.Write(s.firstPage, page); err != nil {
+	if err := pagestore.NewFullSession(store).Write(s.firstPage, page); err != nil {
 		t.Fatal(err)
 	}
 	_, _, viewErr := tab.GetView(7)

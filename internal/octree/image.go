@@ -65,7 +65,10 @@ func (t *Tree) Image() *Image {
 const maxImageDepth = 64
 
 // FromImage reconstructs a tree over a restored store. The lookup callback
-// must be re-supplied (closures do not serialize).
+// must be re-supplied (closures do not serialize). The image comes from a
+// file, so each node must be reached once and the tree must pass Validate:
+// walks follow a leaf's chain to its end and slice a page's records by its
+// count.
 func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, error) {
 	if len(img.Nodes) == 0 {
 		return nil, fmt.Errorf("octree: empty node list in image")
@@ -90,11 +93,13 @@ func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, err
 		sess:       pagestore.NewFullSession(store),
 	}
 	fan := 1 << t.dim
+	reached := make([]bool, len(img.Nodes))
 	var build func(idx int32, depth int) (*node, error)
 	build = func(idx int32, depth int) (*node, error) {
-		if idx < 0 || int(idx) >= len(img.Nodes) {
-			return nil, fmt.Errorf("octree: node index %d out of range", idx)
+		if idx < 0 || int(idx) >= len(img.Nodes) || reached[idx] {
+			return nil, fmt.Errorf("octree: node index %d out of range or reached twice", idx)
 		}
+		reached[idx] = true
 		ni := img.Nodes[idx]
 		n := &node{
 			owner:     t.sess,
@@ -126,5 +131,8 @@ func FromImage(store *pagestore.Store, lookup UBRLookup, img *Image) (*Tree, err
 		return nil, err
 	}
 	t.root = root
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }

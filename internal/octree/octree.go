@@ -48,9 +48,10 @@ type Tree struct {
 	sess      *pagestore.COWSession
 	// recs is the mutating handle's scratch for a leaf's packed entry
 	// records, so inserting into or removing from a leaf copies bytes without
-	// decoding or allocating. CloneCOW gives the clone none: sealed handles
-	// never touch it.
-	recs []byte
+	// decoding or allocating, and page is the one it encodes a leaf page into
+	// before writing it through the session. CloneCOW gives the clone
+	// neither: sealed handles never touch them.
+	recs, page []byte
 
 	// SplitCount tallies leaf splits, for construction statistics.
 	SplitCount int
@@ -106,7 +107,7 @@ func New(cfg Config) (*Tree, error) {
 		maxDepth:  cfg.MaxDepth,
 		sess:      pagestore.NewFullSession(cfg.Store),
 	}
-	p, err := t.allocPage()
+	p, err := t.sess.Alloc()
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +129,7 @@ func New(cfg Config) (*Tree, error) {
 func (t *Tree) CloneCOW(lookup UBRLookup, freed *[]pagestore.PageID) *Tree {
 	c := *t
 	c.sess = pagestore.NewCOWSession(t.store, freed)
-	c.recs = nil
+	c.recs, c.page = nil, nil
 	if lookup != nil {
 		c.lookup = lookup
 	}
@@ -139,16 +140,6 @@ func (t *Tree) CloneCOW(lookup UBRLookup, freed *[]pagestore.PageID) *Tree {
 // visible to any published version) and forgets its deferred frees. The
 // handle must not be used afterwards.
 func (t *Tree) AbortCOW() { t.sess.Abort() }
-
-// allocPage reserves a page through the session (ownership recorded).
-func (t *Tree) allocPage() (pagestore.PageID, error) { return t.sess.Alloc() }
-
-// pageOwned reports whether the session may rewrite the page in place.
-func (t *Tree) pageOwned(id pagestore.PageID) bool { return t.sess.Owned(id) }
-
-// freePage releases a page the tree stops referencing: immediately when the
-// session owns it, deferred to the session's freed list otherwise.
-func (t *Tree) freePage(id pagestore.PageID) error { return t.sess.Free(id) }
 
 // ownedNode returns n if the session owns it, otherwise a session-owned copy
 // (children slice cloned, page references shared). The caller must store the
@@ -193,11 +184,10 @@ func (t *Tree) writeLeafPage(id pagestore.PageID, next pagestore.PageID, recs []
 	if n := len(recs) / t.entrySize(); n > t.perPage() {
 		return fmt.Errorf("octree: %d entries exceed page capacity %d", n, t.perPage())
 	}
-	scratch := t.store.AcquirePage()
-	defer t.store.ReleasePage(scratch)
-	buf := binary.LittleEndian.AppendUint32((*scratch)[:0], uint32(next))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)/t.entrySize()))
-	return t.store.Write(id, append(buf, recs...))
+	t.page = binary.LittleEndian.AppendUint32(t.page[:0], uint32(next))
+	t.page = binary.LittleEndian.AppendUint32(t.page, uint32(len(recs)/t.entrySize()))
+	t.page = append(t.page, recs...)
+	return t.sess.Write(id, t.page)
 }
 
 // appendEntry appends e's record to recs.
@@ -323,19 +313,17 @@ func (t *Tree) leafInsert(n *node, cells []float64, rec []byte) error {
 	next, recs := t.pageRecs(buf)
 	if len(recs) < t.perPage()*t.entrySize() {
 		t.recs = append(append(t.recs[:0], recs...), rec...)
-		target := n.firstPage
-		if !t.pageOwned(target) {
-			p, err := t.allocPage()
+		if !t.sess.Owned(n.firstPage) {
+			p, err := t.sess.Alloc()
 			if err != nil {
 				return err
 			}
-			if err := t.freePage(target); err != nil {
+			if err := t.sess.Free(n.firstPage); err != nil {
 				return err
 			}
 			n.firstPage = p
-			target = p
 		}
-		if err := t.writeLeafPage(target, next, t.recs); err != nil {
+		if err := t.writeLeafPage(n.firstPage, next, t.recs); err != nil {
 			return err
 		}
 		t.size++
@@ -346,7 +334,7 @@ func (t *Tree) leafInsert(n *node, cells []float64, rec []byte) error {
 	// shadow copy needed.
 	canSplit := n.depth < t.maxDepth && t.memUsed+nodeBytes(t.dim) <= t.memBudget
 	if !canSplit {
-		p, err := t.allocPage()
+		p, err := t.sess.Alloc()
 		if err != nil {
 			return err
 		}
@@ -373,7 +361,7 @@ func (t *Tree) splitLeaf(n *node, cells []float64, rec []byte) error {
 	fan := 1 << t.dim
 	n.children = make([]*node, fan)
 	for mask := 0; mask < fan; mask++ {
-		p, err := t.allocPage()
+		p, err := t.sess.Alloc()
 		if err != nil {
 			return err
 		}
@@ -420,7 +408,7 @@ func (t *Tree) drainLeaf(n *node) ([]byte, error) {
 		}
 		next, recs := t.pageRecs(buf)
 		all = append(all, recs...)
-		if err := t.freePage(p); err != nil {
+		if err := t.sess.Free(p); err != nil {
 			return nil, err
 		}
 		p = next
@@ -519,7 +507,7 @@ func (t *Tree) freeChain(p pagestore.PageID) error {
 		if err != nil {
 			return err
 		}
-		if err := t.freePage(p); err != nil {
+		if err := t.sess.Free(p); err != nil {
 			return err
 		}
 		p = next
@@ -535,7 +523,7 @@ func (t *Tree) writeChain(n *node, recs []byte) error {
 	var next pagestore.PageID
 	n.pages = 0
 	for lo := 0; lo < len(recs) || n.pages == 0; lo += per {
-		id, err := t.allocPage()
+		id, err := t.sess.Alloc()
 		if err != nil {
 			return err
 		}
@@ -568,7 +556,7 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 		return fmt.Errorf("octree: BulkLoad on a non-empty tree")
 	}
 	// Every node gets its pages when it becomes a leaf.
-	if err := t.freePage(t.root.firstPage); err != nil {
+	if err := t.sess.Free(t.root.firstPage); err != nil {
 		return err
 	}
 	t.root.firstPage, t.root.pages = 0, 0
@@ -623,7 +611,7 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 }
 
 // chainNext reads just the next-page pointer of a leaf page through a
-// borrowed view (no copy, no stripe lock).
+// borrowed view.
 func (t *Tree) chainNext(id pagestore.PageID) (pagestore.PageID, error) {
 	buf, err := t.store.View(id)
 	if err != nil {
@@ -811,12 +799,14 @@ func (t *Tree) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) 
 }
 
 // Validate walks the tree checking structural invariants: internal nodes
-// have exactly 2^d children, leaf page chains are readable, page counts
-// match the chain length, depths are consistent, and the entry count
-// matches the recorded size. Used by tests after mutation sequences.
+// have exactly 2^d children, leaf page chains are readable, exactly as long
+// as their page counts and share no page, no page holds more entries than
+// fit, depths are consistent, and the entry count matches the recorded
+// size. FromImage runs it on every loaded tree, tests after mutations.
 func (t *Tree) Validate() error {
 	fan := 1 << t.dim
 	entries := 0
+	seen := make(map[pagestore.PageID]bool)
 	var walk func(n *node, depth int) error
 	walk = func(n *node, depth int) error {
 		if n.depth != depth {
@@ -840,21 +830,20 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("octree: leaf without a page chain")
 		}
 		chain := 0
-		p := n.firstPage
-		for p != 0 {
+		for p := n.firstPage; p != 0; chain++ {
 			// Header-only lazy read: chain pointer and entry count live in
 			// the first 8 bytes; the packed records need no decoding here.
 			buf, err := t.store.View(p)
-			if err != nil {
-				return fmt.Errorf("octree: unreadable leaf page %d: %w", p, err)
+			if err != nil || seen[p] || chain == n.pages {
+				return fmt.Errorf("octree: leaf page %d unreadable (%v), reached twice or past the leaf's %d pages", p, err, n.pages)
 			}
-			next := pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
-			entries += int(binary.LittleEndian.Uint32(buf[4:8]))
-			chain++
-			if chain > 1_000_000 {
-				return fmt.Errorf("octree: page chain cycle suspected at %d", p)
+			seen[p] = true
+			count := int(binary.LittleEndian.Uint32(buf[4:8]))
+			if count > t.perPage() {
+				return fmt.Errorf("octree: leaf page %d holds %d entries, at most %d fit", p, count, t.perPage())
 			}
-			p = next
+			entries += count
+			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 		}
 		if chain != n.pages {
 			return fmt.Errorf("octree: leaf records %d pages, chain has %d", n.pages, chain)

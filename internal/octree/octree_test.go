@@ -114,8 +114,10 @@ func TestDimensionBound(t *testing.T) {
 		if _, err := New(Config{Domain: dom, Store: pagestore.New(512)}); (err == nil) != ok {
 			t.Errorf("New at d=%d: %v", d, err)
 		}
-		img := &Image{DomainLo: dom.Lo, DomainHi: dom.Hi, MaxDepth: 24, Nodes: []NodeImage{{}}}
-		if _, err := FromImage(pagestore.New(512), nil, img); (err == nil) != ok {
+		store := pagestore.New(512)
+		root, _ := store.Alloc() // the root leaf's one (empty) page
+		img := &Image{DomainLo: dom.Lo, DomainHi: dom.Hi, MaxDepth: 24, Nodes: []NodeImage{{FirstPage: uint32(root), Pages: 1}}}
+		if _, err := FromImage(store, nil, img); (err == nil) != ok {
 			t.Errorf("FromImage at d=%d: %v", d, err)
 		}
 	}

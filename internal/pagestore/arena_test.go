@@ -7,14 +7,15 @@ import (
 )
 
 // TestViewBorrowsArenaMemory checks the zero-copy contract: a View aliases
-// slab memory (a Write through the page shows up in the borrowed slice).
+// slab memory (the owning session's write shows up in the borrowed slice).
 func TestViewBorrowsArenaMemory(t *testing.T) {
 	s := New(128)
+	sess := NewFullSession(s)
 	id, err := s.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(id, []byte("before")); err != nil {
+	if err := sess.Write(id, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := s.View(id)
@@ -27,7 +28,7 @@ func TestViewBorrowsArenaMemory(t *testing.T) {
 	if !bytes.Equal(v[:6], []byte("before")) {
 		t.Fatalf("view contents %q", v[:6])
 	}
-	if err := s.Write(id, []byte("after!")); err != nil {
+	if err := sess.Write(id, []byte("after!")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(v[:6], []byte("after!")) {
@@ -72,11 +73,12 @@ func TestArenaExtentGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(ids[0], []byte("pinned-first-page")); err != nil {
+	sess := NewFullSession(s)
+	if err := sess.Write(ids[0], []byte("pinned-first-page")); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		if err := s.Write(id, fmt.Appendf(nil, "page-%d", i)); err != nil {
+		if err := sess.Write(id, fmt.Appendf(nil, "page-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func TestArenaRecycleZeroes(t *testing.T) {
 	s := New(64)
 	a, _ := s.Alloc()
 	b, _ := s.Alloc()
-	if err := s.Write(b, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
+	if err := NewFullSession(s).Write(b, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Free(b); err != nil {
@@ -146,6 +148,20 @@ type pager interface {
 	Write(PageID, []byte) error
 }
 
+// arenaPager drives the arena through its public surface: writes through a
+// full session, reads through View plus a copy.
+type arenaPager struct {
+	*Store
+	sess *COWSession
+}
+
+func (a arenaPager) Read(id PageID) ([]byte, error) {
+	p, err := a.View(id)
+	return bytes.Clone(p), err
+}
+
+func (a arenaPager) Write(id PageID, data []byte) error { return a.sess.Write(id, data) }
+
 // TestArenaMapParity drives the arena and the map reference model
 // (reference_test.go) through an identical alloc/write/free/read script and
 // checks IDs, contents, errors, and accounting stay byte-for-byte identical.
@@ -154,7 +170,7 @@ func TestArenaMapParity(t *testing.T) {
 	mapped := newMapStore(96)
 
 	step := func(f func(s pager) (PageID, []byte, error)) {
-		id0, b0, err0 := f(arena)
+		id0, b0, err0 := f(arenaPager{arena, NewFullSession(arena)})
 		id1, b1, err1 := f(mapped)
 		if id0 != id1 || (err0 == nil) != (err1 == nil) || !bytes.Equal(b0, b1) {
 			t.Fatalf("backends diverged: arena (%d,%q,%v) vs map (%d,%q,%v)", id0, b0, err0, id1, b1, err1)
@@ -213,13 +229,14 @@ func TestArenaMapParity(t *testing.T) {
 func TestImageRoundTripAcrossBackends(t *testing.T) {
 	t.Run("arena", func(t *testing.T) {
 		s := New(80)
+		sess := NewFullSession(s)
 		var kept []PageID
 		for i := 0; i < 12; i++ {
 			id, err := s.Alloc()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Write(id, fmt.Appendf(nil, "v-%d", i)); err != nil {
+			if err := sess.Write(id, fmt.Appendf(nil, "v-%d", i)); err != nil {
 				t.Fatal(err)
 			}
 			if i%4 == 2 {
@@ -242,11 +259,11 @@ func TestImageRoundTripAcrossBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range kept {
-			want, err := s.Read(id)
+			want, err := s.View(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.Read(id)
+			got, err := r.View(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 func benchStore(b *testing.B, n int) (*Store, []PageID) {
 	b.Helper()
 	s := New(DefaultPageSize)
+	sess := NewFullSession(s)
 	ids := make([]PageID, n)
 	data := make([]byte, DefaultPageSize)
 	for i := range data {
@@ -19,7 +20,7 @@ func benchStore(b *testing.B, n int) (*Store, []PageID) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Write(id, data); err != nil {
+		if err := sess.Write(id, data); err != nil {
 			b.Fatal(err)
 		}
 		ids[i] = id
@@ -27,57 +28,23 @@ func benchStore(b *testing.B, n int) (*Store, []PageID) {
 	return s, ids
 }
 
-// BenchmarkPagestoreRead measures the allocating Read path: one fresh 4 KB
-// buffer per call.
-func BenchmarkPagestoreRead(b *testing.B) {
+// BenchmarkPagestoreView measures the one read path: a liveness check and a
+// borrowed slab slice, no copy and no lock.
+func BenchmarkPagestoreView(b *testing.B) {
 	s, ids := benchStore(b, 1024)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Read(ids[i%len(ids)]); err != nil {
+		if _, err := s.View(ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPagestoreReadInto measures the zero-alloc read path: pooled
-// buffer, no copy-out allocation.
-func BenchmarkPagestoreReadInto(b *testing.B) {
-	s, ids := benchStore(b, 1024)
-	buf := s.AcquirePage()
-	defer s.ReleasePage(buf)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := s.ReadInto(ids[i%len(ids)], *buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPagestoreReadIntoParallel is the pooled read path under
-// GOMAXPROCS-way concurrency — the case lock striping exists for.
-func BenchmarkPagestoreReadIntoParallel(b *testing.B) {
-	s, ids := benchStore(b, 1024)
-	b.ResetTimer()
-	b.ReportAllocs()
-	var ctr atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		buf := s.AcquirePage()
-		defer s.ReleasePage(buf)
-		for pb.Next() {
-			i := int(ctr.Add(1))
-			if err := s.ReadInto(ids[i%len(ids)], *buf); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkPagestoreReadParallel measures contention on the read path:
-// GOMAXPROCS goroutines hammering reads over a shared working set.
-func BenchmarkPagestoreReadParallel(b *testing.B) {
+// BenchmarkPagestoreViewParallel is the read path under GOMAXPROCS-way
+// concurrency over a shared working set: only the atomic read counter is
+// shared.
+func BenchmarkPagestoreViewParallel(b *testing.B) {
 	s, ids := benchStore(b, 1024)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -85,7 +52,7 @@ func BenchmarkPagestoreReadParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(ctr.Add(1))
-			if _, err := s.Read(ids[i%len(ids)]); err != nil {
+			if _, err := s.View(ids[i%len(ids)]); err != nil {
 				b.Error(err)
 				return
 			}

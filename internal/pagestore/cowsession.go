@@ -1,11 +1,14 @@
 package pagestore
 
+import "fmt"
+
 // COWSession scopes one copy-on-write mutation epoch over a store, shared
 // by every page-backed structure participating in the same version (the
 // octree and the extendible hash both hold one). Pages allocated within a
 // session are owned by it and may be rewritten in place; everything else
 // is shared with older published versions and must be shadow-copied onto a
-// fresh page before changing. In full-ownership mode (construction, load —
+// fresh page before changing. Write enforces the rule: it is the store's
+// only way to change a page. In full-ownership mode (construction, load —
 // no published predecessor exists) every page counts as owned, which
 // reduces to classic mutate-in-place behavior.
 type COWSession struct {
@@ -45,6 +48,17 @@ func (s *COWSession) Owned(id PageID) bool {
 	}
 	_, ok := s.owned[id]
 	return ok
+}
+
+// Write replaces the contents of a page the session owns and counts one
+// write I/O; short data is zero-padded. A page the session does not own may
+// be visible to readers of a published version, so Write refuses it and
+// leaves its bytes alone.
+func (s *COWSession) Write(id PageID, data []byte) error {
+	if !s.Owned(id) {
+		return fmt.Errorf("pagestore: write of page %d, which the session does not own", id)
+	}
+	return s.store.write(id, data)
 }
 
 // Free releases a page the session's structure stops referencing:

@@ -3,7 +3,8 @@ package pagestore
 import "fmt"
 
 // Image is the serializable state of a Store, used by index persistence.
-// All fields are exported for encoding/gob.
+// All fields are exported for encoding/gob. An image from ImageOf borrows
+// its pages from the store; one from a decoder owns them.
 type Image struct {
 	PageSize int
 	Next     uint32
@@ -17,11 +18,12 @@ type Image struct {
 // and Free lists the gaps below it, so a store restored via FromImage can
 // allocate without ever colliding with a captured ID.
 //
-// It takes no global lock: each page is copied under its stripe's read lock
-// only. The caller must guarantee the listed pages are immutable for the
-// duration (true for pages reachable from a pinned version, which writers
-// never rewrite in place and the reclaimer cannot free while the version is
-// pinned).
+// It copies no page: each entry of Pages is the page's slab slice, under
+// View's validity rule. The caller must keep the listed pages immutable and
+// live until it is done with the image — true for pages reachable from a
+// pinned version, which no session owns and the reclaimer cannot free while
+// the version is pinned — so the image must be encoded before the pin is
+// released.
 func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 	img := &Image{
 		PageSize: s.pageSize,
@@ -32,17 +34,11 @@ func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 		if _, dup := img.Pages[uint32(id)]; dup {
 			continue
 		}
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		if !s.alive(id) {
-			sh.mu.RUnlock()
+		p, ok := s.page(id)
+		if !ok {
 			return nil, fmt.Errorf("pagestore: ImageOf references unknown page %d", id)
 		}
-		src, _ := s.page(id)
-		buf := make([]byte, len(src))
-		copy(buf, src)
-		sh.mu.RUnlock()
-		img.Pages[uint32(id)] = buf
+		img.Pages[uint32(id)] = p
 		if id > maxID {
 			maxID = id
 		}
@@ -98,7 +94,7 @@ func FromImage(img *Image) (*Store, error) {
 		switch {
 		case id == 0 || id >= img.Next:
 			return nil, fmt.Errorf("pagestore: free slot %d outside [1, %d)", id, img.Next)
-		case s.alive(PageID(id)):
+		case img.Pages[id] != nil:
 			return nil, fmt.Errorf("pagestore: page %d is both stored and on the free list", id)
 		case onFree[id]:
 			return nil, fmt.Errorf("pagestore: page %d is on the free list twice", id)

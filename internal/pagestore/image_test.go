@@ -2,17 +2,21 @@ package pagestore
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+
+	"pvoronoi/internal/race"
 )
 
 func TestStoreImageRoundTrip(t *testing.T) {
 	s := New(64)
+	sess := NewFullSession(s)
 	id1, _ := s.Alloc()
 	id2, _ := s.Alloc()
 	id3, _ := s.Alloc()
-	_ = s.Write(id1, []byte("one"))
-	_ = s.Write(id2, []byte("two"))
+	_ = sess.Write(id1, []byte("one"))
+	_ = sess.Write(id2, []byte("two"))
 	_ = s.Free(id3) // exercise the free list
 
 	img, err := s.ImageOf([]PageID{id1, id2})
@@ -27,13 +31,13 @@ func TestStoreImageRoundTrip(t *testing.T) {
 		id   PageID
 		want string
 	}{{id1, "one"}, {id2, "two"}} {
-		got, err := restored.Read(pair.id)
+		got, err := restored.View(pair.id)
 		if err != nil || !bytes.Equal(got[:len(pair.want)], []byte(pair.want)) {
 			t.Fatalf("page %d: %q %v", pair.id, got[:len(pair.want)], err)
 		}
 	}
 	// Freed page stays freed; allocation reuses it.
-	if _, err := restored.Read(id3); err == nil {
+	if _, err := restored.View(id3); err == nil {
 		t.Fatal("freed page readable after restore")
 	}
 	id4, err := restored.Alloc()
@@ -43,14 +47,63 @@ func TestStoreImageRoundTrip(t *testing.T) {
 	if id4 != id3 {
 		t.Fatalf("free list not restored: got %d want %d", id4, id3)
 	}
-	// The image is a deep copy: mutating the original store afterwards must
-	// not affect a restore from the same image.
-	_ = s.Write(id1, []byte("mutated"))
-	restored2, _ := FromImage(img)
-	got, _ := restored2.Read(id1)
-	if !bytes.Equal(got[:3], []byte("one")) {
-		t.Fatal("image aliases live store pages")
+	// The image borrows the captured pages; the restored store holds copies
+	// of its own, so writing it leaves the image and the original alone.
+	if orig, _ := s.View(id1); &img.Pages[uint32(id1)][0] != &orig[0] {
+		t.Fatal("ImageOf copied a page instead of borrowing it")
 	}
+	if err := NewFullSession(restored).Write(id1, []byte("mutated")); err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range [][]byte{img.Pages[uint32(id1)], must(s.View(id1))} {
+		if !bytes.Equal(got[:3], []byte("one")) {
+			t.Fatal("restored store aliases the image's pages")
+		}
+	}
+}
+
+func must(p []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestImageOfAllocBudget holds a capture to its bookkeeping: ImageOf lends
+// each page's slab slice, so capturing n pages allocates the page map and
+// the free list, far less than the n page copies it used to make.
+func TestImageOfAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budget is meaningless under the race detector")
+	}
+	const n = 512
+	s := New(DefaultPageSize)
+	ids := make([]PageID, 0, n)
+	for i := 0; i < 2*n; i++ {
+		id, err := s.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			ids = append(ids, id) // every other page, so the free list fills too
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img, err := s.ImageOf(ids)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Pages) != n {
+		t.Fatalf("captured %d pages, want %d", len(img.Pages), n)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if budget := uint64(n * DefaultPageSize / 16); got > budget {
+		t.Fatalf("ImageOf of %d pages allocated %d bytes, budget %d (%d bytes of page copies)",
+			n, got, budget, n*DefaultPageSize)
+	}
+	t.Logf("ImageOf of %d pages allocated %d bytes", n, got)
 }
 
 func TestFromImageValidation(t *testing.T) {

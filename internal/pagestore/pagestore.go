@@ -13,23 +13,26 @@
 // free-list and are recycled on the next Alloc, so steady-state MVCC churn
 // allocates nothing and the GC sees a handful of slab pointers instead of
 // one heap object per live page.
+//
+// The store's one contract is copy-on-write ownership: a page is written only
+// through the COWSession that owns it (COWSession.Write refuses any other),
+// and a session owns only the pages it allocated — every page a published
+// version can reach was allocated by an earlier session and is therefore
+// never rewritten. Freeing is deferred until no reader can see the page (the
+// MVCC reclaimer's job). Reads need no lock: View lends the slab bytes, and
+// no write can land on them while a reader holds them.
 package pagestore
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
 // DefaultPageSize is the page size used throughout the experiments (4 KB).
 const DefaultPageSize = 4096
-
-// numShards is the lock-striping factor for page-level copy operations.
-// Page IDs are assigned sequentially, so id&(numShards-1) spreads
-// consecutive pages evenly; a power of two keeps the stripe pick a single
-// mask instruction.
-const numShards = 16
 
 // extentTargetBytes is the aimed-for slab size. The actual pages-per-extent
 // is the largest power of two fitting the target, clamped so tiny test page
@@ -67,32 +70,21 @@ func (s Stats) IO() int64 { return s.Reads + s.Writes }
 // extent is one contiguous slab of pages plus a liveness bitmap. The slab is
 // allocated once and never moves or shrinks, so a pointer into it stays valid
 // for the life of the store — the property the zero-copy View path rests on.
-// Bitmap words span lock stripes, so they are only ever touched atomically
-// (mutations happen under allocMu; readers load without any lock).
+// Bitmap words are only ever touched atomically: Alloc and Free flip bits
+// under allocMu while readers load them without any lock.
 type extent struct {
 	data []byte
 	live []atomic.Uint64
 }
 
-// shard is one stripe of lock state. Copy-based reads and in-place writes
-// of the same page serialize on the stripe; different pages mostly hit
-// different stripes.
-type shard struct {
-	mu sync.RWMutex
-}
-
 // Store is a page allocator with I/O accounting. It is safe for concurrent
-// use. Pages are slots in large slab extents located by pointer arithmetic;
-// a liveness bitmap (atomic words) gates access and numShards lock stripes
-// serialize copy-based reads against in-place writes of the same page.
-// Allocator state (free list, next ID, page limit, extent growth) sits
-// behind its own mutex, and the I/O counters are atomics so accounting never
-// serializes the read path.
-//
-// Lock order: allocMu before any shard lock; shard locks are never nested.
+// use under the package's ownership rule. Pages are slots in large slab
+// extents located by pointer arithmetic; a liveness bitmap (atomic words)
+// gates access. Allocator state (free list, next ID, page limit, extent
+// growth) sits behind allocMu, the store's only lock, and the I/O counters
+// are atomics so accounting never serializes the read path.
 type Store struct {
 	pageSize int
-	shards   [numShards]shard
 
 	// extents holds the current slice of slabs behind an atomic pointer:
 	// growth copies the slice and swaps the pointer, so lock-free readers
@@ -108,8 +100,6 @@ type Store struct {
 	limit   int // max live pages; 0 = unlimited
 	live    atomic.Int64
 
-	bufs sync.Pool // *[]byte scratch buffers of pageSize bytes
-
 	reads, writes, allocs, frees atomic.Int64
 }
 
@@ -123,29 +113,11 @@ func New(pageSize int) *Store {
 		pageSize = DefaultPageSize
 	}
 	s := &Store{pageSize: pageSize, next: 1}
-	pp := extentTargetBytes / pageSize
-	shift := uint32(0)
-	for (1 << (shift + 1)) <= pp {
-		shift++
-	}
-	if 1<<shift < minPagesPerExtent {
-		for 1<<shift < minPagesPerExtent {
-			shift++
-		}
-	}
-	if 1<<shift > maxPagesPerExtent {
-		for 1<<shift > maxPagesPerExtent {
-			shift--
-		}
-	}
-	s.extShift = shift
-	s.extMask = 1<<shift - 1
+	pp := min(max(extentTargetBytes/pageSize, minPagesPerExtent), maxPagesPerExtent)
+	s.extShift = uint32(bits.Len(uint(pp))) - 1 // the largest power of two ≤ pp
+	s.extMask = 1<<s.extShift - 1
 	empty := []*extent{}
 	s.extents.Store(&empty)
-	s.bufs.New = func() any {
-		b := make([]byte, pageSize)
-		return &b
-	}
 	return s
 }
 
@@ -160,49 +132,36 @@ func NewLimited(pageSize, maxPages int) *Store {
 // PageSize returns the size in bytes of each page.
 func (s *Store) PageSize() int { return s.pageSize }
 
-func (s *Store) shardFor(id PageID) *shard {
-	return &s.shards[uint32(id)&(numShards-1)]
-}
-
-// page resolves an arena page ID to its slab slice without checking
-// liveness. The second result is false when the ID falls outside the
-// currently materialized extents.
-func (s *Store) page(id PageID) ([]byte, bool) {
+// locate returns the extent holding a page and the page's slot in it, or a
+// nil extent when the ID falls outside the materialized extents.
+func (s *Store) locate(id PageID) (*extent, uint32) {
 	idx := uint32(id) - 1
 	exts := *s.extents.Load()
-	e := int(idx >> s.extShift)
-	if id == 0 || e >= len(exts) {
+	if e := int(idx >> s.extShift); id != 0 && e < len(exts) {
+		return exts[e], idx & s.extMask
+	}
+	return nil, 0
+}
+
+// page resolves a page ID to its slab slice and reports whether the page is
+// live; the slice is nil outside the materialized extents.
+func (s *Store) page(id PageID) ([]byte, bool) {
+	e, slot := s.locate(id)
+	if e == nil {
 		return nil, false
 	}
-	off := int(idx&s.extMask) * s.pageSize
-	return exts[e].data[off : off+s.pageSize : off+s.pageSize], true
+	off := int(slot) * s.pageSize
+	return e.data[off : off+s.pageSize : off+s.pageSize], e.live[slot>>6].Load()&(1<<(slot&63)) != 0
 }
 
-// alive reports whether the arena page's liveness bit is set.
-func (s *Store) alive(id PageID) bool {
-	idx := uint32(id) - 1
-	exts := *s.extents.Load()
-	e := int(idx >> s.extShift)
-	if id == 0 || e >= len(exts) {
-		return false
-	}
-	slot := idx & s.extMask
-	return exts[e].live[slot>>6].Load()&(1<<(slot&63)) != 0
-}
-
-// setLive flips the arena page's liveness bit. Called only under allocMu;
-// the atomic op is still required because bitmap words are shared with
-// lock-free readers.
+// setLive flips the page's liveness bit. Called only under allocMu; the
+// atomic op is still required because readers load bitmap words without it.
 func (s *Store) setLive(id PageID, on bool) {
-	idx := uint32(id) - 1
-	exts := *s.extents.Load()
-	e := int(idx >> s.extShift)
-	slot := idx & s.extMask
-	word := &exts[e].live[slot>>6]
+	e, slot := s.locate(id)
 	if on {
-		word.Or(1 << (slot & 63))
+		e.live[slot>>6].Or(1 << (slot & 63))
 	} else {
-		word.And(^uint64(1 << (slot & 63)))
+		e.live[slot>>6].And(^uint64(1 << (slot & 63)))
 	}
 }
 
@@ -224,22 +183,6 @@ func (s *Store) ensureExtent(idx uint32) {
 		}
 	}
 	s.extents.Store(&grown)
-}
-
-// AcquirePage hands out a page-sized scratch buffer from the store's pool.
-// Pair with ReleasePage on every path; the contents are arbitrary leftovers
-// from the previous user.
-func (s *Store) AcquirePage() *[]byte {
-	return s.bufs.Get().(*[]byte)
-}
-
-// ReleasePage returns a buffer obtained from AcquirePage to the pool.
-// Buffers of the wrong size are dropped rather than poisoning the pool.
-func (s *Store) ReleasePage(p *[]byte) {
-	if p == nil || len(*p) != s.pageSize {
-		return
-	}
-	s.bufs.Put(p)
 }
 
 // Alloc reserves a new zeroed page and returns its ID. This is GC-free at
@@ -281,7 +224,7 @@ func (s *Store) Alloc() (PageID, error) {
 func (s *Store) Free(id PageID) error {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	if !s.alive(id) {
+	if _, ok := s.page(id); !ok {
 		return fmt.Errorf("pagestore: free of unknown page %d", id)
 	}
 	s.setLive(id, false)
@@ -291,69 +234,36 @@ func (s *Store) Free(id PageID) error {
 	return nil
 }
 
-// Read copies the page contents into a fresh buffer and counts one read I/O.
-// Concurrent reads proceed in parallel; reads of pages in different stripes
-// don't even share a lock. Hot paths that can reuse a buffer should prefer
-// ReadInto (no allocation) or View (no copy at all).
-func (s *Store) Read(id PageID) ([]byte, error) {
-	buf := make([]byte, s.pageSize)
-	if err := s.ReadInto(id, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadInto copies the page contents into dst, which must hold at least one
-// page, and counts one read I/O. It performs no allocation — combined with
-// AcquirePage/ReleasePage this is the zero-garbage copying read path.
-func (s *Store) ReadInto(id PageID, dst []byte) error {
-	if len(dst) < s.pageSize {
-		return fmt.Errorf("pagestore: ReadInto buffer of %d bytes, page size is %d", len(dst), s.pageSize)
-	}
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	if !s.alive(id) {
-		sh.mu.RUnlock()
-		return fmt.Errorf("pagestore: read of unknown page %d", id)
-	}
-	p, _ := s.page(id)
-	copy(dst, p)
-	sh.mu.RUnlock()
-	s.reads.Add(1)
-	return nil
-}
-
 // View returns the page contents without copying, counting one read I/O.
 // The returned slice borrows slab memory directly; it stays valid and
 // immutable exactly as long as the page cannot be rewritten or recycled.
-// The COW shadow-paging invariant provides that window: pages reachable
-// from a pinned MVCC version are never rewritten in place (writers
-// shadow-copy onto fresh pages) and never freed before the version's last
-// reader drains, so a borrow taken under a version pin is safe until the pin
-// is released — view lifetime must not exceed pin lifetime. Callers that
-// need the bytes past that window must copy them out.
+// The ownership rule provides that window: pages reachable from a pinned
+// MVCC version belong to no live session, so nothing rewrites them (writers
+// shadow-copy onto fresh pages), and they are never freed before the
+// version's last reader drains. A borrow taken under a version pin is safe
+// until the pin is released — view lifetime must not exceed pin lifetime.
+// Callers that need the bytes past that window must copy them out.
 func (s *Store) View(id PageID) ([]byte, error) {
-	if !s.alive(id) {
+	p, ok := s.page(id)
+	if !ok {
 		return nil, fmt.Errorf("pagestore: read of unknown page %d", id)
 	}
-	p, _ := s.page(id)
 	s.reads.Add(1)
 	return p, nil
 }
 
-// Write replaces the page contents and counts one write I/O. Short buffers
+// write replaces the page contents and counts one write I/O. Short buffers
 // are zero-padded; long buffers are an error (a page overflow bug upstream).
-func (s *Store) Write(id PageID, data []byte) error {
+// It takes no lock: its only caller, COWSession.Write, has checked that the
+// page belongs to the session, so no reader can be looking at it.
+func (s *Store) write(id PageID, data []byte) error {
 	if len(data) > s.pageSize {
 		return fmt.Errorf("pagestore: write of %d bytes exceeds page size %d", len(data), s.pageSize)
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !s.alive(id) {
+	p, ok := s.page(id)
+	if !ok {
 		return fmt.Errorf("pagestore: write of unknown page %d", id)
 	}
-	p, _ := s.page(id)
 	s.writes.Add(1)
 	copy(p, data)
 	clear(p[len(data):])

@@ -17,10 +17,10 @@ func TestAllocReadWrite(t *testing.T) {
 		t.Fatal("zero page ID allocated")
 	}
 	data := []byte("hello page store")
-	if err := s.Write(id, data); err != nil {
+	if err := NewFullSession(s).Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(id)
+	got, err := s.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAllocReadWrite(t *testing.T) {
 func TestWriteOverflow(t *testing.T) {
 	s := New(16)
 	id, _ := s.Alloc()
-	if err := s.Write(id, make([]byte, 17)); err == nil {
+	if err := NewFullSession(s).Write(id, make([]byte, 17)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }
@@ -49,9 +49,10 @@ func TestWriteOverflow(t *testing.T) {
 func TestWriteShorterClearsOldContent(t *testing.T) {
 	s := New(16)
 	id, _ := s.Alloc()
-	_ = s.Write(id, bytes.Repeat([]byte{0xff}, 16))
-	_ = s.Write(id, []byte{1, 2})
-	got, _ := s.Read(id)
+	sess := NewFullSession(s)
+	_ = sess.Write(id, bytes.Repeat([]byte{0xff}, 16))
+	_ = sess.Write(id, []byte{1, 2})
+	got, _ := s.View(id)
 	if got[0] != 1 || got[1] != 2 {
 		t.Fatal("prefix lost")
 	}
@@ -71,14 +72,14 @@ func TestFreeAndReuse(t *testing.T) {
 	if err := s.Free(id1); err == nil {
 		t.Fatal("double free accepted")
 	}
-	if _, err := s.Read(id1); err == nil {
+	if _, err := s.View(id1); err == nil {
 		t.Fatal("read of freed page accepted")
 	}
 	id2, _ := s.Alloc()
 	if id2 != id1 {
 		t.Fatalf("freed page not reused: got %d want %d", id2, id1)
 	}
-	got, _ := s.Read(id2)
+	got, _ := s.View(id2)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("reused page not zeroed")
@@ -112,9 +113,9 @@ func TestStatsSubAndReset(t *testing.T) {
 	s := New(32)
 	id, _ := s.Alloc()
 	before := s.Stats()
-	_ = s.Write(id, []byte{1})
-	_, _ = s.Read(id)
-	_, _ = s.Read(id)
+	_ = NewFullSession(s).Write(id, []byte{1})
+	_, _ = s.View(id)
+	_, _ = s.View(id)
 	delta := s.Stats().Sub(before)
 	if delta.Reads != 2 || delta.Writes != 1 || delta.IO() != 3 {
 		t.Fatalf("delta = %+v", delta)
@@ -137,27 +138,54 @@ func TestDefaultPageSize(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess runs eight writers, each in its own copy-on-write
+// session, beside one another: every writer allocates, writes, views and
+// frees pages of its own and views pages a full session published before it
+// started, which it must never see change. The counters must add up exactly.
 func TestConcurrentAccess(t *testing.T) {
 	s := New(64)
-	ids := make([]PageID, 32)
-	for i := range ids {
-		ids[i], _ = s.Alloc()
+	published := make([]PageID, 32)
+	full := NewFullSession(s)
+	for i := range published {
+		published[i], _ = s.Alloc()
+		_ = full.Write(published[i], []byte{byte(i)})
 	}
+	before := s.Stats()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var freed []PageID
+			sess := NewCOWSession(s, &freed)
 			for i := 0; i < 100; i++ {
-				id := ids[(w*100+i)%len(ids)]
-				_ = s.Write(id, []byte{byte(w)})
-				_, _ = s.Read(id)
+				id, err := sess.Alloc()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := sess.Write(id, []byte{byte(w)}); err != nil {
+					t.Error(err)
+					return
+				}
+				k := (w*100 + i) % len(published)
+				if p, err := s.View(published[k]); err != nil || p[0] != byte(k) {
+					t.Errorf("published page %d: %v, %v", published[k], p, err)
+					return
+				}
+				if err := sess.Free(id); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Reads != 800 || st.Writes != 800 {
+	st := s.Stats().Sub(before)
+	if st.Reads != 800 || st.Writes != 800 || st.Allocs != 800 || st.Frees != 800 {
 		t.Fatalf("stats after concurrent ops: %+v", st)
+	}
+	if s.Live() != len(published) {
+		t.Fatalf("Live = %d, want %d", s.Live(), len(published))
 	}
 }

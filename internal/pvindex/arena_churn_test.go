@@ -2,8 +2,11 @@ package pvindex
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,4 +237,116 @@ func TestArenaAccountingMatchesMapBaseline(t *testing.T) {
 	if id, err := arena.Alloc(); err != nil || id != wantFresh {
 		t.Fatalf("first fresh Alloc = %d, %v; want %d", id, err, wantFresh)
 	}
+}
+
+// TestPinnedPagesUnchangedUnderWritesAndSaves holds the page store's
+// ownership rule end to end: readers pin a version and hash every page
+// CollectPages lists, through View, at pin time and again just before they
+// unpin, while a writer applies insert and delete batches and a saver runs
+// SaveTo — whose image borrows the pinned pages — over and over. The two
+// hashes must match every time; under -race a write to any page a published
+// version reaches is also reported as a race.
+func TestPinnedPagesUnchangedUnderWritesAndSaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db := randomDB(rng, 300, 2, 10000, 40, true)
+	ix, err := Build(db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := func(v *version) (uint64, error) {
+		pages, err := v.primary.CollectPages(nil)
+		if err == nil {
+			pages, err = v.secondary.CollectPages(pages)
+		}
+		if err != nil {
+			return 0, err
+		}
+		h := fnv.New64a()
+		for _, id := range pages {
+			p, err := ix.store.View(id)
+			if err != nil {
+				return 0, err
+			}
+			h.Write(p)
+		}
+		return h.Sum64(), nil
+	}
+
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var wg sync.WaitGroup
+	finish := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer finish() // a failed batch still stops and waits for the goroutines
+	var saves, checks atomic.Int64
+	wg.Add(1)
+	go func() { // saver
+		defer wg.Done()
+		for !stopped() {
+			if err := ix.SaveTo(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			saves.Add(1)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() { // reader
+			defer wg.Done()
+			for !stopped() {
+				v := ix.pin()
+				before, err := hash(v)
+				// Hold the pin until the writer publishes past it (or stops).
+				for ix.Epoch() == v.epoch && !stopped() {
+					time.Sleep(100 * time.Microsecond)
+				}
+				after, err2 := hash(v)
+				ix.unpin(v)
+				if err != nil || err2 != nil {
+					t.Error(err, err2)
+					return
+				}
+				if before != after {
+					t.Errorf("pages of pinned epoch %d changed under the reader", v.epoch)
+					return
+				}
+				checks.Add(1)
+			}
+		}()
+	}
+
+	wrng := rand.New(rand.NewSource(9))
+	for round := 0; round < 10; round++ {
+		ups := make([]Update, 8)
+		for i := range ups {
+			lo := geom.Point{wrng.Float64() * 9900, wrng.Float64() * 9900}
+			region := geom.NewRect(lo, geom.Point{lo[0] + 40, lo[1] + 40})
+			ups[i] = Update{Op: OpInsert, Object: &uncertain.Object{ID: uncertain.ID(100000 + 8*round + i), Region: region,
+				Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 40, wrng)}}
+		}
+		if _, err := ix.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ups { // built objects on even rounds, last round's inserts on odd ones
+			ups[i] = Update{Op: OpDelete, ID: uncertain.ID(4*round + i)}
+			if round%2 == 1 {
+				ups[i].ID = uncertain.ID(100000 + 8*(round-1) + i)
+			}
+		}
+		if _, err := ix.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finish()
+	if saves.Load() == 0 || checks.Load() == 0 {
+		t.Fatalf("%d saves and %d pinned checks overlapped the writes", saves.Load(), checks.Load())
+	}
+	t.Logf("%d saves, %d pinned checks", saves.Load(), checks.Load())
 }

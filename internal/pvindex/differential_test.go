@@ -85,11 +85,11 @@ func assertPDFsMatchRecords(t *testing.T, ix *Index) {
 		t.Fatalf("secondary index holds %d records, database %d objects", n, len(objs))
 	}
 	for _, o := range objs {
-		buf, ok, err := v.secondary.Get(uint32(o.ID))
+		buf, ok, err := v.secondary.GetView(uint32(o.ID))
 		if err != nil || !ok {
 			t.Fatalf("object %d: no record (%v)", o.ID, err)
 		}
-		rec, err := decodeRecord(buf)
+		rec, err := decodeRecord(bytes.Clone(buf))
 		if err != nil {
 			t.Fatalf("object %d: %v", o.ID, err)
 		}

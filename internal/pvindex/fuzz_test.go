@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -220,7 +221,8 @@ func FuzzDecodeObject(f *testing.F) {
 }
 
 // FuzzLoadImage drives arbitrary bytes through LoadFrom against a d = 2 and
-// a d = 3 database: every input must load or return an error, never panic.
+// a d = 3 database: every input must load or return an error, never panic,
+// and a loaded index must answer a lookup of an absent ID and finish a save.
 // Seeds are a d = 2 image, a d = 3 image, and the d = 2 image as an index
 // that kept an adjacency graph wrote it. (Mutate with
 // `go test -run '^$' -fuzz FuzzLoadImage ./internal/pvindex`.)
@@ -253,7 +255,16 @@ func FuzzLoadImage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, db := range dbs {
-			LoadFrom(bytes.NewReader(data), db)
+			ix, err := LoadFrom(bytes.NewReader(data), db)
+			if err != nil {
+				continue
+			}
+			// A loaded index is one a server would serve and checkpoint:
+			// a lookup of an ID no bucket holds and a save must return.
+			if _, ok := ix.UBR(1 << 30); ok {
+				t.Fatal("a loaded index holds a UBR for an ID its database lacks")
+			}
+			_ = ix.SaveTo(io.Discard)
 		}
 	})
 }

@@ -61,6 +61,8 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 	if err != nil {
 		return err
 	}
+	// The image borrows the pinned pages, so it is encoded here, before the
+	// caller unpins v.
 	storeImg, err := ix.store.ImageOf(pages)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package pvindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
 )
@@ -408,5 +410,69 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if _, err := LoadFrom(&forged, db); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestLoadRefusesCorruptSecondary holds LoadFrom to refusing two damaged
+// secondary indexes it used to adopt with a nil error, on a d = 2 image with
+// 512-byte pages: a bucket whose count field reads 0xFFFF, after which a
+// lookup of an absent ID panicked, and a two-page value chain whose second
+// page links back to the first, after which every save looped.
+func TestLoadRefusesCorruptSecondary(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := uncertain.NewDB(geom.UnitCube(2, 100))
+	for i := 0; i < 12; i++ {
+		lo := geom.Point{rng.Float64() * 80, rng.Float64() * 80}
+		region := geom.NewRect(lo, geom.Point{lo[0] + 1 + rng.Float64()*19, lo[1] + 1 + rng.Float64()*19})
+		o := &uncertain.Object{ID: uncertain.ID(i), Region: region,
+			Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 20, rng)}
+		if err := db.Add(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := testConfig()
+	cfg.Store = pagestore.New(512)
+	ix, err := Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := ix.SaveTo(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, bucket []byte, pages map[uint32][]byte)
+		want string
+	}{
+		{"bucket count 0xFFFF", func(_ *testing.T, bucket []byte, _ map[uint32][]byte) {
+			binary.LittleEndian.PutUint16(bucket[2:4], 0xFFFF)
+		}, "holds 65535 slots"},
+		{"two-page chain cycle", func(t *testing.T, bucket []byte, pages map[uint32][]byte) {
+			head := binary.LittleEndian.Uint32(bucket[4+8:]) // the first slot's first value page
+			second := binary.LittleEndian.Uint32(pages[head][0:4])
+			if second == 0 || binary.LittleEndian.Uint32(pages[second][0:4]) != 0 {
+				t.Fatal("the first record does not span exactly two pages")
+			}
+			binary.LittleEndian.PutUint32(pages[second][0:4], head)
+		}, "does not hold its"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var img indexImage
+			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {
+				t.Fatal(err)
+			}
+			if len(img.Secondary.Dir) != 1 {
+				t.Fatalf("directory of %d buckets, the test edits the only one", len(img.Secondary.Dir))
+			}
+			tc.edit(t, img.Store.Pages[img.Secondary.Dir[0]], img.Store.Pages)
+			var forged bytes.Buffer
+			if err := gob.NewEncoder(&forged).Encode(&img); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadFrom(&forged, db); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package pvindex
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -32,14 +33,14 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 		if !ok {
 			t.Fatalf("object %d: no UBR", o.ID)
 		}
-		buf, found, err := w.secondary.Get(uint32(o.ID))
+		buf, found, err := w.secondary.GetView(uint32(o.ID))
 		if err != nil || !found {
 			t.Fatalf("object %d: record read: found=%v err=%v", o.ID, found, err)
 		}
 		if len(buf) <= ix.store.PageSize() {
 			t.Fatalf("record of %d bytes fits one page; the test wants a chained value", len(buf))
 		}
-		rec, err := decodeRecord(buf)
+		rec, err := decodeRecord(bytes.Clone(buf))
 		if err != nil {
 			t.Fatal(err)
 		}

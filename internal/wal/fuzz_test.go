@@ -66,7 +66,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		replay := func() []Record {
-			l, err := Open(dir, Options{Sealed: sealed, NoSync: true})
+			l, err := Open(dir, Options{Sealed: sealed})
 			if err != nil {
 				return nil
 			}

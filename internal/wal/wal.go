@@ -70,9 +70,6 @@ type Options struct {
 	// segment may exceed it by the size of the final commit; rotation
 	// happens between commits.
 	SegmentSize int64
-	// NoSync skips the fsync on commit (for benchmarks measuring the
-	// fsync's cost against its absence). Durability is lost on crash.
-	NoSync bool
 	// FS is the filesystem the log runs on (default vfs.OS). Tests swap in
 	// a vfs.FaultFS to exercise torn writes, failing fsyncs, and disk-full
 	// conditions deterministically.
@@ -395,13 +392,11 @@ func (l *Log) addSegment(index int) error {
 	if _, err := f.Write([]byte(segMagic)); err != nil {
 		return fail(err)
 	}
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-		if err := l.fs.SyncDir(l.dir); err != nil {
-			return fail(err)
-		}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return fail(err)
 	}
 	if l.f != nil {
 		l.f.Close()
@@ -412,7 +407,7 @@ func (l *Log) addSegment(index int) error {
 }
 
 // Append commits the entries as one group: all frames are written with a
-// single buffered write and made durable with a single fsync (unless NoSync).
+// single buffered write and made durable with a single fsync.
 // It returns the sequence numbers assigned to the first and last entry.
 // Appending no entries is a no-op.
 func (l *Log) Append(entries ...Entry) (first, last uint64, err error) {
@@ -458,13 +453,11 @@ func (l *Log) Append(entries ...Entry) (first, last uint64, err error) {
 		l.rollback(first)
 		return 0, 0, fmt.Errorf("wal: append: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.rollback(first)
-			return 0, 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.stats.Syncs++
+	if err := l.f.Sync(); err != nil {
+		l.rollback(first)
+		return 0, 0, fmt.Errorf("wal: fsync: %w", err)
 	}
+	l.stats.Syncs++
 	l.errored = false
 
 	tail := &l.segments[len(l.segments)-1]
@@ -534,20 +527,6 @@ func (l *Log) Rearm() error {
 	}
 	l.failed = false
 	l.errored = false
-	return nil
-}
-
-// Sync forces an fsync of the active segment (useful after NoSync appends).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: sync on closed log")
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.stats.Syncs++
 	return nil
 }
 
@@ -647,7 +626,7 @@ func (l *Log) TruncateBefore(seq uint64) error {
 		kept = append(kept, seg)
 	}
 	l.segments = kept
-	if removed && !l.opts.NoSync {
+	if removed {
 		if err := l.fs.SyncDir(l.dir); err != nil {
 			return err
 		}
