@@ -106,7 +106,7 @@ func BenchmarkChooseCSetIS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o := db.Objects()[i%db.Len()]
-		ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts)
+		ws.items = ws.chooseCSet(ws.items[:0], db, tree, o, opts)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestChooseCSetAllocBudget(t *testing.T) {
 		opts := DefaultOptions()
 		opts.KGlobal, opts.KPartition = kGlobal, kGlobal
 		ws := new(workspace)
-		browse := func() { ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts) }
+		browse := func() { ws.items = ws.chooseCSet(ws.items[:0], db, tree, o, opts) }
 		browse() // warm the iterator and the workspace to this browse's size
 		allocs = testing.AllocsPerRun(20, browse)
 		return allocs, ws.leaves

@@ -76,12 +76,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// chooseCSet appends the regions of object o's C-set to dst and returns it:
+// chooseCSet appends object o's C-set to dst and returns it:
 // a subset of the database whose non-dominated intersection bounds V(o) (any
 // non-empty subset is valid by Lemma 7; larger, better-placed sets let SE
 // shrink the UBR further). The tree must index the uncertainty regions of all
 // database objects by ID.
-func (ws *workspace) chooseCSet(dst []geom.Rect, db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) []geom.Rect {
+func (ws *workspace) chooseCSet(dst []rtree.Item, db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) []rtree.Item {
 	switch opts.Strategy {
 	case CSetFS:
 		return chooseFS(dst, tree, o, opts.K)
@@ -92,18 +92,18 @@ func (ws *workspace) chooseCSet(dst []geom.Rect, db *uncertain.DB, tree *rtree.T
 	}
 }
 
-func chooseAll(dst []geom.Rect, db *uncertain.DB, o *uncertain.Object) []geom.Rect {
+func chooseAll(dst []rtree.Item, db *uncertain.DB, o *uncertain.Object) []rtree.Item {
 	for _, other := range db.Objects() {
 		if other.ID != o.ID {
-			dst = append(dst, other.Region)
+			dst = append(dst, rtree.Item{Rect: other.Region, ID: uint32(other.ID)})
 		}
 	}
 	return dst
 }
 
-// chooseFS appends the regions of the k objects centered nearest to o's center.
+// chooseFS appends the k objects centered nearest to o's center.
 // Per the paper, FS does not skip objects whose regions overlap u(o).
-func chooseFS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, k int) []geom.Rect {
+func chooseFS(dst []rtree.Item, tree *rtree.Tree, o *uncertain.Object, k int) []rtree.Item {
 	center := o.Region.Center()
 	it := rtree.NewNNIter(tree, center, rtree.CenterDistTo(center))
 	defer it.Release()
@@ -113,7 +113,7 @@ func chooseFS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, k int) []g
 			break
 		}
 		if uncertain.ID(item.ID) != o.ID {
-			dst, added = append(dst, item.Rect), added+1
+			dst, added = append(dst, item), added+1
 		}
 	}
 	return dst
@@ -125,7 +125,7 @@ func chooseFS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, k int) []g
 // cannot constrain V(o), Lemma 2). Iteration stops when every quadrant
 // counter reaches kPartition or kGlobal neighbors have been examined. With
 // no neighbor that does not overlap o, the C-set is empty and SE returns h.
-func (ws *workspace) chooseIS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Object, kPartition, kGlobal int) []geom.Rect {
+func (ws *workspace) chooseIS(dst []rtree.Item, tree *rtree.Tree, o *uncertain.Object, kPartition, kGlobal int) []rtree.Item {
 	center := o.Region.Center()
 	quadrants := 1 << o.Dim()
 	counts := slices.Grow(ws.counts[:0], quadrants)[:quadrants]
@@ -147,7 +147,7 @@ func (ws *workspace) chooseIS(dst []geom.Rect, tree *rtree.Tree, o *uncertain.Ob
 		if item.Rect.Intersects(o.Region) {
 			continue // overlapping regions never constrain V(o)
 		}
-		dst = append(dst, item.Rect)
+		dst = append(dst, item)
 		for q := 0; q < quadrants; q++ {
 			if !quadrantIntersects(item.Rect, center, q) {
 				continue

@@ -125,16 +125,16 @@ func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 		cold.base(ubr, st)
 		guard[0].add(ubr, st.DominationTests, csetTester(db, tree, o, opts), o.Region, db.Domain, opts)
 
-		grown, st := ComputeUBRAfterDelete(smaller, smallerTree, o, ubr, db.Domain, opts)
+		grown, st := computeUBRAfterDelete(smaller, smallerTree, o, ubr, db.Domain, opts)
 		del.base(grown, st)
 		guard[1].add(grown, st.DominationTests, csetTester(smaller, smallerTree, o, opts), ubr, db.Domain, opts)
 
-		back, st := ComputeUBRAfterInsert(db, tree, o, grown, opts)
+		back, st := computeUBRAfterInsert(db, tree, o, grown, opts)
 		ins.base(back, st)
 		guard[2].add(back, st.DominationTests, csetTester(db, tree, o, opts), o.Region, grown, opts)
 
-		tight, st := RefineUBR(db, tree, o, ubr, opts)
-		guard[3].add(tight, st.Refine.DominationTests, csetTester(db, tree, o, escalated(opts)), o.Region, ubr, escalated(opts))
+		tight, st := refineUBR(db, tree, o, ubr, opts)
+		guard[3].add(tight, st.Refine.DominationTests, csetTester(db, tree, o, Escalated(opts)), o.Region, ubr, Escalated(opts))
 		ref.rect(tight)
 		ref.u64(uint64(st.Refine.CSetSize))
 		ref.u64(uint64(st.Refine.Iterations))
@@ -146,7 +146,7 @@ func goldenRun(clustered bool, d int) (goldenHashes, goldenGuard) {
 
 // csetTester builds the domination tester of o against its C-set, as SE does.
 func csetTester(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) *domination.Tester {
-	return domination.NewTester(new(workspace).chooseCSet(nil, db, tree, o, opts), o.Region, opts.MaxDepth)
+	return domination.NewTester(regions(new(workspace).chooseCSet(nil, db, tree, o, opts)), o.Region, opts.MaxDepth)
 }
 
 // goldenGuard sums, per mode (cold, afterDelete, afterInsert, refine), what

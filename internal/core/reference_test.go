@@ -131,11 +131,11 @@ func NewRefiner(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, base Op
 	opts := Escalate(base, r)
 	rf := &Refiner{o: o, opts: opts, ws: workspaces.Get().(*workspace)}
 	t0 := time.Now()
-	rf.ws.cset = rf.ws.chooseCSet(rf.ws.cset[:0], db, tree, o, opts)
+	rf.ws.items = rf.ws.chooseCSet(rf.ws.items[:0], db, tree, o, opts)
 	rf.csetTime = time.Since(t0)
-	rf.csetSize = len(rf.ws.cset)
+	rf.csetSize = len(rf.ws.items)
 	if rf.csetSize > 0 {
-		rf.tester = rf.ws.tester.Reset(rf.ws.cset, o.Region, opts.MaxDepth)
+		rf.tester = rf.ws.tester.Reset(regions(rf.ws.items), o.Region, opts.MaxDepth)
 	}
 	return rf
 }

@@ -16,7 +16,7 @@ import (
 // recursion, four times all three C-set quotas, every other knob untouched.
 func TestEscalate(t *testing.T) {
 	base := DefaultOptions()
-	esc := escalated(base)
+	esc := Escalated(base)
 	if esc.MaxDepth != base.MaxDepth+4 {
 		t.Fatalf("MaxDepth = %d, want %d", esc.MaxDepth, base.MaxDepth+4)
 	}
@@ -48,7 +48,7 @@ func TestRefineUBRMatchesRefiner(t *testing.T) {
 					want, wst := rf.Refine(stored)
 					wantTests := rf.Tests()
 					rf.Release()
-					got, gst := RefineUBR(db, tree, o, stored, opts)
+					got, gst := refineUBR(db, tree, o, stored, opts)
 					if !sameBits(got, want) {
 						t.Fatalf("object %d: RefineUBR %v, Refiner %v", o.ID, got, want)
 					}
@@ -89,9 +89,9 @@ func TestRefineUBRShrinkOnlyAndSound(t *testing.T) {
 	opts := optsWith(CSetIS)
 	for i, o := range db.Objects()[:32] {
 		base, _ := ComputeUBR(db, tree, o, opts)
-		refined, st := RefineUBR(db, tree, o, base, opts)
+		refined, st := refineUBR(db, tree, o, base, opts)
 		if i%2 == 1 {
-			refined, st = RefineUBRFromH(db, tree, o, o.Region, base, opts)
+			refined, st = refineUBRFromH(db, tree, o, o.Region, base, opts)
 		}
 		if !base.ContainsRect(refined) {
 			t.Fatalf("object %d: refined UBR %v escapes base %v", o.ID, refined, base)
@@ -135,14 +135,14 @@ func TestRefineUBRDegenerateInputs(t *testing.T) {
 	opts := optsWith(CSetIS)
 	o := db.Objects()[0]
 	bogus := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	if got, _ := RefineUBR(db, tree, o, bogus, opts); !got.Equal(bogus) {
+	if got, _ := refineUBR(db, tree, o, bogus, opts); !got.Equal(bogus) {
 		t.Fatalf("bad stored UBR was shrunk: %v -> %v", bogus, got)
 	}
 
 	solo := randomDB(rand.New(rand.NewSource(33)), 1, 2, 1000, 40)
 	soloTree := BuildRegionTree(solo, 16)
 	domain := solo.Domain
-	got, st := RefineUBR(solo, soloTree, solo.Objects()[0], domain, opts)
+	got, st := refineUBR(solo, soloTree, solo.Objects()[0], domain, opts)
 	if !got.Equal(domain) {
 		t.Fatalf("single-object refinement shrank the domain UBR: %v", got)
 	}

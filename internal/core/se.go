@@ -12,9 +12,10 @@ import (
 
 // Stats reports the cost profile of one SE run, feeding the paper's
 // construction-time breakdowns (Fig. 10(e)). The flat counters cover the
-// base SE run only; an escalated re-run of the same row accounts its extra
-// work separately in Refine, so aggregated stats attribute base and
-// refinement effort honestly instead of lumping them together.
+// base SE run only; the caller that escalates a row (a second Run with
+// Escalated options) accounts that run's work separately in Refine, so
+// aggregated stats attribute base and refinement effort honestly instead of
+// lumping them together.
 type Stats struct {
 	CSetSize        int
 	CSetVolume      float64 // bounding-box volume of the C-set's regions, 0 if empty; not summed by Add
@@ -30,8 +31,8 @@ type Stats struct {
 	Refine RefineStats
 }
 
-// RefineStats is the cost profile of refinement, the escalated SE re-run
-// (RefineUBR). Kept apart from the base Stats counters so per-batch
+// RefineStats is the cost profile of refinement, the escalated SE re-run.
+// Kept apart from the base Stats counters so per-batch
 // accounting can show exactly where the extra budget went.
 type RefineStats struct {
 	Rows            int           // objects whose UBR a refinement recomputed
@@ -66,45 +67,90 @@ func (s *Stats) Add(s2 Stats) {
 	s.Refine.Add(s2.Refine)
 }
 
-// ComputeUBR runs the SE algorithm (Algorithm 1) for object o over database
-// db and returns a UBR B(o) ⊇ V(o). The tree must index all object regions.
+// Refinement re-runs SE for a fat row with the two knobs that limit how far SE
+// can shrink a UBR in a dense neighbourhood escalated: refineDepthBoost more
+// levels of domination recursion and refineCSetFactor times every C-set quota.
+const (
+	refineDepthBoost = 4
+	refineCSetFactor = 4
+)
+
+// Escalated returns the base SE options with refinement's escalation applied:
+// the options of a fat row's re-run, its C-set chosen with them.
+func Escalated(base Options) Options {
+	base.MaxDepth += refineDepthBoost
+	base.K *= refineCSetFactor
+	base.KPartition *= refineCSetFactor
+	base.KGlobal *= refineCSetFactor
+	return base
+}
+
+// ComputeUBR is the cold SE run (Algorithm 1) for object o over database db:
+// the C-set ChooseCSet picks, l = u(o), h = the domain, every gap bisected. It
+// returns a UBR B(o) ⊇ V(o). The tree must index all object regions.
 func ComputeUBR(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) (geom.Rect, Stats) {
-	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), db.Domain.Clone(), domination.Bisect)
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	t0 := time.Now()
+	ws.items = ws.chooseCSet(ws.items[:0], db, tree, o, opts)
+	csetTime := time.Since(t0)
+	ubr, wit, st := ws.run(ws.items, o.Region, o.Region.Clone(), db.Domain.Clone(), domination.Bisect, opts.Delta, opts.MaxDepth, ws.wit[:0])
+	ws.wit, st.CSetTime = wit, csetTime
+	return ubr, st
 }
 
-// ComputeUBRAfterDelete recomputes o's UBR after other objects were deleted
-// from db; victimUBR bounds the UBRs they had. By Lemma 9 the PV-cell can only
-// grow, so SE warm-starts with the old UBR as the lower bound l(o) (§VI-B,
-// deletion Step 3) — and it can only grow into what the victims freed: a point
-// new to V(o) was in a victim's cell (docs/ARCHITECTURE.md, "Warm starts"), so
-// h(o) starts at the bounding box of the two instead of the domain, and a face
-// the victims do not stick out of is never probed.
-func ComputeUBRAfterDelete(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, oldUBR, victimUBR geom.Rect, opts Options) (geom.Rect, Stats) {
-	return computeUBRBounds(db, tree, o, opts, oldUBR.Clone(), oldUBR.Union(victimUBR), domination.Bisect)
+// ChooseCSet appends the C-set of object o — its IDs and regions, nearest
+// first under IS and FS — to dst and returns it (cset.go).
+func ChooseCSet(dst []rtree.Item, db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options) []rtree.Item {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	return ws.chooseCSet(dst, db, tree, o, opts)
 }
 
-// ComputeUBRAfterInsert recomputes o's UBR after another object was inserted
-// into db. By Lemma 9 the PV-cell can only shrink, so SE warm-starts with the
-// old UBR as the upper bound h(o) (§VI-B, insertion Step 3) and, expecting
-// most faces to stay where they are, probes from h (domination.FromH).
-func ComputeUBRAfterInsert(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, oldUBR geom.Rect, opts Options) (geom.Rect, Stats) {
-	// Guard the warm start: l(o)=u(o) must stay inside h(o)=oldUBR; if the
-	// stored UBR somehow fails that (it cannot for UBRs produced here, but
-	// defensive for external input), this is a cold run: h is the domain and
-	// the answer is no longer expected near it, so the gaps are bisected.
-	if !oldUBR.ContainsRect(o.Region) {
-		return ComputeUBR(db, tree, o, opts)
+// Run is one SE run for the object whose region is target over a C-set the
+// caller chose (any subset of the other objects is sound, Lemma 7; scanned
+// in the given order): from l ⊆ M(o) ⊆ h, both updated in place, it shrinks
+// h and expands l on sched until every gap is below delta, bisecting parts at
+// most depth times. It returns h, wit with the IDs of its witnesses appended
+// (docs/ARCHITECTURE.md, "Witnesses") and its counts but CSetTime.
+func Run(cset []rtree.Item, target, l, h geom.Rect, sched domination.Schedule, delta float64, depth int, wit []uint32) (geom.Rect, []uint32, Stats) {
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	return ws.run(cset, target, l, h, sched, delta, depth, wit)
+}
+
+func (ws *workspace) run(cset []rtree.Item, target, l, h geom.Rect, sched domination.Schedule, delta float64, depth int, wit []uint32) (ubr geom.Rect, _ []uint32, st Stats) {
+	t1 := time.Now()
+	defer func() { st.UBRTime = time.Since(t1) }()
+	st.CSetSize, st.CSetVolume = len(cset), boxVolume(cset)
+	if len(cset) == 0 {
+		return h, wit, st
 	}
-	return computeUBRBounds(db, tree, o, opts, o.Region.Clone(), oldUBR.Clone(), domination.FromH)
+	ws.rects = ws.rects[:0]
+	for _, c := range cset {
+		ws.rects = append(ws.rects, c.Rect)
+	}
+	tester := ws.tester.Reset(ws.rects, target, depth)
+	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, delta, sched)
+	st.Expands = st.Iterations - st.Shrinks
+	st.DominationTests = tester.Tests
+	for i, c := range cset {
+		if tester.Witness(i) {
+			wit = append(wit, c.ID)
+		}
+	}
+	return h, wit, st
 }
 
-// workspace is the memory an SE run reuses from the last one: the tester, the
-// C-set's regions and IS's quadrant counters. Every run takes one from
-// workspaces and puts it back when it is done; nothing a run returns aliases
-// it.
+// workspace is the memory SE reuses from the last run: the tester, the C-set
+// (as chosen and as the tester takes it), ComputeUBR's witnesses and IS's
+// quadrant counters. Every call takes one from workspaces and puts it back
+// when it is done; nothing it returns aliases it.
 type workspace struct {
 	tester domination.Tester
-	cset   []geom.Rect
+	items  []rtree.Item
+	rects  []geom.Rect
+	wit    []uint32
 	counts []int
 	leaves int // region-tree leaves the last IS browse opened
 }
@@ -113,47 +159,22 @@ var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // release returns ws to the pool, dropping its references to the regions.
 func (ws *workspace) release() {
-	clear(ws.cset)
+	clear(ws.items)
+	clear(ws.rects)
 	workspaces.Put(ws)
-}
-
-// computeUBRBounds is SE with explicit initial bounds l ⊆ M(o) ⊆ h: select
-// the C-set, then shrink h and expand l (both are modified) on the given
-// schedule until every directional gap is below Δ. The returned UBR is h.
-func computeUBRBounds(db *uncertain.DB, tree *rtree.Tree, o *uncertain.Object, opts Options, l, h geom.Rect, sched domination.Schedule) (ubr geom.Rect, st Stats) {
-	ws := workspaces.Get().(*workspace)
-	defer ws.release()
-	t0 := time.Now()
-	ws.cset = ws.chooseCSet(ws.cset[:0], db, tree, o, opts)
-	st.CSetTime = time.Since(t0)
-	st.CSetSize = len(ws.cset)
-	st.CSetVolume = boxVolume(ws.cset)
-
-	t1 := time.Now()
-	defer func() { st.UBRTime = time.Since(t1) }()
-
-	if len(ws.cset) == 0 {
-		// Nothing constrains V(o): the PV-cell is the whole domain.
-		return h, st
-	}
-	tester := ws.tester.Reset(ws.cset, o.Region, opts.MaxDepth)
-	st.Iterations, st.Shrinks = tester.ShrinkExpand(l, h, opts.Delta, sched)
-	st.Expands = st.Iterations - st.Shrinks
-	st.DominationTests = tester.Tests
-	return h, st
 }
 
 // boxVolume is the volume of the bounding box of rs, 0 when rs is empty,
 // taken a dimension at a time without building the box.
-func boxVolume(rs []geom.Rect) float64 {
+func boxVolume(rs []rtree.Item) float64 {
 	if len(rs) == 0 {
 		return 0
 	}
 	v := 1.0
-	for k := range rs[0].Lo {
-		lo, hi := rs[0].Lo[k], rs[0].Hi[k]
+	for k := range rs[0].Rect.Lo {
+		lo, hi := rs[0].Rect.Lo[k], rs[0].Rect.Hi[k]
 		for _, r := range rs[1:] {
-			lo, hi = min(lo, r.Lo[k]), max(hi, r.Hi[k])
+			lo, hi = min(lo, r.Rect.Lo[k]), max(hi, r.Rect.Hi[k])
 		}
 		v *= hi - lo
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -164,19 +166,14 @@ func TestChooseCSetStrategies(t *testing.T) {
 	db := randomDB(rng, 100, 2, 1000, 30)
 	tree := BuildRegionTree(db, 16)
 	o := db.Objects()[0]
-	// The C-set is regions; map them back to objects (the random regions are
-	// distinct).
-	ids := func(cset []geom.Rect) []uncertain.ID {
+	// Every member carries its object's ID and region.
+	ids := func(cset []rtree.Item) []uncertain.ID {
 		var out []uncertain.ID
-		for _, r := range cset {
-			for _, other := range db.Objects() {
-				if other.Region.Equal(r) {
-					out = append(out, other.ID)
-				}
+		for _, c := range cset {
+			if other := db.Get(uncertain.ID(c.ID)); other == nil || !other.Region.Equal(c.Rect) {
+				t.Fatalf("C-set member %d does not carry its object's region", c.ID)
 			}
-		}
-		if len(out) != len(cset) {
-			t.Fatalf("%d C-set regions map to %d objects", len(cset), len(out))
+			out = append(out, uncertain.ID(c.ID))
 		}
 		return out
 	}
@@ -222,8 +219,8 @@ func TestChooseCSetStrategies(t *testing.T) {
 		t.Errorf("IS exceeded kGlobal: %d", len(is))
 	}
 	// The C-set is appended to the caller's slice.
-	head := []geom.Rect{o.Region}
-	if got := new(workspace).chooseCSet(head, db, tree, o, optsWith(CSetIS)); len(got) != 1+len(is) || !got[0].Equal(o.Region) {
+	head := []rtree.Item{{Rect: o.Region, ID: uint32(o.ID)}}
+	if got := new(workspace).chooseCSet(head, db, tree, o, optsWith(CSetIS)); len(got) != 1+len(is) || !got[0].Rect.Equal(o.Region) {
 		t.Errorf("chooseCSet onto a 1-element slice returned %d regions, want %d after the caller's", len(got), 1+len(is))
 	}
 }
@@ -273,7 +270,7 @@ func TestIncrementalDeleteConservative(t *testing.T) {
 	_, _ = db.Remove(7)
 	tree = BuildRegionTree(db, 16)
 	for _, o := range db.Objects()[:15] {
-		ubr, _ := ComputeUBRAfterDelete(db, tree, o, old[o.ID], old[7], opts)
+		ubr, _ := computeUBRAfterDelete(db, tree, o, old[o.ID], old[7], opts)
 		for s := 0; s < 300; s++ {
 			p := geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 			if bruteforce.InPVCell(db, o.ID, p) && !ubr.Contains(p) {
@@ -302,7 +299,7 @@ func TestIncrementalInsertConservative(t *testing.T) {
 		if o.ID == newcomer.ID {
 			continue
 		}
-		ubr, _ := ComputeUBRAfterInsert(db, tree, o, old[o.ID], opts)
+		ubr, _ := computeUBRAfterInsert(db, tree, o, old[o.ID], opts)
 		for s := 0; s < 300; s++ {
 			p := geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 			if bruteforce.InPVCell(db, o.ID, p) && !ubr.Contains(p) {
@@ -374,5 +371,33 @@ func TestStrategyString(t *testing.T) {
 	}
 	if CSetStrategy(42).String() == "" {
 		t.Fatal("unknown strategy should still render")
+	}
+}
+
+// TestRunWitnessesReproduceColdUBR: a cold run's witnesses are members of its
+// C-set, and a cold run over them alone, in the order the C-set listed them,
+// cuts exactly what the run over the whole C-set cut — every plate it proved
+// was tiled by witnesses — so it returns the same UBR bit for bit.
+func TestRunWitnessesReproduceColdUBR(t *testing.T) {
+	for _, d := range []int{2, 3} {
+		rng := rand.New(rand.NewSource(int64(40 + d)))
+		db := randomDB(rng, 150, d, 1000, 60)
+		tree := BuildRegionTree(db, 16)
+		opts := DefaultOptions()
+		for _, o := range db.Objects() {
+			cset := ChooseCSet(nil, db, tree, o, opts)
+			ubr, wit, st := Run(cset, o.Region, o.Region.Clone(), db.Domain.Clone(), domination.Bisect, opts.Delta, opts.MaxDepth, nil)
+			if (st.Shrinks == 0) != (len(wit) == 0) {
+				t.Fatalf("d%d object %d: %d shrinks, %d witnesses", d, o.ID, st.Shrinks, len(wit))
+			}
+			witnesses := slices.DeleteFunc(slices.Clone(cset), func(c rtree.Item) bool { return !slices.Contains(wit, c.ID) })
+			if len(witnesses) != len(wit) {
+				t.Fatalf("d%d object %d: witnesses %v are not %d C-set members", d, o.ID, wit, len(wit))
+			}
+			again, _, _ := Run(witnesses, o.Region, o.Region.Clone(), db.Domain.Clone(), domination.Bisect, opts.Delta, opts.MaxDepth, nil)
+			if !again.Equal(ubr) {
+				t.Fatalf("d%d object %d: over its %d witnesses a cold run gives %v, over the C-set %v", d, o.ID, len(wit), again, ubr)
+			}
+		}
 	}
 }

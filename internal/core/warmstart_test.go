@@ -20,7 +20,7 @@ func TestInsertWarmStartBadOldUBR(t *testing.T) {
 	tree := BuildRegionTree(db, 8)
 	o := db.Objects()[0]
 	bogus := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}) // excludes u(o)
-	ubr, _ := ComputeUBRAfterInsert(db, tree, o, bogus, optsWith(CSetIS))
+	ubr, _ := computeUBRAfterInsert(db, tree, o, bogus, optsWith(CSetIS))
 	if !ubr.ContainsRect(o.Region) {
 		t.Fatalf("fallback UBR %v does not contain u(o) %v", ubr, o.Region)
 	}
@@ -46,7 +46,7 @@ func TestDeleteWarmStartContainsOldUBR(t *testing.T) {
 
 	_, _ = db.Remove(10)
 	tree = BuildRegionTree(db, 8)
-	newUBR, _ := ComputeUBRAfterDelete(db, tree, o, oldUBR, victimUBR, opts)
+	newUBR, _ := computeUBRAfterDelete(db, tree, o, oldUBR, victimUBR, opts)
 	if !newUBR.ContainsRect(oldUBR) {
 		t.Fatalf("deletion warm start shrank the UBR: old %v new %v", oldUBR, newUBR)
 	}
@@ -148,7 +148,7 @@ func TestDeleteBoundContainsCell(t *testing.T) {
 				p := make(geom.Point, d)
 				for _, o := range after.Objects() {
 					bound := old[o.ID].Union(freed)
-					ubr, _ := ComputeUBRAfterDelete(after, afterTree, o, old[o.ID], freed, opts)
+					ubr, _ := computeUBRAfterDelete(after, afterTree, o, old[o.ID], freed, opts)
 					if !bound.ContainsRect(ubr) || !ubr.ContainsRect(old[o.ID]) {
 						t.Fatalf("d=%d %s: UBR %v of %d is not between the old UBR %v and the bound %v", d, layout, ubr, o.ID, old[o.ID], bound)
 					}

@@ -38,6 +38,7 @@ const openPlate = 0.99
 // how its last plate was tiled and its next probe starts from that instead
 // of from the C-set (docs/ARCHITECTURE.md, "Probing a face: cover reuse") —
 // for this run only: the next call may bring an unrelated h.
+// What the run cut from h is dominated by its witnesses (Witness).
 func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64, sched Schedule) (iterations, shrinks int) {
 	if delta <= 0 {
 		delta = 1e-9 // Δ=0 would loop forever on irrational boundaries
@@ -45,6 +46,7 @@ func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64, sched Schedule) (it
 	for f := 0; f < 2*t.dim; f++ {
 		t.resetFace(f)
 	}
+	clear(t.faces.witnesses)
 	// q is the plate: h as (lo, hi) pairs, face f's own side at q[f], the
 	// opposite side q[f^1] moved to the cut while f is probed. step[f] is the
 	// signed thickness of f's next plate while it gallops from h, 0 once it
@@ -91,6 +93,13 @@ func (t *Tester) ShrinkExpand(l, h geom.Rect, delta float64, sched Schedule) (it
 	return iterations, shrinks
 }
 
+// Witness reports whether candidate c (by C-set index) dominated a part of a
+// plate the last ShrinkExpand shrank h over (docs/ARCHITECTURE.md,
+// "Witnesses").
+func (t *Tester) Witness(c int) bool {
+	return t.faces != nil && t.faces.witnesses[c>>6]&(1<<(c&63)) != 0
+}
+
 // maxGap returns |h − l|_d: the largest per-direction distance between the
 // boundaries of the bounding pair.
 func maxGap(l, h geom.Rect) float64 {
@@ -125,7 +134,10 @@ type faceMemory struct {
 	sets   []uint64
 	plate  []float64 // the plate being probed
 	step   []float64 // per face, ShrinkExpand's gallop state
-	words  int       // uint64s per set
+	// proved: the candidates that settled a part of the probed plate, added
+	// to witnesses when the probe succeeds.
+	proved, witnesses []uint64
+	words             int // uint64s per set
 	// onProbe, a test hook, sees the scratch slot after each probe.
 	onProbe func(face int, prunable bool)
 }
@@ -164,10 +176,11 @@ func (m *faceMemory) fit(d, n int) {
 	m.boxes, m.plate, m.step = boxes[:leaves*2*d], boxes[leaves*2*d:(leaves+1)*2*d], boxes[(leaves+1)*2*d:]
 	m.covers = slices.Grow(m.covers[:0], 2*d+1)[:2*d+1]
 	m.doms = slices.Grow(m.doms[:0], leaves)[:leaves]
-	m.sets = slices.Grow(m.sets[:0], leaves*words)[:leaves*words]
+	sets := slices.Grow(m.sets[:0], (leaves+2)*words)[:(leaves+2)*words]
+	m.sets, m.proved, m.witnesses = sets[:leaves*words], sets[leaves*words:(leaves+1)*words], sets[(leaves+1)*words:]
 	m.words = words
 	clear(m.covers)
-	clear(m.sets)
+	clear(sets)
 }
 
 // probe decides whether the plate is covered by singly dominated boxes by
@@ -178,6 +191,7 @@ func (t *Tester) probe(f int) bool {
 	d, n, m := t.dim, t.n, t.faces
 	c, s := &m.covers[f], &m.covers[2*d]
 	*s = cover{lo: m.plate[2*t.axis], hi: m.plate[2*t.axis+1], start: -1}
+	clear(m.proved)
 	ok := true
 	for k := 0; k < c.leaves; k++ {
 		box, dom, set := t.leaf(f, (c.start+k)%c.leaves)
@@ -186,11 +200,19 @@ func (t *Tester) probe(f int) bool {
 			continue
 		}
 		if !ok || dom[0] >= 0 && t.dominates(dom[0]) {
+			if ok {
+				m.proved[dom[0]>>6] |= 1 << (dom[0] & 63)
+			}
 			if kept := t.keep(t.regions, dom[0]); kept != nil {
 				copy(kept, set[:m.words])
 			}
 		} else {
 			ok = t.prunable(0, n, t.expand(set, dom[0]), depth)
+		}
+	}
+	if ok {
+		for w, word := range m.proved {
+			m.witnesses[w] |= word
 		}
 	}
 	s.start = max(s.start, 0)
@@ -304,6 +326,9 @@ func (t *Tester) keep(r []float64, dom int32) []uint64 {
 func (t *Tester) keepList(r []float64, dom int32, list []int32) {
 	if t.axis < 0 {
 		return
+	}
+	if dom >= 0 {
+		t.faces.proved[dom>>6] |= 1 << (dom & 63)
 	}
 	if set := t.keep(r, dom); set != nil {
 		clear(set[:t.faces.words])

@@ -230,16 +230,17 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 //     disjoint cells, hence no mutual influence — and warm-starting from it
 //     otherwise, and
 //   - every affected existing object is recomputed exactly once, however
-//     many of the run's inserts touch it, instead of once per triggering op.
+//     many of the run's inserts touch it, instead of once per triggering op,
+//     over its witnesses and the newcomers that affect it.
 //
 // The stored UBRs the affected-set filters read are those from before the
 // run, upper bounds of the final cells (shrink-only), so filtering against
 // them is conservative: no affected object can be missed. The staging and
 // both recompute phases fan out across a worker pool — SE reads only the
-// working database and region tree, which do not change while one runs
-// (chooseCSet skips the object's own ID, so a newcomer's UBR computed before
-// it is added is what it would be after; R*-tree browsing mutates only atomic
-// counters, so workers share the tree).
+// working database, region tree and witness lists, which do not change while
+// one runs (chooseCSet skips the object's own ID, so a newcomer's UBR computed
+// before it is added is what it would be after; the R*-tree browse keeps its
+// state in its own iterator, so workers share the tree).
 func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 	ix := w.ix
 	n := len(ups)
@@ -255,9 +256,10 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 
 	// Phase 0: stage every newcomer's UBR over the database without the run.
 	staged := make([]geom.Rect, n)
+	lists := make([][]uint32, n)
 	ix.parallelSE(n, func(i int) {
 		t0 := time.Now()
-		staged[i], stats[i].SE = w.se(ups[i].Object, geom.Rect{}, geom.Rect{})
+		staged[i], lists[i], stats[i].SE = w.se(ups[i].Object, seStart{})
 		stats[i].SETime = time.Since(t0)
 	})
 
@@ -272,37 +274,31 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		newcomer[uint32(u.Object.ID)] = struct{}{}
 	}
 
-	// Phase 2: final newcomer UBRs over the completed database.
+	// Phase 2: final newcomer UBRs, warm over the newcomers met.
 	finalB := slices.Clone(staged)
-	needsRefine := make([]bool, n)
-	for i := range ups {
-		for j := range ups {
-			if j != i && staged[j].Intersects(staged[i]) {
-				needsRefine[i] = true
-				break
+	met := make([][]uint32, n)
+	for i, u := range ups {
+		for j, v := range ups {
+			if j != i && staged[j].Intersects(staged[i]) && !v.Object.Region.Intersects(u.Object.Region) {
+				met[i] = append(met[i], uint32(v.Object.ID))
 			}
 		}
 	}
 	ix.parallelSE(n, func(i int) {
-		if !needsRefine[i] {
+		if met[i] == nil {
 			return
 		}
 		t0 := time.Now()
-		b, s := w.se(ups[i].Object, staged[i], geom.Rect{})
-		finalB[i] = b
+		b, list, s := w.se(ups[i].Object, seStart{prev: staged[i], has: lists[i], extra: met[i]})
+		finalB[i], lists[i] = b, list
 		stats[i].SETime += time.Since(t0)
 		stats[i].SE.Add(s)
 	})
 
 	// Phase 3: the union of affected existing objects, each with its
-	// pre-run UBR and the first op that touched it (for stats).
-	type affectedObj struct {
-		id   uint32
-		oldB geom.Rect
-		op   int
-	}
-	var affected []affectedObj
-	seen := make(map[uint32]struct{})
+	// pre-run UBR, witnesses, affecting newcomers and first op (for stats).
+	affected, ops := []row(nil), []int(nil)
+	seen := make(map[uint32]int)
 	for i, u := range ups {
 		ids, err := w.primary.RangeIDs(finalB[i])
 		if err != nil {
@@ -313,15 +309,18 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 			if _, isNew := newcomer[id]; isNew {
 				continue
 			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
 			other := w.db.Get(uncertain.ID(id))
 			if other == nil {
 				continue
 			}
 			// Lemma 8(3): objects whose regions overlap u(o) are unaffected.
 			if other.Region.Intersects(u.Object.Region) {
+				continue
+			}
+			if k, dup := seen[id]; dup {
+				if from := &affected[k].from; from.prev.Intersects(finalB[i]) {
+					from.extra = append(from.extra, uint32(u.Object.ID))
+				}
 				continue
 			}
 			oldB, ok := w.lookupUBR(id)
@@ -332,44 +331,17 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 			if !oldB.Intersects(finalB[i]) {
 				continue
 			}
-			seen[id] = struct{}{}
-			affected = append(affected, affectedObj{id: id, oldB: oldB, op: i})
+			seen[id] = len(affected)
+			affected = append(affected, row{id, seStart{prev: oldB, has: w.witnesses.get(id), extra: []uint32{uint32(u.Object.ID)}}})
+			ops = append(ops, i)
 			stats[i].Affected++
 		}
 	}
 
 	// Phase 4: recompute each affected object once (warm-started — its cell
-	// can only have shrunk), then patch the indexes serially, leaving alone
-	// the rows whose UBR came back as it was. SE results land in per-object
-	// slots; stats fold serially afterward because several affected objects
-	// may attribute to the same op.
-	updatedB := make([]geom.Rect, len(affected))
-	seDur := make([]time.Duration, len(affected))
-	seStats := make([]core.Stats, len(affected))
-	ix.parallelSE(len(affected), func(k int) {
-		a := affected[k]
-		other := w.db.Get(uncertain.ID(a.id))
-		t0 := time.Now()
-		updatedB[k], seStats[k] = w.se(other, a.oldB, geom.Rect{})
-		seDur[k] = time.Since(t0)
-	})
-	for k, a := range affected {
-		stats[a.op].SETime += seDur[k]
-		stats[a.op].SE.Add(seStats[k])
-		if updatedB[k].Equal(a.oldB) {
-			stats[a.op].Unchanged++
-			continue
-		}
-		other := w.db.Get(uncertain.ID(a.id))
-		t0 := time.Now()
-		if _, err := w.primary.RemoveDiff(a.id, a.oldB, updatedB[k]); err != nil {
-			return stats, err
-		}
-		rec := record{UBR: updatedB[k], Region: other.Region, Instances: other.Instances}
-		if err := w.putRecord(a.id, rec); err != nil {
-			return stats, err
-		}
-		stats[a.op].IndexTime += time.Since(t0)
+	// can only have shrunk) and patch the rows whose UBR moved.
+	if err := w.recompute(affected, func(k int) *UpdateStats { return &stats[ops[k]] }); err != nil {
+		return stats, err
 	}
 
 	// Phase 5: newcomers enter the primary and secondary indexes.
@@ -378,9 +350,49 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		if err := w.addObject(u.Object, finalB[i]); err != nil {
 			return stats, err
 		}
+		w.setWitnesses(uint32(u.Object.ID), lists[i])
 		stats[i].IndexTime += time.Since(t0)
 	}
 	return stats, nil
+}
+
+// row is a row an update recomputes and where its SE job starts.
+type row struct {
+	id   uint32
+	from seStart
+}
+
+// recompute runs the rows' SE jobs on the worker pool, then writes each back
+// serially — its witness list, and its record and octree entries unless its
+// UBR came back as it was — accounting row k to *stat(k).
+func (w *working) recompute(rows []row, stat func(k int) *UpdateStats) error {
+	ubrs := make([]geom.Rect, len(rows))
+	lists := make([][]uint32, len(rows))
+	took := make([]time.Duration, len(rows))
+	sts := make([]core.Stats, len(rows))
+	w.ix.parallelSE(len(rows), func(k int) {
+		t0 := time.Now()
+		ubrs[k], lists[k], sts[k] = w.se(w.db.Get(uncertain.ID(rows[k].id)), rows[k].from)
+		took[k] = time.Since(t0)
+	})
+	w.ix.rowsRecomputed.Add(int64(len(rows)))
+	for k, r := range rows {
+		st := stat(k)
+		st.SETime += took[k]
+		st.SE.Add(sts[k])
+		w.setWitnesses(r.id, lists[k])
+		if ubrs[k].Equal(r.from.prev) {
+			st.Unchanged++
+			continue
+		}
+		w.ix.rowsPatched.Add(1)
+		t0 := time.Now()
+		if err := w.moveRow(w.db.Get(uncertain.ID(r.id)), r.from.prev, ubrs[k]); err != nil {
+			return err
+		}
+		st.IndexTime += time.Since(t0)
+	}
+	return nil
 }
 
 // parallelSE runs fn(0..n-1) across a worker pool sized to GOMAXPROCS —
@@ -508,6 +520,8 @@ func (ix *Index) Recover() (int, error) {
 			primary:    base.primary,
 			secondary:  base.secondary,
 			regionTree: base.regionTree,
+			witnesses:  base.witnesses,
+			witnessed:  base.witnessed,
 		}, nil)
 	}
 	return replayed, nil

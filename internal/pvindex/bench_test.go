@@ -244,8 +244,9 @@ func BenchmarkIncrementalDelete(b *testing.B) {
 
 // BenchmarkApplyBatchPairs is the write path of the harness's ingest
 // workload, in process: on the uni2 dataset (n 8000, d 2, 100 instances;
-// uni3 is n 3000, d 3, 200 instances in batches of 4) one iteration applies
-// an insert batch and the delete batch that removes it again. With
+// clu2 is its clustered twin; uni3 is n 3000, d 3, 200 instances in batches
+// of 4) one iteration applies an insert batch and the delete batch that
+// removes it again. With
 // -benchtime 20x -cpuprofile it is the profile quoted in
 // docs/ARCHITECTURE.md "Write path".
 func BenchmarkApplyBatchPairs(b *testing.B) {
@@ -255,6 +256,7 @@ func BenchmarkApplyBatchPairs(b *testing.B) {
 		batch int
 	}{
 		{"uni2", dataset.SyntheticParams{N: 8000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1}, 16},
+		{"clu2", dataset.SyntheticParams{N: 8000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1, Clustered: true}, 16},
 		{"uni3", dataset.SyntheticParams{N: 3000, Dim: 3, MaxSide: 400, Instances: 200, Seed: 1}, 4},
 	} {
 		b.Run(c.name, func(b *testing.B) {

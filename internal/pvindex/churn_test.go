@@ -2,6 +2,7 @@ package pvindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
@@ -19,8 +20,8 @@ import (
 // is not rewritten; with h restarted at the domain every delete-recompute ends
 // each of the 2d faces up to Δ outside where it was, and Σ volume passes
 // 1.005 × cold within 100 pairs. Afterwards every stored UBR still contains
-// its cell, every window degree is the UBR-intersection count, and some rows
-// were left alone.
+// its cell, every window degree is the UBR-intersection count, some rows
+// were left alone and verify passes; the witness lists' sizes are logged.
 func TestChurnDriftBounded(t *testing.T) {
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Seed: 7}
 	db := dataset.Synthetic(p)
@@ -56,6 +57,9 @@ func TestChurnDriftBounded(t *testing.T) {
 		t.Fatalf("%d of %d affected rows came back unchanged; want some, not all", unchanged, affected)
 	}
 	verifyDegrees(t, ix, "after churn")
+	if err := verify(ix); err != nil {
+		t.Fatal(err)
+	}
 
 	final := ix.DB()
 	tree := core.BuildRegionTree(final, ix.cfg.Fanout)
@@ -79,7 +83,13 @@ func TestChurnDriftBounded(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d affected rows unchanged; Σ stored volume %.4f × Σ cold", unchanged, affected, stored/cold)
+	sizes := make([]int, 0, final.Len())
+	for _, o := range final.Objects() {
+		sizes = append(sizes, len(ix.current.Load().witnesses.get(uint32(o.ID))))
+	}
+	slices.Sort(sizes)
+	t.Logf("%d of %d affected rows unchanged; Σ stored volume %.4f × Σ cold; |W| p50 %d, max %d (cap %d)",
+		unchanged, affected, stored/cold, sizes[len(sizes)/2], sizes[len(sizes)-1], witnessCap(p.Dim))
 	if stored > 1.005*cold {
 		t.Fatalf("stored UBRs drifted: Σ volume %g is %.4f × the cold %g, want ≤ 1.005 ×", stored, stored/cold, cold)
 	}

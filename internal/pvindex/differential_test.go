@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pvoronoi/internal/dataset"
@@ -49,6 +50,14 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	assertPDFsMatchRecords(t, want)
 	assertRegionTreeIsDB(t, got, label)
 	assertRegionTreeIsDB(t, want, label)
+	for _, v := range []*version{gv, wv} {
+		if err := checkWitnesses(v.db, v.witnesses, v.witnessed); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if !reflect.DeepEqual(gv.witnesses.image(), wv.witnesses.image()) || !reflect.DeepEqual(gv.witnessed.image(), wv.witnessed.image()) {
+		t.Fatalf("%s: witness lists or their reverse index differ", label)
+	}
 }
 
 // assertRegionTreeIsDB: the region tree indexes exactly the database's

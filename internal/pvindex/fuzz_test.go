@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/dataset"
@@ -223,8 +226,10 @@ func FuzzDecodeObject(f *testing.F) {
 // FuzzLoadImage drives arbitrary bytes through LoadFrom against a d = 2 and
 // a d = 3 database: every input must load or return an error, never panic,
 // and a loaded index must answer a lookup of an absent ID and finish a save.
-// Seeds are a d = 2 image, a d = 3 image, and the d = 2 image as an index
-// that kept an adjacency graph wrote it. (Mutate with
+// Seeds are a d = 2 image, a d = 3 image, the d = 2 image as an index that
+// kept an adjacency graph wrote it, and each image with its witness lists
+// damaged once per rule the loader checks — each seed refused by that check,
+// so mutations start next to it. (Mutate with
 // `go test -run '^$' -fuzz FuzzLoadImage ./internal/pvindex`.)
 func FuzzLoadImage(f *testing.F) {
 	var dbs []*uncertain.DB
@@ -248,6 +253,14 @@ func FuzzLoadImage(f *testing.F) {
 		for _, seed := range seeds {
 			if _, err := LoadFrom(bytes.NewReader(seed), db); err != nil {
 				f.Fatal(err)
+			}
+			f.Add(seed)
+		}
+		damaged := corruptWitnessImages(f, img.Bytes(), db)
+		for _, want := range slices.Sorted(maps.Keys(damaged)) {
+			seed := damaged[want]
+			if _, err := LoadFrom(bytes.NewReader(seed), db); err == nil || !strings.Contains(err.Error(), want) {
+				f.Fatalf("d = %d, witness image damaged for %q: err = %v", d, want, err)
 			}
 			f.Add(seed)
 		}

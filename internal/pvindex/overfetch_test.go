@@ -51,9 +51,12 @@ func overFetch(t *testing.T, ix *Index, qs []geom.Point) (mean, p90 float64) {
 // volume are measured. On uniform data the rule escalates no row, at build
 // or in the batches, so refinement on is refinement off and one build
 // measures both. On clustered d = 2 data it is measured off (factor +Inf)
-// and on, and refinement at least halves the mean over-fetch. The "on" side
-// may not get looser than the values recorded while hub scores were exact
-// UBR-intersection degrees: mean and Σ volume within 1 %, p90 no higher.
+// and on, and refinement at least halves the mean over-fetch of the build,
+// where it alone tightens fat rows: in the batches a warm run's C-set holds
+// the newcomers that affect the row, which cut fat rows down with or without
+// it. The "on" side may not get looser than the values recorded while hub
+// scores were exact UBR-intersection degrees: mean and Σ volume within 1 %,
+// p90 no higher.
 func TestRefinementOverFetch(t *testing.T) {
 	if race.Enabled {
 		t.Skip("four harness-sized builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
@@ -70,12 +73,13 @@ func TestRefinementOverFetch(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			qs := dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 2000, c.p.Seed)
-			measureAt := func(factor float64) (measure, RefineCounters) {
+			measureAt := func(factor float64) (built, m measure, rc RefineCounters) {
 				refineFactorForTest(t, factor)
 				ix, err := BuildParallel(dataset.Synthetic(c.p), DefaultConfig(), 2)
 				if err != nil {
 					t.Fatal(err)
 				}
+				built.mean, built.p90 = overFetch(t, ix, qs)
 				churn := c.p
 				churn.N, churn.Seed = 4*16, c.p.Seed+100
 				fresh := dataset.Synthetic(churn).Objects()
@@ -91,23 +95,22 @@ func TestRefinementOverFetch(t *testing.T) {
 						}
 					}
 				}
-				var m measure
 				m.mean, m.p90 = overFetch(t, ix, qs)
 				m.vol = sumUBRVolume(t, ix)
-				return m, ix.RefineCounters()
+				return built, m, ix.RefineCounters()
 			}
-			on, rc := measureAt(refineFactor)
+			builtOn, on, rc := measureAt(refineFactor)
 			if !c.p.Clustered {
 				t.Logf("%s over-fetch mean/p90/ΣUBR volume: %.6g / %v / %.6g, no row refined", c.name, on.mean, on.p90, on.vol)
 				if rc.RowsRefined != 0 {
 					t.Errorf("the rule escalated %d rows on uniform data", rc.RowsRefined)
 				}
 			} else {
-				off, _ := measureAt(math.Inf(1))
-				t.Logf("%s over-fetch mean/p90/ΣUBR volume: off %.6g / %v / %.6g, on %.6g / %v / %.6g, %d rows refined",
-					c.name, off.mean, off.p90, off.vol, on.mean, on.p90, on.vol, rc.RowsRefined)
-				if on.mean > 0.5*off.mean {
-					t.Errorf("clustered over-fetch with refinement %.4g, without %.4g: refinement no longer halves it", on.mean, off.mean)
+				builtOff, off, _ := measureAt(math.Inf(1))
+				t.Logf("%s over-fetch mean/p90/ΣUBR volume: off %.6g / %v / %.6g, on %.6g / %v / %.6g, %d rows refined; built: off %.6g / %v, on %.6g / %v",
+					c.name, off.mean, off.p90, off.vol, on.mean, on.p90, on.vol, rc.RowsRefined, builtOff.mean, builtOff.p90, builtOn.mean, builtOn.p90)
+				if builtOn.mean > 0.5*builtOff.mean {
+					t.Errorf("clustered build over-fetch with refinement %.4g, without %.4g: refinement no longer halves it", builtOn.mean, builtOff.mean)
 				}
 			}
 			if on.mean > 1.01*c.rec.mean || on.p90 > c.rec.p90 || on.vol > 1.01*c.rec.vol {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
-	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
@@ -47,11 +46,12 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	objs := db.Objects()
 	items := make([]octree.BulkItem, len(objs))
 	seStats := make([]core.Stats, len(objs))
+	lists := make([][]uint32, len(objs))
 
 	// NN iterators only read the shared R*-tree, so the workers share it.
 	parallelFor(workers, len(objs), func(i int) {
 		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
-		items[i].UBR, seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
+		items[i].UBR, lists[i], seStats[i] = w.se(objs[i], seStart{})
 	})
 
 	t0 := time.Now()
@@ -65,6 +65,7 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
 			return nil, err
 		}
+		w.setWitnesses(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)

@@ -14,12 +14,13 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// persistMagic names the one image format LoadFrom reads and SaveTo writes.
-const persistMagic = "PVIDX4"
+// persistMagic names the one image format LoadFrom reads and SaveTo writes:
+// PVIDX5 carries the witness lists, which a PVIDX4 image lacks.
+const persistMagic = "PVIDX5"
 
-// indexImage bundles the serializable state of all index layers. Older images
-// may also carry a refinement cutoff, a refinement config or an adjacency
-// graph, which gob skips: refinement keeps no state.
+// indexImage bundles the serializable state of all index layers. Images may
+// also carry a refinement cutoff, a refinement config or an adjacency graph
+// from older builds, which gob skips: refinement keeps no state.
 type indexImage struct {
 	Magic     string
 	SE        core.Options
@@ -30,6 +31,8 @@ type indexImage struct {
 	Store     *pagestore.Image
 	Primary   *octree.Image
 	Secondary *exthash.Image
+	// Witnesses holds the rows' witness lists, Witnessed their reverse index.
+	Witnesses, Witnessed *listsImage
 }
 
 // SaveTo serializes the index (page store, octree skeleton, hash directory,
@@ -77,6 +80,8 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Store:     storeImg,
 		Primary:   v.primary.Image(),
 		Secondary: v.secondary.Image(),
+		Witnesses: v.witnesses.image(),
+		Witnessed: v.witnessed.image(),
 	}
 	return gob.NewEncoder(w).Encode(&img)
 }
@@ -167,6 +172,17 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 			return nil, fmt.Errorf("pvindex: object %d missing from loaded index", o.ID)
 		}
 	}
+	witnesses, err := listsFromImage(img.Witnesses)
+	var witnessed *idLists
+	if err == nil {
+		witnessed, err = listsFromImage(img.Witnessed)
+	}
+	if err == nil {
+		err = checkWitnesses(db, witnesses, witnessed)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pvindex: image witnesses: %w", err)
+	}
 
 	ix.current.Store(&version{
 		epoch:      1,
@@ -175,6 +191,8 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		primary:    primary,
 		secondary:  secondary,
 		regionTree: regionTree,
+		witnesses:  witnesses,
+		witnessed:  witnessed,
 	})
 	return ix, nil
 }

@@ -377,7 +377,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 
-	// Well-formed gobs that are not a complete PVIDX4 image: each must come
+	// Well-formed gobs that are not a complete PVIDX5 image: each must come
 	// back as an error naming what is wrong — OpenDurable's fallback to an
 	// older checkpoint depends on an error, not a panic.
 	ix, err := Build(db, testConfig())

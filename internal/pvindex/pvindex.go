@@ -94,6 +94,9 @@ type Index struct {
 	refRows      atomic.Int64
 	refUnchanged atomic.Int64
 	refBudget    atomic.Int64
+	// Write-path lifetime counters (see AdjacencyStats).
+	rowsRecomputed atomic.Int64
+	rowsPatched    atomic.Int64
 
 	// Build records the construction cost profile.
 	Build BuildStats
@@ -118,19 +121,20 @@ func (ix *Index) initRuntime() {
 }
 
 // working is the writer's mutable view while it builds the next version:
-// a cloned database, copy-on-write handles over the octree, secondary index
-// and region tree, and the deferred-free list shared by both page-backed
-// structures.
+// a cloned database, copy-on-write handles over the octree, secondary index,
+// region tree and witness lists, and the deferred-free list shared by both
+// page-backed structures.
 // In bootstrap mode (construction) there is no predecessor version:
 // structures mutate in place.
 type working struct {
 	ix    *Index
 	epoch uint64 // epoch this working set publishes as
 
-	db         *uncertain.DB
-	primary    *octree.Tree
-	secondary  *exthash.Table
-	regionTree *rtree.Tree
+	db                   *uncertain.DB
+	primary              *octree.Tree
+	secondary            *exthash.Table
+	regionTree           *rtree.Tree
+	witnesses, witnessed *idLists
 
 	freed  []pagestore.PageID
 	recBuf []byte // putRecord's encoding buffer
@@ -155,7 +159,7 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 			return nil, fmt.Errorf("pvindex: build: %w", err)
 		}
 	}
-	w := &working{ix: ix, epoch: 1, db: db}
+	w := &working{ix: ix, epoch: 1, db: db, witnesses: newIDLists(), witnessed: newIDLists()}
 	var err error
 	w.secondary, err = exthash.New(ix.store)
 	if err != nil {
@@ -184,6 +188,7 @@ func (ix *Index) newWorking(base *version) *working {
 		db:    base.db.Clone(),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
+	w.witnesses, w.witnessed = base.witnesses.cloneCOW(), base.witnessed.cloneCOW()
 	w.secondary = base.secondary.CloneCOW(&w.freed)
 	w.primary = base.primary.CloneCOW(w.lookupUBR, &w.freed)
 	return w
@@ -208,6 +213,8 @@ func (w *working) seal(walSeq uint64) *version {
 		primary:    w.primary,
 		secondary:  w.secondary,
 		regionTree: w.regionTree,
+		witnesses:  w.witnesses,
+		witnessed:  w.witnessed,
 	}
 }
 
@@ -258,6 +265,25 @@ func (w *working) addObject(o *uncertain.Object, ubr geom.Rect) error {
 		return err
 	}
 	return w.primary.Insert(uint32(o.ID), o.Region, ubr)
+}
+
+// moveRow rewrites o's record and octree entries from UBR oldB to newB,
+// leaving the leaves only oldB reaches and joining those only newB reaches: a
+// warm run only shrinks or only grows a UBR, a cold reset can do both.
+func (w *working) moveRow(o *uncertain.Object, oldB, newB geom.Rect) error {
+	id := uint32(o.ID)
+	if !newB.ContainsRect(oldB) {
+		if _, err := w.primary.RemoveDiff(id, oldB, newB); err != nil {
+			return err
+		}
+	}
+	if err := w.putRecord(id, record{UBR: newB, Region: o.Region, Instances: o.Instances}); err != nil {
+		return err
+	}
+	if !oldB.ContainsRect(newB) {
+		return w.primary.InsertDiff(id, o.Region, newB, oldB)
+	}
+	return nil
 }
 
 // UBR returns the stored UBR of an object, read from its record's header.
@@ -477,13 +503,13 @@ func (ix *Index) Delete(id uncertain.ID) (UpdateStats, error) {
 }
 
 // applyDelete performs the incremental deletion of §VI-B against the
-// writer's working version. Affected PV-cells can only grow, and only into
-// the victim's, so UBRs are recomputed warm-started between the old UBR and
-// its union with the victim's, and entries are added to newly covered leaves;
+// writer's working version. Only the rows that list the victim as a witness
+// can need a new UBR — any other row's UBR still holds what its live
+// witnesses leave open (docs/ARCHITECTURE.md, "Witnesses") — so the reverse
+// index's rows for the victim are recomputed, warm-started between the old
+// UBR and its union with the victim's, over their witnesses and the victim's;
 // a row whose UBR comes back as it was is left alone. The deletes of a batch
-// run one at a time for the same reason: a UBR stored before an earlier
-// delete is a lower bound of the current cell and no conservative filter for
-// a later one, so a set-at-a-time delete batch would miss affected rows.
+// run one at a time, each against the lists the one before left.
 func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	var st UpdateStats
 	start := time.Now()
@@ -503,67 +529,37 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	}
 	w.regionTree.Delete(rtree.Item{Rect: victim.Region, ID: uint32(id)})
 
-	// Step 2: candidate affected set.
-	ids, err := w.primary.RangeIDs(victimUBR)
-	if err != nil {
-		return st, err
-	}
+	// Step 2: the affected set, the rows the victim witnessed. The victim's
+	// own lists go with it.
+	vid := uint32(id)
+	victimW, ids := w.witnesses.get(vid), w.witnessed.get(vid)
+	w.setWitnesses(vid, nil)
+	w.witnessed.set(vid, nil)
 	st.Examined = len(ids)
 
 	// Step 4a: remove the victim's entries and record first, so warm-started
 	// SE and leaf splits see the post-delete state.
 	t0 := time.Now()
-	if _, err := w.primary.Remove(uint32(id), victimUBR); err != nil {
+	if _, err := w.primary.Remove(vid, victimUBR); err != nil {
 		return st, err
 	}
-	if _, err := w.secondary.Delete(uint32(id)); err != nil {
+	if _, err := w.secondary.Delete(vid); err != nil {
 		return st, err
 	}
 	st.IndexTime += time.Since(t0)
 
-	for otherID := range ids {
-		oid := uncertain.ID(otherID)
-		if oid == id {
-			continue
+	// Step 3: warm-started SE per row (l = old UBR, h = its union with the
+	// victim's) over its witnesses and the victim's; Step 4b: extend
+	// coverage to newly reached leaves (N′−N).
+	rows := make([]row, len(ids))
+	for k, oid := range ids {
+		oldB, ok := w.lookupUBR(oid)
+		if !ok || w.db.Get(uncertain.ID(oid)) == nil {
+			return st, fmt.Errorf("pvindex: object %d witnessed by %d is missing", oid, id)
 		}
-		other := w.db.Get(oid)
-		if other == nil {
-			continue
-		}
-		// Lemma 8(3): overlap with the victim means unaffected.
-		if other.Region.Intersects(victim.Region) {
-			continue
-		}
-		oldB, ok := w.lookupUBR(otherID)
-		if !ok {
-			continue
-		}
-		// Lemma 8(1) via UBRs.
-		if !oldB.Intersects(victimUBR) {
-			continue
-		}
-		st.Affected++
-
-		// Step 3: warm-started SE (l = old UBR, h = its union with the victim's).
-		t1 := time.Now()
-		updated, seAffected := w.se(other, oldB, victimUBR)
-		st.SETime += time.Since(t1)
-		st.SE.Add(seAffected)
-		if updated.Equal(oldB) {
-			st.Unchanged++
-			continue
-		}
-
-		// Step 4b: extend coverage to newly reached leaves (N′−N).
-		t2 := time.Now()
-		rec := record{UBR: updated, Region: other.Region, Instances: other.Instances}
-		if err := w.putRecord(otherID, rec); err != nil {
-			return st, err
-		}
-		if err := w.primary.InsertDiff(otherID, other.Region, updated, oldB); err != nil {
-			return st, err
-		}
-		st.IndexTime += time.Since(t2)
+		rows[k] = row{oid, seStart{prev: oldB, has: w.witnesses.get(oid), extra: victimW, victim: vid, victimUBR: victimUBR}}
 	}
-	return st, nil
+	st.Affected = len(rows)
+	err := w.recompute(rows, func(int) *UpdateStats { return &st })
+	return st, err
 }

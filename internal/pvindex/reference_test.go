@@ -46,6 +46,7 @@ const (
 // newcomer's UBR over the pre-batch database, with its cost profile.
 type stagedSE struct {
 	ubr   geom.Rect
+	list  []uint32 // its witnesses
 	stats core.Stats
 	dur   time.Duration
 }
@@ -68,11 +69,11 @@ func (ix *Index) referenceStage(base *version, ups []Update) []stagedSE {
 			idxs = append(idxs, i)
 		}
 	}
-	w := &working{ix: ix, db: base.db, regionTree: base.regionTree}
+	w := &working{ix: ix, db: base.db, regionTree: base.regionTree, witnesses: base.witnesses}
 	ix.parallelSE(len(idxs), func(k int) {
 		i := idxs[k]
 		t0 := time.Now()
-		staged[i].ubr, staged[i].stats = w.se(ups[i].Object, geom.Rect{}, geom.Rect{})
+		staged[i].ubr, staged[i].list, staged[i].stats = w.se(ups[i].Object, seStart{})
 		staged[i].dur = time.Since(t0)
 	})
 	return staged
@@ -167,6 +168,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 	// of affected objects can only shrink (Lemma 9), so their UBRs are
 	// recomputed warm-started from the old UBR as the upper bound.
 	var newB geom.Rect
+	var list []uint32
 	if staged == nil {
 		mode = seCold
 	}
@@ -174,23 +176,24 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 	case seUseStaged:
 		// Nothing relevant changed since staging: the precomputed UBR is
 		// exactly what SE would produce now, at zero additional cost.
-		newB = staged.ubr
+		newB, list = staged.ubr, staged.list
 		st.SETime += staged.dur
 		st.SE.Add(staged.stats)
 	case seWarmStart:
 		// Earlier inserts in the batch intersect the staged bound; the cell
-		// can only have shrunk, so refine from the staged UBR (Lemma 9).
+		// can only have shrunk, so refine from the staged UBR (Lemma 9) over
+		// the staged witnesses.
 		st.SETime += staged.dur
 		st.SE.Add(staged.stats)
 		t0 := time.Now()
 		var seStats core.Stats
-		newB, seStats = w.se(o, staged.ubr, geom.Rect{})
+		newB, list, seStats = w.se(o, seStart{prev: staged.ubr, has: staged.list})
 		st.SETime += time.Since(t0)
 		st.SE.Add(seStats)
 	default: // seCold
 		t0 := time.Now()
 		var seStats core.Stats
-		newB, seStats = w.se(o, geom.Rect{}, geom.Rect{})
+		newB, list, seStats = w.se(o, seStart{})
 		st.SETime += time.Since(t0)
 		st.SE.Add(seStats)
 	}
@@ -226,11 +229,13 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 		}
 		st.Affected++
 
-		// Step 3: warm-started SE (h = old UBR).
+		// Step 3: warm-started SE (h = old UBR) over the row's witnesses and
+		// the newcomer.
 		t1 := time.Now()
-		updated, seAffected := w.se(other, oldB, geom.Rect{})
+		updated, updatedW, seAffected := w.se(other, seStart{prev: oldB, has: w.witnesses.get(id), extra: []uint32{uint32(o.ID)}})
 		st.SETime += time.Since(t1)
 		st.SE.Add(seAffected)
+		w.setWitnesses(id, updatedW)
 		if updated.Equal(oldB) {
 			st.Unchanged++
 			continue
@@ -238,11 +243,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 
 		// Step 4: drop entries from leaves no longer covered, refresh record.
 		t2 := time.Now()
-		if _, err := w.primary.RemoveDiff(id, oldB, updated); err != nil {
-			return st, geom.Rect{}, err
-		}
-		rec := record{UBR: updated, Region: other.Region, Instances: other.Instances}
-		if err := w.putRecord(id, rec); err != nil {
+		if err := w.moveRow(other, oldB, updated); err != nil {
 			return st, geom.Rect{}, err
 		}
 		st.IndexTime += time.Since(t2)
@@ -250,6 +251,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 
 	t3 := time.Now()
 	err = w.addObject(o, newB)
+	w.setWitnesses(uint32(o.ID), list)
 	st.IndexTime += time.Since(t3)
 	return st, newB, err
 }
@@ -281,11 +283,12 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 
 	objs := db.Objects()
 	ubrs := make([]geom.Rect, len(objs))
+	lists := make([][]uint32, len(objs))
 	seStats := make([]core.Stats, len(objs))
 
 	// NN iterators only read the shared R*-tree, so they run concurrently.
 	parallelFor(workers, len(objs), func(i int) {
-		ubrs[i], seStats[i] = w.se(objs[i], geom.Rect{}, geom.Rect{})
+		ubrs[i], lists[i], seStats[i] = w.se(objs[i], seStart{})
 	})
 
 	t0 := time.Now()
@@ -294,6 +297,7 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		if err := w.addObject(o, ubrs[i]); err != nil {
 			return nil, err
 		}
+		w.setWitnesses(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
 	ix.Build.InsertTime = time.Since(t0)
@@ -407,11 +411,11 @@ func loadOldImage(t *testing.T, ix *Index, old io.Reader) *Index {
 	return loaded
 }
 
-// oldImage re-encodes the PVIDX4 image cur of ix in the types it had while
-// the index kept an adjacency graph, a record-cache size and five refinement
-// knobs — kept verbatim under their old names, since gob writes a struct's
-// name into the stream — with the graph ix's stored UBRs induce and the knobs
-// at their old defaults. maxDiag and cacheSize fill the graph's retired
+// oldImage re-encodes the image cur of ix, its witness lists included, in
+// the types it had while the index kept an adjacency graph, a record-cache
+// size and five refinement knobs — kept verbatim under their old names, since
+// gob writes a struct's name into the stream — with the graph ix's stored UBRs
+// induce and the knobs at their old defaults. maxDiag and cacheSize fill the graph's retired
 // diameter field and the retired cache size; gob leaves either out when 0.
 func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize int) []byte {
 	t.Helper()
@@ -446,8 +450,9 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 		// Refine and RefineThreshold restore the refinement subsystem:
 		// the config the UBRs were refined under and the hub-score cutoff the
 		// incremental write path re-refines against (0 = unset).
-		Refine          RefineConfig
-		RefineThreshold float64
+		Refine               RefineConfig
+		RefineThreshold      float64
+		Witnesses, Witnessed *listsImage
 	}
 	var img indexImage
 	if err := gob.NewDecoder(bytes.NewReader(cur)).Decode(&img); err != nil {

@@ -1,19 +1,24 @@
 package pvindex
 
 import (
+	"cmp"
 	"maps"
 	"math"
 	"slices"
+	"sync"
+	"time"
 
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
 
 // Refinement spends extra SE work on fat rows, decided per row inside the SE
 // job that computes the UBR: a row whose UBR is large against the C-set that
 // bounds it re-runs SE at once with a deeper recursion and a larger C-set
-// (core.RefineUBR). Refined UBRs remain supersets of the true cell, so every
+// (core.Escalated). Refined UBRs remain supersets of the true cell, so every
 // query stays exact; the payoff is tighter UBRs alone — fewer Step-1
 // candidates over-fetched by a PNNQ near a hub, and fewer rows a delete batch
 // recomputes. No extension query depends on it: they all retrieve over
@@ -35,48 +40,118 @@ func fat(ubr geom.Rect, st core.Stats) bool {
 		ubr.Volume()*float64(st.CSetSize) >= refineFactor*math.Ldexp(st.CSetVolume, ubr.Dim())
 }
 
-// se is every SE job of the build and the write path: a cold run for o over
-// w's database when prev is the zero Rect, else a warm one from o's UBR prev —
-// after inserts (victim the zero Rect) or after the delete of a row whose UBR
-// was victim. A fat result gets the escalated re-run at once: bisecting after
-// a cold run, probing from h after a warm one (core.RefineUBRFromH: a warm
-// result already sits near the cell) and above the floor the warm run kept —
-// u(o), or the old UBR after a delete. A warm run that returned prev
-// unchanged is not escalated. The re-run's work lands in Stats.Refine and the
-// lifetime counters. It reads only w's database and region tree, so jobs fan
-// out.
-func (w *working) se(o *uncertain.Object, prev, victim geom.Rect) (geom.Rect, core.Stats) {
-	opts := w.ix.cfg.SE
-	var ubr geom.Rect
-	var st core.Stats
-	floor := o.Region
+// seStart says where an SE job starts: the zero value is a cold run, from
+// l = u(o) and h = the domain over a browsed C-set; with prev set, a warm
+// run over W(o) (has) ∪ extra, from l = u(o) and h = prev after inserts
+// (extra: the newcomers), from l = prev and h = prev ∪ victimUBR after a
+// delete (extra: W(victim)) — docs/ARCHITECTURE.md, "Witnesses".
+type seStart struct {
+	prev, victimUBR geom.Rect
+	has, extra      []uint32
+	victim          uint32
+}
+
+// seScratch is an SE job's reusable C-set (IDs, items) and witnesses.
+type seScratch struct {
+	ids  []uint32
+	cset []rtree.Item
+	wit  []uint32
+}
+
+var seScratches = sync.Pool{New: func() any { return new(seScratch) }}
+
+// se is every SE job of the build and the write path: it returns o's UBR, its
+// witness list (fresh, ascending) and the run's stats. A warm C-set past the
+// cap makes it a cold run; a cold run whose witnesses pass the cap runs again
+// over the nearest cap of them. A fat result gets the escalated re-run over
+// an escalated browse at once — bisecting after a cold run, probing from h
+// above the floor the warm run kept after a warm one — unless a warm run
+// returned prev unchanged; its witnesses join the list, or, past the cap, the
+// re-run is dropped. Its work lands in Stats.Refine and the lifetime
+// counters. It reads only w's database and region tree, so jobs fan out.
+func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, core.Stats) {
+	sc := seScratches.Get().(*seScratch)
+	defer func() {
+		clear(sc.cset)
+		seScratches.Put(sc)
+	}()
+	opts, limit := w.ix.cfg.SE, witnessCap(o.Dim())
+	insert := from.victimUBR.Lo == nil
+	warm := from.prev.Lo != nil && from.prev.ContainsRect(o.Region)
+	if warm {
+		drop := []uint32{uint32(o.ID), from.victim}
+		if insert {
+			drop = drop[:1]
+		}
+		sc.ids = union(sc.ids, from.has, from.extra, drop...)
+		warm = len(sc.ids) <= limit
+	}
+
+	t0 := time.Now()
+	l, h, sched, keep := o.Region.Clone(), from.prev.Clone(), domination.FromH, from.has
 	switch {
-	case prev.Lo == nil:
-		ubr, st = core.ComputeUBR(w.db, w.regionTree, o, opts)
-	case victim.Lo == nil:
-		ubr, st = core.ComputeUBRAfterInsert(w.db, w.regionTree, o, prev, opts)
-	default:
-		ubr, st = core.ComputeUBRAfterDelete(w.db, w.regionTree, o, prev, victim, opts)
-		floor = prev
+	case !warm:
+		sc.cset = core.ChooseCSet(sc.cset[:0], w.db, w.regionTree, o, opts)
+		h, sched, keep = w.db.Domain.Clone(), domination.Bisect, nil
+	case insert:
+		sc.cset = w.membersByDistance(sc, o)
+	default: // the whole C-set stays in the list: the proof of the delete rule needs it
+		sc.cset = w.membersByDistance(sc, o)
+		l, h, sched, keep = from.prev.Clone(), from.prev.Union(from.victimUBR), domination.Bisect, sc.ids
 	}
-	if (prev.Lo != nil && ubr.Equal(prev)) || !fat(ubr, st) {
-		return ubr, st
+	csetTime := time.Since(t0)
+	floor := l.Clone()
+	ubr, wit, st := core.Run(sc.cset, o.Region, l, h, sched, opts.Delta, opts.MaxDepth, sc.wit[:0])
+	st.CSetTime = csetTime
+	if !warm && len(wit) > limit {
+		// The witnesses come in C-set order, nearest first.
+		sc.cset = slices.DeleteFunc(sc.cset, func(c rtree.Item) bool { return !slices.Contains(wit[:limit], c.ID) })
+		var rerun core.Stats
+		ubr, wit, rerun = core.Run(sc.cset, o.Region, o.Region.Clone(), w.db.Domain.Clone(), sched, opts.Delta, opts.MaxDepth, wit[:0])
+		st.Add(rerun)
+		st.CSetSize, st.CSetVolume = rerun.CSetSize, rerun.CSetVolume
 	}
-	var refined geom.Rect
-	var rst core.Stats
-	if prev.Lo == nil {
-		refined, rst = core.RefineUBR(w.db, w.regionTree, o, ubr, opts)
-	} else {
-		refined, rst = core.RefineUBRFromH(w.db, w.regionTree, o, floor, ubr, opts)
+	list := union(nil, keep, wit)
+	if sc.wit = wit; (warm && ubr.Equal(from.prev)) || !fat(ubr, st) {
+		return ubr, list, st
 	}
+
+	t1 := time.Now()
+	esc := core.Escalated(opts)
+	sc.cset = core.ChooseCSet(sc.cset[:0], w.db, w.regionTree, o, esc)
+	if sched = domination.Bisect; warm {
+		sched = domination.FromH
+	}
+	refined, wit, rst := core.Run(sc.cset, o.Region, floor, ubr.Clone(), sched, esc.Delta, esc.MaxDepth, sc.wit[:0])
+	sc.wit = wit
+	ref := core.RefineStats{Rows: 1, CSetSize: rst.CSetSize, Time: time.Since(t1),
+		Iterations: rst.Iterations, DominationTests: rst.DominationTests, Shrinks: rst.Shrinks}
 	if refined.Equal(ubr) {
-		rst.Refine.Unchanged++
+		ref.Unchanged++
 	}
-	st.Add(rst)
-	w.ix.refRows.Add(int64(rst.Refine.Rows))
-	w.ix.refUnchanged.Add(int64(rst.Refine.Unchanged))
-	w.ix.refBudget.Add(rst.Refine.DominationTests)
-	return refined, st
+	st.Refine.Add(ref)
+	w.ix.refRows.Add(1)
+	w.ix.refUnchanged.Add(int64(ref.Unchanged))
+	w.ix.refBudget.Add(ref.DominationTests)
+	if merged := union(nil, list, wit); len(merged) <= limit {
+		ubr, list = refined, merged
+	}
+	return ubr, list, st
+}
+
+// membersByDistance lists sc.ids as the warm C-set, nearest first from o's
+// center like the IS browse, so the kernel's scan finds dominators early.
+func (w *working) membersByDistance(sc *seScratch, o *uncertain.Object) []rtree.Item {
+	center, cset := o.Region.Center(), sc.cset[:0]
+	for _, id := range sc.ids {
+		if m := w.db.Get(uncertain.ID(id)); m != nil { // a dead witness breaks checkWitnesses' rules; live members stay sound
+			cset = append(cset, rtree.Item{Rect: m.Region, ID: id})
+		}
+	}
+	slices.SortFunc(cset, func(a, b rtree.Item) int {
+		return cmp.Or(cmp.Compare(a.Rect.MinDist2(center), b.Rect.MinDist2(center)), cmp.Compare(a.ID, b.ID))
+	})
+	return cset
 }
 
 // RefineCounters are the refinement subsystem's lifetime totals.
@@ -101,13 +176,13 @@ func (ix *Index) RefineCounters() RefineCounters {
 }
 
 // AdjacencyStats is the UBR-intersection degree distribution over the
-// current version's rows, computed on demand: one octree window per row.
+// current version's rows, computed on demand: one octree window per row, and
+// the write path's lifetime row counts.
 type AdjacencyStats struct {
 	// Rows is the number of objects.
 	Rows int
-	// RowsRecomputed and RowsPatched are always 0: no graph is maintained.
-	// They are kept only because benchmark/layers.go still reads them
-	// (ROADMAP item 2).
+	// RowsRecomputed counts the rows updates recomputed over the index's
+	// lifetime, RowsPatched those whose stored UBR they rewrote.
 	RowsRecomputed int64
 	RowsPatched    int64
 	// DegreeP50 and DegreeMax summarize the UBR-intersection degrees.
@@ -121,7 +196,7 @@ func (ix *Index) Adjacency() AdjacencyStats {
 	v := ix.pin()
 	defer ix.unpin(v)
 	degs := slices.Sorted(maps.Values(v.windowDegrees()))
-	st := AdjacencyStats{Rows: len(degs)}
+	st := AdjacencyStats{Rows: len(degs), RowsRecomputed: ix.rowsRecomputed.Load(), RowsPatched: ix.rowsPatched.Load()}
 	if len(degs) > 0 {
 		st.DegreeP50, st.DegreeMax = degs[(len(degs)-1)/2], degs[len(degs)-1]
 	}

@@ -12,6 +12,7 @@ import (
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/rtree"
@@ -337,7 +338,7 @@ func TestRefineRuleDegenerate(t *testing.T) {
 				if got := fat(ubr, st); got != c.wantFat[k] {
 					t.Fatalf("factor %v: fat = %v, want %v (ρ %v, |C| %d)", f, got, c.wantFat[k], rho(ubr, st), st.CSetSize)
 				}
-				got, gst := w.se(o, geom.Rect{}, geom.Rect{})
+				got, _, gst := w.se(o, seStart{})
 				if escalated := gst.Refine.Rows == 1; escalated != c.wantFat[k] || !got.ContainsRect(o.Region) {
 					t.Fatalf("factor %v: SE job escalated %v, want %v; UBR %v", f, escalated, c.wantFat[k], got)
 				}
@@ -412,8 +413,10 @@ func TestRefineRuleCoversOldHubs(t *testing.T) {
 	for _, id := range hubs {
 		o := v.db.Get(uncertain.ID(id))
 		stored, _ := v.ubr(o.ID)
-		got, st := w.se(o, geom.Rect{}, geom.Rect{})
-		want, _ := core.RefineUBR(w.db, w.regionTree, o, stored, ix.cfg.SE)
+		got, _, st := w.se(o, seStart{})
+		esc := core.Escalated(ix.cfg.SE)
+		want, _, _ := core.Run(core.ChooseCSet(nil, w.db, w.regionTree, o, esc), o.Region, o.Region.Clone(), stored.Clone(),
+			domination.Bisect, esc.Delta, esc.MaxDepth, nil)
 		if st.Refine.Rows != 1 || !sameRectBits(got, want) {
 			t.Fatalf("old hub %d: the build SE job escalated %d times, UBR %v, escalated cold UBR %v", id, st.Refine.Rows, got, want)
 		}

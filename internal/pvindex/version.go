@@ -14,7 +14,8 @@ import (
 
 // version is one immutable MVCC snapshot of the whole index: the database,
 // the octree primary index, the extendible-hash secondary index (UBR + pdf
-// records), and the region R*-tree, all consistent as of one write epoch.
+// records), the region R*-tree and the witness lists, all consistent as of
+// one write epoch.
 //
 // Lifecycle: a writer builds the next version copy-on-write from the current
 // one (sharing every untouched node and page), publishes it with a single
@@ -30,10 +31,11 @@ type version struct {
 	// this version (0 when none).
 	walSeq uint64
 
-	db         *uncertain.DB
-	primary    *octree.Tree
-	secondary  *exthash.Table
-	regionTree *rtree.Tree
+	db                   *uncertain.DB
+	primary              *octree.Tree
+	secondary            *exthash.Table
+	regionTree           *rtree.Tree
+	witnesses, witnessed *idLists // witness lists and reverse index
 
 	// readers counts pinned readers. A version with readers > 0 is never
 	// reclaimed; transient increments from the pin retry loop are harmless
