@@ -312,6 +312,9 @@ func TestServeWireGolden(t *testing.T) {
 			path, _, _ := strings.Cut(wc.path, "?")
 			sum.Write(canonicalReply(t, path, rec.Body.Bytes()))
 			sum.Write([]byte{'\n'})
+			if path == "/v1/delete" || path == "/v1/deletebatch" {
+				checkDeleteCounts(t, what, rec.Body.Bytes())
+			}
 		} else {
 			checkErrorBody(t, what, rec.Body.Bytes())
 		}
@@ -319,6 +322,20 @@ func TestServeWireGolden(t *testing.T) {
 	}
 	if got := sum.Sum64(); got != want || len(corpus) != wantReqs {
 		t.Fatalf("wire hash %#x over %d requests; want %#x over %d", got, len(corpus), want, wantReqs)
+	}
+}
+
+// checkDeleteCounts holds a delete reply to the documented counts: a delete
+// recomputes every row its filter (the victim's reverse-index list) names,
+// so examined equals affected, and unchanged is a part of them.
+func checkDeleteCounts(t *testing.T, what string, body []byte) {
+	t.Helper()
+	var c struct{ Affected, Unchanged, Examined int }
+	if err := json.Unmarshal(body, &c); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if c.Examined != c.Affected || c.Unchanged > c.Affected {
+		t.Errorf("%s: delete reply examined %d, affected %d, unchanged %d", what, c.Examined, c.Affected, c.Unchanged)
 	}
 }
 

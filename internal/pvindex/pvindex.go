@@ -467,7 +467,7 @@ func (ix *Index) Snapshot(q geom.Point) (*QuerySnapshot, error) {
 type UpdateStats struct {
 	Affected  int           // objects whose UBRs were recomputed
 	Unchanged int           // of those, UBRs that came back bit-identical: nothing rewritten
-	Examined  int           // objects touched by the range filter
+	Examined  int           // rows the filter looked at: an insert's window; a delete's witnessed rows (= Affected)
 	SETime    time.Duration // UBR recomputation time
 	IndexTime time.Duration // primary/secondary maintenance time
 	TotalTime time.Duration
