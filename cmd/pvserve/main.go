@@ -22,6 +22,15 @@
 // trigger a graceful shutdown: in-flight queries drain, and a final
 // checkpoint is written.
 //
+// Writes fan their SE jobs out on the index's SE pool, as wide as
+// GOMAXPROCS was when the index was built or opened, and each write route's
+// call runs with GOMAXPROCS one above that: the spare P never runs an SE
+// job, it waits in the network poller, so a read arriving mid-fan-out is
+// picked up at once and the OS time-slices it against SE instead of the
+// read waiting for the fan-out to end. The raise is counted across
+// concurrent writes and undone when the last one returns; reads never
+// change GOMAXPROCS, and /v1/stats reports the value without the spare P.
+//
 // Endpoints (request and response bodies are JSON):
 //
 //	POST /v1/query             {"point":[x,y,...], "eps":0}  full PNNQ (eps > 0: verified Step 2)

@@ -170,7 +170,7 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
 		return
 	}
 	start := time.Now()
-	rep, leafIO, err := rt.call(s, r.Context(), req)
+	rep, leafIO, err := s.call(r.Context(), rt, req)
 	elapsed := time.Since(start)
 	// A client that went away is no failure of the endpoint's.
 	s.metrics.observe(rt.path[len("/v1/"):], elapsed, leafIO, err != nil && !errors.Is(err, context.Canceled))
@@ -180,6 +180,54 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, rt *route) {
 	}
 	rep["latency_us"] = elapsed.Microseconds()
 	writeJSON(w, http.StatusOK, rep)
+}
+
+// call runs a route's call, a write's with the spare P lent.
+func (s *server) call(ctx context.Context, rt *route, req *request) (reply, int, error) {
+	if rt.write {
+		defer writeProcs.lend()()
+	}
+	return rt.call(s, ctx, req)
+}
+
+// spareP lends writes one P above the GOMAXPROCS the process runs with
+// (main.go's package comment says why). The raise is counted across
+// concurrent writes: the first raises, the last restores.
+type spareP struct {
+	mu    sync.Mutex
+	held  int
+	procs int // GOMAXPROCS before the first raise
+}
+
+// writeProcs is the process's one lender: GOMAXPROCS is process-wide.
+var writeProcs spareP
+
+// lend raises GOMAXPROCS by one unless a write already did; call the
+// returned function to give the P back.
+func (p *spareP) lend() (giveBack func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held++; p.held == 1 {
+		p.procs = runtime.GOMAXPROCS(0)
+		runtime.GOMAXPROCS(p.procs + 1)
+	}
+	return func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.held--; p.held == 0 {
+			runtime.GOMAXPROCS(p.procs)
+		}
+	}
+}
+
+// base is GOMAXPROCS without the spare P.
+func (p *spareP) base() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held > 0 {
+		return p.procs
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // fail answers a call's error. A WAL fail-stop puts the server in degraded
@@ -728,6 +776,6 @@ func runtimeStats() map[string]any {
 		"heap_objects":     ms.HeapObjects,
 		"num_gc":           ms.NumGC,
 		"gc_pause_total_s": float64(ms.PauseTotalNs) / 1e9,
-		"gomaxprocs":       runtime.GOMAXPROCS(0),
+		"gomaxprocs":       writeProcs.base(),
 	}
 }

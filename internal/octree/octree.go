@@ -692,19 +692,23 @@ func (t *Tree) PointQueryIDsInto(q geom.Point, dst []uint32) ([]uint32, int, err
 }
 
 // RangeIDs returns the distinct object IDs stored in leaves whose cells
-// intersect r — Step 2 of the paper's incremental update (the potentially
-// affected set A).
-func (t *Tree) RangeIDs(r geom.Rect) (map[uint32]bool, error) {
+// intersect r, ascending, in dst's storage — Step 2 of the paper's
+// incremental update (the potentially affected set A). It only reads, so
+// windows of one tree may run concurrently.
+func (t *Tree) RangeIDs(r geom.Rect, dst []uint32) ([]uint32, error) {
 	var stack [512]float64
-	out := make(map[uint32]bool)
-	err := t.rangeIDs(t.root, t.rootCells(stack[:]), r, out)
-	return out, err
+	dst, err := t.rangeIDs(t.root, t.rootCells(stack[:]), r, dst[:0])
+	if err != nil {
+		return dst[:0], err
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst), nil
 }
 
-// rangeIDs collects the IDs under n, whose cell is cells[:2d].
-func (t *Tree) rangeIDs(n *node, cells []float64, r geom.Rect, out map[uint32]bool) error {
+// rangeIDs appends the IDs under n, whose cell is cells[:2d], with repeats.
+func (t *Tree) rangeIDs(n *node, cells []float64, r geom.Rect, out []uint32) ([]uint32, error) {
 	if !cellMeets(t.dim, cells, r) {
-		return nil
+		return out, nil
 	}
 	if n.children == nil {
 		// Lazy decode: stride over the packed entries reading only each
@@ -713,21 +717,22 @@ func (t *Tree) rangeIDs(n *node, cells []float64, r geom.Rect, out map[uint32]bo
 		for p := n.firstPage; p != 0; {
 			buf, err := t.store.View(p)
 			if err != nil {
-				return err
+				return out, err
 			}
 			var recs []byte
 			for p, recs = t.pageRecs(buf); len(recs) > 0; recs = recs[es:] {
-				out[binary.LittleEndian.Uint32(recs)] = true
+				out = append(out, binary.LittleEndian.Uint32(recs))
 			}
 		}
-		return nil
+		return out, nil
 	}
 	for mask, c := range n.children {
-		if err := t.rangeIDs(c, childCell(t.dim, cells, mask), r, out); err != nil {
-			return err
+		var err error
+		if out, err = t.rangeIDs(c, childCell(t.dim, cells, mask), r, out); err != nil {
+			return out, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // rootCells returns buf, grown to hold the cells of a root-to-leaf path (2d

@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pvoronoi/internal/geom"
@@ -292,12 +293,29 @@ func TestRangeIDs(t *testing.T) {
 	b := geom.NewRect(geom.Point{800, 800}, geom.Point{820, 820})
 	ti.insert(t, 1, a, a.Expand(10))
 	ti.insert(t, 2, b, b.Expand(10))
-	ids, err := ti.tree.RangeIDs(geom.NewRect(geom.Point{0, 0}, geom.Point{200, 200}))
+	ids, err := ti.tree.RangeIDs(geom.NewRect(geom.Point{0, 0}, geom.Point{200, 200}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ids[1] {
+	if !slices.Contains(ids, 1) {
 		t.Fatal("range query missed object 1")
+	}
+	// Enough wide UBRs to split the root, so most IDs sit in several leaves:
+	// the whole domain's window still lists each ID once, ascending.
+	rng := rand.New(rand.NewSource(7))
+	want := []uint32{1, 2}
+	for id := uint32(3); id < 200; id++ {
+		lo := geom.Point{rng.Float64() * 900, rng.Float64() * 900}
+		u := geom.NewRect(lo, geom.Point{lo[0] + 5, lo[1] + 5})
+		ti.insert(t, id, u, u.Expand(60))
+		want = append(want, id)
+	}
+	ids, err = ti.tree.RangeIDs(geom.UnitCube(2, 1000), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("whole-domain window lists %d IDs, want 1…199 once each, ascending", len(ids))
 	}
 	// Note: coarse leaves may include far-away objects (the root leaf spans
 	// everything before splits); RangeIDs over-approximates by design.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -235,12 +234,14 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 //
 // The stored UBRs the affected-set filters read are those from before the
 // run, upper bounds of the final cells (shrink-only), so filtering against
-// them is conservative: no affected object can be missed. The staging and
-// both recompute phases fan out across a worker pool — SE reads only the
-// working database, region tree and witness lists, which do not change while
-// one runs (chooseCSet skips the object's own ID, so a newcomer's UBR computed
-// before it is added is what it would be after; the R*-tree browse keeps its
-// state in its own iterator, so workers share the tree).
+// them is conservative: no affected object can be missed. The staging, both
+// recompute phases and the newcomers' windows fan out on the index's SE pool
+// — they read only the working database, trees, records and witness lists,
+// which do not change while one runs (chooseCSet skips the object's own ID,
+// so a newcomer's UBR computed before it is added is what it would be after;
+// the R*-tree browse keeps its state in its own iterator, so workers share
+// the tree). The affected rows are merged serially in newcomer order, each
+// newcomer's ascending by ID, so the write-back order is fixed by the batch.
 func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 	ix := w.ix
 	n := len(ups)
@@ -295,44 +296,29 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		stats[i].SE.Add(s)
 	})
 
-	// Phase 3: the union of affected existing objects, each with its
-	// pre-run UBR, witnesses, affecting newcomers and first op (for stats).
+	// Phase 3: each newcomer's window, filtered on the pool, then merged in
+	// newcomer order into the union of affected existing objects, each with
+	// its pre-run UBR, witnesses, affecting newcomers and first op (for
+	// stats).
+	hits := make([][]row, n)
+	errs := make([]error, n)
+	ix.parallelSE(n, func(i int) {
+		hits[i], stats[i].Examined, errs[i] = w.window(ups[i].Object, finalB[i], newcomer)
+	})
 	affected, ops := []row(nil), []int(nil)
 	seen := make(map[uint32]int)
 	for i, u := range ups {
-		ids, err := w.primary.RangeIDs(finalB[i])
-		if err != nil {
-			return stats, err
+		if errs[i] != nil {
+			return stats, errs[i]
 		}
-		stats[i].Examined = len(ids)
-		for id := range ids {
-			if _, isNew := newcomer[id]; isNew {
+		for _, h := range hits[i] {
+			if k, dup := seen[h.id]; dup {
+				affected[k].from.extra = append(affected[k].from.extra, uint32(u.Object.ID))
 				continue
 			}
-			other := w.db.Get(uncertain.ID(id))
-			if other == nil {
-				continue
-			}
-			// Lemma 8(3): objects whose regions overlap u(o) are unaffected.
-			if other.Region.Intersects(u.Object.Region) {
-				continue
-			}
-			if k, dup := seen[id]; dup {
-				if from := &affected[k].from; from.prev.Intersects(finalB[i]) {
-					from.extra = append(from.extra, uint32(u.Object.ID))
-				}
-				continue
-			}
-			oldB, ok := w.lookupUBR(id)
-			if !ok {
-				continue
-			}
-			// Lemma 8(2) via UBRs: disjoint bounds imply disjoint cells.
-			if !oldB.Intersects(finalB[i]) {
-				continue
-			}
-			seen[id] = len(affected)
-			affected = append(affected, row{id, seStart{prev: oldB, has: w.witnesses.get(id), extra: []uint32{uint32(u.Object.ID)}}})
+			seen[h.id] = len(affected)
+			h.from.has, h.from.extra = w.witnesses.get(h.id), []uint32{uint32(u.Object.ID)}
+			affected = append(affected, h)
 			ops = append(ops, i)
 			stats[i].Affected++
 		}
@@ -354,6 +340,31 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		stats[i].IndexTime += time.Since(t0)
 	}
 	return stats, nil
+}
+
+// window lists, ascending by ID, the existing objects newcomer u may affect
+// — those in the octree window of its final UBR b that are no newcomer, whose
+// regions miss u(o) (Lemma 8(3)) and whose stored UBRs meet b (Lemma 8(2) via
+// UBRs: disjoint bounds imply disjoint cells) — each as a row starting from
+// that UBR, and the window's size. It only reads, so windows fan out.
+func (w *working) window(u *uncertain.Object, b geom.Rect, newcomer map[uint32]struct{}) ([]row, int, error) {
+	ids, err := w.primary.RangeIDs(b, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	var hits []row
+	for _, id := range ids {
+		if _, isNew := newcomer[id]; isNew {
+			continue
+		}
+		if other := w.db.Get(uncertain.ID(id)); other == nil || other.Region.Intersects(u.Region) {
+			continue
+		}
+		if oldB, ok := w.lookupUBR(id); ok && oldB.Intersects(b) {
+			hits = append(hits, row{id, seStart{prev: oldB}})
+		}
+	}
+	return hits, len(ids), nil
 }
 
 // row is a row an update recomputes and where its SE job starts.
@@ -395,11 +406,12 @@ func (w *working) recompute(rows []row, stat func(k int) *UpdateStats) error {
 	return nil
 }
 
-// parallelSE runs fn(0..n-1) across a worker pool sized to GOMAXPROCS —
-// used for the SE staging and recomputation fan-outs, which are read-only
-// over the database and region tree they run against.
+// parallelSE runs fn(0..n-1) on the index's SE pool (parallelFor over
+// ix.pool workers, the caller among them) — every fan-out of the build and
+// the write path: the SE jobs and the insert windows, all read-only over the
+// database, trees and witness lists they run against.
 func (ix *Index) parallelSE(n int, fn func(i int)) {
-	parallelFor(runtime.GOMAXPROCS(0), n, fn)
+	parallelFor(ix.pool, n, fn)
 }
 
 // AttachWAL binds a write-ahead log to the index: every subsequent

@@ -3,6 +3,7 @@ package pvindex
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pvoronoi/internal/core"
@@ -12,11 +13,12 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// BuildParallel constructs the PV-index like Build but computes UBRs with a
-// pool of workers (the SE algorithm is read-only over the database and the
-// region tree, so per-object UBR computation parallelizes embarrassingly;
-// the octree bulk load and the record writes after it are serial). workers
-// <= 0 uses GOMAXPROCS.
+// BuildParallel constructs the PV-index like Build but computes UBRs on an
+// SE pool of workers (the SE algorithm is read-only over the database and
+// the region tree, so per-object UBR computation parallelizes
+// embarrassingly; the octree bulk load and the record writes after it are
+// serial). workers <= 0 uses GOMAXPROCS. The pool stays the index's: every
+// later write fans out on the same workers.
 //
 // The resulting index is the one a serial Build makes — the paper's
 // bulk-loading direction from its conclusion, realized as a
@@ -34,7 +36,7 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
-	ix := &Index{store: cfg.Store, cfg: cfg}
+	ix := &Index{store: cfg.Store, cfg: cfg, pool: workers}
 	ix.initRuntime()
 
 	start := time.Now()
@@ -49,7 +51,7 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	lists := make([][]uint32, len(objs))
 
 	// NN iterators only read the shared R*-tree, so the workers share it.
-	parallelFor(workers, len(objs), func(i int) {
+	ix.parallelSE(len(objs), func(i int) {
 		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
 		items[i].UBR, lists[i], seStats[i] = w.se(objs[i], seStart{})
 	})
@@ -65,42 +67,41 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
 			return nil, err
 		}
-		w.setWitnesses(uint32(o.ID), lists[i])
+		w.witnesses.set(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
+	w.witnessed = w.witnesses.transpose()
 	ix.Build.InsertTime = time.Since(t0)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
 	return ix, nil
 }
 
-// parallelFor runs fn(0..n-1) across at most workers goroutines (inline when
-// one suffices). Each index is visited by exactly one worker, so fn may
-// write to per-index slots without synchronization.
+// parallelFor runs fn(0..n-1) on the calling goroutine and at most
+// workers-1 more (inline when one suffices), each taking the next index from
+// a shared counter until none is left. Each index is visited by exactly one
+// worker, so fn may write to per-index slots without synchronization.
 func parallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
 			fn(i)
 		}
 		return
 	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 }

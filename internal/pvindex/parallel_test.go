@@ -1,11 +1,19 @@
 package pvindex
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/uncertain"
 )
 
 // TestParallelBuildEquivalent: a parallel build must answer every query
@@ -65,5 +73,132 @@ func TestParallelBuildDefaultWorkers(t *testing.T) {
 	}
 	if ix.Build.Objects != 60 {
 		t.Fatalf("built %d objects", ix.Build.Objects)
+	}
+}
+
+// TestParallelForVisitsEachIndexOnce: every index in 0..n-1 exactly once,
+// for n = 0, n below the width, width 1 and widths beyond one; at width w the
+// first w calls overlap on exactly w goroutines, the caller one of them (it
+// starts only w-1).
+func TestParallelForVisitsEachIndexOnce(t *testing.T) {
+	for _, c := range []struct{ width, n int }{{4, 0}, {1, 0}, {4, 3}, {1, 50}, {2, 50}, {4, 1000}, {0, 5}} {
+		t.Run(fmt.Sprintf("width%d-n%d", c.width, c.n), func(t *testing.T) {
+			visits := make([]atomic.Int32, c.n)
+			overlap := min(max(c.width, 1), c.n)
+			var entered atomic.Int32
+			release := make(chan struct{})
+			started := runtime.NumGoroutine()
+			var extra atomic.Int32
+			parallelFor(c.width, c.n, func(i int) {
+				visits[i].Add(1)
+				if entered.Add(1) == int32(overlap) {
+					extra.Store(int32(runtime.NumGoroutine() - started))
+					close(release)
+				}
+				select {
+				case <-release:
+				case <-time.After(10 * time.Second):
+					t.Errorf("index %d: only %d of %d calls ever overlapped", i, entered.Load(), overlap)
+				}
+			})
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Fatalf("index %d visited %d times", i, v)
+				}
+			}
+			if c.n > 0 && int(extra.Load()) != overlap-1 {
+				t.Fatalf("%d calls overlapped beside %d more goroutines, want %d: the caller is a worker", overlap, extra.Load(), overlap-1)
+			}
+		})
+	}
+}
+
+// TestWritePathPoolWidthDeterminism: the same mixed batches — inserts,
+// deletes, a same-ID replace, deletes then inserts — through indexes whose SE
+// pools are 1 and 4 wide (and a second 4-wide one) leave the same state bit
+// for bit, report the same per-op counts and save the same image, every page
+// the same bytes under the same ID, so every row was written back in the same
+// order: the fan-outs decide nothing, and the order of affected rows comes
+// from the batch alone.
+func TestWritePathPoolWidthDeterminism(t *testing.T) {
+	for _, d := range []int{2, 3} {
+		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(430 + d)))
+			const span, maxSide = 600.0, 40.0
+			db := randomDB(rng, 150, d, span, maxSide, true)
+			var ixs []*Index
+			for _, width := range []int{1, 4, 4} {
+				ix, err := BuildParallel(db.Clone(), testConfig(), width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ixs = append(ixs, ix)
+			}
+			nextID := uncertain.ID(5000)
+			fresh := func() Update {
+				nextID++
+				return Update{Op: OpInsert, Object: randomObject(rng, nextID, d, span, maxSide)}
+			}
+			victims := func(k int) []Update {
+				objs := ixs[0].DB().Objects()
+				var ups []Update
+				for _, i := range rng.Perm(len(objs))[:k] {
+					ups = append(ups, Update{Op: OpDelete, ID: objs[i].ID})
+				}
+				return ups
+			}
+			for b := 0; b < 16; b++ {
+				var ups []Update
+				switch b % 4 {
+				case 0:
+					for range 2 + rng.Intn(12) {
+						ups = append(ups, fresh())
+					}
+				case 1:
+					ups = victims(1 + rng.Intn(6))
+				case 2:
+					del := victims(1)[0]
+					ups = []Update{del, {Op: OpInsert, Object: randomObject(rng, del.ID, d, span, maxSide)}, fresh()}
+				case 3:
+					ups = append(victims(2), fresh(), fresh(), fresh())
+				}
+				var want []UpdateStats
+				for k, ix := range ixs {
+					sts, err := ix.ApplyBatch(ups)
+					if err != nil {
+						t.Fatalf("batch %d, index %d: %v", b, k, err)
+					}
+					if k == 0 {
+						want = sts
+						continue
+					}
+					for i := range sts {
+						g, w := sts[i], want[i]
+						if g.Affected != w.Affected || g.Examined != w.Examined || g.Unchanged != w.Unchanged {
+							t.Fatalf("batch %d op %d: index %d counts %d affected, %d examined, %d unchanged; width 1 %d, %d, %d",
+								b, i, k, g.Affected, g.Examined, g.Unchanged, w.Affected, w.Examined, w.Unchanged)
+						}
+					}
+				}
+			}
+			var images []indexImage
+			for k, ix := range ixs {
+				assertSameState(t, ix, ixs[0], fmt.Sprintf("index %d", k))
+				var buf bytes.Buffer
+				if err := ix.SaveTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				var img indexImage // decoded: gob writes the page map in map order
+				if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
+					t.Fatal(err)
+				}
+				images = append(images, img)
+			}
+			for k := 1; k < len(images); k++ {
+				if !reflect.DeepEqual(images[k], images[0]) {
+					t.Fatalf("index %d saves a different image than the 1-wide pool's: rows were written back in another order", k)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"runtime"
 
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/exthash"
@@ -140,6 +141,7 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	}
 	ix := &Index{
 		store: store,
+		pool:  runtime.GOMAXPROCS(0),
 		cfg: Config{
 			Store:     store,
 			MemBudget: img.MemBudget,

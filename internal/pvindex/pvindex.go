@@ -9,6 +9,7 @@ package pvindex
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,6 +85,11 @@ type Index struct {
 
 	// scratch pools per-query working memory for the Step-1 hot loop.
 	scratch sync.Pool
+	// pool is the SE pool's width, every fan-out's (parallelSE): fixed when
+	// the index is built or loaded, never re-read from GOMAXPROCS, so a
+	// server may lend the write path a spare P (cmd/pvserve) without it
+	// becoming one more SE worker.
+	pool int
 
 	// reclaimMu guards the retired-version queue (version.go).
 	reclaimMu sync.Mutex
@@ -234,9 +240,15 @@ func (ix *Index) installBootstrap(w *working, walSeq uint64) {
 // calls publish new versions with cloned bookkeeping, so read the current
 // database through Index.DB() or View rather than the original pointer.
 // Its objects are adopted too: Step 2 reads their instances in place, so no
-// object may be mutated afterwards. It is BuildParallel with one worker.
+// object may be mutated afterwards. It is BuildParallel with one worker,
+// except that later writes fan out on a GOMAXPROCS-wide SE pool, as a loaded
+// index's do.
 func Build(db *uncertain.DB, cfg Config) (*Index, error) {
-	return BuildParallel(db, cfg, 1)
+	ix, err := BuildParallel(db, cfg, 1)
+	if err == nil {
+		ix.pool = runtime.GOMAXPROCS(0)
+	}
+	return ix, err
 }
 
 // putRecord writes o's record to the working secondary index, encoding it in

@@ -199,13 +199,13 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 	}
 
 	// Step 2: candidate affected set from the primary index.
-	ids, err := w.primary.RangeIDs(newB)
+	ids, err := w.primary.RangeIDs(newB, nil)
 	if err != nil {
 		return st, geom.Rect{}, err
 	}
 	st.Examined = len(ids)
 
-	for id := range ids {
+	for _, id := range ids {
 		oid := uncertain.ID(id)
 		if oid == o.ID {
 			continue
@@ -272,7 +272,7 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
-	ix := &Index{store: cfg.Store, cfg: cfg}
+	ix := &Index{store: cfg.Store, cfg: cfg, pool: workers}
 	ix.initRuntime()
 
 	start := time.Now()

@@ -51,11 +51,21 @@ type seStart struct {
 	victim          uint32
 }
 
-// seScratch is an SE job's reusable C-set (IDs, items) and witnesses.
+// seScratch is an SE job's reusable C-set (IDs, items, sort keys) and
+// witnesses.
 type seScratch struct {
 	ids  []uint32
 	cset []rtree.Item
+	keys []memberKey
 	wit  []uint32
+}
+
+// memberKey is a warm C-set member with its sort key, MinDist² from the
+// target's center.
+type memberKey struct {
+	d2 float64
+	id uint32
+	m  *uncertain.Object
 }
 
 var seScratches = sync.Pool{New: func() any { return new(seScratch) }}
@@ -73,6 +83,7 @@ func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, co
 	sc := seScratches.Get().(*seScratch)
 	defer func() {
 		clear(sc.cset)
+		clear(sc.keys)
 		seScratches.Put(sc)
 	}()
 	opts, limit := w.ix.cfg.SE, witnessCap(o.Dim())
@@ -140,17 +151,23 @@ func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, co
 }
 
 // membersByDistance lists sc.ids as the warm C-set, nearest first from o's
-// center like the IS browse, so the kernel's scan finds dominators early.
+// center like the IS browse, so the kernel's scan finds dominators early:
+// ascending by (MinDist², ID), each key computed once.
 func (w *working) membersByDistance(sc *seScratch, o *uncertain.Object) []rtree.Item {
-	center, cset := o.Region.Center(), sc.cset[:0]
+	center, keys := o.Region.Center(), sc.keys[:0]
 	for _, id := range sc.ids {
 		if m := w.db.Get(uncertain.ID(id)); m != nil { // a dead witness breaks checkWitnesses' rules; live members stay sound
-			cset = append(cset, rtree.Item{Rect: m.Region, ID: id})
+			keys = append(keys, memberKey{m.Region.MinDist2(center), id, m})
 		}
 	}
-	slices.SortFunc(cset, func(a, b rtree.Item) int {
-		return cmp.Or(cmp.Compare(a.Rect.MinDist2(center), b.Rect.MinDist2(center)), cmp.Compare(a.ID, b.ID))
+	slices.SortFunc(keys, func(a, b memberKey) int {
+		return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.id, b.id))
 	})
+	cset := sc.cset[:0]
+	for _, k := range keys {
+		cset = append(cset, rtree.Item{Rect: k.m.Region, ID: k.id})
+	}
+	sc.keys = keys
 	return cset
 }
 
@@ -214,13 +231,14 @@ func (v *version) windowDegrees() map[uint32]int {
 		}
 	}
 	degs := make(map[uint32]int, len(ubrs))
+	var win []uint32
 	for id, ubr := range ubrs {
-		win, err := v.primary.RangeIDs(ubr)
-		if err != nil {
+		var err error
+		if win, err = v.primary.RangeIDs(ubr, win); err != nil {
 			continue
 		}
 		n := 0
-		for nid := range win {
+		for _, nid := range win {
 			if nubr, ok := ubrs[nid]; ok && nid != id && nubr.Intersects(ubr) {
 				n++
 			}

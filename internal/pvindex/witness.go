@@ -102,6 +102,24 @@ func (l *idLists) forEach(fn func(id uint32, list []uint32) error) error {
 	return nil
 }
 
+// transpose returns the reverse of l: x's list holds id exactly when id's
+// list holds x. Visiting l's lists in ascending ID order leaves each reverse
+// list ascending.
+func (l *idLists) transpose() *idLists {
+	rev := make(map[uint32][]uint32)
+	_ = l.forEach(func(id uint32, list []uint32) error {
+		for _, x := range list {
+			rev[x] = append(rev[x], id)
+		}
+		return nil
+	})
+	t := newIDLists()
+	for x, list := range rev {
+		t.set(x, slices.Clip(list))
+	}
+	return t
+}
+
 // listsImage is an idLists flattened: the IDs with a list and its end in Flat.
 type listsImage struct {
 	IDs, Ends, Flat []uint32

@@ -1,6 +1,10 @@
 package rtree
 
-import "pvoronoi/internal/geom"
+import (
+	"math"
+
+	"pvoronoi/internal/geom"
+)
 
 // The distance browse as it was before the pointer-free heap: an 80-byte
 // heap item carrying the node or the item itself, a fresh heap per call.
@@ -98,4 +102,46 @@ func (it *refNNIter) Next() (Item, float64, bool) {
 		}
 	}
 	return Item{}, 0, false
+}
+
+// referenceChooseSubtree is chooseSubtree as it was before level 1's
+// shortcut for a child that contains the new rectangle, kept verbatim (only
+// the receiver became a parameter) as the oracle of
+// TestChooseSubtreeMatchesReference.
+func referenceChooseSubtree(n *node, r geom.Rect) int {
+	best := 0
+	if n.level == 1 {
+		// Minimum overlap enlargement, ties by area enlargement then area.
+		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
+		for i := range n.entries {
+			er := n.entries[i].rect
+			var overlapBefore, overlapAfter float64
+			for j := range n.entries {
+				if i == j {
+					continue
+				}
+				f := n.entries[j].rect
+				overlapBefore += overlapVolume(er, er, f)
+				overlapAfter += overlapVolume(er, r, f)
+			}
+			dOverlap := overlapAfter - overlapBefore
+			area := er.Volume()
+			enl := unionVolume(er, r) - area
+			if dOverlap < bestOverlap ||
+				(dOverlap == bestOverlap && enl < bestEnl) ||
+				(dOverlap == bestOverlap && enl == bestEnl && area < bestArea) {
+				best, bestOverlap, bestEnl, bestArea = i, dOverlap, enl, area
+			}
+		}
+		return best
+	}
+	bestEnl, bestArea := math.Inf(1), math.Inf(1)
+	for i := range n.entries {
+		area := n.entries[i].rect.Volume()
+		enl := unionVolume(n.entries[i].rect, r) - area
+		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
 }

@@ -208,20 +208,14 @@ func (t *Tree) insertRec(n *node, e entry, level int, reinserted *uint64, queue 
 func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	best := 0
 	if n.level == 1 {
+		if i, ok := zeroEnlargementChild(n, r); ok {
+			return i
+		}
 		// Minimum overlap enlargement, ties by area enlargement then area.
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
 		for i := range n.entries {
 			er := n.entries[i].rect
-			var overlapBefore, overlapAfter float64
-			for j := range n.entries {
-				if i == j {
-					continue
-				}
-				f := n.entries[j].rect
-				overlapBefore += overlapVolume(er, er, f)
-				overlapAfter += overlapVolume(er, r, f)
-			}
-			dOverlap := overlapAfter - overlapBefore
+			dOverlap := overlapEnlargement(n, i, r)
 			area := er.Volume()
 			enl := unionVolume(er, r) - area
 			if dOverlap < bestOverlap ||
@@ -241,6 +235,55 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 		}
 	}
 	return best
+}
+
+// overlapEnlargement is how much child i's overlap with its siblings grows
+// when its rectangle grows to take r in.
+func overlapEnlargement(n *node, i int, r geom.Rect) float64 {
+	er := n.entries[i].rect
+	var overlapBefore, overlapAfter float64
+	for j := range n.entries {
+		if i == j {
+			continue
+		}
+		f := n.entries[j].rect
+		overlapBefore += overlapVolume(er, er, f)
+		overlapAfter += overlapVolume(er, r, f)
+	}
+	return overlapAfter - overlapBefore
+}
+
+// zeroEnlargementChild is chooseSubtree's answer at level 1 in O(M) when a
+// child's rectangle contains r. That child's overlap and area enlargements
+// are exactly 0: r moves none of its bounds, so both are a value minus
+// itself. Every other child's are ≥ 0, float subtraction, products and sums
+// being monotone. The O(M²) loop therefore picks the first child of least
+// area among those whose two enlargements are 0; only a child of zero area
+// enlargement that does not contain r needs its overlap enlargement
+// computed. ok is false when no child contains r, or when the children's
+// areas do not sum to a finite value (a difference of infinite overlaps is
+// NaN, not 0); the loop decides then.
+func zeroEnlargementChild(n *node, r geom.Rect) (best int, ok bool) {
+	total := 0.0
+	for i := range n.entries {
+		total += n.entries[i].rect.Volume()
+		ok = ok || n.entries[i].rect.ContainsRect(r)
+	}
+	if !ok || math.IsInf(total, 0) || math.IsNaN(total) {
+		return 0, false
+	}
+	bestArea := math.Inf(1)
+	for i := range n.entries {
+		er := n.entries[i].rect
+		area := er.Volume()
+		if area >= bestArea || unionVolume(er, r)-area != 0 {
+			continue
+		}
+		if er.ContainsRect(r) || overlapEnlargement(n, i, r) == 0 {
+			best, bestArea = i, area
+		}
+	}
+	return best, true
 }
 
 // forcedReinsert removes the 30% of n's entries whose centers are farthest

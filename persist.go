@@ -26,9 +26,10 @@ func LoadIndex(r io.Reader, db *DB) (*Index, error) {
 }
 
 // BuildParallel constructs the index like Build but computes UBRs with the
-// given number of workers (GOMAXPROCS when workers <= 0). Results are
-// identical to Build; construction is near-linearly faster on multicore
-// machines — the bulk-loading direction from the paper's conclusion.
+// given number of workers (GOMAXPROCS when workers <= 0), the width every
+// later write's SE fan-out keeps. Results are identical to Build;
+// construction is near-linearly faster on multicore machines — the
+// bulk-loading direction from the paper's conclusion.
 func BuildParallel(db *DB, opts Options, workers int) (*Index, error) {
 	inner, err := pvindex.BuildParallel(db, opts.toConfig(), workers)
 	if err != nil {
