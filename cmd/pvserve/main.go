@@ -33,7 +33,7 @@
 //
 // Endpoints (request and response bodies are JSON):
 //
-//	POST /v1/query             {"point":[x,y,...], "eps":0}  full PNNQ (eps > 0: verified Step 2)
+//	POST /v1/query             {"point":[x,y,...]}  full PNNQ, exact Step 2 (an "eps" field is ignored)
 //	POST /v1/possiblenn        {"point":[...]}  PNNQ Step 1 only (index retrieval, no pdf math)
 //	POST /v1/possibleknn       {"point":[...], "k":3}  k-NN membership probabilities (k defaults to 1)
 //	POST /v1/possibleknnbatch  {"points":[[...],...], "k":3}  possibleknn over a worker pool
@@ -106,7 +106,6 @@ func main() {
 		instances = flag.Int("instances", 100, "pdf samples for in-process generation")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		strategy  = flag.String("cset", "is", "C-set strategy: all | fs | is")
-		workers   = flag.Int("workers", 0, "parallel build workers (0 = GOMAXPROCS)")
 		loadIdx   = flag.String("loadindex", "", "load a pvquery-saved index instead of building")
 		dataDir   = flag.String("data-dir", "", "durable mode: directory for WAL + checkpoints (recovers on boot)")
 		drain     = flag.Duration("shutdown-timeout", 15*time.Second, "graceful shutdown drain window")
@@ -203,7 +202,7 @@ func main() {
 			db.Len(), db.Dim(), strings.ToUpper(*strategy))
 		t0 := time.Now()
 		var err error
-		ix, err = pvoronoi.BuildParallel(db, opts, *workers)
+		ix, err = pvoronoi.BuildParallel(db, opts, 0)
 		if err != nil {
 			fail(err)
 		}

@@ -264,7 +264,6 @@ type request struct {
 	Groups        [][]pvoronoi.Point `json:"groups"`
 	K             *int               `json:"k"`
 	Agg           string             `json:"agg"`
-	Eps           float64            `json:"eps"`
 	IDs           []pvoronoi.ID      `json:"ids"`
 	Objects       []insertRequest    `json:"objects"`
 
@@ -448,16 +447,7 @@ func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
 }
 
 func (s *server) query(_ context.Context, req *request) (reply, int, error) {
-	var (
-		res  []pvoronoi.Result
-		cost pvoronoi.QueryCost
-		err  error
-	)
-	if req.Eps > 0 {
-		res, cost, err = s.ix.QueryVerifiedWithCost(req.Point, req.Eps)
-	} else {
-		res, cost, err = s.ix.QueryWithCost(req.Point)
-	}
+	res, cost, err := s.ix.QueryWithCost(req.Point)
 	return reply{"results": results(res), "candidates": cost.Candidates, "leaf_io": cost.LeafIO}, cost.LeafIO, err
 }
 

@@ -114,6 +114,13 @@ func TestServePNNQOverHTTP(t *testing.T) {
 		}
 	}
 
+	// Step 2 is exact only: a body that still carries the removed "eps"
+	// field gets the same answer.
+	_, withEps := postJSON(t, ts, "/v1/query", map[string]any{"point": []float64{500, 500}, "eps": 0.1})
+	if !bytes.Equal(withEps["results"], out["results"]) {
+		t.Fatalf(`"eps":0.1 changed the results: %s, want %s`, withEps["results"], out["results"])
+	}
+
 	// GET form works too.
 	getResp, err := http.Get(ts.URL + "/v1/query?point=500,500")
 	if err != nil {

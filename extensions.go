@@ -1,8 +1,6 @@
 package pvoronoi
 
 import (
-	"time"
-
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/pvindex"
@@ -31,24 +29,16 @@ type KNNResult = pnnq.KNNResult
 // extension queries never stall writers, and writers never stall them.
 
 // ExtQueryCost reports the per-query cost of one extension query: candidate
-// count, R-tree node and leaf accesses during retrieval, and the end-to-end
-// latency including the out-of-lock probability refinement. Like QueryCost
+// count and R-tree node and leaf accesses during retrieval. Like QueryCost
 // it is attributed exactly to the call that incurred it.
 type ExtQueryCost struct {
 	Candidates int
 	NodeIO     int
 	LeafIO     int
-	// Latency spans retrieval, snapshot and refinement.
-	Latency time.Duration
 }
 
-func extCost(c pvindex.ExtCost, start time.Time) ExtQueryCost {
-	return ExtQueryCost{
-		Candidates: c.Candidates,
-		NodeIO:     c.NodeIO,
-		LeafIO:     c.LeafIO,
-		Latency:    time.Since(start),
-	}
+func extCost(c pvindex.ExtCost) ExtQueryCost {
+	return ExtQueryCost{Candidates: c.Candidates, NodeIO: c.NodeIO, LeafIO: c.LeafIO}
 }
 
 // GroupNN evaluates a probabilistic group nearest neighbor query: the
@@ -64,20 +54,12 @@ func (ix *Index) GroupNN(group []Point, agg Agg) ([]Result, error) {
 // retrieval and the instance snapshot read one pinned version atomically;
 // the probability computation runs on the snapshot afterwards.
 func (ix *Index) GroupNNWithCost(group []Point, agg Agg) ([]Result, ExtQueryCost, error) {
-	start := time.Now()
 	snap, err := ix.inner.GroupNNSnapshot(group, agg)
 	if err != nil {
-		return nil, ExtQueryCost{Latency: time.Since(start)}, err
+		return nil, ExtQueryCost{}, err
 	}
 	res := extquery.GroupNNScores(snap.IDs, snap.Instances, group, agg)
-	return res, extCost(snap.Cost, start), nil
-}
-
-// GroupNNCandidates returns only the candidate set of a group NN query
-// (objects with non-zero probability, region-level bound).
-func (ix *Index) GroupNNCandidates(group []Point, agg Agg) ([]ID, error) {
-	ids, _, err := ix.inner.GroupNNCandidatesOnly(group, agg)
-	return ids, err
+	return res, extCost(snap.Cost), nil
 }
 
 // PossibleKNN returns the objects with a non-zero chance of ranking among
@@ -92,20 +74,12 @@ func (ix *Index) PossibleKNN(q Point, k int) ([]KNNResult, error) {
 // GroupNNWithCost, retrieval and the instance snapshot read one pinned
 // version; nothing blocks writers.
 func (ix *Index) PossibleKNNWithCost(q Point, k int) ([]KNNResult, ExtQueryCost, error) {
-	start := time.Now()
 	snap, err := ix.inner.KNNSnapshot(q, k)
 	if err != nil {
-		return nil, ExtQueryCost{Latency: time.Since(start)}, err
+		return nil, ExtQueryCost{}, err
 	}
 	res := extquery.KNNScores(snap.IDs, snap.Instances, q, k)
-	return res, extCost(snap.Cost, start), nil
-}
-
-// PossibleKNNCandidates returns only the candidate set of a possible k-NN
-// query (objects with non-zero probability, region-level bound).
-func (ix *Index) PossibleKNNCandidates(q Point, k int) ([]ID, error) {
-	ids, _, err := ix.inner.KNNCandidatesOnly(q, k)
-	return ids, err
+	return res, extCost(snap.Cost), nil
 }
 
 // AdjacencyStats reports the distribution of UBR-intersection degrees, the
@@ -127,10 +101,9 @@ func (ix *Index) PossibleRNN(q Point) ([]ID, error) {
 
 // PossibleRNNWithCost is PossibleRNN plus the per-query cost breakdown.
 func (ix *Index) PossibleRNNWithCost(q Point) ([]ID, ExtQueryCost, error) {
-	start := time.Now()
 	ids, cost, err := ix.inner.RNNCandidates(q)
 	if err != nil {
-		return nil, ExtQueryCost{Latency: time.Since(start)}, err
+		return nil, ExtQueryCost{}, err
 	}
-	return ids, extCost(cost, start), nil
+	return ids, extCost(cost), nil
 }

@@ -23,7 +23,7 @@ func TestGroupNNPublicAPI(t *testing.T) {
 	}
 	group := []Point{{200, 200}, {400, 300}, {300, 500}}
 	for _, agg := range []Agg{AggSum, AggMax} {
-		cands, err := ix.GroupNNCandidates(group, agg)
+		cands, _, err := ix.inner.GroupNNCandidatesOnly(group, agg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func extensionCandidatesMatchOracles(t *testing.T, dim int, clustered bool, opts
 		}
 		for _, q := range queries {
 			for _, k := range []int{1, 4, 8} {
-				got, err := ix.PossibleKNNCandidates(q, k)
+				got, _, err := ix.inner.KNNCandidatesOnly(q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,7 +298,7 @@ func extensionCandidatesMatchOracles(t *testing.T, dim int, clustered bool, opts
 		groups = append(groups, []Point{fill(0), fill(1000), fill(-5000), fill(1e6)})
 		for _, g := range groups {
 			for _, agg := range []Agg{AggSum, AggMax} {
-				got, err := ix.GroupNNCandidates(g, agg)
+				got, _, err := ix.inner.GroupNNCandidatesOnly(g, agg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -469,11 +469,11 @@ func TestExtensionCandidateHash(t *testing.T) {
 			var buf []byte
 			var knnLen, gnnLen int
 			for i, q := range points {
-				knn, err := ix.PossibleKNNCandidates(q, 8)
+				knn, _, err := ix.inner.KNNCandidatesOnly(q, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gnn, err := ix.GroupNNCandidates(groups[i], AggSum)
+				gnn, _, err := ix.inner.GroupNNCandidatesOnly(groups[i], AggSum)
 				if err != nil {
 					t.Fatal(err)
 				}

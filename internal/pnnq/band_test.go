@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -205,11 +206,21 @@ func TestNaNScoreTerminates(t *testing.T) {
 }
 
 // Scores that cluster in one bucket must not cost more than a comparison
-// sort: the clustered shape stays within 3x the uniform shape's time.
+// sort: the clustered shape stays within 3x the uniform shape's time. The
+// reps alternate between the shapes, so both minima see the same load, and
+// each sort is timed on its thread's CPU clock: a wall clock charges a sort
+// longer than the scheduler's time slice with the slice another process
+// took, so on a busy host the clustered shape lost every rep to preemption
+// while the shorter uniform one kept one rep clear of it.
 func TestClusteredSortTime(t *testing.T) {
 	if race.Enabled || testing.CoverMode() != "" || testing.Short() {
 		t.Skip("timing is only meaningful uninstrumented")
 	}
+	if _, ok := threadCPU(); !ok {
+		t.Skip("no per-thread CPU clock on this platform")
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	const n = 100000
 	rng := rand.New(rand.NewSource(23))
 	uniform, clustered := make([]Entry, n), make([]Entry, n)
@@ -219,20 +230,20 @@ func TestClusteredSortTime(t *testing.T) {
 	}
 	clustered[n/2].Score = 1e9
 	s := new(Sweep)
-	best := func(shape []Entry) time.Duration {
-		fastest := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 5; rep++ {
-			ents := slices.Clone(shape)
-			start := time.Now()
-			sorted := s.sortByScore(ents)
-			fastest = min(fastest, time.Since(start))
-			if !slices.IsSortedFunc(sorted, func(a, b Entry) int { return cmp.Compare(a.Score, b.Score) }) {
-				t.Fatal("not sorted")
-			}
+	sortTime := func(shape []Entry) time.Duration {
+		ents := slices.Clone(shape)
+		start, _ := threadCPU()
+		sorted := s.sortByScore(ents)
+		end, _ := threadCPU()
+		if !slices.IsSortedFunc(sorted, func(a, b Entry) int { return cmp.Compare(a.Score, b.Score) }) {
+			t.Fatal("not sorted")
 		}
-		return fastest
+		return end - start
 	}
-	u, c := best(uniform), best(clustered)
+	u, c := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for rep := 0; rep < 5; rep++ {
+		u, c = min(u, sortTime(uniform)), min(c, sortTime(clustered))
+	}
 	t.Logf("uniform %v, clustered %v", u, c)
 	if c > 3*u {
 		t.Fatalf("clustered scores sort in %v, uniform ones in %v", c, u)

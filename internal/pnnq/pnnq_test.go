@@ -98,75 +98,3 @@ func TestComputeMatchesBruteForceRandom(t *testing.T) {
 		}
 	}
 }
-
-func TestBoundsSandwichExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 50; iter++ {
-		var cands []CandidateData
-		n := 3 + rng.Intn(5)
-		for i := 0; i < n; i++ {
-			var pts []geom.Point
-			m := 5 + rng.Intn(30)
-			for j := 0; j < m; j++ {
-				pts = append(pts, geom.Point{rng.Float64() * 100, rng.Float64() * 100})
-			}
-			cands = append(cands, CandidateData{ID: uncertain.ID(i), Instances: instancesAt(pts...)})
-		}
-		q := geom.Point{rng.Float64() * 100, rng.Float64() * 100}
-		exact := Compute(cands, q)
-		exactMap := map[uncertain.ID]float64{}
-		for _, r := range exact {
-			exactMap[r.ID] = r.Prob
-		}
-		for _, b := range ComputeBounds(cands, q) {
-			p := exactMap[b.ID]
-			if p < b.Lo-1e-9 || p > b.Hi+1e-9 {
-				t.Fatalf("bounds violated for %d: p=%g not in [%g, %g]", b.ID, p, b.Lo, b.Hi)
-			}
-		}
-	}
-}
-
-// ComputeVerified with eps=0 must equal Compute exactly; with eps>0 it may
-// deviate per object by at most eps.
-func TestComputeVerifiedMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 40; iter++ {
-		var cands []CandidateData
-		n := 4 + rng.Intn(8)
-		for i := 0; i < n; i++ {
-			m := 10 + rng.Intn(30)
-			ins := make([]uncertain.Instance, m)
-			cx, cy := rng.Float64()*200, rng.Float64()*200
-			for j := range ins {
-				ins[j] = uncertain.Instance{
-					Pos:  geom.Point{cx + rng.Float64()*20, cy + rng.Float64()*20},
-					Prob: 1 / float64(m),
-				}
-			}
-			cands = append(cands, CandidateData{ID: uncertain.ID(i), Instances: ins})
-		}
-		q := geom.Point{rng.Float64() * 200, rng.Float64() * 200}
-		exact := Compute(cands, q)
-		zero := ComputeVerified(cands, q, 0)
-		if len(exact) != len(zero) {
-			t.Fatalf("eps=0: %d vs %d results", len(zero), len(exact))
-		}
-		for i := range exact {
-			if exact[i].ID != zero[i].ID || math.Abs(exact[i].Prob-zero[i].Prob) > 1e-12 {
-				t.Fatalf("eps=0 deviates at %d", i)
-			}
-		}
-		const eps = 0.05
-		loose := ComputeVerified(cands, q, eps)
-		exactMap := map[uncertain.ID]float64{}
-		for _, r := range exact {
-			exactMap[r.ID] = r.Prob
-		}
-		for _, r := range loose {
-			if math.Abs(r.Prob-exactMap[r.ID]) > eps+1e-12 {
-				t.Fatalf("eps=%g: object %d off by %g", eps, r.ID, math.Abs(r.Prob-exactMap[r.ID]))
-			}
-		}
-	}
-}

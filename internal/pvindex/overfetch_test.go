@@ -56,9 +56,9 @@ func overFetch(t *testing.T, ix *Index, qs []geom.Point) (mean, p90 float64) {
 // the warm runs that re-fit the rows a newcomer affects (over W(o) and the
 // newcomers, probing from the old UBR) tighten fat rows with or without it:
 // unrefined, the first insert batch takes the mean from 14.0 to 3.2. The
-// "on" side may not get looser than the values recorded while hub scores
-// were exact UBR-intersection degrees: mean and Σ volume within 1 %, p90 no
-// higher.
+// "on" side may not get looser than the values recorded since every row
+// keeps its witnesses and a delete re-fits only the rows its victim
+// witnessed: mean and Σ volume within 1 %, p90 no higher.
 func TestRefinementOverFetch(t *testing.T) {
 	if race.Enabled {
 		t.Skip("four harness-sized builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
@@ -67,11 +67,11 @@ func TestRefinementOverFetch(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		p    dataset.SyntheticParams
-		rec  measure // refinement on, recorded with exact-degree hub scores
+		rec  measure // refinement on, recorded with witness lists
 	}{
-		{"uni2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3401}, measure{2.09466, 3.5, 3.15899e+08}},
-		{"clustered2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3402, Clustered: true}, measure{4.40331, 8, 5.99043e+08}},
-		{"uni3", dataset.SyntheticParams{N: 1500, Dim: 3, MaxSide: 400, Instances: 10, Seed: 3403}, measure{4.83453, 10, 1.05463e+13}},
+		{"uni2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3401}, measure{2.09416, 3.5, 3.15788e+08}},
+		{"clustered2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3402, Clustered: true}, measure{2.27686, 4, 3.48712e+08}},
+		{"uni3", dataset.SyntheticParams{N: 1500, Dim: 3, MaxSide: 400, Instances: 10, Seed: 3403}, measure{4.80838, 10, 1.04945e+13}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			qs := dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 2000, c.p.Seed)

@@ -239,26 +239,6 @@ func (ix *Index) QueryWithCost(q Point) ([]Result, QueryCost, error) {
 	return pnnq.Compute(snapshotData(snap), q), cost, nil
 }
 
-// QueryVerified evaluates the PNNQ like Query but runs Step 2 through the
-// probabilistic-verifier shortcut (Cheng et al., ICDE 2008): cheap
-// probability bounds settle most candidates, and the exact product runs
-// only for those whose bounds stay wider than eps. Per-object probabilities
-// differ from Query by at most eps (identical at eps = 0).
-func (ix *Index) QueryVerified(q Point, eps float64) ([]Result, error) {
-	res, _, err := ix.QueryVerifiedWithCost(q, eps)
-	return res, err
-}
-
-// QueryVerifiedWithCost is QueryVerified plus the per-query cost breakdown.
-func (ix *Index) QueryVerifiedWithCost(q Point, eps float64) ([]Result, QueryCost, error) {
-	snap, err := ix.inner.Snapshot(q)
-	if err != nil {
-		return nil, QueryCost{}, err
-	}
-	cost := QueryCost{Candidates: len(snap.Candidates), LeafIO: snap.LeafIO}
-	return pnnq.ComputeVerified(snapshotData(snap), q, eps), cost, nil
-}
-
 // snapshotData adapts an atomic index snapshot to pnnq's candidate input.
 func snapshotData(snap *pvindex.QuerySnapshot) []pnnq.CandidateData {
 	data := make([]pnnq.CandidateData, len(snap.Candidates))

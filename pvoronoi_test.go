@@ -84,52 +84,8 @@ func TestNonFiniteQueryPointIsAnError(t *testing.T) {
 		if res, err := ix.Query(q); err == nil {
 			t.Errorf("Query(%v) = %v, nil error", q, res)
 		}
-		if res, err := ix.QueryVerified(q, 0.01); err == nil {
-			t.Errorf("QueryVerified(%v) = %v, nil error", q, res)
-		}
 		if res, err := ix.PossibleKNN(q, 2); err == nil {
 			t.Errorf("PossibleKNN(%v) = %v, nil error", q, res)
-		}
-	}
-}
-
-func TestQueryVerifiedMatchesQuery(t *testing.T) {
-	db := buildSmallDB(t, 70, true)
-	ix, err := Build(db, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	for iter := 0; iter < 30; iter++ {
-		q := Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		exact, err := ix.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verified, err := ix.QueryVerified(q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(exact) != len(verified) {
-			t.Fatalf("eps=0: %d vs %d results", len(verified), len(exact))
-		}
-		for i := range exact {
-			if exact[i].ID != verified[i].ID || math.Abs(exact[i].Prob-verified[i].Prob) > 1e-12 {
-				t.Fatalf("eps=0 deviates at position %d", i)
-			}
-		}
-		loose, err := ix.QueryVerified(q, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactMap := map[ID]float64{}
-		for _, r := range exact {
-			exactMap[r.ID] = r.Prob
-		}
-		for _, r := range loose {
-			if math.Abs(r.Prob-exactMap[r.ID]) > 0.1+1e-12 {
-				t.Fatalf("eps=0.1: object %d off by %g", r.ID, math.Abs(r.Prob-exactMap[r.ID]))
-			}
 		}
 	}
 }
