@@ -50,6 +50,11 @@
 //	GET  /v1/healthz           {"status":"ok"} or {"status":"degraded","cause":...}
 //	GET  /healthz              liveness probe (same JSON)
 //
+// The bodies of /v1/insert and /v1/insertbatch are decoded in one pass by a
+// hand-written decoder (insertbody.go) that builds the objects directly, one
+// position array per object; it accepts and refuses exactly what
+// encoding/json does for these bodies, which every other route still uses.
+//
 // Writes, the two batches and /v1/checkpoint are POST-only (405 otherwise);
 // the five single queries take any method, and a GET reads ?point=x,y,....
 // The first eleven routes share one handler (server.go's routeTable): a

@@ -256,7 +256,10 @@ func (s *server) fail(w http.ResponseWriter, err error, write bool) {
 }
 
 // request is every route's input, decoded once: the JSON body, or ?point=
-// for a GET. validate fills k, agg and objs from the fields a route reads.
+// for a GET. validate fills k and agg from the fields a route reads; the
+// insert routes' objs come from decodeInsert (insertbody.go). The insert
+// fields stay in the struct so that every other route decodes a body exactly
+// as it always has, types checked.
 type request struct {
 	insertRequest                    // /v1/insert; its ID is also /v1/delete's
 	Point         pvoronoi.Point     `json:"point"`
@@ -284,8 +287,12 @@ type insertRequest struct {
 }
 
 // decode reads a request — ?point= for a GET, the JSON body for any other
-// method — and validates the fields reads names.
+// method, decodeInsert's for the insert routes — and validates the fields
+// reads names.
 func (s *server) decode(r *http.Request, reads field) (*request, error) {
+	if reads&(fObject|fObjects) != 0 {
+		return s.decodeInsert(r, reads)
+	}
 	req := &request{k: 1}
 	if r.Method == http.MethodGet {
 		if raw := r.URL.Query().Get("point"); raw != "" {
@@ -349,26 +356,6 @@ func (s *server) validate(req *request, reads field) error {
 			return fmt.Errorf("unknown agg %q (want sum or max)", req.Agg)
 		}
 	}
-	if reads&fObject != 0 {
-		o, err := req.toObject()
-		if err != nil {
-			return err
-		}
-		req.objs = []*pvoronoi.Object{o}
-	}
-	if reads&fObjects != 0 {
-		if len(req.Objects) == 0 {
-			return errors.New("missing or empty objects")
-		}
-		req.objs = make([]*pvoronoi.Object, len(req.Objects))
-		for i := range req.Objects {
-			o, err := req.Objects[i].toObject()
-			if err != nil {
-				return fmt.Errorf("objects[%d]: %w", i, err)
-			}
-			req.objs[i] = o
-		}
-	}
 	if reads&fIDs != 0 && len(req.IDs) == 0 {
 		return errors.New("missing or empty ids")
 	}
@@ -400,50 +387,6 @@ func (s *server) checkPoints(name string, pts []pvoronoi.Point) error {
 		}
 	}
 	return nil
-}
-
-// maxSampleN caps insertRequest.Sample.N: the server draws that many
-// instances before the index sees the object, so the bound has to be here.
-// The paper's pdfs have 500 samples.
-const maxSampleN = 10000
-
-// toObject validates an insert request and builds the object it describes.
-func (req *insertRequest) toObject() (*pvoronoi.Object, error) {
-	if len(req.Region.Lo) == 0 || len(req.Region.Lo) != len(req.Region.Hi) {
-		return nil, fmt.Errorf("region needs matching lo/hi")
-	}
-	for i := range req.Region.Lo {
-		if req.Region.Lo[i] > req.Region.Hi[i] {
-			return nil, fmt.Errorf("inverted region in dim %d", i)
-		}
-	}
-	region := pvoronoi.NewRect(pvoronoi.Point(req.Region.Lo), pvoronoi.Point(req.Region.Hi))
-
-	o := &pvoronoi.Object{ID: req.ID, Region: region}
-	switch {
-	case len(req.Instances) > 0:
-		o.Instances = make([]pvoronoi.Instance, len(req.Instances))
-		for i, in := range req.Instances {
-			o.Instances[i] = pvoronoi.Instance{Pos: pvoronoi.Point(in.Pos), Prob: in.Prob}
-		}
-		if err := o.Validate(); err != nil {
-			return nil, err
-		}
-	case req.Sample != nil:
-		n := req.Sample.N
-		if n <= 0 {
-			n = 100
-		}
-		if n > maxSampleN {
-			return nil, fmt.Errorf("sample.n %d exceeds the limit of %d", n, maxSampleN)
-		}
-		if strings.EqualFold(req.Sample.Kind, "gaussian") {
-			o.Instances = pvoronoi.SampleGaussian(region, n, req.Sample.Seed)
-		} else {
-			o.Instances = pvoronoi.SampleUniform(region, n, req.Sample.Seed)
-		}
-	}
-	return o, nil
 }
 
 func (s *server) query(_ context.Context, req *request) (reply, int, error) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"pvoronoi/internal/dataset"
+	"pvoronoi/internal/pvindex"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/vfs"
 	"pvoronoi/internal/wal"
@@ -174,8 +176,9 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 	cands := listCheckpoints(fs, dir)
 	var ix *Index
 	var newestErr error // why the newest checkpoint was rejected
+	upgraded := false   // the index was rebuilt from an older image format
 	for _, c := range cands {
-		loaded, err := loadCheckpoint(fs, dir, c.base)
+		loaded, rebuilt, err := loadCheckpoint(fs, dir, c.base)
 		if err != nil {
 			if newestErr == nil {
 				newestErr = err
@@ -192,7 +195,7 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 			log.Close()
 			return nil, fmt.Errorf("pvoronoi: checkpoint %s is at wal seq %d but the log starts at %d: replay window lost", c.base, snapSeq, first)
 		}
-		ix = loaded
+		ix, upgraded = loaded, rebuilt
 		d.recovery.SnapshotSeq = snapSeq
 		d.recovery.UsedCheckpoint = c.base
 		break
@@ -223,7 +226,7 @@ func OpenDurable(dir string, db *DB, opts Options) (*Durable, error) {
 	d.recovery.Replayed = replayed
 	d.Index = ix
 
-	if d.recovery.Rebuilt || replayed > 0 || len(d.recovery.CorruptCheckpoints) > 0 {
+	if d.recovery.Rebuilt || upgraded || replayed > 0 || len(d.recovery.CorruptCheckpoints) > 0 {
 		if _, err := d.Checkpoint(); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("pvoronoi: initial checkpoint: %w", err)
@@ -260,25 +263,33 @@ func listCheckpoints(fs vfs.FS, dir string) []ckptRef {
 
 // loadCheckpoint reads and verifies one checkpoint pair, returning the
 // restored index. Any envelope, checksum, or decode failure is reported —
-// the caller falls back to an older checkpoint.
-func loadCheckpoint(fs vfs.FS, dir, base string) (*Index, error) {
+// the caller falls back to an older checkpoint. An index image of an older
+// format is no failure: the index is rebuilt over the verified database at
+// the image's WAL position (rebuilt), and replay brings it up to date.
+func loadCheckpoint(fs vfs.FS, dir, base string) (ix *Index, rebuilt bool, err error) {
 	dbPayload, err := readSealed(fs, filepath.Join(dir, base+".db"))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	snapDB, err := dataset.LoadFrom(bytes.NewReader(dbPayload))
 	if err != nil {
-		return nil, fmt.Errorf("pvoronoi: decoding checkpoint database %s: %w", base, err)
+		return nil, false, fmt.Errorf("pvoronoi: decoding checkpoint database %s: %w", base, err)
 	}
 	ixPayload, err := readSealed(fs, filepath.Join(dir, base+".pvidx"))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	ix, err := LoadIndex(bytes.NewReader(ixPayload), snapDB)
+	ix, err = LoadIndex(bytes.NewReader(ixPayload), snapDB)
+	if errors.Is(err, pvindex.ErrOldImage) {
+		var inner *pvindex.Index
+		if inner, err = pvindex.Rebuild(bytes.NewReader(ixPayload), snapDB, 0); err == nil {
+			return &Index{inner: inner}, true, nil
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("pvoronoi: decoding checkpoint index %s: %w", base, err)
+		return nil, false, fmt.Errorf("pvoronoi: decoding checkpoint index %s: %w", base, err)
 	}
-	return ix, nil
+	return ix, false, nil
 }
 
 // Recovery reports what OpenDurable did.

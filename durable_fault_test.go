@@ -566,7 +566,7 @@ func FuzzCheckpointEnvelope(f *testing.F) {
 				t.Fatalf("%s: readSealed returned %d bytes that are not the payload", ext, len(payload))
 			}
 		}
-		if _, err := loadCheckpoint(vfs.OS, dir, base); err == nil && !(envelopeHolds(dbFile) && envelopeHolds(ixFile)) {
+		if _, _, err := loadCheckpoint(vfs.OS, dir, base); err == nil && !(envelopeHolds(dbFile) && envelopeHolds(ixFile)) {
 			t.Fatal("loadCheckpoint loaded a pair whose envelope does not hold")
 		}
 	})

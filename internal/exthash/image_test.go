@@ -152,11 +152,13 @@ func TestFromImageRefusesCorruptTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, p := range storeImg.Pages { // ImageOf lends the live pages
-				storeImg.Pages[id] = bytes.Clone(p)
+			byID := make(map[uint32][]byte, len(storeImg.Pages))
+			for i, p := range storeImg.Pages { // ImageOf lends the live pages
+				storeImg.Pages[i].Data = bytes.Clone(p.Data)
+				byID[p.ID] = storeImg.Pages[i].Data
 			}
 			img := tab.Image()
-			tc.edit(storeImg.Pages, img)
+			tc.edit(byID, img)
 			restored, err := pagestore.FromImage(storeImg)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pvoronoi/internal/geom"
@@ -58,6 +59,43 @@ func (t *Tree) Image() *Image {
 	}
 	flatten(t.root)
 	return img
+}
+
+// CompactImage captures the tree for a snapshot: its Image, and its pages
+// copied and renumbered 1, 2, … in CollectPages order, every chain pointer
+// and first page rewritten to match. The bytes then depend on the tree's
+// shape and entries alone, not on where its pages happened to be allocated:
+// a replayed index saves what the live one saves.
+func (t *Tree) CompactImage() (*Image, *pagestore.Image, error) {
+	ids, err := t.CollectPages(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	lent, err := t.store.ImageOf(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	renum := make(map[uint32]uint32, len(ids))
+	for i, id := range ids {
+		renum[uint32(id)] = uint32(i + 1)
+	}
+	ps := lent.PageSize
+	buf := make([]byte, len(lent.Pages)*ps)
+	pages := &pagestore.Image{PageSize: ps, Next: uint32(len(lent.Pages)) + 1, Pages: make([]pagestore.Page, len(lent.Pages))}
+	for _, p := range lent.Pages {
+		i := int(renum[p.ID]) - 1
+		data := buf[i*ps : (i+1)*ps]
+		copy(data, p.Data)
+		if next := binary.LittleEndian.Uint32(data); next != 0 {
+			binary.LittleEndian.PutUint32(data, renum[next])
+		}
+		pages.Pages[i] = pagestore.Page{ID: uint32(i + 1), Data: data}
+	}
+	img := t.Image()
+	for k := range img.Nodes {
+		img.Nodes[k].FirstPage = renum[img.Nodes[k].FirstPage]
+	}
+	return img, pages, nil
 }
 
 // maxImageDepth bounds a loaded tree's MaxDepth: beyond it a float64 cell

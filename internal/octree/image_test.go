@@ -3,6 +3,7 @@ package octree
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"math/rand"
 	"slices"
 	"strings"
@@ -167,13 +168,15 @@ func TestFromImageRefusesCorruptChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, p := range storeImg.Pages { // ImageOf lends the live pages
-				storeImg.Pages[id] = bytes.Clone(p)
+			byID := make(map[uint32][]byte, len(storeImg.Pages))
+			for i, p := range storeImg.Pages { // ImageOf lends the live pages
+				storeImg.Pages[i].Data = bytes.Clone(p.Data)
+				byID[p.ID] = storeImg.Pages[i].Data
 			}
 			img := *saved
 			img.Nodes = slices.Clone(saved.Nodes)
 			img.Nodes[0].Children = slices.Clone(saved.Nodes[0].Children)
-			tc.edit(&img, storeImg.Pages)
+			tc.edit(&img, byID)
 			store, err := pagestore.FromImage(storeImg)
 			if err != nil {
 				t.Fatal(err)
@@ -183,4 +186,91 @@ func TestFromImageRefusesCorruptChains(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCompactImageIndependentOfAllocation: two trees holding the same
+// entries, built by the same operations on stores whose free lists differ,
+// put their pages under different IDs; their compact images are byte for
+// byte the same, and load into a tree that answers as the original does.
+func TestCompactImageIndependentOfAllocation(t *testing.T) {
+	var encoded [][]byte
+	var first *testIndex
+	for k, junk := range []int{0, 37} {
+		ti := newTestIndex(t, 2, 1000, 256, 1<<20)
+		var held []pagestore.PageID
+		for range junk { // pages taken and freed in a scrambled order before the tree's
+			id, err := ti.tree.store.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, id)
+		}
+		rand.New(rand.NewSource(int64(k))).Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+		for _, id := range held {
+			if err := ti.tree.store.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(2))
+		for i := uint32(0); i < 400; i++ {
+			u := randSubRect(rng, 1000, 15, 2)
+			ti.insert(t, i, u, u.Expand(30))
+		}
+		img, pages, err := ti.tree.CompactImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(struct {
+			Img   *Image
+			Pages *pagestore.Image
+		}{img, pages}); err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, buf.Bytes())
+		if k == 0 {
+			first = ti
+			continue
+		}
+		if a, _ := first.tree.CollectPages(nil); slices.Equal(a, must(ti.tree.CollectPages(nil))) {
+			t.Fatal("both trees hold their pages under the same IDs: the test shows nothing")
+		}
+		store, err := pagestore.FromImage(pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := FromImage(store, ti.tree.lookup, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter < 200; iter++ {
+			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
+			a, _, err := ti.tree.PointQueryInto(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := loaded.PointQueryInto(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("q=%v: %d entries, the loaded tree %d", q, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].ID != b[i].ID {
+					t.Fatalf("q=%v: entry %d is %d, the loaded tree's %d", q, i, a[i].ID, b[i].ID)
+				}
+			}
+		}
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Fatal("the same tree on differently allocated pages has other compact-image bytes")
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

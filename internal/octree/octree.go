@@ -27,8 +27,8 @@ type Entry struct {
 }
 
 // UBRLookup resolves an object's UBR during leaf splits (the UBR determines
-// which child cells an entry belongs to; it is stored in the secondary
-// index, not in the leaf). Returning ok=false makes the split conservative:
+// which child cells an entry belongs to; it is stored in the index's UBR
+// table, not in the leaf). Returning ok=false makes the split conservative:
 // the entry is copied to every child.
 type UBRLookup func(id uint32) (geom.Rect, bool)
 

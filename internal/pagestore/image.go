@@ -1,15 +1,26 @@
 package pagestore
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Image is the serializable state of a Store, used by index persistence.
-// All fields are exported for encoding/gob. An image from ImageOf borrows
-// its pages from the store; one from a decoder owns them.
+// All fields are exported for encoding/gob. Its pages are listed in
+// ascending ID order, so a store's state always encodes to the same bytes.
+// An image from ImageOf borrows its pages from the store; one from a decoder
+// owns them.
 type Image struct {
 	PageSize int
 	Next     uint32
 	Free     []uint32
-	Pages    map[uint32][]byte
+	Pages    []Page
+}
+
+// Page is one page of an Image.
+type Page struct {
+	ID   uint32
+	Data []byte
 }
 
 // ImageOf captures only the listed pages — the reachable set of one MVCC
@@ -18,37 +29,28 @@ type Image struct {
 // and Free lists the gaps below it, so a store restored via FromImage can
 // allocate without ever colliding with a captured ID.
 //
-// It copies no page: each entry of Pages is the page's slab slice, under
+// It copies no page: each Data of Pages is the page's slab slice, under
 // View's validity rule. The caller must keep the listed pages immutable and
 // live until it is done with the image — true for pages reachable from a
 // pinned version, which no session owns and the reclaimer cannot free while
 // the version is pinned — so the image must be encoded before the pin is
 // released.
 func (s *Store) ImageOf(ids []PageID) (*Image, error) {
-	img := &Image{
-		PageSize: s.pageSize,
-		Pages:    make(map[uint32][]byte, len(ids)),
-	}
-	var maxID PageID
-	for _, id := range ids {
-		if _, dup := img.Pages[uint32(id)]; dup {
-			continue
-		}
+	ids = slices.Compact(slices.Sorted(slices.Values(ids)))
+	img := &Image{PageSize: s.pageSize, Pages: make([]Page, len(ids))}
+	next := PageID(1)
+	for i, id := range ids {
 		p, ok := s.page(id)
 		if !ok {
 			return nil, fmt.Errorf("pagestore: ImageOf references unknown page %d", id)
 		}
-		img.Pages[uint32(id)] = p
-		if id > maxID {
-			maxID = id
+		img.Pages[i] = Page{ID: uint32(id), Data: p}
+		for ; next < id; next++ {
+			img.Free = append(img.Free, uint32(next))
 		}
+		next = id + 1
 	}
-	img.Next = uint32(maxID) + 1
-	for id := PageID(1); id <= maxID; id++ {
-		if _, ok := img.Pages[uint32(id)]; !ok {
-			img.Free = append(img.Free, uint32(id))
-		}
-	}
+	img.Next = uint32(next)
 	return img, nil
 }
 
@@ -56,8 +58,8 @@ func (s *Store) ImageOf(ids []PageID) (*Image, error) {
 // zero; allocator state (next ID, free list) is restored exactly so that
 // page IDs recorded by the structures above remain valid. The image comes
 // from a file, so its allocator state is checked before it is trusted:
-// Pages and Free must partition [1, Next) — otherwise a later Alloc would
-// hand out a live page a second time.
+// Pages must ascend, and Pages and Free must partition [1, Next) —
+// otherwise a later Alloc would hand out a live page a second time.
 func FromImage(img *Image) (*Store, error) {
 	if img.PageSize <= 0 {
 		return nil, fmt.Errorf("pagestore: invalid page size %d in image", img.PageSize)
@@ -76,10 +78,16 @@ func FromImage(img *Image) (*Store, error) {
 	if img.Next > 1 {
 		s.ensureExtent(img.Next - 2)
 	}
-	for id, data := range img.Pages {
+	stored := make([]bool, img.Next)
+	for i, pg := range img.Pages {
+		id, data := pg.ID, pg.Data
 		if id == 0 || id >= img.Next {
 			return nil, fmt.Errorf("pagestore: page %d outside [1, %d)", id, img.Next)
 		}
+		if i > 0 && id <= img.Pages[i-1].ID {
+			return nil, fmt.Errorf("pagestore: page %d listed after page %d", id, img.Pages[i-1].ID)
+		}
+		stored[id] = true
 		if len(data) != img.PageSize {
 			return nil, fmt.Errorf("pagestore: page %d has %d bytes, want %d", id, len(data), img.PageSize)
 		}
@@ -94,7 +102,7 @@ func FromImage(img *Image) (*Store, error) {
 		switch {
 		case id == 0 || id >= img.Next:
 			return nil, fmt.Errorf("pagestore: free slot %d outside [1, %d)", id, img.Next)
-		case img.Pages[id] != nil:
+		case stored[id]:
 			return nil, fmt.Errorf("pagestore: page %d is both stored and on the free list", id)
 		case onFree[id]:
 			return nil, fmt.Errorf("pagestore: page %d is on the free list twice", id)

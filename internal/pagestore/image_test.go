@@ -49,17 +49,27 @@ func TestStoreImageRoundTrip(t *testing.T) {
 	}
 	// The image borrows the captured pages; the restored store holds copies
 	// of its own, so writing it leaves the image and the original alone.
-	if orig, _ := s.View(id1); &img.Pages[uint32(id1)][0] != &orig[0] {
+	if orig, _ := s.View(id1); &pageOf(img, id1)[0] != &orig[0] {
 		t.Fatal("ImageOf copied a page instead of borrowing it")
 	}
 	if err := NewFullSession(restored).Write(id1, []byte("mutated")); err != nil {
 		t.Fatal(err)
 	}
-	for _, got := range [][]byte{img.Pages[uint32(id1)], must(s.View(id1))} {
+	for _, got := range [][]byte{pageOf(img, id1), must(s.View(id1))} {
 		if !bytes.Equal(got[:3], []byte("one")) {
 			t.Fatal("restored store aliases the image's pages")
 		}
 	}
+}
+
+// pageOf returns page id's bytes in img, nil when it holds none.
+func pageOf(img *Image, id PageID) []byte {
+	for _, p := range img.Pages {
+		if p.ID == uint32(id) {
+			return p.Data
+		}
+	}
+	return nil
 }
 
 func must(p []byte, err error) []byte {
@@ -114,16 +124,17 @@ func TestFromImageValidation(t *testing.T) {
 		want string // must appear in the error: the offending value, named
 	}{
 		{"zero page size", Image{PageSize: 0, Next: 1}, "page size 0"},
-		{"short page", Image{PageSize: 64, Next: 2, Pages: map[uint32][]byte{1: make([]byte, 32)}}, "page 1 has 32 bytes"},
+		{"pages out of order", Image{PageSize: 64, Next: 3, Pages: []Page{{2, page()}, {1, page()}}}, "page 1 listed after page 2"},
+		{"short page", Image{PageSize: 64, Next: 2, Pages: []Page{{1, make([]byte, 32)}}}, "page 1 has 32 bytes"},
 		{"zero high-water mark", Image{PageSize: 64}, "high-water mark is 0"},
-		{"page at high-water mark", Image{PageSize: 64, Next: 3, Pages: map[uint32][]byte{1: page(), 7: page()}}, "page 7 outside"},
-		{"page zero", Image{PageSize: 64, Next: 3, Pages: map[uint32][]byte{0: page(), 1: page()}}, "page 0 outside"},
-		{"free slot beyond high-water mark", Image{PageSize: 64, Next: 3, Free: []uint32{99999}, Pages: map[uint32][]byte{1: page()}}, "free slot 99999 outside"},
-		{"free slot zero", Image{PageSize: 64, Next: 3, Free: []uint32{0}, Pages: map[uint32][]byte{1: page()}}, "free slot 0 outside"},
-		{"free slot is a stored page", Image{PageSize: 64, Next: 3, Free: []uint32{1}, Pages: map[uint32][]byte{1: page()}}, "page 1 is both"},
-		{"duplicate free slot", Image{PageSize: 64, Next: 4, Free: []uint32{2, 2}, Pages: map[uint32][]byte{1: page()}}, "page 2 is on the free list twice"},
-		{"slots unaccounted for", Image{PageSize: 64, Next: 5, Free: []uint32{2}, Pages: map[uint32][]byte{1: page()}}, "1 pages and 1 free slots"},
-		{"four-entry free list under a two-slot mark", Image{PageSize: 64, Next: 3, Free: []uint32{1, 1, 0, 99999}, Pages: map[uint32][]byte{1: page()}}, "4 free slots"},
+		{"page at high-water mark", Image{PageSize: 64, Next: 3, Pages: []Page{{1, page()}, {7, page()}}}, "page 7 outside"},
+		{"page zero", Image{PageSize: 64, Next: 3, Pages: []Page{{0, page()}, {1, page()}}}, "page 0 outside"},
+		{"free slot beyond high-water mark", Image{PageSize: 64, Next: 3, Free: []uint32{99999}, Pages: []Page{{1, page()}}}, "free slot 99999 outside"},
+		{"free slot zero", Image{PageSize: 64, Next: 3, Free: []uint32{0}, Pages: []Page{{1, page()}}}, "free slot 0 outside"},
+		{"free slot is a stored page", Image{PageSize: 64, Next: 3, Free: []uint32{1}, Pages: []Page{{1, page()}}}, "page 1 is both"},
+		{"duplicate free slot", Image{PageSize: 64, Next: 4, Free: []uint32{2, 2}, Pages: []Page{{1, page()}}}, "page 2 is on the free list twice"},
+		{"slots unaccounted for", Image{PageSize: 64, Next: 5, Free: []uint32{2}, Pages: []Page{{1, page()}}}, "1 pages and 1 free slots"},
+		{"four-entry free list under a two-slot mark", Image{PageSize: 64, Next: 3, Free: []uint32{1, 1, 0, 99999}, Pages: []Page{{1, page()}}}, "4 free slots"},
 	} {
 		if _, err := FromImage(&tc.img); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)

@@ -15,7 +15,7 @@ import (
 )
 
 // CandidateData carries the per-object data Step 2 needs: the pdf instances
-// fetched from the secondary index.
+// of the pinned version's objects.
 type CandidateData struct {
 	ID        uncertain.ID
 	Instances []uncertain.Instance

@@ -160,7 +160,7 @@ func validateBatch(db *uncertain.DB, ups []Update) error {
 				return fmt.Errorf("pvindex: batch op %d: object %d has dim %d, domain dim %d",
 					i, u.Object.ID, u.Object.Dim(), db.Dim())
 			}
-			// A record's layout is fixed by the region's dimension: an
+			// A WAL insert's layout is fixed by the region's dimension: an
 			// instance of another one cannot be encoded, let alone replayed.
 			if err := u.Object.Validate(); err != nil {
 				return fmt.Errorf("pvindex: batch op %d: %w", i, err)
@@ -200,6 +200,7 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 			if err != nil {
 				return stats, err
 			}
+			w.mergeWitnessed()
 			i++
 			continue
 		}
@@ -212,6 +213,7 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 		if err != nil {
 			return stats, err
 		}
+		w.mergeWitnessed()
 		i = j
 	}
 	return stats, nil
@@ -236,7 +238,7 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 // run, upper bounds of the final cells (shrink-only), so filtering against
 // them is conservative: no affected object can be missed. The staging, both
 // recompute phases and the newcomers' windows fan out on the index's SE pool
-// — they read only the working database, trees, records and witness lists,
+// — they read only the working database, trees, UBR table and witness lists,
 // which do not change while one runs (chooseCSet skips the object's own ID,
 // so a newcomer's UBR computed before it is added is what it would be after;
 // the R*-tree browse keeps its state in its own iterator, so workers share
@@ -330,7 +332,7 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		return stats, err
 	}
 
-	// Phase 5: newcomers enter the primary and secondary indexes.
+	// Phase 5: newcomers enter the UBR table and the primary index.
 	for i, u := range ups {
 		t0 := time.Now()
 		if err := w.addObject(u.Object, finalB[i]); err != nil {
@@ -374,7 +376,7 @@ type row struct {
 }
 
 // recompute runs the rows' SE jobs on the worker pool, then writes each back
-// serially — its witness list, and its record and octree entries unless its
+// serially — its witness list, and its UBR and octree entries unless its
 // UBR came back as it was — accounting row k to *stat(k).
 func (w *working) recompute(rows []row, stat func(k int) *UpdateStats) error {
 	ubrs := make([]geom.Rect, len(rows))
@@ -530,7 +532,7 @@ func (ix *Index) Recover() (int, error) {
 			walSeq:     lastSeq,
 			db:         base.db,
 			primary:    base.primary,
-			secondary:  base.secondary,
+			ubrs:       base.ubrs,
 			regionTree: base.regionTree,
 			witnesses:  base.witnesses,
 			witnessed:  base.witnessed,

@@ -240,7 +240,7 @@ func TestApplyBatchValidation(t *testing.T) {
 // rewrite their neighbours' records, fresh inserts, and same-ID replacements
 // carrying a new pdf — at d = 2 and 3, and after the build and every batch
 // holds the record each object's secondary-index entry stores to the
-// database object Step 2 reads (assertPDFsMatchRecords), Instances to that
+// database object Step 2 reads (assertUBRsMatchDB), Instances to that
 // object's own slice, and Step 1 to brute force.
 func TestApplyBatchKeepsRecordCacheCoherent(t *testing.T) {
 	for _, d := range []int{2, 3} {
@@ -255,7 +255,7 @@ func TestApplyBatchKeepsRecordCacheCoherent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertPDFsMatchRecords(t, ix)
+			assertUBRsMatchDB(t, ix)
 			nextID := uncertain.ID(8000)
 			for round := 0; round < 4; round++ {
 				objs := ix.DB().Objects()
@@ -275,7 +275,7 @@ func TestApplyBatchKeepsRecordCacheCoherent(t *testing.T) {
 				if _, err := ix.ApplyBatch(ups); err != nil {
 					t.Fatal(err)
 				}
-				assertPDFsMatchRecords(t, ix)
+				assertUBRsMatchDB(t, ix)
 				for _, o := range ix.DB().Objects() {
 					ins, err := instancesOf(ix, o.ID)
 					if err != nil {
@@ -570,13 +570,15 @@ func TestMidApplyFailureRollsBack(t *testing.T) {
 	// Find a page budget that lets the build succeed, then rebuild with
 	// headroom for one small batch but not a fat one. COW shadow pages and
 	// deferred frees mean an update needs some slack beyond the live set.
+	// Only the octree lives in the page store (the UBR table is in memory),
+	// so the fat batch must be large enough to force leaf splits.
 	probe, err := Build(db.Clone(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := probe.Store().Live()
 	cfg := testConfig()
-	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, live+40)
+	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, live+4)
 	ix, err := Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -584,13 +586,13 @@ func TestMidApplyFailureRollsBack(t *testing.T) {
 	n0 := ix.DB().Len()
 
 	var ups []Update
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		o := newObj(rng, uncertain.ID(5000+i), 2, 450, 20)
 		o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, 80, rng)
 		ups = append(ups, Update{Op: OpInsert, Object: o})
 	}
 	if _, err := ix.ApplyBatch(ups); err == nil {
-		t.Skip("page limit not reached; cannot exercise the mid-apply path")
+		t.Fatal("page limit not reached; the mid-apply path went unexercised")
 	}
 
 	// The failed batch never published: cardinality is unchanged and every
@@ -626,7 +628,7 @@ func TestMidApplyFailureWithWALPoisonsWrites(t *testing.T) {
 	}
 	live := probe.Store().Live()
 	cfg := testConfig()
-	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, live+40)
+	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, live+4)
 	log, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -639,13 +641,13 @@ func TestMidApplyFailureWithWALPoisonsWrites(t *testing.T) {
 	ix.AttachWAL(log)
 
 	var ups []Update
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		o := newObj(rng, uncertain.ID(5000+i), 2, 450, 20)
 		o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, 80, rng)
 		ups = append(ups, Update{Op: OpInsert, Object: o})
 	}
 	if _, err := ix.ApplyBatch(ups); err == nil {
-		t.Skip("page limit not reached; cannot exercise the mid-apply path")
+		t.Fatal("page limit not reached; the mid-apply path went unexercised")
 	}
 
 	// Queries still serve the last published version...

@@ -46,8 +46,8 @@ func assertSameState(t *testing.T, got, want *Index, label string) {
 	if differ > 0 {
 		t.Fatalf("%s: %d of %d stored UBRs differ", label, differ, len(wobjs))
 	}
-	assertPDFsMatchRecords(t, got)
-	assertPDFsMatchRecords(t, want)
+	assertUBRsMatchDB(t, got)
+	assertUBRsMatchDB(t, want)
 	assertRegionTreeIsDB(t, got, label)
 	assertRegionTreeIsDB(t, want, label)
 	for _, v := range []*version{gv, wv} {
@@ -80,39 +80,19 @@ func assertRegionTreeIsDB(t *testing.T, ix *Index, label string) {
 	}
 }
 
-// assertPDFsMatchRecords: the two copies of every object's pdf agree. Step 2
-// reads the current version's database objects; the secondary index's
-// records, which a checkpoint persists, hold a second copy. Decoded whole,
-// each record must carry its object's region and instances bit for bit, and
-// the index must hold no record without an object.
-func assertPDFsMatchRecords(t *testing.T, ix *Index) {
+// assertUBRsMatchDB: the UBR table holds a UBR for every database object
+// and for nothing else, each one containing its object's region.
+func assertUBRsMatchDB(t *testing.T, ix *Index) {
 	t.Helper()
 	v := ix.pin()
 	defer ix.unpin(v)
 	objs := v.db.Objects()
-	if n := v.secondary.Len(); n != len(objs) {
-		t.Fatalf("secondary index holds %d records, database %d objects", n, len(objs))
+	if v.ubrs.n != len(objs) {
+		t.Fatalf("UBR table holds %d UBRs, database %d objects", v.ubrs.n, len(objs))
 	}
 	for _, o := range objs {
-		buf, ok, err := v.secondary.GetView(uint32(o.ID))
-		if err != nil || !ok {
-			t.Fatalf("object %d: no record (%v)", o.ID, err)
-		}
-		rec, err := decodeRecord(bytes.Clone(buf))
-		if err != nil {
-			t.Fatalf("object %d: %v", o.ID, err)
-		}
-		if !sameRectBits(rec.Region, o.Region) {
-			t.Fatalf("object %d: record region %v, database %v", o.ID, rec.Region, o.Region)
-		}
-		if len(rec.Instances) != len(o.Instances) {
-			t.Fatalf("object %d: record holds %d instances, database %d", o.ID, len(rec.Instances), len(o.Instances))
-		}
-		for i, in := range o.Instances {
-			r := rec.Instances[i]
-			if !sameBits(r.Pos, in.Pos) || math.Float64bits(r.Prob) != math.Float64bits(in.Prob) {
-				t.Fatalf("object %d: record instance %d is %v, database %v", o.ID, i, r, in)
-			}
+		if ubr, ok := v.ubrs.get(uint32(o.ID)); !ok || !ubr.ContainsRect(o.Region) {
+			t.Fatalf("object %d: stored UBR %v (%v) does not contain its region %v", o.ID, ubr, ok, o.Region)
 		}
 	}
 }
@@ -299,19 +279,8 @@ func TestBuildMatchesReference(t *testing.T) {
 				t.Fatalf("case exercises too little: octree %+v, %d rows refined", st, ix.Build.SE.Refine.Rows)
 			}
 			assertSameState(t, ix, ref, "built index")
-			iv, rv := ix.current.Load(), ref.current.Load()
-			for _, o := range db.Objects() {
-				got, _, err := iv.secondary.GetView(uint32(o.ID))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err := rv.secondary.GetView(uint32(o.ID))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("object %d: record bytes differ from the reference's", o.ID)
-				}
+			if !reflect.DeepEqual(ix.current.Load().ubrs.image(), ref.current.Load().ubrs.image()) {
+				t.Fatal("UBR table differs from the reference's")
 			}
 		})
 	}
@@ -320,7 +289,8 @@ func TestBuildMatchesReference(t *testing.T) {
 // TestReplayReproducesLive: a snapshot, then six insert/delete batch pairs
 // only the log knows about. Loading the snapshot and replaying the tail must
 // give the live index back bit for bit — replay runs each commit group
-// through the code the live batch ran, refinement included.
+// through the code the live batch ran, refinement included — and the two
+// must save the same image bytes, though their pages sit under other IDs.
 func TestReplayReproducesLive(t *testing.T) {
 	for _, c := range differentialCases {
 		t.Run(fmt.Sprintf("d%d", c.d), func(t *testing.T) {
@@ -388,7 +358,7 @@ func TestReplayReproducesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertPDFsMatchRecords(t, recovered)
+			assertUBRsMatchDB(t, recovered)
 			recovered.AttachWAL(log2)
 			replayed, err := recovered.Recover()
 			if err != nil {
@@ -398,6 +368,16 @@ func TestReplayReproducesLive(t *testing.T) {
 				t.Fatalf("replayed %d updates to seq %d, want %d to seq %d", replayed, recovered.WALSeq(), pairs*32, live.WALSeq())
 			}
 			assertSameState(t, recovered, live, "recovered index")
+			var liveImg, recImg bytes.Buffer
+			if err := live.SaveTo(&liveImg); err != nil {
+				t.Fatal(err)
+			}
+			if err := recovered.SaveTo(&recImg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(recImg.Bytes(), liveImg.Bytes()) {
+				t.Fatalf("the recovered index saves %d image bytes that are not the live one's %d", recImg.Len(), liveImg.Len())
+			}
 		})
 	}
 }

@@ -142,12 +142,13 @@ func TestIdenticalRegions(t *testing.T) {
 }
 
 // TestStoreExhaustionFailsGracefully: a page store that runs out must
-// surface an error from Build, not panic or corrupt.
+// surface an error from Build, not panic or corrupt. The store holds only
+// octree leaves, four pages for this database, so it allows two.
 func TestStoreExhaustionFailsGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	db := randomDB(rng, 200, 2, 1000, 30, true)
 	cfg := testConfig()
-	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, 30)
+	cfg.Store = pagestore.NewLimited(pagestore.DefaultPageSize, 2)
 	_, err := Build(db, cfg)
 	if err == nil {
 		t.Fatal("Build succeeded on an exhausted store")

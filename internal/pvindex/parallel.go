@@ -16,7 +16,7 @@ import (
 // BuildParallel constructs the PV-index like Build but computes UBRs on an
 // SE pool of workers (the SE algorithm is read-only over the database and
 // the region tree, so per-object UBR computation parallelizes
-// embarrassingly; the octree bulk load and the record writes after it are
+// embarrassingly; the octree bulk load and the table writes after it are
 // serial). workers <= 0 uses GOMAXPROCS. The pool stays the index's: every
 // later write fans out on the same workers.
 //
@@ -24,6 +24,11 @@ import (
 // bulk-loading direction from its conclusion, realized as a
 // construction-time optimization.
 func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
+	return buildParallel(db, cfg, workers, 0)
+}
+
+// buildParallel is BuildParallel publishing version 1 at WAL position walSeq.
+func buildParallel(db *uncertain.DB, cfg Config, workers int, walSeq uint64) (*Index, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -58,22 +63,20 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 
 	t0 := time.Now()
 	// The primary index in one pass — the tree inserting the objects in this
-	// order would build, without reading a leaf page back — then the records.
+	// order would build, without reading a leaf page back — then the UBRs.
 	if err := w.primary.BulkLoad(items); err != nil {
 		return nil, err
 	}
 	for i, o := range objs {
 		ix.Build.SE.Add(seStats[i])
-		if err := w.putRecord(uint32(o.ID), record{UBR: items[i].UBR, Region: o.Region, Instances: o.Instances}); err != nil {
-			return nil, err
-		}
-		w.witnesses.set(uint32(o.ID), lists[i])
+		w.ubrs.set(uint32(o.ID), items[i].UBR)
+		w.setWitnesses(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
-	w.witnessed = w.witnesses.transpose()
+	w.mergeWitnessed()
 	ix.Build.InsertTime = time.Since(t0)
 	ix.Build.Total = time.Since(start)
-	ix.installBootstrap(w, 0)
+	ix.installBootstrap(w, walSeq)
 	return ix, nil
 }
 

@@ -2,12 +2,12 @@ package pvindex
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 
 	"pvoronoi/internal/core"
-	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
@@ -16,12 +16,23 @@ import (
 )
 
 // persistMagic names the one image format LoadFrom reads and SaveTo writes:
-// PVIDX5 carries the witness lists, which a PVIDX4 image lacks.
-const persistMagic = "PVIDX5"
+// PVIDX6 carries the UBR table instead of PVIDX5's extendible-hash records,
+// and PVIDX5 the witness lists, which a PVIDX4 image lacks.
+const persistMagic = "PVIDX6"
 
-// indexImage bundles the serializable state of all index layers. Images may
-// also carry a refinement cutoff, a refinement config or an adjacency graph
-// from older builds, which gob skips: refinement keeps no state.
+// rebuildMagic names the older format Rebuild starts from.
+const rebuildMagic = "PVIDX5"
+
+// ErrOldImage marks an image LoadFrom refuses for its format alone: Rebuild
+// builds the index anew over the same database, at the image's WAL position.
+var ErrOldImage = errors.New("pvindex: image of an older format")
+
+// indexImage bundles the serializable state of all index layers: the
+// octree's pages (Pages) and skeleton (Primary), the UBR table and the
+// witness lists, every list ascending by ID. Images may also carry a
+// refinement cutoff, a refinement config or an adjacency graph from older
+// builds, and a PVIDX5 image its page store and hash directory under other
+// names, all of which gob skips.
 type indexImage struct {
 	Magic     string
 	SE        core.Options
@@ -29,15 +40,15 @@ type indexImage struct {
 	Fanout    int
 	Objects   int
 	WALSeq    uint64
-	Store     *pagestore.Image
+	Pages     *pagestore.Image
 	Primary   *octree.Image
-	Secondary *exthash.Image
+	UBRs      *ubrImage
 	// Witnesses holds the rows' witness lists, Witnessed their reverse index.
 	Witnesses, Witnessed *listsImage
 }
 
-// SaveTo serializes the index (page store, octree skeleton, hash directory,
-// and configuration) to w. The database itself is not written — it is the
+// SaveTo serializes the index (octree pages and skeleton, UBR table, witness
+// lists and configuration) to w. The database itself is not written — it is the
 // caller's input at load time, matching the paper's separation of data and
 // access structure. Durable deployments that must also persist the data use
 // SnapshotWith, which saves both from one pinned version.
@@ -45,7 +56,9 @@ type indexImage struct {
 // Serialization pins the current version and runs entirely off-lock:
 // writers publish new versions freely while the pinned one streams out, and
 // only the pages reachable from the pinned version are captured (a page a
-// writer shadow-copies mid-save is still intact in the pinned version).
+// writer shadow-copies mid-save is still intact in the pinned version),
+// renumbered in tree order (octree.CompactImage), so the same state always
+// saves the same bytes.
 func (ix *Index) SaveTo(w io.Writer) error {
 	v := ix.pin()
 	defer ix.unpin(v)
@@ -57,17 +70,7 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 	if err := ix.damagedErr(); err != nil {
 		return fmt.Errorf("pvindex: refusing to snapshot a damaged index: %w", err)
 	}
-	pages, err := v.primary.CollectPages(nil)
-	if err != nil {
-		return err
-	}
-	pages, err = v.secondary.CollectPages(pages)
-	if err != nil {
-		return err
-	}
-	// The image borrows the pinned pages, so it is encoded here, before the
-	// caller unpins v.
-	storeImg, err := ix.store.ImageOf(pages)
+	primary, pages, err := v.primary.CompactImage()
 	if err != nil {
 		return err
 	}
@@ -78,9 +81,9 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Fanout:    ix.cfg.Fanout,
 		Objects:   v.db.Len(),
 		WALSeq:    v.walSeq,
-		Store:     storeImg,
-		Primary:   v.primary.Image(),
-		Secondary: v.secondary.Image(),
+		Pages:     pages,
+		Primary:   primary,
+		UBRs:      v.ubrs.image(),
 		Witnesses: v.witnesses.image(),
 		Witnessed: v.witnessed.image(),
 	}
@@ -112,7 +115,8 @@ func (ix *Index) SnapshotWith(w io.Writer, fn func(db *uncertain.DB) error) (wal
 
 // LoadFrom reconstructs an index from r over the given database. The
 // database must be the same object set the index was built on (checked by
-// cardinality and by per-object UBR presence).
+// cardinality and by per-object UBR presence). A PVIDX5 image is refused
+// with ErrOldImage.
 func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := geom.CheckDim(db.Dim()); err != nil {
 		return nil, fmt.Errorf("pvindex: load: %w", err)
@@ -121,6 +125,9 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("pvindex: decoding index image: %w", err)
 	}
+	if img.Magic == rebuildMagic {
+		return nil, fmt.Errorf("%w: %q, this build reads only %q (a durable directory rebuilds the index from the checkpoint's database)", ErrOldImage, img.Magic, persistMagic)
+	}
 	if img.Magic != persistMagic {
 		return nil, fmt.Errorf("pvindex: image magic is %q, this build reads only %q (a durable directory treats such a checkpoint as corrupt: it falls back to an older one, and refuses to open when none loads)", img.Magic, persistMagic)
 	}
@@ -128,14 +135,12 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		return nil, fmt.Errorf("pvindex: index was built over %d objects, database has %d", img.Objects, db.Len())
 	}
 	switch {
-	case img.Store == nil:
+	case img.Pages == nil:
 		return nil, fmt.Errorf("pvindex: image has no page store")
 	case img.Primary == nil:
 		return nil, fmt.Errorf("pvindex: image has no primary index")
-	case img.Secondary == nil:
-		return nil, fmt.Errorf("pvindex: image has no secondary index")
 	}
-	store, err := pagestore.FromImage(img.Store)
+	store, err := pagestore.FromImage(img.Pages)
 	if err != nil {
 		return nil, err
 	}
@@ -150,15 +155,14 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		},
 	}
 	ix.initRuntime()
-	secondary, err := exthash.FromImage(store, img.Secondary)
+	// Every database object has exactly one UBR.
+	ubrs, err := ubrsFromImage(img.UBRs, db)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pvindex: image UBRs: %w", err)
 	}
-	// The loaded octree's lookup reads record headers from the secondary
-	// index directly; it is only consulted by mutations, which run on
-	// CloneCOW descendants wired to the writer's own view.
-	lookup := func(id uint32) (geom.Rect, bool) { return storedUBR(secondary, id, db.Dim()) }
-	primary, err := octree.FromImage(store, lookup, img.Primary)
+	// The loaded octree's lookup is only consulted by mutations, which run
+	// on CloneCOW descendants wired to the writer's own view.
+	primary, err := octree.FromImage(store, ubrs.get, img.Primary)
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +172,6 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	}
 	regionTree := buildRegionTree(db, fanout)
 
-	// Sanity: every database object must have a stored record.
-	for _, o := range db.Objects() {
-		if _, ok := lookup(uint32(o.ID)); !ok {
-			return nil, fmt.Errorf("pvindex: object %d missing from loaded index", o.ID)
-		}
-	}
 	witnesses, err := listsFromImage(img.Witnesses)
 	var witnessed *idLists
 	if err == nil {
@@ -191,10 +189,40 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 		walSeq:     img.WALSeq,
 		db:         db,
 		primary:    primary,
-		secondary:  secondary,
+		ubrs:       ubrs,
 		regionTree: regionTree,
 		witnesses:  witnesses,
 		witnessed:  witnessed,
 	})
 	return ix, nil
+}
+
+// Rebuild builds the index anew over db from the configuration of an image
+// LoadFrom refuses with ErrOldImage, on an SE pool of workers (GOMAXPROCS
+// when workers <= 0), and starts it at the image's WAL position: replaying
+// the log after that position brings it to the state the image's index had
+// reached, up to SE's path dependence. db must be the image's object set.
+func Rebuild(r io.Reader, db *uncertain.DB, workers int) (*Index, error) {
+	var img struct {
+		Magic     string
+		SE        core.Options
+		MemBudget int
+		Fanout    int
+		Objects   int
+		WALSeq    uint64
+		Store     *struct{ PageSize int }
+	}
+	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+		return nil, fmt.Errorf("pvindex: decoding index image: %w", err)
+	}
+	switch {
+	case img.Magic != rebuildMagic:
+		return nil, fmt.Errorf("pvindex: rebuild from an image of magic %q, want %q", img.Magic, rebuildMagic)
+	case img.Objects != db.Len():
+		return nil, fmt.Errorf("pvindex: index was built over %d objects, database has %d", img.Objects, db.Len())
+	case img.Store == nil || img.Store.PageSize <= 0:
+		return nil, fmt.Errorf("pvindex: image has no page size")
+	}
+	cfg := Config{Store: pagestore.New(img.Store.PageSize), MemBudget: img.MemBudget, Fanout: img.Fanout, SE: img.SE}
+	return buildParallel(db, cfg, workers, img.WALSeq)
 }

@@ -2,7 +2,6 @@ package pvindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -12,7 +11,6 @@ import (
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
-	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
 )
@@ -377,7 +375,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 
-	// Well-formed gobs that are not a complete PVIDX5 image: each must come
+	// Well-formed gobs that are not a complete PVIDX6 image: each must come
 	// back as an error naming what is wrong — OpenDurable's fallback to an
 	// older checkpoint depends on an error, not a panic.
 	ix, err := Build(db, testConfig())
@@ -394,9 +392,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		want   string
 	}{
 		{"PVIDX3 magic", func(img *indexImage) { img.Magic = "PVIDX3" }, `"PVIDX3"`},
-		{"nil Store", func(img *indexImage) { img.Store = nil }, "no page store"},
+		{"PVIDX5 magic", func(img *indexImage) { img.Magic = "PVIDX5" }, `older format: "PVIDX5"`},
+		{"nil Pages", func(img *indexImage) { img.Pages = nil }, "no page store"},
 		{"nil Primary", func(img *indexImage) { img.Primary = nil }, "no primary index"},
-		{"nil Secondary", func(img *indexImage) { img.Secondary = nil }, "no secondary index"},
+		{"nil UBRs", func(img *indexImage) { img.UBRs = nil }, "no UBR image"},
 	} {
 		var img indexImage
 		if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {
@@ -413,26 +412,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesCorruptSecondary holds LoadFrom to refusing two damaged
-// secondary indexes it used to adopt with a nil error, on a d = 2 image with
-// 512-byte pages: a bucket whose count field reads 0xFFFF, after which a
-// lookup of an absent ID panicked, and a two-page value chain whose second
-// page links back to the first, after which every save looped.
-func TestLoadRefusesCorruptSecondary(t *testing.T) {
+// TestLoadRefusesCorruptUBRs holds LoadFrom to refusing a UBR table that
+// does not give each database object exactly one finite box, ascending by ID.
+func TestLoadRefusesCorruptUBRs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	db := uncertain.NewDB(geom.UnitCube(2, 100))
-	for i := 0; i < 12; i++ {
-		lo := geom.Point{rng.Float64() * 80, rng.Float64() * 80}
-		region := geom.NewRect(lo, geom.Point{lo[0] + 1 + rng.Float64()*19, lo[1] + 1 + rng.Float64()*19})
-		o := &uncertain.Object{ID: uncertain.ID(i), Region: region,
-			Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 20, rng)}
-		if err := db.Add(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := testConfig()
-	cfg.Store = pagestore.New(512)
-	ix, err := Build(db, cfg)
+	db := randomDB(rng, 12, 2, 100, 10, false)
+	ix, err := Build(db, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,30 +427,24 @@ func TestLoadRefusesCorruptSecondary(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		edit func(t *testing.T, bucket []byte, pages map[uint32][]byte)
+		edit func(u *ubrImage)
 		want string
 	}{
-		{"bucket count 0xFFFF", func(_ *testing.T, bucket []byte, _ map[uint32][]byte) {
-			binary.LittleEndian.PutUint16(bucket[2:4], 0xFFFF)
-		}, "holds 65535 slots"},
-		{"two-page chain cycle", func(t *testing.T, bucket []byte, pages map[uint32][]byte) {
-			head := binary.LittleEndian.Uint32(bucket[4+8:]) // the first slot's first value page
-			second := binary.LittleEndian.Uint32(pages[head][0:4])
-			if second == 0 || binary.LittleEndian.Uint32(pages[second][0:4]) != 0 {
-				t.Fatal("the first record does not span exactly two pages")
-			}
-			binary.LittleEndian.PutUint32(pages[second][0:4], head)
-		}, "does not hold its"},
+		{"no table", func(u *ubrImage) { *u = ubrImage{} }, "0 UBRs for 12 objects"},
+		{"short coordinates", func(u *ubrImage) { u.Coords = u.Coords[:len(u.Coords)-1] }, "47 coordinates do not give each of 12 IDs"},
+		{"missing object", func(u *ubrImage) { u.IDs, u.Coords = u.IDs[1:], u.Coords[4:] }, "11 UBRs for 12 objects"},
+		{"ids out of order", func(u *ubrImage) { u.IDs[1], u.IDs[2] = u.IDs[2], u.IDs[1] }, "do not ascend"},
+		{"stranger", func(u *ubrImage) { u.IDs[len(u.IDs)-1] = 1 << 20 }, "not an object"},
+		{"NaN corner", func(u *ubrImage) { u.Coords[0] = math.NaN() }, "not a finite box"},
+		{"inverted box", func(u *ubrImage) { u.Coords[0] = u.Coords[2] + 1 }, "not a finite box"},
+		{"infinite corner", func(u *ubrImage) { u.Coords[3] = math.Inf(1) }, "not a finite box"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var img indexImage
 			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {
 				t.Fatal(err)
 			}
-			if len(img.Secondary.Dir) != 1 {
-				t.Fatalf("directory of %d buckets, the test edits the only one", len(img.Secondary.Dir))
-			}
-			tc.edit(t, img.Store.Pages[img.Secondary.Dir[0]], img.Store.Pages)
+			tc.edit(img.UBRs)
 			var forged bytes.Buffer
 			if err := gob.NewEncoder(&forged).Encode(&img); err != nil {
 				t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package pvindex assembles the paper's PV-index (§VI): UBRs computed by the
 // SE algorithm, organized in an octree primary index for point-query pruning
-// and an extendible-hash secondary index holding each object's UBR and
-// discretized pdf. It implements PNNQ Step 1 (retrieval of objects with
-// non-zero qualification probability) and the incremental insert/delete
-// maintenance of §VI-B.
+// and an in-memory table keyed by object ID holding each object's UBR (the
+// paper's hashed secondary index, whose pdf copy is the version's database).
+// It implements PNNQ Step 1 (retrieval of objects with non-zero
+// qualification probability) and the incremental insert/delete maintenance
+// of §VI-B.
 package pvindex
 
 import (
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
-	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
@@ -47,12 +47,12 @@ func DefaultConfig() Config {
 type BuildStats struct {
 	Objects    int
 	Total      time.Duration
-	InsertTime time.Duration // primary+secondary insertion portion
+	InsertTime time.Duration // primary index and UBR table insertion portion
 	SE         core.Stats    // summed over objects: C-set and SE times, C-set sizes
 }
 
 // Index is a built PV-index over a database, served through epoch-based
-// MVCC: the entire index state — database, octree, secondary-index records,
+// MVCC: the entire index state — database, octree, UBR table, witness lists,
 // region R*-tree, WAL position — lives in an immutable version published
 // via an atomic pointer. Queries pin the current version with two atomic
 // operations and never take a lock, so they proceed at full speed while
@@ -127,9 +127,9 @@ func (ix *Index) initRuntime() {
 }
 
 // working is the writer's mutable view while it builds the next version:
-// a cloned database, copy-on-write handles over the octree, secondary index,
-// region tree and witness lists, and the deferred-free list shared by both
-// page-backed structures.
+// a cloned database, copy-on-write handles over the octree, UBR table,
+// region tree and witness lists, the octree's deferred-free list, and the
+// reverse-index patches of the op in progress.
 // In bootstrap mode (construction) there is no predecessor version:
 // structures mutate in place.
 type working struct {
@@ -138,12 +138,12 @@ type working struct {
 
 	db                   *uncertain.DB
 	primary              *octree.Tree
-	secondary            *exthash.Table
+	ubrs                 *ubrTable
 	regionTree           *rtree.Tree
 	witnesses, witnessed *idLists
 
-	freed  []pagestore.PageID
-	recBuf []byte // putRecord's encoding buffer
+	freed   []pagestore.PageID
+	patches []revPatch // setWitnesses' queue, merged at the end of each op
 }
 
 // buildRegionTree constructs the region R*-tree of a database. It is a
@@ -165,12 +165,8 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 			return nil, fmt.Errorf("pvindex: build: %w", err)
 		}
 	}
-	w := &working{ix: ix, epoch: 1, db: db, witnesses: newIDLists(), witnessed: newIDLists()}
+	w := &working{ix: ix, epoch: 1, db: db, ubrs: newUBRTable(db.Dim()), witnesses: newIDLists(), witnessed: newIDLists()}
 	var err error
-	w.secondary, err = exthash.New(ix.store)
-	if err != nil {
-		return nil, err
-	}
 	w.primary, err = octree.New(octree.Config{
 		Domain:    db.Domain,
 		Store:     ix.store,
@@ -185,17 +181,17 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 }
 
 // newWorking derives the writer's view for the next version from base:
-// O(n) only in the database clone (bookkeeping maps over shared object
-// pointers); the trees start as O(1) copy-on-write handles.
+// O(n) only in the database clone's object slice (pointers); the trees and
+// tables start as copy-on-write handles sharing every node and page.
 func (ix *Index) newWorking(base *version) *working {
 	w := &working{
 		ix:    ix,
 		epoch: base.epoch + 1,
 		db:    base.db.Clone(),
+		ubrs:  base.ubrs.clone(),
 	}
 	w.regionTree = base.regionTree.CloneCOW()
-	w.witnesses, w.witnessed = base.witnesses.cloneCOW(), base.witnessed.cloneCOW()
-	w.secondary = base.secondary.CloneCOW(&w.freed)
+	w.witnesses, w.witnessed = base.witnesses.clone(), base.witnessed.clone()
 	w.primary = base.primary.CloneCOW(w.lookupUBR, &w.freed)
 	return w
 }
@@ -207,7 +203,6 @@ func (ix *Index) newWorking(base *version) *working {
 // batch a clean rollback.
 func (w *working) abort() {
 	w.primary.AbortCOW()
-	w.secondary.AbortCOW()
 }
 
 // seal freezes the working set into a publishable version.
@@ -217,7 +212,7 @@ func (w *working) seal(walSeq uint64) *version {
 		walSeq:     walSeq,
 		db:         w.db,
 		primary:    w.primary,
-		secondary:  w.secondary,
+		ubrs:       w.ubrs,
 		regionTree: w.regionTree,
 		witnesses:  w.witnesses,
 		witnessed:  w.witnessed,
@@ -251,37 +246,19 @@ func Build(db *uncertain.DB, cfg Config) (*Index, error) {
 	return ix, err
 }
 
-// putRecord writes o's record to the working secondary index, encoding it in
-// the writer's buffer (Put copies the value into pages).
-func (w *working) putRecord(id uint32, rec record) error {
-	buf, err := appendRecord(w.recBuf[:0], rec)
-	if err != nil {
-		return err
-	}
-	w.recBuf = buf
-	return w.secondary.Put(id, buf)
-}
-
 // lookupUBR serves octree leaf splits (and the update algorithms' affected-
-// set filters) from the working secondary index, reading the record's header
-// only (storedUBR).
-func (w *working) lookupUBR(id uint32) (geom.Rect, bool) {
-	return storedUBR(w.secondary, id, w.db.Dim())
-}
+// set filters) from the working UBR table.
+func (w *working) lookupUBR(id uint32) (geom.Rect, bool) { return w.ubrs.get(id) }
 
-// addObject writes o's record to the secondary index and its entries to the
-// primary index.
+// addObject stores o's UBR and enters o into the primary index.
 func (w *working) addObject(o *uncertain.Object, ubr geom.Rect) error {
-	rec := record{UBR: ubr, Region: o.Region, Instances: o.Instances}
-	if err := w.putRecord(uint32(o.ID), rec); err != nil {
-		return err
-	}
+	w.ubrs.set(uint32(o.ID), ubr)
 	return w.primary.Insert(uint32(o.ID), o.Region, ubr)
 }
 
-// moveRow rewrites o's record and octree entries from UBR oldB to newB,
-// leaving the leaves only oldB reaches and joining those only newB reaches: a
-// warm run only shrinks or only grows a UBR, a cold reset can do both.
+// moveRow rewrites o's UBR and octree entries from oldB to newB, leaving the
+// leaves only oldB reaches and joining those only newB reaches: a warm run
+// only shrinks or only grows a UBR, a cold reset can do both.
 func (w *working) moveRow(o *uncertain.Object, oldB, newB geom.Rect) error {
 	id := uint32(o.ID)
 	if !newB.ContainsRect(oldB) {
@@ -289,16 +266,14 @@ func (w *working) moveRow(o *uncertain.Object, oldB, newB geom.Rect) error {
 			return err
 		}
 	}
-	if err := w.putRecord(id, record{UBR: newB, Region: o.Region, Instances: o.Instances}); err != nil {
-		return err
-	}
+	w.ubrs.set(id, newB)
 	if !oldB.ContainsRect(newB) {
 		return w.primary.InsertDiff(id, o.Region, newB, oldB)
 	}
 	return nil
 }
 
-// UBR returns the stored UBR of an object, read from its record's header.
+// UBR returns the stored UBR of an object.
 func (ix *Index) UBR(id uncertain.ID) (geom.Rect, bool) {
 	v := ix.pin()
 	defer ix.unpin(v)
@@ -481,7 +456,7 @@ type UpdateStats struct {
 	Unchanged int           // of those, UBRs that came back bit-identical: nothing rewritten
 	Examined  int           // rows the filter looked at: an insert's window; a delete's witnessed rows (= Affected)
 	SETime    time.Duration // UBR recomputation time
-	IndexTime time.Duration // primary/secondary maintenance time
+	IndexTime time.Duration // primary index and UBR table maintenance time
 	TotalTime time.Duration
 	// SE aggregates the Shrink-and-Expand cost of every UBR computed by the
 	// operation: the newcomer's (insert) plus all affected recomputations.
@@ -533,7 +508,7 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	}
 	victimUBR, ok := w.lookupUBR(uint32(id))
 	if !ok {
-		return st, fmt.Errorf("pvindex: object %d missing from secondary index", id)
+		return st, fmt.Errorf("pvindex: object %d has no stored UBR", id)
 	}
 
 	if _, err := w.db.Remove(id); err != nil {
@@ -549,15 +524,13 @@ func (w *working) applyDelete(id uncertain.ID) (UpdateStats, error) {
 	w.witnessed.set(vid, nil)
 	st.Examined = len(ids)
 
-	// Step 4a: remove the victim's entries and record first, so warm-started
+	// Step 4a: remove the victim's entries and UBR first, so warm-started
 	// SE and leaf splits see the post-delete state.
 	t0 := time.Now()
 	if _, err := w.primary.Remove(vid, victimUBR); err != nil {
 		return st, err
 	}
-	if _, err := w.secondary.Delete(vid); err != nil {
-		return st, err
-	}
+	w.ubrs.remove(vid)
 	st.IndexTime += time.Since(t0)
 
 	// Step 3: warm-started SE per row (l = old UBR, h = its union with the

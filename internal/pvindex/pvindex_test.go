@@ -136,39 +136,6 @@ func TestNonFiniteQueryPointRejected(t *testing.T) {
 	}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	region := geom.NewRect(geom.Point{1, 2, 3}, geom.Point{4, 5, 6})
-	rec := record{
-		UBR:       geom.NewRect(geom.Point{0, 0, 0}, geom.Point{10, 10, 10}),
-		Region:    region,
-		Instances: uncertain.SampleInstances(region, uncertain.PDFUniform, 25, rng),
-	}
-	buf := mustEncodeRecord(t, rec)
-	got, err := decodeRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.UBR.Equal(rec.UBR) || !got.Region.Equal(rec.Region) {
-		t.Fatal("rect corruption")
-	}
-	if len(got.Instances) != len(rec.Instances) {
-		t.Fatal("instance count corruption")
-	}
-	for i := range got.Instances {
-		if !got.Instances[i].Pos.Equal(rec.Instances[i].Pos) || got.Instances[i].Prob != rec.Instances[i].Prob {
-			t.Fatal("instance corruption")
-		}
-	}
-	// Corrupt length must error, not panic.
-	if _, err := decodeRecord(buf[:len(buf)-3]); err == nil {
-		t.Fatal("truncated record accepted")
-	}
-	if _, err := decodeRecord(nil); err == nil {
-		t.Fatal("nil record accepted")
-	}
-}
-
 func TestUBRStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randomDB(rng, 60, 2, 500, 25, false)

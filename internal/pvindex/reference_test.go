@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
-	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
@@ -111,7 +110,9 @@ func (w *working) referenceApply(ups []Update, staged []stagedSE) ([]UpdateStats
 		}
 	}
 	if insertsOnly && len(ups) > 1 {
-		return w.applyInserts(ups)
+		sts, err := w.applyInserts(ups)
+		w.mergeWitnessed()
+		return sts, err
 	}
 
 	stats := make([]UpdateStats, 0, len(ups))
@@ -134,6 +135,7 @@ func (w *working) referenceApply(ups []Update, staged []stagedSE) ([]UpdateStats
 			if err != nil {
 				return stats, err
 			}
+			w.mergeWitnessed()
 			stats = append(stats, st)
 			impacts = append(impacts, impact{rect: newB})
 		case OpDelete:
@@ -142,6 +144,7 @@ func (w *working) referenceApply(ups []Update, staged []stagedSE) ([]UpdateStats
 			if err != nil {
 				return stats, err
 			}
+			w.mergeWitnessed()
 			stats = append(stats, st)
 			impacts = append(impacts, impact{rect: victimUBR, isDelete: true})
 		}
@@ -257,7 +260,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 }
 
 // referenceBuildParallel is BuildParallel as it was before the primary index
-// was bulk-loaded: every object through addObject — its record, then an
+// was bulk-loaded: every object through addObject — its UBR, then an
 // octree.Insert — in database order.
 func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 	if workers <= 0 {
@@ -300,6 +303,7 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		w.setWitnesses(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
+	w.mergeWitnessed()
 	ix.Build.InsertTime = time.Since(t0)
 	ix.Build.Total = time.Since(start)
 	ix.installBootstrap(w, 0)
@@ -443,9 +447,9 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 		Objects         int
 		RecordCacheSize int
 		WALSeq          uint64
-		Store           *pagestore.Image
+		Pages           *pagestore.Image
 		Primary         *octree.Image
-		Secondary       *exthash.Image
+		UBRs            *ubrImage
 		Adjacency       *Image
 		// Refine and RefineThreshold restore the refinement subsystem:
 		// the config the UBRs were refined under and the hub-score cutoff the
@@ -490,4 +494,35 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 		t.Fatal(err)
 	}
 	return old.Bytes()
+}
+
+// referenceSetWitnesses is setWitnesses as it was before the reverse index
+// was patched once per op: it stores id's witness list and patches the
+// reverse index at once, member by member, each patch a fresh list.
+func (w *working) referenceSetWitnesses(id uint32, list []uint32) {
+	old := w.witnesses.get(id)
+	w.witnesses.set(id, list)
+	for _, v := range old {
+		if _, kept := slices.BinarySearch(list, v); !kept {
+			w.witnessed.remove(v, id)
+		}
+	}
+	for _, v := range list {
+		if _, had := slices.BinarySearch(old, v); !had {
+			w.witnessed.add(v, id)
+		}
+	}
+}
+
+// add puts x into id's list and remove takes it out, as fresh lists.
+func (l *idLists) add(id, x uint32) {
+	if i, found := slices.BinarySearch(l.get(id), x); !found {
+		l.set(id, slices.Insert(slices.Clip(l.get(id)), i, x))
+	}
+}
+
+func (l *idLists) remove(id, x uint32) {
+	if i, found := slices.BinarySearch(l.get(id), x); found {
+		l.set(id, slices.Delete(slices.Clone(l.get(id)), i, i+1))
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"pvoronoi/internal/exthash"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
@@ -12,10 +11,9 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// version is one immutable MVCC snapshot of the whole index: the database,
-// the octree primary index, the extendible-hash secondary index (UBR + pdf
-// records), the region R*-tree and the witness lists, all consistent as of
-// one write epoch.
+// version is one immutable MVCC snapshot of the whole index: the database
+// (every object's pdf), the octree primary index, the UBR table, the region
+// R*-tree and the witness lists, all consistent as of one write epoch.
 //
 // Lifecycle: a writer builds the next version copy-on-write from the current
 // one (sharing every untouched node and page), publishes it with a single
@@ -33,7 +31,7 @@ type version struct {
 
 	db                   *uncertain.DB
 	primary              *octree.Tree
-	secondary            *exthash.Table
+	ubrs                 *ubrTable
 	regionTree           *rtree.Tree
 	witnesses, witnessed *idLists // witness lists and reverse index
 
@@ -74,9 +72,18 @@ func (ix *Index) pin() *version {
 // index converges without any writes in flight.
 func (ix *Index) unpin(v *version) {
 	if v.readers.Add(-1) == 0 && v.retired.Load() {
-		go ix.tryReclaim()
+		reclaiming.Add(1)
+		go func() {
+			defer reclaiming.Add(-1)
+			ix.tryReclaim()
+		}()
 	}
 }
+
+// reclaiming counts the sweeps unpin started that have not returned, in
+// every index of the process, so that a test can let them finish before it
+// reads the process's allocation counters (waitReclaims).
+var reclaiming atomic.Int64
 
 // publish makes next the current version: the pointer swaps, then the
 // predecessor retires with the batch's deferred page frees attached.
@@ -156,20 +163,16 @@ func (ix *Index) MVCC() MVCCStats {
 	return st
 }
 
-// ubr reads an object's stored UBR from its record's header in v.
-func (v *version) ubr(id uncertain.ID) (geom.Rect, bool) {
-	return storedUBR(v.secondary, uint32(id), v.db.Dim())
-}
+// ubr reads an object's stored UBR in v.
+func (v *version) ubr(id uncertain.ID) (geom.Rect, bool) { return v.ubrs.get(uint32(id)) }
 
 // instances returns an object's pdf instances in v: those of v's own
-// database object. Every record in v's secondary index was encoded from that
-// object, which no write mutates (a version's database is immutable, and an
-// object is adopted on insert), so Step 2 reads the pdf where it already
-// lives instead of decoding the record's copy.
+// database object, which no write mutates (a version's database is
+// immutable, and an object is adopted on insert).
 func (v *version) instances(id uncertain.ID) ([]uncertain.Instance, error) {
 	o := v.db.Get(id)
 	if o == nil {
-		return nil, fmt.Errorf("pvindex: object %d not in secondary index", id)
+		return nil, fmt.Errorf("pvindex: object %d not in the database", id)
 	}
 	return o.Instances, nil
 }

@@ -1,10 +1,11 @@
 package pvindex
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
+	"pvoronoi/internal/cowpage"
 	"pvoronoi/internal/uncertain"
 )
 
@@ -12,36 +13,29 @@ import (
 // at d dimensions, about four times a cold run's witnesses on uniform data.
 func witnessCap(d int) int { return min(16<<d, 1024) }
 
-// idLists maps an ID to an ascending list of IDs, copy-on-write by page of
-// 256 IDs: cloneCOW copies the page map, a first write to a page copies it,
-// and a stored list is never written, so a batch pays for the pages it
-// touches and dropping an unpublished clone is a complete rollback.
+// idLists maps an ID to an ascending list of IDs, in pages of 256 lists
+// (cowpage); a stored list is never written.
 type idLists struct {
-	tag   *listTag // marks the pages this idLists may write in place
-	pages map[uint32]*listPage
+	pages *cowpage.Pages[listPage]
 	rows  int // non-empty lists
 	total int // Σ list lengths
 }
 
 type listPage struct {
-	owner *listTag
 	live  int
 	lists [256][]uint32
 }
 
-type listTag struct{ _ byte }
+func newIDLists() *idLists { return &idLists{pages: cowpage.New[listPage]()} }
 
-func newIDLists() *idLists { return &idLists{tag: new(listTag), pages: map[uint32]*listPage{}} }
-
-// cloneCOW returns a writable copy sharing every page with l, which must not
-// be written afterwards.
-func (l *idLists) cloneCOW() *idLists {
-	return &idLists{tag: new(listTag), pages: maps.Clone(l.pages), rows: l.rows, total: l.total}
+// clone returns a writable copy sharing every page with l.
+func (l *idLists) clone() *idLists {
+	return &idLists{pages: l.pages.Clone(), rows: l.rows, total: l.total}
 }
 
 // get returns id's list, nil when empty. Do not modify it.
 func (l *idLists) get(id uint32) []uint32 {
-	if p := l.pages[id>>8]; p != nil {
+	if p := l.pages.At(id >> 8); p != nil {
 		return p.lists[id&255]
 	}
 	return nil
@@ -54,14 +48,7 @@ func (l *idLists) set(id uint32, list []uint32) {
 	if len(old) == 0 && len(list) == 0 {
 		return
 	}
-	p := l.pages[id>>8]
-	if p == nil || p.owner != l.tag {
-		np := &listPage{owner: l.tag}
-		if p != nil {
-			np.live, np.lists = p.live, p.lists
-		}
-		p, l.pages[id>>8] = np, np
-	}
+	p := l.pages.Writable(id>>8, cowpage.Copy[listPage])
 	switch {
 	case len(old) == 0:
 		p.live, l.rows = p.live+1, l.rows+1
@@ -70,27 +57,14 @@ func (l *idLists) set(id uint32, list []uint32) {
 	}
 	l.total += len(list) - len(old)
 	if p.lists[id&255] = list; p.live == 0 {
-		delete(l.pages, id>>8)
-	}
-}
-
-// add puts x into id's list and remove takes it out, as fresh lists.
-func (l *idLists) add(id, x uint32) {
-	if i, found := slices.BinarySearch(l.get(id), x); !found {
-		l.set(id, slices.Insert(slices.Clip(l.get(id)), i, x))
-	}
-}
-
-func (l *idLists) remove(id, x uint32) {
-	if i, found := slices.BinarySearch(l.get(id), x); found {
-		l.set(id, slices.Delete(slices.Clone(l.get(id)), i, i+1))
+		l.pages.Delete(id >> 8)
 	}
 }
 
 // forEach visits the non-empty lists in ascending ID order until fn fails.
 func (l *idLists) forEach(fn func(id uint32, list []uint32) error) error {
-	for _, n := range slices.Sorted(maps.Keys(l.pages)) {
-		for i, list := range l.pages[n].lists {
+	for _, n := range l.pages.Blocks() {
+		for i, list := range l.pages.At(n).lists {
 			if len(list) == 0 {
 				continue
 			}
@@ -100,24 +74,6 @@ func (l *idLists) forEach(fn func(id uint32, list []uint32) error) error {
 		}
 	}
 	return nil
-}
-
-// transpose returns the reverse of l: x's list holds id exactly when id's
-// list holds x. Visiting l's lists in ascending ID order leaves each reverse
-// list ascending.
-func (l *idLists) transpose() *idLists {
-	rev := make(map[uint32][]uint32)
-	_ = l.forEach(func(id uint32, list []uint32) error {
-		for _, x := range list {
-			rev[x] = append(rev[x], id)
-		}
-		return nil
-	})
-	t := newIDLists()
-	for x, list := range rev {
-		t.set(x, slices.Clip(list))
-	}
-	return t
 }
 
 // listsImage is an idLists flattened: the IDs with a list and its end in Flat.
@@ -193,21 +149,69 @@ func checkWitnesses(db *uncertain.DB, lists, by *idLists) error {
 	return err
 }
 
-// setWitnesses stores id's witness list and patches the reverse index by the
-// members it dropped and gained.
+// revPatch is one pending reverse-index change: row joins (add) or leaves
+// member's reverse list.
+type revPatch struct {
+	member, row uint32
+	add         bool
+}
+
+// setWitnesses stores id's witness list and queues the reverse-index patches
+// for the members it dropped and gained; mergeWitnessed applies them at the
+// end of the op. An op sets a row's list at most once.
 func (w *working) setWitnesses(id uint32, list []uint32) {
 	old := w.witnesses.get(id)
 	w.witnesses.set(id, list)
-	for _, v := range old {
-		if _, kept := slices.BinarySearch(list, v); !kept {
-			w.witnessed.remove(v, id)
+	for i, j := 0, 0; i < len(old) || j < len(list); {
+		switch {
+		case j == len(list) || i < len(old) && old[i] < list[j]:
+			w.patches = append(w.patches, revPatch{old[i], id, false})
+			i++
+		case i == len(old) || list[j] < old[i]:
+			w.patches = append(w.patches, revPatch{list[j], id, true})
+			j++
+		default:
+			i, j = i+1, j+1
 		}
 	}
-	for _, v := range list {
-		if _, had := slices.BinarySearch(old, v); !had {
-			w.witnessed.add(v, id)
+}
+
+// mergeWitnessed ends an op — an insert run or one delete — by sorting its
+// queued patches by member and rewriting each touched reverse list once, so
+// the next delete reads its victim's list as this op left it.
+func (w *working) mergeWitnessed() {
+	ps := w.patches
+	slices.SortFunc(ps, func(a, b revPatch) int {
+		return cmp.Or(cmp.Compare(a.member, b.member), cmp.Compare(a.row, b.row))
+	})
+	for lo := 0; lo < len(ps); {
+		hi := lo + 1
+		for hi < len(ps) && ps[hi].member == ps[lo].member {
+			hi++
+		}
+		w.witnessed.set(ps[lo].member, mergeRows(w.witnessed.get(ps[lo].member), ps[lo:hi]))
+		lo = hi
+	}
+	w.patches = ps[:0]
+}
+
+// mergeRows returns the ascending list old with the patches ps (ascending
+// by row, one per row) applied, as a fresh list.
+func mergeRows(old []uint32, ps []revPatch) []uint32 {
+	out := make([]uint32, 0, len(old)+len(ps))
+	i := 0
+	for _, p := range ps {
+		for ; i < len(old) && old[i] < p.row; i++ {
+			out = append(out, old[i])
+		}
+		if i < len(old) && old[i] == p.row {
+			i++
+		}
+		if p.add {
+			out = append(out, p.row)
 		}
 	}
+	return slices.Clip(append(out, old[i:]...))
 }
 
 // union returns the ascending union of a and b, less the IDs in drop, in

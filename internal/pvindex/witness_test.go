@@ -115,9 +115,7 @@ func TestVerifyCatchesBrokenRows(t *testing.T) {
 	// The row's UBR shrunk to u(o): its witnesses no longer cut the rest.
 	w := ix.newWorking(v)
 	o := w.db.Get(row)
-	if err := w.putRecord(uint32(row), record{UBR: o.Region, Region: o.Region, Instances: o.Instances}); err != nil {
-		t.Fatal(err)
-	}
+	w.ubrs.set(uint32(row), o.Region)
 	ix.publishWorking(w, v.walSeq)
 	if err := verify(ix); err == nil || !strings.Contains(err.Error(), "dominated by none") {
 		t.Fatalf("a row shrunk to its region: verify says %v", err)
@@ -126,6 +124,7 @@ func TestVerifyCatchesBrokenRows(t *testing.T) {
 	// A witness list naming an object that is gone.
 	w = ix.newWorking(ix.current.Load())
 	w.setWitnesses(uint32(row), append(slices.Clone(w.witnesses.get(uint32(row))), 1<<30))
+	w.mergeWitnessed()
 	ix.publishWorking(w, v.walSeq)
 	if err := verify(ix); err == nil || !strings.Contains(err.Error(), "not an object") {
 		t.Fatalf("a dead witness: verify says %v", err)

@@ -1,7 +1,6 @@
 package pvindex
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -14,10 +13,10 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// TestLookupUBRHeaderOnly: the writer's UBR read returns the stored UBR and
-// allocates its one coordinate array whatever the record's size (the d=3
-// records here span two pages); so do the readers' Index.UBR and version.ubr,
-// which read the same header.
+// TestLookupUBRHeaderOnly: the writer's UBR read returns the stored UBR —
+// the table slot's coordinates, bit for bit — and allocates its one
+// coordinate array whatever the pdf's size; so do the readers' Index.UBR and
+// version.ubr, which read the same slot.
 func TestLookupUBRHeaderOnly(t *testing.T) {
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 120, Dim: 3, MaxSide: 400, Instances: 200, Seed: 3})
 	ix, err := Build(db, testConfig())
@@ -28,28 +27,24 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 	defer ix.unpin(pin)
 	w := ix.newWorking(ix.current.Load())
 	defer w.abort()
+	slots := map[uint32]geom.Rect{}
+	img := pin.ubrs.image()
+	for i, id := range img.IDs {
+		lohi := img.Coords[6*i : 6*i+6]
+		slots[id] = geom.Rect{Lo: lohi[:3], Hi: lohi[3:]}
+	}
+	if len(slots) != db.Len() {
+		t.Fatalf("%d table slots for %d objects", len(slots), db.Len())
+	}
 	for _, o := range db.Objects() {
-		got, ok := w.lookupUBR(uint32(o.ID))
-		if !ok {
-			t.Fatalf("object %d: no UBR", o.ID)
-		}
-		buf, found, err := w.secondary.GetView(uint32(o.ID))
-		if err != nil || !found {
-			t.Fatalf("object %d: record read: found=%v err=%v", o.ID, found, err)
-		}
-		if len(buf) <= ix.store.PageSize() {
-			t.Fatalf("record of %d bytes fits one page; the test wants a chained value", len(buf))
-		}
-		rec, err := decodeRecord(bytes.Clone(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(rec.UBR) {
-			t.Fatalf("object %d: lookupUBR %v, record holds %v", o.ID, got, rec.UBR)
-		}
-		for name, read := range map[string]func(uncertain.ID) (geom.Rect, bool){"Index.UBR": ix.UBR, "version.ubr": pin.ubr} {
-			if r, ok := read(o.ID); !ok || !sameRectBits(r, rec.UBR) {
-				t.Fatalf("object %d: %s %v, record holds %v", o.ID, name, r, rec.UBR)
+		want := slots[uint32(o.ID)]
+		for name, read := range map[string]func(uncertain.ID) (geom.Rect, bool){
+			"lookupUBR":   func(id uncertain.ID) (geom.Rect, bool) { return w.lookupUBR(uint32(id)) },
+			"Index.UBR":   ix.UBR,
+			"version.ubr": pin.ubr,
+		} {
+			if r, ok := read(o.ID); !ok || !sameRectBits(r, want) {
+				t.Fatalf("object %d: %s %v, the table holds %v", o.ID, name, r, want)
 			}
 		}
 	}
@@ -59,6 +54,7 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 	if _, ok := ix.UBR(1 << 30); ok {
 		t.Fatal("Index.UBR found an ID that was never stored")
 	}
+	waitReclaims()
 	for name, read := range map[string]func(){
 		"lookupUBR":   func() { w.lookupUBR(7) },
 		"Index.UBR":   func() { ix.UBR(7) },
@@ -74,14 +70,13 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 // index with 100-instance pdfs, then one batch deleting them again. Before the
 // writer read UBRs from record headers and adjacency rows and browsed with
 // pooled iterators, the insert batch allocated 391 211 times (measured at the
-// parent commit with this test's code); the budget is a tenth of that, the
-// count now 10 k. Before SE runs took their tester, face memory and C-set from
-// a pooled workspace and the writer encoded records and decoded buckets into
-// buffers it owns, the two batches allocated 7 434 040 and 7 866 784 bytes
-// (now ≈ 0.8 MB each); the byte budgets are a third of those.
+// parent commit with this test's code). With UBRs in a table instead of hash
+// records and no whole-database clone the batches allocate ≈ 3 650 times and
+// ≈ 733 kB and 457 kB (they were ≈ 3 750 times, 840 and 520 kB), and the
+// budgets keep the margins they had over those: ×10.4, ×2.95 and ×5.
 func TestApplyBatchAllocBudget(t *testing.T) {
-	const parent, budget = 391_211, 39_100
-	const insertBytes, deleteBytes = 7_434_040 / 3, 7_866_784 / 3
+	const parent, budget = 391_211, 38_000
+	const insertBytes, deleteBytes = 2_160_000, 2_290_000
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1}
 	ix, err := Build(dataset.Synthetic(p), DefaultConfig())
 	if err != nil {
@@ -98,6 +93,7 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := func(ups []Update) (allocs, bytes uint64) {
+		waitReclaims()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		if _, err := ix.ApplyBatch(ups); err != nil {
@@ -127,14 +123,15 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 }
 
 // TestBuildAllocBudget: a build on the uni2 shape at n 2 000 allocates, per
-// object, its share of the pages, trees and records it keeps — not a tester,
-// face memory and C-set per SE run, nor a record encoding and a bucket decode
-// per write. Before those came from a pooled workspace and writer-owned
-// buffers it allocated 50 358 bytes per object (now ≈ 7.3 kB); the budget is
-// a third of that.
+// object, its share of the pages, trees and tables it keeps — not a tester,
+// face memory and C-set per SE run per object. Before those came from a
+// pooled workspace and writer-owned buffers it allocated 50 358 bytes per
+// object; with hash records it allocated ≈ 7 650 under a budget of 16 786,
+// and without them ≈ 3 480, under a budget with the same margin, ×2.19.
 func TestBuildAllocBudget(t *testing.T) {
-	const budget = 50_358 / 3
+	const budget = 7_600
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1})
+	waitReclaims()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	if _, err := BuildParallel(db, DefaultConfig(), 2); err != nil {
@@ -261,5 +258,13 @@ func TestAdjacencyThroughSeededMix(t *testing.T) {
 				t.Fatal("40 batches refined no row; the mix no longer exercises escalation on the write path")
 			}
 		})
+	}
+}
+
+// waitReclaims returns once no reclaim sweep unpin started is running, in
+// any index of the test binary, so that none allocates inside a measurement.
+func waitReclaims() {
+	for reclaiming.Load() > 0 {
+		time.Sleep(50 * time.Microsecond)
 	}
 }

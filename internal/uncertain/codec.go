@@ -16,8 +16,7 @@ func encodedLen(d, n int) uint64 { return 16*uint64(d) + uint64(n)*(8*uint64(d)+
 // AppendObject appends o in the fixed-width object codec — the region's d
 // lows then d highs, then each instance's d coordinates and probability, all
 // little-endian float64 — to dst. The ID, dimension and instance count belong
-// to the caller's framing (a secondary-index record, a dataset stream, a WAL
-// insert). It fails only on a ragged object — a Hi corner or an instance
+// to the caller's framing (a dataset stream, a WAL insert). It fails only on a ragged object — a Hi corner or an instance
 // position whose length is not len(o.Region.Lo) — which no fixed-width layout
 // can hold.
 func AppendObject(dst []byte, o *Object) ([]byte, error) {

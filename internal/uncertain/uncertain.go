@@ -8,11 +8,11 @@ package uncertain
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
 
+	"pvoronoi/internal/cowpage"
 	"pvoronoi/internal/geom"
 )
 
@@ -136,16 +136,35 @@ func SampleInstances(region geom.Rect, kind PDFKind, n int, rng *rand.Rand) []In
 }
 
 // DB is an in-memory uncertain database: the set S of the paper. Object order
-// is stable; lookup by ID is O(1).
+// is stable; lookup by ID is O(1): an ID's slice position, plus one (0:
+// absent), lives in a cowpage page of 256 IDs, so a Clone copies the object
+// slice and the page map but no position.
 type DB struct {
 	Domain  geom.Rect
 	objects []*Object
-	byID    map[ID]int
+	pages   *cowpage.Pages[[256]int32]
 }
 
 // NewDB returns an empty database over the given domain.
 func NewDB(domain geom.Rect) *DB {
-	return &DB{Domain: domain, byID: make(map[ID]int)}
+	return &DB{Domain: domain, pages: cowpage.New[[256]int32]()}
+}
+
+// index returns id's slice position.
+func (db *DB) index(id ID) (int, bool) {
+	if p := db.pages.At(uint32(id) >> 8); p != nil && p[id&255] != 0 {
+		return int(p[id&255]) - 1, true
+	}
+	return 0, false
+}
+
+// setIndex records id at slice position i, or drops it for i < 0; a page
+// goes with its last ID.
+func (db *DB) setIndex(id ID, i int) {
+	p := db.pages.Writable(uint32(id)>>8, cowpage.Copy[[256]int32])
+	if p[id&255] = int32(i + 1); i < 0 && *p == [256]int32{} {
+		db.pages.Delete(uint32(id) >> 8)
+	}
 }
 
 // ErrDuplicateID is returned when inserting an object whose ID already exists.
@@ -171,39 +190,38 @@ func (db *DB) CheckInDomain(o *Object) error {
 
 // Add inserts o into the database.
 func (db *DB) Add(o *Object) error {
-	if _, ok := db.byID[o.ID]; ok {
+	if _, ok := db.index(o.ID); ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, o.ID)
 	}
 	if o.Dim() != db.Domain.Dim() {
 		return fmt.Errorf("uncertain: object %d has dim %d, domain dim %d", o.ID, o.Dim(), db.Domain.Dim())
 	}
-	db.byID[o.ID] = len(db.objects)
+	db.setIndex(o.ID, len(db.objects))
 	db.objects = append(db.objects, o)
 	return nil
 }
 
 // Remove deletes the object with the given ID.
 func (db *DB) Remove(id ID) (*Object, error) {
-	idx, ok := db.byID[id]
+	idx, ok := db.index(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
 	o := db.objects[idx]
 	last := len(db.objects) - 1
 	db.objects[idx] = db.objects[last]
-	db.byID[db.objects[idx].ID] = idx
+	db.setIndex(db.objects[idx].ID, idx)
 	db.objects = db.objects[:last]
-	delete(db.byID, id)
+	db.setIndex(id, -1)
 	return o, nil
 }
 
 // Get returns the object with the given ID, or nil.
 func (db *DB) Get(id ID) *Object {
-	idx, ok := db.byID[id]
-	if !ok {
-		return nil
+	if idx, ok := db.index(id); ok {
+		return db.objects[idx]
 	}
-	return db.objects[idx]
+	return nil
 }
 
 // Len returns the number of objects.
@@ -217,6 +235,7 @@ func (db *DB) Objects() []*Object { return db.objects }
 
 // Clone returns a shallow copy of the database sharing the object values but
 // with independent bookkeeping, so updates to one copy do not affect the other.
+// The position pages stay shared until either side first writes one.
 func (db *DB) Clone() *DB {
-	return &DB{Domain: db.Domain, objects: slices.Clone(db.objects), byID: maps.Clone(db.byID)}
+	return &DB{Domain: db.Domain, objects: slices.Clone(db.objects), pages: db.pages.Clone()}
 }

@@ -180,3 +180,108 @@ func TestDBClone(t *testing.T) {
 		t.Fatal("addition to clone affected original")
 	}
 }
+
+// TestCloneDivergesOnSharedPages: a clone and its parent share the ID →
+// position pages until either writes one. Random Adds and Removes on both
+// sides, IDs packed into a few 256-ID blocks and scattered far apart, must
+// leave each database equal to a model of its own history — order, Get and
+// Len — while a reader walks the parent, which only the main goroutine
+// writes, between its own rounds (run it with -race). Emptied, a database
+// keeps no page.
+func TestCloneDivergesOnSharedPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ids := []ID{0, 1, 2, 255, 256, 257, 511, 512, 70_000, 1_000_000, 1_000_255, 1<<32 - 1}
+	for range 40 {
+		ids = append(ids, ID(rng.Intn(1200)))
+	}
+	obj := func(id ID) *Object { return &Object{ID: id, Region: region2D(0, 0, 1, 1)} }
+
+	// model is the old slice-and-map database, for reference.
+	type model struct {
+		objs []*Object
+		pos  map[ID]int
+	}
+	apply := func(db *DB, m *model, id ID) {
+		if _, ok := m.pos[id]; ok {
+			i := m.pos[id]
+			last := len(m.objs) - 1
+			m.objs[i] = m.objs[last]
+			m.pos[m.objs[i].ID] = i
+			m.objs = m.objs[:last]
+			delete(m.pos, id)
+			if _, err := db.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		o := obj(id)
+		m.pos[id] = len(m.objs)
+		m.objs = append(m.objs, o)
+		if err := db.Add(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, db *DB, m *model) {
+		if db.Len() != len(m.objs) {
+			t.Fatalf("%s: %d objects, model %d", label, db.Len(), len(m.objs))
+		}
+		for i, o := range db.Objects() {
+			if o != m.objs[i] {
+				t.Fatalf("%s: object %d is %d, model %d", label, i, o.ID, m.objs[i].ID)
+			}
+		}
+		for _, id := range ids {
+			_, in := m.pos[id]
+			if got := db.Get(id); (got != nil) != in || in && got != m.objs[m.pos[id]] {
+				t.Fatalf("%s: Get(%d) = %v, model holds it: %v", label, id, got, in)
+			}
+		}
+	}
+	cloneModel := func(m *model) *model {
+		c := &model{objs: append([]*Object(nil), m.objs...), pos: map[ID]int{}}
+		for id, i := range m.pos {
+			c.pos[id] = i
+		}
+		return c
+	}
+
+	parent, pm := NewDB(region2D(0, 0, 1, 1)), &model{pos: map[ID]int{}}
+	for _, id := range ids[:len(ids)/2] {
+		if _, dup := pm.pos[id]; !dup {
+			apply(parent, pm, id)
+		}
+	}
+	for round := range 30 {
+		child, cm := parent.Clone(), cloneModel(pm)
+		done := make(chan struct{})
+		go func() { // a reader on the parent while the child is written
+			defer close(done)
+			for _, id := range ids {
+				if o := parent.Get(id); o != nil && o.ID != id {
+					t.Errorf("parent Get(%d) returned object %d", id, o.ID)
+				}
+			}
+			_ = len(parent.Objects())
+		}()
+		for range 20 {
+			apply(child, cm, ids[rng.Intn(len(ids))])
+		}
+		<-done
+		check("child", child, cm)
+		check("parent", parent, pm)
+		for range 10 {
+			apply(parent, pm, ids[rng.Intn(len(ids))])
+		}
+		check("parent after its own writes", parent, pm)
+		check("child after the parent's writes", child, cm)
+		if round%3 == 0 {
+			parent, pm = child, cm // the next round clones a clone
+		}
+	}
+	for _, o := range append([]*Object(nil), parent.Objects()...) {
+		apply(parent, pm, o.ID)
+	}
+	if parent.Len() != 0 || len(parent.pages.Blocks()) != 0 {
+		t.Fatalf("emptied database keeps %d objects and %d pages", parent.Len(), len(parent.pages.Blocks()))
+	}
+}

@@ -10,8 +10,8 @@
 // a query point's nearest neighbor. The PV-index stores, per object, an
 // Uncertain Bounding Rectangle (UBR) that conservatively contains its
 // PV-cell — computed by the Shrink-and-Expand (SE) algorithm — organized in
-// an octree with disk-resident leaves plus an extendible-hash secondary
-// index, so a PNNQ retrieves its candidates with a single leaf access.
+// an octree with disk-resident leaves plus a table keyed by object ID, so a
+// PNNQ retrieves its candidates with a single leaf access.
 //
 // Basic usage:
 //
