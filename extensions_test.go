@@ -557,3 +557,32 @@ func TestServedAnswerHash(t *testing.T) {
 		})
 	}
 }
+
+// TestFarPointAnswersMatchOracles: at a query point so far out that every
+// distance rounds to one value, every candidate ties with every other — n
+// of them, not a handful. PossibleKNN there and GroupNN over two such points
+// must still answer what the scan oracles answer, and in O(n) DP work per
+// candidate (pnnq's TestDPWorkAllTied counts it), not O(n²).
+func TestFarPointAnswersMatchOracles(t *testing.T) {
+	db := dataset.Synthetic(dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 10, Instances: 20, Seed: 7})
+	ix, err := BuildParallel(db, DefaultOptions(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := Point{1e300, 1e300}
+	got, err := ix.PossibleKNN(far, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := extquery.KNNProbs(ix.DB(), extquery.KNNCandidates(ix.DB(), far, 8), far, 8); len(got) < 8 || !slices.Equal(got, want) {
+		t.Fatalf("far-point kNN: %d answers, the oracle %d, or they differ", len(got), len(want))
+	}
+	group := []Point{far, {-1e300, 1e300}}
+	gnn, err := ix.GroupNN(group, AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := extquery.GroupNNProbs(ix.DB(), extquery.GroupNNCandidates(ix.DB(), group, AggSum), group, AggSum); len(gnn) == 0 || !slices.Equal(gnn, want) {
+		t.Fatalf("two-far-point group-NN: %d answers, the oracle %d, or they differ", len(gnn), len(want))
+	}
+}

@@ -84,13 +84,22 @@ type Config struct {
 	MaxDepth int
 }
 
-// New creates an empty octree.
+// maxPageSize bounds a leaf page: a store allocates its pages 64 at a time
+// at least, so a page size read from an index image must not be trusted
+// beyond it.
+const maxPageSize = 1 << 20
+
+// New creates an empty octree over a store whose pages hold a leaf header
+// and at least one entry, in at most maxPageSize bytes.
 func New(cfg Config) (*Tree, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("octree: nil page store")
 	}
 	if err := geom.CheckDim(cfg.Domain.Dim()); err != nil {
 		return nil, fmt.Errorf("octree: %w", err)
+	}
+	if ps, entry := cfg.Store.PageSize(), 8+4+16*cfg.Domain.Dim(); ps < entry || ps > maxPageSize {
+		return nil, fmt.Errorf("octree: page size %d outside [%d, %d]: a leaf page holds a header and at least one entry", ps, entry, maxPageSize)
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 24
@@ -772,32 +781,36 @@ func cellMeets(d int, cells []float64, r geom.Rect) bool {
 	return true
 }
 
-// CollectPages appends every page ID reachable from the tree — each leaf's
-// full page chain — to dst and returns it. Read-only: it is how a pinned
-// MVCC version enumerates its share of the page store for serialization.
-func (t *Tree) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) {
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.children != nil {
-			for _, c := range n.children {
-				if err := walk(c); err != nil {
-					return err
-				}
-			}
-			return nil
+// Leaves calls fn on every leaf in depth-first order, children in mask
+// order, with its depth and the first page of its chain. The depths alone
+// fix the tree's shape: every internal node has 2^d children.
+func (t *Tree) Leaves(fn func(depth int, first pagestore.PageID)) {
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.children == nil {
+			fn(n.depth, n.firstPage)
+			return
 		}
-		p := n.firstPage
-		for p != 0 {
-			dst = append(dst, p)
-			next, err := t.chainNext(p)
-			if err != nil {
-				return err
-			}
-			p = next
+		for _, c := range n.children {
+			walk(c)
 		}
-		return nil
 	}
-	if err := walk(t.root); err != nil {
+	walk(t.root)
+}
+
+// CollectPages appends every page ID reachable from the tree — each leaf's
+// full page chain, leaves in Leaves' order — to dst and returns it.
+// Read-only: a pinned MVCC version enumerates its share of the page store
+// this way.
+func (t *Tree) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) {
+	var err error
+	t.Leaves(func(_ int, p pagestore.PageID) {
+		for p != 0 && err == nil {
+			dst = append(dst, p)
+			p, err = t.chainNext(p)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -807,7 +820,7 @@ func (t *Tree) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) 
 // have exactly 2^d children, leaf page chains are readable, exactly as long
 // as their page counts and share no page, no page holds more entries than
 // fit, depths are consistent, and the entry count matches the recorded
-// size. FromImage runs it on every loaded tree, tests after mutations.
+// size. Tests run it after mutations and loads.
 func (t *Tree) Validate() error {
 	fan := 1 << t.dim
 	entries := 0

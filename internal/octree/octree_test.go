@@ -106,8 +106,11 @@ func TestPointQueryOutsideDomain(t *testing.T) {
 	}
 }
 
-// TestDimensionBound: New and FromImage refuse a domain outside
-// [1, geom.MaxDim] — a point descent keeps its cells in a MaxDim-sized array.
+// TestDimensionBound: New refuses a domain outside [1, geom.MaxDim] — a
+// point descent keeps its cells in a MaxDim-sized array — and a page size
+// outside [header + one entry, maxPageSize]: a writeChain over pages that
+// hold no entry would never end, and an index image's page size is trusted
+// no further than maxPageSize.
 func TestDimensionBound(t *testing.T) {
 	for _, d := range []int{0, 1, geom.MaxDim, geom.MaxDim + 1} {
 		ok := d >= 1 && d <= geom.MaxDim
@@ -115,11 +118,11 @@ func TestDimensionBound(t *testing.T) {
 		if _, err := New(Config{Domain: dom, Store: pagestore.New(512)}); (err == nil) != ok {
 			t.Errorf("New at d=%d: %v", d, err)
 		}
-		store := pagestore.New(512)
-		root, _ := store.Alloc() // the root leaf's one (empty) page
-		img := &Image{DomainLo: dom.Lo, DomainHi: dom.Hi, MaxDepth: 24, Nodes: []NodeImage{{FirstPage: uint32(root), Pages: 1}}}
-		if _, err := FromImage(store, nil, img); (err == nil) != ok {
-			t.Errorf("FromImage at d=%d: %v", d, err)
+	}
+	for _, c := range []struct{ d, pageSize int }{{2, 43}, {2, 44}, {3, 59}, {3, 60}, {2, maxPageSize}, {2, maxPageSize + 1}} {
+		ok := c.pageSize >= 8+4+16*c.d && c.pageSize <= maxPageSize
+		if _, err := New(Config{Domain: geom.UnitCube(c.d, 1), Store: pagestore.New(c.pageSize)}); (err == nil) != ok {
+			t.Errorf("New at d=%d, page size %d: %v", c.d, c.pageSize, err)
 		}
 	}
 }

@@ -290,3 +290,29 @@ func TestDPWorkGuard(t *testing.T) {
 		t.Fatalf("%d DP cell updates against %d for the full C-set", cells, full)
 	}
 }
+
+// An all-tied group — every entry of every candidate at one score, as when
+// every distance to a far query point rounds to one value — costs O(|C|) DP
+// cells per candidate: each rival is surely tied and goes into the tie
+// offset, not a DP row. Its answer is the uniform tie split, k/|C| each.
+func TestDPWorkAllTied(t *testing.T) {
+	const n, k = 2000, 8
+	cands := make([]ScoredCandidate, n)
+	for i := range cands {
+		cands[i] = ScoredCandidate{ID: uncertain.ID(i), Scores: slices.Repeat([]float64{5}, 20)}
+	}
+	s := scored(cands)
+	res := s.topk(k)
+	t.Logf("%d DP cell updates for %d candidates", s.cells, n)
+	if s.cells > n*n {
+		t.Fatalf("%d DP cell updates, over |C| = %d per candidate", s.cells, n)
+	}
+	if len(res) != n {
+		t.Fatalf("%d candidates answered, want %d", len(res), n)
+	}
+	for _, r := range res {
+		if math.Abs(r.Prob-float64(k)/n) > 1e-12 {
+			t.Fatalf("candidate %d: %v, want %v", r.ID, r.Prob, float64(k)/n)
+		}
+	}
+}

@@ -41,19 +41,31 @@ func (r *running) split() (less, tie, far float64) {
 // is zero and the DP is the classic Poisson-binomial over closer counts; with
 // k = 1 it is the win probability, a t-way tie sharing the win 1/(t+1). The
 // caller multiplies in the idle and the done rivals' masses.
+//
+// A rival with all its mass at the current score is surely tied: it adds
+// one to a tie offset and its mass to a product instead of a DP row, so a
+// group of |C| such rivals — every rival, where all distances round to one
+// value — costs O(|C|), not O(|C|²·k).
 func (s *Sweep) topkMass(self int32, k int) float64 {
 	// dp[t*k+c] = P(exactly t tied rivals and c strictly closer rivals so
-	// far), c < k. Rows are added lazily on the first rival with tie mass.
+	// far), c < k, among the rivals not surely tied. Rows are added lazily
+	// on the first rival with tie mass.
 	dp := s.dp[:k]
 	clear(dp)
 	dp[0] = 1
 	rows := 1
 	top := 0 // no state so far has more than top rivals strictly closer
+	offset, sure := 0, 1.0
 	for _, a := range s.active {
 		if a == self {
 			continue
 		}
 		less, tie, far := s.run[a].split()
+		if less == 0 && far == 0 {
+			offset++
+			sure *= tie
+			continue
+		}
 		if tie > 0 {
 			dp = dp[:len(dp)+k]
 			clear(dp[rows*k:])
@@ -84,11 +96,11 @@ func (s *Sweep) topkMass(self int32, k int) float64 {
 		}
 		t, c := i/k, i%k
 		slots := float64(k - c)
-		if group := float64(t + 1); slots >= group {
+		if group := float64(t + offset + 1); slots >= group {
 			total += v
 		} else {
 			total += v * slots / group
 		}
 	}
-	return total
+	return total * sure
 }

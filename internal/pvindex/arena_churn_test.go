@@ -66,6 +66,10 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// A failed check still stops and waits for the goroutines, so none of
+	// them allocates inside a later test's measurement.
+	finish := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer finish()
 	// Writer: alternately insert and delete a block of fresh IDs, so every
 	// round shadow-copies leaf/bucket pages and frees the block's value
 	// chains — a steady stream of deferred frees for the reclaimer.
@@ -158,20 +162,31 @@ func TestArenaRecyclingPinnedViewsStable(t *testing.T) {
 		reclaimedBefore := ix.MVCC().Reclaimed
 		freesBefore := ix.store.Stats().Frees
 		ix.unpin(pinOld)
-		waitReclaims()
-		waitEpochAdvance(t, ix, pinNew.epoch, 4)
+		// A reader goroutine may still pin pinOld's version (it pinned it
+		// while it was current); the last unpin reclaims it. Once it has,
+		// the writer recycles the freed slots for four more epochs.
+		waitReclaimed(t, ix, reclaimedBefore)
+		waitEpochAdvance(t, ix, ix.Epoch(), 4)
 		verify(newIDs, newSnaps, "across free-list recycling")
-		if ix.MVCC().Reclaimed <= reclaimedBefore {
-			t.Fatal("no version reclaimed after releasing the oldest pin — churn did not exercise recycling")
-		}
 		if ix.store.Stats().Frees <= freesBefore {
 			t.Fatal("no pages freed after releasing the oldest pin")
 		}
 		ix.unpin(pinNew)
 	}
+}
 
-	close(stop)
-	wg.Wait()
+// waitReclaimed blocks until ix has reclaimed a version more than before,
+// failing after a generous bound: "no version reclaimed after releasing the
+// oldest pin — churn did not exercise recycling".
+func waitReclaimed(t *testing.T, ix *Index, before int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for ix.MVCC().Reclaimed <= before {
+		if time.Now().After(deadline) {
+			t.Fatal("no version reclaimed after releasing the oldest pin — churn did not exercise recycling")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestArenaAccountingMatchesMapBaseline drives the page store through a
@@ -240,7 +255,7 @@ func TestArenaAccountingMatchesMapBaseline(t *testing.T) {
 // ownership rule end to end: readers pin a version and hash every page
 // CollectPages lists, through View, at pin time and again just before they
 // unpin, while a writer applies insert and delete batches and a saver runs
-// SaveTo — whose image borrows the pinned pages — over and over. The two
+// SaveTo over and over. The two
 // hashes must match every time; under -race a write to any page a published
 // version reaches is also reported as a race.
 func TestPinnedPagesUnchangedUnderWritesAndSaves(t *testing.T) {

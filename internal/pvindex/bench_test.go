@@ -89,7 +89,6 @@ func allocsPerQuery(t *testing.T, points []geom.Point, fn func(q geom.Point) err
 			t.Fatal(err)
 		}
 	}
-	waitReclaims()
 	i := 0
 	return testing.AllocsPerRun(200, func() {
 		if err := fn(points[i%len(points)]); err != nil {
@@ -189,7 +188,6 @@ func TestPossibleNNAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitReclaims()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := ix.PossibleNN(points[i%len(points)]); err != nil {

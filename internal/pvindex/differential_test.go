@@ -12,6 +12,7 @@ import (
 
 	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
@@ -222,33 +223,38 @@ func TestInsertPathMatchesReference(t *testing.T) {
 	}
 }
 
-// octreeHash folds the published primary index — pre-order over its image's
-// nodes: depth, leaf or internal, a leaf's page count and every page's entry
-// count and packed entries (ID, region bits) in chain order — then size,
-// memory used and split count into one FNV-64a value. Page IDs are left out.
+// octreeHash is treeHash of ix's published primary index.
 func octreeHash(t *testing.T, ix *Index) uint64 {
 	t.Helper()
-	v := ix.current.Load()
-	img := v.primary.Image()
+	return treeHash(t, ix.store, ix.current.Load().primary)
+}
+
+// treeHash folds an octree — its leaves in depth-first order, whose depths
+// fix its shape: each leaf's depth, page count and every page's entry count
+// and packed entries (ID, region bits) in chain order — then size, memory
+// used and split count into one FNV-64a value. Page IDs are left out.
+func treeHash(t *testing.T, store *pagestore.Store, tree *octree.Tree) uint64 {
+	t.Helper()
 	h := fnv.New64a()
 	put := func(x int) { h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x))) }
-	for _, n := range img.Nodes {
-		put(int(n.Depth))
-		put(len(n.Children))
-		put(int(n.Pages))
-		for p := pagestore.PageID(n.FirstPage); p != 0; {
-			buf, err := ix.store.View(p)
+	tree.Leaves(func(depth int, p pagestore.PageID) {
+		put(depth)
+		pages := 0
+		for ; p != 0; pages++ {
+			buf, err := store.View(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			count := int(binary.LittleEndian.Uint32(buf[4:8]))
-			h.Write(buf[4 : 8+count*(4+16*v.primary.Dim())]) // next-page ID excluded
+			h.Write(buf[4 : 8+count*(4+16*tree.Dim())]) // next-page ID excluded
 			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 		}
-	}
-	put(img.Size)
-	put(img.MemUsed)
-	put(img.SplitCount)
+		put(pages)
+	})
+	st := tree.TreeStats()
+	put(st.Entries)
+	put(st.MemUsed)
+	put(st.SplitOps)
 	return h.Sum64()
 }
 

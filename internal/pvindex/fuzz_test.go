@@ -8,6 +8,8 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -80,10 +82,8 @@ func objectCodecSeeds(f *testing.F) [][]byte {
 	return append(seeds, gobIns.Bytes(), gobStream.Bytes(), nil)
 }
 
-// allocated reports the bytes fn allocates on the heap, once no reclaim
-// sweep an earlier test started is left to allocate beside it.
+// allocated reports the bytes fn allocates on the heap.
 func allocated(fn func()) uint64 {
-	waitReclaims()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
@@ -154,12 +154,13 @@ func FuzzDecodeObject(f *testing.F) {
 }
 
 // FuzzLoadImage drives arbitrary bytes through LoadFrom against a d = 2 and
-// a d = 3 database: every input must load or return an error, never panic,
-// and a loaded index must answer a lookup of an absent ID and finish a save.
-// Seeds are a d = 2 image, a d = 3 image, the d = 2 image as an index that
-// kept an adjacency graph wrote it, and each image with its witness lists
-// damaged once per rule the loader checks — each seed refused by that check,
-// so mutations start next to it. (Mutate with
+// a d = 3 database and testdata/pvidx6's: every input must load or return an
+// error, never panic, and a loaded index must answer a lookup of an absent ID
+// and finish a save. Seeds are a d = 2 and a d = 3 PVIDX7 image, the d = 2
+// image as an index that kept an adjacency graph wrote it, each image with
+// its witness lists damaged once per rule the loader checks — each seed
+// refused by that check, so mutations start next to it — and the PVIDX6
+// fixture, octree pages and all. (Mutate with
 // `go test -run '^$' -fuzz FuzzLoadImage ./internal/pvindex`.)
 func FuzzLoadImage(f *testing.F) {
 	var dbs []*uncertain.DB
@@ -196,6 +197,19 @@ func FuzzLoadImage(f *testing.F) {
 		}
 		dbs = append(dbs, db)
 	}
+	db, err := dataset.Load(filepath.Join("testdata", "pvidx6", "objects.db"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	paged, err := os.ReadFile(filepath.Join("testdata", "pvidx6", "index.pvidx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := LoadFrom(bytes.NewReader(paged), db); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(paged)
+	dbs = append(dbs, db)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, db := range dbs {
 			ix, err := LoadFrom(bytes.NewReader(data), db)

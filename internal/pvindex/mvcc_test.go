@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"pvoronoi/internal/bruteforce"
 	"pvoronoi/internal/geom"
@@ -217,28 +216,22 @@ func TestPinnedSnapshotsUnderChurnStorm(t *testing.T) {
 	}
 
 	// Post-storm: the final version agrees with its oracle, and all retired
-	// versions have drained and reclaimed (drain-triggered sweeps run on a
-	// goroutine, so poll briefly).
+	// versions have drained and reclaimed.
 	assertMatchesBruteforce(t, ix, rng, 800, 2, 60)
-	waitLiveVersions(t, ix, 1)
+	assertLiveVersions(t, ix, 1)
 	if st := ix.MVCC(); st.InFlightReaders != 0 {
 		t.Fatalf("storm left %d in-flight readers", st.InFlightReaders)
 	}
 }
 
-// waitLiveVersions polls until the version queue drains to want (reader-
-// driven reclamation is asynchronous) or fails after a deadline.
-func waitLiveVersions(t *testing.T, ix *Index, want int) {
+// assertLiveVersions: the version queue holds want versions. Reclamation is
+// synchronous — the publish or the unpin that drains a retired version sweeps
+// before it returns — so once every reader and writer has returned there is
+// nothing left to wait for.
+func assertLiveVersions(t *testing.T, ix *Index, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := ix.MVCC(); st.LiveVersions == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("version queue stuck at %d live versions, want %d", ix.MVCC().LiveVersions, want)
-		}
-		time.Sleep(time.Millisecond)
+	if got := ix.MVCC().LiveVersions; got != want {
+		t.Fatalf("version queue holds %d live versions, want %d", got, want)
 	}
 }
 
@@ -334,7 +327,7 @@ func TestPinBlocksReclamation(t *testing.T) {
 	}
 
 	ix.unpin(pin)
-	waitLiveVersions(t, ix, 1)
+	assertLiveVersions(t, ix, 1)
 	if st := ix.MVCC(); st.InFlightReaders != 0 {
 		t.Fatalf("release left %d in-flight readers", st.InFlightReaders)
 	}

@@ -1,12 +1,14 @@
 package pvindex
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/geom"
 	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
@@ -16,7 +18,7 @@ import (
 // BuildParallel constructs the PV-index like Build but computes UBRs on an
 // SE pool of workers (the SE algorithm is read-only over the database and
 // the region tree, so per-object UBR computation parallelizes
-// embarrassingly; the octree bulk load and the table writes after it are
+// embarrassingly; the table writes and the octree bulk load after it are
 // serial). workers <= 0 uses GOMAXPROCS. The pool stays the index's: every
 // later write fans out on the same workers.
 //
@@ -29,6 +31,56 @@ func BuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
 
 // buildParallel is BuildParallel publishing version 1 at WAL position walSeq.
 func buildParallel(db *uncertain.DB, cfg Config, workers int, walSeq uint64) (*Index, error) {
+	if err := geom.CheckDim(db.Dim()); err != nil {
+		return nil, fmt.Errorf("pvindex: build: %w", err)
+	}
+	ix := newIndex(cfg, workers)
+	start := time.Now()
+	for _, o := range db.Objects() {
+		err := o.Validate()
+		if err == nil {
+			err = db.CheckInDomain(o)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pvindex: build: %w", err)
+		}
+	}
+	w, err := ix.bootstrapWorking(db)
+	if err != nil {
+		return nil, err
+	}
+
+	objs := db.Objects()
+	ubrs := make([]geom.Rect, len(objs))
+	seStats := make([]core.Stats, len(objs))
+	lists := make([][]uint32, len(objs))
+
+	// NN iterators only read the shared R*-tree, so the workers share it.
+	ix.parallelSE(len(objs), func(i int) {
+		ubrs[i], lists[i], seStats[i] = w.se(objs[i], seStart{})
+	})
+
+	t0 := time.Now()
+	for i, o := range objs {
+		ix.Build.SE.Add(seStats[i])
+		w.ubrs.set(uint32(o.ID), ubrs[i])
+		w.setWitnesses(uint32(o.ID), lists[i])
+		ix.Build.Objects++
+	}
+	w.mergeWitnessed()
+	if err := ix.install(w, walSeq); err != nil {
+		return nil, err
+	}
+	ix.Build.InsertTime = time.Since(t0)
+	ix.Build.Total = time.Since(start)
+	return ix, nil
+}
+
+// newIndex is an empty index over cfg, its zero fields at their defaults,
+// with an SE pool of workers (GOMAXPROCS when workers <= 0) and its query
+// scratch pool wired. Every constructor — Build, BuildParallel, LoadFrom,
+// Rebuild — starts from it.
+func newIndex(cfg Config, workers int) *Index {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -42,42 +94,30 @@ func buildParallel(db *uncertain.DB, cfg Config, workers int, walSeq uint64) (*I
 		cfg.Fanout = rtree.DefaultFanout
 	}
 	ix := &Index{store: cfg.Store, cfg: cfg, pool: workers}
-	ix.initRuntime()
-
-	start := time.Now()
-	w, err := ix.bootstrapWorking(db)
-	if err != nil {
-		return nil, err
+	ix.scratch.New = func() any {
+		return &queryScratch{seen: make(map[uint32]struct{}, 64)}
 	}
+	return ix
+}
 
-	objs := db.Objects()
+// install bulk-loads w's empty octree with every database object's entry,
+// in database order, under its UBR in w's table, and publishes w as version
+// 1 at WAL position walSeq: the tail of a build and of a load. The octree is
+// derived state — the tree inserting the objects in that order would build,
+// without reading a leaf page back — so a loaded index holds the tree a
+// build over the same UBRs makes, whatever shape the saving one had reached.
+func (ix *Index) install(w *working, walSeq uint64) error {
+	objs := w.db.Objects()
 	items := make([]octree.BulkItem, len(objs))
-	seStats := make([]core.Stats, len(objs))
-	lists := make([][]uint32, len(objs))
-
-	// NN iterators only read the shared R*-tree, so the workers share it.
-	ix.parallelSE(len(objs), func(i int) {
-		items[i].Entry = octree.Entry{ID: uint32(objs[i].ID), Region: objs[i].Region}
-		items[i].UBR, lists[i], seStats[i] = w.se(objs[i], seStart{})
-	})
-
-	t0 := time.Now()
-	// The primary index in one pass — the tree inserting the objects in this
-	// order would build, without reading a leaf page back — then the UBRs.
-	if err := w.primary.BulkLoad(items); err != nil {
-		return nil, err
-	}
 	for i, o := range objs {
-		ix.Build.SE.Add(seStats[i])
-		w.ubrs.set(uint32(o.ID), items[i].UBR)
-		w.setWitnesses(uint32(o.ID), lists[i])
-		ix.Build.Objects++
+		ubr, _ := w.ubrs.get(uint32(o.ID))
+		items[i] = octree.BulkItem{Entry: octree.Entry{ID: uint32(o.ID), Region: o.Region}, UBR: ubr}
 	}
-	w.mergeWitnessed()
-	ix.Build.InsertTime = time.Since(t0)
-	ix.Build.Total = time.Since(start)
-	ix.installBootstrap(w, walSeq)
-	return ix, nil
+	if err := w.primary.BulkLoad(items); err != nil {
+		return err
+	}
+	ix.current.Store(w.seal(walSeq))
+	return nil
 }
 
 // parallelFor runs fn(0..n-1) on the calling goroutine and at most

@@ -114,10 +114,10 @@ func TestParallelForVisitsEachIndexOnce(t *testing.T) {
 // TestWritePathPoolWidthDeterminism: the same mixed batches — inserts,
 // deletes, a same-ID replace, deletes then inserts — through indexes whose SE
 // pools are 1 and 4 wide (and a second 4-wide one) leave the same state bit
-// for bit, report the same per-op counts and save the same image, every page
-// the same bytes under the same ID, so every row was written back in the same
-// order: the fan-outs decide nothing, and the order of affected rows comes
-// from the batch alone.
+// for bit, report the same per-op counts, save the same image and hold the
+// same octree, leaf for leaf and page for page (treeHash), so every row was
+// written back in the same order: the fan-outs decide nothing, and the order
+// of affected rows comes from the batch alone.
 func TestWritePathPoolWidthDeterminism(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
@@ -191,6 +191,9 @@ func TestWritePathPoolWidthDeterminism(t *testing.T) {
 			for k := 1; k < len(images); k++ {
 				if !bytes.Equal(images[k], images[0]) {
 					t.Fatalf("index %d saves other image bytes than the 1-wide pool's: rows were written back in another order", k)
+				}
+				if octreeHash(t, ixs[k]) != octreeHash(t, ixs[0]) {
+					t.Fatalf("index %d holds another octree than the 1-wide pool's: rows were written back in another order", k)
 				}
 			}
 		})

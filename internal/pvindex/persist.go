@@ -5,20 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/geom"
-	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
-	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
 )
 
-// persistMagic names the one image format LoadFrom reads and SaveTo writes:
-// PVIDX6 carries the UBR table instead of PVIDX5's extendible-hash records,
-// and PVIDX5 the witness lists, which a PVIDX4 image lacks.
-const persistMagic = "PVIDX6"
+// persistMagic names the image format SaveTo writes: PVIDX7 holds no octree,
+// which a load rebuilds from the UBR table. LoadFrom reads it and PVIDX6,
+// whose octree pages and skeleton gob skips.
+const (
+	persistMagic = "PVIDX7"
+	pagedMagic   = "PVIDX6"
+)
 
 // rebuildMagic names the older format Rebuild starts from.
 const rebuildMagic = "PVIDX5"
@@ -27,12 +27,12 @@ const rebuildMagic = "PVIDX5"
 // builds the index anew over the same database, at the image's WAL position.
 var ErrOldImage = errors.New("pvindex: image of an older format")
 
-// indexImage bundles the serializable state of all index layers: the
-// octree's pages (Pages) and skeleton (Primary), the UBR table and the
-// witness lists, every list ascending by ID. Images may also carry a
-// refinement cutoff, a refinement config or an adjacency graph from older
-// builds, and a PVIDX5 image its page store and hash directory under other
-// names, all of which gob skips.
+// indexImage is the serializable state of an index: its configuration, its
+// WAL position, the UBR table and the witness lists, every list ascending by
+// ID, so the same state always saves the same bytes. The octree is derived
+// from the UBR table and not saved. Older images may also carry octree pages
+// and a skeleton (PVIDX6), a refinement cutoff, a refinement config or an
+// adjacency graph, all of which gob skips.
 type indexImage struct {
 	Magic     string
 	SE        core.Options
@@ -40,25 +40,22 @@ type indexImage struct {
 	Fanout    int
 	Objects   int
 	WALSeq    uint64
-	Pages     *pagestore.Image
-	Primary   *octree.Image
-	UBRs      *ubrImage
+	// Pages holds the page size alone, under the name of PVIDX6's page
+	// store, whose other fields gob skips.
+	Pages *struct{ PageSize int }
+	UBRs  *ubrImage
 	// Witnesses holds the rows' witness lists, Witnessed their reverse index.
 	Witnesses, Witnessed *listsImage
 }
 
-// SaveTo serializes the index (octree pages and skeleton, UBR table, witness
-// lists and configuration) to w. The database itself is not written — it is the
-// caller's input at load time, matching the paper's separation of data and
-// access structure. Durable deployments that must also persist the data use
-// SnapshotWith, which saves both from one pinned version.
+// SaveTo serializes the index (configuration, UBR table and witness lists)
+// to w. The database itself is not written — it is the caller's input at
+// load time, matching the paper's separation of data and access structure.
+// Durable deployments that must also persist the data use SnapshotWith,
+// which saves both from one pinned version.
 //
 // Serialization pins the current version and runs entirely off-lock:
-// writers publish new versions freely while the pinned one streams out, and
-// only the pages reachable from the pinned version are captured (a page a
-// writer shadow-copies mid-save is still intact in the pinned version),
-// renumbered in tree order (octree.CompactImage), so the same state always
-// saves the same bytes.
+// writers publish new versions freely while the pinned one streams out.
 func (ix *Index) SaveTo(w io.Writer) error {
 	v := ix.pin()
 	defer ix.unpin(v)
@@ -70,10 +67,6 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 	if err := ix.damagedErr(); err != nil {
 		return fmt.Errorf("pvindex: refusing to snapshot a damaged index: %w", err)
 	}
-	primary, pages, err := v.primary.CompactImage()
-	if err != nil {
-		return err
-	}
 	img := indexImage{
 		Magic:     persistMagic,
 		SE:        ix.cfg.SE,
@@ -81,8 +74,7 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Fanout:    ix.cfg.Fanout,
 		Objects:   v.db.Len(),
 		WALSeq:    v.walSeq,
-		Pages:     pages,
-		Primary:   primary,
+		Pages:     &struct{ PageSize int }{ix.store.PageSize()},
 		UBRs:      v.ubrs.image(),
 		Witnesses: v.witnesses.image(),
 		Witnessed: v.witnessed.image(),
@@ -115,8 +107,9 @@ func (ix *Index) SnapshotWith(w io.Writer, fn func(db *uncertain.DB) error) (wal
 
 // LoadFrom reconstructs an index from r over the given database. The
 // database must be the same object set the index was built on (checked by
-// cardinality and by per-object UBR presence). A PVIDX5 image is refused
-// with ErrOldImage.
+// cardinality and by per-object UBR presence). The image's UBR table and
+// witness lists are checked and adopted; the octree is bulk-loaded over the
+// UBRs as a build does. A PVIDX5 image is refused with ErrOldImage.
 func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := geom.CheckDim(db.Dim()); err != nil {
 		return nil, fmt.Errorf("pvindex: load: %w", err)
@@ -125,75 +118,38 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("pvindex: decoding index image: %w", err)
 	}
-	if img.Magic == rebuildMagic {
-		return nil, fmt.Errorf("%w: %q, this build reads only %q (a durable directory rebuilds the index from the checkpoint's database)", ErrOldImage, img.Magic, persistMagic)
-	}
-	if img.Magic != persistMagic {
-		return nil, fmt.Errorf("pvindex: image magic is %q, this build reads only %q (a durable directory treats such a checkpoint as corrupt: it falls back to an older one, and refuses to open when none loads)", img.Magic, persistMagic)
-	}
-	if img.Objects != db.Len() {
-		return nil, fmt.Errorf("pvindex: index was built over %d objects, database has %d", img.Objects, db.Len())
-	}
 	switch {
-	case img.Pages == nil:
-		return nil, fmt.Errorf("pvindex: image has no page store")
-	case img.Primary == nil:
-		return nil, fmt.Errorf("pvindex: image has no primary index")
+	case img.Magic == rebuildMagic:
+		return nil, fmt.Errorf("%w: %q, this build reads only %q and %q (a durable directory rebuilds the index from the checkpoint's database)", ErrOldImage, img.Magic, persistMagic, pagedMagic)
+	case img.Magic != persistMagic && img.Magic != pagedMagic:
+		return nil, fmt.Errorf("pvindex: image magic is %q, this build reads only %q and %q (a durable directory treats such a checkpoint as corrupt: it falls back to an older one, and refuses to open when none loads)", img.Magic, persistMagic, pagedMagic)
+	case img.Objects != db.Len():
+		return nil, fmt.Errorf("pvindex: index was built over %d objects, database has %d", img.Objects, db.Len())
+	case img.Pages == nil || img.Pages.PageSize <= 0:
+		return nil, fmt.Errorf("pvindex: image has no page size")
 	}
-	store, err := pagestore.FromImage(img.Pages)
+	ix := newIndex(Config{Store: pagestore.New(img.Pages.PageSize), MemBudget: img.MemBudget, Fanout: img.Fanout, SE: img.SE}, 0)
+	w, err := ix.bootstrapWorking(db)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		store: store,
-		pool:  runtime.GOMAXPROCS(0),
-		cfg: Config{
-			Store:     store,
-			MemBudget: img.MemBudget,
-			Fanout:    img.Fanout,
-			SE:        img.SE,
-		},
-	}
-	ix.initRuntime()
 	// Every database object has exactly one UBR.
-	ubrs, err := ubrsFromImage(img.UBRs, db)
-	if err != nil {
+	if w.ubrs, err = ubrsFromImage(img.UBRs, db); err != nil {
 		return nil, fmt.Errorf("pvindex: image UBRs: %w", err)
 	}
-	// The loaded octree's lookup is only consulted by mutations, which run
-	// on CloneCOW descendants wired to the writer's own view.
-	primary, err := octree.FromImage(store, ubrs.get, img.Primary)
-	if err != nil {
-		return nil, err
-	}
-	fanout := img.Fanout
-	if fanout <= 0 {
-		fanout = rtree.DefaultFanout
-	}
-	regionTree := buildRegionTree(db, fanout)
-
-	witnesses, err := listsFromImage(img.Witnesses)
-	var witnessed *idLists
+	w.witnesses, err = listsFromImage(img.Witnesses)
 	if err == nil {
-		witnessed, err = listsFromImage(img.Witnessed)
+		w.witnessed, err = listsFromImage(img.Witnessed)
 	}
 	if err == nil {
-		err = checkWitnesses(db, witnesses, witnessed)
+		err = checkWitnesses(db, w.witnesses, w.witnessed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pvindex: image witnesses: %w", err)
 	}
-
-	ix.current.Store(&version{
-		epoch:      1,
-		walSeq:     img.WALSeq,
-		db:         db,
-		primary:    primary,
-		ubrs:       ubrs,
-		regionTree: regionTree,
-		witnesses:  witnesses,
-		witnessed:  witnessed,
-	})
+	if err := ix.install(w, img.WALSeq); err != nil {
+		return nil, err
+	}
 	return ix, nil
 }
 

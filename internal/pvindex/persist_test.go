@@ -3,14 +3,21 @@ package pvindex
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/extquery"
 	"pvoronoi/internal/geom"
+	"pvoronoi/internal/octree"
+	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/pnnq"
 	"pvoronoi/internal/uncertain"
 )
@@ -272,8 +279,8 @@ func snapshotAnswer(s *QuerySnapshot, q geom.Point) []pnnq.Result {
 
 func TestSaveLoadAfterUpdateTraffic(t *testing.T) {
 	// Round-trip an index that has seen post-build Insert/Delete traffic —
-	// its octree leaves, hash chains and free lists differ structurally
-	// from a fresh build's.
+	// its UBRs and witness lists are no fresh build's, and its octree's
+	// leaves differ from the one the load bulk-loads.
 	rng := rand.New(rand.NewSource(8))
 	db := randomDB(rng, 120, 2, 800, 30, true)
 	ix, err := Build(db, testConfig())
@@ -375,7 +382,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 
-	// Well-formed gobs that are not a complete PVIDX6 image: each must come
+	// Well-formed gobs that are not a complete PVIDX7 image: each must come
 	// back as an error naming what is wrong — OpenDurable's fallback to an
 	// older checkpoint depends on an error, not a panic.
 	ix, err := Build(db, testConfig())
@@ -393,8 +400,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}{
 		{"PVIDX3 magic", func(img *indexImage) { img.Magic = "PVIDX3" }, `"PVIDX3"`},
 		{"PVIDX5 magic", func(img *indexImage) { img.Magic = "PVIDX5" }, `older format: "PVIDX5"`},
-		{"nil Pages", func(img *indexImage) { img.Pages = nil }, "no page store"},
-		{"nil Primary", func(img *indexImage) { img.Primary = nil }, "no primary index"},
+		{"nil Pages", func(img *indexImage) { img.Pages = nil }, "no page size"},
+		{"zero page size", func(img *indexImage) { img.Pages.PageSize = 0 }, "no page size"},
+		{"page of no entry", func(img *indexImage) { img.Pages.PageSize = 40 }, "page size 40 outside"},
+		{"page past the bound", func(img *indexImage) { img.Pages.PageSize = 1 << 40 }, "page size 1099511627776 outside"},
 		{"nil UBRs", func(img *indexImage) { img.UBRs = nil }, "no UBR image"},
 	} {
 		var img indexImage
@@ -453,5 +462,170 @@ func TestLoadRefusesCorruptUBRs(t *testing.T) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadRebuildsOctree: the octree is derived state. After churn, a loaded
+// index holds the tree a fresh bulk load over the saved UBRs in database
+// order builds — not the shape the saving index had reached — which passes
+// Validate, and it answers 1 000 PNNQ, kNN and group-NN queries exactly as
+// the index that saved it.
+func TestLoadRebuildsOctree(t *testing.T) {
+	for _, d := range []int{2, 3} {
+		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(90 + d)))
+			cfg := testConfig()
+			cfg.Store = pagestore.New(512)
+			ix, err := Build(randomDB(rng, 300, d, 1000, 60, true), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := uncertain.ID(5000)
+			for range 6 {
+				objs := ix.DB().Objects()
+				var ins, del []Update
+				for k := range 8 {
+					next++
+					o := randomObject(rng, next, d, 1000, 60)
+					o.Instances = uncertain.SampleInstances(o.Region, uncertain.PDFUniform, 10, rng)
+					ins = append(ins, Update{Op: OpInsert, Object: o})
+					del = append(del, Update{Op: OpDelete, ID: objs[(k*len(objs))/8].ID})
+				}
+				for _, ups := range [][]Update{ins, del} {
+					if _, err := ix.ApplyBatch(ups); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var buf bytes.Buffer
+			if err := ix.SaveTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadFrom(&buf, ix.DB())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := loaded.current.Load()
+			if err := v.primary.Validate(); err != nil {
+				t.Fatalf("loaded octree: %v", err)
+			}
+			store := pagestore.New(512)
+			fresh, err := octree.New(octree.Config{Domain: v.db.Domain, Store: store, MemBudget: cfg.MemBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var items []octree.BulkItem
+			for _, o := range v.db.Objects() {
+				ubr, _ := v.ubr(o.ID)
+				items = append(items, octree.BulkItem{Entry: octree.Entry{ID: uint32(o.ID), Region: o.Region}, UBR: ubr})
+			}
+			if err := fresh.BulkLoad(items); err != nil {
+				t.Fatal(err)
+			}
+			got := octreeHash(t, loaded)
+			if want := treeHash(t, store, fresh); got != want {
+				t.Fatalf("loaded octree %+v hashes %#x, a fresh bulk load %+v %#x", loaded.PrimaryStats(), got, fresh.TreeStats(), want)
+			}
+			if got == octreeHash(t, ix) {
+				t.Fatal("the churned octree has the bulk-loaded shape: the case no longer shows a rebuild")
+			}
+			assertSameState(t, loaded, ix, "loaded index")
+			assertSameAnswers(t, loaded, ix, v.db.Domain, rng, 1000)
+		})
+	}
+}
+
+// TestLoadsPVIDX6: testdata/pvidx6 holds an image the last PVIDX6 build
+// saved — octree pages and skeleton beside the UBR table and witness lists —
+// after four insert/delete batch pairs of eight over 150 d = 2 objects on
+// 512-byte pages, and the database it was saved over. It loads, gob
+// skipping the octree, into the saved UBRs on pages of the saved size,
+// answers as a fresh build over the same objects does, and saves a PVIDX7
+// image that loads into the same state.
+func TestLoadsPVIDX6(t *testing.T) {
+	db, err := dataset.Load(filepath.Join("testdata", "pvidx6", "objects.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "pvidx6", "index.pvidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved struct {
+		Magic string
+		UBRs  *ubrImage
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&saved); err != nil || saved.Magic != "PVIDX6" {
+		t.Fatalf("fixture magic %q (%v), want PVIDX6", saved.Magic, err)
+	}
+	loaded, err := LoadFrom(bytes.NewReader(raw), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := loaded.current.Load()
+	if !reflect.DeepEqual(v.ubrs.image(), saved.UBRs) || loaded.Store().PageSize() != 512 {
+		t.Fatalf("loaded UBR table or page size %d is not the image's", loaded.Store().PageSize())
+	}
+	if err := v.primary.Validate(); err != nil {
+		t.Fatalf("loaded octree: %v", err)
+	}
+	fresh, err := Build(db.Clone(), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, loaded, fresh, db.Domain, rand.New(rand.NewSource(6)), 300)
+
+	var resaved bytes.Buffer
+	if err := loaded.SaveTo(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(resaved.Bytes(), []byte(persistMagic)) {
+		t.Fatalf("re-saved image does not carry %s", persistMagic)
+	}
+	reloaded, err := LoadFrom(&resaved, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameState(t, reloaded, loaded, "re-saved image")
+}
+
+// assertSameAnswers: got answers n PNNQ, kNN (k 4) and group-NN (three
+// points, sum) queries at random points of domain exactly as want does.
+func assertSameAnswers(t *testing.T, got, want *Index, domain geom.Rect, rng *rand.Rand, n int) {
+	t.Helper()
+	point := func() geom.Point {
+		p := make(geom.Point, domain.Dim())
+		for j := range p {
+			p[j] = domain.Lo[j] + rng.Float64()*(domain.Hi[j]-domain.Lo[j])
+		}
+		return p
+	}
+	for range n {
+		q, qs := point(), []geom.Point{point(), point(), point()}
+		var answers [2][3]any
+		for i, ix := range []*Index{got, want} {
+			snap, err := ix.Snapshot(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			knn, err := ix.KNNSnapshot(q, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gnn, err := ix.GroupNNSnapshot(qs, extquery.AggSum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = [3]any{
+				snapshotAnswer(snap, q),
+				extquery.KNNScores(knn.IDs, knn.Instances, q, 4),
+				extquery.GroupNNScores(gnn.IDs, gnn.Instances, qs, extquery.AggSum),
+			}
+		}
+		for k, kind := range []string{"PNNQ", "kNN", "group-NN"} {
+			if !reflect.DeepEqual(answers[0][k], answers[1][k]) {
+				t.Fatalf("%s at %v / %v: %v, want %v", kind, q, qs, answers[0][k], answers[1][k])
+			}
+		}
 	}
 }

@@ -117,20 +117,11 @@ type queryScratch struct {
 	seen    map[uint32]struct{}
 }
 
-// initRuntime wires the non-persisted runtime state (the scratch pool).
-// Every Index constructor — Build, BuildParallel, LoadFrom — calls it before
-// the index is shared.
-func (ix *Index) initRuntime() {
-	ix.scratch.New = func() any {
-		return &queryScratch{seen: make(map[uint32]struct{}, 64)}
-	}
-}
-
 // working is the writer's mutable view while it builds the next version:
 // a cloned database, copy-on-write handles over the octree, UBR table,
 // region tree and witness lists, the octree's deferred-free list, and the
 // reverse-index patches of the op in progress.
-// In bootstrap mode (construction) there is no predecessor version:
+// In bootstrap mode (build, load) there is no predecessor version:
 // structures mutate in place.
 type working struct {
 	ix    *Index
@@ -151,20 +142,9 @@ type working struct {
 // show that the index does not depend on the tree's shape.
 var buildRegionTree = core.BuildRegionTree
 
-// bootstrapWorking creates the construction-time working set over db.
+// bootstrapWorking creates the working set a build or a load starts from
+// over db: its region tree built, the tables and the octree empty.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
-	if err := geom.CheckDim(db.Dim()); err != nil {
-		return nil, fmt.Errorf("pvindex: build: %w", err)
-	}
-	for _, o := range db.Objects() {
-		err := o.Validate()
-		if err == nil {
-			err = db.CheckInDomain(o)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pvindex: build: %w", err)
-		}
-	}
 	w := &working{ix: ix, epoch: 1, db: db, ubrs: newUBRTable(db.Dim()), witnesses: newIDLists(), witnessed: newIDLists()}
 	var err error
 	w.primary, err = octree.New(octree.Config{
@@ -222,12 +202,6 @@ func (w *working) seal(walSeq uint64) *version {
 // publishWorking seals w and swaps it in as the current version.
 func (ix *Index) publishWorking(w *working, walSeq uint64) {
 	ix.publish(w.seal(walSeq), w.freed)
-}
-
-// installBootstrap publishes the construction result as version 1 (no
-// predecessor to retire).
-func (ix *Index) installBootstrap(w *working, walSeq uint64) {
-	ix.current.Store(w.seal(walSeq))
 }
 
 // Build constructs the PV-index for every object in db. The database is

@@ -7,14 +7,12 @@ import (
 	"encoding/gob"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"pvoronoi/internal/core"
 	"pvoronoi/internal/geom"
-	"pvoronoi/internal/octree"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
 	"pvoronoi/internal/uncertain"
@@ -263,21 +261,7 @@ func (w *working) applyInsert(o *uncertain.Object, staged *stagedSE, mode seMode
 // was bulk-loaded: every object through addObject — its UBR, then an
 // octree.Insert — in database order.
 func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Store == nil {
-		cfg.Store = pagestore.New(pagestore.DefaultPageSize)
-	}
-	if cfg.MemBudget <= 0 {
-		cfg.MemBudget = 5 << 20
-	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = rtree.DefaultFanout
-	}
-	ix := &Index{store: cfg.Store, cfg: cfg, pool: workers}
-	ix.initRuntime()
-
+	ix := newIndex(cfg, workers)
 	start := time.Now()
 	w, err := ix.bootstrapWorking(db)
 	if err != nil {
@@ -306,41 +290,26 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 	w.mergeWitnessed()
 	ix.Build.InsertTime = time.Since(t0)
 	ix.Build.Total = time.Since(start)
-	ix.installBootstrap(w, 0)
+	ix.current.Store(w.seal(0))
 	return ix, nil
 }
 
 // bruteMasses is every live object's window mass in ix's current version
-// from the octree's image: over the leaf cells (the domain halved down the node list) that its
-// stored UBR intersects, the entries each leaf's pages hold, less its own.
+// from the octree's leaves: over the leaf cells (the domain halved down to
+// each leaf's depth, leaves in depth-first order) that its stored UBR
+// intersects, the entries each leaf's pages hold, less its own.
 func bruteMasses(t *testing.T, ix *Index) map[uint32]int {
 	t.Helper()
 	v := ix.current.Load()
-	img := v.primary.Image()
 	type leaf struct {
+		depth   int
 		cell    geom.Rect
 		entries int
 	}
 	var leaves []leaf
-	var walk func(idx int32, cell geom.Rect)
-	walk = func(idx int32, cell geom.Rect) {
-		n := img.Nodes[idx]
-		for mask, c := range n.Children {
-			child := cell.Clone()
-			for j := range child.Lo {
-				if mid := (cell.Lo[j] + cell.Hi[j]) / 2; mask&(1<<j) != 0 {
-					child.Lo[j] = mid
-				} else {
-					child.Hi[j] = mid
-				}
-			}
-			walk(c, child)
-		}
-		if len(n.Children) > 0 {
-			return
-		}
-		l := leaf{cell: cell}
-		for p := pagestore.PageID(n.FirstPage); p != 0; {
+	v.primary.Leaves(func(depth int, p pagestore.PageID) {
+		l := leaf{depth: depth}
+		for p != 0 {
 			buf, err := ix.store.View(p)
 			if err != nil {
 				t.Fatal(err)
@@ -349,8 +318,28 @@ func bruteMasses(t *testing.T, ix *Index) map[uint32]int {
 			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
 		}
 		leaves = append(leaves, l)
+	})
+	next := 0
+	var walk func(cell geom.Rect, depth int)
+	walk = func(cell geom.Rect, depth int) {
+		if leaves[next].depth == depth {
+			leaves[next].cell = cell
+			next++
+			return
+		}
+		for mask := range 1 << len(cell.Lo) {
+			child := cell.Clone()
+			for j := range child.Lo {
+				if mid := (cell.Lo[j] + cell.Hi[j]) / 2; mask&(1<<j) != 0 {
+					child.Lo[j] = mid
+				} else {
+					child.Hi[j] = mid
+				}
+			}
+			walk(child, depth+1)
+		}
 	}
-	walk(0, geom.Rect{Lo: img.DomainLo, Hi: img.DomainHi})
+	walk(v.primary.Domain(), 0)
 	mass := make(map[uint32]int, v.db.Len())
 	for _, o := range v.db.Objects() {
 		ubr, _ := v.ubr(o.ID)
@@ -447,8 +436,7 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 		Objects         int
 		RecordCacheSize int
 		WALSeq          uint64
-		Pages           *pagestore.Image
-		Primary         *octree.Image
+		Pages           *struct{ PageSize int }
 		UBRs            *ubrImage
 		Adjacency       *Image
 		// Refine and RefineThreshold restore the refinement subsystem:

@@ -64,26 +64,16 @@ func (ix *Index) pin() *version {
 	}
 }
 
-// unpin releases a pinned version. A reader that drains a retired version
-// hands the reclaim sweep to a fresh goroutine rather than running it
-// inline — freeing a large batch's shadow-page backlog must not land on one
-// unlucky query's latency. This happens at most once per version (the drain
-// event), not per query; publishes still sweep synchronously, so an idle
-// index converges without any writes in flight.
+// unpin releases a pinned version. The reader that drains a retired version
+// runs the reclaim sweep itself, before it returns: that happens at most
+// once per version (the drain event), not per query, and frees the pages the
+// batches after it shadowed, a few dozen per uni2 batch. Publishes sweep
+// too, so an idle index converges without any writes in flight.
 func (ix *Index) unpin(v *version) {
 	if v.readers.Add(-1) == 0 && v.retired.Load() {
-		reclaiming.Add(1)
-		go func() {
-			defer reclaiming.Add(-1)
-			ix.tryReclaim()
-		}()
+		ix.tryReclaim()
 	}
 }
-
-// reclaiming counts the sweeps unpin started that have not returned, in
-// every index of the process, so that a test can let them finish before it
-// reads the process's allocation counters (waitReclaims).
-var reclaiming atomic.Int64
 
 // publish makes next the current version: the pointer swaps, then the
 // predecessor retires with the batch's deferred page frees attached.

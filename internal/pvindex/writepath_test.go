@@ -54,7 +54,6 @@ func TestLookupUBRHeaderOnly(t *testing.T) {
 	if _, ok := ix.UBR(1 << 30); ok {
 		t.Fatal("Index.UBR found an ID that was never stored")
 	}
-	waitReclaims()
 	for name, read := range map[string]func(){
 		"lookupUBR":   func() { w.lookupUBR(7) },
 		"Index.UBR":   func() { ix.UBR(7) },
@@ -93,7 +92,6 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := func(ups []Update) (allocs, bytes uint64) {
-		waitReclaims()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		if _, err := ix.ApplyBatch(ups); err != nil {
@@ -131,7 +129,6 @@ func TestApplyBatchAllocBudget(t *testing.T) {
 func TestBuildAllocBudget(t *testing.T) {
 	const budget = 7_600
 	db := dataset.Synthetic(dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Instances: 100, Seed: 1})
-	waitReclaims()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	if _, err := BuildParallel(db, DefaultConfig(), 2); err != nil {
@@ -258,13 +255,5 @@ func TestAdjacencyThroughSeededMix(t *testing.T) {
 				t.Fatal("40 batches refined no row; the mix no longer exercises escalation on the write path")
 			}
 		})
-	}
-}
-
-// waitReclaims returns once no reclaim sweep unpin started is running, in
-// any index of the test binary, so that none allocates inside a measurement.
-func waitReclaims() {
-	for reclaiming.Load() > 0 {
-		time.Sleep(50 * time.Microsecond)
 	}
 }

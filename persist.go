@@ -6,9 +6,10 @@ import (
 	"pvoronoi/internal/pvindex"
 )
 
-// Save serializes the built index — page store, octree structure, hash
-// directory, and SE configuration — to w. The database itself is not
-// included; supply the same object set to LoadIndex.
+// Save serializes the index — its configuration, UBRs and witness lists — to
+// w. The database itself is not included; supply the same object set to
+// LoadIndex. The octree is not saved either: LoadIndex bulk-loads it from
+// the UBRs, as a build does.
 func (ix *Index) Save(w io.Writer) error {
 	return ix.inner.SaveTo(w)
 }
