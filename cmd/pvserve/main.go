@@ -70,9 +70,11 @@
 // where its time went (se_us, index_us, and refine_us, the share of se_us
 // spent escalating fat rows). A write reply's affected counts the rows
 // whose UBR was recomputed, unchanged those of them that came back as they
-// were, and examined the rows the update's filter looked at — an insert's
-// window, of which Lemma 8 keeps the affected; a delete recomputes every row
-// that lists the victim as a witness, so its examined equals its affected.
+// were — for an insert, chiefly the rows the newcomers alone cut nothing from,
+// which keep their witness lists too — and examined the rows the update's filter
+// looked at — an insert's window, of which Lemma 8 keeps the affected; a
+// delete recomputes every row that lists the victim as a witness, so its
+// examined equals its affected.
 // /v1/stats' refine block holds the refinement subsystem's lifetime
 // counters, all atomics, so the route stays cheap to poll.
 //

@@ -296,11 +296,14 @@ func checkErrorBody(t *testing.T, what string, body []byte) {
 // replies and nothing else, and again when /v1/query lost its "eps" field,
 // which changed two replies: {"eps":0.01} at [724.982,374.625] now carries
 // the exact probabilities, and {"eps":"x"} is a 200, since an unknown field
-// is ignored. Error text and key order are free; every non-2xx reply must
+// is ignored, and again when an insert's warm run began with the newcomers
+// alone, which changed only the counts of six write replies (#162, #165,
+// #187 count more rows unchanged; #182, #194, #197 delete newcomers fewer
+// rows list). Error text and key order are free; every non-2xx reply must
 // still be {"error": ...}.
 func TestServeWireGolden(t *testing.T) {
 	const (
-		want     = uint64(0x8ab19934498f35d7)
+		want     = uint64(0xe1e073ebbeb3397)
 		wantReqs = 226
 	)
 	h := newServer(wireIndex(t, 2000)).routes()

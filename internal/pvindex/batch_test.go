@@ -475,6 +475,8 @@ func TestApplyBatchChurnWithConcurrentQueries(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReaders() // a failed round stops the readers too
 	errCh := make(chan error, 8)
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -511,8 +513,7 @@ func TestApplyBatchChurnWithConcurrentQueries(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	stopReaders()
 	select {
 	case err := <-errCh:
 		t.Fatalf("concurrent query failed: %v", err)

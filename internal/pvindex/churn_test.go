@@ -21,7 +21,8 @@ import (
 // each of the 2d faces up to Δ outside where it was, and Σ volume passes
 // 1.005 × cold within 100 pairs. Afterwards every stored UBR still contains
 // its cell, every window degree is the UBR-intersection count, some rows
-// were left alone and verify passes; the witness lists' sizes are logged.
+// were left alone, verify passes and the witness lists stay near build size
+// (|W| p50 ≤ 16: a newcomer joins only the lists of rows it cut).
 func TestChurnDriftBounded(t *testing.T) {
 	p := dataset.SyntheticParams{N: 2000, Dim: 2, MaxSide: 60, Seed: 7}
 	db := dataset.Synthetic(p)
@@ -92,6 +93,9 @@ func TestChurnDriftBounded(t *testing.T) {
 		unchanged, affected, stored/cold, sizes[len(sizes)/2], sizes[len(sizes)-1], witnessCap(p.Dim))
 	if stored > 1.005*cold {
 		t.Fatalf("stored UBRs drifted: Σ volume %g is %.4f × the cold %g, want ≤ 1.005 ×", stored, stored/cold, cold)
+	}
+	if p50 := sizes[len(sizes)/2]; p50 > 16 {
+		t.Fatalf("witness lists grew under churn: |W| p50 %d, want ≤ 16 (13 since a row the newcomers do not cut keeps its list)", p50)
 	}
 	if got := final.Len(); got != 2000 {
 		t.Fatalf("database has %d objects after the pairs, want 2000", got)

@@ -2,6 +2,7 @@ package pvindex
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/race"
+	"pvoronoi/internal/uncertain"
 )
 
 // overFetch is the query-side distance between the index and an exact PV
@@ -58,7 +60,9 @@ func overFetch(t *testing.T, ix *Index, qs []geom.Point) (mean, p90 float64) {
 // unrefined, the first insert batch takes the mean from 14.0 to 3.2. The
 // "on" side may not get looser than the values recorded since every row
 // keeps its witnesses and a delete re-fits only the rows its victim
-// witnessed: mean and Σ volume within 1 %, p90 no higher.
+// witnessed (uni2 and uni3 re-recorded since an insert re-fits a row over
+// its newcomers first and keeps it where they cut nothing): mean and
+// Σ volume within 1 %, p90 no higher.
 func TestRefinementOverFetch(t *testing.T) {
 	if race.Enabled {
 		t.Skip("four harness-sized builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
@@ -69,9 +73,9 @@ func TestRefinementOverFetch(t *testing.T) {
 		p    dataset.SyntheticParams
 		rec  measure // refinement on, recorded with witness lists
 	}{
-		{"uni2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3401}, measure{2.09416, 3.5, 3.15788e+08}},
+		{"uni2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3401}, measure{2.09516, 4, 3.15789e+08}},
 		{"clustered2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3402, Clustered: true}, measure{2.27686, 4, 3.48712e+08}},
-		{"uni3", dataset.SyntheticParams{N: 1500, Dim: 3, MaxSide: 400, Instances: 10, Seed: 3403}, measure{4.80838, 10, 1.04945e+13}},
+		{"uni3", dataset.SyntheticParams{N: 1500, Dim: 3, MaxSide: 400, Instances: 10, Seed: 3403}, measure{4.8789, 10, 1.06376e+13}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			qs := dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 2000, c.p.Seed)
@@ -121,6 +125,65 @@ func TestRefinementOverFetch(t *testing.T) {
 			if on.mean > 1.01*c.rec.mean || on.p90 > c.rec.p90 || on.vol > 1.01*c.rec.vol {
 				t.Errorf("refined over-fetch mean %.6g, p90 %v, Σ volume %.6g; recorded %.6g, %v, %.6g",
 					on.mean, on.p90, on.vol, c.rec.mean, c.rec.p90, c.rec.vol)
+			}
+		})
+	}
+}
+
+// TestInsertRefitSlack bounds what the insert rule gives up against the
+// one-run rule it replaced (reference_test.go's referenceSE), which re-ran
+// every affected row over W(o) ∪ the newcomers from its stored UBR: a row the
+// newcomers alone do not cut keeps its UBR, though the old witnesses and the
+// newcomers together might have cut it. On TestRefinementOverFetch's three
+// datasets, 40 pairs of 16 — an insert batch, then alternately the harness's
+// delete of those 16 and a delete of 16 build objects, whose newcomers stay —
+// may leave the mean over-fetch (over 1 000 seeded points) and Σ UBR volume at
+// most 8 % above the one-run rule's, recorded here.
+func TestInsertRefitSlack(t *testing.T) {
+	if race.Enabled {
+		t.Skip("three builds and 240 batches, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
+	}
+	const pairs, batch = 40, 16
+	for _, c := range []struct {
+		name      string
+		p         dataset.SyntheticParams
+		mean, vol float64 // the one-run rule's
+	}{
+		{"uni2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3401}, 2.0597, 3.14654e+08},
+		{"clustered2", dataset.SyntheticParams{N: 3000, Dim: 2, MaxSide: 60, Instances: 10, Seed: 3402, Clustered: true}, 2.0737, 3.19841e+08},
+		{"uni3", dataset.SyntheticParams{N: 1500, Dim: 3, MaxSide: 400, Instances: 10, Seed: 3403}, 4.82487, 1.03822e+13},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ix, err := BuildParallel(dataset.Synthetic(c.p), DefaultConfig(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			churn := c.p
+			churn.N, churn.Seed = pairs*batch, c.p.Seed+200
+			fresh := dataset.Synthetic(churn).Objects()
+			victims := rand.New(rand.NewSource(c.p.Seed)).Perm(c.p.N)
+			for k := 0; k < pairs; k++ {
+				ins, del := make([]Update, batch), make([]Update, batch)
+				for j, o := range fresh[k*batch : (k+1)*batch] {
+					o.ID += 100_000
+					ins[j], del[j] = Update{Op: OpInsert, Object: o}, Update{Op: OpDelete, ID: o.ID}
+					if k%2 == 1 {
+						del[j].ID = uncertain.ID(victims[k/2*batch+j])
+					}
+				}
+				for _, ups := range [][]Update{ins, del} {
+					if _, err := ix.ApplyBatch(ups); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			mean, _ := overFetch(t, ix, dataset.QueryPoints(geom.UnitCube(c.p.Dim, dataset.DomainSpan), 1000, c.p.Seed))
+			vol := sumUBRVolume(t, ix)
+			t.Logf("%s after %d mixed pairs: over-fetch mean %.6g (%.4f × the one-run rule's), Σ UBR volume %.6g (%.4f ×)",
+				c.name, pairs, mean, mean/c.mean, vol, vol/c.vol)
+			if mean > 1.08*c.mean || vol > 1.08*c.vol {
+				t.Errorf("over-fetch mean %.6g, Σ volume %.6g; the one-run rule left %.6g, %.6g: more than 8 %% looser",
+					mean, vol, c.mean, c.vol)
 			}
 		})
 	}

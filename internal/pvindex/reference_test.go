@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pvoronoi/internal/core"
+	"pvoronoi/internal/domination"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pagestore"
 	"pvoronoi/internal/rtree"
@@ -513,4 +514,78 @@ func (l *idLists) remove(id, x uint32) {
 	if i, found := slices.BinarySearch(l.get(id), x); found {
 		l.set(id, slices.Delete(slices.Clone(l.get(id)), i, i+1))
 	}
+}
+
+// referenceSE is working.se as it was before an insert's warm run began with
+// the newcomers alone: one run over W(o) ∪ the newcomers from prev, the run
+// every affected row got, whether the newcomers cut it or not.
+func (w *working) referenceSE(o *uncertain.Object, from seStart) (geom.Rect, []uint32, core.Stats) {
+	sc := seScratches.Get().(*seScratch)
+	defer func() {
+		clear(sc.cset)
+		clear(sc.keys)
+		seScratches.Put(sc)
+	}()
+	opts, limit := w.ix.cfg.SE, witnessCap(o.Dim())
+	insert := from.victimUBR.Lo == nil
+	warm := from.prev.Lo != nil && from.prev.ContainsRect(o.Region)
+	if warm {
+		drop := []uint32{uint32(o.ID), from.victim}
+		if insert {
+			drop = drop[:1]
+		}
+		sc.ids = union(sc.ids, from.has, from.extra, drop...)
+		warm = len(sc.ids) <= limit
+	}
+
+	t0 := time.Now()
+	l, h, sched, keep := o.Region.Clone(), from.prev.Clone(), domination.FromH, from.has
+	switch {
+	case !warm:
+		sc.cset = core.ChooseCSet(sc.cset[:0], w.db, w.regionTree, o, opts)
+		h, sched, keep = w.db.Domain.Clone(), domination.Bisect, nil
+	case insert:
+		sc.cset = w.membersByDistance(sc, sc.ids, o)
+	default: // the whole C-set stays in the list: the proof of the delete rule needs it
+		sc.cset = w.membersByDistance(sc, sc.ids, o)
+		l, h, sched, keep = from.prev.Clone(), from.prev.Union(from.victimUBR), domination.Bisect, sc.ids
+	}
+	csetTime := time.Since(t0)
+	floor := l.Clone()
+	ubr, wit, st := core.Run(sc.cset, o.Region, l, h, sched, opts.Delta, opts.MaxDepth, sc.wit[:0])
+	st.CSetTime = csetTime
+	if !warm && len(wit) > limit {
+		// The witnesses come in C-set order, nearest first.
+		sc.cset = slices.DeleteFunc(sc.cset, func(c rtree.Item) bool { return !slices.Contains(wit[:limit], c.ID) })
+		var rerun core.Stats
+		ubr, wit, rerun = core.Run(sc.cset, o.Region, o.Region.Clone(), w.db.Domain.Clone(), sched, opts.Delta, opts.MaxDepth, wit[:0])
+		st.Add(rerun)
+		st.CSetSize, st.CSetVolume = rerun.CSetSize, rerun.CSetVolume
+	}
+	list := union(nil, keep, wit)
+	if sc.wit = wit; (warm && ubr.Equal(from.prev)) || !fat(ubr, st) {
+		return ubr, list, st
+	}
+
+	t1 := time.Now()
+	esc := core.Escalated(opts)
+	sc.cset = core.ChooseCSet(sc.cset[:0], w.db, w.regionTree, o, esc)
+	if sched = domination.Bisect; warm {
+		sched = domination.FromH
+	}
+	refined, wit, rst := core.Run(sc.cset, o.Region, floor, ubr.Clone(), sched, esc.Delta, esc.MaxDepth, sc.wit[:0])
+	sc.wit = wit
+	ref := core.RefineStats{Rows: 1, CSetSize: rst.CSetSize, Time: time.Since(t1),
+		Iterations: rst.Iterations, DominationTests: rst.DominationTests, Shrinks: rst.Shrinks}
+	if refined.Equal(ubr) {
+		ref.Unchanged++
+	}
+	st.Refine.Add(ref)
+	w.ix.refRows.Add(1)
+	w.ix.refUnchanged.Add(int64(ref.Unchanged))
+	w.ix.refBudget.Add(ref.DominationTests)
+	if merged := union(nil, list, wit); len(merged) <= limit {
+		ubr, list = refined, merged
+	}
+	return ubr, list, st
 }

@@ -41,9 +41,9 @@ func fat(ubr geom.Rect, st core.Stats) bool {
 }
 
 // seStart says where an SE job starts: the zero value is a cold run, from
-// l = u(o) and h = the domain over a browsed C-set; with prev set, a warm
-// run over W(o) (has) ∪ extra, from l = u(o) and h = prev after inserts
-// (extra: the newcomers), from l = prev and h = prev ∪ victimUBR after a
+// l = u(o) and h = the domain over a browsed C-set; with prev set, a warm run
+// over W(o) (has) ∪ extra: from l = u(o) and h = prev after inserts (extra:
+// the newcomers, alone first), from l = prev and h = prev ∪ victimUBR after a
 // delete (extra: W(victim)) — docs/ARCHITECTURE.md, "Witnesses".
 type seStart struct {
 	prev, victimUBR geom.Rect
@@ -71,14 +71,14 @@ type memberKey struct {
 var seScratches = sync.Pool{New: func() any { return new(seScratch) }}
 
 // se is every SE job of the build and the write path: it returns o's UBR, its
-// witness list (fresh, ascending) and the run's stats. A warm C-set past the
-// cap makes it a cold run; a cold run whose witnesses pass the cap runs again
-// over the nearest cap of them. A fat result gets the escalated re-run over
-// an escalated browse at once — bisecting after a cold run, probing from h
-// above the floor the warm run kept after a warm one — unless a warm run
-// returned prev unchanged; its witnesses join the list, or, past the cap, the
-// re-run is dropped. Its work lands in Stats.Refine and the lifetime
-// counters. It reads only w's database and region tree, so jobs fan out.
+// witness list (ascending; from.has if the newcomers cut nothing) and stats.
+// A warm C-set past the cap makes it a cold run; a cold run whose witnesses
+// pass the cap runs again over the nearest cap of them. A fat result gets the
+// escalated re-run over an escalated browse at once — bisecting after a cold
+// run, probing from h above the floor the warm run kept after a warm one —
+// unless a warm run returned prev unchanged; its witnesses join the list, or,
+// past the cap, the re-run is dropped. Its work lands in Stats.Refine and the
+// lifetime counters. It reads only w's database and region tree, so jobs fan out.
 func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, core.Stats) {
 	sc := seScratches.Get().(*seScratch)
 	defer func() {
@@ -104,16 +104,26 @@ func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, co
 	case !warm:
 		sc.cset = core.ChooseCSet(sc.cset[:0], w.db, w.regionTree, o, opts)
 		h, sched, keep = w.db.Domain.Clone(), domination.Bisect, nil
-	case insert:
-		sc.cset = w.membersByDistance(sc, o)
+	case insert: // where the newcomers cut nothing, W(o) still certifies all of prev
+		sc.cset = w.membersByDistance(sc, from.extra, o)
 	default: // the whole C-set stays in the list: the proof of the delete rule needs it
-		sc.cset = w.membersByDistance(sc, o)
+		sc.cset = w.membersByDistance(sc, sc.ids, o)
 		l, h, sched, keep = from.prev.Clone(), from.prev.Union(from.victimUBR), domination.Bisect, sc.ids
 	}
 	csetTime := time.Since(t0)
 	floor := l.Clone()
 	ubr, wit, st := core.Run(sc.cset, o.Region, l, h, sched, opts.Delta, opts.MaxDepth, sc.wit[:0])
 	st.CSetTime = csetTime
+	if warm && insert {
+		if sc.wit = wit; ubr.Equal(from.prev) {
+			return ubr, from.has, st
+		}
+		sc.cset = w.membersByDistance(sc, sc.ids, o)
+		var joint core.Stats
+		ubr, wit, joint = core.Run(sc.cset, o.Region, o.Region.Clone(), ubr, sched, opts.Delta, opts.MaxDepth, wit)
+		st.Add(joint)
+		st.CSetSize, st.CSetVolume = joint.CSetSize, joint.CSetVolume
+	}
 	if !warm && len(wit) > limit {
 		// The witnesses come in C-set order, nearest first.
 		sc.cset = slices.DeleteFunc(sc.cset, func(c rtree.Item) bool { return !slices.Contains(wit[:limit], c.ID) })
@@ -150,12 +160,12 @@ func (w *working) se(o *uncertain.Object, from seStart) (geom.Rect, []uint32, co
 	return ubr, list, st
 }
 
-// membersByDistance lists sc.ids as the warm C-set, nearest first from o's
+// membersByDistance lists ids as a warm C-set, nearest first from o's
 // center like the IS browse, so the kernel's scan finds dominators early:
 // ascending by (MinDist², ID), each key computed once.
-func (w *working) membersByDistance(sc *seScratch, o *uncertain.Object) []rtree.Item {
+func (w *working) membersByDistance(sc *seScratch, ids []uint32, o *uncertain.Object) []rtree.Item {
 	center, keys := o.Region.Center(), sc.keys[:0]
-	for _, id := range sc.ids {
+	for _, id := range ids {
 		if m := w.db.Get(uncertain.ID(id)); m != nil { // a dead witness breaks checkWitnesses' rules; live members stay sound
 			keys = append(keys, memberKey{m.Region.MinDist2(center), id, m})
 		}

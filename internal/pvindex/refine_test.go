@@ -82,6 +82,8 @@ func TestRefineSoundnessOracle(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	stopReader := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReader() // a failed round stops the reader too
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -143,8 +145,7 @@ func TestRefineSoundnessOracle(t *testing.T) {
 		}
 		checkUBRSoundness(t, ix, rng, 150, span)
 	}
-	close(stop)
-	wg.Wait()
+	stopReader()
 	checkUBRSoundness(t, ix, rng, 250, span)
 }
 

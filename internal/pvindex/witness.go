@@ -42,10 +42,10 @@ func (l *idLists) get(id uint32) []uint32 {
 }
 
 // set stores list (adopted) as id's; an empty list removes id's, and a page
-// goes with its last list.
+// goes with its last list. A list equal to id's writes no page.
 func (l *idLists) set(id uint32, list []uint32) {
 	old := l.get(id)
-	if len(old) == 0 && len(list) == 0 {
+	if slices.Equal(old, list) {
 		return
 	}
 	p := l.pages.Writable(id>>8, cowpage.Copy[listPage])
@@ -64,7 +64,7 @@ func (l *idLists) set(id uint32, list []uint32) {
 // forEach visits the non-empty lists in ascending ID order until fn fails.
 func (l *idLists) forEach(fn func(id uint32, list []uint32) error) error {
 	for _, n := range l.pages.Blocks() {
-		for i, list := range l.pages.At(n).lists {
+		for i, list := range &l.pages.At(n).lists {
 			if len(list) == 0 {
 				continue
 			}
@@ -121,32 +121,62 @@ func listsFromImage(img *listsImage) (*idLists, error) {
 // checkWitnesses holds witness lists and their reverse index to the rules the
 // write path keeps: rows and members are live objects of db, no row lists
 // itself, no list passes witnessCap, and v's reverse list holds o exactly
-// when o's list holds v.
+// when o's list holds v (the lists' pairs, sorted by member, walk it).
 func checkWitnesses(db *uncertain.DB, lists, by *idLists) error {
+	pairs := make([]uint64, 0, lists.total) // member<<32 | row
 	err := lists.forEach(func(id uint32, list []uint32) error {
 		switch {
 		case db.Get(uncertain.ID(id)) == nil:
 			return fmt.Errorf("witness list of %d, which is not an object", id)
 		case len(list) > witnessCap(db.Dim()):
 			return fmt.Errorf("object %d has %d witnesses, cap %d", id, len(list), witnessCap(db.Dim()))
+		case slices.Contains(list, id):
+			return fmt.Errorf("object %d lists itself as a witness", id)
 		}
 		for _, v := range list {
-			_, back := slices.BinarySearch(by.get(v), id)
-			switch {
-			case v == id:
-				return fmt.Errorf("object %d lists itself as a witness", id)
-			case db.Get(uncertain.ID(v)) == nil:
-				return fmt.Errorf("object %d lists witness %d, which is not an object", id, v)
-			case !back:
-				return fmt.Errorf("object %d lists witness %d, whose reverse list lacks it", id, v)
-			}
+			pairs = append(pairs, uint64(v)<<32|uint64(id))
 		}
 		return nil
 	})
+	pairs = sortByMember(pairs) // rows ascend within each member already
+	var rev []uint32
+	for i, k := 0, 0; i < len(pairs) && err == nil; i, k = i+1, k+1 {
+		v, id := uint32(pairs[i]>>32), uint32(pairs[i])
+		if i == 0 || v != uint32(pairs[i-1]>>32) {
+			rev, k = by.get(v), 0
+		}
+		switch {
+		case k == 0 && db.Get(uncertain.ID(v)) == nil:
+			err = fmt.Errorf("object %d lists witness %d, which is not an object", id, v)
+		case k == len(rev) || rev[k] != id:
+			err = fmt.Errorf("object %d lists witness %d, whose reverse list lacks it", id, v)
+		}
+	}
 	if err == nil && by.total != lists.total {
 		err = fmt.Errorf("reverse index holds %d entries, the witness lists %d", by.total, lists.total)
 	}
 	return err
+}
+
+// sortByMember sorts (member, row) pairs by member, keeping their order
+// within a member: one byte-wide counting pass per byte of the member half.
+func sortByMember(ps []uint64) []uint64 {
+	tmp := make([]uint64, len(ps))
+	for shift := 32; shift < 64; shift += 8 {
+		var at [257]int
+		for _, p := range ps {
+			at[p>>shift&255+1]++
+		}
+		for b := range 256 {
+			at[b+1] += at[b]
+		}
+		for _, p := range ps {
+			tmp[at[p>>shift&255]] = p
+			at[p>>shift&255]++
+		}
+		ps, tmp = tmp, ps
+	}
+	return ps
 }
 
 // revPatch is one pending reverse-index change: row joins (add) or leaves

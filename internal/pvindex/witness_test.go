@@ -2,6 +2,7 @@ package pvindex
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"math/rand"
@@ -362,6 +363,26 @@ func TestLoadRefusesCorruptWitnesses(t *testing.T) {
 	for want, data := range cases {
 		if _, err := LoadFrom(bytes.NewReader(data), db); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v", want, err)
+		}
+	}
+}
+
+// TestSortByMember holds checkWitnesses' counting sort to a stable sort by
+// member, on members that share their high bytes and on members spread over
+// all four, empty input included.
+func TestSortByMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, span := range []int64{0, 1, 300, 1<<32 - 1} {
+		for _, n := range []int{0, 1, 1000} {
+			ps := make([]uint64, n)
+			for i := range ps {
+				ps[i] = uint64(rng.Int63n(span+1))<<32 | uint64(i)
+			}
+			want := slices.Clone(ps)
+			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
+			if got := sortByMember(ps); !slices.Equal(got, want) {
+				t.Fatalf("span %d, n %d: sortByMember differs from a stable sort", span, n)
+			}
 		}
 	}
 }

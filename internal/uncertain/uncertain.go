@@ -110,15 +110,15 @@ func SampleInstances(region geom.Rect, kind PDFKind, n int, rng *rand.Rand) []In
 	}
 	d := region.Dim()
 	out := make([]Instance, n)
+	pos := make([]float64, n*d)
 	w := 1.0 / float64(n)
-	center := region.Center()
 	for i := 0; i < n; i++ {
-		p := make(geom.Point, d)
+		p := geom.Point(pos[i*d : (i+1)*d : (i+1)*d])
 		for j := 0; j < d; j++ {
 			switch kind {
 			case PDFGaussian:
 				sigma := region.Side(j) / 4
-				v := center[j] + rng.NormFloat64()*sigma
+				v := (region.Lo[j]+region.Hi[j])/2 + rng.NormFloat64()*sigma
 				// Truncate to the region: the region bounds all values.
 				if v < region.Lo[j] {
 					v = region.Lo[j]

@@ -82,6 +82,18 @@ func TestSampleInstances(t *testing.T) {
 	}
 }
 
+// TestSampleInstancesAllocs: a call allocates the instance slice and one
+// array holding every position, at any n and either kind.
+func TestSampleInstancesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	region := geom.NewRect(geom.Point{10, 20, 30}, geom.Point{14, 26, 31})
+	for _, kind := range []PDFKind{PDFUniform, PDFGaussian} {
+		if n := testing.AllocsPerRun(20, func() { SampleInstances(region, kind, 100, rng) }); n > 2 {
+			t.Errorf("kind %d: %v allocations a call, want ≤ 2", kind, n)
+		}
+	}
+}
+
 func TestSampleInstancesGaussianConcentration(t *testing.T) {
 	// Gaussian samples should concentrate near the center more than uniform.
 	rng := rand.New(rand.NewSource(17))
