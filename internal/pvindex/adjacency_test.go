@@ -306,9 +306,9 @@ func TestAdjacencyPersistRoundTrip(t *testing.T) {
 }
 
 // TestBatchMaintainsAdjacencyIncrementally asserts a batch refines only the
-// rows its own SE jobs compute — each newcomer's staging and at most one
-// warm finalization, plus the affected rows whose UBR changed — far below the
-// object count, never every row, even with every job's row fat.
+// rows its own SE jobs compute — each newcomer's cold run, plus the
+// affected rows whose UBR changed — far below the object count, never every
+// row, even with every job's row fat.
 func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	const span, maxSide = 2000.0, 20.0
@@ -334,8 +334,8 @@ func TestBatchMaintainsAdjacencyIncrementally(t *testing.T) {
 	if refined < len(batch) {
 		t.Fatalf("batch refines %d rows, fewer than its %d newcomers", refined, len(batch))
 	}
-	if limit := 2*len(batch) + rewritten; refined > limit {
-		t.Fatalf("batch refines %d rows, want <= %d (newcomers twice + rewritten affected rows)", refined, limit)
+	if limit := len(batch) + rewritten; refined > limit {
+		t.Fatalf("batch refines %d rows, want <= %d (newcomers + rewritten affected rows)", refined, limit)
 	}
 	if refined >= ix.DB().Len() {
 		t.Fatalf("batch refines %d rows of %d — looks like a full pass", refined, ix.DB().Len())

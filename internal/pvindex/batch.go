@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"pvoronoi/internal/core"
@@ -221,29 +220,22 @@ func (w *working) applyBatch(ups []Update) ([]UpdateStats, error) {
 
 // applyInserts applies one run of inserts — a single insert, an all-insert
 // batch, the inserts between two deletes of a mixed batch — set-at-a-time.
-// Because insertions only ever shrink PV-cells (Lemma 9):
-//
-//   - every newcomer's UBR is staged over the database as the run finds it
-//     (the published state for a batch's first run, the post-delete state
-//     after a delete — either way nothing staged can be stale) and finalized
-//     against the database with the whole run in it, reusing the staged UBR
-//     outright when it intersects no other newcomer's — disjoint bounds mean
-//     disjoint cells, hence no mutual influence — and warm-starting from it
-//     otherwise, and
-//   - every affected existing object is recomputed exactly once, however
-//     many of the run's inserts touch it, instead of once per triggering op,
-//     over its witnesses and the newcomers that affect it.
+// The run joins the database and the region tree first; then each
+// newcomer's UBR is a build row over the database it joins, a cold run
+// exactly as Build computes it. Because insertions only ever shrink PV-cells
+// (Lemma 9), every affected existing object is recomputed exactly once,
+// however many of the run's newcomers touch it, over its witnesses and the
+// newcomers that affect it.
 //
 // The stored UBRs the affected-set filters read are those from before the
 // run, upper bounds of the final cells (shrink-only), so filtering against
-// them is conservative: no affected object can be missed. The staging, both
-// recompute phases and the newcomers' windows fan out on the index's SE pool
+// them is conservative: no affected object can be missed. The newcomers' runs
+// and windows, then the affected rows' runs, fan out on the index's SE pool
 // — they read only the working database, trees, UBR table and witness lists,
-// which do not change while one runs (chooseCSet skips the object's own ID,
-// so a newcomer's UBR computed before it is added is what it would be after;
-// the R*-tree browse keeps its state in its own iterator, so workers share
-// the tree). The affected rows are merged serially in newcomer order, each
-// newcomer's ascending by ID, so the write-back order is fixed by the batch.
+// which do not change while one runs (the R*-tree browse keeps its state in
+// its own iterator, so workers share the tree). The affected rows are merged
+// serially in newcomer order, each newcomer's ascending by ID, so the
+// write-back order is fixed by the batch.
 func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 	ix := w.ix
 	n := len(ups)
@@ -257,55 +249,29 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		}
 	}()
 
-	// Phase 0: stage every newcomer's UBR over the database without the run.
-	staged := make([]geom.Rect, n)
-	lists := make([][]uint32, n)
-	ix.parallelSE(n, func(i int) {
-		t0 := time.Now()
-		staged[i], lists[i], stats[i].SE = w.se(ups[i].Object, seStart{})
-		stats[i].SETime = time.Since(t0)
-	})
-
 	// Phase 1: database and region tree. Validation already cleared every
 	// op, so Add cannot fail on IDs; any error here is fatal corruption.
-	newcomer := make(map[uint32]struct{}, n)
 	for _, u := range ups {
 		if err := w.db.Add(u.Object); err != nil {
 			return stats, err
 		}
 		w.regionTree.Insert(rtree.Item{Rect: u.Object.Region, ID: uint32(u.Object.ID)})
-		newcomer[uint32(u.Object.ID)] = struct{}{}
 	}
 
-	// Phase 2: final newcomer UBRs, warm over the newcomers met.
-	finalB := slices.Clone(staged)
-	met := make([][]uint32, n)
-	for i, u := range ups {
-		for j, v := range ups {
-			if j != i && staged[j].Intersects(staged[i]) && !v.Object.Region.Intersects(u.Object.Region) {
-				met[i] = append(met[i], uint32(v.Object.ID))
-			}
-		}
-	}
-	ix.parallelSE(n, func(i int) {
-		if met[i] == nil {
-			return
-		}
-		t0 := time.Now()
-		b, list, s := w.se(ups[i].Object, seStart{prev: staged[i], has: lists[i], extra: met[i]})
-		finalB[i], lists[i] = b, list
-		stats[i].SETime += time.Since(t0)
-		stats[i].SE.Add(s)
-	})
-
-	// Phase 3: each newcomer's window, filtered on the pool, then merged in
-	// newcomer order into the union of affected existing objects, each with
-	// its pre-run UBR, witnesses, affecting newcomers and first op (for
-	// stats).
+	// Phase 2: each newcomer's UBR and witnesses, a cold run over the
+	// database with the run in it, and its window, filtered on the pool;
+	// then the windows merge in newcomer order into the union of affected
+	// existing objects, each with its pre-run UBR, witnesses, affecting
+	// newcomers and first op (for stats).
+	ubrs := make([]geom.Rect, n)
+	lists := make([][]uint32, n)
 	hits := make([][]row, n)
 	errs := make([]error, n)
 	ix.parallelSE(n, func(i int) {
-		hits[i], stats[i].Examined, errs[i] = w.window(ups[i].Object, finalB[i], newcomer)
+		t0 := time.Now()
+		ubrs[i], lists[i], stats[i].SE = w.se(ups[i].Object, seStart{})
+		stats[i].SETime = time.Since(t0)
+		hits[i], stats[i].Examined, errs[i] = w.window(ups[i].Object, ubrs[i])
 	})
 	affected, ops := []row(nil), []int(nil)
 	seen := make(map[uint32]int)
@@ -326,16 +292,16 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 		}
 	}
 
-	// Phase 4: recompute each affected object once (warm-started — its cell
+	// Phase 3: recompute each affected object once (warm-started — its cell
 	// can only have shrunk) and patch the rows whose UBR moved.
 	if err := w.recompute(affected, func(k int) *UpdateStats { return &stats[ops[k]] }); err != nil {
 		return stats, err
 	}
 
-	// Phase 5: newcomers enter the UBR table and the primary index.
+	// Phase 4: newcomers enter the UBR table and the primary index.
 	for i, u := range ups {
 		t0 := time.Now()
-		if err := w.addObject(u.Object, finalB[i]); err != nil {
+		if err := w.addObject(u.Object, ubrs[i]); err != nil {
 			return stats, err
 		}
 		w.setWitnesses(uint32(u.Object.ID), lists[i])
@@ -345,20 +311,18 @@ func (w *working) applyInserts(ups []Update) ([]UpdateStats, error) {
 }
 
 // window lists, ascending by ID, the existing objects newcomer u may affect
-// — those in the octree window of its final UBR b that are no newcomer, whose
-// regions miss u(o) (Lemma 8(3)) and whose stored UBRs meet b (Lemma 8(2) via
-// UBRs: disjoint bounds imply disjoint cells) — each as a row starting from
-// that UBR, and the window's size. It only reads, so windows fan out.
-func (w *working) window(u *uncertain.Object, b geom.Rect, newcomer map[uint32]struct{}) ([]row, int, error) {
+// — those in the octree window of its UBR b whose regions miss u(o) (Lemma
+// 8(3)) and whose stored UBRs meet b (Lemma 8(2) via UBRs: disjoint bounds
+// imply disjoint cells) — each as a row starting from that UBR, and the
+// window's size. Newcomers enter the octree only after every window is
+// taken, so none is listed. It only reads, so windows fan out.
+func (w *working) window(u *uncertain.Object, b geom.Rect) ([]row, int, error) {
 	ids, err := w.primary.RangeIDs(b, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	var hits []row
 	for _, id := range ids {
-		if _, isNew := newcomer[id]; isNew {
-			continue
-		}
 		if other := w.db.Get(uncertain.ID(id)); other == nil || other.Region.Intersects(u.Region) {
 			continue
 		}
@@ -527,16 +491,7 @@ func (ix *Index) Recover() (int, error) {
 	case lastSeq != base.walSeq:
 		// Only checkpoint records: acknowledge the advanced sequence with a
 		// structure-sharing publish.
-		ix.publish(&version{
-			epoch:      base.epoch + 1,
-			walSeq:     lastSeq,
-			db:         base.db,
-			primary:    base.primary,
-			ubrs:       base.ubrs,
-			regionTree: base.regionTree,
-			witnesses:  base.witnesses,
-			witnessed:  base.witnessed,
-		}, nil)
+		ix.publish(&version{epoch: base.epoch + 1, walSeq: lastSeq, state: base.state}, nil)
 	}
 	return replayed, nil
 }

@@ -8,13 +8,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"pvoronoi/internal/bruteforce"
+	"pvoronoi/internal/dataset"
 	"pvoronoi/internal/geom"
 	"pvoronoi/internal/pagestore"
+	"pvoronoi/internal/race"
 	"pvoronoi/internal/uncertain"
 	"pvoronoi/internal/wal"
 )
@@ -94,8 +97,8 @@ func TestApplyBatchMixedMatchesOracle(t *testing.T) {
 }
 
 func TestApplyBatchInteractingInserts(t *testing.T) {
-	// A tight cluster of batch inserts forces the staged UBRs through the
-	// warm-started finalization: every newcomer's UBR intersects the others'.
+	// A tight cluster of batch inserts: every newcomer's UBR intersects the
+	// others', and each is computed over the database with all of them in it.
 	rng := rand.New(rand.NewSource(12))
 	db := randomDB(rng, 60, 2, 600, 30, false)
 	ix, err := Build(db, testConfig())
@@ -112,7 +115,7 @@ func TestApplyBatchInteractingInserts(t *testing.T) {
 		ups = append(ups, Update{Op: OpInsert, Object: o})
 	}
 	// And a delete in the middle of the cluster: the inserts after it are a
-	// second run, staged over the post-delete state.
+	// second run, computed over the post-delete state.
 	victim := db.Objects()[0].ID
 	mid := append([]Update{}, ups[:4]...)
 	mid = append(mid, Update{Op: OpDelete, ID: victim})
@@ -121,6 +124,61 @@ func TestApplyBatchInteractingInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesBruteforce(t, ix, rng, 600, 2, 80)
+}
+
+// TestNewcomersAreBuildRows: an insert computes each newcomer's row as a
+// build computes a row over the database the newcomer joins. After each of
+// three insert-only batches on uni2- and clustered-d = 2-shaped data (n
+// 2 000, 16 newcomers a batch) and uni3-shaped data (n 1 000, 4), every
+// newcomer's stored UBR bits and witness list equal those of a fresh
+// BuildParallel over the index's database.
+func TestNewcomersAreBuildRows(t *testing.T) {
+	if race.Enabled {
+		t.Skip("nine builds, ≈ 40× slower instrumented; CI's uninstrumented step runs it")
+	}
+	for _, c := range []struct {
+		name      string
+		n, d, per int
+		maxSide   float64
+		clustered bool
+	}{{"uni2", 2000, 2, 16, 60, false}, {"clu2", 2000, 2, 16, 60, true}, {"uni3", 1000, 3, 4, 400, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			p := dataset.SyntheticParams{N: c.n, Dim: c.d, MaxSide: c.maxSide, Instances: 10, Seed: 3001, Clustered: c.clustered}
+			ix, err := Build(dataset.Synthetic(p), DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.N, p.Seed = 3*c.per, 3002
+			fresh := dataset.Synthetic(p).Objects()
+			for b := range 3 {
+				ups := make([]Update, c.per)
+				for k, o := range fresh[b*c.per : (b+1)*c.per] {
+					o.ID += 100_000
+					ups[k] = Update{Op: OpInsert, Object: o}
+				}
+				if _, err := ix.ApplyBatch(ups); err != nil {
+					t.Fatal(err)
+				}
+				built, err := BuildParallel(ix.DB().Clone(), DefaultConfig(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := ix.current.Load(), built.current.Load()
+				differ := 0
+				for _, u := range ups {
+					id := u.Object.ID
+					g, _ := got.ubr(id)
+					w, _ := want.ubr(id)
+					if !sameRectBits(g, w) || !slices.Equal(got.witnesses.get(uint32(id)), want.witnesses.get(uint32(id))) {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Fatalf("batch %d: %d of %d newcomers' UBRs or witness lists differ from a build's", b, differ, len(ups))
+				}
+			}
+		})
+	}
 }
 
 // malformedObjects are 2-d objects no batch may carry: a record's layout is
@@ -463,8 +521,8 @@ func TestRecoveryStopsAtTornTail(t *testing.T) {
 }
 
 // TestApplyBatchChurnWithConcurrentQueries interleaves batched writers with
-// parallel readers; run with -race it verifies the staging phase (which
-// holds only the read lock) never races queries.
+// parallel readers; run with -race it verifies the write path's SE fan-outs
+// never race queries.
 func TestApplyBatchChurnWithConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := randomDB(rng, 80, 2, 700, 30, true)

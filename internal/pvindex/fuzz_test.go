@@ -157,7 +157,8 @@ func FuzzDecodeObject(f *testing.F) {
 // a d = 3 database and testdata/pvidx6's: every input must load or return an
 // error, never panic, and a loaded index must answer a lookup of an absent ID
 // and finish a save. Seeds are a d = 2 and a d = 3 PVIDX7 image, the d = 2
-// image as an index that kept an adjacency graph wrote it, each image with
+// image as an index that kept an adjacency graph and stored its reverse
+// witness index wrote it, each image with
 // its witness lists damaged once per rule the loader checks — each seed
 // refused by that check, so mutations start next to it — and the PVIDX6
 // fixture, octree pages and all. (Mutate with

@@ -64,10 +64,9 @@ func buildParallel(db *uncertain.DB, cfg Config, workers int, walSeq uint64) (*I
 	for i, o := range objs {
 		ix.Build.SE.Add(seStats[i])
 		w.ubrs.set(uint32(o.ID), ubrs[i])
-		w.setWitnesses(uint32(o.ID), lists[i])
+		w.witnesses.set(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
-	w.mergeWitnessed()
 	if err := ix.install(w, walSeq); err != nil {
 		return nil, err
 	}
@@ -100,13 +99,15 @@ func newIndex(cfg Config, workers int) *Index {
 	return ix
 }
 
-// install bulk-loads w's empty octree with every database object's entry,
-// in database order, under its UBR in w's table, and publishes w as version
-// 1 at WAL position walSeq: the tail of a build and of a load. The octree is
-// derived state — the tree inserting the objects in that order would build,
-// without reading a leaf page back — so a loaded index holds the tree a
-// build over the same UBRs makes, whatever shape the saving one had reached.
+// install derives w's reverse witness index and bulk-loads its empty
+// octree with every database object's entry, in database order, under its
+// UBR in w's table, and publishes w as version 1 at WAL position walSeq: the
+// tail of a build and of a load. Both are derived state — the octree is the
+// tree inserting the objects in that order would build, without reading a
+// leaf page back — so a loaded index holds what a build over the same UBRs
+// and lists makes, whatever shape the saving one had reached.
 func (ix *Index) install(w *working, walSeq uint64) error {
+	w.witnessed = transpose(w.witnesses)
 	objs := w.db.Objects()
 	items := make([]octree.BulkItem, len(objs))
 	for i, o := range objs {

@@ -44,8 +44,9 @@ type indexImage struct {
 	// store, whose other fields gob skips.
 	Pages *struct{ PageSize int }
 	UBRs  *ubrImage
-	// Witnesses holds the rows' witness lists, Witnessed their reverse index.
-	Witnesses, Witnessed *listsImage
+	// Witnesses holds the rows' witness lists; their reverse index, which
+	// older images also carry, is derived on load.
+	Witnesses *listsImage
 }
 
 // SaveTo serializes the index (configuration, UBR table and witness lists)
@@ -77,7 +78,6 @@ func (ix *Index) saveVersion(w io.Writer, v *version) error {
 		Pages:     &struct{ PageSize int }{ix.store.PageSize()},
 		UBRs:      v.ubrs.image(),
 		Witnesses: v.witnesses.image(),
-		Witnessed: v.witnessed.image(),
 	}
 	return gob.NewEncoder(w).Encode(&img)
 }
@@ -108,8 +108,9 @@ func (ix *Index) SnapshotWith(w io.Writer, fn func(db *uncertain.DB) error) (wal
 // LoadFrom reconstructs an index from r over the given database. The
 // database must be the same object set the index was built on (checked by
 // cardinality and by per-object UBR presence). The image's UBR table and
-// witness lists are checked and adopted; the octree is bulk-loaded over the
-// UBRs as a build does. A PVIDX5 image is refused with ErrOldImage.
+// witness lists are checked and adopted; the reverse index and the octree
+// are derived as a build derives them. A PVIDX5 image is refused with
+// ErrOldImage.
 func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	if err := geom.CheckDim(db.Dim()); err != nil {
 		return nil, fmt.Errorf("pvindex: load: %w", err)
@@ -139,10 +140,7 @@ func LoadFrom(r io.Reader, db *uncertain.DB) (*Index, error) {
 	}
 	w.witnesses, err = listsFromImage(img.Witnesses)
 	if err == nil {
-		w.witnessed, err = listsFromImage(img.Witnessed)
-	}
-	if err == nil {
-		err = checkWitnesses(db, w.witnesses, w.witnessed)
+		err = checkWitnesses(db, w.witnesses)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pvindex: image witnesses: %w", err)

@@ -536,12 +536,13 @@ func TestLoadRebuildsOctree(t *testing.T) {
 }
 
 // TestLoadsPVIDX6: testdata/pvidx6 holds an image the last PVIDX6 build
-// saved — octree pages and skeleton beside the UBR table and witness lists —
-// after four insert/delete batch pairs of eight over 150 d = 2 objects on
-// 512-byte pages, and the database it was saved over. It loads, gob
-// skipping the octree, into the saved UBRs on pages of the saved size,
-// answers as a fresh build over the same objects does, and saves a PVIDX7
-// image that loads into the same state.
+// saved — octree pages and skeleton beside the UBR table, witness lists and
+// their reverse index — after four insert/delete batch pairs of eight over
+// 150 d = 2 objects on 512-byte pages, and the database it was saved over.
+// It loads, gob skipping the octree and the reverse index, into the saved
+// UBRs on pages of the saved size and a derived reverse index equal to the
+// stored one, answers as a fresh build over the same objects does, and saves
+// a PVIDX7 image that loads into the same state.
 func TestLoadsPVIDX6(t *testing.T) {
 	db, err := dataset.Load(filepath.Join("testdata", "pvidx6", "objects.db"))
 	if err != nil {
@@ -552,8 +553,9 @@ func TestLoadsPVIDX6(t *testing.T) {
 		t.Fatal(err)
 	}
 	var saved struct {
-		Magic string
-		UBRs  *ubrImage
+		Magic     string
+		UBRs      *ubrImage
+		Witnessed *listsImage
 	}
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&saved); err != nil || saved.Magic != "PVIDX6" {
 		t.Fatalf("fixture magic %q (%v), want PVIDX6", saved.Magic, err)
@@ -565,6 +567,9 @@ func TestLoadsPVIDX6(t *testing.T) {
 	v := loaded.current.Load()
 	if !reflect.DeepEqual(v.ubrs.image(), saved.UBRs) || loaded.Store().PageSize() != 512 {
 		t.Fatalf("loaded UBR table or page size %d is not the image's", loaded.Store().PageSize())
+	}
+	if saved.Witnessed == nil || !reflect.DeepEqual(v.witnessed.image(), saved.Witnessed) {
+		t.Fatal("the reverse index derived on load is not the one the fixture stored")
 	}
 	if err := v.primary.Validate(); err != nil {
 		t.Fatalf("loaded octree: %v", err)

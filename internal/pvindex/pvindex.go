@@ -118,20 +118,15 @@ type queryScratch struct {
 }
 
 // working is the writer's mutable view while it builds the next version:
-// a cloned database, copy-on-write handles over the octree, UBR table,
-// region tree and witness lists, the octree's deferred-free list, and the
-// reverse-index patches of the op in progress.
-// In bootstrap mode (build, load) there is no predecessor version:
-// structures mutate in place.
+// a cloned database and copy-on-write handles over the rest of its state,
+// the octree's deferred-free list, and the reverse-index patches of the op
+// in progress. In bootstrap mode (build, load) there is no predecessor
+// version: structures mutate in place, and install derives the reverse
+// index.
 type working struct {
 	ix    *Index
 	epoch uint64 // epoch this working set publishes as
-
-	db                   *uncertain.DB
-	primary              *octree.Tree
-	ubrs                 *ubrTable
-	regionTree           *rtree.Tree
-	witnesses, witnessed *idLists
+	state
 
 	freed   []pagestore.PageID
 	patches []revPatch // setWitnesses' queue, merged at the end of each op
@@ -143,9 +138,10 @@ type working struct {
 var buildRegionTree = core.BuildRegionTree
 
 // bootstrapWorking creates the working set a build or a load starts from
-// over db: its region tree built, the tables and the octree empty.
+// over db: its region tree built, the tables and the octree empty, no
+// reverse index yet.
 func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
-	w := &working{ix: ix, epoch: 1, db: db, ubrs: newUBRTable(db.Dim()), witnesses: newIDLists(), witnessed: newIDLists()}
+	w := &working{ix: ix, epoch: 1, state: state{db: db, ubrs: newUBRTable(db.Dim()), witnesses: newIDLists()}}
 	var err error
 	w.primary, err = octree.New(octree.Config{
 		Domain:    db.Domain,
@@ -164,14 +160,13 @@ func (ix *Index) bootstrapWorking(db *uncertain.DB) (*working, error) {
 // O(n) only in the database clone's object slice (pointers); the trees and
 // tables start as copy-on-write handles sharing every node and page.
 func (ix *Index) newWorking(base *version) *working {
-	w := &working{
-		ix:    ix,
-		epoch: base.epoch + 1,
-		db:    base.db.Clone(),
-		ubrs:  base.ubrs.clone(),
-	}
-	w.regionTree = base.regionTree.CloneCOW()
-	w.witnesses, w.witnessed = base.witnesses.clone(), base.witnessed.clone()
+	w := &working{ix: ix, epoch: base.epoch + 1, state: state{
+		db:         base.db.Clone(),
+		ubrs:       base.ubrs.clone(),
+		regionTree: base.regionTree.CloneCOW(),
+		witnesses:  base.witnesses.clone(),
+		witnessed:  base.witnessed.clone(),
+	}}
 	w.primary = base.primary.CloneCOW(w.lookupUBR, &w.freed)
 	return w
 }
@@ -187,16 +182,7 @@ func (w *working) abort() {
 
 // seal freezes the working set into a publishable version.
 func (w *working) seal(walSeq uint64) *version {
-	return &version{
-		epoch:      w.epoch,
-		walSeq:     walSeq,
-		db:         w.db,
-		primary:    w.primary,
-		ubrs:       w.ubrs,
-		regionTree: w.regionTree,
-		witnesses:  w.witnesses,
-		witnessed:  w.witnessed,
-	}
+	return &version{epoch: w.epoch, walSeq: walSeq, state: w.state}
 }
 
 // publishWorking seals w and swaps it in as the current version.

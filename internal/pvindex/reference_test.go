@@ -67,7 +67,7 @@ func (ix *Index) referenceStage(base *version, ups []Update) []stagedSE {
 			idxs = append(idxs, i)
 		}
 	}
-	w := &working{ix: ix, db: base.db, regionTree: base.regionTree, witnesses: base.witnesses}
+	w := &working{ix: ix, state: state{db: base.db, regionTree: base.regionTree, witnesses: base.witnesses}}
 	ix.parallelSE(len(idxs), func(k int) {
 		i := idxs[k]
 		t0 := time.Now()
@@ -285,10 +285,10 @@ func referenceBuildParallel(db *uncertain.DB, cfg Config, workers int) (*Index, 
 		if err := w.addObject(o, ubrs[i]); err != nil {
 			return nil, err
 		}
-		w.setWitnesses(uint32(o.ID), lists[i])
+		w.witnesses.set(uint32(o.ID), lists[i])
 		ix.Build.Objects++
 	}
-	w.mergeWitnessed()
+	w.witnessed = transpose(w.witnesses)
 	ix.Build.InsertTime = time.Since(t0)
 	ix.Build.Total = time.Since(start)
 	ix.current.Store(w.seal(0))
@@ -407,9 +407,10 @@ func loadOldImage(t *testing.T, ix *Index, old io.Reader) *Index {
 
 // oldImage re-encodes the image cur of ix, its witness lists included, in
 // the types it had while the index kept an adjacency graph, a record-cache
-// size and five refinement knobs — kept verbatim under their old names, since
-// gob writes a struct's name into the stream — with the graph ix's stored UBRs
-// induce and the knobs at their old defaults. maxDiag and cacheSize fill the graph's retired
+// size, five refinement knobs and a stored reverse witness index — kept
+// verbatim under their old names, since gob writes a struct's name into the
+// stream — with the graph ix's stored UBRs induce, ix's reverse index and the
+// knobs at their old defaults. maxDiag and cacheSize fill the graph's retired
 // diameter field and the retired cache size; gob leaves either out when 0.
 func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize int) []byte {
 	t.Helper()
@@ -455,6 +456,7 @@ func oldImage(t testing.TB, ix *Index, cur []byte, maxDiag float64, cacheSize in
 	img.Refine = RefineConfig{TopFraction: 0.02, DepthBoost: 4, CSetFactor: 4, MinDegree: 16}
 
 	v := ix.current.Load()
+	img.Witnessed = v.witnessed.image()
 	if _, deg := topHubs(v, v.windowDegrees()); !math.IsInf(deg, 1) {
 		img.RefineThreshold = deg // the cutoff in the old score's degree units
 	}

@@ -41,10 +41,12 @@ func fat(ubr geom.Rect, st core.Stats) bool {
 }
 
 // seStart says where an SE job starts: the zero value is a cold run, from
-// l = u(o) and h = the domain over a browsed C-set; with prev set, a warm run
-// over W(o) (has) ∪ extra: from l = u(o) and h = prev after inserts (extra:
-// the newcomers, alone first), from l = prev and h = prev ∪ victimUBR after a
-// delete (extra: W(victim)) — docs/ARCHITECTURE.md, "Witnesses".
+// l = u(o) and h = the domain over a browsed C-set — a build row, and a
+// newcomer's, which is a build row over the database it joins; with prev
+// set, a warm run over W(o) (has) ∪ extra for a row an update affects: from
+// l = u(o) and h = prev after inserts (extra: the newcomers, alone first),
+// from l = prev and h = prev ∪ victimUBR after a delete (extra: W(victim)) —
+// docs/ARCHITECTURE.md, "Witnesses".
 type seStart struct {
 	prev, victimUBR geom.Rect
 	has, extra      []uint32
@@ -70,8 +72,9 @@ type memberKey struct {
 
 var seScratches = sync.Pool{New: func() any { return new(seScratch) }}
 
-// se is every SE job of the build and the write path: it returns o's UBR, its
-// witness list (ascending; from.has if the newcomers cut nothing) and stats.
+// se is every SE job of the build and the write path — build rows and
+// newcomers cold, affected rows warm: it returns o's UBR, its witness list
+// (ascending; from.has if the newcomers cut nothing) and stats.
 // A warm C-set past the cap makes it a cold run; a cold run whose witnesses
 // pass the cap runs again over the nearest cap of them. A fat result gets the
 // escalated re-run over an escalated browse at once — bisecting after a cold

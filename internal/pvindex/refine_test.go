@@ -325,7 +325,7 @@ func TestRefineRuleDegenerate(t *testing.T) {
 				}
 			}
 			ix := &Index{cfg: testConfig()}
-			w := &working{ix: ix, db: db, regionTree: core.BuildRegionTree(db, rtree.DefaultFanout)}
+			w := &working{ix: ix, state: state{db: db, regionTree: core.BuildRegionTree(db, rtree.DefaultFanout)}}
 			o := db.Get(0)
 			ubr, st := core.ComputeUBR(db, w.regionTree, o, ix.cfg.SE)
 			if (st.CSetVolume == 0) != c.zeroBox || math.IsNaN(st.CSetVolume) {
@@ -398,7 +398,7 @@ func TestRefineRuleCoversOldHubs(t *testing.T) {
 	hubs := referenceHubs(t, ix)
 	refineFactor = factor
 	v := ix.current.Load()
-	w := &working{ix: ix, db: v.db, regionTree: v.regionTree}
+	w := &working{ix: ix, state: state{db: v.db, regionTree: v.regionTree}}
 	objs := v.db.Objects()
 	escalated := make([]bool, len(objs))
 	parallelFor(2, len(objs), func(i int) {

@@ -216,7 +216,7 @@ func TestReverseMergeMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := ix.current.Load()
-			ref := &working{witnesses: base.witnesses.clone(), witnessed: base.witnessed.clone()}
+			ref := &working{state: state{witnesses: base.witnesses.clone(), witnessed: base.witnessed.clone()}}
 			rng := rand.New(rand.NewSource(c.Seed))
 			nextID := uncertain.ID(100_000)
 			batches := 30
@@ -243,7 +243,7 @@ func TestReverseMergeMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(w.witnessed.image(), ref.witnessed.image()) {
 						t.Fatalf("op %d: the merged reverse index differs from the reference's", ops)
 					}
-					if err := checkWitnesses(w.db, w.witnesses, w.witnessed); err != nil {
+					if err := checkLists(&w.state); err != nil {
 						t.Fatalf("op %d: %v", ops, err)
 					}
 					i, ops = j, ops+1

@@ -86,7 +86,11 @@ func hashState(t *testing.T, h hash.Hash64, ix *Index) {
 // of 2 000 on clustered d = 2, nearly all of them tighter (Σ volume 0.9996,
 // 0.9936 and 0.874 ×); the build's are unchanged. They were re-recorded
 // again, with clustered d = 2's counters, when an insert's warm run began
-// with the newcomers alone and kept every row they do not cut as it was. On
+// with the newcomers alone and kept every row they do not cut as it was, and
+// the state hashes, with clustered d = 2's counters, once more when a
+// newcomer's UBR became a cold run over the database with its whole run in
+// it: after the four pairs 4 of 2 000 stored UBRs differ on uni2, 6 of 1 000
+// on uni3 and 47 of 2 000 on clustered d = 2 (Σ volume within 1e-5 ×). On
 // uniform data the rule escalates no row; on clustered data it must escalate
 // rows at build.
 func TestStoredUBRHash(t *testing.T) {
@@ -94,9 +98,9 @@ func TestStoredUBRHash(t *testing.T) {
 		t.Skip("≈ 40× slower instrumented; CI's uninstrumented step runs it")
 	}
 	want := map[string][2]uint64{ // state, counters
-		"uni2":       {0xd2c1d673be5755a0, 0xa09d945a1cd8d6e5},
-		"uni3":       {0xedca4ec203ef2c75, 0xa09d945a1cd8d6e5},
-		"clustered2": {0x8292a0a1e02e962a, 0x31473385bba031d3},
+		"uni2":       {0xdd2c6ddedeefc64c, 0xa09d945a1cd8d6e5},
+		"uni3":       {0xcfa00c3aaefd174d, 0xa09d945a1cd8d6e5},
+		"clustered2": {0x0e5f33d2150a653a, 0x3b3e9b2a7bb38d59},
 	}
 	for _, c := range []struct {
 		name      string

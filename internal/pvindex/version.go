@@ -11,9 +11,19 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
-// version is one immutable MVCC snapshot of the whole index: the database
-// (every object's pdf), the octree primary index, the UBR table, the region
-// R*-tree and the witness lists, all consistent as of one write epoch.
+// state is the six structures a version holds and a working set builds the
+// next one of: the database (every object's pdf), the octree primary index,
+// the UBR table, the region R*-tree, the witness lists and their reverse
+// index (witness.go), all consistent as of one write epoch.
+type state struct {
+	db                   *uncertain.DB
+	primary              *octree.Tree
+	ubrs                 *ubrTable
+	regionTree           *rtree.Tree
+	witnesses, witnessed *idLists
+}
+
+// version is one immutable MVCC snapshot of the whole index, its state.
 //
 // Lifecycle: a writer builds the next version copy-on-write from the current
 // one (sharing every untouched node and page), publishes it with a single
@@ -29,11 +39,7 @@ type version struct {
 	// this version (0 when none).
 	walSeq uint64
 
-	db                   *uncertain.DB
-	primary              *octree.Tree
-	ubrs                 *ubrTable
-	regionTree           *rtree.Tree
-	witnesses, witnessed *idLists // witness lists and reverse index
+	state
 
 	// readers counts pinned readers. A version with readers > 0 is never
 	// reclaimed; transient increments from the pin retry loop are harmless

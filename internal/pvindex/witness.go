@@ -118,13 +118,11 @@ func listsFromImage(img *listsImage) (*idLists, error) {
 	return l, nil
 }
 
-// checkWitnesses holds witness lists and their reverse index to the rules the
-// write path keeps: rows and members are live objects of db, no row lists
-// itself, no list passes witnessCap, and v's reverse list holds o exactly
-// when o's list holds v (the lists' pairs, sorted by member, walk it).
-func checkWitnesses(db *uncertain.DB, lists, by *idLists) error {
-	pairs := make([]uint64, 0, lists.total) // member<<32 | row
-	err := lists.forEach(func(id uint32, list []uint32) error {
+// checkWitnesses holds witness lists to the rules the write path keeps: rows
+// and members are live objects of db, no row lists itself, and no list
+// passes witnessCap.
+func checkWitnesses(db *uncertain.DB, lists *idLists) error {
+	return lists.forEach(func(id uint32, list []uint32) error {
 		switch {
 		case db.Get(uncertain.ID(id)) == nil:
 			return fmt.Errorf("witness list of %d, which is not an object", id)
@@ -134,28 +132,38 @@ func checkWitnesses(db *uncertain.DB, lists, by *idLists) error {
 			return fmt.Errorf("object %d lists itself as a witness", id)
 		}
 		for _, v := range list {
+			if db.Get(uncertain.ID(v)) == nil {
+				return fmt.Errorf("object %d lists witness %d, which is not an object", id, v)
+			}
+		}
+		return nil
+	})
+}
+
+// transpose returns the reverse index of lists — v's list holds, ascending,
+// the rows whose lists hold v — from one counting sort of the lists'
+// (member, row) pairs, every reverse list cut from one array. A build and a
+// load derive the reverse index with it; the write path keeps it merged op
+// by op (mergeWitnessed).
+func transpose(lists *idLists) *idLists {
+	pairs := make([]uint64, 0, lists.total) // member<<32 | row
+	_ = lists.forEach(func(id uint32, list []uint32) error {
+		for _, v := range list {
 			pairs = append(pairs, uint64(v)<<32|uint64(id))
 		}
 		return nil
 	})
 	pairs = sortByMember(pairs) // rows ascend within each member already
-	var rev []uint32
-	for i, k := 0, 0; i < len(pairs) && err == nil; i, k = i+1, k+1 {
-		v, id := uint32(pairs[i]>>32), uint32(pairs[i])
-		if i == 0 || v != uint32(pairs[i-1]>>32) {
-			rev, k = by.get(v), 0
+	by, rows := newIDLists(), make([]uint32, len(pairs))
+	for lo := 0; lo < len(pairs); {
+		hi := lo
+		for ; hi < len(pairs) && pairs[hi]>>32 == pairs[lo]>>32; hi++ {
+			rows[hi] = uint32(pairs[hi])
 		}
-		switch {
-		case k == 0 && db.Get(uncertain.ID(v)) == nil:
-			err = fmt.Errorf("object %d lists witness %d, which is not an object", id, v)
-		case k == len(rev) || rev[k] != id:
-			err = fmt.Errorf("object %d lists witness %d, whose reverse list lacks it", id, v)
-		}
+		by.set(uint32(pairs[lo]>>32), rows[lo:hi:hi])
+		lo = hi
 	}
-	if err == nil && by.total != lists.total {
-		err = fmt.Errorf("reverse index holds %d entries, the witness lists %d", by.total, lists.total)
-	}
-	return err
+	return by
 }
 
 // sortByMember sorts (member, row) pairs by member, keeping their order

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -21,8 +22,20 @@ import (
 	"pvoronoi/internal/uncertain"
 )
 
+// checkLists holds s's witness lists to checkWitnesses and the reverse index
+// the write path merged op by op to the transpose of the lists.
+func checkLists(s *state) error {
+	if err := checkWitnesses(s.db, s.witnesses); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(s.witnessed.image(), transpose(s.witnesses).image()) {
+		return fmt.Errorf("the reverse index is not the transpose of the witness lists")
+	}
+	return nil
+}
+
 // verify checks every row of ix's current version against its witness list:
-// the lists obey checkWitnesses (W(o) ⊆ the live objects among them), and a
+// the lists obey checkLists (W(o) ⊆ the live objects among them), and a
 // cold SE run over the C-set W(o) — l = u(o), h = the domain — lands inside
 // the stored UBR. The run's UBR holds I(W(o), o) ⊇ V(o), so the two give
 // UBR ⊇ PV-cell with no O(n²) oracle. The run can land outside without the
@@ -35,7 +48,7 @@ import (
 func verify(ix *Index) error {
 	v := ix.pin()
 	defer ix.unpin(v)
-	if err := checkWitnesses(v.db, v.witnesses, v.witnessed); err != nil {
+	if err := checkLists(&v.state); err != nil {
 		return err
 	}
 	opts := ix.cfg.SE
@@ -140,7 +153,7 @@ func TestVerifyCatchesBrokenRows(t *testing.T) {
 // whose PV-cell holds them and Step 1 answers them as brute force does, every
 // window degree is the brute-force count (the octree holds each row where its
 // UBR reaches), verify passes, the twin's state —
-// stored UBRs, witness lists and reverse index — equals the live one's, and
+// stored UBRs and witness lists — equals the live one's, and
 // the lifetime row counters moved by what the batch reported. Trap rows —
 // a victim's witnessed rows whose UBR misses the victim's — are counted
 // before each batch; a filter that took its candidates from Lemma 8's window
@@ -303,15 +316,12 @@ func corruptWitnessImages(t testing.TB, saved []byte, db *uncertain.DB) map[stri
 				return slices.Insert(w, i, id)
 			})
 		}),
-		"reverse": edit(func(img *indexImage) {
-			row(&img.Witnessed, func(_ uint32, w []uint32) []uint32 { return w[1:] })
-		}),
 		"do not ascend": edit(func(img *indexImage) {
 			w := img.Witnesses
 			w.IDs[0], w.IDs[1] = w.IDs[1], w.IDs[0]
 		}),
 		"no list image": edit(func(img *indexImage) {
-			img.Witnessed = nil
+			img.Witnesses = nil
 		}),
 	}
 	if db.Len() > witnessCap(db.Dim())+1 {
@@ -332,9 +342,9 @@ func corruptWitnessImages(t testing.TB, saved []byte, db *uncertain.DB) map[stri
 }
 
 // TestLoadRefusesCorruptWitnesses holds LoadFrom to the witness image rules:
-// every ID live, no row listing itself, the reverse index the transpose of
-// the lists, no list past witnessCap, lists and IDs ascending; and to
-// refusing a PVIDX4 image, which has no witness lists, by its name.
+// a list image present, every ID live, no row listing itself, no list past
+// witnessCap, lists and IDs ascending; and to refusing a PVIDX4 image, which
+// has no witness lists, by its name.
 func TestLoadRefusesCorruptWitnesses(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	db := randomDB(rng, witnessCap(2)+40, 2, 4000, 40, false)
@@ -347,14 +357,14 @@ func TestLoadRefusesCorruptWitnesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := corruptWitnessImages(t, saved.Bytes(), db)
-	if len(cases) != 6 {
-		t.Fatalf("%d corrupt images, want 6", len(cases))
+	if len(cases) != 5 {
+		t.Fatalf("%d corrupt images, want 5", len(cases))
 	}
 	var img indexImage
 	if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&img); err != nil {
 		t.Fatal(err)
 	}
-	img.Magic, img.Witnesses, img.Witnessed = "PVIDX4", nil, nil
+	img.Magic, img.Witnesses = "PVIDX4", nil
 	var old bytes.Buffer
 	if err := gob.NewEncoder(&old).Encode(&img); err != nil {
 		t.Fatal(err)
@@ -367,7 +377,7 @@ func TestLoadRefusesCorruptWitnesses(t *testing.T) {
 	}
 }
 
-// TestSortByMember holds checkWitnesses' counting sort to a stable sort by
+// TestSortByMember holds transpose's counting sort to a stable sort by
 // member, on members that share their high bytes and on members spread over
 // all four, empty input included.
 func TestSortByMember(t *testing.T) {

@@ -144,9 +144,9 @@ func TestBuildAllocBudget(t *testing.T) {
 
 // TestBatchStageTimes: the named stages of a batch — SE and index
 // maintenance — account for the batch. On one processor (so worker time is
-// wall time) they never sum to more than ApplyBatch's wall clock, staging
-// included, and in the best of four batches (one GC cycle outside the timers
-// must not fail the test) to at least 80 % of it. Refinement is a share of
+// wall time) they never sum to more than ApplyBatch's wall clock, and in
+// the best of four batches (one GC cycle outside the timers must not fail
+// the test) to at least 80 % of it. Refinement is a share of
 // SE time: an op that escalated rows reports a positive refinement time no
 // larger than its SE time.
 func TestBatchStageTimes(t *testing.T) {
