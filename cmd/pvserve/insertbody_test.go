@@ -49,6 +49,76 @@ func realInsertBodies() [][]byte {
 	return append(bodies, marshal(map[string]any{"objects": []any{object(7, 2, 100), object(8, 2, 100)}}))
 }
 
+// encodedInsertBodies are the bodies json.Marshal writes for both insert
+// routes at d = 1…5, shaped as the benchmark harness's: a struct per object,
+// its region's corners and its instances as pos/prob pairs, a batch of 16
+// objects of 100 instances and a single insert of 100.
+func encodedInsertBodies() [][]byte {
+	type instance struct {
+		Pos  []float64 `json:"pos"`
+		Prob float64   `json:"prob"`
+	}
+	type object struct {
+		ID     uint32 `json:"id"`
+		Region struct {
+			Lo []float64 `json:"lo"`
+			Hi []float64 `json:"hi"`
+		} `json:"region"`
+		Instances []instance `json:"instances"`
+	}
+	rng := rand.New(rand.NewSource(13))
+	encode := func(id, d int) object {
+		var o object
+		o.ID = uint32(id)
+		o.Region.Lo, o.Region.Hi = make([]float64, d), make([]float64, d)
+		for k := range d {
+			o.Region.Lo[k] = rng.Float64() * 9900
+			o.Region.Hi[k] = o.Region.Lo[k] + rng.Float64()*100
+		}
+		for _, in := range pvoronoi.SampleUniform(pvoronoi.NewRect(o.Region.Lo, o.Region.Hi), 100, int64(id)) {
+			o.Instances = append(o.Instances, instance{in.Pos, in.Prob})
+		}
+		return o
+	}
+	var bodies [][]byte
+	for d := 1; d <= 5; d++ {
+		objs := make([]object, 16)
+		for i := range objs {
+			objs[i] = encode(1000*d+i, d)
+		}
+		for _, v := range []any{encode(d, d), map[string]any{"objects": objs}} {
+			b, err := json.Marshal(v)
+			if err != nil {
+				panic(err)
+			}
+			bodies = append(bodies, b)
+		}
+	}
+	return bodies
+}
+
+// TestEncoderBodiesTakeStrictReader: every body an encoder writes — the
+// harness's shape at d = 1…5 for both routes, realInsertBodies, and each of
+// them indented — is read by the strict reader, never handed to
+// encoding/json, and decodes as the reference decodes it. A strict reader
+// that gave up on them would still pass every other test, only slower.
+func TestEncoderBodiesTakeStrictReader(t *testing.T) {
+	bodies := append(encodedInsertBodies(), realInsertBodies()...)
+	for _, b := range bodies {
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, b, "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, indented.Bytes())
+	}
+	for _, b := range bodies {
+		if _, ok := (&bodyDecoder{data: b}).strict(); !ok {
+			t.Fatalf("the strict reader gave up on an encoded body: %.200q…", b)
+		}
+		compareInsertDecoders(t, b)
+	}
+}
+
 // edgeInsertBodies hold what encoding/json decides by its own rules: folded
 // and escaped keys, repeated keys that decode into what came before, nulls,
 // samples, values of the wrong type, and text after the first value.
@@ -295,5 +365,41 @@ func TestDeclaredLengthNotPreallocated(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / reqs; per > 1<<20 {
 		t.Fatalf("%d B allocated per request declaring %d B and sending 8", per, maxBodyBytes)
+	}
+}
+
+// TestDeclaredDimensionNotPreallocated: an insert whose region declares a
+// wide d and whose instances send no coordinates makes the server allocate
+// about what it sent, not instances × d, by the strict reader and by the
+// encoding/json fallback alike; Validate refuses the object.
+func TestDeclaredDimensionNotPreallocated(t *testing.T) {
+	const wide, insts = 2000, 2000
+	zeros := strings.Repeat("0,", wide-1) + "0"
+	region := `"region":{"lo":[` + zeros + `],"hi":[` + zeros + `]}`
+	empty := strings.Repeat("{},", insts-1) + "{}"
+	s := &server{domain: pvoronoi.NewRect(pvoronoi.Point{0, 0}, pvoronoi.Point{10, 10}), metrics: newMetrics()}
+	h := s.routes()
+	for _, body := range []string{
+		`{"id":1,` + region + `,"instances":[` + empty + `]}`,
+		`{"id":1,` + region + `,"instances":[` + empty + `],"sample":null}`,
+	} {
+		if _, ok := (&bodyDecoder{data: []byte(body)}).strict(); ok != !strings.Contains(body, "sample") {
+			t.Fatalf("strict reader took=%v a body with sample=%v", ok, strings.Contains(body, "sample"))
+		}
+		const reqs = 10
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range reqs {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/insert", strings.NewReader(body)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want %d", rec.Code, http.StatusBadRequest)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reqs; per > 64*uint64(len(body)) {
+			t.Errorf("%d B allocated per request sending %d B (d %d, %d instances)", per, len(body), wide, insts)
+		}
 	}
 }

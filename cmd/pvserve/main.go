@@ -50,10 +50,13 @@
 //	GET  /v1/healthz           {"status":"ok"} or {"status":"degraded","cause":...}
 //	GET  /healthz              liveness probe (same JSON)
 //
-// The bodies of /v1/insert and /v1/insertbatch are decoded in one pass by a
-// hand-written decoder (insertbody.go) that builds the objects directly, one
-// position array per object; it accepts and refuses exactly what
-// encoding/json does for these bodies, which every other route still uses.
+// The bodies of /v1/insert and /v1/insertbatch are read by a strict reader
+// (insertbody.go) that takes exactly the body an encoder writes — the keys
+// objects, id, region, lo, hi, instances, pos and prob, each once — in one
+// pass, with no reflection; on any other body it gives up and encoding/json
+// decodes it, as it decodes every other route's. Both paths build the
+// objects the same way, one position array per object, so a body is
+// accepted or refused exactly as encoding/json would.
 //
 // Writes, the two batches and /v1/checkpoint are POST-only (405 otherwise);
 // the five single queries take any method, and a GET reads ?point=x,y,....

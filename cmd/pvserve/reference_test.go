@@ -11,8 +11,9 @@ import (
 )
 
 // The insert routes' decoding as it was before decodeInsert, kept as the
-// oracle FuzzDecodeInsertBody holds the hand-written decoder to: the body
-// through encoding/json into request, then each insert through toObject.
+// oracle FuzzDecodeInsertBody holds the strict reader and its fallback to:
+// the body through encoding/json into request, then each insert through
+// toObject.
 
 // referenceDecodeInsert decodes an insert route's body the old way.
 func referenceDecodeInsert(data []byte, reads field) (*request, error) {

@@ -257,9 +257,9 @@ func (s *server) fail(w http.ResponseWriter, err error, write bool) {
 
 // request is every route's input, decoded once: the JSON body, or ?point=
 // for a GET. validate fills k and agg from the fields a route reads; the
-// insert routes' objs come from decodeInsert (insertbody.go). The insert
-// fields stay in the struct so that every other route decodes a body exactly
-// as it always has, types checked.
+// insert routes' objs come from decodeInsert (insertbody.go), whose
+// encoding/json path fills the insert fields; every other route decodes its
+// body exactly as it always has, the insert fields' types checked too.
 type request struct {
 	insertRequest                    // /v1/insert; its ID is also /v1/delete's
 	Point         pvoronoi.Point     `json:"point"`
@@ -279,11 +279,13 @@ type insertRequest struct {
 	ID        pvoronoi.ID    `json:"id"`
 	Region    regionJSON     `json:"region"`
 	Instances []instanceJSON `json:"instances"`
-	Sample    *struct {
-		Kind string `json:"kind"` // "uniform" (default) or "gaussian"
-		N    int    `json:"n"`
-		Seed int64  `json:"seed"`
-	} `json:"sample"`
+	Sample    *sampleJSON    `json:"sample"`
+}
+
+type sampleJSON struct {
+	Kind string `json:"kind"` // "uniform" (default) or "gaussian"
+	N    int    `json:"n"`
+	Seed int64  `json:"seed"`
 }
 
 // decode reads a request — ?point= for a GET, the JSON body for any other

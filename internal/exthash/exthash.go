@@ -1,7 +1,9 @@
 // Package exthash implements an extendible hash table (Fagin et al., 1979)
-// over the simulated page store — the PV-index's secondary index, mapping an
-// object ID to its stored record (UBR plus discretized uncertainty pdf,
-// §VI-A of the paper).
+// over the simulated page store, keyed by uint32. It was the PV-index's
+// secondary index, mapping an object ID to its stored record (§VI-A of the
+// paper); the index now keeps its UBRs in an ID-keyed table and its pdfs in
+// the database, and no index holds an exthash table. It stays for the
+// benchmark harness, which times a GetView over the store's pages.
 //
 // The directory lives in main memory; buckets are single disk pages holding
 // fixed-size slots (key, value length, first value page). Values are stored
@@ -10,10 +12,9 @@
 // redistribute on one more hash bit, doubling the directory when the
 // bucket's local depth equals the global depth.
 //
-// Pages are written only through the handle's copy-on-write session, and
-// only pages that session allocated: a bucket shared with an older version
-// is shadowed onto a fresh page, and a value chain is written once, onto
-// fresh pages, and never patched. Reads borrow page memory through View.
+// A table owns every page it allocates (one full session) and rewrites its
+// buckets in place; a value chain is written once, onto fresh pages, and
+// never patched. Reads borrow page memory through View.
 package exthash
 
 import (
@@ -26,8 +27,7 @@ import (
 )
 
 // Table is an extendible hash table keyed by uint32. Not safe for concurrent
-// mutation, but a sealed handle may be read concurrently while a CloneCOW
-// descendant is mutated: mutations never rewrite shared pages in place.
+// use while it is mutated.
 type Table struct {
 	store       *pagestore.Store
 	dir         []pagestore.PageID // 2^globalDepth entries
@@ -36,9 +36,7 @@ type Table struct {
 	slotsPer    int
 	sess        *pagestore.COWSession
 	// slots is the scratch readBucket decodes into, and page the one a
-	// bucket or value page is encoded into before it is written. Only Put
-	// and Delete use them, on the handle being mutated: a CloneCOW clone
-	// starts without either.
+	// bucket or value page is encoded into before it is written.
 	slots []slot
 	page  []byte
 }
@@ -69,49 +67,6 @@ func New(store *pagestore.Store) (*Table, error) {
 	t.dir = []pagestore.PageID{p}
 	t.globalDepth = 0
 	return t, nil
-}
-
-// CloneCOW returns a mutable copy-on-write descendant of t: the directory is
-// copied, every bucket and value page is initially shared. Mutations shadow
-// shared pages onto fresh IDs and append the replaced IDs to freed — the
-// caller frees those once no reader of an older version remains. The
-// original handle is sealed by convention and stays safe for concurrent
-// readers.
-func (t *Table) CloneCOW(freed *[]pagestore.PageID) *Table {
-	c := *t
-	c.dir = append(make([]pagestore.PageID, 0, len(t.dir)), t.dir...)
-	c.sess = pagestore.NewCOWSession(t.store, freed)
-	c.slots, c.page = nil, nil
-	return &c
-}
-
-// AbortCOW releases every page this session allocated (invisible to any
-// published version) and forgets its deferred frees. The handle must not be
-// used afterwards.
-func (t *Table) AbortCOW() { t.sess.Abort() }
-
-// writableBucket returns a bucket page ID the session may write in place.
-// A shared bucket is shadowed: a fresh page is allocated, every directory
-// slot pointing at the old page is repointed, and the old page is deferred
-// to the freed list. The caller overwrites the returned page's contents
-// entirely, so no byte copy is needed.
-func (t *Table) writableBucket(id pagestore.PageID) (pagestore.PageID, error) {
-	if t.sess.Owned(id) {
-		return id, nil
-	}
-	p, err := t.sess.Alloc()
-	if err != nil {
-		return 0, err
-	}
-	for i := range t.dir {
-		if t.dir[i] == id {
-			t.dir[i] = p
-		}
-	}
-	if err := t.sess.Free(id); err != nil {
-		return 0, err
-	}
-	return p, nil
 }
 
 // Len returns the number of stored keys.
@@ -244,8 +199,7 @@ func (t *Table) readValue(head pagestore.PageID, n uint32) ([]byte, error) {
 	return out, nil
 }
 
-// freeValue releases the value chain starting at head (deferred for pages
-// shared with older versions).
+// freeValue releases the value chain starting at head.
 func (t *Table) freeValue(head pagestore.PageID) error {
 	p := head
 	for p != 0 {
@@ -310,29 +264,6 @@ func (t *Table) GetView(key uint32) ([]byte, bool, error) {
 	return v, true, nil
 }
 
-// GetPrefix lends the first n bytes of the value stored under key — fewer
-// when the value, or the share of it on its first value page, is shorter —
-// together with the value's total length. It never copies or follows the
-// chain, whatever the value's size: a caller that needs only a fixed header
-// pays one bucket and one page view. Only that first page is validated — a
-// chain damaged further on is GetView's to find. The slice aliases the
-// store's slab under the View validity rule, exactly like GetView's
-// single-page result.
-func (t *Table) GetPrefix(key uint32, n int) (prefix []byte, valLen int, ok bool, err error) {
-	s, ok, err := t.findSlot(t.dir[t.dirIndex(key)], key)
-	if err != nil || !ok {
-		return nil, 0, false, err
-	}
-	head, _, err := t.viewFirstPage(s)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if n < len(head) {
-		head = head[:n:n]
-	}
-	return head, int(s.valLen), true, nil
-}
-
 // viewFirstPage borrows the share of s's value held by its first value page
 // and returns the next page of the chain (0 = none). The only page of a
 // single-page value must hold exactly the slot's length, the first of
@@ -389,23 +320,12 @@ func (t *Table) Put(key uint32, val []byte) error {
 			b.slots = append(b.slots, s)
 			t.size++
 		}
-		// Shadow the bucket page if it is shared.
-		target, err := t.writableBucket(pageID)
-		if err != nil {
-			return err
-		}
-		return t.writeBucket(target, b)
+		return t.writeBucket(pageID, b)
 	}
 }
 
 // split divides the bucket at directory index idx on one more hash bit.
 func (t *Table) split(idx int, pageID pagestore.PageID, b bucket) error {
-	// Shadow the splitting bucket first (repointing the pre-split directory
-	// entries), so its rewrite never lands on a page shared with readers.
-	pageID, err := t.writableBucket(pageID)
-	if err != nil {
-		return err
-	}
 	if uint(b.localDepth) == t.globalDepth {
 		if t.globalDepth >= 30 {
 			return errors.New("exthash: directory depth limit reached")
@@ -463,41 +383,8 @@ func (t *Table) Delete(key uint32) (bool, error) {
 			}
 			b.slots = append(b.slots[:i], b.slots[i+1:]...)
 			t.size--
-			target, err := t.writableBucket(pageID)
-			if err != nil {
-				return false, err
-			}
-			return true, t.writeBucket(target, b)
+			return true, t.writeBucket(pageID, b)
 		}
 	}
 	return false, nil
-}
-
-// CollectPages appends every page ID reachable from the table — each bucket
-// page plus each stored value's chain — to dst and returns it. Read-only.
-func (t *Table) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) {
-	seen := make(map[pagestore.PageID]bool, len(t.dir))
-	for _, p := range t.dir {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		dst = append(dst, p)
-		buf, err := t.store.View(p)
-		if err != nil {
-			return nil, err
-		}
-		for i := range int(binary.LittleEndian.Uint16(buf[2:4])) {
-			v := pagestore.PageID(binary.LittleEndian.Uint32(buf[bucketHeader+i*slotSize+8:]))
-			for v != 0 {
-				dst = append(dst, v)
-				page, err := t.store.View(v)
-				if err != nil {
-					return nil, err
-				}
-				v = pagestore.PageID(binary.LittleEndian.Uint32(page[0:4]))
-			}
-		}
-	}
-	return dst, nil
 }

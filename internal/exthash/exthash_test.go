@@ -2,6 +2,7 @@ package exthash
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,6 +24,23 @@ func newTable(t *testing.T, pageSize int) *Table {
 		t.Fatal(err)
 	}
 	return tab
+}
+
+// TestWriteValueWritesEachPageOnce holds a p-page value to p page writes and
+// no page read: every chain page is allocated before its predecessor is
+// written, so none is read back and patched.
+func TestWriteValueWritesEachPageOnce(t *testing.T) {
+	tab := newTable(t, 128)
+	const p = 9 // 120 data bytes per page
+	before := tab.store.Stats()
+	if err := tab.Put(1, make([]byte, p*120-7)); err != nil {
+		t.Fatal(err)
+	}
+	d := tab.store.Stats().Sub(before)
+	// Besides the chain: one view and one write of the bucket.
+	if d.Writes != p+1 || d.Reads != 1 || d.Allocs != p {
+		t.Fatalf("a %d-page Put cost %+v, want %d writes, 1 read, %d allocs", p, d, p+1, p)
+	}
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -119,7 +137,7 @@ func TestManyKeysForceSplits(t *testing.T) {
 		}
 	}
 	if err := tab.check(); err != nil {
-		t.Fatalf("table after splits fails its load check: %v", err)
+		t.Fatalf("table after splits fails its check: %v", err)
 	}
 }
 
@@ -221,4 +239,54 @@ func BenchmarkPutGet(b *testing.B) {
 		_ = tab.Put(uint32(i%10000), val)
 		_, _, _ = tab.GetView(uint32(i % 10000))
 	}
+}
+
+// check walks every distinct bucket and value chain once and refuses the
+// table unless each bucket page is live, holds at most slotsPer slots and
+// has a local depth no greater than the global one, each chain is live,
+// exactly chainPages(valLen) pages long and holds valLen bytes, no page is
+// reached twice, and Size counts the slots. Tests run it after mutations.
+func (t *Table) check() error {
+	seen := make(map[pagestore.PageID]bool)
+	var buckets []pagestore.PageID
+	for _, b := range t.dir {
+		if !seen[b] {
+			seen[b] = true
+			buckets = append(buckets, b)
+		}
+	}
+	slots := 0
+	for _, b := range buckets {
+		buf, err := t.store.View(b)
+		if err != nil {
+			return fmt.Errorf("exthash: bucket: %w", err)
+		}
+		depth, n := uint(binary.LittleEndian.Uint16(buf[0:2])), int(binary.LittleEndian.Uint16(buf[2:4]))
+		if depth > t.globalDepth || n > t.slotsPer {
+			return fmt.Errorf("exthash: bucket page %d holds %d slots at local depth %d, at most %d at depth %d",
+				b, n, depth, t.slotsPer, t.globalDepth)
+		}
+		slots += n
+		for off := bucketHeader; off < bucketHeader+n*slotSize; off += slotSize {
+			key, valLen := binary.LittleEndian.Uint32(buf[off:]), binary.LittleEndian.Uint32(buf[off+4:])
+			p, used := pagestore.PageID(binary.LittleEndian.Uint32(buf[off+8:])), uint64(0)
+			for range t.chainPages(int(valLen)) {
+				page, err := t.store.View(p)
+				if err != nil || seen[p] {
+					return fmt.Errorf("exthash: value page %d of key %d unreadable (%v) or reached twice", p, key, err)
+				}
+				seen[p] = true
+				used += uint64(binary.LittleEndian.Uint32(page[4:8]))
+				p = pagestore.PageID(binary.LittleEndian.Uint32(page[0:4]))
+			}
+			if p != 0 || used != uint64(valLen) {
+				return fmt.Errorf("exthash: value chain of key %d does not hold its %d bytes on %d pages",
+					key, valLen, t.chainPages(int(valLen)))
+			}
+		}
+	}
+	if slots != t.size {
+		return fmt.Errorf("exthash: table size %d, buckets hold %d slots", t.size, slots)
+	}
+	return nil
 }

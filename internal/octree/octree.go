@@ -819,12 +819,14 @@ func (t *Tree) CollectPages(dst []pagestore.PageID) ([]pagestore.PageID, error) 
 // Validate walks the tree checking structural invariants: internal nodes
 // have exactly 2^d children, leaf page chains are readable, exactly as long
 // as their page counts and share no page, no page holds more entries than
-// fit, depths are consistent, and the entry count matches the recorded
-// size. Tests run it after mutations and loads.
+// fit, no leaf holds an ID twice (a point query returns one leaf's entries
+// as they are), depths are consistent, and the entry count matches the
+// recorded size. Tests run it after mutations and loads.
 func (t *Tree) Validate() error {
 	fan := 1 << t.dim
 	entries := 0
 	seen := make(map[pagestore.PageID]bool)
+	ids := make(map[uint32]bool)
 	var walk func(n *node, depth int) error
 	walk = func(n *node, depth int) error {
 		if n.depth != depth {
@@ -848,9 +850,10 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("octree: leaf without a page chain")
 		}
 		chain := 0
+		clear(ids)
 		for p := n.firstPage; p != 0; chain++ {
-			// Header-only lazy read: chain pointer and entry count live in
-			// the first 8 bytes; the packed records need no decoding here.
+			// Read in place, nothing decoded: chain pointer and entry count
+			// live in the first 8 bytes, each record's ID in its first 4.
 			buf, err := t.store.View(p)
 			if err != nil || seen[p] || chain == n.pages {
 				return fmt.Errorf("octree: leaf page %d unreadable (%v), reached twice or past the leaf's %d pages", p, err, n.pages)
@@ -861,7 +864,15 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("octree: leaf page %d holds %d entries, at most %d fit", p, count, t.perPage())
 			}
 			entries += count
-			p = pagestore.PageID(binary.LittleEndian.Uint32(buf[0:4]))
+			next, recs := t.pageRecs(buf)
+			for es := t.entrySize(); len(recs) > 0; recs = recs[es:] {
+				id := binary.LittleEndian.Uint32(recs)
+				if ids[id] {
+					return fmt.Errorf("octree: leaf with page %d holds ID %d twice", p, id)
+				}
+				ids[id] = true
+			}
+			p = next
 		}
 		if chain != n.pages {
 			return fmt.Errorf("octree: leaf records %d pages, chain has %d", n.pages, chain)

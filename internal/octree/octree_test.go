@@ -3,6 +3,7 @@ package octree
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"pvoronoi/internal/geom"
@@ -383,6 +384,11 @@ func TestValidateAfterMutationSequences(t *testing.T) {
 	}
 	if err := ti.tree.Validate(); err != nil {
 		t.Fatalf("after removals: %v", err)
+	}
+	// Inserting a live ID again puts it twice into the leaves its UBR meets.
+	ti.insert(t, 1, geom.Rect{Lo: ubrs[1].Lo, Hi: ubrs[1].Lo}, ubrs[1])
+	if err := ti.tree.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("a leaf holding ID 1 twice: Validate says %v", err)
 	}
 }
 

@@ -222,64 +222,3 @@ func TestArenaMapParity(t *testing.T) {
 		t.Fatalf("stats divergence: arena %+v, map %+v", as, ms)
 	}
 }
-
-// TestImageRoundTripAcrossBackends snapshots the pages a caller kept and
-// restores the image, checking pages, allocator state, and the gob format's
-// header fields.
-func TestImageRoundTripAcrossBackends(t *testing.T) {
-	t.Run("arena", func(t *testing.T) {
-		s := New(80)
-		sess := NewFullSession(s)
-		var kept []PageID
-		for i := 0; i < 12; i++ {
-			id, err := s.Alloc()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sess.Write(id, fmt.Appendf(nil, "v-%d", i)); err != nil {
-				t.Fatal(err)
-			}
-			if i%4 == 2 {
-				if err := s.Free(id); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			kept = append(kept, id)
-		}
-		img, err := s.ImageOf(kept)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img.PageSize != 80 || len(img.Pages) != s.Live() {
-			t.Fatalf("image header mismatch: %+v live=%d", img, s.Live())
-		}
-		r, err := FromImage(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range kept {
-			want, err := s.View(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.View(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("page %d mismatch after round trip", id)
-			}
-		}
-		if r.Live() != s.Live() || r.FreeListLen() != s.FreeListLen() {
-			t.Fatalf("allocator state mismatch: live %d/%d free %d/%d",
-				r.Live(), s.Live(), r.FreeListLen(), s.FreeListLen())
-		}
-		// The restored allocator must recycle the same IDs.
-		a1, _ := s.Alloc()
-		a2, _ := r.Alloc()
-		if a1 != a2 {
-			t.Fatalf("restored allocator minted %d, original %d", a2, a1)
-		}
-	})
-}

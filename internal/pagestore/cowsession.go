@@ -2,9 +2,8 @@ package pagestore
 
 import "fmt"
 
-// COWSession scopes one copy-on-write mutation epoch over a store, shared
-// by every page-backed structure participating in the same version (the
-// octree and the extendible hash both hold one). Pages allocated within a
+// COWSession scopes one copy-on-write mutation epoch over a store for the
+// page-backed structure of one version, the octree. Pages allocated within a
 // session are owned by it and may be rewritten in place; everything else
 // is shared with older published versions and must be shadow-copied onto a
 // fresh page before changing. Write enforces the rule: it is the store's

@@ -3,9 +3,11 @@
 //
 // The paper reports query cost partly as leaf-page I/O (Figs. 9(c), 9(g));
 // counting page touches on an in-memory store preserves the orderings and
-// ratios between competing indexes without needing a physical disk. All
-// disk-resident structures (octree leaf lists, extendible-hash buckets,
-// R-tree leaves) allocate their pages here.
+// ratios between competing indexes without needing a physical disk. The
+// one disk-resident structure of an index, the octree's leaf lists (the
+// PV-index's and the UV-index's), allocates its pages here; the R*-tree is
+// main-memory, and the extendible hash (internal/exthash), which keeps its
+// buckets here too, is held by no index.
 //
 // Pages live in extent-based slab arenas: large contiguous []byte slabs
 // carved into fixed-size pages, with PageID → (extent, offset) resolved by

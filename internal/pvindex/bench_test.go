@@ -43,7 +43,7 @@ func benchPoint(rng *rand.Rand) geom.Point {
 }
 
 // BenchmarkPossibleNN measures the Step-1 hot loop: octree point query plus
-// candidate dedup and pruning.
+// candidate pruning.
 func BenchmarkPossibleNN(b *testing.B) {
 	ix := benchIndex(b, 2000)
 	rng := rand.New(rand.NewSource(2))

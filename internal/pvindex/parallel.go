@@ -93,9 +93,7 @@ func newIndex(cfg Config, workers int) *Index {
 		cfg.Fanout = rtree.DefaultFanout
 	}
 	ix := &Index{store: cfg.Store, cfg: cfg, pool: workers}
-	ix.scratch.New = func() any {
-		return &queryScratch{seen: make(map[uint32]struct{}, 64)}
-	}
+	ix.scratch.New = func() any { return new(queryScratch) }
 	return ix
 }
 

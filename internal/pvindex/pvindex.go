@@ -109,12 +109,11 @@ type Index struct {
 }
 
 // queryScratch is the reusable working set of one possibleNN evaluation:
-// the decoded leaf entries, the pre-filter candidate list, and the dedup
-// set. Pooled so the Step-1 hot loop allocates only its returned survivors.
+// the decoded leaf entries and the pre-filter candidate list. Pooled so the
+// Step-1 hot loop allocates only its returned survivors.
 type queryScratch struct {
 	entries []octree.Entry
 	cands   []Candidate
-	seen    map[uint32]struct{}
 }
 
 // working is the writer's mutable view while it builds the next version:
@@ -305,10 +304,10 @@ func (ix *Index) PossibleNNIO(q geom.Point) ([]Candidate, int, error) {
 }
 
 // possibleNNAt is PossibleNN against a pinned version, returning the leaf
-// pages read. All intermediate state — decoded leaf entries, the dedup set,
-// the pre-filter candidate list — lives in a pooled scratch; only the
-// surviving candidates are materialized, with their regions deep-copied
-// into a single backing array so the result owns no pooled memory.
+// pages read. All intermediate state — decoded leaf entries, the pre-filter
+// candidate list — lives in a pooled scratch; only the surviving candidates
+// are materialized, with their regions deep-copied into a single backing
+// array so the result owns no pooled memory.
 func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error) {
 	if err := checkFinite(q); err != nil {
 		return nil, 0, err
@@ -321,17 +320,12 @@ func (ix *Index) possibleNNAt(v *version, q geom.Point) ([]Candidate, int, error
 	if err != nil || len(entries) == 0 {
 		return nil, leafIO, err
 	}
-	// Deduplicate (an object appears once per overlapping leaf page set —
-	// the point query hits one leaf, but defensive against double inserts).
-	clear(sc.seen)
+	// The point query reads one leaf, and a leaf holds an ID once
+	// (octree.Validate checks it), so the entries need no de-duplicating.
 	cands := sc.cands[:0]
 	bestMax := -1.0
 	for i := range entries {
 		e := &entries[i]
-		if _, dup := sc.seen[e.ID]; dup {
-			continue
-		}
-		sc.seen[e.ID] = struct{}{}
 		c := Candidate{
 			ID:      uncertain.ID(e.ID),
 			Region:  e.Region,
