@@ -49,7 +49,8 @@ func TestComputeUBRAllocBudget(t *testing.T) {
 // BenchmarkComputeUBRIS runs SE on the package's random d = 3 data and on the
 // benchmark harness's datasets (uni2, uni3: benchmark/spec.go) with their
 // d = 5 sibling; tests/op is Stats.DominationTests per object, the count SE's
-// cost follows.
+// cost follows, and ns/test the time per object (C-set browse included)
+// divided by it.
 func BenchmarkComputeUBRIS(b *testing.B) {
 	synthetic := func(n, d int, side float64) func() *uncertain.DB {
 		return func() *uncertain.DB {
@@ -78,6 +79,9 @@ func BenchmarkComputeUBRIS(b *testing.B) {
 				tests += st.DominationTests
 			}
 			b.ReportMetric(float64(tests)/float64(b.N), "tests/op")
+			if tests > 0 {
+				b.ReportMetric(float64(b.Elapsed())/float64(tests), "ns/test")
+			}
 		})
 	}
 }

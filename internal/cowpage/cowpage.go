@@ -1,9 +1,9 @@
 // Package cowpage holds the per-ID tables of the index and of the database:
-// a map from a block of 256 IDs to a page, copy-on-write by page. Clone
+// a map from a block of Width IDs to a page, copy-on-write by page. Clone
 // shares every page and gives both sides fresh owner tags, so a shared page
 // is never written: the first write to it on either side copies it. A table
 // thus pays for the pages it touches, dropping an unwritten-back clone is a
-// complete rollback, and sparse IDs cost at most one page per 256-ID block.
+// complete rollback, and sparse IDs cost at most one page per block.
 package cowpage
 
 import (
@@ -11,6 +11,17 @@ import (
 	"slices"
 	"sync/atomic"
 )
+
+// Bits is log₂ Width.
+const Bits = 6
+
+// Width is the number of IDs a page holds, the same in every table: block n
+// holds the IDs n·Width to n·Width + Width − 1. A write copies a whole page
+// the first time it touches it after a Clone.
+const Width = 1 << Bits
+
+// Split returns id's block and its slot in the block's page.
+func Split(id uint32) (block, slot uint32) { return id >> Bits, id & (Width - 1) }
 
 // tag marks the pages one Pages may write in place.
 type tag struct{ _ byte }

@@ -2,6 +2,7 @@ package domination
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,15 +13,19 @@ import (
 // With grid set every coordinate is a multiple of 8 in [0,128], so distances
 // tie, sums cancel to exactly zero and bisection midpoints land on other
 // rectangles' faces — the inputs on which a reordered sum or a < turned <=
-// would first disagree.
+// would first disagree. A non-nil draw replaces both.
 type diffGen struct {
 	rng  *rand.Rand
 	d    int
 	grid bool
+	draw func(*rand.Rand) float64
 }
 
 func (g diffGen) coord() float64 {
-	if g.grid {
+	switch {
+	case g.draw != nil:
+		return g.draw(g.rng)
+	case g.grid:
 		return float64(g.rng.Intn(17)) * 8
 	}
 	return g.rng.Float64() * 128
@@ -137,7 +142,9 @@ func TestTesterMatchesReference(t *testing.T) {
 
 // fuzzCase decodes a fuzz input: d ∈ [1,6], depth ∈ [0,13], and one byte per
 // coordinate in half-units (so ties are common) — target, region, then up to
-// 48 candidates, each as d (lo, hi) pairs, swapped into order.
+// 48 candidates, each as d (lo, hi) pairs, swapped into order. Byte 0 is −0
+// as a pair's first byte and +0 as its second, so zeros of both signs reach
+// the kernel.
 func fuzzCase(dByte, depthByte byte, data []byte) (d, depth int, target, region geom.Rect, cands []geom.Rect) {
 	d, depth = 1+int(dByte)%6, int(depthByte)%14
 	next := func() (geom.Rect, bool) {
@@ -147,6 +154,9 @@ func fuzzCase(dByte, depthByte byte, data []byte) (d, depth int, target, region 
 		lo, hi := make(geom.Point, d), make(geom.Point, d)
 		for j := range lo {
 			a, b := float64(data[2*j])/2, float64(data[2*j+1])/2
+			if a == 0 {
+				a = math.Copysign(0, -1)
+			}
 			lo[j], hi[j] = min(a, b), max(a, b)
 		}
 		data = data[2*d:]
@@ -177,6 +187,11 @@ func FuzzRegionPrunable(f *testing.F) {
 	f.Add(byte(1), byte(12), []byte{0, 0, 2, 2, 48, 50, 0, 44, 40, 42, 20, 22, 40, 42, 0, 2}) // needs partitioning
 	f.Add(byte(0), byte(0), []byte{10, 10, 10, 10, 10, 10})                                   // all points, coincident
 	f.Add(byte(2), byte(4), []byte{8, 16, 8, 16, 8, 16, 0, 255, 0, 255, 0, 255, 8, 16, 8, 16, 8, 16, 32, 40, 8, 16, 8, 16})
+	// d = 2 and d = 3 beside a target at the origin: −0 and +0 endpoints,
+	// boxes from −0 to +0, and candidates whose sides tie the region's; the
+	// second candidate dominates the region.
+	f.Add(byte(1), byte(10), []byte{0, 4, 0, 4, 16, 24, 0, 4, 0, 0, 16, 24, 12, 12, 0, 0, 12, 12, 0, 4})
+	f.Add(byte(2), byte(10), []byte{0, 4, 0, 4, 0, 4, 16, 24, 0, 4, 0, 0, 0, 0, 0, 0, 16, 24, 12, 12, 0, 0, 4, 4, 12, 12, 0, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, dByte, depthByte byte, data []byte) {
 		d, depth, target, region, cands := fuzzCase(dByte, depthByte, data)
 		if target.Dim() == 0 {

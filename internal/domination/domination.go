@@ -130,6 +130,8 @@ type Tester struct {
 	// level appends the candidates that survive its part, so a level's live
 	// set is a contiguous range its two children share.
 	live []int32
+	// scan is the candidate loop for the tester's dimension (scanFor).
+	scan scanFunc
 
 	// axis is the face axis of the plate ShrinkExpand is probing, -1 in the
 	// stateless RegionPrunable; on it the filter looks at the face's whole
@@ -154,7 +156,7 @@ func (t *Tester) Reset(candidates []geom.Rect, target geom.Rect, maxDepth int) *
 	d, n := target.Dim(), len(candidates)
 	size := n*3*d + 2*d + (maxDepth+1)*2*d + 6*d
 	buf := slices.Grow(t.cand[:0], size)[:size] // cand heads the buffer
-	t.Tests, t.dim, t.n, t.maxDepth = 0, d, n, maxDepth
+	t.Tests, t.dim, t.n, t.maxDepth, t.scan = 0, d, n, maxDepth, scanFor(d)
 	t.live = slices.Grow(t.live[:0], n*(maxDepth+3))[:n*(maxDepth+3)]
 	t.cand, buf = buf[:n*3*d], buf[n*3*d:]
 	t.target, buf = buf[:2*d], buf[2*d:]
@@ -219,34 +221,12 @@ func (t *Tester) prunable(level, from, to, depth int) bool {
 	// candidate proven unable to dominate any point of r stays useless for
 	// every sub-part, so drop it before recursing. Most slabs either find a
 	// single dominator here or lose all candidates, terminating early.
-	live, top, q := t.live, to, t.terms
-	for i := from; i < to; i++ {
-		c := live[i]
-		a := t.cand[int(c)*3*d : (int(c)+1)*3*d]
-		// sum is Dominates' Σ_j max over r's endpoints of maxdist² − mindist²;
-		// lbMax is CannotDominate's Σ_j maxdist² at the candidate's midpoint
-		// clamped into r. Both accumulate in dimension order from zero.
-		var sum, lbMax float64
-		for j := 0; j < d; j++ {
-			aj, qj := a[3*j:3*j+3:3*j+3], q[6*j:6*j+6:6*j+6]
-			alo, ahi, p := aj[0], aj[1], aj[2]
-			sum += max(geom.AxisMaxDist2(qj[0], alo, ahi)-qj[2], geom.AxisMaxDist2(qj[1], alo, ahi)-qj[3])
-			if flo, fhi := qj[4], qj[5]; p < flo {
-				p = flo
-			} else if p > fhi {
-				p = fhi
-			}
-			lbMax += geom.AxisMaxDist2(p, alo, ahi)
-		}
-		if sum < 0 {
-			t.Tests += int64(i - from + 1)
-			t.keepList(r, c, live[from:to])
-			return true
-		}
-		if !(lbMax >= ubMin) {
-			live[top] = c
-			top++
-		}
+	live := t.live
+	hit, top := t.scan(t, from, to, ubMin)
+	if hit >= 0 {
+		t.Tests += int64(hit - from + 1)
+		t.keepList(r, live[hit], live[from:to])
+		return true
 	}
 	t.Tests += int64(to - from)
 	if depth == 0 || top == to {
@@ -273,4 +253,128 @@ func (t *Tester) prunable(level, from, to, depth int) bool {
 		return false
 	}
 	return t.prunable(level+1, to, top, depth-1)
+}
+
+// The scans are prunable's candidate loop. Each tests live[from:to] in order
+// against the part whose terms t.terms holds, and returns the index of the
+// first candidate that dominates the part (-1 if none) and the end of the
+// survivors it stacked from live[to] on: the candidates before the hit that
+// the filter could not drop. Per candidate, margin is Dominates' sum negated,
+// Σ_j of the smaller over r's endpoints of mindist²(target) − maxdist²
+// (candidate), so a positive margin is a dominator; lbMax is CannotDominate's
+// Σ_j maxdist² at the candidate's midpoint clamped into the filter's extent.
+// Both add the dimensions in order. scan2 and scan3 are scanN with the
+// dimension loop unrolled and the part's terms held in locals
+// (TestScansMatchGeneric).
+type scanFunc func(t *Tester, from, to int, ubMin float64) (hit, top int)
+
+// scanFor returns the scan for dimension d.
+func scanFor(d int) scanFunc {
+	switch d {
+	case 2:
+		return (*Tester).scan2
+	case 3:
+		return (*Tester).scan3
+	}
+	return (*Tester).scanN
+}
+
+// far2 is geom.AxisMaxDist2 for lo ≤ hi, without the abs and the max: the
+// smaller of lo − x and x − hi is minus the distance to the farther endpoint
+// (at most one of the two is positive, and a float subtraction's sign is
+// symmetric), and the square drops the sign. The margin's min(a, b) is
+// likewise −max(−a, −b) of the sum's terms, and a sum of negated terms is the
+// negated sum, so margin > 0 exactly where sum < 0 (TestKernelIdentities).
+func far2(x, lo, hi float64) float64 {
+	m := min(lo-x, x-hi)
+	return m * m
+}
+
+// clamp is CannotDominate's midpoint clamp for lo ≤ hi without its branches;
+// it differs from the if/else clamp only in the sign of a zero, which far2
+// squares away.
+func clamp(p, lo, hi float64) float64 {
+	return min(max(p, lo), hi)
+}
+
+// A scan stores each candidate at top before the filter decides on it and
+// keeps it by advancing top: the slot is the next survivor's either way, and
+// lies inside the range a level's survivors may fill.
+
+func (t *Tester) scanN(from, to int, ubMin float64) (hit, top int) {
+	d, live, q := t.dim, t.live, t.terms
+	top = to
+	for i := from; i < to; i++ {
+		c := live[i]
+		a := t.cand[int(c)*3*d : (int(c)+1)*3*d]
+		var margin float64
+		for j := 0; j < d; j++ {
+			aj, qj := a[3*j:3*j+3:3*j+3], q[6*j:6*j+6:6*j+6]
+			margin += min(qj[2]-far2(qj[0], aj[0], aj[1]), qj[3]-far2(qj[1], aj[0], aj[1]))
+		}
+		if margin > 0 {
+			return i, top
+		}
+		var lbMax float64
+		for j := 0; j < d; j++ {
+			aj, qj := a[3*j:3*j+3:3*j+3], q[6*j:6*j+6:6*j+6]
+			lbMax += far2(clamp(aj[2], qj[4], qj[5]), aj[0], aj[1])
+		}
+		live[top] = c
+		if !(lbMax >= ubMin) {
+			top++
+		}
+	}
+	return -1, top
+}
+
+func (t *Tester) scan2(from, to int, ubMin float64) (hit, top int) {
+	q := (*[12]float64)(t.terms)
+	lo0, hi0, tlo0, thi0, flo0, fhi0 := q[0], q[1], q[2], q[3], q[4], q[5]
+	lo1, hi1, tlo1, thi1, flo1, fhi1 := q[6], q[7], q[8], q[9], q[10], q[11]
+	live, cand := t.live, t.cand
+	top = to
+	for i := from; i < to; i++ {
+		c := live[i]
+		a := (*[6]float64)(cand[int(c)*6:])
+		margin := min(tlo0-far2(lo0, a[0], a[1]), thi0-far2(hi0, a[0], a[1])) +
+			min(tlo1-far2(lo1, a[3], a[4]), thi1-far2(hi1, a[3], a[4]))
+		if margin > 0 {
+			return i, top
+		}
+		lbMax := far2(clamp(a[2], flo0, fhi0), a[0], a[1]) +
+			far2(clamp(a[5], flo1, fhi1), a[3], a[4])
+		live[top] = c
+		if !(lbMax >= ubMin) {
+			top++
+		}
+	}
+	return -1, top
+}
+
+func (t *Tester) scan3(from, to int, ubMin float64) (hit, top int) {
+	q := (*[18]float64)(t.terms)
+	lo0, hi0, tlo0, thi0, flo0, fhi0 := q[0], q[1], q[2], q[3], q[4], q[5]
+	lo1, hi1, tlo1, thi1, flo1, fhi1 := q[6], q[7], q[8], q[9], q[10], q[11]
+	lo2, hi2, tlo2, thi2, flo2, fhi2 := q[12], q[13], q[14], q[15], q[16], q[17]
+	live, cand := t.live, t.cand
+	top = to
+	for i := from; i < to; i++ {
+		c := live[i]
+		a := (*[9]float64)(cand[int(c)*9:])
+		margin := min(tlo0-far2(lo0, a[0], a[1]), thi0-far2(hi0, a[0], a[1])) +
+			min(tlo1-far2(lo1, a[3], a[4]), thi1-far2(hi1, a[3], a[4])) +
+			min(tlo2-far2(lo2, a[6], a[7]), thi2-far2(hi2, a[6], a[7]))
+		if margin > 0 {
+			return i, top
+		}
+		lbMax := far2(clamp(a[2], flo0, fhi0), a[0], a[1]) +
+			far2(clamp(a[5], flo1, fhi1), a[3], a[4]) +
+			far2(clamp(a[8], flo2, fhi2), a[6], a[7])
+		live[top] = c
+		if !(lbMax >= ubMin) {
+			top++
+		}
+	}
+	return -1, top
 }

@@ -271,18 +271,19 @@ func mapAxis(x, a0, a1, q0, q1 float64) float64 {
 	return min(q0+(x-a0)/(a1-a0)*(q1-q0), q1)
 }
 
-// dominates is the kernel's test of one candidate on the level-0 box.
+// dominates is the kernel's test of one candidate on the level-0 box, in the
+// scans' arithmetic (far2).
 func (t *Tester) dominates(c int32) bool {
 	t.Tests++
 	d := t.dim
 	a, r := t.cand[int(c)*3*d:], t.regions
-	var sum float64
+	var margin float64
 	for j := 0; j < d; j++ {
 		alo, ahi, tlo, thi := a[3*j], a[3*j+1], t.target[2*j], t.target[2*j+1]
-		sum += max(geom.AxisMaxDist2(r[2*j], alo, ahi)-geom.AxisMinDist2(r[2*j], tlo, thi),
-			geom.AxisMaxDist2(r[2*j+1], alo, ahi)-geom.AxisMinDist2(r[2*j+1], tlo, thi))
+		margin += min(geom.AxisMinDist2(r[2*j], tlo, thi)-far2(r[2*j], alo, ahi),
+			geom.AxisMinDist2(r[2*j+1], tlo, thi)-far2(r[2*j+1], alo, ahi))
 	}
-	return sum < 0
+	return margin > 0
 }
 
 // expand lists set in live[n:], dom first, and returns the list's end.

@@ -290,8 +290,8 @@ func BenchmarkApplyBatchPairs(b *testing.B) {
 				insert += t1.Sub(t0)
 				remove += time.Since(t1)
 			}
-			b.ReportMetric(float64(insert.Milliseconds())/float64(b.N), "insert_ms/batch")
-			b.ReportMetric(float64(remove.Milliseconds())/float64(b.N), "delete_ms/batch")
+			b.ReportMetric(float64(insert)/float64(time.Millisecond)/float64(b.N), "insert_ms/batch")
+			b.ReportMetric(float64(remove)/float64(time.Millisecond)/float64(b.N), "delete_ms/batch")
 		})
 	}
 }

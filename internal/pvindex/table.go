@@ -12,9 +12,9 @@ import (
 )
 
 // Every per-ID table of a version — the UBRs, the witness lists and their
-// reverse index — is a cowpage.Pages: pages of 256 IDs, copy-on-write by
-// page, so a batch pays for the pages it touches and dropping an unpublished
-// clone is a complete rollback.
+// reverse index — is a cowpage.Pages: pages of cowpage.Width IDs,
+// copy-on-write by page, so a batch pays for the pages it touches and
+// dropping an unpublished clone is a complete rollback.
 
 // ubrTable maps an object ID to its stored UBR. A slot is fixed width, 2d
 // float64 (lo, then hi) plus a presence bit.
@@ -25,9 +25,12 @@ type ubrTable struct {
 }
 
 type ubrPage struct {
-	has    [4]uint64 // presence bits
-	coords []float64 // 256 slots of 2d
+	has    presence
+	coords []float64 // cowpage.Width slots of 2d
 }
+
+// presence has a page's bit per slot.
+type presence [cowpage.Width / 64]uint64
 
 func newUBRTable(d int) *ubrTable { return &ubrTable{d: d, pages: cowpage.New[ubrPage]()} }
 
@@ -35,7 +38,8 @@ func (t *ubrTable) clone() *ubrTable { return &ubrTable{d: t.d, pages: t.pages.C
 
 // get returns a copy of id's UBR.
 func (t *ubrTable) get(id uint32) (geom.Rect, bool) {
-	p, s := t.pages.At(id>>8), id&255
+	n, s := cowpage.Split(id)
+	p := t.pages.At(n)
 	if p == nil || p.has[s>>6]&(1<<(s&63)) == 0 {
 		return geom.Rect{}, false
 	}
@@ -46,7 +50,8 @@ func (t *ubrTable) get(id uint32) (geom.Rect, bool) {
 
 // set stores r as id's UBR.
 func (t *ubrTable) set(id uint32, r geom.Rect) {
-	p, s := t.page(id>>8), id&255
+	n, s := cowpage.Split(id)
+	p := t.page(n)
 	if p.has[s>>6]&(1<<(s&63)) == 0 {
 		p.has[s>>6] |= 1 << (s & 63)
 		t.n++
@@ -57,14 +62,14 @@ func (t *ubrTable) set(id uint32, r geom.Rect) {
 
 // remove drops id's UBR; a page goes with its last one.
 func (t *ubrTable) remove(id uint32) {
-	s := id & 255
-	if p := t.pages.At(id >> 8); p == nil || p.has[s>>6]&(1<<(s&63)) == 0 {
+	n, s := cowpage.Split(id)
+	if p := t.pages.At(n); p == nil || p.has[s>>6]&(1<<(s&63)) == 0 {
 		return
 	}
-	p := t.page(id >> 8)
+	p := t.page(n)
 	p.has[s>>6] &^= 1 << (s & 63)
-	if t.n--; p.has == [4]uint64{} {
-		t.pages.Delete(id >> 8)
+	if t.n--; p.has == (presence{}) {
+		t.pages.Delete(n)
 	}
 }
 
@@ -72,7 +77,7 @@ func (t *ubrTable) remove(id uint32) {
 func (t *ubrTable) page(n uint32) *ubrPage {
 	return t.pages.Writable(n, func(old *ubrPage) ubrPage {
 		if old == nil {
-			return ubrPage{coords: make([]float64, 256*2*t.d)}
+			return ubrPage{coords: make([]float64, cowpage.Width*2*t.d)}
 		}
 		return ubrPage{has: old.has, coords: slices.Clone(old.coords)}
 	})
@@ -92,7 +97,7 @@ func (t *ubrTable) image() *ubrImage {
 		for w, word := range p.has {
 			for ; word != 0; word &= word - 1 {
 				s := w<<6 | bits.TrailingZeros64(word)
-				img.IDs, img.Coords = append(img.IDs, n<<8|uint32(s)), append(img.Coords, p.coords[s*2*t.d:(s+1)*2*t.d]...)
+				img.IDs, img.Coords = append(img.IDs, n<<cowpage.Bits|uint32(s)), append(img.Coords, p.coords[s*2*t.d:(s+1)*2*t.d]...)
 			}
 		}
 	}

@@ -125,17 +125,21 @@ func pagesOf[P any](c *cowpage.Pages[P]) map[uint32]*P {
 }
 
 // TestSparseIDsOnePagePerBlock: the tables and the database keep at most one
-// page per 256-ID block that holds an ID, whatever the IDs' spread (the
-// harness's newcomers start at 1 000 000), and drop a block's page with its
-// last ID.
+// page per block of cowpage.Width IDs that holds an ID, whatever the IDs'
+// spread (the harness's newcomers start at 1 000 000), and drop a block's
+// page with its last ID.
 func TestSparseIDsOnePagePerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	ix, err := Build(randomDB(rng, 300, 2, 2000, 40, false), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Three IDs at the start, the slot after and the end of one block, one
+	// in the next block, and two far apart.
+	const w = cowpage.Width
+	base := uncertain.ID(1_000_000 / w * w)
 	var ups []Update
-	for _, id := range []uncertain.ID{1_000_000, 1_000_001, 1_000_255, 1_000_256, 40_000_000, 1<<32 - 1} {
+	for _, id := range []uncertain.ID{base, base + 1, base + w - 1, base + w, 40_000_000, 1<<32 - 1} {
 		ups = append(ups, Update{Op: OpInsert, Object: newObj(rng, id, 2, 2000, 40)})
 	}
 	if _, err := ix.ApplyBatch(ups); err != nil {
@@ -144,7 +148,7 @@ func TestSparseIDsOnePagePerBlock(t *testing.T) {
 	blocks := func() map[uint32]bool {
 		b := map[uint32]bool{}
 		for _, o := range ix.DB().Objects() {
-			b[uint32(o.ID)>>8] = true
+			b[uint32(o.ID)>>cowpage.Bits] = true
 		}
 		return b
 	}
@@ -165,11 +169,11 @@ func TestSparseIDsOnePagePerBlock(t *testing.T) {
 		}
 	}
 	check("after the inserts")
-	if len(blocks()) != 6 { // the build's 0 and 1, then 3906, 3907, 156250 and 2^24-1
-		t.Fatalf("%d blocks, want 6", len(blocks()))
+	if want := (300+w-1)/w + 4; len(blocks()) != want { // the build's, then four
+		t.Fatalf("%d blocks, want %d", len(blocks()), want)
 	}
 	ups = ups[:0]
-	for _, id := range []uncertain.ID{1_000_256, 40_000_000, 1<<32 - 1, 1_000_000} {
+	for _, id := range []uncertain.ID{base + w, 40_000_000, 1<<32 - 1, base} {
 		ups = append(ups, Update{Op: OpDelete, ID: id})
 	}
 	if _, err := ix.ApplyBatch(ups); err != nil {
@@ -180,7 +184,7 @@ func TestSparseIDsOnePagePerBlock(t *testing.T) {
 	// The table alone, at the extremes of the ID space.
 	tab := newUBRTable(3)
 	r := geom.NewRect(geom.Point{1, 2, 3}, geom.Point{4, 5, 6})
-	ids := []uint32{0, 255, 256, 511, 1 << 31, 1<<32 - 1}
+	ids := []uint32{0, w - 1, w, 2*w - 1, 1 << 31, 1<<32 - 1}
 	for _, id := range ids {
 		tab.set(id, r)
 	}

@@ -13,8 +13,8 @@ import (
 // at d dimensions, about four times a cold run's witnesses on uniform data.
 func witnessCap(d int) int { return min(16<<d, 1024) }
 
-// idLists maps an ID to an ascending list of IDs, in pages of 256 lists
-// (cowpage); a stored list is never written.
+// idLists maps an ID to an ascending list of IDs, in pages of
+// cowpage.Width lists; a stored list is never written.
 type idLists struct {
 	pages *cowpage.Pages[listPage]
 	rows  int // non-empty lists
@@ -23,7 +23,7 @@ type idLists struct {
 
 type listPage struct {
 	live  int
-	lists [256][]uint32
+	lists [cowpage.Width][]uint32
 }
 
 func newIDLists() *idLists { return &idLists{pages: cowpage.New[listPage]()} }
@@ -35,8 +35,9 @@ func (l *idLists) clone() *idLists {
 
 // get returns id's list, nil when empty. Do not modify it.
 func (l *idLists) get(id uint32) []uint32 {
-	if p := l.pages.At(id >> 8); p != nil {
-		return p.lists[id&255]
+	n, s := cowpage.Split(id)
+	if p := l.pages.At(n); p != nil {
+		return p.lists[s]
 	}
 	return nil
 }
@@ -48,7 +49,8 @@ func (l *idLists) set(id uint32, list []uint32) {
 	if slices.Equal(old, list) {
 		return
 	}
-	p := l.pages.Writable(id>>8, cowpage.Copy[listPage])
+	n, s := cowpage.Split(id)
+	p := l.pages.Writable(n, cowpage.Copy[listPage])
 	switch {
 	case len(old) == 0:
 		p.live, l.rows = p.live+1, l.rows+1
@@ -56,8 +58,8 @@ func (l *idLists) set(id uint32, list []uint32) {
 		p.live, l.rows, list = p.live-1, l.rows-1, nil
 	}
 	l.total += len(list) - len(old)
-	if p.lists[id&255] = list; p.live == 0 {
-		l.pages.Delete(id >> 8)
+	if p.lists[s] = list; p.live == 0 {
+		l.pages.Delete(n)
 	}
 }
 
@@ -68,7 +70,7 @@ func (l *idLists) forEach(fn func(id uint32, list []uint32) error) error {
 			if len(list) == 0 {
 				continue
 			}
-			if err := fn(n<<8|uint32(i), list); err != nil {
+			if err := fn(n<<cowpage.Bits|uint32(i), list); err != nil {
 				return err
 			}
 		}

@@ -137,23 +137,24 @@ func SampleInstances(region geom.Rect, kind PDFKind, n int, rng *rand.Rand) []In
 
 // DB is an in-memory uncertain database: the set S of the paper. Object order
 // is stable; lookup by ID is O(1): an ID's slice position, plus one (0:
-// absent), lives in a cowpage page of 256 IDs, so a Clone copies the object
-// slice and the page map but no position.
+// absent), lives in a cowpage page of cowpage.Width IDs, so a Clone copies
+// the object slice and the page map but no position.
 type DB struct {
 	Domain  geom.Rect
 	objects []*Object
-	pages   *cowpage.Pages[[256]int32]
+	pages   *cowpage.Pages[[cowpage.Width]int32]
 }
 
 // NewDB returns an empty database over the given domain.
 func NewDB(domain geom.Rect) *DB {
-	return &DB{Domain: domain, pages: cowpage.New[[256]int32]()}
+	return &DB{Domain: domain, pages: cowpage.New[[cowpage.Width]int32]()}
 }
 
 // index returns id's slice position.
 func (db *DB) index(id ID) (int, bool) {
-	if p := db.pages.At(uint32(id) >> 8); p != nil && p[id&255] != 0 {
-		return int(p[id&255]) - 1, true
+	n, s := cowpage.Split(uint32(id))
+	if p := db.pages.At(n); p != nil && p[s] != 0 {
+		return int(p[s]) - 1, true
 	}
 	return 0, false
 }
@@ -161,9 +162,10 @@ func (db *DB) index(id ID) (int, bool) {
 // setIndex records id at slice position i, or drops it for i < 0; a page
 // goes with its last ID.
 func (db *DB) setIndex(id ID, i int) {
-	p := db.pages.Writable(uint32(id)>>8, cowpage.Copy[[256]int32])
-	if p[id&255] = int32(i + 1); i < 0 && *p == [256]int32{} {
-		db.pages.Delete(uint32(id) >> 8)
+	n, s := cowpage.Split(uint32(id))
+	p := db.pages.Writable(n, cowpage.Copy[[cowpage.Width]int32])
+	if p[s] = int32(i + 1); i < 0 && *p == [cowpage.Width]int32{} {
+		db.pages.Delete(n)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestDBClone(t *testing.T) {
 
 // TestCloneDivergesOnSharedPages: a clone and its parent share the ID →
 // position pages until either writes one. Random Adds and Removes on both
-// sides, IDs packed into a few 256-ID blocks and scattered far apart, must
+// sides, IDs packed into a few blocks and scattered far apart, must
 // leave each database equal to a model of its own history — order, Get and
 // Len — while a reader walks the parent, which only the main goroutine
 // writes, between its own rounds (run it with -race). Emptied, a database
